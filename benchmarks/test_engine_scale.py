@@ -39,7 +39,11 @@ peak pending-entry count (heap/wheel size).  Baselines live in
   kernel (monolithic ``heapq`` + copying byte path), for trajectory
   context;
 * ``current`` entries are the committed performance trajectory — the CI
-  smoke job fails on a >25% regression against them.
+  bench jobs and the nightly (``BENCH_WALL_GATES=1``) fail on a >25%
+  regression against them.  Without that switch the ratio is only
+  recorded (``ratio_vs_baseline`` in ``extra_info``): a calibration-scaled
+  cross-machine wall clock is no tier-1 assertion — on a 2-core box it
+  failed different tests on consecutive runs of identical code.
 
 The >= 3x speedup acceptance does not rely on recorded wall-clock numbers:
 :func:`test_kernel_speedup_vs_seed_stack` re-measures the wheel stack and
@@ -424,7 +428,7 @@ def run_fluid_scenario(size: str, fidelity: str):
 
     stats = fw.sim.stats()
     expected = len(completions) * FLUID_TRANSFER_BYTES[size]
-    fluid = [c._fluid for c in conns if getattr(c, "_fluid", None) is not None]
+    fluid = [c.fluid for c in conns if c.fluid is not None]
     result = {
         "hosts": len(grid.hosts),
         "streams": len(completions),
@@ -863,11 +867,13 @@ def maybe_refresh(kind: str, size: str, result: dict, machine_ops: float) -> Non
 
 
 def check_baselines(kind: str, size: str, result: dict, benchmark, remeasure=None) -> None:
-    """Report speedup vs the recorded seed entry and gate against a >25%
-    regression vs the committed ``current`` entry.  (The hard >= 3x speedup
-    acceptance lives in :func:`test_kernel_speedup_vs_seed_stack`, which
-    measures both stacks live — recorded wall-clock entries are only
-    calibration-scaled estimates across machines.)
+    """Report speedup vs the recorded seed entry and the ratio vs the
+    committed ``current`` entry (always recorded as ``ratio_vs_baseline``);
+    under ``BENCH_WALL_GATES=1`` (the CI bench jobs, the nightly) a >25%
+    regression fails.  (The hard >= 3x speedup acceptance lives in
+    :func:`test_kernel_speedup_vs_seed_stack`, which measures both stacks
+    live — recorded wall-clock entries are only calibration-scaled
+    estimates across machines, which is why tier-1 does not assert them.)
 
     ``remeasure`` (a zero-arg callable re-running the scenario) grants the
     gate one retry: a single wall-clock measurement on shared hardware can
@@ -888,14 +894,15 @@ def check_baselines(kind: str, size: str, result: dict, benchmark, remeasure=Non
     if current is not None and os.environ.get("BENCH_REFRESH", "") != "1":
         expected = scaled(current, machine_ops)
         ratio = result["events_per_sec"] / expected
-        if ratio < REGRESSION_FLOOR and remeasure is not None:
+        gated = os.environ.get("BENCH_WALL_GATES", "") == "1"
+        if gated and ratio < REGRESSION_FLOOR and remeasure is not None:
             retried = remeasure()
             retry_ratio = retried["events_per_sec"] / expected
             benchmark.extra_info["ratio_first_attempt"] = round(ratio, 2)
             if retry_ratio > ratio:
                 ratio = retry_ratio
         benchmark.extra_info["ratio_vs_baseline"] = round(ratio, 2)
-        assert ratio >= REGRESSION_FLOOR, (
+        assert not gated or ratio >= REGRESSION_FLOOR, (
             f"{kind} events/sec regressed >25% vs committed baseline: "
             f"{result['events_per_sec']}/s vs {expected:.0f}/s expected "
             f"(ratio {ratio:.2f} < {REGRESSION_FLOOR})"

@@ -4,10 +4,12 @@ PR 3 made the event kernel cheap and PR 5 sharded it; what remains on the
 deployment profile is the *model*: ``TcpConnection._pump`` costs a handful
 of events plus frame/delivery/observer machinery per congestion-window
 burst, so a bulk stream pays O(bytes / receive_window) heavyweight rounds.
-For a flow whose conditions are stable — no loss draws, link parameters
-unchanged, no competing sender on its NIC, no churn on the path — every one
-of those rounds is fully determined in advance.  This module detects that
-stability per connection and advances such flows analytically.
+For flows whose conditions are stable — no loss draws, link parameters
+unchanged, no churn on the path — every one of those rounds is fully
+determined in advance, *including* the rounds of flows that share a sending
+NIC: contention in this model is the per-NIC ``reserve_tx`` queue, and the
+order in which the senders reach it is itself deterministic.  This module
+detects that stability per connection and advances such flows analytically.
 
 Two fluid tiers, chosen per pump:
 
@@ -17,30 +19,69 @@ Two fluid tiers, chosen per pump:
     ``Delivery`` objects, demultiplexing through the stack, or charging
     per-layer costs object-by-object.  The arithmetic follows the packet
     path operation-for-operation, so the produced virtual times are
-    *float-identical* to the packet model.  Works at any loss rate: the
-    loss draw happens first, and a positive draw hands the already-drawn
-    round back to the packet path (the RNG stream never forks).
+    *float-identical* to the packet model.  Works at any loss rate and any
+    contention: the loss draw happens first, and a positive draw hands the
+    already-drawn round back to the packet path (the RNG stream never
+    forks).
 
 ``epoch``
-    the closed-form tier: when the window is pinned at the receiver cap,
-    the link is loss-free and this flow is the only active sender on its
-    NIC, up to ``FluidPolicy.max_epoch_rounds`` rounds are planned in one
-    pass — per-round NIC reservations, completion times and the byte
-    ledger are computed analytically — and committed immediately.  One
-    batched delivery event fires at the epoch's end instead of one per
-    burst.  Any churn on the link (via :meth:`Network.invalidate_fluid`)
-    rolls the *uncommitted* suffix of the plan back exactly: un-consumed
-    bytes return to the send queue, NIC occupancy and window state rewind,
-    and the flow resumes in packet mode at the precise virtual time the
-    packet model would have pumped next.
+    the closed-form tier, one plan per *sending NIC* (:class:`_NicPlan`)
+    over the k >= 1 flows that are sending through it.  Preconditions,
+    checked by the flow whose pump fires: the link is loss-free, and
+    *every* active sender on the NIC is fluid-active, eligible, has its
+    window pinned at the receiver cap and has more than one window queued.
+    Then the pending ``_pump`` timers of the co-senders are cancelled and
+    all k flows' rounds are laid out in one pass — per-round NIC
+    reservations, completion times and the byte ledger are computed
+    analytically, up to ``FluidPolicy.max_epoch_rounds`` rounds *per flow*
+    — and committed immediately: one batched delivery and one trailing
+    pump per flow instead of three timers per burst.
+
+    *Merge order.*  Each flow obeys the packet pump's recurrence
+    ``t' = t + max(rtt, ser, tx_free - t)`` with
+    ``begin = max(t, tx_free)``; the flows only interact through
+    ``tx_free``, so the joint layout is fixed by the order in which their
+    pumps run.  The engine runs timers in ``(when, seq)`` order and a
+    pump's ``seq`` is drawn when the flow's *previous* pump scheduled it,
+    so the next round to lay out is the one with the earliest pump time,
+    ties going to the flow whose previous round executed first (initially:
+    the pumping flow, then the co-senders by the ``seq`` of their pending
+    timers).  That is the engine's own order, not an approximation of it.
+    A flow that drains leaves the merge; the merge stops when the flow
+    whose turn it is has reached its round cap, and that flow's trailing
+    pump (the earliest one) closes the plan and cuts the next.
+
+    *Rollback.*  Link churn (:meth:`Network.invalidate_fluid`), any foreign
+    ``Nic.reserve_tx`` (a handshake, a datagram — the NIC names the plan as
+    its ``_fluid_holder``), a flow joining the NIC, new data queued on a
+    member the plan had drained, or either endpoint of a member closing
+    *cut* the joint plan at ``now``: rounds whose pump time has passed are
+    committed, every member's uncommitted suffix is unwound exactly — bytes
+    return to the send queue, completions are cancelled, counters, NIC
+    occupancy and synthesized observations rewind — and each member's pump
+    is rescheduled at the precise virtual time the packet model would have
+    pumped next, in merge order.  Only churn drops the members back to
+    packet mode; a re-cut for a joiner or a foreign frame leaves them
+    fluid-active, so they do not requalify ``stable_rounds`` packet rounds.
+    A member draining cuts nothing — its exit is part of the layout; the
+    flows it leaves behind on the NIC log it (``flow-leave``) and carry on.
 
 Fidelity contract (what "hybrid" guarantees vs pure packet mode):
 
 * delivered byte counts are exactly equal, always;
 * virtual completion times are float-identical for step rounds and for
-  epochs that run to completion; an epoch interrupted by churn delivers
-  its committed prefix at the committed rounds' ready time (bytes exact,
-  intermediate availability batched at epoch granularity);
+  epochs that run to completion, at any number of flows per NIC; an epoch
+  interrupted by a cut delivers each member's committed prefix at the
+  committed rounds' ready time (bytes exact, intermediate availability
+  batched at epoch granularity);
+* a batch never hides bytes from a close, whichever end closes: when
+  something the flow sent later reaches the peer ahead of the batch's last
+  rounds (the latency dropped while they were in flight, and a FIN follows
+  quickly), or when the receiving endpoint itself closes, the pending
+  batch is dissolved into its rounds (:meth:`_NicPlan.dissolve`) — the
+  readable ones are handed over first, the others arrive one by one or are
+  dropped by the closed endpoint's stack — so the reader is cut off with
+  exactly the bytes the packet model had delivered;
 * the per-connection RNG stream is consumed identically, so loss
   sequences — and everything downstream of them — match the packet run;
 * passive observers see synthesized ``tcp-burst`` observations carrying a
@@ -58,7 +99,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from itertools import islice
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.host import Host
@@ -106,71 +148,75 @@ class LinkRateLedger:
     """Per-link registry of active TCP senders and fluidized flows.
 
     In this model a link is switched full-duplex: transmissions contend
-    per *sending NIC* (``Nic.reserve_tx``), not across the whole segment,
-    so the capacity share the packet model converges to is
-    ``bandwidth / senders_on(host)``.  The ledger tracks exactly that — a
-    set of actively-pumping connections per source host — and notifies
-    fluidized flows when membership on their NIC changes so they fall back
-    to packet mode and re-fluidize under the new contention after another
-    stability window.
+    per *sending NIC* (``Nic.reserve_tx``), not across the whole segment.
+    The ledger tracks exactly that — the actively-pumping connections per
+    source host, which is the membership a NIC plan must cover — and cuts
+    the NIC's live plan (named by ``Nic._fluid_holder``) when a flow joins
+    it.  Both registries are insertion-ordered: iteration order decides
+    the order in which rollbacks schedule timers, hence their ``seq`` and
+    every same-instant tie after them, so it must not depend on object
+    addresses.
     """
 
     def __init__(self, network: "Network") -> None:
         self.network = network
-        self._senders: Dict["Host", Set[object]] = {}
-        self._fluid: Set["FluidController"] = set()
+        self._senders: Dict["Host", Dict[object, None]] = {}
+        self._fluid: Dict["FluidController", None] = {}
 
     # -- membership ---------------------------------------------------------
     def join(self, conn) -> None:
         """A connection started pumping (its send queue went non-empty)."""
-        active = self._senders.setdefault(conn.host, set())
+        active = self._senders.setdefault(conn.host, {})
         if conn in active:
             return
-        active.add(conn)
-        self._notify(conn, "flow-join")
+        active[conn] = None
+        # the NIC's plan did not count on this flow: re-cut it.  The
+        # incumbents stay fluid-active (the step tier is exact under any
+        # contention) and re-plan with the joiner once it qualifies.
+        plan = self.network.nic_of(conn.host)._fluid_holder
+        if plan is not None:
+            plan.cut("flow-join")
 
     def leave(self, conn) -> None:
-        """A connection drained its send queue (or closed)."""
+        """A connection drained its send queue (or closed).
+
+        Never disturbs a plan: a member leaves through its own pump, at
+        the instant the plan already laid out for it.  The fluid flows it
+        leaves behind on the NIC keep their mode and only log the change:
+        from their next plan on they share the wire with one sender less."""
         active = self._senders.get(conn.host)
         if not active or conn not in active:
             return
-        active.discard(conn)
+        del active[conn]
         if not active:
             del self._senders[conn.host]
-        self._notify(conn, "flow-leave")
+            return
+        now = conn.sim.now
+        for other in active:
+            ctl = other._fluid
+            if ctl.active:
+                ctl.invalidations.append((now, "flow-leave"))
 
-    def senders_on(self, host: "Host") -> int:
-        return len(self._senders.get(host, ()))
-
-    def sole_sender(self, conn) -> bool:
-        return self._senders.get(conn.host) == {conn}
-
-    def fair_share(self, conn) -> float:
-        """Capacity share of ``conn`` under the current NIC contention."""
-        return self.network.bandwidth / max(1, self.senders_on(conn.host))
+    def co_senders(self, conn) -> Sequence[object]:
+        """The other connections actively sending through the NIC of
+        ``conn`` (itself an active sender)."""
+        active = self._senders[conn.host]
+        if len(active) == 1:
+            return ()
+        return [other for other in active if other is not conn]
 
     # -- fluid-flow registry -------------------------------------------------
     def register_fluid(self, controller: "FluidController") -> None:
-        self._fluid.add(controller)
+        self._fluid[controller] = None
 
     def unregister_fluid(self, controller: "FluidController") -> None:
-        self._fluid.discard(controller)
-
-    def fluid_count(self) -> int:
-        return len(self._fluid)
+        self._fluid.pop(controller, None)
 
     def invalidate(self, reason: str) -> None:
-        """Link conditions changed: drop every fluidized flow to packet mode."""
+        """Link conditions changed: drop every fluidized flow to packet mode
+        (the first member of a plan to be invalidated cuts it for all)."""
         for controller in list(self._fluid):
             controller.invalidate(reason)
-
-    def _notify(self, conn, reason: str) -> None:
-        # Contention only changed for flows sharing the joining/leaving
-        # connection's NIC; fluid flows elsewhere on the link are unaffected.
-        for controller in list(self._fluid):
-            other = controller.conn
-            if other is not conn and other.host is conn.host:
-                controller.invalidate(reason)
 
 
 def ledger_for(network: "Network") -> LinkRateLedger:
@@ -181,9 +227,9 @@ def ledger_for(network: "Network") -> LinkRateLedger:
     return ledger
 
 
-# One planned round of an epoch, as a tuple (the epoch tier allocates one
-# per collapsed congestion-window round; attribute objects would dominate
-# the planning loop).  All times are absolute virtual time.
+# One planned round of a NIC plan, as a tuple (the per-round tuples exist
+# only transiently, see `_NicPlan.materialize`).  All times are absolute
+# virtual time.
 R_T = 0        # pump time
 R_BEGIN = 1    # wire occupancy start
 R_END = 2      # wire occupancy end
@@ -191,65 +237,536 @@ R_ARRIVAL = 3  # last byte at the peer NIC
 R_READY = 4    # data readable by the application
 R_NBYTES = 5
 R_NPKTS = 6
+R_SHARE = 7    # the member flow's `_Share`
+R_RC = 8       # receive-side kernel crossing + copy
+
+_NEVER = float("inf")
 
 
-class _Epoch:
-    """A committed multi-round plan, kept until its trailing pump (or churn).
+def _detached(peer) -> bool:
+    """The receiving endpoint was closed *actively*: its stack no longer
+    demultiplexes to it and drops what arrives.  An endpoint closed by the
+    other side's FIN keeps taking in what is still in flight, as it does in
+    the packet model (a FIN that overtook data closes ahead of it)."""
+    return peer.stack._connections.get(peer.conn_id) is not peer
 
-    The plan is stored *run-length encoded*: uniform full-window rounds —
-    the overwhelming bulk of a transfer — share one ``runs`` entry and one
-    payload view, and the per-round timing tuples exist only transiently,
-    replayed from the recorded initial recurrence state when a rollback
-    actually needs them (see :meth:`FluidController._materialize_rounds`).
-    The replay performs the identical float operations in the identical
-    order as the planning loop, so the regenerated rounds are bit-exact.
+
+def _pump_seq(ctl: "FluidController") -> int:
+    return ctl.conn._pump_handle.seq
+
+
+class _Share:
+    """One member flow's part of a :class:`_NicPlan`.
+
+    The rounds are stored *run-length encoded*: uniform full-window rounds
+    — the overwhelming bulk of a transfer — share one ``runs`` entry, and
+    the per-round timing tuples exist only transiently, replayed from the
+    recorded initial recurrence state when a cut actually needs them.
     """
 
     __slots__ = (
-        "runs",
-        "parts",
-        "nbytes",
-        "completions",
-        "deliver_handle",
-        "pump_handle",
-        "final_tx_free",
-        "observed",
-        "t0",
-        "tx_free0",
-        "rx_ready0",
-        "rtt",
-        "latency",
+        "ctl", "conn", "peer", "rc_window", "t0", "rx_ready0", "t", "t_last",
+        "rx_ready", "end", "runs", "parts", "tail", "nbytes", "nrounds", "completions",
+        "drained", "deliver_handle", "cursor", "left",
     )
 
-    def __init__(self, runs, parts, nbytes, completions, deliver_handle,
-                 pump_handle, final_tx_free, observed, t0, tx_free0,
-                 rx_ready0, rtt, latency):
-        #: run-length encoded plan: (count, nbytes, ser, rc, npkts) per run
-        self.runs: List[tuple] = runs
+    def __init__(self, plan: "_NicPlan", ctl: "FluidController", t0: float) -> None:
+        # NOTE: no reference back to ``plan`` — the plan owns its shares, and
+        # a cycle would leave every finished plan (and the send buffers its
+        # payload views pin) to the cycle collector
+        self.ctl = ctl
+        self.conn = ctl.conn
+        peer = self.peer = ctl._peer_conn
+        # receive-side kernel crossing + copy of one full window, in the
+        # same float order as Delivery.cost (0.0 + syscall + copy)
+        cpu = peer.host.cpu
+        self.rc_window = cpu.syscall_overhead + plan.window / cpu.memcpy_bandwidth
+        #: recurrence state when the plan was laid out, for bit-exact replay
+        self.t0 = self.t = self.t_last = t0
+        self.rx_ready0 = self.rx_ready = peer._last_rx_ready
+        #: pump time (``t_last``) and wire end of the last laid-out round
+        self.end = 0.0
+        #: run-length encoded rounds: [count, nbytes, ser, rc, npkts] per run
+        self.runs: List[list] = []
         #: zero-copy views into the queued send buffers, in wire order; the
-        #: epoch never concatenates them (a 64-round plan would otherwise
+        #: plan never concatenates them (a 64-round plan would otherwise
         #: materialise a multi-MiB temporary per in-flight flow).
-        self.parts: List[memoryview] = parts
-        self.nbytes = nbytes
+        self.parts: List[memoryview] = []
+        #: (buffer, start, stop) behind ``parts[-1]`` when it can still grow
+        self.tail: Optional[tuple] = None
+        self.nbytes = 0
+        self.nrounds = 0
         #: per fully-consumed send, in consumption order:
-        #: [end_offset_in_plan, done_event, total, timer_handle_or_None,
-        #:  arrival_of_final_byte]
-        self.completions = completions
-        self.deliver_handle = deliver_handle
-        self.pump_handle = pump_handle
-        self.final_tx_free = final_tx_free
+        #: [end_offset_in_share, its send-queue entry, completion timer or
+        #:  None, arrival_of_final_byte] — the entry itself, so a cut puts
+        #: the queue back exactly as the packet model would have it
+        self.completions: List[list] = []
+        #: the plan consumed this flow's whole send queue: its trailing pump
+        #: sits at its *last round*, where the packet pump would have drained
+        self.drained = False
+        #: the pending batched delivery of ``parts``; None once handed over
+        self.deliver_handle = None
+
+
+def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: int,
+             ser: float, rc: float, npkts: int, rounds: Optional[List[tuple]]) -> int:
+    """Lay out up to ``count`` equal rounds of one flow; return how many.
+
+    The one copy of the timing recurrence, used by planning and by replay:
+    ``Nic.reserve_tx``, the arrival / readiness clamp of ``_on_segment``
+    and the packet pump's wait, as the identical float operations in the
+    identical order.  The flow keeps the NIC until its next pump would not
+    run before ``bound``, the earliest pump of any other member (after its
+    first round a flow is the most recently executed one, so it loses
+    every tie).
+    """
+    rtt = plan.rtt
+    latency = plan.latency
+    tx_free = plan.tx_free
+    t = share.t
+    rx_ready = share.rx_ready
+    floor = rtt if rtt > ser else ser
+    for n in range(1, count + 1):
+        t_last = t
+        # Nic.reserve_tx: begin = max(t, tx_free)
+        end = (t if t > tx_free else tx_free) + ser
+        # == (end + latency) + rc: arrival, then readiness
+        ready = end + latency + rc
+        if ready < rx_ready:
+            ready = rx_ready
+        else:
+            rx_ready = ready
+        if rounds is not None:
+            rounds.append((t, t if t > tx_free else tx_free, end, end + latency, ready,
+                           nbytes, npkts, share, rc))
+        tx_free = end
+        # next pump time, exactly as the packet pump computes it:
+        # t + max(rtt, ser, tx_free - t)
+        wait = end - t
+        t = t + (wait if wait > floor else floor)
+        if t >= bound:
+            break
+    plan.tx_free = tx_free
+    share.t = t
+    share.t_last = t_last
+    share.rx_ready = rx_ready
+    share.end = end
+    return n
+
+
+class _NicPlan:
+    """The committed multi-round plan of every flow sending through one NIC.
+
+    Constructing it lays out and commits up to ``max_epoch_rounds`` rounds
+    per flow, in closed form, for the flow whose pump fired and every
+    co-sender on its NIC.  Preconditions (checked by
+    :meth:`FluidController.pump`): zero loss rate and every active sender
+    on the NIC fluid-active, eligible and window-pinned with more than a
+    window queued.  Under those, every round's timing is the deterministic
+    recurrence of :func:`_advance`, merged over the flows in the engine's
+    own order (see the module docstring) — exactly the pumps the packet
+    model would run — so the plan is committed up-front and only *cut* if
+    something arrives mid-plan.
+
+    The plan holds the NIC until the first member pumps again (its trailing
+    pump: by then every round is committed) or until something cuts it,
+    and stays replayable for as long as a receiver still waits for one of
+    its batches (see :meth:`dissolve`).  ``rtt`` and ``latency`` are
+    snapshotted because a cut is usually *caused by* a parameter change,
+    and the replay must use the planned values.
+    """
+
+    __slots__ = ("nic", "net", "sim", "shares", "live", "observed", "tx_free0", "tx_free",
+                 "rtt", "latency", "last_pump", "ncommitted", "window", "cap", "w_ser",
+                 "w_npkts")
+
+    def __init__(self, ctl: "FluidController", others: List["FluidController"],
+                 window: int) -> None:
+        conn = ctl.conn
+        net = self.net = conn.network
+        nic = self.nic = ctl._nic
+        sim = self.sim = conn.sim
         #: whether the plan accumulated synthesized observations (observers
-        #: were attached at planning time) — a rollback must only rewind the
+        #: were attached at planning time) — a cut must only rewind the
         #: observation counters when it did, or they go negative.
-        self.observed = observed
-        #: recurrence state at planning time, for bit-exact replay; rtt and
-        #: latency are snapshotted because a rollback is usually *caused by*
-        #: a parameter change, and the replay must use the planned values.
-        self.t0 = t0
-        self.tx_free0 = tx_free0
-        self.rx_ready0 = rx_ready0
-        self.rtt = rtt
-        self.latency = latency
+        self.observed = bool(net._observers)
+        self.tx_free0 = self.tx_free = nic._tx_free_at
+        self.rtt = conn.rtt
+        self.latency = net.latency
+        # constants of the uniform (full-window) rounds, computed with the
+        # identical expressions the per-round path uses so the produced
+        # floats match bit-for-bit
+        self.window = window
+        self.cap = ctl.policy.max_epoch_rounds
+        self.w_ser = net.serialization_time(window)
+        self.w_npkts = net.packets_for(window)
+
+        # ``ctl``'s pump is the one executing; the co-senders' pending
+        # pumps run in the order they were scheduled
+        order = [_Share(self, ctl, sim.now)]
+        if others:
+            others.sort(key=_pump_seq)
+            for other in others:
+                order.append(_Share(self, other, other.conn._pump_handle.when))
+        laid_out = list(order)
+        self._commit(ctl, laid_out, self.merge(order, self._lay_out))
+
+    def _commit(self, ctl: "FluidController", laid_out: List[_Share],
+                unfinished: List[_Share]) -> None:
+        """Charge the laid-out rounds and schedule their few timers.
+
+        NOTE: no per-round `_update_window` calls — the preconditions pin
+        ``cwnd == receive_window`` (zero loss leaves ssthresh untouched and
+        the additive increase is clamped straight back to the cap), so the
+        packet model's window state is provably unchanged by these rounds.
+        """
+        net = self.net
+        nic = self.nic
+        sim = self.sim
+        latency = self.latency
+        nic._tx_free_at = self.tx_free
+        frame_counter = net._frame_counter
+        shares = self.shares = []
+        #: pump time of the last round in merge order
+        self.last_pump = 0.0
+        #: how many rounds (in merge order) survived a cut; None = all
+        self.ncommitted: Optional[int] = None
+        for share in laid_out:
+            nrounds = share.nrounds
+            if not nrounds:
+                # its pending pump comes after everything laid out: leave it
+                continue
+            shares.append(share)
+            if share.t_last > self.last_pump:
+                self.last_pump = share.t_last
+            member = share.ctl
+            flow = share.conn
+            member._plan = self
+            member._share = share
+            member.epochs += 1
+            member.epoch_rounds += nrounds
+            member.fluid_rounds += nrounds
+            flow.rounds += nrounds
+            consumed = share.nbytes
+            flow.bytes_sent += consumed
+            # wire accounting the packet path would have charged
+            # round-by-round (the frame ids are drawn and dropped in C)
+            deque(islice(frame_counter, nrounds), 0)
+            net.frames_sent += nrounds
+            net.bytes_carried += consumed
+            nic.tx_frames += nrounds
+            nic.tx_bytes += consumed
+            peer_nic = net.nic_of(flow.peer_host)
+            peer_nic.rx_frames += nrounds
+            peer_nic.rx_bytes += consumed
+            if self.observed:
+                if member._obs_bursts == 0:
+                    member._obs_latency = latency
+                    member._obs_bandwidth = net.bandwidth
+                member._obs_bursts += nrounds
+                member._obs_npkts += sum(run[0] * run[4] for run in share.runs)
+                member._obs_nbytes += consumed
+            for comp in share.completions:
+                done = comp[1][2]
+                if done is None or done.triggered:
+                    continue
+                comp[2] = sim.call_at(comp[3], flow._complete_send, done, comp[1][3])
+            # NOTE: peer._last_rx_ready is advanced by _epoch_deliver when
+            # the batched delivery *fires*, not here — a frame sent by a
+            # packet-mode round can still be in flight at planning time, and
+            # bumping the watermark early would clamp that frame's append
+            # behind this plan's bytes (reordering the peer's byte stream).
+            share.deliver_handle = sim.call_at(share.rx_ready, member._epoch_deliver, share)
+            if member is not ctl:
+                flow._pump_handle.cancel()
+            if share.drained:
+                flow._pump_handle = sim.call_at(share.t_last, flow._pump)
+        # the trailing pumps of the flows with data left, in the order the
+        # packet model's pumps would run
+        for share in unfinished:
+            if share.nrounds:
+                share.conn._pump_handle = sim.call_at(share.t, share.conn._pump)
+        #: members that have not drained out of the plan yet
+        self.live = len(shares)
+        # claim the NIC: any competing reserve_tx cuts the plan first, so
+        # foreign frames never queue behind planned-future rounds
+        nic._fluid_holder = self
+
+    # -- the merge -------------------------------------------------------------
+    def merge(self, order: List[_Share], turn) -> List[_Share]:
+        """Run the members' recurrences merged in the engine's order.
+
+        ``order`` lists the merging shares by the execution order of their
+        previous rounds, and is kept that way.  The share with the earliest
+        pump time (first in ``order`` among equals) takes a
+        ``turn(share, bound)``: True keeps it merging, False retires it,
+        None keeps it and ends the merge.  Returns the shares still
+        merging."""
+        while order:
+            best = order[0]
+            bound = _NEVER
+            for share in order:
+                if share.t < best.t:
+                    bound = best.t
+                    best = share
+                elif share is not best and share.t < bound:
+                    bound = share.t
+            stays = turn(best, bound)
+            order.remove(best)
+            if stays is None:
+                order.append(best)
+                break
+            if stays:
+                order.append(best)
+        return order
+
+    def _lay_out(self, share: _Share, bound: float) -> Optional[bool]:
+        """Planning turn: consume ``share``'s send queue into rounds."""
+        window = self.window
+        room = self.cap - share.nrounds
+        sendq = share.conn._sendq
+        entry = sendq[0]
+        view, offset = entry[0], entry[1]
+        navail = len(view) - offset
+        if navail > window:
+            # Uniform stretch: full windows off the head entry, no send
+            # completes — the dominant shape of a bulk transfer.  One run
+            # descriptor and (while the flow keeps the NIC) one payload
+            # view cover all of them; only the timing recurrence runs per
+            # round.  At least one byte stays on the entry so its
+            # completion round takes the slow path.
+            k = (navail - 1) // window
+            rc = share.rc_window
+            n = _advance(self, share, k if k < room else room, bound, window, self.w_ser, rc,
+                         self.w_npkts, None)
+            stop = offset + n * window
+            entry[1] = stop
+            tail = share.tail
+            if tail is not None and tail[0] is view and tail[2] == offset:
+                offset = tail[1]
+                share.parts[-1] = view[offset:stop]
+            else:
+                share.parts.append(view[offset:stop])
+            share.tail = (view, offset, stop)
+            runs = share.runs
+            if runs and runs[-1][1] == window:
+                runs[-1][0] += n
+            else:
+                runs.append([n, window, self.w_ser, rc, self.w_npkts])
+            share.nrounds += n
+            share.nbytes += n * window
+            # a uniform stretch never drains the queue; a flow at its round
+            # cap ends the plan (every round laid out so far runs before
+            # any member's next pump, so the earliest trailing pump finds
+            # the plan fully committed, and cuts the next)
+            return True if n < room else None
+        # the rest of the head entry fits in a window: one ordinary round
+        parts, attempted, retired = share.conn._gather_window(window)
+        end_off = share.nbytes
+        if attempted:
+            net = self.net
+            cpu = share.peer.host.cpu
+            rc = cpu.syscall_overhead + attempted / cpu.memcpy_bandwidth
+            ser = net.serialization_time(attempted)
+            npkts = net.packets_for(attempted)
+            _advance(self, share, 1, bound, attempted, ser, rc, npkts, None)
+            share.parts.extend(parts)
+            share.tail = None
+            share.runs.append([1, attempted, ser, rc, npkts])
+            share.nrounds += 1
+            share.nbytes += attempted
+        # a send completes at the arrival of the round carrying its last
+        # byte — this one (or, for empty sends trailing the queue, the
+        # round before).  retired[i] pairs with parts[i] (the gather only
+        # ever leaves its *last* part's entry unfinished), so each send
+        # records its own end offset: two sends completing in the same
+        # round must not share one, or a cut before this round cannot split
+        # the restored bytes between them.
+        arrival = share.end + self.latency
+        for idx, entry in enumerate(retired):
+            end_off += len(parts[idx])
+            share.completions.append([end_off, entry, None, arrival])
+        if not sendq:
+            share.drained = True
+            return False
+        return True if room > 1 else None
+
+    def materialize(self) -> List[tuple]:
+        """Replay the plan into per-round timing tuples, in merge order.
+
+        Bit-exact with the planning pass: the same merge over the same
+        recurrence, seeded from the recorded initial state and the
+        parameters the plan was laid out under (not the current ones).
+        Always the rounds as laid out: after a cut, the first
+        ``ncommitted`` of them are the ones that happened.
+        """
+        rounds: List[tuple] = []
+        self.tx_free = self.tx_free0
+        for share in self.shares:
+            share.t = share.t0
+            share.rx_ready = share.rx_ready0
+            share.cursor = 0
+            share.left = share.runs[0][0]
+
+        def turn(share: _Share, bound: float) -> bool:
+            run = share.runs[share.cursor]
+            share.left -= _advance(self, share, share.left, bound, run[1], run[2], run[3],
+                                   run[4], rounds)
+            if share.left:
+                return True
+            share.cursor += 1
+            if share.cursor == len(share.runs):
+                return False
+            share.left = share.runs[share.cursor][0]
+            return True
+
+        self.merge(list(self.shares), turn)
+        return rounds
+
+    # -- leaving and cutting -------------------------------------------------------
+    def leave(self, share: _Share) -> None:
+        """``share``'s flow drained, at the instant the plan laid out."""
+        self._retire(share)
+        self.live -= 1
+        if not self.live:
+            self.cut()
+
+    def _retire(self, share: _Share) -> None:
+        """``share``'s flow is on its own again.  Whatever it sends next
+        must queue behind the batch, if the peer still waits for it."""
+        ctl = share.ctl
+        ctl._plan = ctl._share = None
+        if share.deliver_handle is not None:
+            peer = share.peer
+            batch = (share.end + self.latency, share.rx_ready, self, share)
+            if peer._rx_batches is None:
+                peer._rx_batches = [batch]
+            else:
+                peer._rx_batches.append(batch)
+
+    def cut(self, reason: Optional[str] = None) -> None:
+        """End the plan at ``now``, unwinding whatever has not happened yet.
+
+        A round is *committed* once its pump time has passed: in the packet
+        model its burst is already on the wire, and this model's in-flight
+        frames survive link churn (``link_alive`` is checked at transmit
+        time only), so committed rounds delivering is exact.  Everything
+        later is unwound, for every member: bytes return to the send queue,
+        completion events are cancelled, counters, NIC occupancy and
+        synthesized observations rewind, and the next pumps land at the
+        uncommitted rounds' planned times — the exact times the packet
+        model (having scheduled them with pre-cut parameters) would have
+        pumped, in merge order.
+        """
+        nic = self.nic
+        if nic._fluid_holder is self:
+            nic._fluid_holder = None
+        now = self.sim.now
+        tele = self.shares[0].conn.stack.telemetry
+        if self.last_pump > now or tele is not None:
+            self._resolve(self.materialize(), now, tele)
+        for share in self.shares:
+            ctl = share.ctl
+            if ctl._share is not share:
+                continue  # drained out of the plan earlier
+            self._retire(share)
+            if reason is not None:
+                ctl.invalidations.append((now, reason))
+            ctl._flush_observations()
+
+    def _resolve(self, rounds: List[tuple], now: float, tele) -> None:
+        # merge order is time order: the committed rounds are a prefix
+        ncommitted = len(rounds)
+        if self.last_pump > now:
+            ncommitted = 0
+            while rounds[ncommitted][R_T] <= now:
+                ncommitted += 1
+        split: Dict[_Share, Tuple[list, list]] = {share: ([], []) for share in self.shares}
+        for rnd in rounds[:ncommitted]:
+            split[rnd[R_SHARE]][0].append(rnd)
+        for rnd in rounds[ncommitted:]:
+            split[rnd[R_SHARE]][1].append(rnd)
+        if tele is not None:
+            # only committed rounds reach the trace — an unwound suffix
+            # re-runs later, and emits its own events when it really happens
+            for share, (committed, uncommitted) in split.items():
+                share.ctl._emit_epoch_telemetry(tele, share, committed, uncommitted)
+        if ncommitted == len(rounds):
+            # fully committed: the pending deliver/pump events are already
+            # exact; nothing to unwind.
+            return
+        self.ncommitted = ncommitted
+        # NIC occupancy: release the uncommitted reservations (unless some
+        # later transmission already queued behind the plan).
+        nic = self.nic
+        if nic.tx_free_at == self.tx_free:
+            nic.rewind_tx(rounds[ncommitted - 1][R_END])
+        # Every pending pump is re-scheduled, in the order the packet
+        # model's pumps would run: by pump time, ties to the flow whose
+        # previous round (a committed one, else its place in the initial
+        # order) executed first.
+        last_round = {share: pos - len(self.shares) for pos, share in enumerate(self.shares)}
+        for idx in range(ncommitted):
+            last_round[rounds[idx][R_SHARE]] = idx
+        pumps = []
+        for share, (committed, uncommitted) in split.items():
+            if uncommitted:
+                share.ctl._unwind(self, share, committed, uncommitted)
+                # what is left of the share is its committed prefix
+                share.nrounds = len(committed)
+                if committed:
+                    share.end = committed[-1][R_END]
+                    share.rx_ready = committed[-1][R_READY]
+                pumps.append((uncommitted[0][R_T], last_round[share], share.conn))
+            elif not share.drained:
+                pumps.append((share.t, last_round[share], share.conn))
+        pumps.sort()
+        for when, _prev, conn in pumps:
+            conn._pump_handle.cancel()
+            conn._pump_handle = self.sim.call_at(when, conn._pump)
+
+    def dissolve(self, share: _Share, now: float) -> None:
+        """Give ``share``'s pending batch up for what the packet model shows
+        its peer at ``now``, round by round.
+
+        Called when batching would show: something the flow sent after the
+        batch reaches the peer before the batch's last rounds do (the
+        latency dropped while they were in flight — a FIN does this
+        readily, it takes the wire right behind the in-flight round), or
+        the peer closes and its reader is handed what has been delivered.
+        The rounds that are readable by now are handed over at once, the
+        ones that have arrived become readable together when the last of
+        them does (the peer's receive cursor moves there: a newcomer queues
+        behind them), and each of the others arrives on its own, through
+        the arrival-time clamp — and the stack's demultiplexing — of a step
+        round, as its frame would have."""
+        rounds = [rnd for rnd in self.materialize()[:self.ncommitted] if rnd[R_SHARE] is share]
+        share.deliver_handle.cancel()
+        share.deliver_handle = None
+        ctl = share.ctl
+        peer = share.peer
+        sim = self.sim
+        nready = narrived = 0
+        for rnd in rounds:
+            if rnd[R_ARRIVAL] > now:
+                break
+            narrived += rnd[R_NBYTES]
+            if rnd[R_READY] <= now:
+                nready = narrived
+            elif rnd[R_READY] > peer._last_rx_ready:
+                peer._last_rx_ready = rnd[R_READY]
+        if nready:
+            peer._append_rx_parts(ctl._slice_parts(share.parts, 0, nready))
+        if narrived > nready:
+            sim.call_at(peer._last_rx_ready, peer._append_rx_parts,
+                        ctl._slice_parts(share.parts, nready, narrived))
+        offset = narrived
+        for rnd in rounds:
+            if rnd[R_ARRIVAL] > now:
+                parts = ctl._slice_parts(share.parts, offset, offset + rnd[R_NBYTES])
+                offset += rnd[R_NBYTES]
+                sim.call_at(rnd[R_ARRIVAL], ctl._step_deliver, peer,
+                            parts[0] if len(parts) == 1 else b"".join(parts), rnd[R_RC])
 
 
 class FluidController:
@@ -257,8 +774,12 @@ class FluidController:
 
     The controller rides the packet pump as a pure observer until
     ``FluidPolicy.stable_rounds`` consecutive zero-loss rounds accumulate
-    and the flow is eligible, then takes over the pump.  Any invalidation
-    drops it back to observer mode and restarts the stability count.
+    and the flow is eligible, then takes over the pump.  An invalidation
+    (churn, a loss draw, changed conditions) drops it back to observer mode
+    and restarts the stability count; a mere re-cut of its NIC's plan (a
+    flow joining, a foreign frame) does not, and neither does a co-sender
+    leaving the NIC (which does not even cut).  ``invalidations`` logs all
+    three: every change to what the flow's fluid state was computed under.
     """
 
     def __init__(self, conn, policy: Optional[FluidPolicy] = None) -> None:
@@ -268,8 +789,12 @@ class FluidController:
         self._stable = 0
         self._joined = False
         self._ledger: Optional[LinkRateLedger] = None
+        self._nic = None
         self._peer_conn = None
-        self._epoch: Optional[_Epoch] = None
+        #: the live plan on this flow's NIC and the flow's part of it, if
+        #: it rides one
+        self._plan: Optional[_NicPlan] = None
+        self._share: Optional[_Share] = None
         # pending synthesized observations (flushed as one tcp-burst);
         # latency/bandwidth are snapshotted when a batch *starts* so a
         # flush that happens after link churn still reports the parameters
@@ -293,12 +818,45 @@ class FluidController:
         if not self._joined:
             self._joined = True
             self._ledger = ledger_for(self.conn.network)
+            self._nic = self.conn.network.nic_of(self.conn.host)
             self._ledger.join(self.conn)
+
+    def on_send(self) -> None:
+        """More data is about to be queued behind a pumping flow.
+
+        A plan that consumed this flow's whole queue laid its rounds out
+        for a flow that drains — the last one short, no pump after it;
+        with more data that is no longer what the packet model does."""
+        share = self._share
+        if share is not None and share.drained:
+            self._plan.cut("send")
+
+    def on_close(self) -> None:
+        """This endpoint closes actively.  Neither direction can ride a plan
+        across that: its own pump stops at its next turn, and its stack
+        drops whatever arrives from now on — the sender goes on until the
+        FIN reaches it, but round by round, into the void.  Both plans are
+        cut here (a cut is exact at any instant), and the batches pending
+        towards this endpoint are dissolved, so that its reader is handed
+        exactly what the packet model had delivered."""
+        if self._plan is not None:
+            self._plan.cut("close")
+        conn = self.conn
+        if conn.host.partition != conn.peer_host.partition:
+            return  # such a flow never fluidizes, in either direction
+        sender = self._resolve_peer()
+        if sender is not None and sender._fluid is not None and sender._fluid._plan is not None:
+            sender._fluid._plan.cut("peer-close")
+        if conn._rx_batches is not None:
+            batches, conn._rx_batches = conn._rx_batches, None
+            for _arrival, _ready, plan, share in batches:
+                plan.dissolve(share, conn.sim.now)
 
     def on_drain(self) -> None:
         """The send queue drained (or the connection closed)."""
-        if self._epoch is not None:
-            self._finish_epoch()
+        share = self._share
+        if share is not None:
+            self._plan.leave(share)
         self._flush_observations()
         if self._joined:
             self._joined = False
@@ -356,9 +914,9 @@ class FluidController:
 
     # -- invalidation ---------------------------------------------------------
     def invalidate(self, reason: str) -> None:
-        """Synchronous fallback to packet mode (churn, contention, params)."""
-        if self._epoch is not None:
-            self._rollback_epoch()
+        """Synchronous fallback to packet mode (churn, parameter change)."""
+        if self._plan is not None:
+            self._plan.cut()
         self._deactivate(reason)
 
     def _deactivate(self, reason: str) -> None:
@@ -376,10 +934,12 @@ class FluidController:
     # -- the pump ------------------------------------------------------------
     def pump(self) -> bool:
         """Run one fluid pump.  Returns False to let the packet path run."""
-        if self._epoch is not None:
-            # this is the epoch's trailing pump event: the plan is fully
-            # committed, close it out and continue from a clean state.
-            self._finish_epoch()
+        plan = self._nic._fluid_holder
+        if plan is not None:
+            # a trailing pump of the NIC's plan: the earliest one, so every
+            # planned round is committed.  Close the plan out (for all its
+            # members) and continue from a clean state.
+            plan.cut()
         if not self.active:
             return False
         if not self._eligible():
@@ -387,19 +947,27 @@ class FluidController:
             return False
         conn = self.conn
         window = min(conn.cwnd, conn.stack.model.receive_window)
-        if (
-            conn.network.loss_rate <= 0.0
-            and conn.cwnd >= conn.stack.model.receive_window
-            and self._ledger is not None
-            and self._ledger.sole_sender(conn)
-            and self._queued_beyond(window)
-        ):
-            return self._run_epoch(window)
+        if conn.network.loss_rate <= 0.0 and self._plannable(window):
+            others = []
+            for other in self._ledger.co_senders(conn):
+                ctl = other._fluid
+                if not (ctl.active and ctl._eligible() and ctl._plannable(window)):
+                    return self._step_round(window)
+                others.append(ctl)
+            _NicPlan(self, others, window)
+            return True
         return self._step_round(window)
 
+    def _plannable(self, window: int) -> bool:
+        """Window pinned at the receiver cap and more than one window queued
+        (epochs collapse multiple rounds; a window or less is a single step
+        anyway)."""
+        return self.conn.cwnd >= self.conn.stack.model.receive_window and self._queued_beyond(
+            window
+        )
+
     def _queued_beyond(self, window: int) -> bool:
-        """True when more than one full window is queued (epochs collapse
-        multiple rounds; a window or less is a single step anyway)."""
+        """True when more than one full window is queued."""
         queued = 0
         for entry in self.conn._sendq:
             queued += len(entry[0]) - entry[1]
@@ -473,7 +1041,7 @@ class FluidController:
         rc = cpu.syscall_overhead + attempted / cpu.memcpy_bandwidth
         sim.call_at(arrival, self._step_deliver, peer, payload, rc)
 
-        for done, total in finishing:
+        for _view, _offset, done, total in finishing:
             if done is None or done.triggered:
                 continue
             sim.call_at(arrival, conn._complete_send, done, total)
@@ -492,219 +1060,13 @@ class FluidController:
             slack = nic.tx_free_at - sim.now
             if slack > wait:
                 wait = slack
-            sim.call_later(wait, conn._pump)
+            conn._pump_handle = sim.call_later(wait, conn._pump)
         else:
-            conn._pumping = False
+            conn._pump_handle = None
             self.on_drain()
         return True
 
     # -- epoch tier ----------------------------------------------------------
-    def _run_epoch(self, window: int) -> bool:
-        """Plan and commit up to ``max_epoch_rounds`` rounds in closed form.
-
-        Preconditions (checked by :meth:`pump`): zero loss rate, window
-        pinned at the receiver cap, sole active sender on the NIC.  Under
-        those, every round's timing is the deterministic recurrence
-        ``t_{i+1} = t_i + max(rtt, ser_i, tx_free_i - t_i)`` — exactly the
-        waits the packet pump would compute — so the plan is committed
-        up-front and only *rolled back* if churn arrives mid-epoch.
-        """
-        conn = self.conn
-        net = conn.network
-        sim = conn.sim
-        nic = net.nic_of(conn.host)
-        peer = self._peer_conn
-        cpu = peer.host.cpu
-        rtt = conn.rtt
-        latency = net.latency
-        sendq = conn._sendq
-        observed = bool(net._observers)
-
-        # constants of the uniform (full-window) rounds, computed with the
-        # identical expressions the per-round path uses so the produced
-        # floats match bit-for-bit
-        w_npkts = net.packets_for(window)
-        w_ser = net.serialization_time(window)
-        w_rc = cpu.syscall_overhead + window / cpu.memcpy_bandwidth
-
-        runs: List[tuple] = []
-        parts_all: List[memoryview] = []
-        completions: List[list] = []
-        t0 = t = sim.now
-        consumed = 0
-        rx_ready0 = rx_ready = peer._last_rx_ready
-        tx_free0 = tx_free = nic._tx_free_at
-        nrounds = 0
-        arrival = 0.0  # arrival of the most recently planned round
-        max_rounds = self.policy.max_epoch_rounds
-        while sendq and nrounds < max_rounds:
-            entry = sendq[0]
-            view, offset = entry[0], entry[1]
-            navail = len(view) - offset
-            if navail > window:
-                # Uniform stretch: k full windows off the head entry, no
-                # send completes — the dominant shape of a bulk transfer.
-                # One payload view and one run descriptor cover all k
-                # rounds; only the timing recurrence runs per round, with
-                # the identical float operations (in the identical order)
-                # the per-round path performs.  k leaves at least one byte
-                # on the entry so its completion round takes the slow path.
-                k = (navail - 1) // window
-                if k > max_rounds - nrounds:
-                    k = max_rounds - nrounds
-                parts_all.append(view[offset : offset + k * window])
-                entry[1] = offset + k * window
-                runs.append((k, window, w_ser, w_rc, w_npkts))
-                nrounds += k
-                consumed += k * window
-                for _ in range(k):
-                    # Nic.reserve_tx, inlined (no competing sender can
-                    # interleave while the plan is being laid out)
-                    begin = t if t > tx_free else tx_free
-                    end = begin + w_ser
-                    tx_free = end
-                    # == (end + latency) + rc: arrival, then readiness
-                    ready = end + latency + w_rc
-                    if ready < rx_ready:
-                        ready = rx_ready
-                    rx_ready = ready
-                    # next pump time, exactly as the packet pump computes it
-                    wait = rtt if rtt > w_ser else w_ser
-                    slack = tx_free - t
-                    if slack > wait:
-                        wait = slack
-                    t = t + wait
-                arrival = end + latency
-                if observed:
-                    if self._obs_bursts == 0:
-                        self._obs_latency = latency
-                        self._obs_bandwidth = net.bandwidth
-                    self._obs_bursts += k
-                    self._obs_npkts += k * w_npkts
-                    self._obs_nbytes += k * window
-                continue
-            parts, attempted, finishing = conn._gather_window(window)
-            if attempted == 0:
-                for done, total in finishing:
-                    completions.append([consumed, done, total, None, arrival])
-                break
-            parts_all.extend(parts)
-            npkts = net.packets_for(attempted)
-            ser = net.serialization_time(attempted)
-            rc = cpu.syscall_overhead + attempted / cpu.memcpy_bandwidth
-            begin = t if t > tx_free else tx_free
-            end = begin + ser
-            tx_free = end
-            arrival = end + latency
-            ready = arrival + rc
-            if ready < rx_ready:
-                ready = rx_ready
-            rx_ready = ready
-            end_off = consumed
-            consumed += attempted
-            nrounds += 1
-            runs.append((1, attempted, ser, rc, npkts))
-            for idx, (done, total) in enumerate(finishing):
-                # a send completes at the arrival of the round carrying
-                # its last byte — this one.  finishing[i] pairs with
-                # parts[i] (the gather only ever leaves its *last* part's
-                # entry unfinished), so each send records its own end
-                # offset: two sends completing in the same round must not
-                # share one, or a rollback cutting before this round
-                # cannot split the restored bytes between them.
-                end_off += len(parts[idx])
-                completions.append([end_off, done, total, None, arrival])
-            if observed:
-                if self._obs_bursts == 0:
-                    self._obs_latency = latency
-                    self._obs_bandwidth = net.bandwidth
-                self._obs_bursts += 1
-                self._obs_npkts += npkts
-                self._obs_nbytes += attempted
-            wait = rtt if rtt > ser else ser
-            slack = tx_free - t
-            if slack > wait:
-                wait = slack
-            t = t + wait
-        if not nrounds:
-            return self._step_round(window)
-
-        # NOTE: no per-round `_update_window` calls — the preconditions pin
-        # ``cwnd == receive_window`` (zero loss leaves ssthresh untouched and
-        # the additive increase is clamped straight back to the cap), so the
-        # packet model's window state is provably unchanged by these rounds.
-        nic._tx_free_at = tx_free
-        self.epochs += 1
-        self.epoch_rounds += nrounds
-        self.fluid_rounds += nrounds
-        conn.rounds += nrounds
-        conn.bytes_sent += consumed
-        # wire accounting the packet path would have charged round-by-round
-        frame_counter = net._frame_counter
-        for _ in range(nrounds):
-            next(frame_counter)
-        net.frames_sent += nrounds
-        net.bytes_carried += consumed
-        nic.tx_frames += nrounds
-        nic.tx_bytes += consumed
-        peer_nic = net.nic_of(conn.peer_host)
-        peer_nic.rx_frames += nrounds
-        peer_nic.rx_bytes += consumed
-        # NOTE: peer._last_rx_ready is advanced by _epoch_deliver when the
-        # batched delivery *fires*, not here — a frame sent by a packet-mode
-        # round can still be in flight at planning time, and bumping the
-        # watermark early would clamp that frame's append behind this
-        # epoch's bytes (reordering the peer's byte stream).
-
-        for comp in completions:
-            done = comp[1]
-            if done is None or done.triggered:
-                continue
-            comp[3] = sim.call_at(comp[4], conn._complete_send, done, comp[2])
-        deliver = sim.call_at(rx_ready, self._epoch_deliver, peer, parts_all)
-        pump = sim.call_at(t, conn._pump)
-        self._epoch = _Epoch(
-            runs, parts_all, consumed, completions, deliver, pump,
-            nic.tx_free_at, observed, t0, tx_free0, rx_ready0, rtt, latency,
-        )
-        # claim the NIC: any competing reserve_tx invalidates this epoch
-        # first, so foreign frames never queue behind planned-future rounds
-        nic._fluid_holder = self
-        return True
-
-    @staticmethod
-    def _materialize_rounds(epoch: _Epoch) -> List[tuple]:
-        """Replay the planning recurrence into per-round timing tuples.
-
-        Bit-exact with the planning loop: the same float operations in the
-        same order, seeded from the recorded initial state and the
-        parameters the plan was laid out under (not the current ones — a
-        rollback is usually *caused by* a parameter change).
-        """
-        rtt = epoch.rtt
-        latency = epoch.latency
-        t = epoch.t0
-        tx_free = epoch.tx_free0
-        rx_ready = epoch.rx_ready0
-        rounds: List[tuple] = []
-        for count, nbytes, ser, rc, npkts in epoch.runs:
-            for _ in range(count):
-                begin = t if t > tx_free else tx_free
-                end = begin + ser
-                tx_free = end
-                arrival = end + latency
-                ready = arrival + rc
-                if ready < rx_ready:
-                    ready = rx_ready
-                rx_ready = ready
-                rounds.append((t, begin, end, arrival, ready, nbytes, npkts))
-                wait = rtt if rtt > ser else ser
-                slack = tx_free - t
-                if slack > wait:
-                    wait = slack
-                t = t + wait
-        return rounds
-
     @staticmethod
     def _step_deliver(peer_conn, payload, rc: float) -> None:
         """Arrival-time half of a step round's delivery.
@@ -716,9 +1078,14 @@ class FluidController:
         ``_last_rx_ready`` watermark updated in stream order even when a
         packet-mode frame from the round before is still in flight.
         """
-        if peer_conn.closed:
+        if peer_conn.closed and _detached(peer_conn):
+            net = peer_conn.network
+            net.frames_dropped += 1
+            net.drop_log.append((len(payload), "tcp-no-conn"))
             return
         sim = peer_conn.sim
+        if peer_conn._rx_batches is not None:
+            peer_conn._settle_rx_batches(sim.now)
         ready = sim.now + rc
         if ready < peer_conn._last_rx_ready:
             ready = peer_conn._last_rx_ready
@@ -726,14 +1093,27 @@ class FluidController:
         sim.call_at(ready, peer_conn._append_rx, payload)
 
     @staticmethod
-    def _epoch_deliver(peer_conn, parts: List[memoryview]) -> None:
-        if peer_conn.closed:
+    def _epoch_deliver(share: _Share) -> None:
+        """Hand ``share.parts`` — the batch, or what a cut or an overtaker
+        left of it — over to the peer."""
+        share.deliver_handle = None
+        peer_conn = share.peer
+        pending = peer_conn._rx_batches
+        if pending is not None and pending[0][3] is share:
+            # nothing has to settle this batch any more, and its plan need
+            # not stay around for a replay.  (A peer's batches are handed
+            # over oldest first, so this one is the head.)
+            if len(pending) == 1:
+                peer_conn._rx_batches = None
+            else:
+                del pending[0]
+        if peer_conn.closed and _detached(peer_conn):
             return
         # the watermark advances now, at delivery time (see the planning-side
         # note): any later delivery must queue behind the whole batch.
         if peer_conn._last_rx_ready < peer_conn.sim.now:
             peer_conn._last_rx_ready = peer_conn.sim.now
-        peer_conn._append_rx_parts(parts)
+        peer_conn._append_rx_parts(share.parts)
 
     @staticmethod
     def _slice_parts(parts: List[memoryview], lo: int, hi: int) -> List[memoryview]:
@@ -751,36 +1131,24 @@ class FluidController:
             acc += n
         return out
 
-    def _release_nic(self) -> None:
-        nic = self.conn.network.nic_of(self.conn.host)
-        if nic._fluid_holder is self:
-            nic._fluid_holder = None
-
-    def _finish_epoch(self) -> None:
-        self._release_nic()
-        epoch, self._epoch = self._epoch, None
-        if epoch is not None:
-            tele = self.conn.stack.telemetry
-            if tele is not None:
-                self._emit_epoch_telemetry(tele, epoch, self._materialize_rounds(epoch))
-        self._flush_observations()
-
-    def _emit_epoch_telemetry(self, tele, epoch: _Epoch, rounds: List[tuple]) -> None:
+    def _emit_epoch_telemetry(self, tele, share: _Share, committed: List[tuple],
+                              uncommitted: List[tuple]) -> None:
         """Emit the per-round ``link.tx`` events the packet model's frames
-        would have produced, plus one ``fluid.epoch`` summary.
+        would have produced, plus one ``fluid.epoch`` summary (and one
+        ``fluid.rollback`` when a cut unwound a suffix).
 
-        Called when an epoch *resolves* (fully commits, or rolls back — then
+        Called when the plan *resolves* (fully commits, or is cut — then
         with only the committed prefix), never at planning time: rounds that
         are later unwound must not reach the trace, and emission times are
         irrelevant because every event is stamped with its round's planned
-        wire time.  The tuples come from ``_materialize_rounds``, so begins
+        wire time.  The tuples come from ``_NicPlan.materialize``, so begins
         and ends are bit-identical to the packet model's ``reserve_tx``."""
         conn = self.conn
         net_name = conn.network.name
         src = conn.host.name
         dst = conn.peer_host.name
         nbytes = 0
-        for rnd in rounds:
+        for rnd in committed:
             begin = rnd[R_BEGIN]
             nbytes += rnd[R_NBYTES]
             tele.emit(
@@ -794,69 +1162,35 @@ class FluidController:
                 end=rnd[R_END],
                 qd=begin - rnd[R_T],
             )
-        if rounds:
+        if committed:
             tele.emit(
                 "fluid.epoch",
-                t=epoch.t0,
+                t=share.t0,
                 flow=conn.flow_id,
-                rounds=len(rounds),
+                rounds=len(committed),
                 nbytes=nbytes,
             )
-
-    def _rollback_epoch(self) -> None:
-        """Undo the uncommitted suffix of the current epoch, packet-exactly.
-
-        A round is *committed* once its pump time has passed: in the packet
-        model its burst is already on the wire, and this model's in-flight
-        frames survive link churn (``link_alive`` is checked at transmit
-        time only), so committed rounds delivering is exact.  Everything
-        later is unwound: bytes return to the send queue, completion events
-        are cancelled, NIC occupancy and window state rewind, and the next
-        packet pump lands at the uncommitted round's planned time — which
-        is the exact time the packet model (having scheduled it with
-        pre-churn parameters) would have pumped.
-        """
-        self._release_nic()
-        epoch, self._epoch = self._epoch, None
-        conn = self.conn
-        sim = conn.sim
-        now = sim.now
-        rounds = self._materialize_rounds(epoch)
-        ncommitted = 0
-        for rnd in rounds:
-            if rnd[R_T] <= now:
-                ncommitted += 1
-            else:
-                break
-        tele = conn.stack.telemetry
-        if ncommitted == len(rounds):
-            # fully committed: the pending deliver/pump events are already
-            # exact; nothing to unwind.
-            if tele is not None:
-                self._emit_epoch_telemetry(tele, epoch, rounds)
-            return
-
-        net = conn.network
-        nic = net.nic_of(conn.host)
-        peer = self._peer_conn
-        peer_nic = net.nic_of(conn.peer_host)
-        committed = rounds[:ncommitted]
-        uncommitted = rounds[ncommitted:]
-        cut = sum(rnd[R_NBYTES] for rnd in committed)
-        undone_bytes = epoch.nbytes - cut
-        undone_rounds = len(uncommitted)
-        if tele is not None:
-            # only the committed prefix reaches the trace — the unwound
-            # suffix re-runs through the packet path, which emits its own
-            # (post-churn) events when those rounds actually happen
-            self._emit_epoch_telemetry(tele, epoch, committed)
+        if uncommitted:
             tele.emit(
                 "fluid.rollback",
                 flow=conn.flow_id,
-                committed=ncommitted,
-                undone=undone_rounds,
-                undone_bytes=undone_bytes,
+                committed=len(committed),
+                undone=len(uncommitted),
+                undone_bytes=share.nbytes - nbytes,
             )
+
+    def _unwind(self, plan: _NicPlan, share: _Share, committed: List[tuple],
+                uncommitted: List[tuple]) -> None:
+        """Undo the uncommitted suffix of this flow's share of a cut plan,
+        packet-exactly (the plan re-schedules the pump and rewinds the NIC)."""
+        conn = self.conn
+        sim = conn.sim
+        net = conn.network
+        nic = plan.nic
+        peer_nic = net.nic_of(conn.peer_host)
+        cut = sum(rnd[R_NBYTES] for rnd in committed)
+        undone_bytes = share.nbytes - cut
+        undone_rounds = len(uncommitted)
 
         # sender-side ledger rewind
         conn.bytes_sent -= undone_bytes
@@ -867,65 +1201,41 @@ class FluidController:
         nic.tx_bytes -= undone_bytes
         peer_nic.rx_frames -= undone_rounds
         peer_nic.rx_bytes -= undone_bytes
-        if epoch.observed:
+        if plan.observed:
             self._obs_bursts -= undone_rounds
             for rnd in uncommitted:
                 self._obs_npkts -= rnd[R_NPKTS]
                 self._obs_nbytes -= rnd[R_NBYTES]
-        # NIC occupancy: release the uncommitted reservations (unless some
-        # later transmission already queued behind the epoch).
-        if nic.tx_free_at == epoch.final_tx_free:
-            nic.rewind_tx(committed[-1][R_END])
 
         # receive side: replace the batched delivery with the committed
         # prefix (the watermark is advanced by _epoch_deliver when it fires)
-        epoch.deliver_handle.cancel()
-        ready_c = committed[-1][R_READY]
-        sim.call_at(
-            max(ready_c, now),
-            self._epoch_deliver,
-            peer,
-            self._slice_parts(epoch.parts, 0, cut),
-        )
+        share.deliver_handle.cancel()
+        share.deliver_handle = None
+        if committed:
+            share.parts = self._slice_parts(share.parts, 0, cut)
+            share.deliver_handle = sim.call_at(
+                max(committed[-1][R_READY], sim.now), self._epoch_deliver, share
+            )
 
-        # completions: cancel the ones whose last byte was unwound, and
-        # return the unsent suffix to the head of the send queue with its
-        # per-send completion bookkeeping intact (a send split by the cut
-        # keeps its event on the requeued remainder, like a packet-mode
-        # retransmit requeue).
+        # completions: cancel the ones whose last byte was unwound, and put
+        # those sends' queue entries back at the head of the send queue,
+        # rewound to their first unsent byte — the queue the packet model
+        # has at this instant, entry for entry (its loss handling looks at
+        # which entries a round retires).
         restored: List[list] = []
         start = 0
-        for end_off, done, total, handle, _arrival in epoch.completions:
+        for end_off, entry, handle, _arrival in share.completions:
             if end_off > cut:
                 if handle is not None:
                     handle.cancel()
-                lo = start if start > cut else cut
-                # a range may straddle gather fragments; the completion event
-                # rides the last restored piece (its final byte).
-                pieces = self._slice_parts(epoch.parts, lo, end_off)
-                if pieces:
-                    for piece in pieces[:-1]:
-                        restored.append([piece, 0, None, 0])
-                    restored.append([pieces[-1], 0, done, total])
-                else:
-                    # zero bytes to restore (an empty queued send): keep the
-                    # completion alive on an empty entry, as _packet_round's
-                    # lost-burst requeue does.
-                    restored.append([memoryview(b""), 0, done, total])
+                entry[1] = len(entry[0]) - (end_off - (start if start > cut else cut))
+                restored.append(entry)
             start = end_off
-        tail_start = epoch.completions[-1][0] if epoch.completions else 0
-        if epoch.nbytes > tail_start:
+        if share.nbytes > start:
             # trailing bytes belong to the entry still sitting at the queue
             # head (it was only partially consumed): rewind its offset.
-            give_back = epoch.nbytes - (tail_start if tail_start > cut else cut)
-            if give_back > 0:
-                conn._sendq[0][1] -= give_back
-        for entry in reversed(restored):
-            conn._sendq.appendleft(entry)
-
-        # resume the packet pump where the packet model would have
-        epoch.pump_handle.cancel()
-        sim.call_at(uncommitted[0][R_T], conn._pump)
+            conn._sendq[0][1] -= share.nbytes - (start if start > cut else cut)
+        conn._sendq.extendleft(reversed(restored))
 
     # -- synthesized observations ---------------------------------------------
     def _note_burst(self, npkts: int, nbytes: int) -> None:
@@ -936,7 +1246,7 @@ class FluidController:
         self._obs_bursts += 1
         self._obs_npkts += npkts
         self._obs_nbytes += nbytes
-        if self._obs_bursts >= self.policy.observation_batch and self._epoch is None:
+        if self._obs_bursts >= self.policy.observation_batch and self._share is None:
             self._flush_observations()
 
     def _flush_observations(self) -> None:

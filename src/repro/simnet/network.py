@@ -144,12 +144,13 @@ class Nic:
         self.network = network
         self.address = address
         self._tx_free_at = 0.0
-        #: fluid epoch currently holding pre-committed future reservations
-        #: on this NIC (set by :class:`repro.simnet.fluid.FluidController`).
-        #: Any reservation by *other* traffic must invalidate it first, so
-        #: foreign frames queue behind the in-flight round only — exactly
-        #: where the packet model would put them — instead of behind the
-        #: epoch's entire planned future.
+        #: the fluid plan holding pre-committed future reservations on this
+        #: NIC for every flow sending through it (a
+        #: ``repro.simnet.fluid._NicPlan``, set when it commits).  Any
+        #: reservation by *other* traffic must cut it first, so foreign
+        #: frames queue behind the in-flight round only — exactly where the
+        #: packet model would put them — instead of behind the plan's
+        #: entire laid-out future.
         self._fluid_holder = None
         self._receive_handler: Optional[Callable[[Delivery], None]] = None
         self._owner: Optional[str] = None
@@ -179,12 +180,11 @@ class Nic:
         """Serialise outbound transmissions on this NIC (link occupancy)."""
         holder = self._fluid_holder
         if holder is not None:
-            # Competing traffic (a handshake, a datagram, another flow's
-            # burst) wants the wire mid-epoch: unwind the epoch's
-            # uncommitted reservations so this frame lands at the exact
-            # slot the packet model would give it.
-            self._fluid_holder = None
-            holder.invalidate("nic-contention")
+            # Foreign traffic (a handshake, a FIN, a datagram) wants the
+            # wire mid-plan: unwind the plan's uncommitted reservations so
+            # this frame lands at the exact slot the packet model would
+            # give it.
+            holder.cut("nic-contention")
         begin = max(start, self._tx_free_at)
         end = begin + duration
         self._tx_free_at = end

@@ -299,6 +299,10 @@ class TcpStack:
         if done is not None and not done.triggered:
             delivery.complete_into(done, conn)
 
+    def connections(self) -> List["TcpConnection"]:
+        """The stack's open connections (both roles), in creation order."""
+        return list(self._connections.values())
+
     def _unregister(self, conn: "TcpConnection") -> None:
         self._connections.pop(conn.conn_id, None)
 
@@ -377,14 +381,20 @@ class TcpConnection:
         self.closed = False
         self._connect_event: Optional["SimEvent"] = None
 
-        mss = network.mtu
-        self.mss = mss
-        self.cwnd = stack.model.initial_cwnd(mss)
+        # NOTE: CPython keeps an instance's attributes in the compact
+        # shared-key layout only up to 29 of them (beyond that every
+        # connection carries a private 1.5 KB dict): the MSS is read off
+        # ``network.mtu`` instead of being a thirtieth.
+        self.cwnd = stack.model.initial_cwnd(network.mtu)
         self.ssthresh = stack.model.initial_ssthresh
         self._rng = random.Random((network.rng.randint(0, 1 << 30) << 8) ^ self.conn_id)
 
         self._sendq: Deque[List] = deque()  # entries: [memoryview, offset, done_event, total]
-        self._pumping = False
+        #: the ``_pump`` timer while the flow is pumping (pending, or the
+        #: one executing), None once the queue has drained: a fluid plan
+        #: covering this flow's NIC cancels the pending timer and lays the
+        #: flow's rounds out itself
+        self._pump_handle = None
         self._rx_buffer = ByteRing()
         self._pending_reads: Deque[Tuple[Optional[int], bool, "SimEvent"]] = deque()
         self._data_callback: Optional[Callable[["TcpConnection"], None]] = None
@@ -402,11 +412,24 @@ class TcpConnection:
         # segment's cheaper kernel-side processing must never let its bytes
         # overtake an earlier larger one — this is a byte stream.
         self._last_rx_ready = 0.0
+        #: the batches fluid plans have committed towards this endpoint and
+        #: not handed over yet, oldest first, each as ``(arrival, ready,
+        #: plan, share)`` with the times of its last round.  A plan delivers
+        #: its rounds in one batch, so nothing advances the cursor at their
+        #: arrivals the way ``_on_segment`` would have; whatever arrives
+        #: after them settles them first (frames still in flight from before
+        #: the plan arrive earlier, and must not see them).
+        self._rx_batches: Optional[List[tuple]] = None
 
     # -- introspection --------------------------------------------------------
     @property
     def rtt(self) -> float:
         return 2.0 * self.network.latency
+
+    @property
+    def fluid(self) -> Optional[FluidController]:
+        """The flow's fidelity controller (None at packet fidelity)."""
+        return self._fluid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -434,11 +457,12 @@ class TcpConnection:
         # expose a mutable backing store (memoryview(bytearray).toreadonly())
         if type(data) is not bytes:
             data = bytes(data)
+        if self._pump_handle is not None and self._fluid is not None:
+            self._fluid.on_send()
         self._sendq.append([memoryview(data), 0, done, len(data)])
         if self.stack.telemetry is not None:
             self.stack.telemetry.emit("flow.send", flow=self.flow_id, nbytes=len(data))
-        if not self._pumping:
-            self._pumping = True
+        if self._pump_handle is None:
             if self._fluid is not None:
                 self._fluid.on_join()
             # Charge the send()-side kernel crossing and user->kernel copy once
@@ -446,12 +470,12 @@ class TcpConnection:
             cost = Cost()
             cost.charge(self.host.cpu.syscall_overhead, "tcp.send.syscall")
             cost.charge_copy(len(data), self.host.cpu.memcpy_bandwidth, "tcp.send.copy")
-            self.sim.call_later(cost.seconds, self._pump)
+            self._pump_handle = self.sim.call_later(cost.seconds, self._pump)
         return done
 
     def _pump(self) -> None:
         if self.closed or not self._sendq:
-            self._pumping = False
+            self._pump_handle = None
             if self._fluid is not None:
                 self._fluid.on_drain()
             return
@@ -470,12 +494,13 @@ class TcpConnection:
         """Take up to one window of bytes off the send queue head.
 
         Returns ``(parts, attempted, finishing)``: zero-copy slices (joined
-        at most once downstream), the byte count, and the
-        ``(done_event, total)`` pairs of sends fully consumed by this window.
+        at most once downstream), the byte count, and the queue entries
+        (``[view, offset, done_event, total]``) of the sends fully consumed
+        by this window; ``finishing[i]`` is the entry ``parts[i]`` came from.
         """
         parts: List[memoryview] = []
         attempted = 0
-        finishing: List[Tuple["SimEvent", int]] = []
+        finishing: List[List] = []
         while self._sendq and attempted < window:
             entry = self._sendq[0]
             view, offset = entry[0], entry[1]
@@ -484,20 +509,21 @@ class TcpConnection:
             entry[1] = offset + take
             attempted += take
             if entry[1] >= len(view):
-                self._sendq.popleft()
-                finishing.append((entry[2], entry[3]))
+                finishing.append(self._sendq.popleft())
         return parts, attempted, finishing
 
     def _packet_round(
         self,
         parts: List[memoryview],
         attempted: int,
-        finishing: List[Tuple["SimEvent", int]],
+        finishing: List[List],
         npkts: int,
         lost_pkts: int,
     ) -> None:
         """Execute one full-fidelity burst round (the loss draw already made)."""
-        delivered = attempted if lost_pkts == 0 else max(0, attempted - lost_pkts * self.mss)
+        delivered = attempted if lost_pkts == 0 else max(
+            0, attempted - lost_pkts * self.network.mtu
+        )
         self.rounds += 1
         if npkts and self.network._observers:
             # Surface the window model's internal loss draw to the network
@@ -542,10 +568,10 @@ class TcpConnection:
             # Completion events for sends whose tail was cut must be deferred:
             # move them onto the requeued entry.
             if finishing:
-                requeue[2] = finishing[-1][0]
+                requeue[2] = finishing[-1][2]
                 finishing = finishing[:-1]
 
-        for done, total in finishing:
+        for _view, _offset, done, total in finishing:
             if done is None or done.triggered:
                 continue
             if arrival is not None:
@@ -573,9 +599,9 @@ class TcpConnection:
             # the same host share the wire).
             nic = self.network.nic_of(self.host)
             wait = max(wait, nic.tx_free_at - self.sim.now)
-            self.sim.call_later(wait, self._pump)
+            self._pump_handle = self.sim.call_later(wait, self._pump)
         else:
-            self._pumping = False
+            self._pump_handle = None
             if self._fluid is not None:
                 self._fluid.on_drain()
 
@@ -602,7 +628,7 @@ class TcpConnection:
         return lost
 
     def _update_window(self, lost_pkts: int, delivered: int) -> None:
-        mss = self.mss
+        mss = self.network.mtu
         if lost_pkts > 0:
             self.ssthresh = max(self.cwnd // 2, 2 * mss)
             if delivered == 0:
@@ -626,9 +652,26 @@ class TcpConnection:
             delivery.frame.nbytes, self.host.cpu.memcpy_bandwidth, "tcp.recv.copy"
         )
         # Enqueue the bytes once the kernel-side processing time has elapsed.
+        if self._rx_batches is not None:
+            self._settle_rx_batches(delivery.arrived_at)
         ready = max(delivery.ready_time(), self._last_rx_ready)
         self._last_rx_ready = ready
         self.sim.call_at(ready, self._append_rx, delivery.payload)
+
+    def _settle_rx_batches(self, now: float) -> None:
+        """Something this flow sent after its batched rounds arrives: advance
+        the receive cursor over the rounds that arrived before it.
+
+        Normally that is all of them.  When the latency dropped in between,
+        the newcomer (typically a FIN) has overtaken the tail of a batch:
+        the batch is dissolved, so the peer holds exactly the rounds the
+        packet model would have delivered when the newcomer is processed."""
+        batches, self._rx_batches = self._rx_batches, None
+        for arrival, ready, plan, share in batches:
+            if arrival > now:
+                plan.dissolve(share, now)
+            elif ready > self._last_rx_ready:
+                self._last_rx_ready = ready
 
     def _append_rx(self, payload: bytes) -> None:
         self._rx_buffer.append(payload)
@@ -656,6 +699,8 @@ class TcpConnection:
 
     def _on_fin(self, delivery: Delivery) -> None:
         # the close must not overtake data segments still being processed
+        if self._rx_batches is not None:
+            self._settle_rx_batches(delivery.arrived_at)
         self.sim.call_at(max(delivery.ready_time(), self._last_rx_ready), self._do_close_passive)
 
     def _do_close_passive(self) -> None:
@@ -732,6 +777,8 @@ class TcpConnection:
         if self.closed:
             return
         self.closed = True
+        if self._fluid is not None:
+            self._fluid.on_close()
         tele = self.stack.telemetry
         if tele is not None:
             tele.emit(

@@ -11,7 +11,9 @@ Two closed-form checks guard the physical model under both fidelities:
   queueing point nor is perturbed by it.
 * **TCP steady state** — a bulk transfer's goodput must converge to the
   analytic ``steady_state_rate`` the fluid epoch tier integrates, in both
-  fidelities, and the two fidelities must complete at the same instant.
+  fidelities, and the two fidelities must complete at the same instant —
+  alone on its NIC, and as one of k flows sharing it
+  (``steady_state_rate(..., nflows=k)``).
 """
 
 import random
@@ -138,7 +140,7 @@ def test_mm1_sojourn_and_utilization_match_theory(fidelity):
 
     if fidelity == "hybrid":
         # the concurrent flow really exercised the fast path
-        assert res["conn"]._fluid.fluid_rounds > 0
+        assert res["conn"].fluid.fluid_rounds > 0
 
 
 def test_mm1_station_is_fidelity_invariant():
@@ -153,32 +155,37 @@ def test_mm1_station_is_fidelity_invariant():
     assert hybrid["conn"].bytes_sent == packet["conn"].bytes_sent
 
 
-def _run_bulk(fidelity, nbytes):
+def _run_bulk(fidelity, nbytes, nflows=1):
+    """``nflows`` equal bulk transfers from one host (one NIC) to ``nflows``
+    receivers, started together."""
     sim = Simulator()
     net = Ethernet100(sim)
-    a, b = Host(sim, "a"), Host(sim, "b")
+    a = Host(sim, "a")
     net.connect(a)
-    net.connect(b)
     sa = TcpStack(a, fidelity=fidelity)
-    sb = TcpStack(b, fidelity=fidelity)
-    listener = sb.listen(PORT)
-    out = {"net": net}
+    out = {"net": net, "conns": [None] * nflows, "t1s": [None] * nflows, "ok": True}
 
-    def client():
-        conn = yield sa.connect(b, PORT)
-        out["conn"] = conn
+    def client(i, peer):
+        conn = yield sa.connect(peer, PORT)
+        out["conns"][i] = conn
         out["t0"] = sim.now
         yield conn.send(b"x" * nbytes)
 
-    def server():
+    def server(i, listener):
         conn = yield listener.accept()
         data = yield conn.recv_exact(nbytes)
-        out["t1"] = sim.now
-        out["ok"] = data == b"x" * nbytes
+        out["t1s"][i] = sim.now
+        out["ok"] &= data == b"x" * nbytes
 
-    sim.process(client())
-    sim.process(server())
+    for i in range(nflows):
+        peer = Host(sim, f"b{i}")
+        net.connect(peer)
+        listener = TcpStack(peer, fidelity=fidelity).listen(PORT)
+        sim.process(client(i, peer))
+        sim.process(server(i, listener))
     sim.run(max_time=600.0)
+    out["conn"] = out["conns"][0]
+    out["t1"] = out["t1s"][0]
     return out
 
 
@@ -204,3 +211,26 @@ def test_tcp_completion_identical_across_fidelities():
     assert hybrid["t1"] == packet["t1"]
     assert hybrid["conn"].bytes_sent == packet["conn"].bytes_sent
     assert hybrid["conn"].rounds == packet["conn"].rounds
+
+
+@pytest.mark.parametrize("nflows", [2, 3])
+def test_contended_goodput_converges_to_shared_steady_state_rate(nflows):
+    """k flows through one NIC each converge to the analytic share
+    ``steady_state_rate(..., nflows=k)`` — the wire occupancy of a round
+    multiplies by k — at both fidelities, and finish at the identical
+    instants (the hybrid run on joint epochs, not per-round simulation)."""
+    nbytes = 16 * MIB
+    packet = _run_bulk("packet", nbytes, nflows)
+    hybrid = _run_bulk("hybrid", nbytes, nflows)
+    for out in (packet, hybrid):
+        assert out["ok"]
+        conn = out["conn"]
+        expected = steady_state_rate(
+            out["net"], conn.cwnd, conn.stack.model.receive_window, nflows=nflows
+        )
+        for t1 in out["t1s"]:
+            assert nbytes / (t1 - out["t0"]) == pytest.approx(expected, rel=0.05)
+    assert hybrid["t1s"] == packet["t1s"]
+    for pc, hc in zip(packet["conns"], hybrid["conns"]):
+        assert hc.rounds == pc.rounds
+        assert hc.fluid.epoch_rounds > 0

@@ -1,9 +1,9 @@
 """Flight-recorder tests: zero-overhead gating, replay determinism, and
 KPI invariance across fidelities, partitionings and executors.
 
-The scenario under test is a 2x2 grid deployment with an in-cluster bulk
-transfer (fluidizable under ``fidelity="hybrid"``), a cross-cluster
-relayed stream, WAN monitoring with coalesced estimators, and seeded
+The scenario under test is a 2x2 grid deployment with two in-cluster bulk
+transfers out of one NIC (planned jointly under ``fidelity="hybrid"``), a
+cross-cluster relayed stream, WAN monitoring with coalesced estimators, and seeded
 churn — every instrumented subsystem emits at least once.
 """
 
@@ -52,12 +52,15 @@ def build_and_run(
     def serve(session):
         session.set_data_handler(lambda link: link.read_available())
 
-    # in-cluster bulk send: collapses into the fluid tier under "hybrid"
+    # in-cluster bulk sends, two flows through one sending NIC: they
+    # collapse into one joint fluid plan under "hybrid"
     a, b = fw.node("g0x0n01"), fw.node("g0x0n02")
+    c, d = fw.node("g0x0n00"), fw.node("g1x1n00")
     b.vlink_listen(7000).set_accept_callback(serve)
     a.vlink_connect(b, 7000).add_callback(lambda ev: ev.value.write(b"x" * 2_000_000))
+    c.vlink_listen(7001).set_accept_callback(serve)
+    a.vlink_connect(c, 7001).add_callback(lambda ev: ev.value.write(b"z" * 1_500_000))
     # cross-cluster stream, relayed over the WAN gateways
-    c, d = fw.node("g0x0n00"), fw.node("g1x1n00")
     d.vlink_listen(7100).set_accept_callback(serve)
     c.vlink_connect(d, 7100).add_callback(lambda ev: ev.value.write(b"y" * 300_000))
 
@@ -201,8 +204,10 @@ def test_kpis_invariant_across_fidelity():
     fast path is invisible in the invariant KPI view."""
     _fw, packet = build_and_run(fidelity="packet")
     fw_h, hybrid = build_and_run(fidelity="hybrid")
-    # the hybrid leg genuinely used the fast path
+    # the hybrid leg genuinely used the fast path, both flows of the shared
+    # NIC riding epochs
     assert any(ev["k"] == "fluid.activate" for ev in hybrid.events)
+    assert len({ev["flow"] for ev in hybrid.events if ev["k"] == "fluid.epoch"}) >= 2
     assert kpi_fingerprint(packet) == kpi_fingerprint(hybrid)
 
 
