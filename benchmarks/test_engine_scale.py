@@ -69,6 +69,7 @@ import itertools
 import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -148,6 +149,29 @@ def selected_executor():
 # ---------------------------------------------------------------------------
 # machine calibration
 # ---------------------------------------------------------------------------
+
+
+def paired_ratios(cost_a, cost_b, rounds: int) -> list:
+    """Per-round ``cost_a() / cost_b()`` ratios of two same-process legs.
+
+    The noise-robust shape for a speed gate on a shared box: both legs run
+    back to back inside every round (so a round's ratio sees one machine
+    state), the order alternates between rounds (so neither leg always
+    inherits the other's warm caches), and the caller gates on the
+    *median* of the ratios — one preempted leg moves one ratio, not the
+    verdict.  The costs should be window CPU seconds
+    (``time.process_time``): a neighbour stealing the core inflates wall
+    time, not the work done."""
+    ratios = []
+    for index in range(rounds):
+        if index % 2 == 0:
+            a = cost_a()
+            b = cost_b()
+        else:
+            b = cost_b()
+            a = cost_a()
+        ratios.append(a / b)
+    return ratios
 
 
 @contextmanager
@@ -422,9 +446,11 @@ def run_fluid_scenario(size: str, fidelity: str):
 
     all_done = fw.sim.all_of(completions)
     with _gc_paused():
+        cpu_start = time.process_time()
         start = time.perf_counter()
         delivered = fw.sim.run(until=all_done, max_time=MAX_VIRTUAL)
         wall_s = time.perf_counter() - start
+        cpu_s = time.process_time() - cpu_start
 
     stats = fw.sim.stats()
     expected = len(completions) * FLUID_TRANSFER_BYTES[size]
@@ -437,6 +463,7 @@ def run_fluid_scenario(size: str, fidelity: str):
         "virtual_s": round(fw.sim.now, 6),
         "build_s": round(build_s, 3),
         "wall_s": round(wall_s, 3),
+        "cpu_s": round(cpu_s, 3),
         "events": stats.events_processed,
         "events_per_sec": round(stats.events_processed / wall_s, 1),
         "peak_pending": stats.peak_pending,
@@ -446,21 +473,38 @@ def run_fluid_scenario(size: str, fidelity: str):
     return result, finish_times
 
 
-def run_fluid_pair(size: str) -> dict:
-    """Both fidelity legs of the staging workload, packet first (it also
-    warms the allocator), then hybrid.  The reported ``events_per_sec`` is
-    the gated figure: the packet run's (logical) event count retired per
-    second of the *hybrid* run's wall clock."""
-    packet, t_packet = run_fluid_scenario(size, "packet")
-    hybrid, t_hybrid = run_fluid_scenario(size, "hybrid")
+def run_fluid_pair(size: str, rounds: int = 1) -> dict:
+    """Both fidelity legs of the staging workload, ``rounds`` times over
+    (:func:`paired_ratios`: back to back, order alternating).  The reported
+    ``events_per_sec`` is the recorded figure: the packet run's (logical)
+    event count retired per second of the *hybrid* run's wall clock, from
+    the last round; ``fluid_pair_speedup`` is the gated one, the median of
+    the rounds' packet/hybrid CPU-time ratios."""
+    legs = {"packet": [], "hybrid": []}
+
+    def cost(fidelity: str) -> float:
+        legs[fidelity].append(run_fluid_scenario(size, fidelity))
+        return legs[fidelity][-1][0]["cpu_s"]
+
+    speedups = paired_ratios(lambda: cost("packet"), lambda: cost("hybrid"), rounds)
+    packet, t_packet = legs["packet"][-1]
+    hybrid, _t_hybrid = legs["hybrid"][-1]
     result = dict(hybrid)
     result["packet_events"] = packet["events"]
     result["hybrid_events"] = hybrid["events"]
     result["packet_wall_s"] = packet["wall_s"]
     result["events"] = packet["events"]
     result["events_per_sec"] = round(packet["events"] / hybrid["wall_s"], 1)
-    result["bytes_match_packet"] = hybrid["bytes_delivered"] == packet["bytes_delivered"]
-    result["completion_times_equal"] = t_hybrid == t_packet
+    result["fluid_pair_speedup"] = round(statistics.median(speedups), 2)
+    result["fluid_pair_speedups"] = [round(s, 2) for s in speedups]
+    # every leg of every round is the same deterministic transfer
+    result["bytes_match_packet"] = all(
+        run["bytes_delivered"] == packet["bytes_delivered"]
+        for run, _times in legs["packet"] + legs["hybrid"]
+    )
+    result["completion_times_equal"] = all(
+        times == t_packet for _run, times in legs["packet"] + legs["hybrid"]
+    )
     return result
 
 
@@ -931,7 +975,8 @@ def test_engine_scale_deployment(benchmark, once, size):
 
 @pytest.mark.parametrize("size", selected_sizes())
 def test_engine_scale_deployment_fluid(benchmark, once, size):
-    result = once(benchmark, lambda: run_fluid_pair(size))
+    # the gated tier measures the pair three times over (median ratio)
+    result = once(benchmark, lambda: run_fluid_pair(size, 3 if size == "large" else 1))
     benchmark.extra_info.update(result)
 
     # correctness gates: identical bytes and float-identical completion
@@ -947,14 +992,13 @@ def test_engine_scale_deployment_fluid(benchmark, once, size):
     # the tentpole acceptance, at the 1000-host tier: the hybrid leg must
     # retire the packet leg's logical events >= 10x faster, both legs
     # measured back-to-back in this process on identical work — a direct
-    # same-machine ratio, immune to calibration noise
+    # same-machine ratio, immune to calibration noise; the median of three
+    # order-alternated pairs, immune to one disturbed leg as well
     if size == "large":
-        speedup = round(result["packet_wall_s"] / result["wall_s"], 2)
-        benchmark.extra_info["fluid_pair_speedup"] = speedup
+        speedup = result["fluid_pair_speedup"]
         assert speedup >= FLUID_SPEEDUP_TARGET, (
-            f"fluid fast path below {FLUID_SPEEDUP_TARGET}x: packet leg "
-            f"{result['packet_wall_s']}s vs hybrid {result['wall_s']}s "
-            f"({speedup}x)"
+            f"fluid fast path below {FLUID_SPEEDUP_TARGET}x: packet/hybrid "
+            f"CPU-time ratios {result['fluid_pair_speedups']} (median {speedup}x)"
         )
         # informational cross-check against the recorded VLink deployment
         # baseline (calibration-scaled; noisy on shared VMs, so not a gate)

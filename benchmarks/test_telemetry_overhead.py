@@ -7,10 +7,13 @@ engine-scale deployment scenario (``test_engine_scale.run_scenario``):
   ``None``) — the instrumented code pays one attribute check per hot-path
   site.  Measured as a paired, interleaved comparison against runs where a
   hub was created and then detached before the measured window (the exact
-  same disabled hot path plus the enable/disable bookkeeping): the wall
-  ratio is gated at < 2%.  Interleaving A/B/A/B after a warmup round and
-  taking per-side minima (the classic noise-robust wall estimator)
-  cancels the machine drift that poisons back-to-back pairs.
+  same disabled hot path plus the enable/disable bookkeeping): the cost
+  ratio is gated at < 2%.  The window is ~60 ms, so the estimator has to
+  be noise-robust (``test_engine_scale.paired_ratios``): per-round ratios
+  of window CPU time, both sides back to back in every round, the order
+  alternating between rounds, and the *median* ratio gated — a ratio of
+  per-side minima over three rounds failed every second run on a shared
+  2-core box.
 * **Enabled** (in-memory recording, no JSONL file) — measured against the
   plain run, reported, and recorded under the ``deployment_telemetry``
   kind in ``BENCH_engine.json`` (with ``BENCH_REFRESH=1``), so the
@@ -25,13 +28,16 @@ file rides the CI smoke job; the gate is meaningful at every size).
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import test_engine_scale as engine_bench
 
-#: disabled-mode acceptance: < 2% wall-time overhead.
+#: disabled-mode acceptance: < 2% overhead.
 DISABLED_OVERHEAD_LIMIT = 1.02
-#: paired rounds per side; medians of interleaved runs.
+#: paired rounds of the disabled-mode gate (and of its one pooled retry).
+DISABLED_ROUNDS = 21
+#: paired rounds per side of the (recorded, ungated) enabled-mode figure.
 ROUNDS = 3
 
 
@@ -54,6 +60,7 @@ def _timed_run(size: str, telemetry: str) -> tuple:
         fw.disable_telemetry()
     all_done = fw.sim.all_of(completions)
     with engine_bench._gc_paused():
+        cpu_start = time.process_time()
         start = time.perf_counter()
         delivered = fw.sim.run(until=all_done, max_time=engine_bench.MAX_VIRTUAL)
         fw.sim.run(
@@ -61,12 +68,14 @@ def _timed_run(size: str, telemetry: str) -> tuple:
             max_time=engine_bench.MAX_VIRTUAL,
         )
         wall_s = time.perf_counter() - start
+        cpu_s = time.process_time() - cpu_start
     if telemetry == "on":
         hub.flush()
     expected = len(completions) * engine_bench.TRANSFER_BYTES
     assert sum(delivered) == expected
     stats = fw.sim.stats()
     return wall_s, {
+        "cpu_s": round(cpu_s, 6),
         "hosts": len(grid.hosts),
         "streams": len(completions),
         "bytes_delivered": sum(delivered),
@@ -80,34 +89,30 @@ def test_disabled_telemetry_overhead_under_two_percent(benchmark, once):
     2% of one that never touched it — the disabled state is one attribute
     check per instrumented site, nothing more."""
     size = _size()
+    info = {}
 
-    def measure():
+    def cost(telemetry: str) -> float:
+        _wall, run = _timed_run(size, telemetry)
+        info.update(run)
+        return run["cpu_s"]
+
+    def measure() -> list:
         _timed_run(size, "off")  # warmup: allocator and import costs
-        plain, disabled = [], []
-        for _ in range(ROUNDS):
-            wall, info = _timed_run(size, "off")
-            plain.append(wall)
-            wall, _info = _timed_run(size, "disabled")
-            disabled.append(wall)
-        return {
-            "plain_wall_s": round(min(plain), 4),
-            "disabled_wall_s": round(min(disabled), 4),
-            "ratio": round(min(disabled) / min(plain), 4),
-            **info,
-        }
+        return engine_bench.paired_ratios(
+            lambda: cost("disabled"), lambda: cost("off"), DISABLED_ROUNDS
+        )
 
-    result = once(benchmark, measure)
-    benchmark.extra_info.update(result)
-    ratio = result["ratio"]
+    ratios = once(benchmark, measure)
+    ratio = statistics.median(ratios)
     if ratio > DISABLED_OVERHEAD_LIMIT:
-        # one retry: a single paired measurement on shared hardware can
-        # blow a 2% margin on scheduler noise alone
-        result = measure()
-        benchmark.extra_info["ratio_first_attempt"] = ratio
-        benchmark.extra_info.update(result)
-        ratio = result["ratio"]
+        # one retry, pooled: another batch of rounds, and the median over
+        # both — noise averages out, a genuine overhead does not
+        benchmark.extra_info["ratio_first_attempt"] = round(ratio, 4)
+        ratios += measure()
+        ratio = statistics.median(ratios)
+    benchmark.extra_info.update(info, ratio=round(ratio, 4), rounds=len(ratios))
     assert ratio <= DISABLED_OVERHEAD_LIMIT, (
-        f"disabled telemetry costs {100 * (ratio - 1):.1f}% wall time on the "
+        f"disabled telemetry costs {100 * (ratio - 1):.1f}% CPU time on the "
         f"{size!r} deployment (limit {100 * (DISABLED_OVERHEAD_LIMIT - 1):.0f}%)"
     )
 

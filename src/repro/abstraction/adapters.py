@@ -11,6 +11,11 @@ alternates VLink adapters)").
 Cross-paradigm adapters must turn the message-oriented Circuit traffic into
 byte streams: each message is framed as ``(src_rank, length, payload)`` and
 the framing/parsing work is charged as the cross-paradigm translation cost.
+
+Every adapter receives the packed message as the
+:class:`~repro.madeleine.message.SegmentGather` ``Circuit.post`` froze it
+into and hands it down by reference: as the MadIO body, or spliced behind
+the stream frame header in one gather write.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.simnet.buffers import ByteRing, Gather
 from repro.simnet.cost import Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
@@ -90,9 +96,10 @@ class MadIOCircuitAdapter(CircuitAdapter):
         if self.channel is None:
             raise AbstractionError("adapter not started")
         self._account(len(payload))
-        # The Circuit payload is already segment-encoded; it travels as the
-        # MadIO body, and the (empty) header rides the combined express
-        # segment, so no extra per-segment cost is paid.
+        # The packed message travels as the MadIO body (one CHEAPER segment
+        # whose data is the message's own segment gather), and the (empty)
+        # header rides the combined express segment, so no extra
+        # per-segment cost is paid.
         return self.channel.send(dst_rank, b"", payload, extra_cost=cost)
 
     def _on_message(self, src_rank: int, header: bytes, body: bytes, delivery: Delivery) -> None:
@@ -113,31 +120,31 @@ class _StreamPeer:
     """Receive-side reassembly state for one incoming byte stream."""
 
     def __init__(self) -> None:
-        self.buffer = bytearray()
+        self.buffer = ByteRing()
         self.src_rank: Optional[int] = None
 
     def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
         """Append stream bytes; return the complete messages extracted."""
-        self.buffer += data
+        buffer = self.buffer
+        buffer.append(data)
         out: List[Tuple[int, bytes]] = []
         while True:
             if self.src_rank is None:
-                if len(self.buffer) < _HELLO.size:
+                if len(buffer) < _HELLO.size:
                     return out
-                magic, rank = _HELLO.unpack_from(self.buffer, 0)
+                magic, rank = _HELLO.unpack(buffer.peek(_HELLO.size))
                 if magic != _HELLO_MAGIC:
                     raise AbstractionError("bad circuit stream hello")
                 self.src_rank = rank
-                del self.buffer[: _HELLO.size]
+                buffer.skip(_HELLO.size)
                 continue
-            if len(self.buffer) < _FRAME.size:
+            if len(buffer) < _FRAME.size:
                 return out
-            src_rank, length = _FRAME.unpack_from(self.buffer, 0)
-            if len(self.buffer) < _FRAME.size + length:
+            src_rank, length = _FRAME.unpack(buffer.peek(_FRAME.size))
+            if len(buffer) < _FRAME.size + length:
                 return out
-            payload = bytes(self.buffer[_FRAME.size : _FRAME.size + length])
-            del self.buffer[: _FRAME.size + length]
-            out.append((src_rank, payload))
+            buffer.skip(_FRAME.size)
+            out.append((src_rank, buffer.take(length)))
 
 
 class StreamMeshCircuitAdapter(CircuitAdapter):
@@ -224,7 +231,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         return done
 
     def _send_on(self, stream, dst_rank: int, payload: bytes, cost: Cost, done: SimEvent) -> None:
-        frame = _FRAME.pack(self.circuit.rank, len(payload)) + payload
+        frame = Gather((_FRAME.pack(self.circuit.rank, len(payload)), payload))
         # The framing cost delays the actual write, but writes towards one
         # destination stay serialized (same-time events are FIFO in the
         # engine).

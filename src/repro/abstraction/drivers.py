@@ -25,7 +25,7 @@ import struct
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.simnet.buffers import ByteRing
+from repro.simnet.buffers import ByteRing, immutable
 from repro.simnet.cost import Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
@@ -227,6 +227,8 @@ class MadVLinkConnection:
         return self.peer_host.name
 
     def write(self, data: bytes) -> SimEvent:
+        """One write is one MadIO message whose CHEAPER body is ``data`` by
+        reference — flat bytes or a gather alike."""
         if self.closed:
             raise AbstractionError("write() on closed MadIO VLink connection")
         if self.peer_conn_id is None:
@@ -404,7 +406,7 @@ class LoopbackPipe:
         rx.cost.charge_copy(len(data), self.driver.host.cpu.memcpy_bandwidth, "loopback.copy")
         done = self.sim.event(name=f"loopback-write({len(data)}B)")
         peer = self.peer
-        self.sim.call_later(rx.cost.seconds, peer.buffer.append, bytes(data))
+        self.sim.call_later(rx.cost.seconds, peer.buffer.append, immutable(data))
         done.succeed(len(data), delay=rx.cost.seconds)
         return done
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
+from repro.simnet.buffers import immutable
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.abstraction.common import AbstractionError
@@ -113,13 +114,16 @@ class VLink:
 
     # -- primitives -----------------------------------------------------------
     def write(self, data: bytes) -> VLinkOperation:
-        """Post a write of ``data``; completes when the peer holds the bytes."""
+        """Post a write of ``data``; completes when the peer holds the bytes.
+
+        ``data`` may be a :class:`~repro.simnet.buffers.Gather`: the parts
+        go down as *one* write (one MadIO message, one TCP send).
+        """
         self._check_established("write")
         op = VLinkOperation(self.sim, "write", self)
         self.bytes_written += len(data)
-        if type(data) is not bytes:
-            data = bytes(data)  # drivers may alias the buffer; snapshot mutables
-        self.conn.write(data).chain(op)
+        # drivers may alias the buffer: mutables are snapshotted here, once
+        self.conn.write(immutable(data)).chain(op)
         return op
 
     def read(self, nbytes: int, exact: bool = True) -> VLinkOperation:

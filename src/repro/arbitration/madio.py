@@ -93,6 +93,11 @@ class MadIOChannel:
     ) -> "SimEvent":
         """Send one (header, body) message to ``dst_rank``.
 
+        The header is small and is aggregated (by copy) into the express
+        segment; the body — flat bytes or a gather, e.g. a Circuit message's
+        segments or a GIOP message's parts — is packed ``CHEAPER``, by
+        reference, and the receive callback is handed that same object.
+
         ``extra_cost`` lets the layer above (a VLink driver or Circuit
         adapter) charge its own send-side software cost onto the same
         operation, so that it delays the wire transmission exactly like the

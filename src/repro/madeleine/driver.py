@@ -216,8 +216,9 @@ class MadChannel:
         return MadMessage(dst_rank, dst_name=self.group[dst_rank].name)
 
     def end_packing(self, message: MadMessage, extra_cost: Optional[Cost] = None) -> "SimEvent":
-        """Serialise and transmit ``message``; the returned event fires when the
-        send-side buffers are reusable (local completion)."""
+        """Transmit ``message``; the returned event fires when the send-side
+        buffers are reusable (local completion).  The frame carries the
+        segment list by reference; its length is the wire length."""
         costs = self.driver.costs
         payload = message.finish()
         cost = Cost()

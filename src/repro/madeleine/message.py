@@ -16,13 +16,29 @@ must be available on the receive side:
 
 The pack/unpack calls must match pairwise on both sides — enforced here, and
 checked by property-based tests.
+
+The byte path
+-------------
+
+Packing keeps a *reference* to each buffer (:func:`repro.simnet.buffers.immutable`:
+writable buffers are snapshotted once, at ``pack``), and ``end_packing``
+puts the segment list itself on the wire as a :class:`SegmentGather` — the
+frame's length is the wire length, 5-byte segment headers included, but no
+contiguous image is built.  The receiver's :class:`MadIncoming` takes the
+segments as they are, so ``unpack`` returns the very object the sender
+packed.  :func:`encode_segments` / :func:`decode_segments` remain the single
+definition of the wire image: ``bytes(gather) == encode_segments(segments)``,
+and a frame that had to be flattened (it crossed a process boundary) is
+decoded from that image.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+from repro.simnet.buffers import Gather, immutable
 
 
 class MadeleineError(RuntimeError):
@@ -60,14 +76,21 @@ class MadMessage:
         self.dst_name = dst_name
         self._segments: List[Tuple[PackMode, bytes]] = []
         self._finished = False
+        #: running totals over the packed segments (headers excluded)
+        self.payload_bytes = 0
+        self.express_bytes = 0
 
     def pack(self, data: bytes, mode: PackMode = PackMode.CHEAPER) -> "MadMessage":
-        """Append one buffer to the message."""
+        """Append one buffer to the message (by reference when immutable)."""
         if self._finished:
             raise MadeleineError("pack() after end_packing()")
         if not isinstance(mode, PackMode):
             raise MadeleineError(f"mode must be a PackMode, got {mode!r}")
-        self._segments.append((mode, bytes(data)))
+        data = immutable(data)
+        self._segments.append((mode, data))
+        self.payload_bytes += len(data)
+        if mode is PackMode.EXPRESS:
+            self.express_bytes += len(data)
         return self
 
     def pack_express(self, data: bytes) -> "MadMessage":
@@ -80,23 +103,15 @@ class MadMessage:
     def segment_count(self) -> int:
         return len(self._segments)
 
-    @property
-    def payload_bytes(self) -> int:
-        return sum(len(data) for _, data in self._segments)
-
-    @property
-    def express_bytes(self) -> int:
-        return sum(len(d) for m, d in self._segments if m is PackMode.EXPRESS)
-
     def segments(self) -> List[Tuple[PackMode, bytes]]:
         return list(self._segments)
 
-    def finish(self) -> bytes:
-        """Serialise the message for the wire (called by ``end_packing``)."""
+    def finish(self) -> "SegmentGather":
+        """Freeze the message into its wire image (called by ``end_packing``)."""
         if self._finished:
             raise MadeleineError("end_packing() called twice")
         self._finished = True
-        return encode_segments(self._segments)
+        return SegmentGather(self._segments)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MadMessage to={self.dst_name or self.dst_rank} segs={self.segment_count} {self.payload_bytes}B>"
@@ -105,10 +120,15 @@ class MadMessage:
 class MadIncoming:
     """A received message being unpacked incrementally on the receive side."""
 
-    def __init__(self, src_rank: int, raw: bytes, src_name: str = ""):
+    def __init__(self, src_rank: int, raw, src_name: str = ""):
         self.src_rank = src_rank
         self.src_name = src_name
-        self._segments = decode_segments(raw)
+        #: the sender's segments as they are when the wire image arrived by
+        #: reference; decoded from the flat image otherwise
+        self._segments = (
+            raw.segments if isinstance(raw, SegmentGather) else decode_segments(raw)
+        )
+        self.payload_bytes = len(raw) - segment_overhead(len(self._segments))
         self._cursor = 0
         self._finished = False
 
@@ -137,10 +157,6 @@ class MadIncoming:
     def remaining_segments(self) -> int:
         return len(self._segments) - self._cursor
 
-    @property
-    def payload_bytes(self) -> int:
-        return sum(len(d) for _, d in self._segments)
-
     def peek_mode(self) -> PackMode:
         if self._cursor >= len(self._segments):
             raise MadeleineError("no segment left to peek at")
@@ -159,17 +175,44 @@ class MadIncoming:
         return f"<MadIncoming from={self.src_name or self.src_rank} segs={len(self._segments)}>"
 
 
-def encode_segments(segments: List[Tuple[PackMode, bytes]]) -> bytes:
-    """Serialise (mode, data) segments into one contiguous wire buffer."""
+def _wire_parts(segments: Sequence[Tuple[PackMode, bytes]]) -> List[bytes]:
+    """The wire image of ``segments`` as a list of buffers, in order."""
     parts: List[bytes] = []
     for mode, data in segments:
         parts.append(_SEGMENT_HEADER.pack(mode.wire_code, len(data)))
-        parts.append(data)
-    return b"".join(parts)
+        if isinstance(data, Gather):
+            parts.extend(data.parts)
+        elif len(data):
+            parts.append(data)
+    return parts
 
 
-def decode_segments(raw: bytes) -> List[Tuple[PackMode, bytes]]:
+class SegmentGather(Gather):
+    """The wire image of a packed message, carried by reference.
+
+    ``parts`` alternate a 5-byte segment header and the segment's own
+    buffer(s); ``segments`` is the ``(mode, data)`` sequence they frame,
+    which the receive side takes as it is.  The data must already be
+    immutable (``MadMessage.pack`` sees to that).
+    """
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: Sequence[Tuple[PackMode, bytes]]) -> None:
+        self.segments = tuple(segments)
+        self.parts = tuple(_wire_parts(segments))
+        self.nbytes = sum(map(len, self.parts))
+
+
+def encode_segments(segments: Sequence[Tuple[PackMode, bytes]]) -> bytes:
+    """Serialise (mode, data) segments into one contiguous wire buffer."""
+    return b"".join(_wire_parts(segments))
+
+
+def decode_segments(raw) -> List[Tuple[PackMode, bytes]]:
     """Inverse of :func:`encode_segments` (validates framing)."""
+    if isinstance(raw, Gather):
+        raw = bytes(raw)
     segments: List[Tuple[PackMode, bytes]] = []
     offset = 0
     size = len(raw)

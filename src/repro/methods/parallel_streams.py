@@ -94,6 +94,7 @@ class ParallelStreamConnection:
             raise ConnectionError("parallel-streams connection not fully established")
         record_id = self._next_record
         self._next_record += 1
+        data = bytes(data)  # striping slices a contiguous record
         self.bytes_sent += len(data)
         slices = split_even(len(data), self.total_streams)
         events = []

@@ -5,6 +5,22 @@ specification (each primitive aligned on its natural boundary relative to
 the start of the stream).  Supports the primitive types used by the
 reproduction's IDL interfaces plus strings, octet/typed sequences and
 structs.  Property-based tests round-trip arbitrary values through it.
+
+The byte path
+-------------
+
+The encoder builds *parts*, not one buffer: primitives, strings and
+padding coalesce (by copy — they are a few bytes) into the current header
+part, while the body of an octet sequence or a numeric array is appended by
+reference (:func:`repro.simnet.buffers.immutable`).  ``getvalue`` returns
+the parts as a :class:`~repro.simnet.buffers.Gather` whose ``bytes()`` is
+the classic contiguous encoding; GIOP splices its own header in front and
+the whole message goes down the stack as one gather write.  Never
+``+``/``join`` a body onto a header here — append it.
+
+The decoder reads over a ``memoryview`` of the message buffer, so framing
+layers hand it sub-views instead of slices; only what the application
+keeps (an octet sequence, a string) is materialised, once.
 """
 
 from __future__ import annotations
@@ -14,19 +30,23 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.simnet.buffers import Gather, immutable
+
 
 class CdrError(RuntimeError):
     """Marshalling errors (truncated buffers, type mismatches, ...)."""
 
 
 class CdrOutputStream:
-    """Encoder: appends CDR-encoded values to a growing buffer."""
+    """Encoder: coalesces small values, appends bulk bodies by reference."""
 
     def __init__(self) -> None:
-        self._buf = bytearray()
+        self._buf = bytearray()  # the header part being coalesced
+        self._parts: List[bytes] = []  # the parts completed before it
+        self._done = 0  # bytes in ``_parts`` (stream offset of ``_buf``)
 
     def _align(self, boundary: int) -> None:
-        pad = (-len(self._buf)) % boundary
+        pad = (-(self._done + len(self._buf))) % boundary
         self._buf += b"\x00" * pad
 
     def _pack(self, fmt: str, boundary: int, value) -> None:
@@ -64,24 +84,39 @@ class CdrOutputStream:
         self._buf += raw
 
     def put_octet_sequence(self, value: bytes) -> None:
+        value = immutable(value)
         self.put_ulong(len(value))
-        self._buf += value
+        self._put_part(value)
 
     def put_raw(self, value: bytes) -> None:
-        self._buf += value
+        """Append a bulk body by reference (snapshotted when mutable)."""
+        self._put_part(immutable(value))
 
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
+    def _put_part(self, value: bytes) -> None:
+        if not len(value):
+            return
+        if self._buf:
+            self._parts.append(bytes(self._buf))
+            self._done += len(self._buf)
+            self._buf = bytearray()
+        self._parts.append(value)
+        self._done += len(value)
+
+    def getvalue(self) -> Gather:
+        """The encoding so far; ``bytes()`` of it is the contiguous image."""
+        return Gather((*self._parts, bytes(self._buf)))
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._done + len(self._buf)
 
 
 class CdrInputStream:
-    """Decoder: reads CDR-encoded values sequentially."""
+    """Decoder: reads CDR-encoded values sequentially, over a view."""
 
-    def __init__(self, data: bytes):
-        self._data = data
+    def __init__(self, data):
+        if isinstance(data, Gather):
+            data = bytes(data)
+        self._data = memoryview(data)
         self._pos = 0
 
     def _align(self, boundary: int) -> None:
@@ -125,16 +160,21 @@ class CdrInputStream:
 
     def get_string(self) -> str:
         length = self.get_ulong()
-        raw = self.get_bytes(length)
-        if not raw.endswith(b"\x00"):
+        raw = self.get_view(length)
+        if not length or raw[-1] != 0:
             raise CdrError("CDR string is not NUL-terminated")
-        return raw[:-1].decode("utf-8")
+        return str(raw[:-1], "utf-8")
 
     def get_octet_sequence(self) -> bytes:
         length = self.get_ulong()
         return self.get_bytes(length)
 
     def get_bytes(self, length: int) -> bytes:
+        """The next ``length`` bytes, materialised for the application."""
+        return bytes(self.get_view(length))
+
+    def get_view(self, length: int) -> memoryview:
+        """The next ``length`` bytes as a view of the message buffer."""
         if self._pos + length > len(self._data):
             raise CdrError("truncated CDR stream while reading raw bytes")
         out = self._data[self._pos : self._pos + length]
@@ -198,7 +238,7 @@ class _OctetSeq(TypeCode):
             value = value.tobytes()
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise CdrError(f"sequence<octet> requires bytes, got {type(value).__name__}")
-        out.put_octet_sequence(bytes(value))
+        out.put_octet_sequence(value)
 
     def decode(self, inp: CdrInputStream):
         return inp.get_octet_sequence()
@@ -222,7 +262,7 @@ class _TypedSeq(TypeCode):
     def decode(self, inp: CdrInputStream):
         count = inp.get_ulong()
         inp._align(self.align)
-        raw = inp.get_bytes(count * self.itemsize)
+        raw = inp.get_view(count * self.itemsize)
         return np.frombuffer(raw, dtype=f">{self.np_dtype[1:]}").astype(self.np_dtype)
 
 

@@ -5,6 +5,12 @@ implemented — Request and Reply — with the standard 12-byte GIOP header
 (magic, version, flags, message type, body size) so the framing survives a
 byte-stream transport and interoperates across ORB profiles (the paper's
 interoperability requirement: CORBA stays IIOP-compatible on the wire).
+
+``encode`` returns a :class:`~repro.simnet.buffers.Gather`: the GIOP header
+and the request/reply prefix coalesce into the first part, the parts of the
+CDR body follow by reference — ``bytes()`` of it is the contiguous message.
+``decode`` parses over a view of the received payload; ``body`` is a
+sub-view, not a copy.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from typing import Tuple
+
+from repro.simnet.buffers import Gather
 
 _GIOP_HEADER = struct.Struct("!4sBBBBI")  # magic, major, minor, flags, msg type, body size
 GIOP_MAGIC = b"GIOP"
@@ -38,6 +46,8 @@ class GiopMessage:
 
     msg_type: int
     request_id: int
+    #: the CDR-encoded arguments or result: any immutable buffer or gather
+    #: on the send side, a view of the received payload after ``decode``
     body: bytes
     object_key: bytes = b""
     operation: str = ""
@@ -47,23 +57,28 @@ class GiopMessage:
     meta: dict = field(default_factory=dict)
 
     # -- encoding -----------------------------------------------------------------
-    def encode(self) -> bytes:
+    def encode(self) -> Gather:
         if self.msg_type == MSG_REQUEST:
             op = self.operation.encode("utf-8")
-            payload = (
+            prefix = (
                 _REQUEST_PREFIX.pack(self.request_id, len(self.object_key), len(op))
                 + self.object_key
                 + op
-                + self.body
             )
         elif self.msg_type == MSG_REPLY:
-            payload = _REPLY_PREFIX.pack(self.request_id, self.reply_status) + self.body
+            prefix = _REPLY_PREFIX.pack(self.request_id, self.reply_status)
         else:
             raise GiopError(f"unsupported GIOP message type {self.msg_type}")
+        body = self.body
         header = _GIOP_HEADER.pack(
-            GIOP_MAGIC, self.version[0], self.version[1], self.flags, self.msg_type, len(payload)
+            GIOP_MAGIC,
+            self.version[0],
+            self.version[1],
+            self.flags,
+            self.msg_type,
+            len(prefix) + len(body),
         )
-        return header + payload
+        return Gather((header + prefix, body))
 
     # -- decoding -------------------------------------------------------------------
     @staticmethod
@@ -81,28 +96,29 @@ class GiopMessage:
         msg_type, size, version = cls.parse_header(header)
         if len(payload) != size:
             raise GiopError(f"GIOP body size mismatch: header says {size}, got {len(payload)}")
+        view = memoryview(payload)
         if msg_type == MSG_REQUEST:
-            request_id, key_len, op_len = _REQUEST_PREFIX.unpack_from(payload, 0)
+            request_id, key_len, op_len = _REQUEST_PREFIX.unpack_from(view, 0)
             offset = _REQUEST_PREFIX.size
-            object_key = payload[offset : offset + key_len]
+            object_key = bytes(view[offset : offset + key_len])
             offset += key_len
-            operation = payload[offset : offset + op_len].decode("utf-8")
+            operation = str(view[offset : offset + op_len], "utf-8")
             offset += op_len
             return cls(
                 msg_type=MSG_REQUEST,
                 request_id=request_id,
                 object_key=object_key,
                 operation=operation,
-                body=payload[offset:],
+                body=view[offset:],
                 version=version,
             )
         if msg_type == MSG_REPLY:
-            request_id, status = _REPLY_PREFIX.unpack_from(payload, 0)
+            request_id, status = _REPLY_PREFIX.unpack_from(view, 0)
             return cls(
                 msg_type=MSG_REPLY,
                 request_id=request_id,
                 reply_status=status,
-                body=payload[_REPLY_PREFIX.size :],
+                body=view[_REPLY_PREFIX.size :],
                 version=version,
             )
         raise GiopError(f"unsupported GIOP message type {msg_type}")

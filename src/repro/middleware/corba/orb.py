@@ -144,7 +144,7 @@ class Proxy:
         reply: GiopMessage = yield reply_ev
         if reply.reply_status != REPLY_OK:
             raise CorbaError(
-                f"system exception from {operation!r}: {reply.body.decode('utf-8', 'replace')}"
+                f"system exception from {operation!r}: {str(reply.body, 'utf-8', 'replace')}"
             )
         return op.decode_result(CdrInputStream(reply.body))
 

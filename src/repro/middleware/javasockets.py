@@ -20,6 +20,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.simnet.buffers import immutable
 from repro.simnet.cost import MB, MICROSECOND
 from repro.personalities.syswrap import SysWrap, SysWrapSocket
 
@@ -64,9 +65,10 @@ class JavaSocket:
     # -- raw stream I/O --------------------------------------------------------------
     def write(self, data: bytes):
         """OutputStream.write: generator completing when the bytes are sent."""
+        data = immutable(data)  # the caller's array is released before the JNI delay
         cost = self.profile.per_call_overhead + len(data) / self.profile.copy_bandwidth
         yield self.sim.timeout(cost)
-        yield self._sock.send(bytes(data))
+        yield self._sock.send(data)
         self.bytes_written += len(data)
         return len(data)
 

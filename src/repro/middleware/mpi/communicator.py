@@ -8,6 +8,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.simnet.buffers import immutable
 from repro.simnet.cost import Cost
 from repro.simnet.host import HostGroup
 from repro.madeleine.message import PackMode
@@ -149,9 +150,9 @@ class Communicator(CollectiveMixin):
     @staticmethod
     def _encode(obj: Any) -> Tuple[bytes, int]:
         if isinstance(obj, (bytes, bytearray, memoryview)):
-            return bytes(obj), 0
-        if isinstance(obj, np.ndarray):
-            return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), _FLAG_PICKLED
+            # by reference when immutable: the buffer rides as the message's
+            # CHEAPER segment and is what the receiver's recv() returns
+            return immutable(obj), 0
         return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), _FLAG_PICKLED
 
     @staticmethod
@@ -171,7 +172,7 @@ class Communicator(CollectiveMixin):
     def Isend(self, buf, dest: int, tag: int = 0, datatype: Optional[Datatype] = None) -> Request:
         """Non-blocking buffer send (numpy array or bytes, no pickling)."""
         datatype = datatype or MPI_BYTE
-        payload = datatype.to_bytes(buf) if not isinstance(buf, (bytes, bytearray)) else bytes(buf)
+        payload = immutable(buf) if isinstance(buf, (bytes, bytearray)) else datatype.to_bytes(buf)
         return self._post_send(payload, 0, dest, tag)
 
     def _post_send(self, payload: bytes, flags: int, dest: int, tag: int) -> Request:

@@ -42,7 +42,7 @@ class FMStream:
         """``FM_send_piece``: append one buffer to the message."""
         if self._ended:
             raise FMError("FM_send_piece after FM_end_message")
-        self._message.pack_cheaper(bytes(data))
+        self._message.pack_cheaper(data)
         self._pieces += 1
         return self
 

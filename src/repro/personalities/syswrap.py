@@ -98,7 +98,11 @@ class SysWrapSocket:
         return done
 
     def send(self, data: bytes):
-        """Returns an event completing with the number of bytes sent."""
+        """Returns an event completing with the number of bytes sent.
+
+        ``data`` may be a :class:`~repro.simnet.buffers.Gather` (``writev``):
+        header and payload parts go down as one write, uncopied.
+        """
         link = self._require_link("send")
         done = self.sim.event(name=f"syswrap-send(fd={self.fd})")
         link.write(data).set_handler(

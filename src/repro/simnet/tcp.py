@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.simnet.buffers import ByteRing
+from repro.simnet.buffers import ByteRing, Gather, immutable
 from repro.simnet.cost import Cost, KB
 from repro.simnet.fluid import FluidController, FluidPolicy
 from repro.simnet.network import Delivery, Network, PARADIGM_DISTRIBUTED
@@ -452,14 +452,19 @@ class TcpConnection:
         if len(data) == 0:
             done.succeed(0)
             return done
-        # `bytes` payloads are aliased, not copied (the queue only reads);
-        # anything else is snapshotted — a readonly memoryview can still
-        # expose a mutable backing store (memoryview(bytearray).toreadonly())
-        if type(data) is not bytes:
-            data = bytes(data)
+        # immutable payloads are aliased, not copied (the queue only reads);
+        # anything else is snapshotted
+        data = immutable(data)
         if self._pump_handle is not None and self._fluid is not None:
             self._fluid.on_send()
-        self._sendq.append([memoryview(data), 0, done, len(data)])
+        if isinstance(data, Gather):
+            # one send: the parts queue back to back, the last one carries
+            # the call's completion (its last byte is the send's last byte)
+            for part in data.parts[:-1]:
+                self._sendq.append([memoryview(part), 0, None, len(part)])
+            self._sendq.append([memoryview(data.parts[-1]), 0, done, len(data)])
+        else:
+            self._sendq.append([memoryview(data), 0, done, len(data)])
         if self.stack.telemetry is not None:
             self.stack.telemetry.emit("flow.send", flow=self.flow_id, nbytes=len(data))
         if self._pump_handle is None:

@@ -59,7 +59,7 @@ def test_cdr_primitive_roundtrip_with_alignment():
 def test_cdr_truncation_detected():
     out = CdrOutputStream()
     out.put_long(1)
-    inp = CdrInputStream(out.getvalue()[:2])
+    inp = CdrInputStream(bytes(out.getvalue())[:2])
     with pytest.raises(CdrError):
         inp.get_long()
 
@@ -102,7 +102,7 @@ def test_cdr_void():
 
 def test_giop_request_roundtrip():
     req = make_request(17, b"objkey", "compute", b"\x01\x02\x03")
-    wire = req.encode()
+    wire = bytes(req.encode())
     header, payload = wire[:12], wire[12:]
     msg_type, size, version = GiopMessage.parse_header(header)
     assert msg_type == MSG_REQUEST and size == len(payload)
@@ -115,7 +115,7 @@ def test_giop_request_roundtrip():
 
 def test_giop_reply_roundtrip_and_errors():
     rep = make_reply(9, b"result", status=0)
-    wire = rep.encode()
+    wire = bytes(rep.encode())
     decoded = GiopMessage.decode(wire[:12], wire[12:])
     assert decoded.msg_type == MSG_REPLY and decoded.request_id == 9
     with pytest.raises(GiopError):

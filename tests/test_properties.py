@@ -168,7 +168,7 @@ def test_cdr_double_sequence_roundtrip(values):
        st.binary(max_size=4096))
 def test_giop_request_roundtrip(request_id, key, operation, body):
     msg = make_request(request_id, key, operation, body)
-    wire = msg.encode()
+    wire = bytes(msg.encode())
     decoded = GiopMessage.decode(wire[:12], wire[12:])
     assert (decoded.request_id, decoded.object_key, decoded.operation, decoded.body) == (
         request_id, key, operation, body,
@@ -180,7 +180,7 @@ def test_giop_request_roundtrip(request_id, key, operation, body):
        st.integers(min_value=0, max_value=2))
 def test_giop_reply_roundtrip(request_id, body, status):
     msg = make_reply(request_id, body, status=status)
-    wire = msg.encode()
+    wire = bytes(msg.encode())
     decoded = GiopMessage.decode(wire[:12], wire[12:])
     assert (decoded.request_id, decoded.body, decoded.reply_status) == (request_id, body, status)
 
