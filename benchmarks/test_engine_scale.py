@@ -244,12 +244,12 @@ def _stream(fw, src, dst, port, total, chunk=CHUNK):
     return done
 
 
-def build_scenario(size: str, partitions=None, executor=None):
+def build_scenario(size: str, partitions=None, executor=None, framework=PadicoFramework):
     cfg = SIZES[size]
     # ENGINE_FIDELITY=hybrid runs the same deployment with the fluid fast
     # path armed (the nightly job exercises this; byte totals must match).
     fidelity = os.environ.get("ENGINE_FIDELITY", "packet")
-    fw = PadicoFramework(partitions=partitions, executor=executor, fidelity=fidelity)
+    fw = framework(partitions=partitions, executor=executor, fidelity=fidelity)
     grid = grid_deployment(fw, **cfg)
     fw.boot()
 

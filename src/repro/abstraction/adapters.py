@@ -56,8 +56,11 @@ class CircuitAdapter:
     def start(self) -> None:
         """Open whatever channels / listeners the adapter needs."""
 
-    def send(self, dst_rank: int, payload: bytes, cost: Cost) -> SimEvent:
-        """Transmit one fully packed Circuit message."""
+    def send(
+        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+    ) -> SimEvent:
+        """Transmit one fully packed Circuit message; completes ``done`` (the
+        caller's own operation) when given, a new event otherwise."""
         raise NotImplementedError
 
     def _account(self, nbytes: int) -> None:
@@ -92,7 +95,9 @@ class MadIOCircuitAdapter(CircuitAdapter):
         )
         self.channel.set_receive_callback(self._on_message)
 
-    def send(self, dst_rank: int, payload: bytes, cost: Cost) -> SimEvent:
+    def send(
+        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+    ) -> SimEvent:
         if self.channel is None:
             raise AbstractionError("adapter not started")
         self._account(len(payload))
@@ -100,7 +105,7 @@ class MadIOCircuitAdapter(CircuitAdapter):
         # whose data is the message's own segment gather), and the (empty)
         # header rides the combined express segment, so no extra
         # per-segment cost is paid.
-        return self.channel.send(dst_rank, b"", payload, extra_cost=cost)
+        return self.channel.send(dst_rank, b"", payload, extra_cost=cost, done=done)
 
     def _on_message(self, src_rank: int, header: bytes, body: bytes, delivery: Delivery) -> None:
         delivery.traverse(f"circuit-adapter:{self.name}")
@@ -176,10 +181,6 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         raise NotImplementedError
 
     @staticmethod
-    def _write(stream, data: bytes) -> SimEvent:
-        return stream.write(data)
-
-    @staticmethod
     def _watch(stream, fn: Callable) -> None:
         """Register the data-readable callback on a stream."""
         if hasattr(stream, "set_data_callback"):
@@ -196,10 +197,13 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         self._listen(self.circuit.port, self._on_incoming_stream)
 
     # send path ---------------------------------------------------------------------
-    def send(self, dst_rank: int, payload: bytes, cost: Cost) -> SimEvent:
+    def send(
+        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+    ) -> SimEvent:
         cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD, "circuit.framing")
         self._account(len(payload))
-        done = self.sim.event(name=f"circuit-stream-send({len(payload)}B)")
+        if done is None:
+            done = self.sim.event(name="circuit-stream-send")
         stream = self._out_streams.get(dst_rank)
         if stream is not None:
             self._send_on(stream, dst_rank, payload, cost, done)
@@ -223,7 +227,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
             self._out_streams[dst_rank] = stream
             self._watch(stream, lambda _s=None: self._on_stream_data(stream))
             hello = _HELLO.pack(_HELLO_MAGIC, self.circuit.rank)
-            self._write(stream, hello)
+            stream.write(hello)
             for p, c, d in queued:
                 self._send_on(stream, dst_rank, p, c, d)
 
@@ -237,10 +241,8 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         # engine).
         ready = max(self.sim.now + cost.seconds, self._next_write_at.get(dst_rank, 0.0))
         self._next_write_at[dst_rank] = ready
-        self.sim.call_later(ready - self.sim.now, self._write_and_chain, stream, frame, done)
-
-    def _write_and_chain(self, stream, frame: bytes, done: SimEvent) -> None:
-        self._write(stream, frame).chain(done)
+        # the stream (a SysSocket or a VLink) completes the send's own event
+        self.sim.call_later(ready - self.sim.now, stream.write, frame, done)
 
     # receive path ---------------------------------------------------------------------
     def _on_incoming_stream(self, stream, peer_host) -> None:
@@ -267,7 +269,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         # ours before any framed message travels back.
         if peer.src_rank is not None and peer.src_rank not in self._out_streams:
             self._out_streams[peer.src_rank] = stream
-            self._write(stream, _HELLO.pack(_HELLO_MAGIC, self.circuit.rank))
+            stream.write(_HELLO.pack(_HELLO_MAGIC, self.circuit.rank))
 
 
 class SysIOCircuitAdapter(StreamMeshCircuitAdapter):
@@ -355,7 +357,9 @@ class LoopbackCircuitAdapter(CircuitAdapter):
         super().__init__(circuit, route)
         self.per_message_overhead = per_message_overhead
 
-    def send(self, dst_rank: int, payload: bytes, cost: Cost) -> SimEvent:
+    def send(
+        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+    ) -> SimEvent:
         if self.circuit.host_of(dst_rank) is not self.host:
             raise AbstractionError("loopback circuit adapter only reaches the local host")
         self._account(len(payload))
@@ -372,6 +376,6 @@ class LoopbackCircuitAdapter(CircuitAdapter):
             payload,
             rx,
         )
-        done = self.sim.event(name="circuit-loopback-send")
-        done.succeed(len(payload), delay=rx.cost.seconds)
-        return done
+        if done is None:
+            done = self.sim.event(name="circuit-loopback-send")
+        return done.succeed(len(payload), delay=rx.cost.seconds)

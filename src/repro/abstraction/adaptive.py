@@ -34,6 +34,7 @@ import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.buffers import ByteRing
+from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.abstraction.common import AbstractionError
 from repro.abstraction.drivers import StreamBuffer
@@ -184,13 +185,14 @@ class AdaptiveVLink:
         self.bytes_read = 0
 
     # -- VLink-compatible primitives -------------------------------------------
-    def write(self, data: bytes) -> VLinkOperation:
-        """Post a write; completes once the peer has delivered the bytes."""
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
+        """Post a write; completes (``done``, when the layer above hands its
+        own operation down) once the peer has delivered the bytes."""
         if self.state is VLinkState.CLOSED:
             raise AbstractionError("write() on a closed adaptive VLink")
         if type(data) is not bytes:
             data = bytes(data)  # the retransmission buffer must own the bytes
-        op = VLinkOperation(self.sim, "write", None)
+        op = done if done is not None else VLinkOperation(self.sim, "write", None)
         if not data:
             op.succeed(0)
             return op
@@ -202,21 +204,14 @@ class AdaptiveVLink:
         self._flush()
         return op
 
-    def read(self, nbytes: int, exact: bool = True) -> VLinkOperation:
-        op = VLinkOperation(self.sim, "read", None)
-        inner = self.buffer.recv_exact(nbytes) if exact else self.buffer.recv(nbytes)
+    def read(self, nbytes: int, exact: bool = True, done: Optional[SimEvent] = None) -> SimEvent:
+        op = done if done is not None else VLinkOperation(self.sim, "read", None)
+        op.add_callback(self._count_read)
+        if exact:
+            return self.buffer.recv_exact(nbytes, op)
+        return self.buffer.recv(nbytes, op)
 
-        def _done(ev):
-            if op.triggered:
-                return
-            if ev.ok:
-                self.bytes_read += len(ev.value)
-                op.succeed(ev.value)
-            else:
-                op.fail(ev.value)
-
-        inner.add_callback(_done)
-        return op
+    _count_read = VLink._count_read
 
     def close(self) -> VLinkOperation:
         op = VLinkOperation(self.sim, "close", None)

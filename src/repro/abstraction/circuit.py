@@ -121,8 +121,14 @@ class Circuit:
             raise AbstractionError(f"rank {dst_rank} outside group of size {self.size}")
         return CircuitMessage(dst_rank, dst_name=self.group[dst_rank].name)
 
-    def post(self, message: CircuitMessage, extra_cost: Optional[Cost] = None) -> SimEvent:
-        """Send a packed message; the event fires at local send completion."""
+    def post(
+        self,
+        message: CircuitMessage,
+        extra_cost: Optional[Cost] = None,
+        done: Optional[SimEvent] = None,
+    ) -> SimEvent:
+        """Send a packed message; the event (``done``, when the caller hands
+        its own operation down) fires at local send completion."""
         adapter = self.adapter_for(message.dst_rank)
         cost = Cost()
         if extra_cost is not None:
@@ -131,7 +137,7 @@ class Circuit:
         payload = message.finish()
         self.messages_sent += 1
         self.bytes_sent += message.payload_bytes
-        return adapter.send(message.dst_rank, payload, cost)
+        return adapter.send(message.dst_rank, payload, cost, done)
 
     def send(self, dst_rank: int, *buffers: bytes, express_first: bool = True) -> SimEvent:
         """Convenience: pack ``buffers`` (first express, rest cheaper) and post."""

@@ -16,6 +16,31 @@ This module provides the three core drivers:
 
 The WAN-specific method drivers (parallel streams, AdOC compression, VRP)
 live in :mod:`repro.methods` and register themselves under their own names.
+
+The driver-connection interface
+-------------------------------
+
+A driver's ``connect``/``listen`` hand :class:`~repro.abstraction.vlink.VLink`
+a *driver connection*: any object with
+
+* ``write(data, done=None)`` — queue ``data`` (``bytes`` or a
+  :class:`~repro.simnet.buffers.Gather`, already immutable) as one write;
+* ``recv(nbytes=None, done=None)`` / ``recv_exact(nbytes, done=None)`` — a
+  partial / exact read;
+* ``available()``, ``read_available(limit=None)``,
+  ``set_data_callback(fn)``, ``set_close_callback(fn)`` (both called with the
+  connection), ``close()`` and ``peer_name``.
+
+One asynchronous operation is one completion event, fired once: ``done`` is
+the caller's own operation (a ``VLinkOperation``, an MPI request's event, a
+Circuit send).  A connection completes *it* — with a byte count for a write,
+the bytes for a read, or the failure — and returns it; only when no ``done``
+is given does it mint an event of its own.  A connection that wraps another
+one passes ``done`` further down instead of chaining a second event onto the
+first, and a layer that charges time does so as the delay of that one
+trigger (``done.succeed(value, delay)``), never as a timer followed by an
+event.  :class:`~repro.arbitration.sysio.SysSocket` is a driver connection as
+it stands; :class:`BufferedConnection` is the receive half of all the others.
 """
 
 from __future__ import annotations
@@ -70,18 +95,17 @@ class StreamBuffer:
     def read_available(self, limit: Optional[int] = None) -> bytes:
         return self._buffer.take(limit)
 
-    def recv(self, nbytes: Optional[int] = None) -> SimEvent:
-        return self._queue(nbytes, exact=False)
+    def recv(self, nbytes: Optional[int] = None, done: Optional[SimEvent] = None) -> SimEvent:
+        return self._queue(nbytes, False, done)
 
-    def recv_exact(self, nbytes: int) -> SimEvent:
+    def recv_exact(self, nbytes: int, done: Optional[SimEvent] = None) -> SimEvent:
         buffer = self._buffer
         if buffer._size >= nbytes and not self._pending and not self.closed:
             # fast path: satisfiable immediately — trigger without touching
             # the pending queue (the event still completes through the loop)
-            ev = SimEvent(self.sim, "stream-read")
-            ev.succeed(buffer.take(nbytes))
-            return ev
-        return self._queue(nbytes, exact=True)
+            ev = done if done is not None else SimEvent(self.sim, "stream-read")
+            return ev.succeed(buffer.take(nbytes))
+        return self._queue(nbytes, True, done)
 
     def set_data_callback(self, fn: Optional[Callable[[], None]]) -> None:
         self._data_callback = fn
@@ -108,8 +132,9 @@ class StreamBuffer:
         if self._close_callback is not None:
             self._close_callback()
 
-    def _queue(self, nbytes: Optional[int], exact: bool) -> SimEvent:
-        ev = self.sim.event(name="stream-read")
+    def _queue(self, nbytes: Optional[int], exact: bool, ev: Optional[SimEvent]) -> SimEvent:
+        if ev is None:
+            ev = SimEvent(self.sim, "stream-read")
         if self.closed and not self._buffer:
             ev.fail(ConnectionError("stream closed"))
             return ev
@@ -128,6 +153,32 @@ class StreamBuffer:
             chunk = buffer.take(nbytes)
             if not ev._triggered:
                 ev.succeed(chunk)
+
+
+class BufferedConnection:
+    """Receive half of a driver connection whose incoming bytes land in
+    ``self.buffer``, a :class:`StreamBuffer` (MadIO streams, loopback pipes
+    and every method driver of :mod:`repro.methods`)."""
+
+    buffer: StreamBuffer
+
+    def recv(self, nbytes: Optional[int] = None, done: Optional[SimEvent] = None) -> SimEvent:
+        return self.buffer.recv(nbytes, done)
+
+    def recv_exact(self, nbytes: int, done: Optional[SimEvent] = None) -> SimEvent:
+        return self.buffer.recv_exact(nbytes, done)
+
+    def available(self) -> int:
+        return self.buffer.available()
+
+    def read_available(self, limit: Optional[int] = None) -> bytes:
+        return self.buffer.read_available(limit)
+
+    def set_data_callback(self, fn) -> None:
+        self.buffer.set_data_callback(None if fn is None else lambda: fn(self))
+
+    def set_close_callback(self, fn) -> None:
+        self.buffer.set_close_callback(None if fn is None else lambda: fn(self))
 
 
 class VLinkDriver:
@@ -206,7 +257,7 @@ _CTL_REFUSE = 3
 _CTL_CLOSE = 4
 
 
-class MadVLinkConnection:
+class MadVLinkConnection(BufferedConnection):
     """A byte-stream endpoint emulated over MadIO messages."""
 
     def __init__(self, driver: "MadIOVLinkDriver", conn_id: int, peer_host: Host, peer_rank: int):
@@ -226,7 +277,7 @@ class MadVLinkConnection:
     def peer_name(self) -> str:
         return self.peer_host.name
 
-    def write(self, data: bytes) -> SimEvent:
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         """One write is one MadIO message whose CHEAPER body is ``data`` by
         reference — flat bytes or a gather alike."""
         if self.closed:
@@ -238,31 +289,9 @@ class MadVLinkConnection:
         cost.charge(CROSS_PARADIGM_STREAM_OVERHEAD, "vlink.cross-paradigm")
         header = _DATA_HEADER.pack(self.peer_conn_id, 0)
         self.bytes_sent += len(data)
-        return self.driver.data_channel.send(self.peer_rank, header, data, extra_cost=cost)
-
-    def recv(self, nbytes: Optional[int] = None) -> SimEvent:
-        return self.buffer.recv(nbytes)
-
-    def recv_exact(self, nbytes: int) -> SimEvent:
-        return self.buffer.recv_exact(nbytes)
-
-    def available(self) -> int:
-        return self.buffer.available()
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.buffer.read_available(limit)
-
-    def set_data_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_data_callback(None)
-        else:
-            self.buffer.set_data_callback(lambda: fn(self))
-
-    def set_close_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_close_callback(None)
-        else:
-            self.buffer.set_close_callback(lambda: fn(self))
+        return self.driver.data_channel.send(
+            self.peer_rank, header, data, extra_cost=cost, done=done
+        )
 
     def close(self) -> None:
         if self.closed:
@@ -386,7 +415,7 @@ class MadIOVLinkDriver(VLinkDriver):
 # ---------------------------------------------------------------------------
 
 
-class LoopbackPipe:
+class LoopbackPipe(BufferedConnection):
     """One end of an in-process byte pipe with a memcpy-level cost model."""
 
     def __init__(self, driver: "LoopbackVLinkDriver", label: str):
@@ -398,41 +427,16 @@ class LoopbackPipe:
         self.closed = False
         self.peer_name = driver.host.name
 
-    def write(self, data: bytes) -> SimEvent:
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         if self.closed or self.peer is None:
             raise AbstractionError("write() on closed loopback pipe")
         rx = SoftDelivery(self.sim)
         rx.cost.charge(self.driver.per_message_overhead, "loopback.msg")
         rx.cost.charge_copy(len(data), self.driver.host.cpu.memcpy_bandwidth, "loopback.copy")
-        done = self.sim.event(name=f"loopback-write({len(data)}B)")
-        peer = self.peer
-        self.sim.call_later(rx.cost.seconds, peer.buffer.append, immutable(data))
-        done.succeed(len(data), delay=rx.cost.seconds)
-        return done
-
-    def recv(self, nbytes: Optional[int] = None) -> SimEvent:
-        return self.buffer.recv(nbytes)
-
-    def recv_exact(self, nbytes: int) -> SimEvent:
-        return self.buffer.recv_exact(nbytes)
-
-    def available(self) -> int:
-        return self.buffer.available()
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.buffer.read_available(limit)
-
-    def set_data_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_data_callback(None)
-        else:
-            self.buffer.set_data_callback(lambda: fn(self))
-
-    def set_close_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_close_callback(None)
-        else:
-            self.buffer.set_close_callback(lambda: fn(self))
+        if done is None:
+            done = self.sim.event(name="loopback-write")
+        self.sim.call_later(rx.cost.seconds, self.peer.buffer.append, immutable(data))
+        return done.succeed(len(data), delay=rx.cost.seconds)
 
     def close(self) -> None:
         self.closed = True

@@ -113,38 +113,37 @@ class VLink:
         manager._links.append(self)
 
     # -- primitives -----------------------------------------------------------
-    def write(self, data: bytes) -> VLinkOperation:
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         """Post a write of ``data``; completes when the peer holds the bytes.
 
         ``data`` may be a :class:`~repro.simnet.buffers.Gather`: the parts
-        go down as *one* write (one MadIO message, one TCP send).
+        go down as *one* write (one MadIO message, one TCP send).  The
+        operation itself is handed to the driver connection, which
+        completes it; a layer above that has its own operation to complete
+        (a Circuit send, SysWrap) passes it as ``done`` and gets it back
+        instead of a new :class:`VLinkOperation`.
         """
         self._check_established("write")
-        op = VLinkOperation(self.sim, "write", self)
+        if done is None:
+            done = VLinkOperation(self.sim, "write", self)
         self.bytes_written += len(data)
         # drivers may alias the buffer: mutables are snapshotted here, once
-        self.conn.write(immutable(data)).chain(op)
-        return op
+        return self.conn.write(immutable(data), done)
 
-    def read(self, nbytes: int, exact: bool = True) -> VLinkOperation:
+    def read(self, nbytes: int, exact: bool = True, done: Optional[SimEvent] = None) -> SimEvent:
         """Post a read; completes with the bytes (exactly ``nbytes`` when
         ``exact``, otherwise whatever is available up to ``nbytes``)."""
         self._check_established("read")
-        op = VLinkOperation(self.sim, "read", self)
-
-        def _done(ev):
-            if ev.ok:
-                self.bytes_read += len(ev.value)
-                if not op.triggered:
-                    op.succeed(ev.value)
-            elif not op.triggered:
-                op.fail(ev.value)
-
+        if done is None:
+            done = VLinkOperation(self.sim, "read", self)
+        done.add_callback(self._count_read)
         if exact:
-            self.conn.recv_exact(nbytes).add_callback(_done)
-        else:
-            self.conn.recv(nbytes).add_callback(_done)
-        return op
+            return self.conn.recv_exact(nbytes, done)
+        return self.conn.recv(nbytes, done)
+
+    def _count_read(self, op: SimEvent) -> None:
+        if op._exc is None:
+            self.bytes_read += len(op._value)
 
     def close(self) -> VLinkOperation:
         """Post a close of the link."""
@@ -179,16 +178,9 @@ class VLink:
         """Handler called when the underlying connection closes.
 
         Used by gateway relays (teardown propagation across the splice) and
-        adaptive links (rail-death detection).  Every driver connection
-        either exposes ``set_close_callback`` directly or owns a
-        :class:`~repro.abstraction.drivers.StreamBuffer` that does.
+        adaptive links (rail-death detection).
         """
-        callback = None if fn is None else (lambda *_args: fn(self))
-        conn = self.conn
-        if hasattr(conn, "set_close_callback"):
-            conn.set_close_callback(callback)
-        elif hasattr(conn, "buffer"):
-            conn.buffer.set_close_callback(callback)
+        self.conn.set_close_callback(None if fn is None else (lambda _conn: fn(self)))
 
     # -- internals ----------------------------------------------------------------
     def _check_established(self, opname: str) -> None:

@@ -89,7 +89,12 @@ class MadIOChannel:
             self._receive_callback(*args)
 
     def send(
-        self, dst_rank: int, header: bytes, body: bytes, extra_cost: Optional[Cost] = None
+        self,
+        dst_rank: int,
+        header: bytes,
+        body: bytes,
+        extra_cost: Optional[Cost] = None,
+        done: Optional["SimEvent"] = None,
     ) -> "SimEvent":
         """Send one (header, body) message to ``dst_rank``.
 
@@ -101,9 +106,10 @@ class MadIOChannel:
         ``extra_cost`` lets the layer above (a VLink driver or Circuit
         adapter) charge its own send-side software cost onto the same
         operation, so that it delays the wire transmission exactly like the
-        corresponding code path would.
+        corresponding code path would; ``done`` is that layer's own
+        operation, completed at local send completion instead of a new event.
         """
-        return self.madio._send(self, dst_rank, header, body, extra_cost=extra_cost)
+        return self.madio._send(self, dst_rank, header, body, extra_cost, done)
 
     def _deliver(self, src_rank: int, header: bytes, body: bytes, delivery: Delivery) -> None:
         self.messages_received += 1
@@ -193,6 +199,7 @@ class MadIO:
         header: bytes,
         body: bytes,
         extra_cost: Optional[Cost] = None,
+        done: Optional["SimEvent"] = None,
     ) -> "SimEvent":
         hw = self._hw_channels.get(channel.network.name)
         if hw is None:
@@ -227,7 +234,7 @@ class MadIO:
         if body:
             msg.pack_cheaper(body)
         channel.messages_sent += 1
-        return hw.end_packing(msg, extra_cost=cost)
+        return hw.end_packing(msg, extra_cost=cost, done=done)
 
     # -- receive path ---------------------------------------------------------------------
     def _on_madeleine_message(self, incoming: MadIncoming, delivery: Delivery) -> None:

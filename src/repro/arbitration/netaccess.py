@@ -70,12 +70,36 @@ class NetAccessCore:
     ):
         self.host = host
         self.sim = host.sim
-        self.poll_slice = poll_slice
-        self.starvation_penalty = starvation_penalty
         self._subsystems: Dict[str, SubsystemStats] = {}
         self._competitive_hog: Optional[str] = None
+        #: per-subsystem interleaving penalty, filled on demand; everything
+        #: it is computed from (registry, weights, hog, the two knobs below)
+        #: clears it when it changes
+        self._penalties: Dict[str, float] = {}
+        self.poll_slice = poll_slice
+        self.starvation_penalty = starvation_penalty
         self.probe = Probe()
         host.register_service(NETACCESS_SERVICE, self)
+
+    @property
+    def poll_slice(self) -> float:
+        """Time to poll one "other" subsystem once before reaching ours."""
+        return self._poll_slice
+
+    @poll_slice.setter
+    def poll_slice(self, seconds: float) -> None:
+        self._poll_slice = seconds
+        self._penalties.clear()
+
+    @property
+    def starvation_penalty(self) -> float:
+        """Per-delivery wait of everybody but the hog (competitive baseline)."""
+        return self._starvation_penalty
+
+    @starvation_penalty.setter
+    def starvation_penalty(self, seconds: float) -> None:
+        self._starvation_penalty = seconds
+        self._penalties.clear()
 
     # -- subsystem registry ------------------------------------------------------
     def register_subsystem(self, name: str, weight: float = 1.0) -> SubsystemStats:
@@ -86,6 +110,7 @@ class NetAccessCore:
             return self._subsystems[name]
         stats = SubsystemStats(name=name, weight=weight)
         self._subsystems[name] = stats
+        self._penalties.clear()
         return stats
 
     def subsystems(self) -> Dict[str, SubsystemStats]:
@@ -103,6 +128,7 @@ class NetAccessCore:
         if weight <= 0:
             raise ArbitrationError(f"priority weight must be positive, got {weight}")
         self.stats(name).weight = weight
+        self._penalties.clear()
 
     def priority(self, name: str) -> float:
         return self.stats(name).weight
@@ -113,6 +139,7 @@ class NetAccessCore:
         if hog is not None and hog not in self._subsystems:
             raise ArbitrationError(f"unknown subsystem {hog!r}")
         self._competitive_hog = hog
+        self._penalties.clear()
 
     @property
     def competitive_hog(self) -> Optional[str]:
@@ -121,17 +148,19 @@ class NetAccessCore:
     # -- dispatch cost -----------------------------------------------------------------
     def dispatch_cost(self, name: str) -> float:
         """Arbitration cost (seconds) of delivering one event to ``name``."""
+        penalty = self._penalties.get(name)
+        if penalty is None:
+            penalty = self._penalties[name] = self._interleaving_penalty(name)
+        return self.host.cpu.callback_overhead + penalty
+
+    def _interleaving_penalty(self, name: str) -> float:
         stats = self.stats(name)
-        cost = self.host.cpu.callback_overhead
         if self._competitive_hog is not None and self._competitive_hog != name:
             # No cooperative arbitration: the busy-polling middleware owns the
             # CPU and everybody else waits for a scheduling quantum.
-            cost += self.starvation_penalty
-            return cost
+            return self._starvation_penalty
         others_weight = sum(s.weight for n, s in self._subsystems.items() if n != name)
-        if others_weight > 0:
-            cost += self.poll_slice * (others_weight / stats.weight)
-        return cost
+        return self._poll_slice * (others_weight / stats.weight)
 
     def charge_dispatch(self, name: str, cost: Cost, nbytes: int = 0) -> float:
         """Charge the arbitration cost for one delivery into ``cost`` and

@@ -65,10 +65,11 @@ class SysSocket:
         return self.conn.available()
 
     # -- sending -------------------------------------------------------------------
-    def write(self, data: bytes) -> "SimEvent":
-        """Write bytes on the socket; the event fires when the peer holds them."""
+    def write(self, data: bytes, done: Optional["SimEvent"] = None) -> "SimEvent":
+        """Write bytes on the socket; the event (``done`` when the caller
+        hands its own operation down) fires when the peer holds them."""
         self.sysio.bytes_sent += len(data)
-        return self.conn.send(data)
+        return self.conn.send(data, done)
 
     # -- receiving ------------------------------------------------------------------
     def set_data_callback(self, fn: Optional[Callable[["SysSocket"], None]]) -> None:
@@ -80,28 +81,16 @@ class SysSocket:
     def read_available(self, limit: Optional[int] = None) -> bytes:
         return self.conn.read_available(limit)
 
-    def recv(self, nbytes: Optional[int] = None) -> "SimEvent":
-        return self._arbitrated(self.conn.recv(nbytes))
-
-    def recv_exact(self, nbytes: int) -> "SimEvent":
-        return self._arbitrated(self.conn.recv_exact(nbytes))
-
-    def _arbitrated(self, inner: "SimEvent") -> "SimEvent":
+    def recv(self, nbytes: Optional[int] = None, done: Optional["SimEvent"] = None) -> "SimEvent":
         """Completion of a read still goes through the receipt loop: the
         NetAccess dispatch cost (and, in the no-arbitration ablation, the
-        starvation penalty) applies to every socket readiness event."""
-        outer = self.sim.event(name="sysio-read")
+        starvation penalty) applies to every socket readiness event — as
+        the delay of the read's one trigger, taken when TCP hands the bytes
+        (or the failure) over."""
+        return self.conn.recv(nbytes, done, self.sysio._read_dispatch)
 
-        def _done(ev) -> None:
-            delay = self.sysio.core.dispatch_cost(SYSIO_SUBSYSTEM)
-            self.sysio.dispatches += 1
-            if ev.ok:
-                outer.succeed(ev.value, delay=delay)
-            else:
-                outer.fail(ev.value, delay=delay)
-
-        inner.add_callback(_done)
-        return outer
+    def recv_exact(self, nbytes: int, done: Optional["SimEvent"] = None) -> "SimEvent":
+        return self.conn.recv_exact(nbytes, done, self.sysio._read_dispatch)
 
     # -- lifecycle -----------------------------------------------------------------------
     def set_close_callback(self, fn: Optional[Callable[["SysSocket"], None]]) -> None:
@@ -214,6 +203,11 @@ class SysIO:
         """Deliver one readiness callback through the NetAccess core."""
         self.dispatches += 1
         self.core.defer(SYSIO_SUBSYSTEM, fn, sock)
+
+    def _read_dispatch(self) -> float:
+        """One posted read became ready: count it, return its dispatch delay."""
+        self.dispatches += 1
+        return self.core.dispatch_cost(SYSIO_SUBSYSTEM)
 
     # -- reporting -------------------------------------------------------------------------
     def describe(self) -> Dict[str, float]:

@@ -215,10 +215,16 @@ class MadChannel:
             raise MadeleineError("Madeleine channels do not loop back to the local rank")
         return MadMessage(dst_rank, dst_name=self.group[dst_rank].name)
 
-    def end_packing(self, message: MadMessage, extra_cost: Optional[Cost] = None) -> "SimEvent":
-        """Transmit ``message``; the returned event fires when the send-side
-        buffers are reusable (local completion).  The frame carries the
-        segment list by reference; its length is the wire length."""
+    def end_packing(
+        self,
+        message: MadMessage,
+        extra_cost: Optional[Cost] = None,
+        done: Optional["SimEvent"] = None,
+    ) -> "SimEvent":
+        """Transmit ``message``; the returned event (``done``, when the layer
+        above hands its own operation down) fires when the send-side buffers
+        are reusable (local completion).  The frame carries the segment list
+        by reference; its length is the wire length."""
         costs = self.driver.costs
         payload = message.finish()
         cost = Cost()
@@ -244,9 +250,9 @@ class MadChannel:
         conn = self.connection(message.dst_rank)
         conn.messages_sent += 1
         conn.bytes_sent += message.payload_bytes
-        done = self.sim.event(name=f"mad-send({message.payload_bytes}B)")
-        done.succeed(message.payload_bytes, delay=cost.seconds)
-        return done
+        if done is None:
+            done = self.sim.event(name="mad-send")
+        return done.succeed(message.payload_bytes, delay=cost.seconds)
 
     def send(self, dst_rank: int, *buffers: bytes, express_first: bool = True) -> "SimEvent":
         """Convenience: pack ``buffers`` (first one express, rest cheaper) and send."""

@@ -25,7 +25,7 @@ from repro.simnet.cost import MB
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.arbitration.sysio import SysIO, SysSocket
-from repro.abstraction.drivers import StreamBuffer, VLinkDriver
+from repro.abstraction.drivers import BufferedConnection, StreamBuffer, VLinkDriver
 
 _BLOCK = struct.Struct("!BII")  # flags, original length, wire length
 _FLAG_COMPRESSED = 0x01
@@ -69,7 +69,7 @@ class AdocCodec:
         return wire, len(wire) / (self.decompress_bandwidth * 20)
 
 
-class AdocConnection:
+class AdocConnection(BufferedConnection):
     """A compressed byte-stream over one SysIO socket."""
 
     def __init__(self, driver: "AdocVLinkDriver", sock: SysSocket):
@@ -93,7 +93,7 @@ class AdocConnection:
         sock.set_data_callback(self._on_data)
 
     # -- driver-connection interface --------------------------------------------------
-    def write(self, data: bytes) -> SimEvent:
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         if self.closed:
             raise ConnectionError("write() on closed AdOC connection")
         flags, wire, cpu = self.codec.encode(bytes(data))
@@ -103,29 +103,12 @@ class AdocConnection:
         self.bytes_in += len(data)
         self.bytes_on_wire += len(wire)
         frame = _BLOCK.pack(flags, len(data), len(wire)) + wire
-        done = self.sim.event(name=f"adoc-write({len(data)}B)")
+        if done is None:
+            done = self.sim.event(name="adoc-write")
         ready = max(self.sim.now + cpu, self._next_write_at)
         self._next_write_at = ready
-        self.sim.call_later(ready - self.sim.now, lambda: self.sock.write(frame).chain(done))
+        self.sim.call_later(ready - self.sim.now, self.sock.write, frame, done)
         return done
-
-    def recv(self, nbytes: Optional[int] = None) -> SimEvent:
-        return self.buffer.recv(nbytes)
-
-    def recv_exact(self, nbytes: int) -> SimEvent:
-        return self.buffer.recv_exact(nbytes)
-
-    def available(self) -> int:
-        return self.buffer.available()
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.buffer.read_available(limit)
-
-    def set_data_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_data_callback(None)
-        else:
-            self.buffer.set_data_callback(lambda: fn(self))
 
     def close(self) -> None:
         self.closed = True

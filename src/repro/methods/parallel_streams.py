@@ -23,7 +23,7 @@ from repro.simnet.cost import MICROSECOND, split_even
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.arbitration.sysio import SysIO, SysSocket
-from repro.abstraction.drivers import StreamBuffer, VLinkDriver
+from repro.abstraction.drivers import BufferedConnection, StreamBuffer, VLinkDriver
 
 _HELLO = struct.Struct("!QHH")      # session id, stream index, total streams
 _RECORD = struct.Struct("!QHI")     # record id, slice index, slice length
@@ -69,7 +69,7 @@ class _Reassembler:
             self._next_record += 1
 
 
-class ParallelStreamConnection:
+class ParallelStreamConnection(BufferedConnection):
     """One logical link carried by several member sockets."""
 
     def __init__(self, driver: "ParallelStreamsVLinkDriver", session_id: int, total_streams: int,
@@ -87,7 +87,7 @@ class ParallelStreamConnection:
         self.bytes_sent = 0
 
     # -- driver-connection interface ------------------------------------------------
-    def write(self, data: bytes) -> SimEvent:
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         if self.closed:
             raise ConnectionError("write() on closed parallel-streams connection")
         if any(m is None for m in self.members):
@@ -108,7 +108,10 @@ class ParallelStreamConnection:
             ev = self.sim.event(name=f"pstream-write({index})")
             self.sim.call_later(delay, self._deferred_write, sock, frame, ev)
             events.append(ev)
-        return self.sim.all_of(events)
+        # the one fan-in of the stack: each member socket completes its own
+        # slice's event, and the join is the write's completion
+        joined = self.sim.all_of(events)
+        return joined if done is None else joined.chain(done)
 
     def _deferred_write(self, sock: SysSocket, frame: bytes, ev: SimEvent) -> None:
         """The striping delay separates write() from the member-socket send;
@@ -119,28 +122,10 @@ class ParallelStreamConnection:
                 ev.fail(ConnectionError("parallel-streams connection closed"))
             return
         try:
-            sock.write(frame).chain(ev)
+            sock.write(frame, ev)
         except Exception as exc:
             if not ev.triggered:
                 ev.fail(exc)
-
-    def recv(self, nbytes: Optional[int] = None) -> SimEvent:
-        return self.buffer.recv(nbytes)
-
-    def recv_exact(self, nbytes: int) -> SimEvent:
-        return self.buffer.recv_exact(nbytes)
-
-    def available(self) -> int:
-        return self.buffer.available()
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.buffer.read_available(limit)
-
-    def set_data_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_data_callback(None)
-        else:
-            self.buffer.set_data_callback(lambda: fn(self))
 
     def close(self) -> None:
         self.closed = True

@@ -24,7 +24,7 @@ from repro.simnet.cost import MB, MICROSECOND
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.arbitration.sysio import SysIO, SysSocket
-from repro.abstraction.drivers import StreamBuffer, VLinkDriver
+from repro.abstraction.drivers import BufferedConnection, StreamBuffer, VLinkDriver
 
 _RECORD = struct.Struct("!I32s")  # ciphertext length, auth tag
 
@@ -62,7 +62,7 @@ def _cipher(key: bytes, data: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
-class SecureConnection:
+class SecureConnection(BufferedConnection):
     """An authenticated, ciphered byte-stream over one SysIO socket."""
 
     #: symmetric-cipher throughput on the paper's CPU class (3DES-era).
@@ -87,36 +87,19 @@ class SecureConnection:
         sock.set_data_callback(self._on_data)
 
     # -- driver-connection interface ------------------------------------------------
-    def write(self, data: bytes) -> SimEvent:
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         if self.closed:
             raise ConnectionError("write() on closed secure connection")
         ciphertext = _cipher(self.session_key, bytes(data))
         tag = hmac.new(self.session_key, ciphertext, hashlib.sha256).digest()
         frame = _RECORD.pack(len(ciphertext), tag) + ciphertext
         cpu = len(data) / self.CIPHER_BANDWIDTH
-        done = self.sim.event(name=f"gsi-write({len(data)}B)")
+        if done is None:
+            done = self.sim.event(name="gsi-write")
         ready = max(self.sim.now + cpu, self._next_write_at)
         self._next_write_at = ready
-        self.sim.call_later(ready - self.sim.now, lambda: self.sock.write(frame).chain(done))
+        self.sim.call_later(ready - self.sim.now, self.sock.write, frame, done)
         return done
-
-    def recv(self, nbytes: Optional[int] = None) -> SimEvent:
-        return self.buffer.recv(nbytes)
-
-    def recv_exact(self, nbytes: int) -> SimEvent:
-        return self.buffer.recv_exact(nbytes)
-
-    def available(self) -> int:
-        return self.buffer.available()
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.buffer.read_available(limit)
-
-    def set_data_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_data_callback(None)
-        else:
-            self.buffer.set_data_callback(lambda: fn(self))
 
     def close(self) -> None:
         self.closed = True

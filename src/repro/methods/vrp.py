@@ -33,7 +33,7 @@ from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.simnet.network import Delivery, Network
 from repro.arbitration.sysio import SysIO, SysSocket
-from repro.abstraction.drivers import StreamBuffer, VLinkDriver
+from repro.abstraction.drivers import BufferedConnection, StreamBuffer, VLinkDriver
 
 _CTL_RECORD = struct.Struct("!BQII")   # kind, record id, total length, chunk size
 _DATA_HEADER = struct.Struct("!QII")   # record id, offset, length
@@ -91,7 +91,7 @@ class _RecordRx:
         return self.received / self.total if self.total else 1.0
 
 
-class VrpConnection:
+class VrpConnection(BufferedConnection):
     """One VRP logical link (control over TCP, data over lossy datagrams)."""
 
     def __init__(self, driver: "VrpVLinkDriver", ctl: SysSocket, network: Network,
@@ -124,7 +124,7 @@ class VrpConnection:
         driver._register_data_sink(data_channel_id, self)
 
     # -- driver-connection interface --------------------------------------------------
-    def write(self, data: bytes) -> SimEvent:
+    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         if self.closed:
             raise ConnectionError("write() on closed VRP connection")
         record_id = self._next_record
@@ -132,30 +132,13 @@ class VrpConnection:
         data = bytes(data)
         self._records_tx[record_id] = data
         self.stats.records += 1
-        done = self.sim.event(name=f"vrp-write({len(data)}B)")
+        if done is None:
+            done = self.sim.event(name="vrp-write")
         self._pending_writes[record_id] = done
         # reliable descriptor first, then paced datagrams
         self.ctl.write(_CTL_RECORD.pack(_CTL_NEW_RECORD, record_id, len(data), self.chunk_size))
         self.sim.call_later(VRP_CALL_OVERHEAD, self._pump_record, record_id, 0)
         return done
-
-    def recv(self, nbytes: Optional[int] = None) -> SimEvent:
-        return self.buffer.recv(nbytes)
-
-    def recv_exact(self, nbytes: int) -> SimEvent:
-        return self.buffer.recv_exact(nbytes)
-
-    def available(self) -> int:
-        return self.buffer.available()
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.buffer.read_available(limit)
-
-    def set_data_callback(self, fn) -> None:
-        if fn is None:
-            self.buffer.set_data_callback(None)
-        else:
-            self.buffer.set_data_callback(lambda: fn(self))
 
     def close(self) -> None:
         self.closed = True

@@ -87,12 +87,12 @@ class _ClientConnection:
         self._reader = self.sim.process(self._read_loop(), name="giop-client-reader")
 
     def send_request(self, message: GiopMessage, expect_reply: bool):
-        ev = self.sim.event(name=f"giop-reply({message.request_id})")
-        if expect_reply:
-            self._pending[message.request_id] = ev
-        send_ev = self.sock.send(message.encode())
+        """The event a caller waits on: the matched reply, or — oneway — the
+        request's own send completion."""
+        sent = self.sock.send(message.encode())
         if not expect_reply:
-            send_ev.chain(ev)
+            return sent
+        ev = self._pending[message.request_id] = self.sim.event(name="giop-reply")
         return ev
 
     def _read_loop(self):

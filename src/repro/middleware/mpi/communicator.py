@@ -186,7 +186,7 @@ class Communicator(CollectiveMixin):
         msg = channel.begin_packing(dest)
         channel.pack(msg, header, PackMode.EXPRESS)
         channel.pack(msg, payload, PackMode.CHEAPER)
-        channel.end_packing(msg, extra_cost=cost).chain(req.event)
+        channel.end_packing(msg, extra_cost=cost, done=req.event)
         self.sends += 1
         return req
 

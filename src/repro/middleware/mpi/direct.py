@@ -54,8 +54,8 @@ class DirectMadeleineChannel:
     def pack(message: MadMessage, data: bytes, mode: PackMode = PackMode.CHEAPER) -> MadMessage:
         return message.pack(data, mode)
 
-    def end_packing(self, message: MadMessage, extra_cost=None):
-        return self.channel.end_packing(message, extra_cost=extra_cost)
+    def end_packing(self, message: MadMessage, extra_cost=None, done=None):
+        return self.channel.end_packing(message, extra_cost, done)
 
     # -- unpacking ----------------------------------------------------------------
     def begin_unpacking(self, src_rank: Optional[int] = None):

@@ -59,8 +59,8 @@ class VirtualMadChannel:
         message.pack(data, mode)
         return message
 
-    def end_packing(self, message: CircuitMessage, extra_cost=None):
-        return self.circuit.post(message, extra_cost=extra_cost)
+    def end_packing(self, message: CircuitMessage, extra_cost=None, done=None):
+        return self.circuit.post(message, extra_cost, done)
 
     # -- unpacking (receive side) -----------------------------------------------------
     def begin_unpacking(self, src_rank: Optional[int] = None):

@@ -98,17 +98,14 @@ class SysWrapSocket:
         return done
 
     def send(self, data: bytes):
-        """Returns an event completing with the number of bytes sent.
+        """Returns the link's write operation: it completes, with the byte
+        count the driver reports, once the peer holds all of ``data`` (no
+        partial writes).
 
         ``data`` may be a :class:`~repro.simnet.buffers.Gather` (``writev``):
         header and payload parts go down as one write, uncopied.
         """
-        link = self._require_link("send")
-        done = self.sim.event(name=f"syswrap-send(fd={self.fd})")
-        link.write(data).set_handler(
-            lambda op: done.succeed(len(data)) if op.ok else done.fail(op.value)
-        )
-        return done
+        return self._require_link("send").write(data)
 
     def sendall(self, data: bytes):
         """Identical to :meth:`send` for this facade (no partial writes)."""

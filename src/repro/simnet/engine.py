@@ -17,6 +17,25 @@ time fire in FIFO order of scheduling (a monotonically increasing sequence
 number breaks ties), and the only randomness anywhere in :mod:`repro.simnet`
 comes from explicitly seeded generators owned by the network models.
 
+Delayed triggers
+----------------
+
+One asynchronous operation is one completion event, and a *delayed* trigger
+— ``event.succeed(value, delay=d)`` / ``event.fail(exc, delay=d)`` with
+``d > 0``, and every :class:`Timeout` — is one loop entry: a timer in the
+``(now + d, seq)`` slot the call took, whose callback (:meth:`SimEvent.fire`)
+marks the event triggered and runs its callbacks there and then.  The
+callbacks therefore run in the *timer's* ``(when, seq)`` slot, ordered
+against everything else by the sequence number drawn when the trigger was
+requested, not by one drawn when it fell due.  Until then the event is
+pending (``triggered`` is False and a process may still be interrupted off
+it); arguments are validated at the call, and triggering an event that
+already is — directly, or by a second delayed trigger falling due — raises
+:class:`SimulationError` naming it.  An immediate trigger (``delay <= 0``)
+marks the event at once and processes it through the same-timestamp FIFO.
+All of this lives in :class:`SimEvent`, so every kernel (wheel, reference
+heap, partitioned) orders it identically.
+
 Scheduling internals
 --------------------
 
@@ -202,11 +221,11 @@ class SimEvent:
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "SimEvent":
         """Trigger the event successfully, optionally after ``delay``."""
-        if delay > 0.0:
-            self.sim.call_later(delay, self.succeed, value)
-            return self
         if self._triggered:
-            raise SimulationError(f"event {self.name or id(self)} already triggered")
+            raise self._already_triggered()
+        if delay > 0.0:
+            self.sim.call_later(delay, self.fire, value)
+            return self
         self._triggered = True
         self._value = value
         self.sim._push_triggered(self)
@@ -214,17 +233,42 @@ class SimEvent:
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "SimEvent":
         """Trigger the event with an exception, optionally after ``delay``."""
-        if delay > 0.0:
-            self.sim.call_later(delay, self.fail, exc)
-            return self
         if self._triggered:
-            raise SimulationError(f"event {self.name or id(self)} already triggered")
+            raise self._already_triggered()
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() requires an exception instance")
+        if delay > 0.0:
+            self.sim.call_later(delay, self.fire, None, exc)
+            return self
         self._triggered = True
         self._exc = exc
         self.sim._push_triggered(self)
         return self
+
+    def _already_triggered(self) -> SimulationError:
+        return SimulationError(f"event {self.name or id(self)} already triggered")
+
+    def fire(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        """Trigger the event *and* run its callbacks, in the engine slot
+        that is executing.
+
+        This is where every delayed trigger ends (the timer of
+        ``succeed/fail(..., delay > 0)`` and of :class:`Timeout` is this
+        method).  A layer whose own timer already fires at the completion
+        instant (``TcpConnection._complete_send``) calls it from that timer
+        instead of pushing the event through the ready FIFO for a second
+        slot; nothing else should, since the callbacks run in the caller's
+        frame.
+        """
+        if self._triggered:
+            raise self._already_triggered()
+        self._triggered = True
+        self._processed = True
+        self._value = value
+        self._exc = exc
+        callbacks, self.callbacks = self.callbacks, []
+        for fn in callbacks:
+            fn(self)
 
     # -- composition ------------------------------------------------------
     def add_callback(self, fn: Callable[["SimEvent"], None]) -> None:
@@ -282,11 +326,7 @@ class Timeout(SimEvent):
             raise SimulationError(f"negative timeout: {delay!r}")
         super().__init__(sim, name=name or "timeout")
         self.delay = float(delay)
-        sim.call_later(delay, self._fire, value)
-
-    def _fire(self, value: Any) -> None:
-        if not self._triggered:
-            self.succeed(value)
+        sim.call_later(delay, self.fire, value)
 
 
 class Process(SimEvent):

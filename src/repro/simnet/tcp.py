@@ -26,7 +26,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING
 
 from repro.simnet.buffers import ByteRing, Gather, immutable
 from repro.simnet.cost import Cost, KB
@@ -353,6 +353,11 @@ class TcpListener:
         self.stack.close_listener(self.port)
 
 
+def _no_charge() -> float:
+    """Completion delay of a read nobody charges for (see ``recv``)."""
+    return 0.0
+
+
 class TcpConnection:
     """One established (or connecting) TCP endpoint."""
 
@@ -396,7 +401,7 @@ class TcpConnection:
         #: flow's rounds out itself
         self._pump_handle = None
         self._rx_buffer = ByteRing()
-        self._pending_reads: Deque[Tuple[Optional[int], bool, "SimEvent"]] = deque()
+        self._pending_reads: Deque[tuple] = deque()  # (nbytes, exact, event, charge)
         self._data_callback: Optional[Callable[["TcpConnection"], None]] = None
         self._close_callback: Optional[Callable[["TcpConnection"], None]] = None
 
@@ -438,17 +443,19 @@ class TcpConnection:
         )
 
     # -- sending ------------------------------------------------------------------
-    def send(self, data: bytes) -> "SimEvent":
+    def send(self, data: bytes, done: Optional["SimEvent"] = None) -> "SimEvent":
         """Queue ``data`` on the stream.
 
-        The returned event succeeds (with the byte count) when the last byte
+        The returned event — ``done``, the caller's own operation, when one
+        is handed down — succeeds (with the byte count) when the last byte
         of this call has been delivered into the peer's receive buffer.
         """
         if self.closed:
             raise TcpError("send() on closed connection")
         if not self.established:
             raise TcpError("send() before the connection is established")
-        done = self.sim.event(name="tcp-send")
+        if done is None:
+            done = self.sim.event(name="tcp-send")
         if len(data) == 0:
             done.succeed(0)
             return done
@@ -611,16 +618,17 @@ class TcpConnection:
                 self._fluid.on_drain()
 
     def _complete_send(self, done: "SimEvent", total: int) -> None:
-        """Fire a send's completion event at its last byte's arrival.
+        """Fire a send's completion event at its last byte's arrival, in
+        this timer's own slot.
 
         The single convergence point of all three data paths (packet round,
         fluid step, fluid epoch), which is what makes the emitted
         ``flow.complete`` instants float-identical across fidelities."""
-        if not done.triggered:
-            done.succeed(total)
+        if not done._triggered:
             tele = self.stack.telemetry
             if tele is not None:
                 tele.emit("flow.complete", flow=self.flow_id, nbytes=total)
+            done.fire(total)
 
     def _draw_losses(self, npkts: int) -> int:
         p = self.network.loss_rate
@@ -728,13 +736,13 @@ class TcpConnection:
         buffer = self._rx_buffer
         pending = self._pending_reads
         while pending and buffer._size:
-            nbytes, exact, ev = pending[0]
+            nbytes, exact, ev, charge = pending[0]
             if exact and nbytes is not None and buffer._size < nbytes:
                 return
             pending.popleft()
             chunk = buffer.take(nbytes)
             if not ev._triggered:
-                ev.succeed(chunk)
+                ev.succeed(chunk, charge())
 
     def set_data_callback(self, fn: Optional[Callable[["TcpConnection"], None]]) -> None:
         """Register the "socket is readable" callback (used by SysIO)."""
@@ -759,20 +767,38 @@ class TcpConnection:
         and relays that never need a flat buffer skip that copy)."""
         return self._rx_buffer.take_iov(limit)
 
-    def recv(self, nbytes: Optional[int] = None) -> "SimEvent":
-        """Event completing with at least one byte (up to ``nbytes``)."""
-        return self._queue_read(nbytes, exact=False)
+    def recv(
+        self,
+        nbytes: Optional[int] = None,
+        done: Optional["SimEvent"] = None,
+        charge: Optional[Callable[[], float]] = None,
+    ) -> "SimEvent":
+        """Event completing with at least one byte (up to ``nbytes``).
 
-    def recv_exact(self, nbytes: int) -> "SimEvent":
+        ``done`` is the caller's own operation, completed instead of a new
+        event.  ``charge`` is called at the instant the bytes (or the
+        failure) are handed over and returns the seconds the completion is
+        delayed by: how SysIO charges its dispatch cost on the one trigger.
+        """
+        return self._queue_read(nbytes, False, done, charge)
+
+    def recv_exact(
+        self,
+        nbytes: int,
+        done: Optional["SimEvent"] = None,
+        charge: Optional[Callable[[], float]] = None,
+    ) -> "SimEvent":
         """Event completing with exactly ``nbytes`` bytes (message framing)."""
-        return self._queue_read(nbytes, exact=True)
+        return self._queue_read(nbytes, True, done, charge)
 
-    def _queue_read(self, nbytes: Optional[int], exact: bool) -> "SimEvent":
-        ev = self.sim.event(name="tcp-recv")
+    def _queue_read(self, nbytes, exact, ev, charge) -> "SimEvent":
+        if ev is None:
+            ev = self.sim.event(name="tcp-recv")
+        if charge is None:
+            charge = _no_charge
         if self.closed and not self._rx_buffer:
-            ev.fail(TcpError("recv() on closed connection"))
-            return ev
-        self._pending_reads.append((nbytes, exact, ev))
+            return ev.fail(TcpError("recv() on closed connection"), charge())
+        self._pending_reads.append((nbytes, exact, ev, charge))
         self._satisfy_reads()
         return ev
 
@@ -805,9 +831,9 @@ class TcpConnection:
 
     def _fail_pending(self) -> None:
         pending, self._pending_reads = self._pending_reads, deque()
-        for _, _, ev in pending:
+        for _, _, ev, charge in pending:
             if not ev.triggered:
                 if self._rx_buffer:
-                    ev.succeed(self.read_available())
+                    ev.succeed(self.read_available(), charge())
                 else:
-                    ev.fail(TcpError("connection closed"))
+                    ev.fail(TcpError("connection closed"), charge())

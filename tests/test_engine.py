@@ -81,6 +81,68 @@ def test_delayed_succeed():
     assert ev.value == "later"
 
 
+KERNELS = [Simulator, ReferenceSimulator]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_delayed_trigger_is_one_engine_event_in_the_timers_slot(kernel):
+    sim = kernel()
+    order = []
+    ev = sim.event(name="op")
+    ev.add_callback(lambda e: order.append(("op", e.value, sim.now)))
+    ev.succeed("v", delay=1.0)  # takes its (1.0, seq) slot here ...
+    sim.call_later(1.0, order.append, "later-timer")  # ... ahead of this one
+    failing = sim.event(name="failing")
+    failing.add_callback(lambda e: order.append(("failing", e.ok)))
+    failing.fail(ValueError("boom"), delay=1.0)
+    tick = sim.timeout(1.0, value="tick")
+    tick.add_callback(lambda e: order.append(("tick", e.value)))
+    assert not ev.triggered and not failing.triggered and not tick.triggered
+    before = sim.stats().events_processed
+    sim.run()
+    assert order == [("op", "v", 1.0), "later-timer", ("failing", False), ("tick", "tick")]
+    assert ev.processed and failing.processed and tick.processed
+    assert isinstance(failing.value, ValueError)
+    # four loop entries: three delayed triggers and one plain timer
+    assert sim.stats().events_processed - before == 4
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_delayed_trigger_arguments_are_validated_at_the_call(kernel):
+    sim = kernel()
+    ev = sim.event(name="op")
+    with pytest.raises(SimulationError, match="exception instance"):
+        ev.fail("oops", delay=1.0)
+    assert sim.pending_count() == 0  # nothing was left to blow up inside run()
+    ev.succeed(1)
+    with pytest.raises(SimulationError, match="event op already triggered"):
+        ev.succeed(2, delay=1.0)
+    with pytest.raises(SimulationError, match="event op already triggered"):
+        ev.fail(ValueError("late"), delay=1.0)
+    sim.run()
+    assert ev.value == 1
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("loser", ["succeed", "fail", "timeout"])
+def test_delayed_trigger_losing_a_race_names_its_event(kernel, loser):
+    """A direct trigger overtaking a delayed one is the same error whichever
+    of the three delayed paths lost, and it names the event."""
+    sim = kernel()
+    if loser == "timeout":
+        ev = sim.timeout(2.0, name="raced")
+    else:
+        ev = sim.event(name="raced")
+        if loser == "succeed":
+            ev.succeed("slow", delay=2.0)
+        else:
+            ev.fail(ValueError("slow"), delay=2.0)
+    sim.call_later(1.0, ev.succeed, "fast")
+    with pytest.raises(SimulationError, match="event raced already triggered"):
+        sim.run()
+    assert ev.value == "fast" and sim.now == 2.0
+
+
 def test_callback_after_processing_runs_immediately():
     sim = Simulator()
     ev = sim.event()

@@ -1,0 +1,325 @@
+"""The event budget: engine events and timers per operation, exactly.
+
+One asynchronous operation is one completion event, fired once: a layer
+completes the operation its caller handed down (``done=``) instead of
+chaining an event of its own onto the layer's below, and a delayed trigger
+is one loop entry.  These are the deterministic work counters that hold that
+rule in tier-1 — the same on any machine, so a layer that re-grows a hop
+fails here rather than in a wall-clock gate.  Each budget is committed next
+to what the same operation cost before the rule (PR 14), and each completion
+instant is checked against its closed form, so removing a hop can never move
+model time.
+
+Counts are everything the loop ran between posting the operation and
+quiescence (or, for the middleware round trips, between two points of the
+driving process): the network's own timers (pump, frame arrival, receive
+append) are part of an operation's budget.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.abstraction.circuit import CIRCUIT_LAYER_OVERHEAD
+from repro.abstraction.common import CROSS_PARADIGM_STREAM_OVERHEAD, VLINK_LAYER_OVERHEAD
+from repro.arbitration.madio import DEMUX_OVERHEAD
+from repro.core import paper_cluster
+from repro.madeleine.message import segment_overhead
+from repro.simnet.cost import Cost
+
+PAYLOAD = b"8 bytes!"
+
+
+class Window:
+    """Events and timers the loop spends between ``__init__`` and ``close``."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.t0 = sim.now
+        self._before = sim.stats()
+
+    def close(self):
+        after = self.sim.stats()
+        return (
+            after.events_processed - self._before.events_processed,
+            after.timers_scheduled - self._before.timers_scheduled,
+        )
+
+
+def completion_time(op):
+    """Stamp the instant ``op``'s callbacks run."""
+    seen = []
+    op.add_callback(lambda ev: seen.append(ev.sim.now))
+    return seen
+
+
+def frames_of(network):
+    frames = []
+    network.add_observer(
+        lambda _net, kind, info: frames.append(info["frame"]) if kind == "frame" else None
+    )
+    return frames
+
+
+def vlink_pair(method, port=4100):
+    """An established VLink over ``method`` on the paper's two-node cluster,
+    with the loop drained: ``(fw, client, server)``."""
+    fw, group = paper_cluster(2)
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    dst = n0 if method == "loopback" else n1
+    accepting = dst.vlink_listen(port).accept()
+    connecting = n0.vlink_connect(dst, port, method=method)
+    fw.sim.run()
+    assert connecting.value.driver_name == method
+    return fw, connecting.value, accepting.value
+
+
+# -- VLink over SysIO/TCP: the stream path of every deployment ------------------
+
+
+def test_vlink_write_over_sysio_is_four_events_and_lands_at_the_last_bytes_arrival():
+    fw, client, server = vlink_pair("sysio")
+    tcp = client.conn.conn
+    frames = frames_of(tcp.network)
+    window = Window(fw.sim)
+    op = client.write(PAYLOAD)
+    done_at = completion_time(op)
+    fw.sim.run()
+    # pump, frame arrival, receive append, and the send completion — whose
+    # timer fires the operation itself (6 events before: + tcp-send event,
+    # + VLinkOperation through .chain())
+    assert window.close() == (4, 4)
+    assert op.value == len(PAYLOAD)
+    (frame,) = frames
+    assert done_at == [frame.meta["arrival"]]
+    cpu = tcp.host.cpu
+    send_cost = Cost().charge(cpu.syscall_overhead, "syscall")
+    send_cost.charge_copy(len(PAYLOAD), cpu.memcpy_bandwidth, "copy")
+    assert done_at[0] == pytest.approx(
+        window.t0 + send_cost.seconds + tcp.network.one_way_time(len(PAYLOAD)), rel=1e-12
+    )
+    assert server.available() == len(PAYLOAD)
+
+
+def test_vlink_read_over_sysio_is_one_event_one_dispatch_cost_after_the_bytes_are_ready():
+    fw, client, server = vlink_pair("sysio")
+    sysio = server.conn.sysio
+    client.write(PAYLOAD)
+    fw.sim.run()
+    dispatches = sysio.dispatches
+
+    # bytes already buffered: the read is its dispatch-delay trigger, nothing
+    # else (4 events before: tcp-recv, the delay timer, sysio-read, the op)
+    window = Window(fw.sim)
+    op = server.read(len(PAYLOAD))
+    done_at = completion_time(op)
+    fw.sim.run()
+    assert window.close() == (1, 1)
+    assert op.value == PAYLOAD and server.bytes_read == len(PAYLOAD)
+    assert done_at == [window.t0 + sysio.core.dispatch_cost("sysio")]
+    assert sysio.dispatches == dispatches + 1
+
+    # read posted first: it completes one dispatch cost after the instant
+    # TCP appends the bytes (10 events before for the pair)
+    window = Window(fw.sim)
+    op = server.read(len(PAYLOAD))
+    done_at = completion_time(op)
+    client.write(PAYLOAD)
+    fw.sim.run()
+    assert window.close() == (5, 5)
+    ready = server.conn.conn._last_rx_ready
+    assert done_at == [ready + sysio.core.dispatch_cost("sysio")]
+    assert sysio.dispatches == dispatches + 2
+
+
+# -- VLink over MadIO: the cross-paradigm stream of the Myrinet cluster -----------
+
+
+def test_vlink_over_madio_write_is_its_local_completion_and_read_is_arrival_plus_receive_cost():
+    fw, client, server = vlink_pair("madio")
+    driver = client.conn.driver
+    frames = frames_of(driver.network)
+
+    window = Window(fw.sim)
+    read = server.read(len(PAYLOAD))
+    write = client.write(PAYLOAD)
+    read_at, write_at = completion_time(read), completion_time(write)
+    fw.sim.run()
+    # frame arrival, stream append, the write's delayed trigger, the read
+    # (7 events before: + mad-send event, + write op, + stream-read event)
+    assert window.close() == (4, 3)
+    assert read.value == PAYLOAD
+    (frame,) = frames
+    # local completion: the send-side cost has elapsed, the frame leaves
+    assert write_at == [frame.meta["tx_begin"]]
+    costs = driver.madio.driver.costs
+    nsegs = frame.meta["segments"]
+    receive_cost = (
+        costs.recv_overhead
+        + costs.per_segment_overhead * nsegs
+        + (frame.nbytes - segment_overhead(nsegs)) / costs.pipeline_copy_bandwidth
+        + server.conn.driver.madio.core.dispatch_cost("madio")
+        + DEMUX_OVERHEAD
+        + VLINK_LAYER_OVERHEAD
+        + CROSS_PARADIGM_STREAM_OVERHEAD
+    )
+    assert read_at == [pytest.approx(frame.meta["arrival"] + receive_cost, rel=1e-12)]
+
+    # the two halves on their own
+    window = Window(fw.sim)
+    client.write(PAYLOAD)
+    fw.sim.run()
+    assert window.close() == (3, 3)  # 5 before
+    window = Window(fw.sim)
+    server.read(len(PAYLOAD))
+    fw.sim.run()
+    assert window.close() == (1, 0)  # 2 before
+
+
+def test_loopback_pipe_write_and_read_complete_together_after_the_copy():
+    fw, client, server = vlink_pair("loopback")
+    window = Window(fw.sim)
+    read = server.read(len(PAYLOAD))
+    write = client.write(PAYLOAD)
+    read_at, write_at = completion_time(read), completion_time(write)
+    fw.sim.run()
+    # the append, the write's delayed trigger, the read (6 events before)
+    assert window.close() == (3, 2)
+    pipe = client.conn
+    copy = Cost().charge(pipe.driver.per_message_overhead, "msg")
+    copy.charge_copy(len(PAYLOAD), pipe.driver.host.cpu.memcpy_bandwidth, "copy")
+    assert read_at == write_at == [window.t0 + copy.seconds]
+    assert (read.value, write.value) == (PAYLOAD, len(PAYLOAD))
+
+
+# -- Circuit and the middleware round trips ----------------------------------------
+
+
+def test_one_circuit_message_is_four_events():
+    fw, group = paper_cluster(2)
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    c0, c1 = n0.circuit("budget", group), n1.circuit("budget", group)
+    san = c0.route_for(1).network
+    frames = frames_of(san)
+    fw.sim.run()
+    window = Window(fw.sim)
+    receiving = c1.recv()
+    sending = c0.send(1, PAYLOAD)
+    recv_at, send_at = completion_time(receiving), completion_time(sending)
+    fw.sim.run()
+    # send completion (one delayed trigger), frame arrival, the delivery
+    # hop, the recv event (5 events before: + mad-send event)
+    assert window.close() == (4, 3)
+    (frame,) = frames
+    assert send_at == [frame.meta["tx_begin"]]
+    costs = n1.madeleine.costs
+    nsegs = frame.meta["segments"]
+    receive_cost = (
+        costs.recv_overhead
+        + costs.per_segment_overhead * nsegs
+        + (frame.nbytes - segment_overhead(nsegs)) / costs.pipeline_copy_bandwidth
+        + n1.netaccess.dispatch_cost("madio")
+        + DEMUX_OVERHEAD
+        + CIRCUIT_LAYER_OVERHEAD
+    )
+    assert recv_at == [pytest.approx(frame.meta["arrival"] + receive_cost, rel=1e-12)]
+    src, incoming = receiving.value
+    assert (src, incoming.unpack()) == (0, PAYLOAD)
+
+
+def round_trip_budget(fw, round_trip):
+    """``(events, timers, seconds)`` of one warm round trip driven from a
+    process, read between two points of that process.  The tests below pin
+    ``seconds`` to the value the same deployment (names included: they are
+    on the wire) gave before any hop was removed."""
+    out = []
+
+    def driver():
+        yield from round_trip()  # connection set-up, first-use paths
+        window = Window(fw.sim)
+        yield from round_trip()
+        out.append((*window.close(), fw.sim.now - window.t0))
+
+    fw.sim.run(until=fw.sim.process(driver()), max_time=10.0)
+    return out[0]
+
+
+def test_mpi_round_trip_is_ten_events():
+    from repro.middleware.mpi import MPICH_1_2_5, MpiRuntime
+
+    fw, group = paper_cluster(2)
+    runtimes = [
+        MpiRuntime(fw.node(host.name), group, profile=MPICH_1_2_5, channel_name="bench")
+        for host in group
+    ]
+    comm0, comm1 = (runtime.comm_world for runtime in runtimes)
+
+    def round_trip():
+        comm0.isend(PAYLOAD, 1, tag=7)
+        data = yield comm1.irecv(0, 7).wait()
+        comm1.isend(data, 0, tag=8)
+        echoed = yield comm0.irecv(1, 8).wait()
+        assert echoed == PAYLOAD
+
+    events, timers, seconds = round_trip_budget(fw, round_trip)
+    # per direction: send request, frame arrival, circuit delivery, receive
+    # request, plus the process resumptions (16 events before: the send
+    # request alone was timer + mad-send + chain, the receive timer + event)
+    assert (events, timers) == (10, 8)
+    assert seconds == pytest.approx(2.4317696969696974e-05, rel=1e-9)
+
+
+def test_omniorb_round_trip_is_fourteen_events():
+    from repro.middleware import corba
+
+    fw, group = paper_cluster(2)
+    interface = corba.Interface(
+        "IDL:t/Echo:1.0",
+        [corba.Operation("ping", params=(("data", corba.TC_OCTET_SEQ),), result=corba.TC_OCTET_SEQ)],
+    )
+
+    class Echo(corba.Servant):
+        def ping(self, data):
+            return data
+
+    server = corba.ORB(fw.node(group[1].name), corba.OMNIORB_4, port=14000)
+    client = corba.ORB(fw.node(group[0].name), corba.OMNIORB_4, port=14001)
+    proxy = client.object_to_proxy(server.activate_object(Echo(), interface, key="echo"), interface)
+
+    def round_trip():
+        echoed = yield from proxy.invoke("ping", PAYLOAD)
+        assert echoed == PAYLOAD
+
+    events, timers, seconds = round_trip_budget(fw, round_trip)
+    # 28 events before: every marshalling Timeout was two, every socket
+    # read and write three (stream event, VLink operation, SysWrap relay)
+    assert (events, timers) == (14, 10)
+    assert seconds == pytest.approx(3.7063907103825153e-05, rel=1e-9)
+
+
+def test_java_socket_round_trip_is_twelve_events():
+    from repro.middleware.javasockets import JavaSocketLayer
+
+    fw, group = paper_cluster(2)
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    layer0, layer1 = JavaSocketLayer(n0), JavaSocketLayer(n1)
+    ends = {}
+
+    def connect():
+        accepting = fw.sim.process(layer1.server_socket(4600).accept())
+        ends["client"] = layer0.socket()
+        yield from ends["client"].connect(n1.host, 4600)
+        ends["server"] = yield accepting
+
+    fw.sim.run(until=fw.sim.process(connect()), max_time=10.0)
+
+    def round_trip():
+        yield from ends["client"].write(PAYLOAD)
+        data = yield from ends["server"].read(len(PAYLOAD))
+        yield from ends["server"].write(data)
+        echoed = yield from ends["client"].read(len(PAYLOAD))
+        assert echoed == PAYLOAD
+
+    events, timers, seconds = round_trip_budget(fw, round_trip)
+    assert (events, timers) == (12, 10)  # 24 events before
+    assert seconds == pytest.approx(8.002111737089203e-05, rel=1e-9)

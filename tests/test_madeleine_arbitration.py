@@ -187,6 +187,37 @@ def test_netaccess_priority_changes_dispatch_cost():
         core.set_priority("madio", 0.0)
 
 
+def test_netaccess_dispatch_cost_follows_every_knob_it_is_computed_from():
+    """The per-subsystem cost is cached; each input must drop the cache."""
+    sim = Simulator()
+    core = NetAccessCore(Host(sim, "h"))
+    core.register_subsystem("madio")
+    callback = core.host.cpu.callback_overhead
+    assert core.dispatch_cost("madio") == callback  # alone: no interleaving
+    # late registration: a second subsystem makes the first one share
+    core.register_subsystem("sysio")
+    shared = core.dispatch_cost("madio")
+    assert shared == callback + core.poll_slice
+    core.register_subsystem("shmem", weight=2.0)
+    assert core.dispatch_cost("madio") == callback + core.poll_slice * 3.0
+    assert core.dispatch_cost("shmem") == callback + core.poll_slice * (2.0 / 2.0)
+    # the hog toggles on and off
+    cooperative = {name: core.dispatch_cost(name) for name in core.subsystems()}
+    core.set_competitive_baseline("madio")
+    assert core.dispatch_cost("madio") == cooperative["madio"]
+    assert core.dispatch_cost("sysio") == callback + core.starvation_penalty
+    core.starvation_penalty = 1e-3
+    assert core.dispatch_cost("sysio") == callback + 1e-3
+    core.set_competitive_baseline(None)
+    assert {name: core.dispatch_cost(name) for name in core.subsystems()} == cooperative
+    # the slice itself
+    core.poll_slice *= 2.0
+    assert core.dispatch_cost("madio") == callback + core.poll_slice * 3.0
+    # and the part that is not cached at all
+    core.host.cpu.callback_overhead = 2 * callback
+    assert core.dispatch_cost("madio") == 2 * callback + core.poll_slice * 3.0
+
+
 def test_netaccess_single_subsystem_has_no_interleave_penalty():
     sim = Simulator()
     core = NetAccessCore(Host(sim, "h"))

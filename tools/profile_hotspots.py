@@ -13,6 +13,13 @@ Usage::
     python tools/profile_hotspots.py --size medium --fidelity hybrid
     python tools/profile_hotspots.py --size large --fidelity packet \
         --workload fluid --top 40 --json profile.json
+    python tools/profile_hotspots.py --events --size medium --json census.json
+
+``--events`` replaces the profile by the *engine-event census* of the
+deployment scenario: how many loop entries each kind of timer callback and
+each kind of triggered event accounts for.  Event counts are deterministic,
+so two censuses diff exactly — a layer that re-grows a completion hop shows
+up as a new row, not as a wall-clock suspicion.
 
 The tool lives outside pytest on purpose: profiling overhead would
 poison the recorded baselines, so the benchmark suite measures clean
@@ -26,8 +33,10 @@ import cProfile
 import io
 import json
 import pstats
+import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -140,6 +149,74 @@ def _per_shard(args) -> int:
     return 0
 
 
+def _kind(ev) -> str:
+    """An event's census row: class and name, minus what varies per instance."""
+    name = re.sub(r"\d+", "#", ev.name.split("(")[0])
+    return f"{type(ev).__name__}:{name}"
+
+
+def _events(args) -> int:
+    """Engine-event census of the deployment scenario on a counting kernel."""
+    import os
+
+    import test_engine_scale as bench
+    from repro.core import PadicoFramework
+    from repro.simnet.engine import SimEvent, Simulator
+
+    class CensusSimulator(Simulator):
+        """Counts every loop entry by what it is: a timer by its callback
+        (a delayed trigger by the event it fires), a triggered event by
+        class and name."""
+
+        def __init__(self, **kwargs) -> None:
+            super().__init__(**kwargs)
+            self.census: Counter = Counter()
+
+        def _schedule(self, when, fn, args):
+            return super()._schedule(when, self._counted, (fn, args))
+
+        def _counted(self, fn, args) -> None:
+            owner = getattr(fn, "__self__", None)
+            if isinstance(owner, SimEvent) and fn.__name__ == "fire":
+                self.census["trigger " + _kind(owner)] += 1
+            else:
+                self.census["timer   " + fn.__qualname__] += 1
+            fn(*args)
+
+        def _push_triggered(self, ev) -> None:
+            self.census["event   " + _kind(ev)] += 1
+            super()._push_triggered(ev)
+
+    class CensusFramework(PadicoFramework):
+        simulator_class = CensusSimulator
+
+    os.environ["ENGINE_FIDELITY"] = args.fidelity
+    fw, _grid, completions = bench.build_scenario(args.size, framework=CensusFramework)
+    before = Counter(fw.sim.census)
+    events_before = fw.sim.stats().events_processed
+    delivered = fw.sim.run(until=fw.sim.all_of(completions), max_time=bench.MAX_VIRTUAL)
+    fw.sim.run(until=max(bench.CHURN_HORIZON, fw.sim.now), max_time=bench.MAX_VIRTUAL)
+    census = fw.sim.census - before
+    events = fw.sim.stats().events_processed - events_before
+
+    rows = census.most_common(args.top)
+    print(f"{events} engine events, {sum(delivered)} bytes delivered ({args.size}, {args.fidelity})")
+    for kind, count in rows:
+        print(f"{count:10d}  {100.0 * count / events:5.1f}%  {kind}")
+    if args.json:
+        artifact = {
+            "size": args.size,
+            "workload": "deployment",
+            "fidelity": args.fidelity,
+            "events": events,
+            "bytes_delivered": sum(delivered),
+            "census": [{"kind": kind, "count": count} for kind, count in census.most_common()],
+        }
+        Path(args.json).write_text(json.dumps(artifact, indent=1) + "\n")
+        print(f"wrote {args.json}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -164,6 +241,12 @@ def main(argv=None) -> int:
         "executor (one cProfile inside each forked worker)",
     )
     parser.add_argument(
+        "--events",
+        action="store_true",
+        help="print the engine-event census of the deployment workload "
+        "instead of a profile (timers by callback, triggered events by kind)",
+    )
+    parser.add_argument(
         "--partitions",
         type=int,
         default=2,
@@ -173,6 +256,8 @@ def main(argv=None) -> int:
 
     if args.per_shard:
         return _per_shard(args)
+    if args.events:
+        return _events(args)
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
