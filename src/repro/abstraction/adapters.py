@@ -128,8 +128,10 @@ class _StreamPeer:
         self.buffer = ByteRing()
         self.src_rank: Optional[int] = None
 
-    def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
-        """Append stream bytes; return the complete messages extracted."""
+    def feed(self, data) -> List[Tuple[int, bytes]]:
+        """Append stream bytes; return the complete messages extracted, each
+        as the chunks it arrived in (``decode_segments`` flattens per
+        segment, not per message)."""
         buffer = self.buffer
         buffer.append(data)
         out: List[Tuple[int, bytes]] = []
@@ -149,7 +151,7 @@ class _StreamPeer:
             if len(buffer) < _FRAME.size + length:
                 return out
             buffer.skip(_FRAME.size)
-            out.append((src_rank, buffer.take(length)))
+            out.append((src_rank, buffer.take_gather(length)))
 
 
 class StreamMeshCircuitAdapter(CircuitAdapter):
@@ -187,10 +189,6 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
             stream.set_data_callback(fn)
         else:
             stream.set_data_handler(fn)
-
-    @staticmethod
-    def _drain(stream) -> bytes:
-        return stream.read_available()
 
     # lifecycle ---------------------------------------------------------------------
     def start(self) -> None:
@@ -251,7 +249,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         self._on_stream_data(stream)
 
     def _on_stream_data(self, stream) -> None:
-        data = self._drain(stream)
+        data = stream.read_available(gather=True)
         if not data:
             return
         peer = self._peers.get(id(stream))

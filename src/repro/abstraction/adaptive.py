@@ -33,11 +33,10 @@ import struct
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.simnet.buffers import ByteRing
+from repro.simnet.buffers import ByteRing, StreamBuffer
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.abstraction.common import AbstractionError
-from repro.abstraction.drivers import StreamBuffer
 from repro.abstraction.routing import Route, RouteChoice
 from repro.abstraction.vlink import VLink, VLinkManager, VLinkOperation, VLinkState
 
@@ -204,12 +203,14 @@ class AdaptiveVLink:
         self._flush()
         return op
 
-    def read(self, nbytes: int, exact: bool = True, done: Optional[SimEvent] = None) -> SimEvent:
+    def read(
+        self, nbytes: int, exact: bool = True, done: Optional[SimEvent] = None, gather=False
+    ) -> SimEvent:
         op = done if done is not None else VLinkOperation(self.sim, "read", None)
         op.add_callback(self._count_read)
         if exact:
-            return self.buffer.recv_exact(nbytes, op)
-        return self.buffer.recv(nbytes, op)
+            return self.buffer.recv_exact(nbytes, op, gather)
+        return self.buffer.recv(nbytes, op, gather)
 
     _count_read = VLink._count_read
 
@@ -263,8 +264,8 @@ class AdaptiveVLink:
     def available(self) -> int:
         return self.buffer.available()
 
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        data = self.buffer.read_available(limit)
+    def read_available(self, limit: Optional[int] = None, gather: bool = False):
+        data = self.buffer.read_available(limit, gather)
         self.bytes_read += len(data)
         return data
 

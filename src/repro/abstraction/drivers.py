@@ -25,9 +25,9 @@ a *driver connection*: any object with
 
 * ``write(data, done=None)`` — queue ``data`` (``bytes`` or a
   :class:`~repro.simnet.buffers.Gather`, already immutable) as one write;
-* ``recv(nbytes=None, done=None)`` / ``recv_exact(nbytes, done=None)`` — a
-  partial / exact read;
-* ``available()``, ``read_available(limit=None)``,
+* ``recv(nbytes=None, done=None, gather=False)`` /
+  ``recv_exact(nbytes, done=None, gather=False)`` — a partial / exact read;
+* ``available()``, ``read_available(limit=None, gather=False)``,
   ``set_data_callback(fn)``, ``set_close_callback(fn)`` (both called with the
   connection), ``close()`` and ``peer_name``.
 
@@ -39,18 +39,31 @@ is given does it mint an event of its own.  A connection that wraps another
 one passes ``done`` further down instead of chaining a second event onto the
 first, and a layer that charges time does so as the delay of that one
 trigger (``done.succeed(value, delay)``), never as a timer followed by an
-event.  :class:`~repro.arbitration.sysio.SysSocket` is a driver connection as
-it stands; :class:`BufferedConnection` is the receive half of all the others.
+event.
+
+The receive half of every connection is one
+:class:`~repro.simnet.buffers.StreamBuffer` (behind
+:class:`~repro.simnet.buffers.BufferedConnection`, which ``TcpConnection``
+is too; :class:`~repro.arbitration.sysio.SysSocket` passes it ``charge=``,
+the callable returning the dispatch delay of the read's trigger at the
+instant the bytes are handed over).  Hence, everywhere:
+
+* a read completes with ``bytes`` unless the caller — one that parses over
+  parts or only forwards — asked ``gather=True``: it then gets the buffered
+  chunks by reference, the writer's own ``bytes`` when the read matches it,
+  else a ``Gather`` whose parts pin the sender's buffers until dropped;
+* a read pending when the stream closes, or posted after, completes at once
+  with what is buffered (short, for an exact read) or fails with a
+  ``ConnectionError`` when nothing is: it never waits for bytes that cannot come.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.simnet.buffers import ByteRing, immutable
+from repro.simnet.buffers import BufferedConnection, StreamBuffer, immutable
 from repro.simnet.cost import Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
@@ -64,121 +77,6 @@ from repro.abstraction.common import (
     SoftDelivery,
     VLINK_LAYER_OVERHEAD,
 )
-
-
-class StreamBuffer:
-    """Reusable receive-side byte buffer with exact/partial read events.
-
-    Bytes live in a zero-copy :class:`~repro.simnet.buffers.ByteRing`:
-    ``append`` aliases the incoming chunk and reads slice each byte out at
-    most once (the seed ``bytearray`` implementation memmoved the whole
-    remainder on every read).
-    """
-
-    def __init__(self, sim):
-        self.sim = sim
-        self._buffer = ByteRing()
-        self._pending: Deque[Tuple[Optional[int], bool, SimEvent]] = deque()
-        self._data_callback: Optional[Callable[[], None]] = None
-        self._close_callback: Optional[Callable[[], None]] = None
-        self.closed = False
-
-    def append(self, data: bytes) -> None:
-        self._buffer.append(data)
-        self._satisfy()
-        if self._data_callback is not None and self._buffer:
-            self._data_callback()
-
-    def available(self) -> int:
-        return len(self._buffer)
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self._buffer.take(limit)
-
-    def recv(self, nbytes: Optional[int] = None, done: Optional[SimEvent] = None) -> SimEvent:
-        return self._queue(nbytes, False, done)
-
-    def recv_exact(self, nbytes: int, done: Optional[SimEvent] = None) -> SimEvent:
-        buffer = self._buffer
-        if buffer._size >= nbytes and not self._pending and not self.closed:
-            # fast path: satisfiable immediately — trigger without touching
-            # the pending queue (the event still completes through the loop)
-            ev = done if done is not None else SimEvent(self.sim, "stream-read")
-            return ev.succeed(buffer.take(nbytes))
-        return self._queue(nbytes, True, done)
-
-    def set_data_callback(self, fn: Optional[Callable[[], None]]) -> None:
-        self._data_callback = fn
-        if fn is not None and self._buffer:
-            fn()
-
-    def set_close_callback(self, fn: Optional[Callable[[], None]]) -> None:
-        """Called once when the stream closes (either end)."""
-        self._close_callback = fn
-        if fn is not None and self.closed:
-            fn()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        pending, self._pending = self._pending, deque()
-        for _, _, ev in pending:
-            if not ev.triggered:
-                if self._buffer:
-                    ev.succeed(self.read_available())
-                else:
-                    ev.fail(ConnectionError("stream closed"))
-        if self._close_callback is not None:
-            self._close_callback()
-
-    def _queue(self, nbytes: Optional[int], exact: bool, ev: Optional[SimEvent]) -> SimEvent:
-        if ev is None:
-            ev = SimEvent(self.sim, "stream-read")
-        if self.closed and not self._buffer:
-            ev.fail(ConnectionError("stream closed"))
-            return ev
-        self._pending.append((nbytes, exact, ev))
-        self._satisfy()
-        return ev
-
-    def _satisfy(self) -> None:
-        buffer = self._buffer
-        pending = self._pending
-        while pending and buffer._size:
-            nbytes, exact, ev = pending[0]
-            if exact and nbytes is not None and buffer._size < nbytes:
-                return
-            pending.popleft()
-            chunk = buffer.take(nbytes)
-            if not ev._triggered:
-                ev.succeed(chunk)
-
-
-class BufferedConnection:
-    """Receive half of a driver connection whose incoming bytes land in
-    ``self.buffer``, a :class:`StreamBuffer` (MadIO streams, loopback pipes
-    and every method driver of :mod:`repro.methods`)."""
-
-    buffer: StreamBuffer
-
-    def recv(self, nbytes: Optional[int] = None, done: Optional[SimEvent] = None) -> SimEvent:
-        return self.buffer.recv(nbytes, done)
-
-    def recv_exact(self, nbytes: int, done: Optional[SimEvent] = None) -> SimEvent:
-        return self.buffer.recv_exact(nbytes, done)
-
-    def available(self) -> int:
-        return self.buffer.available()
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.buffer.read_available(limit)
-
-    def set_data_callback(self, fn) -> None:
-        self.buffer.set_data_callback(None if fn is None else lambda: fn(self))
-
-    def set_close_callback(self, fn) -> None:
-        self.buffer.set_close_callback(None if fn is None else lambda: fn(self))
 
 
 class VLinkDriver:

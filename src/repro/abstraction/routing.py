@@ -506,7 +506,9 @@ class _RelaySession:
 
     # -- splice phase -----------------------------------------------------------
     def _pump(self, src_link: "VLink", dst_link: "VLink") -> None:
-        data = src_link.read_available()
+        # a relay only forwards: the burst goes on as the chunks it arrived
+        # in (one gather write), never joined here
+        data = src_link.read_available(gather=True)
         if data:
             self._forward(dst_link, data)
 

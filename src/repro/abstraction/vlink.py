@@ -130,16 +130,20 @@ class VLink:
         # drivers may alias the buffer: mutables are snapshotted here, once
         return self.conn.write(immutable(data), done)
 
-    def read(self, nbytes: int, exact: bool = True, done: Optional[SimEvent] = None) -> SimEvent:
+    def read(
+        self, nbytes: int, exact: bool = True, done: Optional[SimEvent] = None, gather=False
+    ) -> SimEvent:
         """Post a read; completes with the bytes (exactly ``nbytes`` when
-        ``exact``, otherwise whatever is available up to ``nbytes``)."""
+        ``exact``, otherwise whatever is available up to ``nbytes``) — by
+        reference, as the writer's own ``bytes`` or a ``Gather`` of the
+        buffered chunks, for a caller that parses over parts (``gather``)."""
         self._check_established("read")
         if done is None:
             done = VLinkOperation(self.sim, "read", self)
         done.add_callback(self._count_read)
         if exact:
-            return self.conn.recv_exact(nbytes, done)
-        return self.conn.recv(nbytes, done)
+            return self.conn.recv_exact(nbytes, done, gather)
+        return self.conn.recv(nbytes, done, gather)
 
     def _count_read(self, op: SimEvent) -> None:
         if op._exc is None:
@@ -161,8 +165,8 @@ class VLink:
         """Bytes readable without waiting."""
         return self.conn.available()
 
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        data = self.conn.read_available(limit)
+    def read_available(self, limit: Optional[int] = None, gather: bool = False):
+        data = self.conn.read_available(limit, gather)
         self.bytes_read += len(data)
         return data
 

@@ -78,19 +78,19 @@ class SysSocket:
         if fn is not None and self.conn.available() > 0:
             self.sysio._dispatch(self, fn)
 
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        return self.conn.read_available(limit)
+    def read_available(self, limit: Optional[int] = None, gather: bool = False):
+        return self.conn.read_available(limit, gather)
 
-    def recv(self, nbytes: Optional[int] = None, done: Optional["SimEvent"] = None) -> "SimEvent":
+    def recv(self, nbytes=None, done=None, gather=False) -> "SimEvent":
         """Completion of a read still goes through the receipt loop: the
         NetAccess dispatch cost (and, in the no-arbitration ablation, the
         starvation penalty) applies to every socket readiness event — as
         the delay of the read's one trigger, taken when TCP hands the bytes
         (or the failure) over."""
-        return self.conn.recv(nbytes, done, self.sysio._read_dispatch)
+        return self.conn.recv(nbytes, done, gather, self.sysio._read_dispatch)
 
-    def recv_exact(self, nbytes: int, done: Optional["SimEvent"] = None) -> "SimEvent":
-        return self.conn.recv_exact(nbytes, done, self.sysio._read_dispatch)
+    def recv_exact(self, nbytes: int, done=None, gather=False) -> "SimEvent":
+        return self.conn.recv_exact(nbytes, done, gather, self.sysio._read_dispatch)
 
     # -- lifecycle -----------------------------------------------------------------------
     def set_close_callback(self, fn: Optional[Callable[["SysSocket"], None]]) -> None:

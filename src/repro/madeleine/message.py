@@ -38,7 +38,7 @@ import enum
 import struct
 from typing import List, Optional, Sequence, Tuple
 
-from repro.simnet.buffers import Gather, immutable
+from repro.simnet.buffers import ByteRing, Gather, immutable
 
 
 class MadeleineError(RuntimeError):
@@ -210,21 +210,22 @@ def encode_segments(segments: Sequence[Tuple[PackMode, bytes]]) -> bytes:
 
 
 def decode_segments(raw) -> List[Tuple[PackMode, bytes]]:
-    """Inverse of :func:`encode_segments` (validates framing)."""
-    if isinstance(raw, Gather):
-        raw = bytes(raw)
+    """Inverse of :func:`encode_segments` (validates framing).
+
+    ``raw`` is the flat image or a gather of it (a frame body read off a
+    byte stream in pieces): each segment comes out as ``bytes``, the very
+    part when it is one, joined — that segment alone — when it is several.
+    """
+    ring = ByteRing(raw)
     segments: List[Tuple[PackMode, bytes]] = []
-    offset = 0
-    size = len(raw)
-    while offset < size:
-        if offset + _SEGMENT_HEADER.size > size:
+    while ring:
+        header = ring.take(_SEGMENT_HEADER.size)
+        if len(header) < _SEGMENT_HEADER.size:
             raise MadeleineError("truncated segment header")
-        code, length = _SEGMENT_HEADER.unpack_from(raw, offset)
-        offset += _SEGMENT_HEADER.size
-        if offset + length > size:
+        code, length = _SEGMENT_HEADER.unpack(header)
+        if length > len(ring):
             raise MadeleineError("truncated segment payload")
-        segments.append((PackMode.from_wire(code), raw[offset : offset + length]))
-        offset += length
+        segments.append((PackMode.from_wire(code), ring.take(length)))
     return segments
 
 

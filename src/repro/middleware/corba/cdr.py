@@ -18,9 +18,12 @@ the classic contiguous encoding; GIOP splices its own header in front and
 the whole message goes down the stack as one gather write.  Never
 ``+``/``join`` a body onto a header here — append it.
 
-The decoder reads over a ``memoryview`` of the message buffer, so framing
-layers hand it sub-views instead of slices; only what the application
-keeps (an octet sequence, a string) is materialised, once.
+The decoder walks the *parts* of the received message (a gathered read
+hands it the sender's own buffers; a flat buffer is one part) with a stream
+offset for alignment.  A value inside one part is read through a view; only
+a span that crosses parts is joined.  What the application keeps is real
+``bytes``: an octet sequence that is exactly one ``bytes`` part is returned
+as it is — the client's object, over a SAN — else materialised, once.
 """
 
 from __future__ import annotations
@@ -111,27 +114,30 @@ class CdrOutputStream:
 
 
 class CdrInputStream:
-    """Decoder: reads CDR-encoded values sequentially, over a view."""
+    """Decoder: reads CDR-encoded values sequentially, over the parts of a
+    :class:`~repro.simnet.buffers.Gather` or one flat buffer."""
 
     def __init__(self, data):
         if isinstance(data, Gather):
-            data = bytes(data)
-        self._data = memoryview(data)
-        self._pos = 0
+            first, *self._rest = data.parts or (b"",)
+        else:
+            first, self._rest = data, ()
+        self._view = memoryview(first)  # the part under the cursor
+        self._base = 0  # stream offsets of its two ends
+        self._limit = len(self._view)
+        self._pos = 0  # stream offset: what alignment is relative to
+        self._size = len(data)
 
     def _align(self, boundary: int) -> None:
         self._pos += (-self._pos) % boundary
 
     def _unpack(self, fmt: str, boundary: int, size: int):
-        self._align(boundary)
-        if self._pos + size > len(self._data):
-            raise CdrError(
-                f"truncated CDR stream: need {size} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        (value,) = struct.unpack_from(fmt, self._data, self._pos)
-        self._pos += size
-        return value
+        pos = self._pos + (-self._pos) % boundary
+        if pos + size <= self._limit:
+            self._pos = pos + size
+            return struct.unpack_from(fmt, self._view, pos - self._base)[0]
+        self._pos = pos
+        return struct.unpack(fmt, self.get_view(size))[0]
 
     # primitives --------------------------------------------------------------
     def get_octet(self) -> int:
@@ -166,24 +172,43 @@ class CdrInputStream:
         return str(raw[:-1], "utf-8")
 
     def get_octet_sequence(self) -> bytes:
+        """The sequence as real ``bytes`` the application may keep: the part
+        itself when it is exactly one ``bytes`` part, else one copy."""
         length = self.get_ulong()
-        return self.get_bytes(length)
-
-    def get_bytes(self, length: int) -> bytes:
-        """The next ``length`` bytes, materialised for the application."""
-        return bytes(self.get_view(length))
+        raw = self.get_view(length)
+        whole = raw.obj
+        return whole if type(whole) is bytes and len(whole) == length else bytes(raw)
 
     def get_view(self, length: int) -> memoryview:
-        """The next ``length`` bytes as a view of the message buffer."""
-        if self._pos + length > len(self._data):
-            raise CdrError("truncated CDR stream while reading raw bytes")
-        out = self._data[self._pos : self._pos + length]
-        self._pos += length
-        return out
+        """The next ``length`` bytes as one read-only buffer: a view of the
+        part they sit in, or — they cross parts — of their join."""
+        pos = self._pos
+        end = pos + length
+        if end <= self._limit:
+            self._pos = end
+            return self._view[pos - self._base : end - self._base]
+        if end > self._size:
+            raise CdrError(
+                f"truncated CDR stream: need {length} bytes at offset {pos}, "
+                f"have {self._size - pos}"
+            )
+        self._pos = end
+        while pos >= self._limit and self._rest:
+            self._next_part()
+        pieces = [self._view[pos - self._base : end - self._base]]
+        while end > self._limit:
+            self._next_part()
+            pieces.append(self._view[: end - self._base])
+        return pieces[0] if len(pieces) == 1 else memoryview(b"".join(pieces))
+
+    def _next_part(self) -> None:
+        self._view = memoryview(self._rest.pop(0))
+        self._base = self._limit
+        self._limit += len(self._view)
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._size - self._pos
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ byte-stream transport and interoperates across ORB profiles (the paper's
 interoperability requirement: CORBA stays IIOP-compatible on the wire).
 
 ``encode`` returns a :class:`~repro.simnet.buffers.Gather`: the GIOP header
-and the request/reply prefix coalesce into the first part, the parts of the
-CDR body follow by reference — ``bytes()`` of it is the contiguous message.
-``decode`` parses over a view of the received payload; ``body`` is a
-sub-view, not a copy.
+(its own part: the receiver's 12-byte header read then takes a whole chunk
+and the body read starts on a chunk boundary), the request/reply prefix, and
+the parts of the CDR body by reference — ``bytes()`` of it is the message.
+``decode`` takes the payload as it was read — flat, or the gather of a
+``recv_exact(..., gather=True)`` — parses the request/reply prefix out of
+its leading part and keeps ``body`` as the rest by reference.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class GiopMessage:
     msg_type: int
     request_id: int
     #: the CDR-encoded arguments or result: any immutable buffer or gather
-    #: on the send side, a view of the received payload after ``decode``
+    #: on the send side, a view or gather of the received payload after
+    #: ``decode``
     body: bytes
     object_key: bytes = b""
     operation: str = ""
@@ -78,7 +81,7 @@ class GiopMessage:
             self.msg_type,
             len(prefix) + len(body),
         )
-        return Gather((header + prefix, body))
+        return Gather((header, prefix, body))
 
     # -- decoding -------------------------------------------------------------------
     @staticmethod
@@ -96,32 +99,32 @@ class GiopMessage:
         msg_type, size, version = cls.parse_header(header)
         if len(payload) != size:
             raise GiopError(f"GIOP body size mismatch: header says {size}, got {len(payload)}")
-        view = memoryview(payload)
+        # The prefix is parsed out of the leading part of a gathered read and
+        # ``body`` is the rest by reference; a part boundary inside the prefix
+        # (bytes that arrived in pieces) is rare enough to join the payload for.
+        first, *rest = (payload.parts or (b"",)) if isinstance(payload, Gather) else (payload,)
+        view = memoryview(first)
+        object_key, operation, status = b"", "", REPLY_OK
         if msg_type == MSG_REQUEST:
-            request_id, key_len, op_len = _REQUEST_PREFIX.unpack_from(view, 0)
-            offset = _REQUEST_PREFIX.size
-            object_key = bytes(view[offset : offset + key_len])
-            offset += key_len
-            operation = str(view[offset : offset + op_len], "utf-8")
-            offset += op_len
-            return cls(
-                msg_type=MSG_REQUEST,
-                request_id=request_id,
-                object_key=object_key,
-                operation=operation,
-                body=view[offset:],
-                version=version,
-            )
-        if msg_type == MSG_REPLY:
-            request_id, status = _REPLY_PREFIX.unpack_from(view, 0)
-            return cls(
-                msg_type=MSG_REPLY,
-                request_id=request_id,
-                reply_status=status,
-                body=view[_REPLY_PREFIX.size :],
-                version=version,
-            )
-        raise GiopError(f"unsupported GIOP message type {msg_type}")
+            end = key_at = _REQUEST_PREFIX.size
+            if len(view) >= end:
+                request_id, key_len, op_len = _REQUEST_PREFIX.unpack_from(view, 0)
+                op_at = key_at + key_len
+                end = op_at + op_len
+                object_key = bytes(view[key_at:op_at])
+                operation = str(view[op_at:end], "utf-8")
+        elif msg_type == MSG_REPLY:
+            end = _REPLY_PREFIX.size
+            if len(view) >= end:
+                request_id, status = _REPLY_PREFIX.unpack_from(view, 0)
+        else:
+            raise GiopError(f"unsupported GIOP message type {msg_type}")
+        if end > len(view):
+            if not rest:
+                raise GiopError(f"truncated GIOP message: {len(view)} bytes, prefix needs {end}")
+            return cls.decode(header, bytes(payload))
+        body = Gather((view[end:], *rest)) if rest else view[end:]
+        return cls(msg_type, request_id, body, object_key, operation, status, version)
 
     @property
     def total_bytes(self) -> int:

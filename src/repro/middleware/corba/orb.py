@@ -36,6 +36,11 @@ from repro.middleware.corba.idl import Interface
 from repro.middleware.corba.profiles import OrbProfile, OMNIORB_4
 
 
+#: a GIOP body this long is read as a gather (its octet sequence reaches the
+#: servant uncopied); joining a shorter one costs less than walking its parts
+GATHER_MIN = 4096
+
+
 class CorbaError(RuntimeError):
     """ORB-level failures (unknown object key, system exceptions, ...)."""
 
@@ -100,7 +105,7 @@ class _ClientConnection:
             try:
                 header = yield self.sock.recv_exact(GIOP_HEADER_SIZE)
                 _msg_type, size, _version = GiopMessage.parse_header(header)
-                payload = (yield self.sock.recv_exact(size)) if size else b""
+                payload = (yield self.sock.recv_exact(size, size >= GATHER_MIN)) if size else b""
             except (ConnectionError, OSError):
                 return
             reply = GiopMessage.decode(header, payload)
@@ -144,7 +149,7 @@ class Proxy:
         reply: GiopMessage = yield reply_ev
         if reply.reply_status != REPLY_OK:
             raise CorbaError(
-                f"system exception from {operation!r}: {str(reply.body, 'utf-8', 'replace')}"
+                f"system exception from {operation!r}: {str(bytes(reply.body), 'utf-8', 'replace')}"
             )
         return op.decode_result(CdrInputStream(reply.body))
 
@@ -219,7 +224,7 @@ class ORB:
             try:
                 header = yield sock.recv_exact(GIOP_HEADER_SIZE)
                 msg_type, size, _version = GiopMessage.parse_header(header)
-                payload = (yield sock.recv_exact(size)) if size else b""
+                payload = (yield sock.recv_exact(size, size >= GATHER_MIN)) if size else b""
             except (ConnectionError, OSError):
                 return
             if msg_type != MSG_REQUEST:

@@ -115,9 +115,10 @@ class SysWrapSocket:
         """Returns an event completing with up to ``nbytes`` bytes."""
         return self._require_link("recv").read(nbytes, exact=False)
 
-    def recv_exact(self, nbytes: int):
-        """Extension used by message-framed middleware (GIOP, SOAP-over-HTTP)."""
-        return self._require_link("recv_exact").read(nbytes, exact=True)
+    def recv_exact(self, nbytes: int, gather: bool = False):
+        """Extension used by message-framed middleware (GIOP, SOAP-over-HTTP);
+        ``gather=True`` (the reader parses over parts) as for ``VLink.read``."""
+        return self._require_link("recv_exact").read(nbytes, True, None, gather)
 
     def close(self) -> None:
         if self._closed:

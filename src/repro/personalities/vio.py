@@ -86,9 +86,10 @@ class VioSocket:
         """Receive up to ``nbytes`` (completes as soon as any data is there)."""
         return self._require_link("recv").read(nbytes, exact=False)
 
-    def recv_exact(self, nbytes: int) -> VLinkOperation:
-        """Receive exactly ``nbytes`` (message-framing helper)."""
-        return self._require_link("recv_exact").read(nbytes, exact=True)
+    def recv_exact(self, nbytes: int, gather: bool = False) -> VLinkOperation:
+        """Receive exactly ``nbytes`` (message-framing helper); ``gather=True``
+        (the reader parses over parts) as for ``VLink.read``."""
+        return self._require_link("recv_exact").read(nbytes, True, None, gather)
 
     def close(self) -> None:
         if self._link is not None:

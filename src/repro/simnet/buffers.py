@@ -27,6 +27,8 @@ Rules for driver authors
   ``bytes``, so passing those is correct but forfeits the zero-copy win —
   produce ``bytes`` or immutable views on the hot path.
 * ``take``/``peek`` return ``bytes`` — consumers own them outright.
+  ``take_gather``/``take_iov`` return the chunks themselves (a partly
+  consumed one as a read-only view): whoever keeps them pins those buffers.
 * A chunk is pinned until fully consumed: taking 1 byte of a 64 KB chunk
   keeps the 64 KB alive.  That matches the simulator's traffic (chunks are
   consumed promptly and completely); do not use ByteRing to hold a tiny
@@ -44,15 +46,25 @@ write instead of being concatenated.  Rules for layer authors:
 * only a consumer that needs contiguous bytes flattens, with ``bytes(g)``,
   at its own boundary: codecs (compression, ciphers), striping and
   datagram chunking, the retransmission buffer of adaptive sessions, the
-  cross-process wire codec — and a stream read that spans several chunks
-  (:meth:`ByteRing.take`), the one place a byte stream is reassembled into
-  a message buffer.
+  cross-process wire codec — and a reader that asked for flat ``bytes``
+  when its read spans several chunks (:meth:`ByteRing.take`).
+
+The receive side is the same rule read backwards.  :class:`StreamBuffer` is
+the one implementation of "pending reads over a byte ring" (TCP, MadIO
+streams, loopback pipes, method drivers, adaptive sessions), and a caller
+that parses over parts or only forwards — the GIOP/CDR decoder, a relay, a
+frame parser feeding another ring — reads with ``gather=True`` and gets the
+chunks by reference (:meth:`ByteRing.take_gather`) instead of their join.
+Every other read still completes with ``bytes``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Deque, Iterable, Optional
+
+from repro.simnet.engine import SimEvent
 
 
 def immutable(data):
@@ -190,23 +202,7 @@ class ByteRing:
             self._size = size - nbytes
             out = first[head:] if head else first
             return out if type(out) is bytes else bytes(out)
-        parts = []
-        remaining = nbytes
-        while remaining:
-            first = chunks[0]
-            avail = len(first) - head
-            if avail <= remaining:
-                parts.append(first[head:] if head else first)
-                chunks.popleft()
-                head = 0
-                remaining -= avail
-            else:
-                parts.append(first[head : head + remaining])
-                head += remaining
-                remaining = 0
-        self._head = head
-        self._size = size - nbytes
-        return b"".join(parts)
+        return b"".join(self.take_iov(nbytes))
 
     def take_iov(self, nbytes: Optional[int] = None) -> list:
         """Consume up to ``nbytes`` as a list of chunk references (no join).
@@ -214,8 +210,8 @@ class ByteRing:
         The scatter-gather variant of :meth:`take`: consumers that forward
         or account buffers without flattening them (relays, bulk sinks,
         iovec-style personalities) skip the assembly copy entirely.  Chunks
-        are immutable buffers the caller owns outright; only a partially
-        consumed head chunk is sliced.
+        are immutable buffers the caller owns outright; a partially consumed
+        one is sliced as a read-only view of it, never copied.
         """
         size = self._size
         if nbytes is None or nbytes >= size:
@@ -224,23 +220,38 @@ class ByteRing:
             return []
         chunks = self._chunks
         head = self._head
+        if nbytes == size and not head:  # everything, nothing cut: the ring as it is
+            parts = list(chunks)
+            self.clear()
+            return parts
         parts = []
         remaining = nbytes
         while remaining:
-            first = chunks[0]
-            avail = len(first) - head
-            if avail <= remaining:
-                parts.append(first[head:] if head else first)
-                chunks.popleft()
-                head = 0
-                remaining -= avail
-            else:
-                parts.append(first[head : head + remaining])
+            chunk = chunks[0]
+            avail = len(chunk) - head
+            if head or avail > remaining:  # partly taken: a view (slicing bytes would copy)
+                if type(chunk) is bytes:
+                    chunk = memoryview(chunk)
+                chunk = chunk[head : head + remaining]
+            parts.append(chunk)
+            if avail > remaining:
                 head += remaining
-                remaining = 0
+                break
+            chunks.popleft()
+            head = 0
+            remaining -= avail
         self._head = head
         self._size = size - nbytes
         return parts
+
+    def take_gather(self, nbytes: Optional[int] = None):
+        """The copy-free :meth:`take`, for a consumer that can parse over
+        parts: the chunk itself when the read matches one ``bytes`` chunk (the
+        sender's own object), else a :class:`Gather` of :meth:`take_iov`'s."""
+        parts = self.take_iov(nbytes)
+        if len(parts) == 1 and type(parts[0]) is bytes:
+            return parts[0]
+        return Gather(parts) if parts else b""
 
     def peek(self, nbytes: int) -> bytes:
         """The next ``nbytes`` (or fewer, at the tail) without consuming."""
@@ -298,3 +309,151 @@ class ByteRing:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ByteRing {self._size}B in {len(self._chunks)} chunks>"
+
+
+class StreamBuffer:
+    """The receive half of a byte stream: posted reads over a :class:`ByteRing`.
+
+    ``append``/``extend`` alias the incoming chunks and wake, in order, the
+    reads posted with ``recv`` (at least one byte) and ``recv_exact``.  A read
+    is one completion — of ``done``, when the caller hands its own operation
+    down — delayed by ``charge()`` seconds when given (called as the bytes or
+    the failure are handed over: SysIO's dispatch cost), with flat ``bytes``
+    or, ``gather=True``, the chunks by reference (:meth:`ByteRing.take_gather`).
+    Once closed nothing more will arrive: the reads pending at ``close`` and
+    any posted after complete at once with what is buffered — short, for an
+    exact read — or fail with ``error`` when nothing is.
+    """
+
+    __slots__ = (
+        "sim", "_buffer", "_pending", "_data_callback", "_close_callback", "_error", "closed"
+    )
+
+    def __init__(self, sim, error: type = ConnectionError):
+        self.sim = sim
+        self._buffer = ByteRing()
+        #: parked reads ``(nbytes, exact, event, charge, gather)``, made on first use
+        self._pending: Optional[Deque[tuple]] = None
+        self._data_callback: Optional[Callable[[], None]] = None
+        self._close_callback: Optional[Callable[[], None]] = None
+        self._error = error
+        self.closed = False
+
+    # -- producing ---------------------------------------------------------
+    def append(self, data) -> None:
+        self._buffer.append(data)
+        self._wake()
+
+    def extend(self, parts: Iterable) -> None:
+        """Batched arrival (a fluid epoch's rounds): every chunk, one wake-up."""
+        append = self._buffer.append
+        for part in parts:
+            append(part)
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._pending:
+            self._satisfy()
+        if self._data_callback is not None and self._buffer._size:
+            self._data_callback()
+
+    # -- consuming ---------------------------------------------------------
+    def available(self) -> int:
+        return self._buffer._size
+
+    def read_available(self, limit: Optional[int] = None, gather: bool = False):
+        """Non-blocking read of whatever is buffered (up to ``limit``)."""
+        return self._buffer.take_gather(limit) if gather else self._buffer.take(limit)
+
+    def read_iov(self, limit: Optional[int] = None) -> list:
+        """Non-blocking read of the buffered chunks by reference, as a list."""
+        return self._buffer.take_iov(limit)
+
+    def recv(self, nbytes=None, done=None, gather=False, charge=None) -> SimEvent:
+        return self._queue(nbytes, False, done, charge, gather)
+
+    def recv_exact(self, nbytes: int, done=None, gather=False, charge=None) -> SimEvent:
+        buffer = self._buffer
+        if buffer._size >= nbytes and not self._pending:
+            # fast path: satisfiable immediately — trigger without touching
+            # the pending queue (the event still completes through the loop)
+            ev = done if done is not None else SimEvent(self.sim, "stream-read")
+            data = buffer.take_gather(nbytes) if gather else buffer.take(nbytes)
+            return ev.succeed(data, 0.0 if charge is None else charge())
+        return self._queue(nbytes, True, done, charge, gather)
+
+    def set_data_callback(self, fn: Optional[Callable[[], None]]) -> None:
+        self._data_callback = fn
+        if fn is not None and self._buffer:
+            fn()
+
+    def set_close_callback(self, fn: Optional[Callable[[], None]]) -> None:
+        """Called once when the stream closes (either end)."""
+        self._close_callback = fn
+        if fn is not None and self.closed:
+            fn()
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self._satisfy()
+        if self._close_callback is not None:
+            self._close_callback()
+
+    def _queue(self, nbytes, exact, ev, charge, gather) -> SimEvent:
+        if ev is None:
+            ev = SimEvent(self.sim, "stream-read")
+        if self._pending is None:
+            self._pending = deque()
+        self._pending.append((nbytes, exact, ev, charge, gather))
+        self._satisfy()
+        return ev
+
+    def _satisfy(self) -> None:
+        """Complete, in order, the posted reads that can be: with the bytes
+        they asked for or — closed — with what is left, else their failure."""
+        buffer = self._buffer
+        pending = self._pending
+        closed = self.closed
+        while pending and (buffer._size or closed):
+            nbytes, exact, ev, charge, gather = pending[0]
+            if exact and buffer._size < nbytes and not closed:
+                return
+            pending.popleft()
+            if ev._triggered:
+                continue
+            delay = 0.0 if charge is None else charge()
+            if buffer._size:
+                ev.succeed(buffer.take_gather(nbytes) if gather else buffer.take(nbytes), delay)
+            else:
+                ev.fail(self._error("stream closed"), delay)
+
+
+class BufferedConnection:
+    """The read surface of a connection whose incoming bytes land in
+    ``self.buffer``: TCP connections, MadIO streams, loopback pipes, every
+    method driver of :mod:`repro.methods`.  Callbacks get the connection."""
+
+    buffer: StreamBuffer
+
+    def recv(self, nbytes=None, done=None, gather=False, charge=None) -> SimEvent:
+        return self.buffer.recv(nbytes, done, gather, charge)
+
+    def recv_exact(self, nbytes: int, done=None, gather=False, charge=None) -> SimEvent:
+        return self.buffer.recv_exact(nbytes, done, gather, charge)
+
+    def available(self) -> int:
+        return self.buffer.available()
+
+    def read_available(self, limit: Optional[int] = None, gather: bool = False):
+        return self.buffer.read_available(limit, gather)
+
+    def read_iov(self, limit: Optional[int] = None) -> list:
+        return self.buffer.read_iov(limit)
+
+    def set_data_callback(self, fn) -> None:
+        self.buffer.set_data_callback(None if fn is None else partial(fn, self))
+
+    def set_close_callback(self, fn) -> None:
+        self.buffer.set_close_callback(None if fn is None else partial(fn, self))

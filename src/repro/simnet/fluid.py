@@ -908,7 +908,7 @@ class FluidController:
         # receiver-window pressure: a reader that stopped draining means the
         # steady state is no longer send-side limited — stay honest and slow.
         limit = peer.stack.model.receive_window * self.policy.rx_pressure_windows
-        if len(peer._rx_buffer) > limit:
+        if peer.available() > limit:
             return False
         return True
 

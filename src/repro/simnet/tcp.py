@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING
 
-from repro.simnet.buffers import ByteRing, Gather, immutable
+from repro.simnet.buffers import BufferedConnection, Gather, StreamBuffer, immutable
 from repro.simnet.cost import Cost, KB
 from repro.simnet.fluid import FluidController, FluidPolicy
 from repro.simnet.network import Delivery, Network, PARADIGM_DISTRIBUTED
@@ -353,13 +353,10 @@ class TcpListener:
         self.stack.close_listener(self.port)
 
 
-def _no_charge() -> float:
-    """Completion delay of a read nobody charges for (see ``recv``)."""
-    return 0.0
-
-
-class TcpConnection:
-    """One established (or connecting) TCP endpoint."""
+class TcpConnection(BufferedConnection):
+    """One established (or connecting) TCP endpoint; the read surface is
+    :class:`BufferedConnection`'s, over ``self.buffer`` (SysIO passes
+    ``charge`` to delay a read's completion by its dispatch cost)."""
 
     def __init__(
         self,
@@ -400,10 +397,7 @@ class TcpConnection:
         #: covering this flow's NIC cancels the pending timer and lays the
         #: flow's rounds out itself
         self._pump_handle = None
-        self._rx_buffer = ByteRing()
-        self._pending_reads: Deque[tuple] = deque()  # (nbytes, exact, event, charge)
-        self._data_callback: Optional[Callable[["TcpConnection"], None]] = None
-        self._close_callback: Optional[Callable[["TcpConnection"], None]] = None
+        self.buffer = StreamBuffer(self.sim, error=TcpError)
 
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -687,28 +681,13 @@ class TcpConnection:
                 self._last_rx_ready = ready
 
     def _append_rx(self, payload: bytes) -> None:
-        self._rx_buffer.append(payload)
         self.bytes_received += len(payload)
-        self._satisfy_reads()
-        if self._data_callback is not None and self._rx_buffer:
-            self._data_callback(self)
+        self.buffer.append(payload)
 
     def _append_rx_parts(self, parts) -> None:
-        """Batched arrival: enqueue every chunk, then wake readers once.
-
-        A fluid epoch hands the whole collapsed window sequence over in one
-        delivery; readers and the data callback observe it as a single
-        arrival, matching how they would see the bytes had they polled
-        after the packet model's final burst."""
-        append = self._rx_buffer.append
-        total = 0
-        for part in parts:
-            append(part)
-            total += len(part)
-        self.bytes_received += total
-        self._satisfy_reads()
-        if self._data_callback is not None and self._rx_buffer:
-            self._data_callback(self)
+        """Batched arrival (a fluid epoch's rounds): one wake-up for all."""
+        self.bytes_received += sum(map(len, parts))
+        self.buffer.extend(parts)
 
     def _on_fin(self, delivery: Delivery) -> None:
         # the close must not overtake data segments still being processed
@@ -728,79 +707,7 @@ class TcpConnection:
                 sent=self.bytes_sent,
                 received=self.bytes_received,
             )
-        self._fail_pending()
-        if self._close_callback is not None:
-            self._close_callback(self)
-
-    def _satisfy_reads(self) -> None:
-        buffer = self._rx_buffer
-        pending = self._pending_reads
-        while pending and buffer._size:
-            nbytes, exact, ev, charge = pending[0]
-            if exact and nbytes is not None and buffer._size < nbytes:
-                return
-            pending.popleft()
-            chunk = buffer.take(nbytes)
-            if not ev._triggered:
-                ev.succeed(chunk, charge())
-
-    def set_data_callback(self, fn: Optional[Callable[["TcpConnection"], None]]) -> None:
-        """Register the "socket is readable" callback (used by SysIO)."""
-        self._data_callback = fn
-        if fn is not None and self._rx_buffer:
-            fn(self)
-
-    def set_close_callback(self, fn: Optional[Callable[["TcpConnection"], None]]) -> None:
-        self._close_callback = fn
-
-    def available(self) -> int:
-        """Bytes currently readable without blocking."""
-        return len(self._rx_buffer)
-
-    def read_available(self, limit: Optional[int] = None) -> bytes:
-        """Non-blocking read of whatever is buffered (up to ``limit``)."""
-        return self._rx_buffer.take(limit)
-
-    def read_iov(self, limit: Optional[int] = None) -> list:
-        """Non-blocking scatter-gather read: the buffered chunks by
-        reference, without assembling them into one ``bytes`` (bulk sinks
-        and relays that never need a flat buffer skip that copy)."""
-        return self._rx_buffer.take_iov(limit)
-
-    def recv(
-        self,
-        nbytes: Optional[int] = None,
-        done: Optional["SimEvent"] = None,
-        charge: Optional[Callable[[], float]] = None,
-    ) -> "SimEvent":
-        """Event completing with at least one byte (up to ``nbytes``).
-
-        ``done`` is the caller's own operation, completed instead of a new
-        event.  ``charge`` is called at the instant the bytes (or the
-        failure) are handed over and returns the seconds the completion is
-        delayed by: how SysIO charges its dispatch cost on the one trigger.
-        """
-        return self._queue_read(nbytes, False, done, charge)
-
-    def recv_exact(
-        self,
-        nbytes: int,
-        done: Optional["SimEvent"] = None,
-        charge: Optional[Callable[[], float]] = None,
-    ) -> "SimEvent":
-        """Event completing with exactly ``nbytes`` bytes (message framing)."""
-        return self._queue_read(nbytes, True, done, charge)
-
-    def _queue_read(self, nbytes, exact, ev, charge) -> "SimEvent":
-        if ev is None:
-            ev = self.sim.event(name="tcp-recv")
-        if charge is None:
-            charge = _no_charge
-        if self.closed and not self._rx_buffer:
-            return ev.fail(TcpError("recv() on closed connection"), charge())
-        self._pending_reads.append((nbytes, exact, ev, charge))
-        self._satisfy_reads()
-        return ev
+        self.buffer.close()
 
     # -- teardown -----------------------------------------------------------------
     def close(self) -> None:
@@ -827,13 +734,5 @@ class TcpConnection:
                 send_cost=Cost().charge(self.host.cpu.syscall_overhead, "tcp.close"),
             )
         self.stack._unregister(self)
-        self._fail_pending()
-
-    def _fail_pending(self) -> None:
-        pending, self._pending_reads = self._pending_reads, deque()
-        for _, _, ev, charge in pending:
-            if not ev.triggered:
-                if self._rx_buffer:
-                    ev.succeed(self.read_available(), charge())
-                else:
-                    ev.fail(TcpError("connection closed"), charge())
+        self.buffer.set_close_callback(None)  # the close callback is for the peer's FIN
+        self.buffer.close()

@@ -6,3 +6,13 @@ from __future__ import annotations
 def run(fw, gen, max_time=60.0):
     """Run a generator to completion inside a framework's simulator."""
     return fw.sim.run(until=fw.sim.process(gen), max_time=max_time)
+
+
+def chop(image: bytes, cuts):
+    """``image`` as the gather a stream read in pieces hands a decoder: part
+    boundaries wherever ``cuts`` fall (taken modulo its length) — inside a
+    header, a primitive, the padding in front of a double, a payload."""
+    from repro.simnet.buffers import Gather
+
+    edges = [0, *sorted(cut % (len(image) + 1) for cut in cuts), len(image)]
+    return Gather(image[lo:hi] for lo, hi in zip(edges, edges[1:]))

@@ -8,6 +8,7 @@ from tests.helpers import run
 from repro.abstraction import LinkClass, Route, VLinkState
 from repro.core import PadicoFramework
 from repro.methods import register_wan_method_drivers
+from repro.simnet.buffers import Gather
 from repro.simnet.cost import Cost
 from repro.simnet.networks import Ethernet100, WanVthd
 
@@ -63,6 +64,32 @@ def test_adaptive_session_carries_bytes_both_ways(cluster):
     assert client.migrations == 0
     assert client.unacked == 0
     assert client.driver_name == "madio"  # SAN pair keeps the seed choice
+
+
+def test_adaptive_session_reads_take_the_gather_keyword(cluster):
+    """An adaptive session is VLink-shaped: ``read`` and ``read_available``
+    hand out the delivered frames by reference on request."""
+    fw, group = cluster
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    listener = n1.vlink_listen(8001, adaptive=True)
+
+    def scenario():
+        accept_op = listener.accept()
+        client = yield n0.vlink_connect(n1, 8001, adaptive=True)
+        server = yield accept_op
+        for offset in (0, 1000, 2000):
+            yield client.write(pattern(1000, offset))
+        spanning = yield server.read(1500, gather=True)
+        flat = yield server.read(500)
+        rest = server.read_available(gather=True)
+        return server, spanning, flat, rest
+
+    server, spanning, flat, rest = run(fw, scenario())
+    assert type(spanning) is Gather and len(spanning.parts) == 2
+    assert bytes(spanning) == pattern(1000) + pattern(500, 1000)
+    assert type(flat) is bytes and flat == pattern(500, 1500)
+    assert type(rest) is bytes and rest == pattern(1000, 2000)  # one whole chunk
+    assert server.bytes_read == 3000 and server.available() == 0
 
 
 def test_adaptive_connect_refused_without_listener(cluster):

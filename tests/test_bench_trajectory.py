@@ -1,0 +1,81 @@
+"""``tools/bench_trajectory.py``: the per-PR perfbench trajectory at the root."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def tool(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_trajectory", REPO / "tools" / "bench_trajectory.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "TRAJECTORY", tmp_path / "BENCH_trajectory.jsonl")
+    monkeypatch.setattr(module, "CHANGES", tmp_path / "CHANGES.md")
+    return module
+
+
+def result_file(tmp_path) -> Path:
+    """A result file shaped like ``perfbench/run.py``'s, catalogue from
+    BENCHMARK.json, one ladder workload and one without rungs."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    per_layer = {m["name"]: index for index, m in enumerate(spec["per_layer"])}
+    no_rungs = {k: v for k, v in per_layer.items() if not k.endswith(".events_per_rt")}
+    row = {"unit": "s", "median": 0.5, "q1": 0.4, "q3": 0.6, "n": 5, "values": [0.5] * 5}
+    entry = {"end_to_end": {"wall_s": row, "setup_s": row, "peak_rss_mb": row}, "failed": 0}
+    path = tmp_path / "result-seed1.json"
+    path.write_text(json.dumps({
+        "fingerprint": {"commit": "abc", "seed": 1, "run_seconds": 8.0},
+        "workloads": {
+            "stack_pingpong": {**entry, "per_layer": per_layer},
+            "kernel_timers": {**entry, "per_layer": no_rungs},
+        },
+    }))
+    return path
+
+
+def test_a_line_holds_medians_quartiles_the_26_counters_and_events_per_rung(tool, tmp_path):
+    line = tool.line_of(17, "zero-copy receive", result_file(tmp_path))
+    assert (line["pr"], line["title"]) == (17, "zero-copy receive")
+    assert line["fingerprint"]["commit"] == "abc"
+    ladder, bare = line["workloads"]["stack_pingpong"], line["workloads"]["kernel_timers"]
+    assert ladder["end_to_end"]["wall_s"] == {"median": 0.5, "q1": 0.4, "q3": 0.6, "n": 5}
+    assert len(ladder["counters"]) == len(bare["counters"]) == 26
+    assert "simnet.engine.events" in ladder["counters"]
+    assert "abstraction.routing.relay_bytes_forwarded" in ladder["counters"]
+    assert not any(k.endswith((".calls", ".self_s", "_us", "_MBps")) for k in ladder["counters"])
+    assert len(ladder["events_per_rt"]) == 9 and "middleware.corba" in ladder["events_per_rt"]
+    assert "events_per_rt" not in bare
+
+
+def test_check_fails_until_the_newest_pr_of_changes_has_a_line(tool, tmp_path, capsys):
+    tool.CHANGES.write_text("PR 15: one completion\nPR 17: zero-copy receive, see PR 14\n")
+    assert tool.newest_pr_in_changes() == 17
+    assert tool.check() == 1 and "no line for PR 17" in capsys.readouterr().out
+    tool.TRAJECTORY.write_text(json.dumps({"pr": 15}) + "\n")
+    assert tool.check() == 1
+    with open(tool.TRAJECTORY, "a") as out:
+        out.write(json.dumps(tool.line_of(17, "", result_file(tmp_path))) + "\n")
+    assert tool.check() == 0
+
+
+def test_the_committed_trajectory_is_well_formed():
+    lines = [
+        json.loads(ln) for ln in (REPO / "BENCH_trajectory.jsonl").read_text().splitlines() if ln
+    ]
+    prs = [line["pr"] for line in lines]
+    assert prs == sorted(set(prs)) and {11, 12, 14, 15, 17} <= set(prs)
+    for line in lines:
+        assert line["title"] and line["source"] and line["workloads"]
+        for entry in line["workloads"].values():
+            for row in entry.get("end_to_end", {}).values():
+                assert row["median"] > 0
+            assert len(entry.get("counters", {})) in (0, 26)

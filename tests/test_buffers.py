@@ -1,7 +1,8 @@
 """Unit tests for the zero-copy byte ring."""
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.simnet.buffers import ByteRing
+from repro.simnet.buffers import ByteRing, Gather, immutable
 
 
 def test_empty_ring():
@@ -153,3 +154,101 @@ def test_interleaved_exactness_stress():
             del model[:skipped]
         assert len(ring) == len(model)
     assert ring.take() == bytes(model)
+
+
+# ---------------------------------------------------------------------------
+# the copy-free takes
+# ---------------------------------------------------------------------------
+
+
+def test_partly_consumed_head_is_sliced_as_a_view_of_the_chunk():
+    """A 12-byte header read ahead of a 1 MB body in the same chunk must not
+    cost the megabyte: the remainder comes out as a view of that chunk."""
+    chunk = b"twelve bytes" + bytes(1 << 20)
+    for take in (ByteRing.take_iov, lambda ring: ring.take_gather().parts):
+        ring = ByteRing(chunk)
+        assert ring.take(12) == b"twelve bytes"
+        (part,) = take(ring)
+        assert type(part) is memoryview and part.readonly and part.obj is chunk
+        assert len(part) == 1 << 20 and immutable(part) is part
+    # a read that stops inside the next chunk: both partial slices are views
+    ring = ByteRing(chunk)
+    ring.append(chunk)
+    ring.skip(5)
+    head, tail = ring.take_iov(len(chunk))
+    assert head.obj is chunk and tail.obj is chunk and (len(head), len(tail)) == (len(chunk) - 5, 5)
+
+
+def test_take_gather_hands_back_the_chunk_a_read_matches_and_references_otherwise():
+    header, body, tail = b"12-byte-head", bytes(range(256)) * 16, b"tail"
+    ring = ByteRing()
+    ring.append(Gather((header, body, tail)))
+    assert ring.take_gather(len(header)) is header
+    assert ring.take_gather(len(body)) is body
+    ring.append(body)
+    spanning = ring.take_gather(len(tail) + 10)
+    assert type(spanning) is Gather and spanning.parts[0] is tail
+    assert bytes(spanning) == tail + body[:10] and len(spanning) == 14
+    assert spanning.parts[1].obj is body
+    rest = ring.take_gather()
+    assert type(rest) is Gather and bytes(rest) == body[10:]
+    assert ring.take_gather() == b"" and ring.take_gather(5) == b"" and not ring
+
+
+_chunks = st.one_of(
+    st.binary(max_size=24),
+    st.binary(max_size=24).map(lambda b: memoryview(b)[len(b) // 3 :]),
+    st.binary(max_size=24).map(bytearray),
+    st.lists(st.binary(max_size=10), max_size=4).map(Gather),
+)
+_sizes = st.one_of(st.none(), st.integers(min_value=0, max_value=40), st.just(10_000))
+_ring_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), _chunks),
+        st.tuples(st.sampled_from(["take", "take_iov", "take_gather", "peek", "skip"]), _sizes),
+    ),
+    max_size=60,
+)
+
+
+def _image(taken) -> bytes:
+    return b"".join(taken) if type(taken) is list else bytes(taken)
+
+
+def _backing(buffer):
+    return buffer.obj if type(buffer) is memoryview else buffer
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_ring_ops)
+def test_every_take_agrees_with_take_on_a_twin_ring(ops):
+    """Differential: one ring is consumed through the operation under test,
+    its twin — fed the same chunks — through ``take`` alone."""
+    ring, twin = ByteRing(), ByteRing()
+    kept = []  # every chunk the ring stored, by identity
+    for op, arg in ops:
+        if op == "append":
+            before = len(ring._chunks)
+            ring.append(arg)
+            twin.append(arg)
+            kept += list(ring._chunks)[before:]
+        elif op == "peek":
+            n = 7 if arg is None else arg
+            assert ring.peek(n) == twin.peek(n)
+        elif op == "skip":
+            n = 0 if arg is None else arg
+            assert ring.skip(n) == len(twin.take(n))
+        else:
+            taken = getattr(ring, op)(arg)
+            assert _image(taken) == twin.take(arg)
+            if op == "take_gather":
+                assert type(taken) in (bytes, Gather) and len(taken) == len(_image(taken))
+            if op != "take":  # nothing was copied: chunks, or read-only views of them
+                parts = taken if op == "take_iov" else getattr(taken, "parts", (taken,))
+                for part in filter(len, parts):
+                    assert immutable(part) is part
+                    assert any(_backing(part) is _backing(chunk) for chunk in kept)
+                assert all(map(len, parts)) or taken == b""
+        assert len(ring) == len(twin)
+        assert ring.peek(5) == twin.peek(5)
+    assert ring.take() == twin.take() and not ring and ring._head == 0

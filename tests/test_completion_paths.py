@@ -23,6 +23,7 @@ from repro.core import PadicoFramework, paper_cluster
 from repro.monitoring.churn import poisson_thinning_times
 from repro.simnet.engine import Interrupt, ReferenceSimulator, Simulator
 from repro.simnet.networks import Ethernet100, WanVthd
+from repro.simnet.tcp import TcpError
 
 from helpers import run
 
@@ -217,6 +218,61 @@ def test_read_pending_at_stream_buffer_close(buffered):
     assert buf.recv(8, done=late) is late
     sim.run()
     assert seen == [ConnectionError]
+
+
+# -- a read posted after the close: what is buffered, at once, never a hang -----
+
+
+@pytest.mark.parametrize("gather", [False, True])
+def test_exact_read_posted_after_stream_buffer_close_completes_short(gather):
+    sim = Simulator()
+    buf = StreamBuffer(sim)
+    buf.append(b"abc")
+    buf.close()
+    # 0 < buffered < nbytes: this read used to be parked for ever, while the
+    # same read posted before the close completed short
+    seen = outcomes_of(buf.recv_exact(10, gather=gather))
+    after = outcomes_of(buf.recv_exact(10, gather=gather))
+    sim.run()
+    assert seen == [("ok", b"abc")] and after == [ConnectionError]
+    assert sim.pending_count() == 0 and buf.available() == 0
+
+
+@pytest.mark.parametrize("closer", ["active close", "FIN"])
+def test_exact_read_posted_after_the_tcp_close_completes_short(closer):
+    fw, client, server = sysio_pair()
+    client.write(b"half")
+    fw.sim.run()
+    tcp = server.conn.conn
+    (tcp if closer == "active close" else client).close()
+    fw.sim.run()
+    assert tcp.closed and tcp.available() == 4
+    seen = outcomes_of(tcp.recv_exact(64))
+    after = outcomes_of(tcp.recv(64))
+    fw.sim.run()
+    assert seen == [("ok", b"half")]
+    assert len(after) == 1 and issubclass(after[0], TcpError)
+    assert fw.sim.pending_count() == 0
+
+
+def test_handed_down_read_posted_after_fin_completes_short_one_dispatch_later():
+    """The same, through VLink -> SysIO: the caller's own operation is the
+    one completed, and the short completion pays ``charge`` like any other."""
+    fw, client, server = sysio_pair()
+    client.write(b"half")
+    fw.sim.run()
+    client.close()
+    fw.sim.run()
+    sysio = server.conn.sysio
+    dispatches, t0 = sysio.dispatches, fw.sim.now
+    op = VLinkOperation(fw.sim, "read")
+    seen = outcomes_of(op)
+    assert server.read(64, done=op) is op and not op.triggered
+    fw.sim.run()
+    assert seen == [("ok", b"half")] and server.bytes_read == 4
+    assert fw.sim.now == t0 + sysio.core.dispatch_cost("sysio")
+    assert sysio.dispatches == dispatches + 1
+    assert op.processed and fw.sim.pending_count() == 0
 
 
 def test_interrupt_while_waiting_on_a_handed_down_read_resumes_once():

@@ -1,5 +1,7 @@
 """Tests for the CORBA middleware: CDR, GIOP, ORB invocation, profiles."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from repro.middleware.corba import (
     TC_VOID,
 )
 from repro.middleware.corba.giop import make_reply, make_request
+from repro.simnet.buffers import Gather
 
 
 # --------------------------------------------------------------------------
@@ -66,14 +69,49 @@ def test_cdr_truncation_detected():
 
 def test_cdr_typed_sequences():
     out = CdrOutputStream()
+    out.put_octet(1)  # the double sequence's body then needs padding
     TC_DOUBLE_SEQ.encode(out, np.array([1.0, 2.5, -3.0]))
     TC_OCTET_SEQ.encode(out, b"raw-bytes")
-    inp = CdrInputStream(out.getvalue())
-    arr = TC_DOUBLE_SEQ.decode(inp)
-    assert np.allclose(arr, [1.0, 2.5, -3.0])
-    assert TC_OCTET_SEQ.decode(inp) == b"raw-bytes"
+    out.put_string("tail")
+    wire = out.getvalue()
+    image = bytes(wire)
+    # over the sender's parts, the flat image, and the image split in two at
+    # every offset — inside the count, the padding, a double, the octets,
+    # the string — or into single bytes: always the same values
+    splits = [Gather((image[:cut], image[cut:])) for cut in range(len(image) + 1)]
+    for data in (wire, image, Gather(image[i : i + 1] for i in range(len(image))), *splits):
+        inp = CdrInputStream(data)
+        assert inp.get_octet() == 1
+        arr = TC_DOUBLE_SEQ.decode(inp)
+        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 2.5, -3.0]
+        octets = TC_OCTET_SEQ.decode(inp)
+        assert type(octets) is bytes and octets == b"raw-bytes"
+        assert inp.get_string() == "tail" and inp.remaining == 0
     with pytest.raises(CdrError):
         TC_OCTET_SEQ.encode(CdrOutputStream(), 12345)
+    with pytest.raises(CdrError):
+        CdrInputStream(Gather((image[:20], image[20:-3]))).get_view(len(image))
+
+
+def test_cdr_octet_sequence_is_the_part_when_it_is_exactly_one():
+    payload = bytes(1000)
+    out = CdrOutputStream()
+    TC_OCTET_SEQ.encode(out, payload)
+    TC_OCTET_SEQ.encode(out, payload)
+    wire = out.getvalue()
+    inp = CdrInputStream(wire)
+    assert TC_OCTET_SEQ.decode(inp) is payload and TC_OCTET_SEQ.decode(inp) is payload
+    # a part that only contains it, or a view of it, is materialised once
+    image = bytes(wire)
+    inside = TC_OCTET_SEQ.decode(CdrInputStream(image))
+    assert type(inside) is bytes and inside == payload and inside is not payload
+    viewed = CdrInputStream(Gather((image[:4], memoryview(payload), image[1004:])))
+    assert TC_OCTET_SEQ.decode(viewed) is payload  # a view of all of it *is* it
+    # and never something the sender could still change
+    mutable = bytearray(b"\x00\x00\x00\x03abc")
+    snapshot = CdrInputStream(mutable).get_octet_sequence()
+    mutable[4:] = b"XYZ"
+    assert type(snapshot) is bytes and snapshot == b"abc"
 
 
 def test_cdr_struct_and_nested_sequence():
@@ -124,6 +162,11 @@ def test_giop_reply_roundtrip_and_errors():
         GiopMessage.decode(wire[:12], wire[12:] + b"extra")
     with pytest.raises(GiopError):
         GiopMessage.parse_header(b"short")
+    with pytest.raises(GiopError):  # a payload shorter than its own prefix
+        GiopMessage.decode(struct.pack("!4sBBBBI", b"GIOP", 1, 2, 0, MSG_REPLY, 4), b"1234")
+    # a part boundary inside the prefix: decoded all the same, body intact
+    split = GiopMessage.decode(wire[:12], Gather((wire[12:15], wire[15:19], wire[19:])))
+    assert (split.request_id, split.reply_status, bytes(split.body)) == (9, 0, b"result")
 
 
 # --------------------------------------------------------------------------

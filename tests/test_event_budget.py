@@ -25,6 +25,7 @@ from repro.abstraction.common import CROSS_PARADIGM_STREAM_OVERHEAD, VLINK_LAYER
 from repro.arbitration.madio import DEMUX_OVERHEAD
 from repro.core import paper_cluster
 from repro.madeleine.message import segment_overhead
+from repro.simnet.buffers import Gather
 from repro.simnet.cost import Cost
 
 PAYLOAD = b"8 bytes!"
@@ -190,6 +191,28 @@ def test_loopback_pipe_write_and_read_complete_together_after_the_copy():
     copy.charge_copy(len(PAYLOAD), pipe.driver.host.cpu.memcpy_bandwidth, "copy")
     assert read_at == write_at == [window.t0 + copy.seconds]
     assert (read.value, write.value) == (PAYLOAD, len(PAYLOAD))
+
+
+@pytest.mark.parametrize(
+    "method, budget", [("sysio", (1, 1)), ("madio", (1, 0)), ("loopback", (1, 0))]
+)
+def test_a_gathered_read_costs_what_the_flat_read_costs(method, budget):
+    """``gather=True`` changes the type of a read's value, nothing else: the
+    same events and timers, the same completion instant after posting."""
+    fw, client, server = vlink_pair(method)
+    seen = []
+    for gather in (False, True):
+        client.write(Gather((b"head", PAYLOAD)))
+        fw.sim.run()
+        window = Window(fw.sim)
+        op = server.read(4 + len(PAYLOAD), gather=gather)
+        done_at = completion_time(op)
+        fw.sim.run()
+        seen.append((window.close(), bytes(op.value), done_at[0] - window.t0))
+        assert type(op.value) is (Gather if gather else bytes)
+    assert seen[0][:2] == seen[1][:2] == (budget, b"head" + PAYLOAD)
+    assert seen[0][2] == pytest.approx(seen[1][2], rel=1e-9)
+    assert server.bytes_read == 2 * (4 + len(PAYLOAD))
 
 
 # -- Circuit and the middleware round trips ----------------------------------------

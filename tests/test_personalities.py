@@ -18,6 +18,7 @@ from repro.personalities import (
     VirtualMadeleine,
 )
 from repro.madeleine.message import PackMode
+from repro.simnet.buffers import Gather
 
 
 # --------------------------------------------------------------------------
@@ -88,6 +89,42 @@ def test_syswrap_bsd_style_exchange(cluster):
     assert peer == n0.host.name
     assert isinstance(fd, int) and fd >= 3
     assert peername == n1.host.name
+
+
+def test_socket_personalities_pass_a_gathered_read_through(cluster):
+    """``recv_exact(n, gather=True)`` on Vio and SysWrap is ``VLink.read``'s:
+    the written object when the read matches it, a gather when it spans."""
+    fw, group = cluster
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    vio_server = Vio(n1.vlink).socket().bind(5150).listen()
+    wrap_server = SysWrap(n1.vlink).socket()
+    wrap_server.bind((n1.host.name, 5250))
+    wrap_server.listen()
+    payload = b"one written object"
+
+    def scenario(accepting, client, connecting):
+        yield connecting
+        accepted = yield accepting
+        accepted = accepted[0] if isinstance(accepted, tuple) else accepted
+        client.send(payload)
+        client.send(payload)
+        client.send(payload)
+        whole = yield accepted.recv_exact(len(payload), gather=True)
+        spanning = yield accepted.recv_exact(len(payload) + 3, gather=True)
+        flat = yield accepted.recv_exact(len(payload) - 3)
+        return whole, spanning, flat
+
+    vio_client = Vio(n0.vlink).socket()
+    wrap_client = SysWrap(n0.vlink).socket()
+    for accepting, client, connecting in (
+        (vio_server.accept(), vio_client, vio_client.connect(n1.host, 5150)),
+        (wrap_server.accept(), wrap_client, wrap_client.connect((n1.host.name, 5250))),
+    ):
+        whole, spanning, flat = run(fw, scenario(accepting, client, connecting))
+        assert whole is payload
+        assert type(spanning) is Gather and bytes(spanning) == payload + payload[:3]
+        assert spanning.parts[0] is payload and spanning.parts[1].obj is payload
+        assert type(flat) is bytes and flat == payload[3:]
 
 
 def test_syswrap_forced_method_pins_driver(cluster):

@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tests.helpers import chop
+
 from repro.simnet.cost import Cost, combine_bandwidths, required_copy_bandwidth, split_even
 from repro.simnet.engine import Simulator
 from repro.madeleine.message import PackMode, decode_segments, encode_segments
@@ -15,6 +17,7 @@ from repro.middleware.corba.cdr import (
     StructTC,
     TC_BOOLEAN,
     TC_DOUBLE,
+    TC_DOUBLE_SEQ,
     TC_LONG,
     TC_OCTET_SEQ,
     TC_STRING,
@@ -111,6 +114,7 @@ def test_stream_buffer_preserves_byte_order(chunks, read_sizes):
 
 _sample_struct = StructTC("S", [("id", TC_LONG), ("name", TC_STRING), ("flag", TC_BOOLEAN)])
 _sample_seq = SequenceTC(TC_DOUBLE)
+_cuts = st.lists(st.integers(min_value=0, max_value=1500), max_size=8)
 
 
 @COMMON
@@ -118,20 +122,30 @@ _sample_seq = SequenceTC(TC_DOUBLE)
        st.floats(allow_nan=False, allow_infinity=False, width=64),
        st.text(max_size=100),
        st.binary(max_size=1000),
-       st.booleans())
-def test_cdr_primitives_roundtrip(i, d, s, raw, b):
+       st.booleans(),
+       _cuts)
+def test_cdr_primitives_roundtrip(i, d, s, raw, b, cuts):
     out = CdrOutputStream()
+    TC_OCTET_SEQ.encode(out, b"x")  # misaligns everything after it
     TC_LONG.encode(out, i)
     TC_DOUBLE.encode(out, d)
     TC_STRING.encode(out, s)
     TC_OCTET_SEQ.encode(out, raw)
     TC_BOOLEAN.encode(out, b)
-    inp = CdrInputStream(out.getvalue())
-    assert TC_LONG.decode(inp) == i
-    assert TC_DOUBLE.decode(inp) == d
-    assert TC_STRING.decode(inp) == s
-    assert TC_OCTET_SEQ.decode(inp) == raw
-    assert TC_BOOLEAN.decode(inp) == b
+    TC_DOUBLE_SEQ.encode(out, [d, -d])
+    wire = out.getvalue()
+    # by reference, as one flat image, and as that image cut anywhere
+    for data in (wire, bytes(wire), memoryview(bytes(wire)), chop(bytes(wire), cuts)):
+        inp = CdrInputStream(data)
+        assert TC_OCTET_SEQ.decode(inp) == b"x"
+        assert TC_LONG.decode(inp) == i
+        assert TC_DOUBLE.decode(inp) == d
+        assert TC_STRING.decode(inp) == s
+        octets = TC_OCTET_SEQ.decode(inp)
+        assert type(octets) is bytes and octets == raw
+        assert TC_BOOLEAN.decode(inp) == b
+        assert TC_DOUBLE_SEQ.decode(inp).tolist() == [d, -d]
+        assert inp.remaining == 0
 
 
 @COMMON
@@ -165,12 +179,18 @@ def test_cdr_double_sequence_roundtrip(values):
        st.binary(min_size=1, max_size=64),
        st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126),
                min_size=1, max_size=30),
-       st.binary(max_size=4096))
-def test_giop_request_roundtrip(request_id, key, operation, body):
+       st.binary(max_size=4096),
+       _cuts)
+def test_giop_request_roundtrip(request_id, key, operation, body, cuts):
     msg = make_request(request_id, key, operation, body)
     wire = bytes(msg.encode())
     decoded = GiopMessage.decode(wire[:12], wire[12:])
     assert (decoded.request_id, decoded.object_key, decoded.operation, decoded.body) == (
+        request_id, key, operation, body,
+    )
+    # the payload as a gathered read hands it over: cut anywhere, prefix included
+    decoded = GiopMessage.decode(wire[:12], chop(wire[12:], cuts))
+    assert (decoded.request_id, decoded.object_key, decoded.operation, bytes(decoded.body)) == (
         request_id, key, operation, body,
     )
 

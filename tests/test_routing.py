@@ -14,6 +14,7 @@ from repro.abstraction import (
     TopologyKB,
 )
 from repro.core import PadicoFramework, paper_cluster, paper_wan_pair
+from repro.simnet.buffers import Gather
 from repro.simnet.networks import Ethernet100, Myrinet2000, WanVthd
 
 
@@ -298,6 +299,40 @@ def test_relay_preserves_byte_order_across_chunk_sizes():
 
     data = run(fw, scenario(), max_time=600)
     assert data == big + small  # order preserved through the relay
+
+
+def test_relay_forwards_a_burst_as_the_chunks_it_arrived_in():
+    """A store-and-forward hop only forwards: what it read goes on as one
+    gather write of the same objects, never joined at the gateway."""
+    fw = PadicoFramework()
+    a, g, b = fw.add_host("edge"), fw.add_host("gw"), fw.add_host("remote")
+    myri = fw.add_network(Myrinet2000(fw.sim, "san"))
+    wan = fw.add_network(WanVthd(fw.sim, "wan"))
+    myri.connect(a), myri.connect(g)
+    wan.connect(g), wan.connect(b)
+    fw.boot()
+    listener = fw.node("remote").vlink_listen(5501)
+    relay = fw.node("gw").gateway_relay
+    header, big = b"frame-header", bytes(range(256)) * 2000
+    forwarded = []
+
+    def scenario():
+        accept_op = listener.accept()
+        client = yield fw.node("edge").vlink_connect(fw.node("remote"), 5501)
+        server = yield accept_op
+        downstream = relay.sessions()[0].downstream.conn
+        write = downstream.write
+        downstream.write = lambda data, done=None: (forwarded.append(data), write(data, done))[1]
+        for _ in range(3):
+            client.write(Gather((header, big)))
+        return (yield server.read(3 * (len(header) + len(big))))
+
+    assert run(fw, scenario(), max_time=600) == (header + big) * 3
+    parts = [part for data in forwarded for part in getattr(data, "parts", (data,))]
+    assert sum(map(len, parts)) == relay.bytes_forwarded == 3 * (len(header) + len(big))
+    assert [part for part in parts if len(part) >= len(big)] == [big] * 3
+    assert all(part is big for part in parts if len(part) >= len(big))
+    assert relay.relayed == 1
 
 
 def test_madio_vlink_stream_order_with_mixed_sizes(cluster):
