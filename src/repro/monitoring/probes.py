@@ -172,8 +172,16 @@ class ActivePingProbe:
         if self.src is not None and self.dst is not None:
             alive = network.link_alive(self.src, self.dst)
         else:
-            live_members = [h for h in network.hosts() if h.up]
-            alive = network.up and len(live_members) >= 2
+            # are two attached hosts up?  (asked on every tick: no copies of
+            # the membership, and the count stops at the second)
+            live = 0
+            if network.up:
+                for host in network.nics:
+                    if host.up:
+                        live += 1
+                        if live == 2:
+                            break
+            alive = live == 2
         # two one-way crossings; each MTU-sized leg faces the loss rate once
         dropped = not alive or (
             network.loss_rate > 0.0

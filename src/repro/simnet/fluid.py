@@ -8,8 +8,13 @@ For flows whose conditions are stable — no loss draws, link parameters
 unchanged, no churn on the path — every one of those rounds is fully
 determined in advance, *including* the rounds of flows that share a sending
 NIC: contention in this model is the per-NIC ``reserve_tx`` queue, and the
-order in which the senders reach it is itself deterministic.  This module
-detects that stability per connection and advances such flows analytically.
+order in which the senders reach it is itself deterministic.  That
+stability is provable, not something to observe first: the one thing
+nobody can compute ahead is a loss draw, and a link with ``loss_rate == 0``
+makes none (``_draw_losses`` does not touch the RNG there).  So an eligible
+flow is fluid from its first byte — the controller takes the pump over when
+the send queue first fills — and this module advances it analytically, its
+slow start included.
 
 Two fluid tiers, chosen per pump:
 
@@ -22,20 +27,36 @@ Two fluid tiers, chosen per pump:
     *float-identical* to the packet model.  Works at any loss rate and any
     contention: the loss draw happens first, and a positive draw hands the
     already-drawn round back to the packet path (the RNG stream never
-    forks).
+    forks) — that round only: the flow stays fluid-active, so on a lossy
+    link every round without a drawn loss is a step.
 
 ``epoch``
     the closed-form tier, one plan per *sending NIC* (:class:`_NicPlan`)
     over the k >= 1 flows that are sending through it.  Preconditions,
     checked by the flow whose pump fires: the link is loss-free, and
-    *every* active sender on the NIC is fluid-active, eligible, has its
-    window pinned at the receiver cap and has more than one window queued.
+    *every* active sender on the NIC is fluid-active, eligible and has more
+    than one of its own windows queued — wherever that window stands: a
+    plan carries the window recurrence next to the timing recurrence.
     Then the pending ``_pump`` timers of the co-senders are cancelled and
     all k flows' rounds are laid out in one pass — per-round NIC
     reservations, completion times and the byte ledger are computed
     analytically, up to ``FluidPolicy.max_epoch_rounds`` rounds *per flow*
     — and committed immediately: one batched delivery and one trailing
-    pump per flow instead of three timers per burst.
+    pump per flow instead of three timers per burst.  An awaited write of a
+    few slow-start windows (32 KB at the initial window: 4 rounds) is one
+    short plan.
+
+    *Window.*  Each member's share of the plan starts from the flow's
+    ``cwnd``.  While that is below the receiver cap a turn lays out one
+    round of ``min(cwnd, queued)`` bytes and grows the share's window by
+    the zero-loss rule of the packet model — ``TcpConnection._update_window``
+    itself, the one copy packet round, step round and plan all apply: slow
+    start adds what the round delivered, congestion avoidance one segment,
+    clamped to ``[min_cwnd, receive_window]``; ``ssthresh`` only moves on a
+    loss.  Once it is pinned at the cap a turn takes a run-length-encoded
+    stretch of full windows.  Laying a round out grows the connection's own
+    window (a plan is committed as it is laid out); a cut re-derives it
+    from the committed prefix.
 
     *Merge order.*  Each flow obeys the packet pump's recurrence
     ``t' = t + max(rtt, ser, tx_free - t)`` with
@@ -60,20 +81,28 @@ Two fluid tiers, chosen per pump:
     return to the send queue, completions are cancelled, counters, NIC
     occupancy and synthesized observations rewind — and each member's pump
     is rescheduled at the precise virtual time the packet model would have
-    pumped next, in merge order.  Only churn drops the members back to
-    packet mode; a re-cut for a joiner or a foreign frame leaves them
-    fluid-active, so they do not requalify ``stable_rounds`` packet rounds.
-    A member draining cuts nothing — its exit is part of the layout; the
-    flows it leaves behind on the NIC log it (``flow-leave``) and carry on.
+    pumped next, in merge order, with the window its committed rounds had
+    grown.  Only churn deactivates the members (each re-activates at its
+    next pump, under whatever holds then); a re-cut for a joiner or a
+    foreign frame leaves them fluid-active.  A member draining cuts nothing
+    — its exit is part of the layout; the flows it leaves behind on the NIC
+    log it (``flow-leave``) and carry on.
 
 Fidelity contract (what "hybrid" guarantees vs pure packet mode):
 
 * delivered byte counts are exactly equal, always;
-* virtual completion times are float-identical for step rounds and for
-  epochs that run to completion, at any number of flows per NIC; an epoch
-  interrupted by a cut delivers each member's committed prefix at the
-  committed rounds' ready time (bytes exact, intermediate availability
-  batched at epoch granularity);
+* virtual completion times — of every send, and of every read that takes
+  in a whole plan's worth — are float-identical for step rounds and for
+  epochs that run to completion, at any number of flows per NIC, and so is
+  the congestion window they leave behind;
+* intermediate availability is batched at epoch granularity, from a flow's
+  first round on: the bytes of a planned stretch become readable together,
+  at the ready time of its last round (an epoch interrupted by a cut
+  delivers each member's committed prefix at the committed rounds' ready
+  time).  Bytes exact, and a reader that waits for the whole stretch
+  cannot tell; one that takes what is there — a ``recv`` on a planned
+  32 KB send — sees it arrive at once where the packet model trickles it
+  in round by round (``tests/test_fluid.py`` pins exactly that);
 * a batch never hides bytes from a close, whichever end closes: when
   something the flow sent later reaches the peer ahead of the batch's last
   rounds (the latency dropped while they were in flight, and a FIN follows
@@ -90,9 +119,11 @@ Fidelity contract (what "hybrid" guarantees vs pure packet mode):
 
 Known, documented divergences: ``Frame`` objects are not constructed (the
 frame-id counter is still advanced to keep ids aligned for later frames),
-per-burst observation timestamps collapse to the flush time, and a flow
-whose endpoints live in different partitions never fluidizes (all fluid
-bookkeeping is shard-local by construction).
+per-burst observation timestamps collapse to the flush time on a loss-free
+link (where every sample is the same sample; on a lossy one a step round
+reports at once, so flows sharing an estimator feed it in packet order),
+and a flow whose endpoints live in different partitions never fluidizes
+(all fluid bookkeeping is shard-local by construction).
 """
 
 from __future__ import annotations
@@ -111,8 +142,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FluidPolicy:
     """Tunable thresholds of the fidelity controller."""
 
-    #: consecutive zero-loss packet rounds before a flow may fluidize.
-    stable_rounds: int = 8
     #: upper bound on rounds collapsed into a single epoch plan.
     max_epoch_rounds: int = 64
     #: flush synthesized tcp-burst observations every N accumulated bursts
@@ -171,8 +200,8 @@ class LinkRateLedger:
             return
         active[conn] = None
         # the NIC's plan did not count on this flow: re-cut it.  The
-        # incumbents stay fluid-active (the step tier is exact under any
-        # contention) and re-plan with the joiner once it qualifies.
+        # incumbents stay fluid-active and re-plan with the joiner at the
+        # next pump on the NIC.
         plan = self.network.nic_of(conn.host)._fluid_holder
         if plan is not None:
             plan.cut("flow-join")
@@ -251,6 +280,13 @@ def _detached(peer) -> bool:
     return peer.stack._connections.get(peer.conn_id) is not peer
 
 
+def _burst(parts: List[memoryview]) -> memoryview:
+    """One round's payload, as ``TcpConnection._packet_round`` hands it to
+    the receiver: the slice itself, or a read-only view of the join when
+    the round spans several send-queue entries."""
+    return parts[0] if len(parts) == 1 else memoryview(b"".join(parts))
+
+
 def _pump_seq(ctl: "FluidController") -> int:
     return ctl.conn._pump_handle.seq
 
@@ -265,7 +301,7 @@ class _Share:
     """
 
     __slots__ = (
-        "ctl", "conn", "peer", "rc_window", "t0", "rx_ready0", "t", "t_last",
+        "ctl", "conn", "peer", "rc_window", "t0", "rx_ready0", "cwnd0", "t", "t_last",
         "rx_ready", "end", "runs", "parts", "tail", "nbytes", "nrounds", "completions",
         "drained", "deliver_handle", "cursor", "left",
     )
@@ -284,6 +320,10 @@ class _Share:
         #: recurrence state when the plan was laid out, for bit-exact replay
         self.t0 = self.t = self.t_last = t0
         self.rx_ready0 = self.rx_ready = peer._last_rx_ready
+        #: the congestion window the plan found; laying a round out grows
+        #: the connection's own, and a cut re-derives it over the committed
+        #: prefix from here
+        self.cwnd0 = ctl.conn.cwnd
         #: pump time (``t_last``) and wire end of the last laid-out round
         self.end = 0.0
         #: run-length encoded rounds: [count, nbytes, ser, rc, npkts] per run
@@ -361,12 +401,13 @@ class _NicPlan:
     per flow, in closed form, for the flow whose pump fired and every
     co-sender on its NIC.  Preconditions (checked by
     :meth:`FluidController.pump`): zero loss rate and every active sender
-    on the NIC fluid-active, eligible and window-pinned with more than a
-    window queued.  Under those, every round's timing is the deterministic
-    recurrence of :func:`_advance`, merged over the flows in the engine's
-    own order (see the module docstring) — exactly the pumps the packet
-    model would run — so the plan is committed up-front and only *cut* if
-    something arrives mid-plan.
+    on the NIC fluid-active and eligible with more than one of its own
+    windows queued.  Under those, every round's timing is the deterministic
+    recurrence of :func:`_advance` and every round's size the zero-loss
+    window recurrence (``TcpConnection._update_window``), merged over the flows in
+    the engine's own order (see the module docstring) — exactly the pumps
+    the packet model would run — so the plan is committed up-front and only
+    *cut* if something arrives mid-plan.
 
     The plan holds the NIC until the first member pumps again (its trailing
     pump: by then every round is committed) or until something cuts it,
@@ -380,8 +421,7 @@ class _NicPlan:
                  "rtt", "latency", "last_pump", "ncommitted", "window", "cap", "w_ser",
                  "w_npkts")
 
-    def __init__(self, ctl: "FluidController", others: List["FluidController"],
-                 window: int) -> None:
+    def __init__(self, ctl: "FluidController", others: List["FluidController"]) -> None:
         conn = ctl.conn
         net = self.net = conn.network
         nic = self.nic = ctl._nic
@@ -393,10 +433,12 @@ class _NicPlan:
         self.tx_free0 = self.tx_free = nic._tx_free_at
         self.rtt = conn.rtt
         self.latency = net.latency
-        # constants of the uniform (full-window) rounds, computed with the
+        # constants of the uniform rounds (a full receive window, what a
+        # flow sends once its congestion window is pinned at that cap; one
+        # host, one stack: the members share it), computed with the
         # identical expressions the per-round path uses so the produced
         # floats match bit-for-bit
-        self.window = window
+        window = self.window = conn.stack.model.receive_window
         self.cap = ctl.policy.max_epoch_rounds
         self.w_ser = net.serialization_time(window)
         self.w_npkts = net.packets_for(window)
@@ -413,13 +455,7 @@ class _NicPlan:
 
     def _commit(self, ctl: "FluidController", laid_out: List[_Share],
                 unfinished: List[_Share]) -> None:
-        """Charge the laid-out rounds and schedule their few timers.
-
-        NOTE: no per-round `_update_window` calls — the preconditions pin
-        ``cwnd == receive_window`` (zero loss leaves ssthresh untouched and
-        the additive increase is clamped straight back to the cap), so the
-        packet model's window state is provably unchanged by these rounds.
-        """
+        """Charge the laid-out rounds and schedule their few timers."""
         net = self.net
         nic = self.nic
         sim = self.sim
@@ -521,24 +557,35 @@ class _NicPlan:
         return order
 
     def _lay_out(self, share: _Share, bound: float) -> Optional[bool]:
-        """Planning turn: consume ``share``'s send queue into rounds."""
-        window = self.window
+        """Planning turn: consume ``share``'s send queue into rounds, each
+        as large as the flow's window has grown by then."""
+        conn = share.conn
+        pinned = conn.cwnd >= self.window
+        window = self.window if pinned else conn.cwnd
         room = self.cap - share.nrounds
-        sendq = share.conn._sendq
+        sendq = conn._sendq
         entry = sendq[0]
         view, offset = entry[0], entry[1]
         navail = len(view) - offset
         if navail > window:
-            # Uniform stretch: full windows off the head entry, no send
-            # completes — the dominant shape of a bulk transfer.  One run
-            # descriptor and (while the flow keeps the NIC) one payload
-            # view cover all of them; only the timing recurrence runs per
-            # round.  At least one byte stays on the entry so its
-            # completion round takes the slow path.
-            k = (navail - 1) // window
-            rc = share.rc_window
-            n = _advance(self, share, k if k < room else room, bound, window, self.w_ser, rc,
-                         self.w_npkts, None)
+            # Whole windows off the head entry, no send completes.  With the
+            # window pinned at the receiver cap — the dominant shape of a
+            # bulk transfer — that is a uniform stretch: one run descriptor
+            # covers all its rounds and only the timing recurrence runs per
+            # round.  A window still growing is one round, and the next turn
+            # sees it grown.  Either way one payload view covers what the
+            # flow takes off the entry in consecutive turns.  At least one
+            # byte stays on the entry so its completion round takes the
+            # slow path.
+            if pinned:
+                k = (navail - 1) // window
+                if k > room:
+                    k = room
+                ser, rc, npkts = self.w_ser, share.rc_window, self.w_npkts
+            else:
+                k = 1
+                ser, rc, npkts = self._round_costs(share, window)
+            n = _advance(self, share, k, bound, window, ser, rc, npkts, None)
             stop = offset + n * window
             entry[1] = stop
             tail = share.tail
@@ -552,29 +599,30 @@ class _NicPlan:
             if runs and runs[-1][1] == window:
                 runs[-1][0] += n
             else:
-                runs.append([n, window, self.w_ser, rc, self.w_npkts])
+                runs.append([n, window, ser, rc, npkts])
             share.nrounds += n
             share.nbytes += n * window
-            # a uniform stretch never drains the queue; a flow at its round
-            # cap ends the plan (every round laid out so far runs before
-            # any member's next pump, so the earliest trailing pump finds
-            # the plan fully committed, and cuts the next)
+            if pinned:
+                conn.cwnd = window  # its growth is clamped straight back
+            else:
+                conn._update_window(0, window)
+            # such a turn never drains the queue; a flow at its round cap
+            # ends the plan (every round laid out so far runs before any
+            # member's next pump, so the earliest trailing pump finds the
+            # plan fully committed, and cuts the next)
             return True if n < room else None
         # the rest of the head entry fits in a window: one ordinary round
-        parts, attempted, retired = share.conn._gather_window(window)
+        parts, attempted, retired = conn._gather_window(window)
         end_off = share.nbytes
         if attempted:
-            net = self.net
-            cpu = share.peer.host.cpu
-            rc = cpu.syscall_overhead + attempted / cpu.memcpy_bandwidth
-            ser = net.serialization_time(attempted)
-            npkts = net.packets_for(attempted)
+            ser, rc, npkts = self._round_costs(share, attempted)
             _advance(self, share, 1, bound, attempted, ser, rc, npkts, None)
             share.parts.extend(parts)
             share.tail = None
             share.runs.append([1, attempted, ser, rc, npkts])
             share.nrounds += 1
             share.nbytes += attempted
+            conn._update_window(0, attempted)
         # a send completes at the arrival of the round carrying its last
         # byte — this one (or, for empty sends trailing the queue, the
         # round before).  retired[i] pairs with parts[i] (the gather only
@@ -590,6 +638,16 @@ class _NicPlan:
             share.drained = True
             return False
         return True if room > 1 else None
+
+    def _round_costs(self, share: _Share, nbytes: int) -> Tuple[float, float, int]:
+        """``(ser, rc, npkts)`` of one round of ``nbytes``: wire time,
+        receive-side kernel crossing + copy (in the float order of
+        ``Delivery.cost``: 0.0 + syscall + copy), packet count."""
+        net = self.net
+        cpu = share.peer.host.cpu
+        return (net.serialization_time(nbytes),
+                cpu.syscall_overhead + nbytes / cpu.memcpy_bandwidth,
+                net.packets_for(nbytes))
 
     def materialize(self) -> List[tuple]:
         """Replay the plan into per-round timing tuples, in merge order.
@@ -765,28 +823,30 @@ class _NicPlan:
             if rnd[R_ARRIVAL] > now:
                 parts = ctl._slice_parts(share.parts, offset, offset + rnd[R_NBYTES])
                 offset += rnd[R_NBYTES]
-                sim.call_at(rnd[R_ARRIVAL], ctl._step_deliver, peer,
-                            parts[0] if len(parts) == 1 else b"".join(parts), rnd[R_RC])
+                sim.call_at(rnd[R_ARRIVAL], ctl._step_deliver, peer, _burst(parts), rnd[R_RC])
 
 
 class FluidController:
     """Per-connection fidelity controller (owned by ``TcpConnection``).
 
-    The controller rides the packet pump as a pure observer until
-    ``FluidPolicy.stable_rounds`` consecutive zero-loss rounds accumulate
-    and the flow is eligible, then takes over the pump.  An invalidation
-    (churn, a loss draw, changed conditions) drops it back to observer mode
-    and restarts the stability count; a mere re-cut of its NIC's plan (a
-    flow joining, a foreign frame) does not, and neither does a co-sender
-    leaving the NIC (which does not even cut).  ``invalidations`` logs all
-    three: every change to what the flow's fluid state was computed under.
+    The controller takes the pump over as soon as the flow is eligible —
+    when its send queue first fills, before any pump on its NIC looks at
+    it — and keeps it for as long as it stays so: nothing has to be
+    observed first, because every round a fluid tier runs is one the packet
+    model is proven to run identically (a loss draw, the one thing nobody
+    can compute ahead, is made first and hands its round to the packet
+    path).  Churn and changed conditions deactivate the flow, and its next
+    pump re-activates it under whatever holds then; a mere re-cut of its
+    NIC's plan (a flow joining, a foreign frame) does not, and neither does
+    a co-sender leaving the NIC (which does not even cut).
+    ``invalidations`` logs all of them, and the loss draws: every change to
+    what the flow's fluid state was computed under.
     """
 
     def __init__(self, conn, policy: Optional[FluidPolicy] = None) -> None:
         self.conn = conn
         self.policy = policy or FluidPolicy()
         self.active = False
-        self._stable = 0
         self._joined = False
         self._ledger: Optional[LinkRateLedger] = None
         self._nic = None
@@ -814,12 +874,16 @@ class FluidController:
 
     # -- lifecycle hooks called by TcpConnection ----------------------------
     def on_join(self) -> None:
-        """The send queue went non-empty: register NIC contention."""
+        """The send queue went non-empty: register NIC contention, and take
+        the pump over — here, so that a co-sender pumping before this flow's
+        first pump already plans with it."""
         if not self._joined:
             self._joined = True
             self._ledger = ledger_for(self.conn.network)
             self._nic = self.conn.network.nic_of(self.conn.host)
             self._ledger.join(self.conn)
+        if not self.active and self._eligible():
+            self._activate()
 
     def on_send(self) -> None:
         """More data is about to be queued behind a pumping flow.
@@ -862,23 +926,13 @@ class FluidController:
             self._joined = False
             self._ledger.leave(self.conn)
 
-    def note_packet_round(self, lost_pkts: int) -> None:
-        """Observe a packet-mode round; activate after a stable streak."""
-        if lost_pkts > 0:
-            self._stable = 0
-            return
-        self._stable += 1
-        if (
-            not self.active
-            and self._stable >= self.policy.stable_rounds
-            and self._eligible()
-        ):
-            self.active = True
-            self.activations += 1
-            ledger_for(self.conn.network).register_fluid(self)
-            tele = self.conn.stack.telemetry
-            if tele is not None:
-                tele.emit("fluid.activate", flow=self.conn.flow_id)
+    def _activate(self) -> None:
+        self.active = True
+        self.activations += 1
+        self._ledger.register_fluid(self)
+        tele = self.conn.stack.telemetry
+        if tele is not None:
+            tele.emit("fluid.activate", flow=self.conn.flow_id)
 
     # -- eligibility ---------------------------------------------------------
     def _resolve_peer(self):
@@ -928,7 +982,6 @@ class FluidController:
             tele = self.conn.stack.telemetry
             if tele is not None:
                 tele.emit("fluid.invalidate", flow=self.conn.flow_id, reason=reason)
-        self._stable = 0
         self._flush_observations()
 
     # -- the pump ------------------------------------------------------------
@@ -940,36 +993,32 @@ class FluidController:
             # planned round is committed.  Close the plan out (for all its
             # members) and continue from a clean state.
             plan.cut()
-        if not self.active:
-            return False
         if not self._eligible():
             self._deactivate("conditions-changed")
             return False
+        if not self.active:
+            self._activate()
         conn = self.conn
         window = min(conn.cwnd, conn.stack.model.receive_window)
-        if conn.network.loss_rate <= 0.0 and self._plannable(window):
+        if conn.network.loss_rate <= 0.0 and self._plannable():
             others = []
             for other in self._ledger.co_senders(conn):
                 ctl = other._fluid
-                if not (ctl.active and ctl._eligible() and ctl._plannable(window)):
+                if not (ctl.active and ctl._eligible() and ctl._plannable()):
                     return self._step_round(window)
                 others.append(ctl)
-            _NicPlan(self, others, window)
+            _NicPlan(self, others)
             return True
         return self._step_round(window)
 
-    def _plannable(self, window: int) -> bool:
-        """Window pinned at the receiver cap and more than one window queued
-        (epochs collapse multiple rounds; a window or less is a single step
-        anyway)."""
-        return self.conn.cwnd >= self.conn.stack.model.receive_window and self._queued_beyond(
-            window
-        )
-
-    def _queued_beyond(self, window: int) -> bool:
-        """True when more than one full window is queued."""
+    def _plannable(self) -> bool:
+        """More than one of the flow's own windows is queued, wherever that
+        window stands (a plan collapses several rounds; a window or less is
+        a single step anyway)."""
+        conn = self.conn
+        window = min(conn.cwnd, conn.stack.model.receive_window)
         queued = 0
-        for entry in self.conn._sendq:
+        for entry in conn._sendq:
             queued += len(entry[0]) - entry[1]
             if queued > window:
                 return True
@@ -986,8 +1035,10 @@ class FluidController:
         lost_pkts = conn._draw_losses(npkts)
         if lost_pkts > 0 or attempted == 0:
             # hand the round — with its already-consumed loss draw — back to
-            # the packet path so the fallback round is packet-exact.
-            self._deactivate("loss-draw" if lost_pkts else "empty-window")
+            # the packet path so the fallback round is packet-exact (its
+            # observation must follow the ones batched so far).
+            self.invalidations.append((sim.now, "loss-draw" if lost_pkts else "empty-window"))
+            self._flush_observations()
             conn._packet_round(parts, attempted, finishing, npkts, lost_pkts)
             return True
         self.fluid_rounds += 1
@@ -1016,7 +1067,7 @@ class FluidController:
             )
         # views over the (immutable) queued send buffers ride to the peer's
         # receive ring by reference; no per-burst payload is materialised.
-        payload = parts[0] if len(parts) == 1 else b"".join(parts)
+        payload = _burst(parts)
         conn.bytes_sent += attempted
 
         # wire accounting the packet path would have done via Frame/transmit
@@ -1192,9 +1243,15 @@ class FluidController:
         undone_bytes = share.nbytes - cut
         undone_rounds = len(uncommitted)
 
-        # sender-side ledger rewind
+        # sender-side ledger rewind; the window is what the committed
+        # rounds grew it to
         conn.bytes_sent -= undone_bytes
         conn.rounds -= undone_rounds
+        self.epoch_rounds -= undone_rounds
+        self.fluid_rounds -= undone_rounds
+        conn.cwnd = share.cwnd0
+        for rnd in committed:
+            conn._update_window(0, rnd[R_NBYTES])
         net.frames_sent -= undone_rounds
         net.bytes_carried -= undone_bytes
         nic.tx_frames -= undone_rounds
@@ -1239,14 +1296,19 @@ class FluidController:
 
     # -- synthesized observations ---------------------------------------------
     def _note_burst(self, npkts: int, nbytes: int) -> None:
+        net = self.conn.network
         if self._obs_bursts == 0:
-            net = self.conn.network
             self._obs_latency = net.latency
             self._obs_bandwidth = net.bandwidth
         self._obs_bursts += 1
         self._obs_npkts += npkts
         self._obs_nbytes += nbytes
-        if self._obs_bursts >= self.policy.observation_batch and self._share is None:
+        # only equal samples may wait: on a lossy link another flow's drawn
+        # round can come in between, and a windowed loss estimate depends on
+        # the order its samples arrive in
+        if self._share is None and (
+            self._obs_bursts >= self.policy.observation_batch or net.loss_rate > 0.0
+        ):
             self._flush_observations()
 
     def _flush_observations(self) -> None:

@@ -403,8 +403,8 @@ class TcpConnection(BufferedConnection):
         self.bytes_received = 0
         self.retransmitted_bytes = 0
         self.rounds = 0
-        # fidelity controller (hybrid mode only): observes packet rounds,
-        # takes over the pump for provably-stable stretches of the flow.
+        # fidelity controller (hybrid mode only): takes over the pump for
+        # as long as the flow is eligible.
         policy = stack.fluid_policy
         self._fluid = FluidController(self, policy) if policy is not None else None
         # receive-side cursor serializing segment appends: a later smaller
@@ -491,10 +491,7 @@ class TcpConnection(BufferedConnection):
         window = min(self.cwnd, self.stack.model.receive_window)
         parts, attempted, finishing = self._gather_window(window)
         npkts = self.network.packets_for(attempted)
-        lost_pkts = self._draw_losses(npkts)
-        self._packet_round(parts, attempted, finishing, npkts, lost_pkts)
-        if fluid is not None:
-            fluid.note_packet_round(lost_pkts)
+        self._packet_round(parts, attempted, finishing, npkts, self._draw_losses(npkts))
 
     def _gather_window(self, window: int):
         """Take up to one window of bytes off the send queue head.
@@ -635,6 +632,9 @@ class TcpConnection(BufferedConnection):
         return lost
 
     def _update_window(self, lost_pkts: int, delivered: int) -> None:
+        """The window recurrence, its one copy: the packet round and the
+        fluid step apply it as they run, a fluid plan round by laid-out
+        round (loss-free, which leaves ``ssthresh`` alone)."""
         mss = self.network.mtu
         if lost_pkts > 0:
             self.ssthresh = max(self.cwnd // 2, 2 * mss)

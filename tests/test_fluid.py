@@ -10,6 +10,7 @@ controller's introspection counters.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -93,7 +94,9 @@ def run_scenario(
     ``flows`` lists the senders (see :func:`flow`), on host ``a`` unless
     they say otherwise, so they share its NIC; the default is the single ``nbytes`` transfer
     (``chunk``: awaited sends of that size), plus ``second=(at, nbytes)``
-    for a competitor.  Returns a dict with, per flow (``out["flows"][i]``),
+    for a competitor.  ``reader`` is how the receivers read: ``"drain"`` (one
+    exact read of everything), ``"trickle"`` (whatever is there, read by
+    read) or ``"none"``.  Returns a dict with, per flow (``out["flows"][i]``),
     the receive-completion and send-completion instants, both endpoints and
     the fluid controller (it carries the introspection counters) — flow 0
     and 1 also under their historical keys — and, when requested, the
@@ -160,6 +163,13 @@ def run_scenario(
         expected = b"".join(
             bytes([(spec["fill"] + j) % 256]) * n for j, n in enumerate(spec["sizes"])
         )
+        if reader == "trickle":
+            # take whatever is there, as it comes: ``(when, nbytes)`` per read
+            reads = res["reads"] = []
+            while sum(n for _at, n in reads) < len(expected):
+                data = yield conn.recv()
+                reads.append((sim.now, len(data)))
+            return
         try:
             data = bytes((yield conn.recv_exact(len(expected))))
         except TcpError:
@@ -203,6 +213,8 @@ def _assert_equivalent(packet, hybrid):
     assert hybrid["t1"] == packet["t1"]
     assert hybrid["conn"].bytes_sent == packet["conn"].bytes_sent
     assert hybrid["conn"].rounds == packet["conn"].rounds
+    assert hybrid["conn"].cwnd == packet["conn"].cwnd
+    assert hybrid["conn"].ssthresh == packet["conn"].ssthresh
     assert hybrid["peer"].bytes_received == packet["peer"].bytes_received
 
 
@@ -231,6 +243,8 @@ def _assert_flows_equivalent(packet, hybrid, planned=()):
         assert hf["done"] == pf["done"], idx
         assert hf["conn"].bytes_sent == pf["conn"].bytes_sent, idx
         assert hf["conn"].rounds == pf["conn"].rounds, idx
+        assert hf["conn"].cwnd == pf["conn"].cwnd, idx
+        assert hf["conn"].ssthresh == pf["conn"].ssthresh, idx
         assert hf["peer"].bytes_received == pf["peer"].bytes_received, idx
     assert hybrid["tx_free_at"] == packet["tx_free_at"]
     assert hybrid["net"].drop_log == packet["net"].drop_log
@@ -250,15 +264,19 @@ def test_hybrid_lan_transfer_is_float_identical(chunk):
     _assert_equivalent(packet, hybrid)
     _assert_probe_equivalent(packet, hybrid)
     fl = hybrid["fluid"]
-    assert fl.activations >= 1
-    assert fl.fluid_rounds > 0
+    # fluid from the first byte: one activation, and not one packet round
+    assert fl.activations == 1
+    assert fl.fluid_rounds == hybrid["conn"].rounds
     if chunk is None:
-        # a lossless sole-sender bulk flow must reach the closed-form tier
-        assert fl.epochs >= 1
+        # a lossless sole-sender bulk flow rides the closed-form tier alone
+        assert fl.epoch_rounds == fl.fluid_rounds
     else:
-        # awaited 64 KiB sends never queue more than one window: the flow
-        # stays in the step tier
-        assert fl.epochs == 0
+        # the first awaited 64 KiB send queues more than one *slow-start*
+        # window and is one plan: 2, 4, 8, 16 segments and the 20536 bytes
+        # left.  That leaves cwnd at 68536, and from then on a send never
+        # queues more than one window: 63 step rounds
+        assert (fl.epochs, fl.epoch_rounds) == (1, 5)
+        assert fl.fluid_rounds == 5 + 63
 
 
 def test_fluid_collapses_event_count():
@@ -279,24 +297,39 @@ def test_fluid_collapses_event_count():
 
 
 def test_loss_draw_falls_back_to_packet_and_matches():
-    """On a lossy WAN the flow fluidizes in step tier, and the first
-    positive loss draw hands the round back to the packet path with the
-    draw already consumed — the RNG stream, and everything downstream,
-    stays identical to the pure packet run."""
+    """On a lossy WAN the flow rides the step tier, and every positive loss
+    draw hands its round back to the packet path with the draw already
+    consumed — the RNG stream, and everything downstream, stays identical
+    to the pure packet run."""
     packet = run_scenario("packet", net_cls=WanVthd, nbytes=16 * MIB, probe=True)
     hybrid = run_scenario("hybrid", net_cls=WanVthd, nbytes=16 * MIB, probe=True)
     _assert_equivalent(packet, hybrid)
     _assert_probe_equivalent(packet, hybrid)
     fl = hybrid["fluid"]
-    assert fl.fluid_rounds > 0
-    assert "loss-draw" in _reasons(fl)
-    # after the fallback the stability streak rebuilds and the flow
-    # re-fluidizes (16 MiB leaves plenty of rounds)
-    assert fl.activations >= 2
+    # the drawn rounds, and only they, ran on the packet path: the flow
+    # stays fluid-active across a loss draw
+    drawn = _reasons(fl).count("loss-draw")
+    assert drawn > 0 and set(_reasons(fl)) == {"loss-draw"}
+    assert fl.fluid_rounds == hybrid["conn"].rounds - drawn > 0
+    assert fl.activations == 1 and fl.active
     # a lossy link never reaches the closed-form tier
     assert fl.epochs == 0
     # the packet run saw actual losses, and the hybrid run saw the same ones
     assert packet["est"].loss.mean() > 0.0
+
+
+def test_flows_sharing_a_lossy_link_feed_its_estimator_in_packet_order():
+    """Two flows, one passive probe, a lossy link: a windowed loss estimate
+    depends on the order its samples arrive in, so a step round's zero-loss
+    sample must not wait in a batch while the other flow's drawn round goes
+    by (it used to, and the estimate read 0.0 against the packet run's)."""
+    flows = [flow(8 * MIB), flow(8 * MIB, fill=ord("k"))]
+    packet = run_scenario("packet", net_cls=WanVthd, flows=flows, probe=True)
+    hybrid = run_scenario("hybrid", net_cls=WanVthd, flows=flows, probe=True)
+    _assert_flows_equivalent(packet, hybrid)
+    _assert_probe_equivalent(packet, hybrid)
+    assert packet["est"].loss.mean() > 0.0
+    assert all("loss-draw" in _reasons(res["fluid"]) for res in hybrid["flows"])
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +631,15 @@ def test_small_round_after_a_capped_plan_queues_behind_the_batch():
     """The round after a capped plan is tiny: it arrives well before the
     plan's batch is readable, and must wait its turn behind it (the batch
     advances the peer's receive cursor only when it is delivered)."""
-    # 8 packet rounds, then exactly 64 planned windows, then 100 bytes
-    body = 381000 + 65 * WINDOW - 10160
+    # a plan of exactly 64 rounds — the slow-start ramp (2, 4, ... 128
+    # segments of 1460 bytes: 7 rounds) and 57 full windows — then 100 bytes
+    body = 127 * 2 * 1460 + 57 * WINDOW
     flows = [flow(body, 100)]
     packet = run_scenario("packet", flows=flows)
     hybrid = run_scenario("hybrid", flows=flows)
     _assert_flows_equivalent(packet, hybrid, planned=(0,))
     fl = hybrid["fluid"]
-    assert fl.epoch_rounds == 64 and fl.fluid_rounds == 65
+    assert (fl.epochs, fl.epoch_rounds) == (1, 64) and fl.fluid_rounds == 65
 
 
 def test_rollback_timer_order_does_not_depend_on_object_addresses():
@@ -622,14 +656,157 @@ def test_rollback_timer_order_does_not_depend_on_object_addresses():
         out = run_scenario("hybrid", flows=flows, degrades=degrades, trace=True)
         assert all("degrade" in _reasons(res["fluid"]) for res in out["flows"])
         assert all(res["fluid"].epoch_rounds > 0 for res in out["flows"])
-        return sorted(out["sim"].timer_log)
+        return sorted(out["sim"].timer_log), sum(res["fluid"].epochs for res in out["flows"])
 
-    first = timers()
+    first, nshares = timers()
     garbage = [[object() for _ in range(n % 13)] for n in range(5000)]
-    second = timers()
+    second, _ = timers()
     del garbage
     assert first == second
-    assert len(first) > 100
+    # the log holds what the rollbacks re-scheduled: every flow's part of
+    # every plan (two cuts: at least three plans on the shared NIC) has its
+    # trailing pump and its batched delivery, and nothing ran per round
+    names = Counter(name for _when, _seq, name in first)
+    assert nshares >= 10
+    assert names["_pump"] >= nshares and names["_epoch_deliver"] >= nshares
+    assert len(first) < 100
+
+
+# ---------------------------------------------------------------------------
+# the ramp: a flow is planned from its first pump, its window growing inside
+# the plan (slow start, then additive growth)
+# ---------------------------------------------------------------------------
+
+MSS = 1460
+#: what a flow sends before slow start (2, 4, ... 128 segments: 7 rounds)
+#: reaches the receiver cap — a shorter flow never sends a full window
+RAMP = 127 * 2 * MSS
+#: the small rounds are RTT-bound (4 ms each) at this latency, so the ramp
+#: spans some 40 ms and there is room to land things inside it
+RAMP_LATENCY = 2e-3
+
+
+def _assert_no_packet_round(hybrid):
+    """On a loss-free link nothing is left for the packet path."""
+    for idx, res in enumerate(hybrid["flows"]):
+        assert res["fluid"].fluid_rounds == res["conn"].rounds, idx
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 0.0, 0.0), (0.0, 0.006, 0.013)],
+                         ids=["tied", "staggered"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flows_in_slow_start_are_planned_from_their_first_round(k, offsets):
+    """k flows on one NIC, each starting at the initial window, together or
+    a few rounds apart: they double inside one joint plan, round sizes,
+    instants, final windows and probe estimates as in the packet run."""
+    sizes = [RAMP + 3 * WINDOW + 17, 300_000, RAMP - 1]
+    flows = [flow(sizes[i], start=offsets[i], fill=ord("a") + 8 * i) for i in range(k)]
+    packet = run_scenario("packet", flows=flows, probe=True, latency=RAMP_LATENCY)
+    hybrid = run_scenario("hybrid", flows=flows, probe=True, latency=RAMP_LATENCY)
+    _assert_flows_equivalent(packet, hybrid, planned=range(k))
+    _assert_probe_equivalent(packet, hybrid)
+    for res in hybrid["flows"]:
+        # every round of every flow was laid out by a plan: its own first
+        # pump cut the plan it found and laid the next out, ramp included
+        assert res["fluid"].epoch_rounds == res["conn"].rounds
+    # a plan costs a few timers per flow, whatever it covers
+    assert hybrid["sim"].stats().timers_scheduled < packet["sim"].stats().timers_scheduled * 0.5
+
+
+#: what lands inside the ramp: (extra run_scenario arguments, the script of
+#: the flow that brings it — sent next to the k others —, the cut it logs)
+INSIDE_THE_RAMP = {
+    "degrade-bandwidth": (dict(degrades=[(0.015, dict(bandwidth=6_000_000.0))]), None, "degrade"),
+    "degrade-latency": (dict(degrades=[(0.015, dict(latency=5e-4))]), None, "degrade"),
+    "joiner": ({}, dict(start=0.012), "flow-join"),
+    "late-syn": ({}, dict(start=0.012, connect="late"), "nic-contention"),
+    "close": ({}, dict(close_at=0.011), "close"),
+    "hangup": ({}, dict(hangup_at=0.011), "peer-close"),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("what", sorted(INSIDE_THE_RAMP))
+def test_a_cut_inside_the_ramp_restores_the_window_and_matches(what, k):
+    """Every flow here is shorter than the ramp, so whatever happens to it
+    happens in slow start: the cut leaves each member the window its
+    committed rounds had grown, and the next plan doubles on from there."""
+    extra, script, reason = INSIDE_THE_RAMP[what]
+    flows = [flow(300_000 + i, fill=ord("a") + 8 * i) for i in range(k)]
+    if script is not None:
+        flows.append(flow(250_000, fill=ord("t"), **script))
+    packet = run_scenario("packet", flows=flows, latency=RAMP_LATENCY, **extra)
+    hybrid = run_scenario("hybrid", flows=flows, latency=RAMP_LATENCY, **extra)
+    _assert_flows_equivalent(packet, hybrid, planned=range(len(flows)))
+    _assert_no_packet_round(hybrid)
+    assert all(res["conn"].rounds <= 7 for res in packet["flows"])
+    subject = hybrid["flows"][-1 if what in ("close", "hangup") else 0]
+    assert reason in _reasons(subject["fluid"])
+    if what in ("close", "hangup"):
+        # cut off mid-ramp: the window stops where the committed rounds left it
+        assert 0 < subject["peer"].bytes_received < 250_000
+        assert 2 * MSS < subject["conn"].cwnd < WINDOW
+
+
+@pytest.mark.parametrize(
+    "scripts, epochs, epoch_rounds, rounds",
+    [
+        # each send queues one more window than the last one left: 2 rounds
+        ([(4096, 8192, 16384, 32768, 65536)], [5], [10], [10]),
+        # the deployment's writes: the first is one 4-round plan (2, 4, 8
+        # segments and the rest), which leaves the window above 32 KB
+        ([(32768,) * 8], [1], [4], [11]),
+        ([(32768,) * 8, (32768,) * 8], [1, 1], [4, 4], [11, 11]),
+        ([(65536, 4096, 49152, 8192)] * 3, [1, 1, 1], [5, 5, 5], [8, 8, 8]),
+    ],
+    ids=["doubling", "32k-writes", "32k-writes-x2", "mixed-x3"],
+)
+def test_awaited_sends_of_a_few_windows_are_short_plans(scripts, epochs, epoch_rounds, rounds):
+    flows = [flow(*script, awaited=True, fill=ord("a") + 8 * i)
+             for i, script in enumerate(scripts)]
+    packet = run_scenario("packet", flows=flows, probe=True)
+    hybrid = run_scenario("hybrid", flows=flows, probe=True)
+    _assert_flows_equivalent(packet, hybrid, planned=range(len(flows)))
+    _assert_probe_equivalent(packet, hybrid)
+    _assert_no_packet_round(hybrid)
+    assert [res["fluid"].epochs for res in hybrid["flows"]] == epochs
+    assert [res["fluid"].epoch_rounds for res in hybrid["flows"]] == epoch_rounds
+    assert [res["conn"].rounds for res in hybrid["flows"]] == rounds
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_additive_growth_after_a_loss_is_planned_and_matches(k):
+    """A lossy spell sets ``ssthresh`` (every drawn round on the packet
+    path, RNG streams in step), then the link recovers: the flows climb one
+    segment per round *inside* plans, far below the receiver cap."""
+    flows = [flow(2 * MIB + 99 * i, fill=ord("a") + 8 * i) for i in range(k)]
+    degrades = [(0.0, dict(loss_rate=0.02)), (0.03, dict(loss_rate=0.0))]
+    packet = run_scenario("packet", flows=flows, probe=True, degrades=degrades)
+    hybrid = run_scenario("hybrid", flows=flows, probe=True, degrades=degrades)
+    _assert_flows_equivalent(packet, hybrid, planned=range(k))
+    _assert_probe_equivalent(packet, hybrid)
+    for res in hybrid["flows"]:
+        conn, fl = res["conn"], res["fluid"]
+        drawn = _reasons(fl).count("loss-draw")
+        assert drawn > 0 and conn.retransmitted_bytes > 0
+        assert fl.fluid_rounds == conn.rounds - drawn
+        # one segment per round since the last loss, most of them planned
+        climbed, rest = divmod(conn.cwnd - conn.ssthresh, MSS)
+        assert rest == 0 and conn.cwnd < WINDOW
+        assert climbed >= fl.epoch_rounds > 10
+
+
+def test_a_planned_sends_bytes_become_readable_at_its_batchs_ready_time():
+    """The stated divergence (fidelity contract, intermediate availability),
+    from a flow's first round on: a reader taking what is there sees a
+    planned 32 KB send all at once, at the instant its last round is
+    readable in the packet run — where it had trickled in round by round.
+    Whoever reads the send whole, and the sender, cannot tell."""
+    packet = run_scenario("packet", flows=[flow(32768)], reader="trickle")["flows"][0]
+    hybrid = run_scenario("hybrid", flows=[flow(32768)], reader="trickle")["flows"][0]
+    assert [n for _at, n in packet["reads"]] == [2 * MSS, 4 * MSS, 8 * MSS, 32768 - 14 * MSS]
+    assert hybrid["reads"] == [(packet["reads"][-1][0], 32768)]
+    assert hybrid["done"] == packet["done"]
 
 
 # ---------------------------------------------------------------------------
@@ -640,23 +817,22 @@ SEND_SIZES = (1 * MIB, 4096, 4096, 1 * MIB)
 SEND_PAYLOAD = b"".join(bytes([ch]) * n for ch, n in zip(b"abcd", SEND_SIZES))
 
 
-def run_multisend(fidelity, t_inv=None, stable_rounds=2, probe=False):
+def run_multisend(fidelity, t_inv=None, loss_rate=0.0, probe=False):
     """Queue four sends with *distinct* contents back-to-back (no awaiting
     between them), so multiple queue entries can complete inside a single
-    planned round, and optionally force a fluid invalidation at ``t_inv``.
+    planned round, and optionally force a fluid invalidation at ``t_inv``
+    or make the link lossy.
 
     Unlike :func:`run_scenario`'s uniform payloads, distinct bytes make any
     reordering of the delivered stream visible.
     """
     sim = Simulator()
     net = Ethernet100(sim)
+    net.loss_rate = loss_rate
     a, b = Host(sim, "a"), Host(sim, "b")
     net.connect(a)
     net.connect(b)
-    if fidelity == "hybrid":
-        sa = TcpStack(a, fluid_policy=FluidPolicy(stable_rounds=stable_rounds))
-    else:
-        sa = TcpStack(a, fidelity=fidelity)
+    sa = TcpStack(a, fidelity=fidelity)
     sb = TcpStack(b, fidelity=fidelity)
     out = {"done": []}
     if probe:
@@ -690,14 +866,21 @@ def test_hybrid_preserves_byte_order_across_handoff():
     tiers defer the receive-readiness clamp to arrival time, so a packet-
     mode frame still in flight at the packet->fluid handoff keeps its place
     ahead of the fluid bytes that follow it (an early watermark bump used
-    to push the in-flight frame's bytes behind the whole fluid batch)."""
-    packet = run_multisend("packet", stable_rounds=8)
-    hybrid = run_multisend("hybrid", stable_rounds=8)
+    to push the in-flight frame's bytes behind the whole fluid batch).  The
+    handoffs are the loss draws of a lossy link — the one thing left that
+    puts a round on the packet path — and there are none on a clean one."""
+    packet = run_multisend("packet", loss_rate=2e-3)
+    hybrid = run_multisend("hybrid", loss_rate=2e-3)
     assert hybrid["data"] == SEND_PAYLOAD
     assert packet["data"] == SEND_PAYLOAD
     assert hybrid["t1"] == packet["t1"]
     assert hybrid["done"] == packet["done"]
-    assert hybrid["conn"].fluid.epochs >= 1
+    fl = hybrid["conn"].fluid
+    drawn = _reasons(fl).count("loss-draw")
+    assert drawn >= 2 and fl.fluid_rounds == hybrid["conn"].rounds - drawn > drawn
+    clean = run_multisend("hybrid")
+    assert clean["data"] == SEND_PAYLOAD
+    assert clean["conn"].fluid.epoch_rounds == clean["conn"].rounds
 
 
 def test_rollback_splits_sends_completing_in_same_round():
@@ -987,9 +1170,9 @@ def test_fidelity_knob_validation():
     net.connect(a)
     with pytest.raises(ValueError):
         TcpStack(a, fidelity="bogus")
-    stack = TcpStack(a, fluid_policy=FluidPolicy(stable_rounds=4))
+    stack = TcpStack(a, fluid_policy=FluidPolicy(max_epoch_rounds=4))
     assert stack.fidelity == "hybrid"
-    assert stack.fluid_policy.stable_rounds == 4
+    assert stack.fluid_policy.max_epoch_rounds == 4
     assert TcpStack(Host(sim, "b")).fluid_policy is None
 
 

@@ -255,6 +255,44 @@ def test_active_probe_is_seeded_and_sees_degradation():
     assert loss > LOSSY_THRESHOLD
 
 
+def test_wire_probe_is_alive_while_any_two_members_are_up():
+    """The default (wire) probe asks "are two attached hosts up?" on every
+    tick: one dead member is not a dead network, a lone survivor is, and
+    the probe RNG is drawn from on live ticks of a lossy link only."""
+    fw = PadicoFramework()
+    hosts = [fw.add_host(f"h{i}") for i in range(4)]
+    wan = fw.add_network(WanVthd(fw.sim, "wan"))
+    for host in hosts:
+        wan.connect(host)
+    samples = []
+    probe = ActivePingProbe(wan, samples.append, interval=0.01, seed=3)
+    twin = random.Random(3)
+
+    def tick(expect_alive):
+        before = len(samples)
+        probe._tick()
+        if expect_alive:
+            lost = twin.random() < wan.loss_rate or twin.random() < wan.loss_rate
+            assert samples[-1].lost == lost
+        else:
+            assert samples[-1].lost
+        assert len(samples) == before + 1
+
+    tick(True)
+    hosts[0].up = hosts[2].up = False
+    tick(True)  # h1 and h3 still talk
+    hosts[3].up = False
+    tick(False)  # a lone survivor
+    hosts[0].up = True
+    tick(True)
+    wan.up = False
+    tick(False)
+    # same verdicts, same draws: the probe's stream is where the twin's is
+    assert probe.rng.random() == twin.random()
+    assert (probe.sent, probe.lost) == (5, sum(s.lost for s in samples))
+    probe.cancel()
+
+
 def test_poisson_thinning_is_deterministic_and_rate_bounded():
     rate_fn = lambda t: 2.0 + 2.0 * (t > 5.0)  # noqa: E731
     a = poisson_thinning_times(random.Random(42), rate_fn, horizon=10.0, rate_max=4.0)

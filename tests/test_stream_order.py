@@ -209,6 +209,13 @@ def run_tcp(fidelity, sends, reads, gathered: bool, fin: bool):
            ("read", True, 400_000, True)],
     fin=True,
 )
+# one round spanning three send-queue entries: every path joins it, and must
+# hand the reader the same read-only view of the join
+@example(
+    sends=[b"\x00", Gather([b"\x00", b"\x00"])],
+    reads=[("read", True, None, True)],
+    fin=True,
+)
 def test_tcp_reads_complete_in_order_whatever_their_kind(fidelity, sends, reads, fin):
     logs, posted, conn, work = run_tcp(fidelity, sends, reads, True, fin)
     flat_logs, _, flat_conn, flat_work = run_tcp(fidelity, sends, reads, False, fin)
