@@ -40,11 +40,24 @@ Two fluid tiers, chosen per pump:
     Then the pending ``_pump`` timers of the co-senders are cancelled and
     all k flows' rounds are laid out in one pass — per-round NIC
     reservations, completion times and the byte ledger are computed
-    analytically, up to ``FluidPolicy.max_epoch_rounds`` rounds *per flow*
+    analytically, as far ahead *per flow* as that flow has earned (below)
     — and committed immediately: one batched delivery and one trailing
     pump per flow instead of three timers per burst.  An awaited write of a
     few slow-start windows (32 KB at the initial window: 4 rounds) is one
     short plan.
+
+    *Length.*  How many rounds a plan may lay out for a flow follows the
+    flow's own cut history, not a constant: its first plan is bounded by
+    ``FluidPolicy.first_plan_rounds`` (64); a plan that runs to its end adds
+    its rounds to the flow's streak and the next one may lay out twice the
+    streak; a cut that unwinds something restarts the streak at the rounds
+    the flow had committed of the cut plan, and the next plan may lay out
+    twice those (:attr:`FluidController._horizon`).  So a flow whose NIC is
+    alone — staging a file — is re-planned a logarithmic number of times
+    (64, 128, 384, ... rounds; one plan per 64 MiB send from the second send
+    on), and a flow that foreign frames keep interrupting never lays out,
+    and replays, more than a small multiple of what it sends: a cut throws
+    away at most twice what the flow has committed since the cut before.
 
     *Window.*  Each member's share of the plan starts from the flow's
     ``cwnd``.  While that is below the receiver cap a turn lays out one
@@ -102,7 +115,14 @@ Fidelity contract (what "hybrid" guarantees vs pure packet mode):
   time).  Bytes exact, and a reader that waits for the whole stretch
   cannot tell; one that takes what is there — a ``recv`` on a planned
   32 KB send — sees it arrive at once where the packet model trickles it
-  in round by round (``tests/test_fluid.py`` pins exactly that);
+  in round by round (``tests/test_fluid.py`` pins exactly that).  The
+  granularity is the plan's length, i.e. the flow's own uncut history (up
+  to twice the rounds it has committed since its last cut), not a fixed 64
+  rounds: a reader consuming piecemeal finishes later than in the packet
+  run by at most the time it needs to consume the *last* plan's bytes —
+  2.2 ms on a 64 MiB / 5.67 s ``Ethernet100`` transfer read 8 KB at a time
+  (last plan 70 rounds; 0.16 ms when no plan exceeded 64), bounded by
+  ``test_a_partial_reader_lags_by_at_most_the_last_plans_bytes``;
 * a batch never hides bytes from a close, whichever end closes: when
   something the flow sent later reaches the peer ahead of the batch's last
   rounds (the latency dropped while they were in flight, and a FIN follows
@@ -142,17 +162,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class FluidPolicy:
     """Tunable thresholds of the fidelity controller."""
 
-    #: upper bound on rounds collapsed into a single epoch plan.
-    max_epoch_rounds: int = 64
+    #: per-flow round bound of a flow's *first* plan.  Not a bound on later
+    #: ones: from there a plan is as long as the flow has earned (see
+    #: ``FluidController._horizon``) — twice what it has committed since its
+    #: last cut.
+    first_plan_rounds: int = 64
     #: flush synthesized tcp-burst observations every N accumulated bursts
     #: (epochs always flush at their boundary regardless).
     observation_batch: int = 32
-    #: receiver-pressure fallback: drop to packet mode when the peer's
-    #: receive buffer exceeds this many receive windows.  The packet model
-    #: has no flow control (a large ``recv_exact`` legitimately buffers the
-    #: whole transfer), so this only catches a receiver that stopped
-    #: reading altogether.
-    rx_pressure_windows: int = 64
 
 
 def steady_state_rate(network: "Network", cwnd: int, receive_window: int,
@@ -301,7 +318,7 @@ class _Share:
     """
 
     __slots__ = (
-        "ctl", "conn", "peer", "rc_window", "t0", "rx_ready0", "cwnd0", "t", "t_last",
+        "ctl", "conn", "peer", "cap", "rc_window", "t0", "rx_ready0", "cwnd0", "t", "t_last",
         "rx_ready", "end", "runs", "parts", "tail", "nbytes", "nrounds", "completions",
         "drained", "deliver_handle", "cursor", "left",
     )
@@ -313,6 +330,9 @@ class _Share:
         self.ctl = ctl
         self.conn = ctl.conn
         peer = self.peer = ctl._peer_conn
+        #: how many rounds the plan may lay out for this flow: what the flow
+        #: has earned (``FluidController._horizon``)
+        self.cap = ctl._horizon
         # receive-side kernel crossing + copy of one full window, in the
         # same float order as Delivery.cost (0.0 + syscall + copy)
         cpu = peer.host.cpu
@@ -329,8 +349,8 @@ class _Share:
         #: run-length encoded rounds: [count, nbytes, ser, rc, npkts] per run
         self.runs: List[list] = []
         #: zero-copy views into the queued send buffers, in wire order; the
-        #: plan never concatenates them (a 64-round plan would otherwise
-        #: materialise a multi-MiB temporary per in-flight flow).
+        #: plan never concatenates them (a plan of hundreds of rounds would
+        #: otherwise materialise a temporary as large as the send itself).
         self.parts: List[memoryview] = []
         #: (buffer, start, stop) behind ``parts[-1]`` when it can still grow
         self.tail: Optional[tuple] = None
@@ -397,16 +417,17 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
 class _NicPlan:
     """The committed multi-round plan of every flow sending through one NIC.
 
-    Constructing it lays out and commits up to ``max_epoch_rounds`` rounds
-    per flow, in closed form, for the flow whose pump fired and every
-    co-sender on its NIC.  Preconditions (checked by
-    :meth:`FluidController.pump`): zero loss rate and every active sender
-    on the NIC fluid-active and eligible with more than one of its own
-    windows queued.  Under those, every round's timing is the deterministic
-    recurrence of :func:`_advance` and every round's size the zero-loss
-    window recurrence (``TcpConnection._update_window``), merged over the flows in
-    the engine's own order (see the module docstring) — exactly the pumps
-    the packet model would run — so the plan is committed up-front and only
+    Constructing it lays out and commits as many rounds per flow as that
+    flow has earned (``_Share.cap``, the flow's ``_horizon``), in closed
+    form, for the flow whose pump fired and every co-sender on its NIC.
+    Preconditions (checked by :meth:`FluidController.pump`): zero loss rate
+    and every active sender on the NIC fluid-active and eligible with more
+    than one of its own windows queued.  Under those, every round's timing
+    is the deterministic recurrence of :func:`_advance` and every round's
+    size the zero-loss window recurrence
+    (``TcpConnection._update_window``), merged over the flows in the
+    engine's own order (see the module docstring) — exactly the pumps the
+    packet model would run — so the plan is committed up-front and only
     *cut* if something arrives mid-plan.
 
     The plan holds the NIC until the first member pumps again (its trailing
@@ -418,8 +439,7 @@ class _NicPlan:
     """
 
     __slots__ = ("nic", "net", "sim", "shares", "live", "observed", "tx_free0", "tx_free",
-                 "rtt", "latency", "last_pump", "ncommitted", "window", "cap", "w_ser",
-                 "w_npkts")
+                 "rtt", "latency", "last_pump", "ncommitted", "window", "w_ser", "w_npkts")
 
     def __init__(self, ctl: "FluidController", others: List["FluidController"]) -> None:
         conn = ctl.conn
@@ -439,7 +459,6 @@ class _NicPlan:
         # identical expressions the per-round path uses so the produced
         # floats match bit-for-bit
         window = self.window = conn.stack.model.receive_window
-        self.cap = ctl.policy.max_epoch_rounds
         self.w_ser = net.serialization_time(window)
         self.w_npkts = net.packets_for(window)
 
@@ -562,7 +581,7 @@ class _NicPlan:
         conn = share.conn
         pinned = conn.cwnd >= self.window
         window = self.window if pinned else conn.cwnd
-        room = self.cap - share.nrounds
+        room = share.cap - share.nrounds
         sendq = conn._sendq
         entry = sendq[0]
         view, offset = entry[0], entry[1]
@@ -694,6 +713,18 @@ class _NicPlan:
         must queue behind the batch, if the peer still waits for it."""
         ctl = share.ctl
         ctl._plan = ctl._share = None
+        # the flow's next plan is as long as this one earned it (see
+        # ``FluidController._horizon``)
+        if self.ncommitted is None:
+            # every round laid out for the flow happened: it may plan twice
+            # as far as it has come since its last cut
+            ctl._streak += share.nrounds
+            if ctl._horizon < 2 * ctl._streak:
+                ctl._horizon = 2 * ctl._streak
+        else:
+            # a cut unwound part of the plan: twice what survived of it
+            ctl._streak = share.nrounds
+            ctl._horizon = max(2, 2 * share.nrounds)
         if share.deliver_handle is not None:
             peer = share.peer
             batch = (share.end + self.latency, share.rx_ready, self, share)
@@ -855,6 +886,20 @@ class FluidController:
         #: it rides one
         self._plan: Optional[_NicPlan] = None
         self._share: Optional[_Share] = None
+        #: how many rounds the flow's next plan may lay out for it, and the
+        #: rounds its plans have committed since the last cut that unwound
+        #: something — both updated where a share leaves its plan
+        #: (``_NicPlan._retire``; the module docstring's *Length* states the
+        #: rule).  A function of the flow's own history and nothing else.
+        #: Why a bound at all — ``tests/test_fluid.py::
+        #: test_plan_layout_work_is_amortised_whatever_cuts_the_flow``, rounds
+        #: laid out + replayed per round sent by a 256 MiB sole sender on
+        #: ``Ethernet100`` with a foreign frame never / every 0.5 s / every
+        #: 50 ms: 1.0 / 5.5 / 53.9 with a constant 64, 1.0 / 46.7 / 446 with
+        #: no bound (quadratic: every cut re-lays the whole rest out), 1.0 /
+        #: 4.0 / 4.1 with this rule.
+        self._horizon = self.policy.first_plan_rounds
+        self._streak = 0
         # pending synthesized observations (flushed as one tcp-burst);
         # latency/bandwidth are snapshotted when a batch *starts* so a
         # flush that happens after link churn still reports the parameters
@@ -957,14 +1002,10 @@ class FluidController:
         if not net.link_alive(conn.host, conn.peer_host):
             return False
         peer = self._resolve_peer()
-        if peer is None or peer.closed:
-            return False
-        # receiver-window pressure: a reader that stopped draining means the
-        # steady state is no longer send-side limited — stay honest and slow.
-        limit = peer.stack.model.receive_window * self.policy.rx_pressure_windows
-        if peer.available() > limit:
-            return False
-        return True
+        # (what the peer has buffered is no criterion: the packet model has
+        # no flow control, so a reader that is stuck, or parked on one large
+        # exact read, changes no byte and no instant of the sender's rounds)
+        return peer is not None and not peer.closed
 
     # -- invalidation ---------------------------------------------------------
     def invalidate(self, reason: str) -> None:

@@ -18,7 +18,9 @@ append) are part of an operation's budget.
 The bulk-TCP section holds the fluid tiers to the same standard, per
 transfer instead of per operation: at hybrid fidelity an 8 MiB stream on a
 clean link is a handful of events whatever its length, at the packet run's
-completion instants.
+completion instants, and a staged file (awaited 64 MiB sends) costs as few
+plans as its flow has earned — plans, events and timers exact, and events
+per delivered MiB.
 """
 
 from __future__ import annotations
@@ -283,6 +285,78 @@ def test_a_hybrid_bulk_transfer_is_a_handful_of_events_at_the_packet_instants(
     # machine-independent, and exact: a flow that falls back to per-round
     # events fails here, and none of the saving moves a completion
     assert hybrid[1] == packet[1] and all(len(seen) == 1 for seen in hybrid[1])
+
+
+MIB = 1024 * 1024
+
+
+def staged_tcp(fidelity, sends, parked_read):
+    """One established connection over ``Ethernet100``, the loop drained;
+    then ``sends`` awaited sends of one shared 64 MiB payload, towards a peer
+    that drains its socket as the bytes come or — ``parked_read`` — has one
+    exact read of everything posted from the start.  Returns ``((plans,
+    events, timers), instants)``: the fluid plans built and what the loop ran
+    from the first send to quiescence, and when each send completed and the
+    read had its bytes."""
+    sim = Simulator()
+    net = Ethernet100(sim)
+    a, b = Host(sim, "a"), Host(sim, "b")
+    net.connect(a)
+    net.connect(b)
+    sa, sb = TcpStack(a, fidelity=fidelity), TcpStack(b, fidelity=fidelity)
+    accepting, connecting = sb.listen(5000).accept(), sa.connect(b, 5000)
+    sim.run()
+    conn, peer = connecting.value, accepting.value
+    payload = bytes(64 * MIB)  # zero pages nobody reads
+    instants = []
+    window = Window(sim)
+    if parked_read:
+        instants.append(completion_time(peer.recv_exact(sends * len(payload), None, True)))
+    else:
+        peer.set_data_callback(lambda c: c.read_iov())
+
+    def sender():
+        for _ in range(sends):
+            yield conn.send(payload)
+            instants.append(sim.now)
+
+    sim.process(sender())
+    sim.run()
+    assert peer.bytes_received == sends * len(payload)
+    plans = conn.fluid.epochs if conn.fluid is not None else 0
+    return (plans, *window.close()), instants
+
+
+@pytest.mark.parametrize(
+    "sends, parked_read, packet_budget, budget, events_per_mib",
+    [
+        # a staged file, five times over (perfbench's `bulk_staging` stream):
+        # 262 + 4 x 256 rounds.  The first send is plans of 64, 128 and the
+        # 70 left — by then the flow has earned 524 — and every later send is
+        # one plan: 7 plans, each its batched delivery, the send's completion
+        # and the drained pump, plus the sender's five resumptions.  With a
+        # constant bound of 64 rounds (PR 18): 21 plans, (54, 52).
+        (5, False, (0, 3865, 3863), (7, 26, 24), (12.078125, 0.08125)),
+        # the reader of a staged file: one exact read of the 64 MiB, parked
+        # from the start.  It used to demote its sender once 64 windows had
+        # piled up behind it (a receiver-pressure fallback, deleted): 3
+        # plans, then 70 packet rounds, (220, 217) at the very same instants.
+        (1, True, (0, 790, 787), (3, 11, 8), (12.34375, 0.171875)),
+    ],
+    ids=["five-awaited-sends", "peer-parked-on-one-exact-read"],
+)
+def test_a_staged_transfer_is_as_few_plans_as_its_flow_has_earned(
+    sends, parked_read, packet_budget, budget, events_per_mib
+):
+    packet = staged_tcp("packet", sends, parked_read)
+    hybrid = staged_tcp("hybrid", sends, parked_read)
+    assert packet[0] == packet_budget
+    assert hybrid[0] == budget
+    assert hybrid[1] == packet[1] and len(hybrid[1]) == sends + parked_read
+    # events per delivered MiB, compared exactly (quotients of exact counts):
+    # the per-byte form of the budget ROADMAP 1(e) asks for
+    delivered = sends * 64
+    assert (packet[0][1] / delivered, hybrid[0][1] / delivered) == events_per_mib
 
 
 # -- Circuit and the middleware round trips ----------------------------------------

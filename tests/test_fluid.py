@@ -23,6 +23,7 @@ from repro.monitoring.estimators import (
     SlidingWindowEstimator,
 )
 from repro.monitoring.probes import PassiveLinkProbe
+from repro.simnet import fluid
 from repro.simnet.engine import Simulator
 from repro.simnet.fluid import (
     FluidPolicy,
@@ -204,6 +205,17 @@ def run_scenario(
 
 def _reasons(controller):
     return [reason for _at, reason in controller.invalidations]
+
+
+def lan_pair(fidelity):
+    """Hosts ``a`` and ``b`` on one ``Ethernet100``, a TCP stack each:
+    ``(sim, net, a, b, stack_a, stack_b)``."""
+    sim = Simulator()
+    net = Ethernet100(sim)
+    a, b = Host(sim, "a"), Host(sim, "b")
+    net.connect(a)
+    net.connect(b)
+    return sim, net, a, b, TcpStack(a, fidelity=fidelity), TcpStack(b, fidelity=fidelity)
 
 
 def _assert_equivalent(packet, hybrid):
@@ -482,13 +494,15 @@ def test_latency_bound_ties_persist_and_match():
     break each tie the way the engine does (the flow whose previous round
     ran first), round after round, across capped and re-cut plans."""
     flows = [flow(6 * MIB), flow(6 * MIB + 1), flow(4 * MIB, fill=ord("p"))]
-    policy = FluidPolicy(max_epoch_rounds=5)
+    policy = FluidPolicy(first_plan_rounds=5)
     packet = run_scenario("packet", flows=flows, latency=0.03)
     hybrid = run_scenario("hybrid", flows=flows, latency=0.03, policy=policy)
     _assert_flows_equivalent(packet, hybrid, planned=range(3))
-    # capped at 5 rounds per flow: plan after plan, none of them cut (the
-    # only thing logged is the others draining)
+    # capped at 5 rounds per flow, then at 10, then whatever is left: plan
+    # after plan, none of them cut (the only thing logged is the others
+    # draining), every flow's own plans summing to its rounds
     assert all(res["fluid"].epochs >= 3 for res in hybrid["flows"])
+    assert all(res["fluid"].epoch_rounds == res["conn"].rounds for res in hybrid["flows"])
     assert all(set(_reasons(res["fluid"])) <= {"flow-leave"} for res in hybrid["flows"])
 
 
@@ -810,6 +824,250 @@ def test_a_planned_sends_bytes_become_readable_at_its_batchs_ready_time():
 
 
 # ---------------------------------------------------------------------------
+# a plan as long as the flow has earned: the per-flow round bound follows the
+# flow's own cut history (``FluidController._horizon``)
+# ---------------------------------------------------------------------------
+
+#: a first plan of 4 rounds, so that growth shows at MiB sizes
+EARNED = FluidPolicy(first_plan_rounds=4)
+
+
+@pytest.fixture
+def plan_log(monkeypatch):
+    """Every share a plan retires, in order, as ``(controller, cap, rounds,
+    cut)``: the round bound the flow had in that plan, how many of its rounds
+    happened, and whether a cut had unwound part of the plan by then."""
+    log = []
+    retire = fluid._NicPlan._retire
+
+    def recording(plan, share):
+        retire(plan, share)
+        log.append((share.ctl, share.cap, share.nrounds, plan.ncommitted is not None))
+
+    monkeypatch.setattr(fluid._NicPlan, "_retire", recording)
+    return log
+
+
+def _history(plan_log, res):
+    return [entry[1:] for entry in plan_log if entry[0] is res["fluid"]]
+
+
+def _assert_horizons_follow_the_rule(plan_log, hybrid):
+    """The rule itself, replayed over every flow's plans: a plan that ran to
+    its end adds its rounds to the flow's streak and the next may lay out
+    twice the streak (never less than before); a cut that unwound something
+    restarts the streak at what the flow had committed of that plan."""
+    for idx, res in enumerate(hybrid["flows"]):
+        horizon, streak = EARNED.first_plan_rounds, 0
+        for cap, nrounds, cut in _history(plan_log, res):
+            assert cap == horizon and 0 <= nrounds <= cap, idx
+            if cut:
+                streak = nrounds
+                horizon = max(2, 2 * streak)
+            else:
+                streak += nrounds
+                horizon = max(horizon, 2 * streak)
+        assert res["fluid"]._horizon == horizon, idx
+
+
+def test_an_uncut_flows_plans_grow_with_what_it_has_committed(plan_log):
+    packet = run_scenario("packet", nbytes=8 * MIB)
+    hybrid = run_scenario("hybrid", nbytes=8 * MIB, policy=EARNED)
+    _assert_equivalent(packet, hybrid)
+    # 38 rounds: 4, then twice the 4 committed, then twice the 12 — and the
+    # last plan, which may lay out 72, finds 2 left
+    uncut = [(4, 4, False), (8, 8, False), (24, 24, False), (72, 2, False)]
+    assert _history(plan_log, hybrid["flows"][0]) == uncut
+    assert hybrid["fluid"]._horizon == 76 and hybrid["fluid"].epochs == 4
+    _assert_horizons_follow_the_rule(plan_log, hybrid)
+    # the policy's 64 is where a flow starts, not where it stays: 1030
+    # rounds are plans of 64, 128, 384 and the 454 left (17 plans of 64 before)
+    del plan_log[:]
+    default = run_backlog("hybrid", (256 * MIB,))
+    assert [cap for _ctl, cap, _n, _cut in plan_log] == [64, 128, 384, 1152]
+    assert default["conn"].rounds == default["conn"].fluid.epoch_rounds == 1030
+
+
+#: when the cut lands, per number of flows on the NIC: inside a plan whose
+#: bound has grown at least twice (and, for the FIN, while the closing flow's
+#: own round is the one in flight)
+CUT_AT = {1: 0.3, 2: 0.614, 3: 0.9}
+#: for the cut by ``send``: the full windows of a first send that a grown
+#: plan drains, and how long after it the second send is queued — while that
+#: plan is live
+SEND_BEHIND = {1: (25, 0.3), 2: (25, 0.614), 3: (15, 0.6)}
+GROWN = [(4, 4, False), (8, 8, False)]
+
+#: what cuts the grown plan: (the reason logged, run_scenario arguments as a
+#: function of the instant, the script of the flow bringing the cut as a
+#: function of the instant and k, whether that flow replaces the last
+#: incumbent, and the sole incumbent's plans from the cut one on (k = 1))
+CUTS = {
+    "degrade-bandwidth": (
+        "degrade", lambda at: dict(degrades=[(at, dict(bandwidth=6_000_000.0))]), None, False,
+        [(24, 7, True), (14, 14, False), (42, 5, False)]),
+    "degrade-latency": (
+        "degrade", lambda at: dict(degrades=[(at, dict(latency=5e-4))]), None, False,
+        [(24, 7, True), (14, 14, False), (42, 5, False)]),
+    # the SYN cuts, the first data behind the handshake cuts again one round on
+    "late-syn": (
+        "nic-contention", None, lambda at, k: flow(300_000, start=at, connect="late"), False,
+        [(24, 7, True), (14, 1, True), (2, 2, False), (6, 3, False), (12, 12, False)]),
+    # the plan with the joiner ends at the joiner's own first bound of 4
+    "joiner": (
+        "flow-join", None, lambda at, k: flow(300_000, start=at), False,
+        [(24, 7, True), (14, 3, False), (20, 16, False)]),
+    "send": (
+        "send", None,
+        lambda at, k: flow(RAMP + SEND_BEHIND[k][0] * WINDOW, 2 * MIB, gap=SEND_BEHIND[k][1]), True,
+        [(24, 7, True), (14, 14, False), (42, 7, False)]),
+    "close": ("close", None, lambda at, k: flow(8 * MIB, close_at=at), True, [(24, 7, True)]),
+    "hangup": (
+        "peer-close", None, lambda at, k: flow(8 * MIB, hangup_at=at), True, [(24, 7, True)]),
+    # the latency drops, and the FIN sent right behind the round in flight
+    # overtakes the tail of the batch the cut committed: the dissolve path
+    "fin-overtakes-batch": (
+        "degrade", lambda at: dict(latency=2e-3, degrades=[(at, dict(latency=3e-4))]),
+        lambda at, k: flow(8 * MIB, close_at=at + 0.0005), True, [(24, 7, True)]),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("what", sorted(CUTS))
+def test_a_cut_shrinks_the_next_plan_to_twice_what_survived_and_it_grows_back(
+    what, k, plan_log
+):
+    """k flows whose round bounds have grown at least twice (4, 8, then 16
+    or more), cut mid-plan for every reason a plan is cut for.  Float-identical
+    to packet as ever — and the bound itself is pinned: after a cut that left
+    a flow c committed rounds its next plan may lay out 2c, and from there it
+    grows back with what the flow commits."""
+    reason, extra, script, replaces, sole = CUTS[what]
+    at = CUT_AT[k]
+    flows = [flow(8 * MIB + 11 * i, fill=ord("a") + 8 * i) for i in range(k)]
+    if script is not None:
+        flows[-1 if replaces else k:] = [dict(script(at, k), fill=ord("k"))]
+    extra = extra(at) if extra is not None else {}
+    packet = run_scenario("packet", flows=flows, **extra)
+    hybrid = run_scenario("hybrid", flows=flows, policy=EARNED, **extra)
+    _assert_flows_equivalent(packet, hybrid, planned=range(len(flows)))
+    _assert_no_packet_round(hybrid)
+    _assert_horizons_follow_the_rule(plan_log, hybrid)
+    ends = what in ("close", "hangup", "fin-overtakes-batch")
+    subject = hybrid["flows"][k - 1]
+    assert reason in _reasons(subject["fluid"])
+    for res in hybrid["flows"][:k]:
+        history = _history(plan_log, res)
+        cut = next(i for i, (_cap, _n, unwound) in enumerate(history) if unwound)
+        cap, committed, _ = history[cut]
+        # grown at least twice when the cut came, and cut mid-plan
+        assert cut >= 2 and cap >= 16 and 0 < committed < cap
+        if res is subject and ends:
+            assert len(history) == cut + 1
+        else:
+            # twice what survived, whatever the bound was, and re-grown since
+            assert history[cut + 1][0] == 2 * committed
+            assert res["fluid"]._horizon > 2 * committed
+    if k == 1:
+        assert _history(plan_log, subject) == GROWN + sole
+    if what == "fin-overtakes-batch":
+        # the FIN did overtake: the reader was cut off short of what arrived
+        peer = subject["peer"]
+        assert 0 < subject["received"] < peer.bytes_received == subject["conn"].bytes_sent
+
+
+FOREIGN_FRAME_EVERY = {"never": None, "every-500ms": 0.5, "every-50ms": 0.05}
+
+
+@pytest.mark.parametrize("rate", sorted(FOREIGN_FRAME_EVERY))
+def test_plan_layout_work_is_amortised_whatever_cuts_the_flow(rate, monkeypatch):
+    """The recorded measurement behind ``FluidController._horizon``, machine-
+    independent: rounds run through the timing recurrence — laid out, and
+    replayed when a cut needs them — per round the flow sends.  A 256 MiB
+    sole sender (1030 rounds) on whose NIC a foreign frame takes the wire
+    never / every 0.5 s / every 50 ms: 1.0 / 4.0 / 4.1.  A constant bound of
+    64 rounds gave 1.0 / 5.5 / 53.9 (and 17 plans where nothing cuts), no
+    bound at all 1.0 / 46.7 / 446 — every cut re-lays the whole rest out."""
+    counted = []
+    advance = fluid._advance
+
+    def counting(*args):
+        n = advance(*args)
+        counted.append(n)
+        return n
+
+    monkeypatch.setattr(fluid, "_advance", counting)
+
+    def run(fidelity):
+        sim, net, a, b, sa, sb = lan_pair(fidelity)
+        accepting, connecting = sb.listen(PORT).accept(), sa.connect(b, PORT)
+        sim.run()
+        conn = connecting.value
+        accepting.value.set_data_callback(lambda peer: peer.read_iov())
+        every = FOREIGN_FRAME_EVERY[rate]
+        if every is not None:
+            sim.every(every, net.transmit, a, b, b"not tcp's")
+        sim.run(until=conn.send(bytes(256 * MIB)), max_time=600.0)
+        return sim.now, conn, net
+
+    packet_end, packet_conn, packet_net = run("packet")
+    assert not counted
+    hybrid_end, conn, net = run("hybrid")
+    assert hybrid_end == packet_end
+    assert conn.rounds == packet_conn.rounds == conn.fluid.fluid_rounds == 1030
+    assert net.drop_log == packet_net.drop_log
+    # the stack drops each foreign frame it is handed; each one cut a plan
+    assert ("nic-contention" in _reasons(conn.fluid)) == bool(net.drop_log) == (rate != "never")
+    assert 1.0 <= sum(counted) / conn.rounds <= 4.5
+
+
+def test_a_partial_reader_lags_by_at_most_the_last_plans_bytes():
+    """The fidelity cost of long plans, stated and bounded: a plan's bytes
+    become readable together, so a reader that takes what is there — 8 KB a
+    read, each read costing ``read_cost`` — starts on the *last* plan's bytes
+    when the packet run's reader is nearly through them, and finishes later
+    by at most the time it needs to consume them.  Nothing else moves: the
+    sender's completion, and a reader that waits for the whole transfer
+    (every other test here), are float-identical."""
+    nbytes, piece, read_cost = 64 * MIB, 8192, 1e-6
+
+    def run(fidelity):
+        sim, _net, _a, b, sa, sb = lan_pair(fidelity)
+        listener = sb.listen(PORT)
+        out = {}
+
+        def client():
+            conn = out["conn"] = yield sa.connect(b, PORT)
+            yield conn.send(bytes(nbytes))
+            out["sent"] = sim.now
+
+        def server():
+            conn = yield listener.accept()
+            got = 0
+            while got < nbytes:
+                got += len((yield conn.recv(piece, None, True, lambda: read_cost)))
+            out["read"] = sim.now
+
+        sim.process(client())
+        sim.process(server())
+        sim.run(max_time=600.0)
+        return out
+
+    packet, hybrid = run("packet"), run("hybrid")
+    assert hybrid["sent"] == packet["sent"]
+    # 262 rounds: plans of 64, 128 and the last 70, of which 69 full windows
+    fl = hybrid["conn"].fluid
+    assert (fl.epochs, fl.epoch_rounds) == (3, 262)
+    last_plan = nbytes - (RAMP + (64 + 128 - 7) * WINDOW)
+    assert 69 * WINDOW < last_plan <= 70 * WINDOW
+    lag = hybrid["read"] - packet["read"]
+    assert 0.0 < lag <= last_plan / piece * read_cost
+    # 2.2 ms on a transfer of 5.67 s (0.16 ms when no plan exceeded 64 rounds)
+    assert lag == pytest.approx(2.2e-3, rel=0.05)
+    assert packet["read"] == pytest.approx(5.667, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
 # stream-order integrity: distinct payloads, queued sends, mid-epoch churn
 # ---------------------------------------------------------------------------
 
@@ -920,60 +1178,70 @@ def test_unobserved_epoch_rollback_keeps_obs_counters_clean():
 
 
 # ---------------------------------------------------------------------------
-# fallback: receiver-window pressure
+# a stuck reader is no criterion: the packet model has no flow control
 # ---------------------------------------------------------------------------
 
 
-def test_rx_pressure_falls_back_to_packet():
-    """A receiver that stops reading piles bytes into its rx buffer; once
-    it exceeds the policy's pressure limit the flow must drop back to
-    packet mode (the packet model has no flow control, so delivered bytes
-    and send-completion times stay exactly equal regardless)."""
-    sends = (2 * MIB, 3 * MIB, 1 * MIB)
+def run_backlog(fidelity, sends, posted=None):
+    """Awaited ``sends`` a second apart towards a peer that never reads, or
+    that parks one ``recv_exact(posted)`` up front: either way the bytes
+    pile up in its receive buffer while the sender is still at it."""
+    sim, _net, _a, b, sa, sb = lan_pair(fidelity)
+    listener = sb.listen(PORT)
+    out = {"times": []}
 
-    def run(fidelity):
-        sim = Simulator()
-        net = Ethernet100(sim)
-        a, b = Host(sim, "a"), Host(sim, "b")
-        net.connect(a)
-        net.connect(b)
-        if fidelity == "hybrid":
-            # limit = 16 receive windows = 4 MiB of unread backlog
-            sa = TcpStack(a, fluid_policy=FluidPolicy(rx_pressure_windows=16))
-        else:
-            sa = TcpStack(a, fidelity=fidelity)
-        sb = TcpStack(b, fidelity=fidelity)
-        listener = sb.listen(PORT)
-        out = {"times": []}
+    def client():
+        conn = out["conn"] = yield sa.connect(b, PORT)
+        for n in sends:
+            # zero pages nobody reads: the backlog costs no resident memory
+            yield conn.send(bytes(n))
+            out["times"].append(sim.now)
+            yield sim.timeout(1.0)
 
-        def client():
-            conn = yield sa.connect(b, PORT)
-            out["conn"] = conn
-            for n in sends:
-                yield conn.send(b"x" * n)
-                out["times"].append(sim.now)
-                yield sim.timeout(1.0)
+    def server():
+        conn = out["peer"] = yield listener.accept()
+        if posted is not None:
+            got = yield conn.recv_exact(posted, None, True)  # by reference
+            out["read"] = (sim.now, len(got))
 
-        def server():
-            conn = yield listener.accept()
-            out["peer"] = conn
-            # accept and never read a byte
+    sim.process(client())
+    sim.process(server())
+    sim.run(max_time=600.0)
+    return out
 
-        sim.process(client())
-        sim.process(server())
-        sim.run(max_time=600.0)
-        return out
 
-    packet, hybrid = run("packet"), run("hybrid")
-    fl = hybrid["conn"].fluid
-    # the flow fluidized while the backlog was under the limit, then the
-    # eligibility check caught the stuck reader
-    assert fl.activations >= 1
-    assert "conditions-changed" in _reasons(fl)
-    assert not fl.active
-    assert hybrid["times"] == packet["times"]
-    assert hybrid["peer"].available() == packet["peer"].available() == sum(sends)
+@pytest.mark.parametrize(
+    "sends, posted, plans",
+    [
+        # 24 MiB nobody ever reads: 96 receive windows of backlog
+        ((8 * MIB, 12 * MIB, 4 * MIB), None, [1, 1, 1]),
+        # the reader of a staged file: one exact read of all 64 MiB, parked
+        # from the start.  262 rounds, plans of 64, 128 and the 70 left
+        ((64 * MIB,), 64 * MIB, [3]),
+    ],
+    ids=["never-reads", "parked-on-one-exact-read"],
+)
+def test_a_stuck_reader_does_not_demote_its_sender(sends, posted, plans):
+    """Whatever piles up at the receiver changes no byte and no instant of
+    the sender's rounds, so it is no reason to leave the fluid tiers (a
+    backlog of 64 windows used to be one: ``conditions-changed`` after 192
+    of the 262 rounds of the 64 MiB transfer, the rest on the packet path,
+    at the very same instants)."""
+    packet = run_backlog("packet", sends, posted)
+    hybrid = run_backlog("hybrid", sends, posted)
+    assert hybrid["times"] == packet["times"] and len(hybrid["times"]) == len(sends)
+    assert hybrid.get("read") == packet.get("read")
+    unread = 0 if posted else sum(sends)
+    assert hybrid["peer"].available() == packet["peer"].available() == unread
+    assert hybrid["peer"].bytes_received == packet["peer"].bytes_received == sum(sends)
     assert hybrid["conn"].bytes_sent == packet["conn"].bytes_sent
+    assert hybrid["conn"].rounds == packet["conn"].rounds
+    fl = hybrid["conn"].fluid
+    assert fl.active and fl.activations == 1
+    assert _reasons(fl) == []
+    # every round planned, in as few plans as the flow's history allows
+    assert fl.epoch_rounds == fl.fluid_rounds == hybrid["conn"].rounds
+    assert fl.epochs == sum(plans)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,9 +1438,9 @@ def test_fidelity_knob_validation():
     net.connect(a)
     with pytest.raises(ValueError):
         TcpStack(a, fidelity="bogus")
-    stack = TcpStack(a, fluid_policy=FluidPolicy(max_epoch_rounds=4))
+    stack = TcpStack(a, fluid_policy=FluidPolicy(first_plan_rounds=4))
     assert stack.fidelity == "hybrid"
-    assert stack.fluid_policy.max_epoch_rounds == 4
+    assert stack.fluid_policy.first_plan_rounds == 4
     assert TcpStack(Host(sim, "b")).fluid_policy is None
 
 

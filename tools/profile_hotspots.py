@@ -14,6 +14,14 @@ Usage::
     python tools/profile_hotspots.py --size large --fidelity packet \
         --workload fluid --top 40 --json profile.json
     python tools/profile_hotspots.py --events --size medium --json census.json
+    python tools/profile_hotspots.py --perfbench bulk_staging --json staging.json
+
+``--perfbench <workload>`` profiles one batch of a ``perfbench/`` workload
+instead (its builders are imported, nothing there is edited): one warm
+window, on which the timers are counted by callback, then one window under
+``cProfile``; it prints the top functions by own time and the timer census.
+That is the view a perfbench number is explained with — which functions a
+batch spends its window in, and which timers it schedules how often.
 
 ``--events`` replaces the profile by the *engine-event census* of the
 deployment scenario: how many loop entries each kind of timer callback and
@@ -67,10 +75,15 @@ class _ShardProfile:
         pass
 
 
-def _rows(stats: pstats.Stats, top: int) -> list:
+#: position of each ``--sort`` key in a ``pstats`` row ``(cc, nc, tt, ct, callers)``
+_SORT_COLUMN = {"ncalls": 1, "tottime": 2, "cumulative": 3}
+
+
+def _rows(stats: pstats.Stats, top: int, sort: str = "cumulative") -> list:
     rows = []
+    column = _SORT_COLUMN[sort]
     for (filename, lineno, funcname), (cc, nc, tt, ct, _callers) in sorted(
-        stats.stats.items(), key=lambda item: item[1][3], reverse=True
+        stats.stats.items(), key=lambda item: item[1][column], reverse=True
     )[:top]:
         try:
             filename = str(Path(filename).resolve().relative_to(REPO))
@@ -88,6 +101,11 @@ def _rows(stats: pstats.Stats, top: int) -> list:
             }
         )
     return rows
+
+
+def _write_json(path: str, artifact: dict) -> None:
+    Path(path).write_text(json.dumps(artifact, indent=1) + "\n")
+    print(f"wrote {path}")
 
 
 def _print_stats(stats: pstats.Stats, sort: str, top: int) -> None:
@@ -130,7 +148,7 @@ def _per_shard(args) -> int:
             continue
         stats = pstats.Stats(_ShardProfile(raw))
         _print_stats(stats, args.sort, args.top)
-        shards.append({"partition": p, "hotspots": _rows(stats, args.top)})
+        shards.append({"partition": p, "hotspots": _rows(stats, args.top, args.sort)})
 
     if args.json:
         artifact = {
@@ -144,8 +162,7 @@ def _per_shard(args) -> int:
             "sort": args.sort,
             "shards": shards,
         }
-        Path(args.json).write_text(json.dumps(artifact, indent=1) + "\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, artifact)
     return 0
 
 
@@ -212,9 +229,82 @@ def _events(args) -> int:
             "bytes_delivered": sum(delivered),
             "census": [{"kind": kind, "count": count} for kind, count in census.most_common()],
         }
-        Path(args.json).write_text(json.dumps(artifact, indent=1) + "\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, artifact)
     return 0
+
+
+def _callback_name(fn) -> str:
+    """A timer's census row: its callback's ``__qualname__``; a delayed
+    trigger (``SimEvent.fire``) by the class of the event it fires."""
+    owner = getattr(fn, "__self__", None)
+    if owner is not None and getattr(fn, "__name__", "") == "fire":
+        return f"{type(owner).__name__}.fire"
+    return getattr(fn, "__qualname__", None) or type(fn).__name__
+
+
+def _perfbench(args) -> int:
+    """Profile and timer census of one batch of a perfbench workload."""
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+    from repro.simnet.engine import Simulator
+
+    workload = workloads.WORKLOADS[args.perfbench]
+    scale = workloads.QUICK if args.quick else workloads.FULL
+
+    # warm window: first-use paths out of the way, and the census — every
+    # batch is the same deterministic computation, so the timers counted
+    # here are the ones the profiled window schedules, and the profile is
+    # taken on the unpatched kernel
+    census: Counter = Counter()
+    schedule = Simulator._schedule
+
+    def counting(sim, when, fn, fn_args):
+        census[_callback_name(fn)] += 1
+        return schedule(sim, when, fn, fn_args)
+
+    batch = workload.build(args.seed, scale)
+    Simulator._schedule = counting
+    try:
+        batch.run()
+    finally:
+        Simulator._schedule = schedule
+    warm = batch.finish()
+
+    batch = workload.build(args.seed, scale)
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.enable()
+    batch.run()
+    profiler.disable()
+    wall = time.perf_counter() - start
+    outcome = batch.finish()
+    failed = warm.failed + outcome.failed
+
+    stats = pstats.Stats(profiler)
+    _print_stats(stats, args.sort, args.top)
+    timers = sum(census.values())
+    print(f"{timers} timers scheduled in one window of {args.perfbench} "
+          f"({outcome.units:g} {workload.unit}, {failed} of {outcome.attempted} checks failed)")
+    for name, count in census.most_common(args.top):
+        print(f"{count:10d}  {100.0 * count / timers:5.1f}%  {name}")
+    if args.json:
+        artifact = {
+            "perfbench": args.perfbench,
+            "seed": args.seed,
+            "scale": "quick" if args.quick else "full",
+            "profiled_wall_s": round(wall, 3),
+            "units": outcome.units,
+            "unit": workload.unit,
+            "failed": failed,
+            "sort": args.sort,
+            "hotspots": _rows(stats, args.top, args.sort),
+            "timers_scheduled": timers,
+            "timer_census": [
+                {"callback": name, "count": count} for name, count in census.most_common()
+            ],
+        }
+        _write_json(args.json, artifact)
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -231,7 +321,9 @@ def main(argv=None) -> int:
     parser.add_argument("--fidelity", default="hybrid", choices=["packet", "hybrid"])
     parser.add_argument("--top", type=int, default=30, help="functions to print")
     parser.add_argument(
-        "--sort", default="cumulative", choices=["cumulative", "tottime", "ncalls"]
+        "--sort",
+        choices=sorted(_SORT_COLUMN),
+        help="default: cumulative (tottime with --perfbench)",
     )
     parser.add_argument("--json", metavar="PATH", help="write a JSON artifact here")
     parser.add_argument(
@@ -252,8 +344,23 @@ def main(argv=None) -> int:
         default=2,
         help="partition count for --per-shard (default 2)",
     )
+    parser.add_argument(
+        "--perfbench",
+        metavar="WORKLOAD",
+        help="profile one batch of this perfbench workload (one warm window "
+        "with a timer census by callback, one profiled window) instead of an "
+        "engine-scale scenario; --size, --workload and --fidelity do not apply",
+    )
+    parser.add_argument("--seed", type=int, default=1, help="workload seed for --perfbench")
+    parser.add_argument(
+        "--quick", action="store_true", help="--perfbench at perfbench's test scale"
+    )
     args = parser.parse_args(argv)
 
+    if args.sort is None:
+        args.sort = "tottime" if args.perfbench else "cumulative"
+    if args.perfbench:
+        return _perfbench(args)
     if args.per_shard:
         return _per_shard(args)
     if args.events:
@@ -277,10 +384,9 @@ def main(argv=None) -> int:
             "profiled_wall_s": round(wall, 3),
             "sort": args.sort,
             "result": result,
-            "hotspots": _rows(stats, args.top),
+            "hotspots": _rows(stats, args.top, args.sort),
         }
-        Path(args.json).write_text(json.dumps(artifact, indent=1) + "\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, artifact)
     return 0
 
 
