@@ -129,23 +129,6 @@ def selected_sizes():
     return ["medium", "large"]
 
 
-def selected_executor():
-    """``ENGINE_EXECUTOR`` selects the partitioned benchmarks' executor
-    (unset / ``round-robin``, ``thread``, or ``process``); returns
-    ``(executor_arg, kind_suffix)``.  Each executor gates against its own
-    recorded baseline kind (``kernel_partitioned``, ``kernel_process``, …)
-    — the process executor pays wire-serialization costs the in-process
-    executors do not, so their trajectories are tracked separately."""
-    ex = os.environ.get("ENGINE_EXECUTOR", "").strip()
-    if not ex or ex == "round-robin":
-        return None, "partitioned"
-    if ex not in ("thread", "process"):
-        raise ValueError(
-            f"ENGINE_EXECUTOR={ex!r}; known executors: round-robin, thread, process"
-        )
-    return ex, ex
-
-
 # ---------------------------------------------------------------------------
 # machine calibration
 # ---------------------------------------------------------------------------
@@ -244,12 +227,12 @@ def _stream(fw, src, dst, port, total, chunk=CHUNK):
     return done
 
 
-def build_scenario(size: str, partitions=None, executor=None, framework=PadicoFramework):
+def build_scenario(size: str, partitions=None, framework=PadicoFramework):
     cfg = SIZES[size]
     # ENGINE_FIDELITY=hybrid runs the same deployment with the fluid fast
     # path armed (the nightly job exercises this; byte totals must match).
     fidelity = os.environ.get("ENGINE_FIDELITY", "packet")
-    fw = framework(partitions=partitions, executor=executor, fidelity=fidelity)
+    fw = framework(partitions=partitions, fidelity=fidelity)
     grid = grid_deployment(fw, **cfg)
     fw.boot()
 
@@ -310,9 +293,9 @@ def _instrument(sim):
     return counter
 
 
-def run_scenario(size: str, partitions=None, executor=None) -> dict:
+def run_scenario(size: str, partitions=None) -> dict:
     build_start = time.perf_counter()
-    fw, grid, completions = build_scenario(size, partitions=partitions, executor=executor)
+    fw, grid, completions = build_scenario(size, partitions=partitions)
     build_s = time.perf_counter() - build_start
 
     legacy_counter = _instrument(fw.sim)
@@ -354,7 +337,6 @@ def run_scenario(size: str, partitions=None, executor=None) -> dict:
         result["partitions"] = fw.sim.partition_count
         result["windows"] = fw.sim.windows_run
         result["mailbox_deliveries"] = fw.sim.mailbox_deliveries
-    fw.shutdown()  # release the process executor's worker pool (no-op otherwise)
     return result
 
 
@@ -617,7 +599,6 @@ def run_kernel_scenario(
     buffer_cls=None,
     cancellable=True,
     partitions=None,
-    executor=None,
 ) -> dict:
     """Heartbeat failure detectors + churn flaps + cross-cluster WAN beats +
     relayed framed streams over the grid, on a bare simulator (``sim_cls``
@@ -625,18 +606,17 @@ def run_kernel_scenario(
     for the heap kernel).  ``buffer_cls``/``cancellable`` select the
     byte-path and guard-timer idioms (see :func:`run_kernel_scenario_legacy`).
 
-    ``partitions``/``executor`` run the identical workload on the
-    partitioned kernel: clusters map to partitions, every schedule lands in
-    its owner's queue, the WAN gateway beats cross partitions through the
-    boundary mailboxes, and all counters are per-partition cells (no shard
-    ever writes another shard's cell, so the thread executor stays exact).
+    ``partitions`` runs the identical workload on the partitioned kernel:
+    clusters map to partitions, every schedule lands in its owner's queue,
+    the WAN gateway beats cross partitions through the boundary mailboxes,
+    and all counters are per-partition cells.
     The logical trace — the summed counters — is identical by construction
     on every kernel, which is what the trace-equality tests pin down.
     """
     cfg = SIZES[size]
     horizon = KERNEL_HORIZON[size]
     if partitions is not None and partitions > 1:
-        sim = Simulator(partitions=partitions, executor=executor)
+        sim = Simulator(partitions=partitions)
     else:
         sim = (sim_cls or Simulator)()
     nparts = sim.partition_count
@@ -758,12 +738,6 @@ def run_kernel_scenario(
     def wan_deliver(part):
         wan_beats[part] += 1
 
-    # the only scenario-level callback that crosses partitions: name it so
-    # the process executor's wire codec can ship ("h", name, args) instead
-    # of pickling the closure (a no-op on every other kernel)
-    if hasattr(sim, "register_wire_handler"):
-        sim.register_wire_handler("kernel.wan-deliver", wan_deliver)
-
     def make_wan_beat(wan, dst_part):
         def beat():
             sim.call_at_partition(dst_part, sim.now + wan.latency, wan_deliver, dst_part)
@@ -788,28 +762,10 @@ def run_kernel_scenario(
 
     sim.every(0.002, _sample)
 
-    # under the process executor the counter cells live in the worker
-    # replicas (each worker writes only its own partition's cell); read
-    # them back through a collector evaluated inside each worker
-    is_process = getattr(getattr(sim, "_executor", None), "is_process", False)
-    if hasattr(sim, "register_collector"):
-        cells = (beats, delivered, suspicions, flaps, bursts, forwards, reads, wan_beats)
-        sim.register_collector(
-            "kernel.counters", lambda p: tuple(c[p] for c in cells) + (peak["pending"],)
-        )
-
     with _gc_paused():
         start = time.perf_counter()
         sim.run(until=horizon)
         wall_s = time.perf_counter() - start
-
-    if is_process:
-        rows = sim.collect("kernel.counters")
-        beats, delivered, suspicions, flaps, bursts, forwards, reads, wan_beats = (
-            [row[i] for row in rows] for i in range(8)
-        )
-        # the depth sampler runs in partition 0, i.e. inside worker 0
-        peak = {"pending": max(row[8] for row in rows)}
 
     counters = {
         "beats": sum(beats),
@@ -838,8 +794,6 @@ def run_kernel_scenario(
         result["windows"] = sim.windows_run
         result["mailbox_deliveries"] = sim.mailbox_deliveries
     result.update(counters)
-    if is_process:
-        sim.shutdown()
     return result
 
 
@@ -1080,34 +1034,20 @@ def test_kernel_workload_trace_matches_reference_heap(benchmark, once):
 
 
 def run_kernel_scenario_partitioned(size: str, partitions: int = 2) -> dict:
-    """The kernel workload on the partitioned kernel (round-robin executor);
-    importable by :func:`run_isolated`."""
+    """The kernel workload on the partitioned kernel; importable by
+    :func:`run_isolated`."""
     return run_kernel_scenario(size, partitions=partitions)
-
-
-#: acceptance width and floor for the process executor: >= 2.5x wall-clock
-#: over the single loop at 4 partitions on the 1000-host kernel workload.
-PROCESS_PARTITIONS = 4
-PROCESS_SPEEDUP_TARGET = 2.5
-
-
-def run_kernel_scenario_process(size: str) -> dict:
-    """The kernel workload on the process executor at the acceptance
-    partition width; importable by :func:`run_isolated`."""
-    return run_kernel_scenario(size, partitions=PROCESS_PARTITIONS, executor="process")
 
 
 @pytest.mark.parametrize("size", selected_sizes())
 def test_engine_scale_kernel_partitioned(benchmark, once, size):
     """The kernel workload sharded across partitions (2 by default,
-    ``ENGINE_PARTITIONS`` overrides; ``ENGINE_EXECUTOR`` selects the
-    executor): gated for trace equality with the single loop and against
-    the committed baseline of the matching kind (``kernel_partitioned``,
-    ``kernel_thread`` or ``kernel_process``)."""
+    ``ENGINE_PARTITIONS`` overrides): gated for trace equality with the
+    single loop and against the committed ``kernel_partitioned`` baseline."""
     nparts = int(os.environ.get("ENGINE_PARTITIONS", "2"))
-    executor, suffix = selected_executor()
+
     def run():
-        return run_kernel_scenario(size, partitions=nparts, executor=executor)
+        return run_kernel_scenario(size, partitions=nparts)
 
     result = once(benchmark, run)
     benchmark.extra_info.update(result)
@@ -1119,24 +1059,23 @@ def test_engine_scale_kernel_partitioned(benchmark, once, size):
     # conservative execution is *trace-equal* to the single loop
     single = run_kernel_scenario(size)
     assert {k: result[k] for k in TRACE_KEYS} == {k: single[k] for k in TRACE_KEYS}
-    check_baselines(f"kernel_{suffix}", size, result, benchmark, remeasure=run)
+    check_baselines("kernel_partitioned", size, result, benchmark, remeasure=run)
 
 
 @pytest.mark.parametrize("size", selected_sizes())
 def test_engine_scale_deployment_partitioned(benchmark, once, size):
     """The full-stack deployment scenario on the partitioned kernel: every
-    stream must deliver every byte through the boundary mailboxes (executor
-    from ``ENGINE_EXECUTOR``, baseline kind suffixed to match)."""
-    executor, suffix = selected_executor()
+    stream must deliver every byte through the boundary mailboxes."""
+
     def run():
-        return run_scenario(size, partitions=2, executor=executor)
+        return run_scenario(size, partitions=2)
 
     result = once(benchmark, run)
     benchmark.extra_info.update(result)
 
     assert result["bytes_delivered"] == result["bytes_expected"]
     assert result["mailbox_deliveries"] > 0
-    check_baselines(f"deployment_{suffix}", size, result, benchmark, remeasure=run)
+    check_baselines("deployment_partitioned", size, result, benchmark, remeasure=run)
 
 
 @pytest.mark.parametrize("nparts", [2, 4])
@@ -1148,54 +1087,3 @@ def test_partitioned_kernel_trace_matches_single_loop(nparts):
     multi = run_kernel_scenario(size, partitions=nparts)
     assert multi["mailbox_deliveries"] > 0
     assert {k: multi[k] for k in TRACE_KEYS} == {k: single[k] for k in TRACE_KEYS}
-
-
-def test_partitioned_kernel_thread_executor_matches_round_robin():
-    """The opt-in thread-pool executor must reproduce the round-robin trace
-    exactly (per-partition state, order-stamped mailboxes)."""
-    round_robin = run_kernel_scenario("small", partitions=2)
-    threaded = run_kernel_scenario("small", partitions=2, executor="thread")
-    assert {k: threaded[k] for k in TRACE_KEYS} == {k: round_robin[k] for k in TRACE_KEYS}
-
-
-def test_partitioned_kernel_process_executor_matches_round_robin():
-    """The process executor — one forked worker per partition, shard-owned
-    object graphs, wire-serialized boundary mailboxes — must reproduce the
-    round-robin trace exactly."""
-    round_robin = run_kernel_scenario("small", partitions=2)
-    forked = run_kernel_scenario("small", partitions=2, executor="process")
-    assert {k: forked[k] for k in TRACE_KEYS} == {k: round_robin[k] for k in TRACE_KEYS}
-
-
-def test_process_speedup_vs_single_loop():
-    """The tentpole acceptance: >= 2.5x wall-clock speedup at 4 partitions
-    on the 1000-host kernel workload, process executor vs the single loop,
-    both measured live in fresh interpreters on this machine (best of two).
-
-    A parallel speedup needs parallel hardware: on machines with fewer
-    cores than partitions the workers time-slice one core and the ratio
-    measures scheduling overhead, not the kernel — the gate only arms when
-    the shards can actually run concurrently.  Reduced sizes (CI smoke)
-    skip for the same reason the 3x kernel gate relaxes there: the
-    windowed protocol's fixed costs dominate sub-100 ms runs."""
-    cores = os.cpu_count() or 1
-    if cores < PROCESS_PARTITIONS:
-        pytest.skip(
-            f"process-speedup gate needs >= {PROCESS_PARTITIONS} cores; this "
-            f"machine has {cores} (workers would time-slice, not parallelize)"
-        )
-    size = os.environ.get("ENGINE_SCALE", "") or "large"
-    if size not in ("large", "huge"):
-        pytest.skip("the 2.5x floor is defined at the 1000-host tier (ENGINE_SCALE=large)")
-    best = 0.0
-    for _attempt in range(2):
-        single = run_isolated("run_kernel_scenario", size)
-        multi = run_isolated("run_kernel_scenario_process", size)
-        assert multi["events"] == single["events"]  # identical logical trace
-        best = max(best, single["wall_s"] / multi["wall_s"])
-        if best >= PROCESS_SPEEDUP_TARGET:
-            break
-    assert best >= PROCESS_SPEEDUP_TARGET, (
-        f"process executor at {PROCESS_PARTITIONS} partitions is {best:.2f}x "
-        f"the single loop at {size!r}, below the {PROCESS_SPEEDUP_TARGET}x floor"
-    )

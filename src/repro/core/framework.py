@@ -10,7 +10,7 @@ with the standard drivers and adapter factories registered.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.host import CpuModel, Host, HostGroup
@@ -252,12 +252,9 @@ class PadicoFramework:
     deployment partitions (see :mod:`repro.simnet.partition`): hosts boot
     into their partition's queue, monitoring probes and fault schedules run
     in the partition owning the link/host, and cross-partition traffic rides
-    boundary mailboxes under the WAN-latency lookahead.  ``executor``
-    selects how the per-partition queues are driven (``"round-robin"``
-    default, ``"thread"`` and ``"process"`` opt-in — the latter runs one
-    worker process per partition for real multi-core scaling; call
-    :meth:`shutdown` when done with it); ``lookahead`` optionally caps the
-    window width below the smallest boundary-link latency.
+    boundary mailboxes under the WAN-latency lookahead.  ``lookahead``
+    optionally caps the window width below the smallest boundary-link
+    latency.
 
     ``fidelity`` selects the TCP simulation fidelity for every node booted
     by this framework: ``"packet"`` (default) runs the full per-burst
@@ -274,16 +271,13 @@ class PadicoFramework:
         preferences: Optional[Preferences] = None,
         *,
         partitions: Optional[int] = None,
-        executor=None,
         lookahead: Optional[float] = None,
         fidelity: str = "packet",
     ):
         if fidelity not in ("packet", "hybrid"):
             raise FrameworkError(f"unknown fidelity {fidelity!r}; use 'packet' or 'hybrid'")
         self.fidelity = fidelity
-        self.sim = self.simulator_class(
-            partitions=partitions, executor=executor, lookahead=lookahead
-        )
+        self.sim = self.simulator_class(partitions=partitions, lookahead=lookahead)
         self.topology = TopologyKB()
         self.preferences = preferences or Preferences()
         self.routing = RoutingEngine(self.topology)
@@ -301,17 +295,6 @@ class PadicoFramework:
         #: emission on its own ``telemetry`` attribute being non-None, so the
         #: disabled deployment runs the exact pre-telemetry hot path.
         self.telemetry: Optional[TelemetryHub] = None
-        # On-demand gateway provisioning (boot + WAN method drivers) mutates
-        # node state outside the mailbox stream.  On a partitioned kernel the
-        # mutation is mirrored into every replica via the barrier bus: the
-        # caller applies it immediately (it is causally waiting on the
-        # relay), everyone else applies it at the next window barrier —
-        # before any frame that depends on it can arrive, since cross-
-        # partition arrivals never land inside the current window.
-        if self.sim.partition_count > 1:
-            self.sim.register_barrier_channel(
-                "framework:gateway-ctl", self._apply_gateway_ctl
-            )
 
     # -- observability -----------------------------------------------------------------
     def enable_telemetry(
@@ -362,14 +345,6 @@ class PadicoFramework:
             if node.vlink is not None:
                 node.vlink.telemetry = None
         hub.close()
-
-    def shutdown(self) -> None:
-        """Release simulator executor resources (the process executor's
-        worker pool in particular).  Idempotent; a no-op for in-process
-        executors and the single-loop kernel."""
-        stop = getattr(self.sim, "shutdown", None)
-        if stop is not None:
-            stop()
 
     def _wire_node_telemetry(self, node: PadicoNode) -> None:
         if node.tcp is not None:
@@ -471,11 +446,8 @@ class PadicoFramework:
         relay gateway provisioned by a routed connect or an adaptive
         migration) cannot enter the owner's mid-window queue; it boots in
         the caller's context instead — bring-up only wires objects, and the
-        caller is the one causally waiting on the relay.  Note that such
-        runtime cross-partition provisioning mutates the gateway's node
-        state from the caller's shard: deterministic under the round-robin
-        executor, but deployments using ``executor="thread"`` must pre-boot
-        every potential gateway."""
+        caller is the one causally waiting on the relay, and no frame that
+        depends on the gateway can reach it before the next window edge."""
         targets = list(names) if names is not None else list(self._hosts)
         nodes = []
         nparts = self.sim.partition_count
@@ -524,49 +496,15 @@ class PadicoFramework:
         except AbstractionError:
             return []
         booted = []
-        ctl: List[Tuple[str, str]] = []
         for gateway in gateways:
             if gateway.name not in self._hosts:
                 continue
             if not gateway.has_service(GATEWAY_RELAY_SERVICE):
                 booted.extend(self.boot([gateway.name]))
-                ctl.append(("boot", gateway.name))
             node = self._nodes.get(gateway.name)
-            if node is not None and node.is_wan_gateway and not node._wan_methods_enabled:
-                if node.enable_wan_methods():
-                    ctl.append(("wan", gateway.name))
-        if ctl:
-            self._broadcast_gateway_ctl(ctl)
-        return booted
-
-    def _broadcast_gateway_ctl(self, ops: List[Tuple[str, str]]) -> None:
-        """Mirror an on-demand gateway provisioning into every replica.
-
-        Only meaningful from model code on a partitioned kernel: at
-        construction time the deployment is replicated wholesale (fork /
-        build spec), so nothing needs shipping."""
-        sim = self.sim
-        if sim.partition_count <= 1 or not getattr(sim, "in_model_context", False):
-            return
-        for op in ops:
-            sim.publish_at_barrier("framework:gateway-ctl", op)
-
-    def _apply_gateway_ctl(self, batch) -> None:
-        """Barrier-bus consumer: replay gateway provisioning in this replica.
-
-        Re-applying in the originating replica is a no-op (boot and
-        ``enable_wan_methods`` are idempotent)."""
-        for _src, _idx, (op, name) in batch:
-            if name not in self._hosts:
-                continue
-            if op == "boot":
-                if not self.host(name).has_service(GATEWAY_RELAY_SERVICE):
-                    self.boot([name])
-            elif op == "wan":
-                node = self._nodes.get(name)
-                if node is None:
-                    node = self.boot([name])[0]
+            if node is not None and node.is_wan_gateway:
                 node.enable_wan_methods()
+        return booted
 
     def fault_injector(self, *, seed: int = 0xC0FFEE, announce: bool = True) -> FaultInjector:
         """The seeded churn/fault injector bound to this deployment.

@@ -115,10 +115,9 @@ class FaultInjector:
         mid-window: the conservative windows are sized from boundary
         latencies per window, so an in-window latency drop below the
         in-flight window would make later same-window sends raise
-        :class:`~repro.simnet.partition.LookaheadViolation`, and a
-        mid-window mutation is a cross-shard data race under the thread
-        executor.  Applying at the edge means the next window is already
-        sized from the degraded latency.  Shard-local links mutate at
+        :class:`~repro.simnet.partition.LookaheadViolation`.  Applying at
+        the edge means the next window is already sized from the degraded
+        latency.  Shard-local links mutate at
         ``at`` exactly, as before."""
         self._schedule_link_fault(
             at, network, self._degrade, network, latency, bandwidth, loss_rate

@@ -54,12 +54,12 @@ class LinkWatch:
         )
         # A passive probe on a *boundary* link observes traffic from both
         # endpoints' shards (the observer fires in the transmitting shard),
-        # which under parallel executors would mutate estimator state
-        # mid-window from two threads/processes.  Boundary watches therefore
-        # route every sample over the barrier sample bus: shard-local
-        # buffers, drained at the window edge in a deterministic merge, so
-        # estimator updates happen in barrier context only — identical
-        # across the round-robin, thread and process executors.
+        # and mid-window the two shards' clocks are not comparable: the
+        # shard that runs second would feed the estimator samples older
+        # than ones it already holds.  Boundary watches therefore route
+        # every sample over the barrier sample bus: shard-local buffers,
+        # drained at the window edge and merged by virtual time, so the
+        # estimator sees both shards' samples in the single loop's order.
         sim = monitor.sim
         self._bus_key: Optional[str] = None
         on_sample = self._on_sample

@@ -45,9 +45,9 @@ write instead of being concatenated.  Rules for layer authors:
   snapshot" rule) and through nothing else;
 * only a consumer that needs contiguous bytes flattens, with ``bytes(g)``,
   at its own boundary: codecs (compression, ciphers), striping and
-  datagram chunking, the retransmission buffer of adaptive sessions, the
-  cross-process wire codec — and a reader that asked for flat ``bytes``
-  when its read spans several chunks (:meth:`ByteRing.take`).
+  datagram chunking, the retransmission buffer of adaptive sessions — and
+  a reader that asked for flat ``bytes`` when its read spans several
+  chunks (:meth:`ByteRing.take`).
 
 The receive side is the same rule read backwards.  :class:`StreamBuffer` is
 the one implementation of "pending reads over a byte ring" (TCP, MadIO

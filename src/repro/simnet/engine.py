@@ -168,9 +168,6 @@ class SimEvent:
 
     #: ``seq`` is stamped by the simulator when the event triggers (it
     #: orders the ready FIFO against due timers); unset while pending.
-    #: ``uid`` is a construction-order identifier assigned only when the
-    #: simulator installs an ``_event_tracker`` (the process-pool executor
-    #: uses it to name events across address spaces); unset otherwise.
     __slots__ = (
         "sim",
         "callbacks",
@@ -180,8 +177,6 @@ class SimEvent:
         "_processed",
         "name",
         "seq",
-        "uid",
-        "__weakref__",
     )
 
     def __init__(self, sim: "Simulator", name: str = ""):
@@ -192,8 +187,6 @@ class SimEvent:
         self._triggered = False
         self._processed = False
         self.name = name
-        if sim._event_tracker is not None:
-            sim._event_tracker(self)
 
     # -- state ------------------------------------------------------------
     @property
@@ -546,12 +539,6 @@ class Simulator:
     #: 3% on every later ``self.`` access of the run loop.)
     telemetry = None
 
-    #: event-identity hook: ``None`` means events carry no ``uid`` (the
-    #: zero-overhead default).  The process-pool executor installs a tracker
-    #: that stamps every event with a construction-order uid, so replicated
-    #: object graphs in worker processes can name the same logical event.
-    _event_tracker = None
-
     def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
         if cls is Simulator:
             partitions = kwargs.get("partitions")
@@ -567,7 +554,6 @@ class Simulator:
         wheel_width: float = 64e-6,
         wheel_buckets: int = 512,
         partitions: Optional[int] = None,
-        executor: Optional[Any] = None,
         lookahead: Optional[float] = None,
     ) -> None:
         if partitions is not None and int(partitions) > 1:
@@ -576,7 +562,7 @@ class Simulator:
             raise SimulationError(
                 f"{type(self).__name__} does not support partitions={partitions!r}"
             )
-        del partitions, executor, lookahead  # single-loop kernel: no-ops
+        self._checked_lookahead(lookahead)  # the single loop has no windows
         if wheel_width <= 0.0 or wheel_buckets < 1:
             raise SimulationError("wheel_width must be positive and wheel_buckets >= 1")
         self.telemetry = None  # see the class attribute
@@ -700,6 +686,13 @@ class Simulator:
         self.call_at(when, fn, *args)
         return None
 
+    @staticmethod
+    def _checked_lookahead(lookahead: Optional[float]) -> Optional[float]:
+        """``lookahead`` as both kernels accept it: ``None`` or positive."""
+        if lookahead is not None and not lookahead > 0.0:
+            raise SimulationError(f"lookahead must be positive, got {lookahead!r}")
+        return lookahead
+
     def in_partition(self, partition: int):
         """Context manager routing scheduling calls to ``partition``.
 
@@ -708,48 +701,6 @@ class Simulator:
         """
         del partition
         return contextlib.nullcontext(self)
-
-    def register_wire_handler(self, name: str, fn: Callable) -> Callable:
-        """Name a callback for the cross-process mailbox wire protocol.
-
-        On a process-partitioned kernel, a closure scheduled across a
-        partition boundary cannot be pickled; registering it (identically in
-        every replica, i.e. at deployment-construction time) lets the wire
-        codec ship ``(name, args)`` instead.  A no-op on the single loop —
-        nothing crosses address spaces — so scenario code can register
-        unconditionally.
-        """
-        del name
-        return fn
-
-    def set_build_spec(self, fn: Callable, *args: Any) -> None:
-        """Declare how process-executor workers rebuild the deployment
-        (``fn(sim, *args)`` run in each worker instead of fork-inheriting
-        the parent graph).  Nothing forks on the single loop: a no-op, so
-        scenario code can declare its build spec unconditionally."""
-        del fn, args
-
-    def register_collector(self, name: str, fn: Callable) -> Callable:
-        """Register a per-partition state collector for :meth:`collect`.
-
-        ``fn(p)`` must return a picklable snapshot of partition ``p``'s
-        share of some scenario state.  On a process-partitioned kernel,
-        :meth:`collect` evaluates the collector *inside the worker process
-        owning each partition*; registering at construction time replicates
-        the closure into every worker.  Here it simply stores the callable.
-        """
-        collectors = getattr(self, "_collectors", None)
-        if collectors is None:
-            collectors = self._collectors = {}
-        collectors[name] = fn
-        return fn
-
-    def collect(self, name: str) -> List[Any]:
-        """Evaluate a registered collector, one entry per partition."""
-        collectors = getattr(self, "_collectors", None)
-        if collectors is None or name not in collectors:
-            raise SimulationError(f"no collector registered under {name!r}")
-        return [collectors[name](0)]
 
     def _push_triggered(self, ev: SimEvent) -> None:
         # fast path: a triggered event is processed at the current timestamp

@@ -44,31 +44,12 @@ the single loop interleaves by global scheduling order, which no partition
 can observe; the partitioned kernel instead applies the deterministic
 mailbox rule above (the delivery runs after the destination's
 locally-scheduled events of that timestamp).  Both orders are legal
-executions of the model; only the partitioned one is independent of the
-executor.
+executions of the model.
 
-Executors
----------
-
-``executor="round-robin"`` (default) steps the shards sequentially inside
-one process — deterministic and dependency-free, the configuration the
-trace-equality suite pins down.  ``executor="thread"`` runs each shard's
-window on a worker-thread pool with a barrier per window; with mailbox
-merging order-stamped (not arrival-ordered) the execution stays
-deterministic *provided* partitions share no mutable Python state outside
-the boundary mailboxes (per-partition counters, per-partition rngs).  CPU
-parallelism is bounded by the GIL in CPython today; the thread executor
-exists for GIL-releasing model code and free-threaded builds.
-
-``executor="process"`` (:mod:`repro.simnet.procexec`) is the multi-core
-configuration: one worker process per partition, each owning a full replica
-of the object graph and *executing* only its own shard.  Cross-shard
-traffic is the boundary-mailbox stream, wire-encoded (frame fields by
-value, hosts/networks by deterministic name) and merged by the parent with
-the same ``(when, sent_at, src_partition, src_seq)`` sort; the window
-barrier is the pipe round-trip.  Barrier hooks, the barrier sample bus and
-telemetry keep their round-robin semantics across address spaces (see the
-executor module for the replication rules).
+The shards run their windows in turn, in index order, in the caller's
+address space: partitioning exists to prove a deployment's sharding correct
+(every cross-partition interaction rides a link with enough lookahead and
+the trace equals the single loop's), not to go faster.
 
 Determinism contract for scenario authors:
 
@@ -84,17 +65,15 @@ Determinism contract for scenario authors:
   (the observer fires in the transmitting shard); their samples ride the
   **barrier sample bus** (:meth:`PartitionedSimulator.publish_at_barrier`):
   shard-local buffers drained at the window barrier in a deterministic
-  ``(sample time, source partition, publish order)`` merge, so boundary
-  watches are executor-independent — including under the thread executor
-  (no mid-window shared-estimator writes) and the process executor (every
-  replica consumes the identical merged stream).
+  ``(sample time, source partition, publish order)`` merge — two shards'
+  clocks are not comparable mid-window, so that merge is what orders their
+  samples by virtual time.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simnet.engine import (
@@ -139,98 +118,6 @@ class _PartitionShard(Simulator):
         return head[0] if head is not None else None
 
 
-class _RoundRobinExecutor:
-    """Default executor: each shard runs its window in turn, in index order,
-    on the calling thread."""
-
-    name = "round-robin"
-
-    def run_window(
-        self, psim: "PartitionedSimulator", shards: List[_PartitionShard], window_end: float
-    ) -> None:
-        for shard in shards:
-            if psim._p_stopped:
-                break
-            psim._enter_shard(shard)
-            try:
-                shard.run(until=window_end)
-            finally:
-                psim._exit_shard()
-
-
-class _ThreadPoolExecutor:
-    """Opt-in executor: one worker thread per shard, barrier per window.
-
-    The pool lives for one :meth:`PartitionedSimulator.run` call
-    (:meth:`open`/:meth:`close` bracket it) so simulators never leak idle
-    worker threads past their run."""
-
-    name = "thread"
-
-    def __init__(self) -> None:
-        self._pool = None
-
-    def open(self, nshards: int) -> None:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=nshards, thread_name_prefix="sim-shard"
-            )
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def run_window(
-        self, psim: "PartitionedSimulator", shards: List[_PartitionShard], window_end: float
-    ) -> None:
-        self.open(len(shards))
-        futures = [
-            self._pool.submit(self._run_shard, psim, shard, window_end) for shard in shards
-        ]
-        # the barrier: every shard finishes its window before mailboxes
-        # merge — including when one raises, or the merge (and the cleared
-        # lookahead check) would race the straggler threads.
-        first_error = None
-        for future in futures:
-            try:
-                future.result()
-            except BaseException as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    @staticmethod
-    def _run_shard(
-        psim: "PartitionedSimulator", shard: _PartitionShard, window_end: float
-    ) -> None:
-        psim._enter_shard(shard)
-        try:
-            shard.run(until=window_end)
-        finally:
-            psim._exit_shard()
-
-
-def _make_executor(executor: Any) -> Any:
-    if executor is None or executor == "round-robin":
-        return _RoundRobinExecutor()
-    if executor in ("thread", "threads", "thread-pool"):
-        return _ThreadPoolExecutor()
-    if executor in ("process", "processes", "process-pool"):
-        from repro.simnet.procexec import ProcessPoolExecutor
-
-        return ProcessPoolExecutor()
-    if hasattr(executor, "run_window"):
-        return executor
-    raise SimulationError(
-        f"unknown executor {executor!r}; expected 'round-robin', 'thread', "
-        "'process' or an object with a run_window(sim, shards, window_end) method"
-    )
-
-
 class PartitionedSimulator(Simulator):
     """N per-partition event queues executed in conservative time windows.
 
@@ -251,7 +138,6 @@ class PartitionedSimulator(Simulator):
         self,
         *,
         partitions: int,
-        executor: Any = None,
         lookahead: Optional[float] = None,
         wheel_width: float = 64e-6,
         wheel_buckets: int = 512,
@@ -264,20 +150,19 @@ class PartitionedSimulator(Simulator):
             raise SimulationError(
                 f"PartitionedSimulator needs at least 2 partitions, got {partitions}"
             )
-        if lookahead is not None and lookahead <= 0.0:
-            raise SimulationError(f"lookahead must be positive, got {lookahead!r}")
         self._shards: List[_PartitionShard] = [
             _PartitionShard(i, wheel_width=wheel_width, wheel_buckets=wheel_buckets)
             for i in range(partitions)
         ]
         self._mailboxes: List[List[Tuple]] = [[] for _ in range(partitions)]
-        self._mail_lock = threading.Lock()
-        self._tls = threading.local()
+        # routing state: the shard whose window is executing (None between
+        # windows) and the in_partition override stack
+        self._shard: Optional[_PartitionShard] = None
+        self._override: List[_PartitionShard] = []
         self._time = 0.0
         self._window_end: Optional[float] = None
-        self._configured_lookahead = lookahead
+        self._configured_lookahead = self._checked_lookahead(lookahead)
         self._boundaries: List[Any] = []
-        self._executor = _make_executor(executor)
         self._p_stopped = False
         self.windows_run = 0
         self.mailbox_deliveries = 0
@@ -290,46 +175,15 @@ class PartitionedSimulator(Simulator):
         # probe samples et al.; see publish_at_barrier)
         self._bus_buffers: List[List[Tuple[str, Any]]] = [[] for _ in range(partitions)]
         self._bus_consumers: dict = {}
-        self._bus_last_drain: Optional[List[Tuple]] = None
-        # wire-protocol registries (process executor): named callbacks the
-        # mailbox codec may ship across address spaces, and per-partition
-        # state collectors evaluated inside the owning worker
-        self._wire_handlers: dict = {}
-        self._wire_names: dict = {}
-        self._collectors: dict = {}
-        # process-executor plumbing: the worker index when this replica runs
-        # inside a worker process, mid-run barrier registrations to fan out,
-        # and the construction-order event-uid registry
-        self._worker_index: Optional[int] = None
-        self._pending_hook_ships: List[Tuple] = []
-        self._hook_ship_seq = itertools.count()
-        if getattr(self._executor, "needs_event_uids", False):
-            import weakref
-
-            self._event_uid_counter = itertools.count()
-            self._uid_map = weakref.WeakValueDictionary()
-
-            def _track(ev, _ctr=self._event_uid_counter, _map=self._uid_map):
-                ev.uid = uid = next(_ctr)
-                _map[uid] = ev
-
-            self._event_tracker = _track
 
     # -- shard routing ------------------------------------------------------
-    def _enter_shard(self, shard: _PartitionShard) -> None:
-        self._tls.shard = shard
-
-    def _exit_shard(self) -> None:
-        self._tls.shard = None
-
     def _active_shard(self) -> _PartitionShard:
         """The shard scheduling calls go to: an explicit ``in_partition``
-        override, else the shard executing on this thread, else partition 0
+        override, else the shard whose window is executing, else partition 0
         (deployment-construction default)."""
-        override = getattr(self._tls, "override", None)
-        if override:
-            return override[-1]
-        shard = getattr(self._tls, "shard", None)
+        if self._override:
+            return self._override[-1]
+        shard = self._shard
         if shard is not None:
             return shard
         return self._shards[0]
@@ -346,7 +200,7 @@ class PartitionedSimulator(Simulator):
         be booted at deployment time.
         """
         target = self._shards[self._check_partition(partition)]
-        executing = getattr(self._tls, "shard", None)
+        executing = self._shard
         if executing is not None and executing is not target:
             raise SimulationError(
                 f"cannot enter partition {partition} from model code executing "
@@ -369,12 +223,6 @@ class PartitionedSimulator(Simulator):
     @property
     def current_partition(self) -> int:
         return self._active_shard().index
-
-    @property
-    def in_model_context(self) -> bool:
-        """True while executing model code inside a shard window (as opposed
-        to deployment construction or barrier-context code)."""
-        return getattr(self._tls, "shard", None) is not None
 
     # -- boundaries / lookahead --------------------------------------------
     def add_boundary(self, network: Any) -> Any:
@@ -412,21 +260,7 @@ class PartitionedSimulator(Simulator):
         ``(when, registration order)``; scheduling calls made by a hook
         route like deployment-construction code (partition 0 unless wrapped
         in :meth:`in_partition`).
-
-        Under the process executor every replica holds an identical copy of
-        the hook heap (registrations at construction time, and from barrier
-        context — hooks, bus consumers — replay identically everywhere).  A
-        registration made by *shard model code* mid-run exists in one worker
-        only; it is intercepted here and fanned out through the parent so
-        all replicas pop the same hooks at the same edges — which requires
-        the callback to be wire-encodable (see
-        :meth:`register_wire_handler`).
         """
-        if self._worker_index is not None and getattr(self._tls, "shard", None) is not None:
-            # worker shard context: ship to the parent for barrier-riding
-            # fan-out instead of mutating only this replica's heap
-            self._pending_hook_ships.append((when, next(self._hook_ship_seq), fn, args))
-            return None
         heapq.heappush(self._barrier_hooks, (when, next(self._barrier_seq), fn, args))
         return None
 
@@ -437,103 +271,34 @@ class PartitionedSimulator(Simulator):
         ``consumer(batch)`` is called at each window barrier that drained at
         least one publication on the channel, with ``batch`` a list of
         ``(src_partition, publish_index, payload)`` in deterministic merged
-        order.  Registration must happen at construction time (replicated
-        into every process-executor worker); re-registering a key replaces
-        the consumer.
+        order.  Re-registering a key replaces the consumer.
         """
         self._bus_consumers[key] = consumer
 
     def publish_at_barrier(self, key: str, payload: Any) -> None:
         """Publish ``payload`` on barrier-bus channel ``key``.
 
-        Buffered shard-locally (no locks, no mid-window shared writes) and
-        delivered to the channel's consumer at the next window barrier in
-        every replica.  Under the process executor the payload must be
-        picklable.
+        Buffered shard-locally (no mid-window shared writes) and delivered
+        to the channel's consumer at the next window barrier.
         """
         self._bus_buffers[self._active_shard().index].append((key, payload))
 
-    def _drain_barrier_bus(self, extra: Optional[List[Tuple]] = None) -> None:
+    def _drain_barrier_bus(self) -> None:
         """Window barrier: deliver published payloads to channel consumers.
 
-        ``extra`` carries ``(src_partition, publish_index, key, payload)``
-        tuples gathered from worker processes; local buffers contribute in
-        shard order.  Per channel, the batch is ordered by (source
-        partition, publish index) — a pure function of per-shard publish
-        streams, identical across executors.
+        Per channel, the batch is ordered by (source partition, publish
+        index) — a pure function of the per-shard publish streams.
         """
         batches: dict = {}
-        merged: List[Tuple] = []
         for p, buf in enumerate(self._bus_buffers):
             if buf:
                 for i, (key, payload) in enumerate(buf):
                     batches.setdefault(key, []).append((p, i, payload))
-                    merged.append((p, i, key, payload))
                 del buf[:]
-        if extra:
-            for p, i, key, payload in extra:
-                batches.setdefault(key, []).append((p, i, payload))
-                merged.append((p, i, key, payload))
-        # the process executor fans the full merged batch (parent-local
-        # publications + worker-gathered ones) out to every worker replica
-        # next window, so each replica's consumers see the identical stream
-        self._bus_last_drain = merged or None
-        if not batches:
-            return
         for key in sorted(batches):
             consumer = self._bus_consumers.get(key)
             if consumer is not None:
-                batch = batches[key]
-                batch.sort(key=lambda e: (e[0], e[1]))
-                consumer(batch)
-
-    # -- wire registries (process executor) -----------------------------------
-    def register_wire_handler(self, name: str, fn: Callable) -> Callable:
-        """Name ``fn`` for the cross-process mailbox wire protocol.
-
-        Must be called identically in every replica — i.e. at deployment
-        construction time, before ``run()`` — so each worker resolves the
-        name to its own copy of the callback.  Frame deliveries
-        (``Nic.handle_arrival``) are encoded structurally and need no
-        registration; this is for scenario-level closures scheduled across
-        partitions.  Harmless under the round-robin/thread executors.
-        """
-        if not name or not isinstance(name, str):
-            raise SimulationError(f"wire handler name must be a non-empty str, got {name!r}")
-        self._wire_handlers[name] = fn
-        self._wire_names[fn] = name
-        return fn
-
-    def register_collector(self, name: str, fn: Callable) -> Callable:
-        """Register ``fn(p) -> picklable`` as per-partition state collector.
-
-        See :meth:`collect`.  Like wire handlers, collectors must be
-        registered at construction time so process-executor workers hold a
-        replica of the closure (and of the state it closes over).
-        """
-        self._collectors[name] = fn
-        return fn
-
-    def collect(self, name: str) -> List[Any]:
-        """Evaluate collector ``name`` for every partition.
-
-        Returns a list indexed by partition.  Under the process executor,
-        entry ``p`` is computed *inside worker* ``p`` (the replica whose
-        shard actually executed), which is the only way to read scenario
-        state back out of shard-owned object graphs.  Under the round-robin
-        and thread executors the shared graph is evaluated directly, so the
-        result is executor-independent for state the contract keeps
-        partition-local.
-        """
-        fn = self._collectors.get(name)
-        if fn is None:
-            raise SimulationError(f"no collector registered under {name!r}")
-        gather = getattr(self._executor, "collect", None)
-        if gather is not None:
-            gathered = gather(self, name)
-            if gathered is not None:
-                return gathered
-        return [fn(p) for p in range(len(self._shards))]
+                consumer(batches[key])
 
     def effective_lookahead(self) -> float:
         """The window width for the next window: the minimum of the
@@ -558,12 +323,11 @@ class PartitionedSimulator(Simulator):
     # -- clock --------------------------------------------------------------
     @property
     def now(self) -> float:
-        shard = getattr(self._tls, "shard", None)
+        shard = self._shard
         if shard is not None:
             return shard._now
-        override = getattr(self._tls, "override", None)
-        if override:
-            return override[-1]._now
+        if self._override:
+            return self._override[-1]._now
         return self._time
 
     # -- scheduling ----------------------------------------------------------
@@ -580,7 +344,7 @@ class PartitionedSimulator(Simulator):
         self, partition: int, when: float, fn: Callable, *args: Any
     ) -> Optional[TimerHandle]:
         dst = self._shards[self._check_partition(partition)]
-        src = getattr(self._tls, "shard", None)
+        src = self._shard
         if src is None or src is dst:
             # outside the run loop, or a partition-local delivery: straight
             # into the destination queue — same path as the single kernel.
@@ -592,9 +356,9 @@ class PartitionedSimulator(Simulator):
                 f"window (horizon {window_end!r}): the link from partition "
                 f"{src.index} to {dst.index} is faster than the lookahead"
             )
-        entry = (when, src._now, src.index, next(src._mail_seq), fn, args)
-        with self._mail_lock:
-            self._mailboxes[dst.index].append(entry)
+        self._mailboxes[dst.index].append(
+            (when, src._now, src.index, next(src._mail_seq), fn, args)
+        )
         return None
 
     def _merge_mailboxes(self) -> None:
@@ -621,16 +385,10 @@ class PartitionedSimulator(Simulator):
 
     def _next_when(self) -> Optional[float]:
         best = None
-        # the process executor tracks worker-reported next-event times (the
-        # parent's replica shards are frozen construction-time state)
-        hint = getattr(self._executor, "next_event_time", None)
-        if hint is not None:
-            best = hint(self)
-        else:
-            for shard in self._shards:
-                t = shard.next_event_time()
-                if t is not None and (best is None or t < best):
-                    best = t
+        for shard in self._shards:
+            t = shard.next_event_time()
+            if t is not None and (best is None or t < best):
+                best = t
         if self._barrier_hooks:
             t = self._barrier_hooks[0][0]
             if best is None or t < best:
@@ -646,57 +404,26 @@ class PartitionedSimulator(Simulator):
         elif until is not None:
             target_time = float(until)
 
-        prepare = getattr(self._executor, "on_run_start", None)
-        if prepare is not None:
-            prepare(self)
-        watcher = None
-        if target_event is not None:
-            make_watcher = getattr(self._executor, "make_watcher", None)
-            if make_watcher is not None:
-                watcher = make_watcher(self, target_event)
+        self._run_windows(target_event, target_time, max_time)
 
-        try:
-            self._run_windows(target_event, target_time, max_time, watcher)
-        finally:
-            finish = getattr(self._executor, "on_run_end", None)
-            if finish is not None:
-                finish(self)
-            close = getattr(self._executor, "close", None)
-            if close is not None:
-                close()
-
-        if watcher is not None:
-            if watcher.done:
-                ok, value = watcher.outcome()
-                if ok:
-                    return value
-                raise value
-            return None
         if target_event is not None and target_event.triggered:
             if target_event.ok:
                 return target_event.value
             raise target_event.value
         return None
 
-    def _target_done(self, target_event: Optional[SimEvent], watcher: Optional[Any]) -> bool:
-        if watcher is not None:
-            return watcher.done
-        return target_event is not None and target_event._processed
-
     def _run_windows(
         self,
         target_event: Optional[SimEvent],
         target_time: Optional[float],
         max_time: Optional[float],
-        watcher: Optional[Any] = None,
     ) -> None:
-        take_bus = getattr(self._executor, "take_bus", None)
         while not self._p_stopped:
-            if self._target_done(target_event, watcher):
+            if target_event is not None and target_event._processed:
                 break
             nxt = self._next_when()
             if nxt is None:
-                if target_event is not None and not self._target_done(target_event, watcher):
+                if target_event is not None:
                     raise SimulationError(
                         f"simulation ran out of events while waiting for {target_event!r} "
                         "(deadlock: nobody will ever trigger it)"
@@ -725,10 +452,16 @@ class PartitionedSimulator(Simulator):
                 window_end = max_time
             self._window_end = window_end
             try:
-                self._executor.run_window(self, self._shards, window_end)
+                # each shard runs its window in turn, in index order
+                for shard in self._shards:
+                    if self._p_stopped:
+                        break
+                    self._shard = shard
+                    shard.run(until=window_end)
             finally:
                 # merge even when model code raised out of a shard: mailbox
                 # entries are post-horizon and safe to deliver any time.
+                self._shard = None
                 self._window_end = None
                 self._merge_mailboxes()
             self.windows_run += 1
@@ -739,9 +472,9 @@ class PartitionedSimulator(Simulator):
             # samples) in the deterministic merged order — before telemetry
             # drains (consumer emissions commit with this barrier) and
             # before hooks (samples observed this window predate edge churn)
-            self._drain_barrier_bus(take_bus(self) if take_bus is not None else None)
+            self._drain_barrier_bus()
             # window edge: drain per-shard telemetry buffers into the
-            # deterministic merged stream (executor-independent order)
+            # deterministic merged stream
             hub = self.telemetry
             if hub is not None:
                 hub.on_window_barrier(window_end)
@@ -756,58 +489,12 @@ class PartitionedSimulator(Simulator):
         """Stop the run: the executing shard halts immediately, remaining
         shards at the window barrier."""
         self._p_stopped = True
-        shard = getattr(self._tls, "shard", None)
-        if shard is not None:
-            shard.stop()
-
-    def shutdown(self) -> None:
-        """Release executor resources (worker processes/threads).
-
-        Idempotent; a no-op for executors without persistent state.  The
-        process executor's worker pool survives across :meth:`run` calls so
-        multi-phase scenarios reuse it — call this (or let the simulator be
-        garbage-collected) when done."""
-        stop = getattr(self._executor, "shutdown", None)
-        if stop is None:
-            stop = getattr(self._executor, "close", None)
-        if stop is not None:
-            stop()
-
-    def set_build_spec(self, fn: Callable, *args: Any) -> None:
-        """Declare how worker processes rebuild the deployment.
-
-        Delegates to the process executor (see
-        :meth:`~repro.simnet.procexec.ProcessPoolExecutor.set_build_spec`);
-        a no-op on executors that share the parent's object graph."""
-        setter = getattr(self._executor, "set_build_spec", None)
-        if setter is not None:
-            setter(fn, *args)
-
-    def begin_profile(self) -> None:
-        """Arm per-shard profiling (process executor: a ``cProfile`` run
-        inside each worker, covering shard windows only).  A no-op on
-        executors without per-shard profiling support."""
-        start = getattr(self._executor, "begin_profile", None)
-        if start is not None:
-            start()
-
-    def end_profile(self) -> Optional[List[Optional[dict]]]:
-        """Stop per-shard profiling and return one raw ``cProfile`` stats
-        dict per partition (``None`` entries for shards that never ran;
-        ``None`` overall when the executor does not profile)."""
-        stop = getattr(self._executor, "end_profile", None)
-        if stop is None:
-            return None
-        return stop()
+        if self._shard is not None:
+            self._shard.stop()
 
     # -- introspection -------------------------------------------------------
     def pending_count(self) -> int:
-        live = None
-        worker_live = getattr(self._executor, "pending_live", None)
-        if worker_live is not None:
-            live = worker_live(self)
-        if live is None:
-            live = sum(shard._live for shard in self._shards)
+        live = sum(shard._live for shard in self._shards)
         return live + sum(len(box) for box in self._mailboxes) + len(self._barrier_hooks)
 
     def stats(self) -> SimStats:
@@ -820,10 +507,7 @@ class PartitionedSimulator(Simulator):
         per-shard by nature: the merged value is the *sum of per-shard
         peaks*, an upper bound on the true concurrent peak (shards hit
         their maxima at different instants).  Use :meth:`partition_stats`
-        for the undistorted per-shard view.  All counters are executor-
-        independent: every executor runs identical per-shard schedules, so
-        ``stats()`` compares equal across round-robin, thread and process
-        (the latter barrier-samples the counters out of its workers)."""
+        for the undistorted per-shard view."""
         shard_stats = self.partition_stats()
         return SimStats(
             events_processed=sum(s.events_processed for s in shard_stats),
@@ -834,27 +518,19 @@ class PartitionedSimulator(Simulator):
         )
 
     def partition_stats(self) -> List[SimStats]:
-        """Per-shard counter snapshots, in partition order.  Under the
-        process executor shard ``p``'s counters come from worker ``p``'s
-        last window report (the parent replica never executes)."""
-        gather = getattr(self._executor, "partition_stats", None)
-        if gather is not None:
-            gathered = gather(self)
-            if gathered is not None:
-                return gathered
+        """Per-shard counter snapshots, in partition order."""
         return [shard.stats() for shard in self._shards]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<PartitionedSimulator partitions={len(self._shards)} "
-            f"executor={self._executor.name} t={self._time:g} "
-            f"windows={self.windows_run}>"
+            f"t={self._time:g} windows={self.windows_run}>"
         )
 
 
 class _PartitionContext:
-    """Context manager pushing a partition override onto the calling
-    thread's routing stack (see :meth:`PartitionedSimulator.in_partition`)."""
+    """Context manager pushing a partition override onto the routing stack
+    (see :meth:`PartitionedSimulator.in_partition`)."""
 
     __slots__ = ("sim", "shard")
 
@@ -863,12 +539,8 @@ class _PartitionContext:
         self.shard = shard
 
     def __enter__(self) -> PartitionedSimulator:
-        tls = self.sim._tls
-        stack = getattr(tls, "override", None)
-        if stack is None:
-            stack = tls.override = []
-        stack.append(self.shard)
+        self.sim._override.append(self.shard)
         return self.sim
 
     def __exit__(self, *_exc: Any) -> None:
-        self.sim._tls.override.pop()
+        self.sim._override.pop()

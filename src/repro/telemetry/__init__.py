@@ -8,7 +8,7 @@ The package has four layers (ISSUE 7 / ROADMAP item 4):
   the hub when :meth:`repro.core.framework.PadicoFramework.enable_telemetry`
   wired it up.  Events are flat JSON-serializable dicts; on a partitioned
   kernel they collect in per-shard buffers merged deterministically at the
-  window barriers, so the stream is executor-independent.
+  window barriers.
 - :mod:`repro.telemetry.series` — :class:`MetricSeries`, compact windowed
   aggregation (sum/mean/p50/p99) with CSV/JSON dump.
 - :mod:`repro.telemetry.kpis` — KPI computation over an event stream:

@@ -26,11 +26,10 @@ Determinism
 
 On a single event loop, events append straight to :attr:`events` (and the
 JSONL file, if one is attached).  On a partitioned kernel each shard
-appends to its own buffer — shard-local, so the thread executor needs no
-locks — and the facade drains the buffers at every window barrier, sorted
-by ``(t, p, s)``: a deterministic function of per-shard streams that are
-themselves trace-exact, so the merged stream is identical across the
-round-robin and thread executors.
+appends to its own buffer and the facade drains the buffers at every
+window barrier, sorted by ``(t, p, s)``: a deterministic function of
+per-shard streams that are themselves trace-exact, so the merged stream
+does not depend on the order the shards ran in.
 
 JSONL lines are written with sorted keys and no whitespace; floats
 round-trip exactly through JSON, which is what makes replayed KPI output
@@ -87,23 +86,11 @@ class TelemetryHub:
         self.jsonl_path = jsonl_path
         self._file = open(jsonl_path, "w", encoding="utf-8") if jsonl_path else None
         self.closed = False
-        # process-executor worker replicas capture shard emissions locally
-        # and ship them to the parent at each window barrier; None in the
-        # parent / under in-process executors (see begin_worker_capture)
-        self._worker_index: Optional[int] = None
 
     # -- collection -----------------------------------------------------------
     def emit(self, kind: str, t: Optional[float] = None, **fields: Any) -> None:
         """Record one event.  ``t`` defaults to the simulator clock."""
         sim = self.sim
-        if self._worker_index is not None:
-            tls = getattr(sim, "_tls", None)
-            if tls is None or getattr(tls, "shard", None) is None:
-                # barrier-context emission inside a worker replica (bus
-                # consumers, hooks): every replica produces an identical
-                # copy and the parent's is the authoritative one — drop
-                # ours so the merged stream holds exactly one.
-                return
         p: int = sim.current_partition
         s = self._seq[p]
         self._seq[p] = s + 1
@@ -181,41 +168,6 @@ class TelemetryHub:
                     "wheel_rebuilds": cur["wheel_rebuilds"],
                 }
             )
-
-    # -- process-executor plumbing --------------------------------------------
-    def begin_worker_capture(self, index: int) -> None:
-        """Switch this (fork-inherited) hub replica into worker-capture mode.
-
-        Shard emissions buffer locally and are drained by
-        :meth:`take_worker_events`; barrier-context emissions are dropped
-        (the parent's copy is authoritative) and no JSONL stream is written
-        from the worker."""
-        self._worker_index = index
-        self._file = None
-
-    def take_worker_events(self) -> List[Dict[str, Any]]:
-        """Drain and return every buffered shard emission (worker side)."""
-        taken: List[Dict[str, Any]] = []
-        for buf in self._buffers:
-            if buf:
-                taken.extend(buf)
-                del buf[:]
-        return taken
-
-    def absorb_worker_events(self, events: List[Dict[str, Any]]) -> None:
-        """Re-stamp worker-shipped events with this hub's per-partition
-        sequence counters and buffer them for the barrier drain.
-
-        Only the relative order of each partition's emissions matters for
-        the ``(t, p, s)`` merge, and worker shard emissions always precede
-        the parent's barrier-context emissions within a window, so
-        restamping in arrival order reproduces the round-robin sequence
-        assignment exactly."""
-        for ev in events:
-            p = ev["p"]
-            ev["s"] = self._seq[p]
-            self._seq[p] = ev["s"] + 1
-            self._buffers[p].append(ev)
 
     def _bump_seq(self) -> int:
         p = self.sim.current_partition

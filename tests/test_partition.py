@@ -3,10 +3,12 @@
 Covers the facade dispatch, per-partition scheduling and clocks, the
 conservative-window run loop, boundary mailboxes (including the documented
 deterministic ordering for same-timestamp cross-partition deliveries),
-lookahead violations, executors, and the framework-level integration
+lookahead violations, and the framework-level integration
 (partitioned grid deployment with monitoring and churn delivering the same
 bytes as the single-loop kernel).
 """
+
+import inspect
 
 import pytest
 
@@ -35,16 +37,20 @@ def test_simulator_dispatches_on_partitions():
 
 
 def test_partitioned_rejects_bad_config():
+    """Both kernels take the same keywords and refuse the same values: a
+    non-positive lookahead is an error, and anything outside the signature
+    is a plain TypeError — no option is accepted and ignored."""
+    for partitions in (None, 2):
+        for lookahead in (0.0, -1):
+            with pytest.raises(SimulationError, match="lookahead"):
+                Simulator(partitions=partitions, lookahead=lookahead)
+        kernel = type(Simulator(partitions=partitions))
+        accepted = set(inspect.signature(kernel.__init__).parameters) - {"self"}
+        assert accepted == {"partitions", "lookahead", "wheel_width", "wheel_buckets"}
+        with pytest.raises(TypeError):
+            Simulator(partitions=partitions, no_such_option="bogus")
     with pytest.raises(SimulationError):
         PartitionedSimulator(partitions=1)
-    with pytest.raises(SimulationError):
-        Simulator(partitions=2, lookahead=0.0)
-    with pytest.raises(SimulationError):
-        Simulator(partitions=2, executor="bogus")
-    # the process executor constructs (workers fork lazily at first run)
-    sim = Simulator(partitions=2, executor="process")
-    assert isinstance(sim, PartitionedSimulator)
-    sim.shutdown()  # no workers yet: a no-op
     with pytest.raises((SimulationError, TypeError)):
         # subclasses cannot be sharded through the kwarg
         from repro.simnet.engine import ReferenceSimulator
@@ -136,6 +142,16 @@ def test_run_until_event_and_deadlock_detection():
     with sim.in_partition(1):
         sim.call_later(0.5, ev.succeed, "val")
     assert sim.run(until=ev) == "val"
+
+
+def test_run_until_composite_event_returns_values():
+    """An ``all_of`` whose children trigger in different shards."""
+    sim = Simulator(partitions=2)
+    ev0, ev1 = sim.event(name="p0"), sim.event(name="p1")
+    sim.call_later(0.002, ev0.succeed, "zero")
+    with sim.in_partition(1):
+        sim.call_later(0.003, ev1.succeed, {"one": 1})
+    assert sim.run(until=sim.all_of([ev0, ev1])) == ["zero", {"one": 1}]
 
 
 def test_max_time_guard():
@@ -321,7 +337,7 @@ def test_network_transmit_crosses_partitions():
 
 
 # ---------------------------------------------------------------------------
-# determinism: round-robin vs thread executor vs single loop
+# determinism: partitioned vs single loop
 # ---------------------------------------------------------------------------
 
 
@@ -357,19 +373,11 @@ def _mesh_scenario(sim, nparts):
             for k in range(4):
                 sim.call_later(rng.random() * 0.01, local, part, f"seed{part}.{k}", 3)
             sim.call_later(rng.random() * 0.005, send, part, f"msg{part}", 5)
-    # `send` crosses partitions: name it for the process executor's wire
-    # codec, and expose the traces through a collector (each worker owns its
-    # partition's list).  No-ops / local eval on the other executors.
-    sim.register_wire_handler("mesh.send", send)
-    sim.register_collector("mesh.traces", lambda p: traces[p])
     sim.run()
-    if getattr(getattr(sim, "_executor", None), "is_process", False):
-        traces = sim.collect("mesh.traces")
-        sim.shutdown()
     return traces
 
 
-@pytest.mark.parametrize("nparts", [2, 4])
+@pytest.mark.parametrize("nparts", [2, 3, 4])
 def test_partitioned_trace_matches_itself_and_single_loop(nparts):
     single = _mesh_scenario(Simulator(), nparts)
     multi = _mesh_scenario(Simulator(partitions=nparts, lookahead=0.01), nparts)
@@ -377,39 +385,15 @@ def test_partitioned_trace_matches_itself_and_single_loop(nparts):
     assert sum(len(t) for t in multi) > 50
 
 
-def test_thread_executor_matches_round_robin():
-    round_robin = _mesh_scenario(Simulator(partitions=3, lookahead=0.01), 3)
-    for _repeat in range(2):
-        threaded = _mesh_scenario(
-            Simulator(partitions=3, lookahead=0.01, executor="thread"), 3
-        )
-        assert threaded == round_robin
-
-
-def test_process_executor_matches_round_robin():
-    """The process executor — shard-owned replicas, wire-serialized
-    mailboxes — must reproduce the round-robin merged trace exactly."""
-    round_robin = _mesh_scenario(Simulator(partitions=3, lookahead=0.01), 3)
-    forked = _mesh_scenario(
-        Simulator(partitions=3, lookahead=0.01, executor="process"), 3
-    )
-    assert forked == round_robin
-    assert sum(len(t) for t in forked) > 50
-
-
 # ---------------------------------------------------------------------------
 # framework integration
 # ---------------------------------------------------------------------------
 
 
-def _grid_transfer(partitions, executor=None):
+def _grid_transfer(partitions):
     """A 2-cluster grid with monitoring + churn and one relayed
-    cross-cluster stream; returns (bytes, virtual finish time, sim)."""
-    fw = (
-        PadicoFramework(partitions=partitions, executor=executor)
-        if partitions
-        else PadicoFramework()
-    )
+    cross-cluster stream; returns (bytes, virtual finish time, framework)."""
+    fw = PadicoFramework(partitions=partitions)
     grid = grid_deployment(fw, rows=1, cols=2, hosts_per_cluster=3)
     fw.boot()
     wan = grid.wans[0]
@@ -527,43 +511,20 @@ def test_partitioned_on_demand_gateway_boot_mid_run():
     assert all(fw.node(g.name).booted for g in grid.gateways)
 
 
-def test_partitioned_framework_with_thread_executor_delivers():
-    got, _t, fw = _grid_transfer(2, executor="thread")
-    assert got == 192 * 1024
-    assert fw.sim.mailbox_deliveries > 0
-
-
-def test_partitioned_framework_with_process_executor_matches_single_loop():
-    """The full framework stack — relayed VLink stream, monitoring probes,
-    seeded churn, on-demand gateway WAN-method provisioning — must land the
-    same bytes at the same virtual instant under the process executor."""
-    got_single, t_single, _ = _grid_transfer(None)
-    got_proc, t_proc, fw = _grid_transfer(2, executor="process")
-    try:
-        assert got_proc == got_single == 192 * 1024
-        assert t_proc == t_single
-        assert fw.sim.mailbox_deliveries > 0
-        assert fw.sim.windows_run > 0
-    finally:
-        fw.shutdown()
-
-
 # ---------------------------------------------------------------------------
 # barrier-synchronized churn on boundary links
 # ---------------------------------------------------------------------------
 
 
-def _boundary_churn_scenario(period=2e-4, horizon=0.24, executor=None):
+def _boundary_churn_scenario(period=2e-4, horizon=0.24):
     """Two partitions joined by a WAN with dense cross-boundary traffic.
 
     Returns (sim, wan, hosts, got, nsent): ``tick`` events in partition 0
-    transmit small frames to partition 1 every ``period`` seconds.  Under
-    the process executor read arrivals back with ``sim.collect("churn.got")``
-    (the ``got`` list lives in worker 1's replica).
+    transmit small frames to partition 1 every ``period`` seconds.
     """
     from repro.simnet.host import Host
 
-    sim = Simulator(partitions=2, executor=executor)
+    sim = Simulator(partitions=2)
     wan = WanVthd(sim, "wan-churn")
     a, b = Host(sim, "a"), Host(sim, "b")
     b.partition = 1
@@ -578,7 +539,6 @@ def _boundary_churn_scenario(period=2e-4, horizon=0.24, executor=None):
     nsent = int(horizon / period)
     for i in range(nsent):
         sim.call_at_partition(0, i * period, tick)
-    sim.register_collector("churn.got", lambda p: list(got) if p == 1 else None)
     return sim, wan, (a, b), got, nsent
 
 
@@ -629,43 +589,6 @@ def test_seeded_boundary_degrade_churn_applies_at_window_edge():
     assert got == sorted(got)
 
 
-def test_seeded_boundary_degrade_churn_process_matches_round_robin():
-    """Satellite acceptance: seeded degrade churn on a boundary link whose
-    owner (partition 0 sends) and observer (partition 1's receive handler)
-    live in *different worker processes*.  Each degrade must apply at the
-    window edge in every replica, the next window must be sized from the
-    already-degraded latency (per-window lookahead recomputation), and the
-    merged arrival trace must equal the round-robin executor's exactly."""
-    from repro.abstraction.topology import TopologyKB
-    from repro.monitoring.churn import FaultInjector
-
-    def run(executor):
-        sim, wan, _hosts, _got, nsent = _boundary_churn_scenario(executor=executor)
-        inj = FaultInjector(sim, TopologyKB(), seed=31, announce=False)
-        times = sorted(0.02 + inj.rng.random() * 0.15 for _ in range(3))
-        lat = wan.latency
-        for t in times:
-            lat /= 20.0
-            inj.degrade_link_at(t, wan, latency=lat)
-        sim.run(until=0.25)
-        result = {
-            "arrived": sim.collect("churn.got")[1],
-            "nsent": nsent,
-            "latency": wan.latency,
-            "lookahead": sim.effective_lookahead(),
-            "log": [(e.kind, e.at) for e in inj.log],
-            "pending": sim.pending_count(),
-        }
-        sim.shutdown()
-        return result
-
-    round_robin = run(None)
-    forked = run("process")
-    assert forked == round_robin
-    assert len(round_robin["arrived"]) == round_robin["nsent"]
-    assert [k for k, _t in round_robin["log"]] == ["degrade-link"] * 3
-
-
 def test_call_at_barrier_runs_between_windows():
     sim = Simulator(partitions=2)
     ran = []
@@ -677,27 +600,6 @@ def test_call_at_barrier_runs_between_windows():
     assert kinds == ["hook", "p0"]
     hook_at = dict(ran)["hook"]
     assert hook_at >= 0.0012  # never early: applied at the next window edge
-
-
-def test_call_at_barrier_process_executor():
-    """Barrier hooks across address spaces: the parent runs the
-    authoritative copy at the window edge; each worker replays it at the
-    next window start, before any model event past the edge."""
-    sim = Simulator(partitions=2, executor="process")
-    ran = []
-    sim.call_at_partition(0, 0.005, lambda: ran.append(("p0", sim.now)))
-    sim.call_at_barrier(0.0012, lambda: ran.append(("hook", sim.now)))
-    sim.register_collector("barrier.ran", lambda p: list(ran) if p == 0 else None)
-    assert sim.pending_count() == 2  # workers fork lazily: parent view
-    sim.run()
-    worker_view = sim.collect("barrier.ran")[0]
-    sim.shutdown()
-    assert [k for k, _t in worker_view] == ["hook", "p0"]
-    hook_at = dict(worker_view)["hook"]
-    assert hook_at >= 0.0012  # never early: applied at the window edge
-    # the parent replica ran the same hook at the same edge (model events
-    # execute only in the workers, so the parent saw just the hook)
-    assert ran == [("hook", hook_at)]
 
 
 def test_call_at_barrier_single_loop_is_plain_call_at():

@@ -1,5 +1,5 @@
 """Flight-recorder tests: zero-overhead gating, replay determinism, and
-KPI invariance across fidelities, partitionings and executors.
+KPI invariance across fidelities and partitionings.
 
 The scenario under test is a 2x2 grid deployment with two in-cluster bulk
 transfers out of one NIC (planned jointly under ``fidelity="hybrid"``), a
@@ -34,13 +34,12 @@ HORIZON = 4.0
 def build_and_run(
     fidelity="packet",
     partitions=None,
-    executor=None,
     telemetry=True,
     jsonl_path=None,
     disable_before_run=False,
 ):
     """The shared scenario; returns (framework, hub-or-None)."""
-    fw = PadicoFramework(fidelity=fidelity, partitions=partitions, executor=executor)
+    fw = PadicoFramework(fidelity=fidelity, partitions=partitions)
     grid = grid_deployment(fw, rows=2, cols=2, hosts_per_cluster=3)
     hub = None
     if telemetry:
@@ -194,7 +193,7 @@ def test_event_line_round_trips_floats():
 
 
 # ---------------------------------------------------------------------------
-# KPI invariance: fidelity, partitions, executor
+# KPI invariance: fidelity, partitions
 # ---------------------------------------------------------------------------
 
 
@@ -220,23 +219,12 @@ def test_kpis_invariant_across_partitions(fidelity):
     assert kpi_fingerprint(single) == kpi_fingerprint(multi)
 
 
-def test_event_stream_identical_across_executors():
-    """The thread executor must reproduce the round-robin event stream
-    exactly — same events, same (t, p, s) stamps, same merged order."""
-    _fw, rr = build_and_run(partitions=4)
-    _fw2, th = build_and_run(partitions=4, executor="thread")
-    assert rr.events == th.events
-
-
 def test_partitioned_stats_merge_matches_single_loop_shape():
     """Satellite: `PartitionedSimulator.stats()` sums exact per-shard
-    counters into the same SimStats shape the single loop reports, and the
-    merge is executor-independent."""
+    counters into the same SimStats shape the single loop reports."""
     single, _ = build_and_run(telemetry=False)
     rr, _ = build_and_run(telemetry=False, partitions=4)
-    th, _ = build_and_run(telemetry=False, partitions=4, executor="thread")
-    s_rr, s_th = rr.sim.stats(), th.sim.stats()
-    assert s_rr.as_dict() == s_th.as_dict()  # merge independent of the executor
+    s_rr = rr.sim.stats()
     shards = rr.sim.partition_stats()
     assert len(shards) == 4
     for field in ("events_processed", "timers_scheduled", "cancellations"):

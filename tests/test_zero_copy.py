@@ -483,14 +483,14 @@ def test_four_megabyte_mpi_send_stays_under_a_tenth_of_a_payload(cluster):
 
 
 # ---------------------------------------------------------------------------
-# flat-bytes boundaries: the process executor's wire codec
+# a frame's gather payload crossing a partition boundary
 # ---------------------------------------------------------------------------
 
 
-def _boundary_madeleine_trace(partitions, executor):
+def _boundary_madeleine_trace(partitions):
     """Madeleine messages from partition 0 to partition 1 over a SAN; the
     receiver's trace of (time, wire length, segments)."""
-    sim = Simulator(partitions=partitions, executor=executor) if partitions else Simulator()
+    sim = Simulator(partitions=partitions)
     net = Myrinet2000(sim)
     a, b = Host(sim, "a"), Host(sim, "b")
     if partitions:
@@ -527,22 +527,16 @@ def _boundary_madeleine_trace(partitions, executor):
 
     for index in range(1, 6):
         sim.call_at_partition(0, index * 1e-4, send, index)
-    if partitions:
-        sim.register_collector("zc.trace", lambda p: list(trace) if p == 1 else None)
     sim.run(until=1e-3)
-    if executor == "process":
-        trace = sim.collect("zc.trace")[1]
-        sim.shutdown()
     return trace
 
 
-def test_madeleine_frame_crossing_a_process_boundary_is_payload_and_trace_equal():
-    single = _boundary_madeleine_trace(0, None)
+def test_madeleine_frame_crossing_a_partition_boundary_is_payload_and_trace_equal():
+    single = _boundary_madeleine_trace(None)
     assert len(single) == 5
     for _now, _ready, nbytes, payload, segments in single:
         assert nbytes == len(payload)
         assert payload == encode_segments(
             [(PackMode(mode), data) for mode, data in segments]
         )
-    assert _boundary_madeleine_trace(2, None) == single
-    assert _boundary_madeleine_trace(2, "process") == single
+    assert _boundary_madeleine_trace(2) == single

@@ -64,17 +64,6 @@ def _run(size: str, workload: str, fidelity: str) -> dict:
     return result
 
 
-class _ShardProfile:
-    """Adapter making a worker-shipped raw ``cProfile`` stats dict loadable
-    by :class:`pstats.Stats` (which wants a profiler-shaped object)."""
-
-    def __init__(self, stats: dict) -> None:
-        self.stats = stats
-
-    def create_stats(self) -> None:
-        pass
-
-
 #: position of each ``--sort`` key in a ``pstats`` row ``(cc, nc, tt, ct, callers)``
 _SORT_COLUMN = {"ncalls": 1, "tottime": 2, "cumulative": 3}
 
@@ -114,56 +103,6 @@ def _print_stats(stats: pstats.Stats, sort: str, top: int) -> None:
     stats.stream = text
     stats.print_stats(top)
     print(text.getvalue())
-
-
-def _per_shard(args) -> int:
-    """Per-worker profiling of the partitioned deployment scenario on the
-    process executor: each forked worker runs ``cProfile`` around its own
-    shard windows, the parent gathers the raw stats over the pipes and
-    renders one hotspot table per partition — the view that shows shard
-    imbalance (one hot partition) where a merged profile would not."""
-    import os
-
-    import test_engine_scale as bench
-
-    os.environ["ENGINE_FIDELITY"] = args.fidelity
-    start = time.perf_counter()
-    fw, _grid, completions = bench.build_scenario(
-        args.size, partitions=args.partitions, executor="process"
-    )
-    fw.sim.begin_profile()
-    all_done = fw.sim.all_of(completions)
-    delivered = fw.sim.run(until=all_done, max_time=bench.MAX_VIRTUAL)
-    fw.sim.run(until=max(bench.CHURN_HORIZON, fw.sim.now), max_time=bench.MAX_VIRTUAL)
-    profiles = fw.sim.end_profile()
-    fw.shutdown()
-    wall = time.perf_counter() - start
-
-    shards = []
-    for p, raw in enumerate(profiles or []):
-        print(f"=== partition {p} (worker process {p}) ===")
-        if not raw:
-            print("no samples (shard never ran)\n")
-            shards.append({"partition": p, "hotspots": []})
-            continue
-        stats = pstats.Stats(_ShardProfile(raw))
-        _print_stats(stats, args.sort, args.top)
-        shards.append({"partition": p, "hotspots": _rows(stats, args.top, args.sort)})
-
-    if args.json:
-        artifact = {
-            "size": args.size,
-            "workload": "deployment",
-            "fidelity": args.fidelity,
-            "partitions": args.partitions,
-            "executor": "process",
-            "profiled_wall_s": round(wall, 3),
-            "bytes_delivered": sum(delivered),
-            "sort": args.sort,
-            "shards": shards,
-        }
-        _write_json(args.json, artifact)
-    return 0
 
 
 def _kind(ev) -> str:
@@ -327,22 +266,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--json", metavar="PATH", help="write a JSON artifact here")
     parser.add_argument(
-        "--per-shard",
-        action="store_true",
-        help="profile the deployment workload per partition on the process "
-        "executor (one cProfile inside each forked worker)",
-    )
-    parser.add_argument(
         "--events",
         action="store_true",
         help="print the engine-event census of the deployment workload "
         "instead of a profile (timers by callback, triggered events by kind)",
-    )
-    parser.add_argument(
-        "--partitions",
-        type=int,
-        default=2,
-        help="partition count for --per-shard (default 2)",
     )
     parser.add_argument(
         "--perfbench",
@@ -361,8 +288,6 @@ def main(argv=None) -> int:
         args.sort = "tottime" if args.perfbench else "cumulative"
     if args.perfbench:
         return _perfbench(args)
-    if args.per_shard:
-        return _per_shard(args)
     if args.events:
         return _events(args)
 

@@ -37,14 +37,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--fidelity", default="packet", choices=["packet", "hybrid"])
     parser.add_argument("--partitions", type=int, default=None)
-    parser.add_argument(
-        "--executor",
-        default=None,
-        choices=["round-robin", "thread", "process"],
-        help="partition executor (with --partitions); the process executor "
-        "records the identical merged (t, p, s) event stream from forked "
-        "worker shards",
-    )
     parser.add_argument("--out", default="trace.jsonl", help="JSONL trace path")
     parser.add_argument(
         "--kpis", default=None, help="also write the canonical KPI JSON here"
@@ -56,13 +48,8 @@ def main(argv=None) -> int:
     import test_engine_scale as bench
     from repro.telemetry import canonical_kpi_json, verify_replay
 
-    if args.executor is not None and args.partitions is None:
-        parser.error("--executor requires --partitions")
-
     start = time.perf_counter()
-    fw, grid, completions = bench.build_scenario(
-        args.size, partitions=args.partitions, executor=args.executor
-    )
+    fw, grid, completions = bench.build_scenario(args.size, partitions=args.partitions)
     hub = fw.enable_telemetry(jsonl_path=args.out)
 
     all_done = fw.sim.all_of(completions)
@@ -70,7 +57,6 @@ def main(argv=None) -> int:
     fw.sim.run(until=max(bench.CHURN_HORIZON, fw.sim.now), max_time=bench.MAX_VIRTUAL)
     horizon = fw.sim.now
     fw.disable_telemetry()  # flushes buffers and the JSONL stream
-    fw.shutdown()  # release the process executor's workers (no-op otherwise)
     wall_s = time.perf_counter() - start
 
     expected = len(completions) * bench.TRANSFER_BYTES
@@ -89,7 +75,6 @@ def main(argv=None) -> int:
                 "size": args.size,
                 "fidelity": args.fidelity,
                 "partitions": args.partitions,
-                "executor": args.executor,
                 "hosts": len(grid.hosts),
                 "streams": len(completions),
                 "bytes_delivered": got,
