@@ -4,38 +4,24 @@ implementation of MPICH over Myrinet-2000."
 
 The same MPI library runs (a) through the full framework (virtual Madeleine
 personality → Circuit → MadIO → NetAccess → Madeleine) and (b) bound
-straight to a raw Madeleine channel; the latency and bandwidth differences
-are the framework's overhead.
+straight to a raw Madeleine channel — the ladder's ``MpiRung()`` and
+``MpiRung(standalone=True)``; the latency and bandwidth differences are the
+framework's overhead.
 """
 
+import pytest
 
-from repro.core import paper_cluster
-from repro.bench import MpiTransport, measure_bandwidth, measure_latency
-from repro.middleware.mpi import MPICH_1_2_5
-
-
-def _measure(standalone: bool):
-    fw, group = paper_cluster(2)
-    latency = measure_latency(
-        MpiTransport(fw, group, profile=MPICH_1_2_5, standalone=standalone),
-        size=8, iterations=15, max_time=120,
-    )
-    fw2, group2 = paper_cluster(2)
-    bandwidth = measure_bandwidth(
-        MpiTransport(fw2, group2, profile=MPICH_1_2_5, standalone=standalone),
-        size=1_000_000, repeats=2, max_time=120,
-    )
-    return latency * 1e6, bandwidth / 1e6
+import stack
 
 
-def test_mpich_inside_framework_vs_standalone(benchmark):
-    def measure():
-        inside = _measure(standalone=False)
-        alone = _measure(standalone=True)
-        return inside, alone
+def test_mpich_inside_framework_vs_standalone(benchmark, once, drive):
+    def measure(standalone: bool):
+        latency = drive.latency(stack.MpiRung(standalone=standalone))
+        bandwidth = drive.bandwidth(stack.MpiRung(standalone=standalone))
+        return latency * 1e6, bandwidth / 1e6
 
-    (lat_in, bw_in), (lat_alone, bw_alone) = benchmark.pedantic(
-        measure, rounds=1, iterations=1, warmup_rounds=0
+    (lat_in, bw_in), (lat_alone, bw_alone) = once(
+        benchmark, lambda: (measure(False), measure(True))
     )
     benchmark.extra_info.update(
         {
@@ -51,3 +37,6 @@ def test_mpich_inside_framework_vs_standalone(benchmark):
     assert lat_in >= lat_alone
     assert lat_in - lat_alone < 1.0
     assert bw_alone - bw_in < 0.02 * bw_alone + 1.0
+    # what the cost model gives (the in-framework cells are Table 1's)
+    assert lat_alone == pytest.approx(11.520515151515141, rel=1e-9)
+    assert bw_alone == pytest.approx(237.3334576289405, rel=1e-9)

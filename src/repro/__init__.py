@@ -16,19 +16,19 @@ Layer map (bottom-up, mirroring the paper's Figure 2):
 :mod:`repro.personalities`  Vio, SysWrap, Aio, FastMessage, virtual Madeleine
 :mod:`repro.middleware`  MPI, CORBA ORBs, Java sockets, SOAP, HLA, PVM, DSM
 :mod:`repro.core`      PadicoTM-equivalent runtime (deployment + node boot)
-:mod:`repro.bench`     measurement harness used by benchmarks/ and examples/
 =====================  =====================================================
 
 Quickstart::
 
     from repro.core import paper_cluster
-    from repro.bench import MpiTransport, measure_latency
+    from repro.middleware.mpi import MpiRuntime
 
     fw, group = paper_cluster(2)
-    transport = MpiTransport(fw, group)
-    print(measure_latency(transport) * 1e6, "us one-way")
+    comm0, comm1 = (MpiRuntime(fw.node(h.name), group).comm_world for h in group)
+    comm0.isend(b"8 bytes!", 1, tag=7)
+    print(fw.sim.run(until=comm1.irecv(0, 7).wait()), "after", fw.sim.now * 1e6, "us")
 """
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = ["__version__"]

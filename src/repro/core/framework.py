@@ -262,10 +262,6 @@ class PadicoFramework:
     fast path (:mod:`repro.simnet.fluid`) with byte-count-exact fallback.
     """
 
-    #: the kernel a deployment runs on; a tool that wants an instrumented
-    #: loop subclasses both (``tools/profile_hotspots.py --events``)
-    simulator_class = Simulator
-
     def __init__(
         self,
         preferences: Optional[Preferences] = None,
@@ -277,7 +273,7 @@ class PadicoFramework:
         if fidelity not in ("packet", "hybrid"):
             raise FrameworkError(f"unknown fidelity {fidelity!r}; use 'packet' or 'hybrid'")
         self.fidelity = fidelity
-        self.sim = self.simulator_class(partitions=partitions, lookahead=lookahead)
+        self.sim = Simulator(partitions=partitions, lookahead=lookahead)
         self.topology = TopologyKB()
         self.preferences = preferences or Preferences()
         self.routing = RoutingEngine(self.topology)

@@ -295,7 +295,7 @@ def grid_deployment(
 ) -> GridDeployment:
     """Build a ``rows x cols`` grid of Ethernet clusters on ``framework``.
 
-    The scale testbed behind ``benchmarks/test_engine_scale.py``: each grid
+    The scale testbed of ``perfbench/workloads.py``'s grid batches: each grid
     cell is a cluster of ``hosts_per_cluster`` hosts on a private
     :class:`Ethernet100` LAN; the first host of every cluster doubles as the
     cluster gateway and is linked to the gateways of its right and down

@@ -60,11 +60,50 @@ def test_check_fails_until_the_newest_pr_of_changes_has_a_line(tool, tmp_path, c
     tool.CHANGES.write_text("PR 15: one completion\nPR 17: zero-copy receive, see PR 14\n")
     assert tool.newest_pr_in_changes() == 17
     assert tool.check() == 1 and "no line for PR 17" in capsys.readouterr().out
-    tool.TRAJECTORY.write_text(json.dumps({"pr": 15}) + "\n")
+    tool.TRAJECTORY.write_text(json.dumps(tool.line_of(15, "", result_file(tmp_path))) + "\n")
     assert tool.check() == 1
     with open(tool.TRAJECTORY, "a") as out:
         out.write(json.dumps(tool.line_of(17, "", result_file(tmp_path))) + "\n")
     assert tool.check() == 0
+
+
+def _two_lines_with_a_moved_counter_and_rung(tool, tmp_path):
+    """PR 15's line, and PR 17's with one counter and one rung changed."""
+    before = tool.line_of(15, "one completion", result_file(tmp_path))
+    after = json.loads(json.dumps(before))
+    after["pr"] = 17
+    after["workloads"]["kernel_timers"]["counters"]["simnet.engine.events"] += 1
+    after["workloads"]["stack_pingpong"]["events_per_rt"]["middleware.corba"] += 2
+    tool.TRAJECTORY.write_text(json.dumps(before) + "\n" + json.dumps(after) + "\n")
+    return before, after
+
+
+def test_check_passes_when_every_moved_figure_is_named_in_the_prs_entry(tool, tmp_path, capsys):
+    before, after = _two_lines_with_a_moved_counter_and_rung(tool, tmp_path)
+    assert [m[:2] for m in tool.moved_figures(before, after)] == [
+        ("stack_pingpong", "middleware.corba.events_per_rt"),
+        ("kernel_timers", "simnet.engine.events"),
+    ]
+    tool.CHANGES.write_text(
+        "PR 15: one completion\nPR 17: zero-copy receive; `simnet.engine.events` +1 on\n"
+        "kernel_timers, `middleware.corba.events_per_rt` 14 -> 16\n"
+    )
+    assert tool.check() == 0
+    out = capsys.readouterr().out
+    assert "2 exact figures moved since PR 15" in out and "wall_s" not in out
+    assert "kernel_timers" in out and "simnet.engine.events" in out
+
+
+def test_check_fails_when_a_moved_figure_is_not_named(tool, tmp_path, capsys):
+    _two_lines_with_a_moved_counter_and_rung(tool, tmp_path)
+    # PR 15's entry names the rung; PR 17's own entry does not
+    tool.CHANGES.write_text(
+        "PR 15: `middleware.corba.events_per_rt`\nPR 17: `simnet.engine.events` moved\n"
+    )
+    assert tool.check() == 1
+    assert "not named in CHANGES.md's PR 17 entry: middleware.corba.events_per_rt" in (
+        capsys.readouterr().out
+    )
 
 
 def test_the_committed_trajectory_is_well_formed():

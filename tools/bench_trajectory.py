@@ -13,9 +13,15 @@ Record a PR, after a full ``python3 perfbench/run.py --seed 1`` on its tree
         perfbench/out/result-seed1.json
 
 What CI's bench job runs — fails when the newest PR named at the start of a
-line of CHANGES.md has no line here::
+line of CHANGES.md has no line here, or when one of that line's exact
+figures (the 26 counters and ``events_per_rt``) differs from the previous
+line's without being named in the PR's CHANGES.md entry::
 
     python tools/bench_trajectory.py --check
+
+It prints every figure that moved.  It compares no ``wall_s`` across lines:
+two lines are two sessions on a drifting box, and only a same-session
+alternating parent/change series (CHANGES.md) resolves wall time.
 
 A line holds ``pr``, ``title``, ``source`` (the result file, or ``CHANGES.md``
 for the back-filled PRs 11-15, which carry only what their tables give),
@@ -104,25 +110,61 @@ def newest_pr_in_changes() -> int:
     return max(map(int, numbers))
 
 
+def changes_entry(pr: int) -> str:
+    """The text of CHANGES.md's entry for ``pr``: every line that starts
+    with ``PR <pr>``, each up to the next line that starts another PR."""
+    chunks = re.split(r"^(?=PR \d+\b)", CHANGES.read_text(), flags=re.MULTILINE)
+    return "".join(chunk for chunk in chunks if re.match(rf"PR {pr}\b", chunk))
+
+
+def moved_figures(previous: dict, newest: dict) -> list:
+    """``(workload, figure, before, after)`` for every exact counter and
+    ``events_per_rt`` rung the two lines both hold with different values."""
+    moved = []
+    for name, entry in newest["workloads"].items():
+        before = previous["workloads"].get(name, {})
+        for section, suffix in (("counters", ""), ("events_per_rt", EVENTS_PER_RT)):
+            old = before.get(section, {})
+            for key, value in entry.get(section, {}).items():
+                if key in old and old[key] != value:
+                    moved.append((name, key + suffix, old[key], value))
+    return moved
+
+
 def check() -> int:
     newest = newest_pr_in_changes()
-    recorded = {line["pr"] for line in read_lines()}
-    if newest not in recorded:
+    lines = {line["pr"]: line for line in read_lines()}
+    if newest not in lines:
         print(
             f"BENCH_trajectory.jsonl has no line for PR {newest}, the newest in CHANGES.md "
-            f"(recorded: {sorted(recorded)}).\nRun perfbench on this tree and append it:\n"
+            f"(recorded: {sorted(lines)}).\nRun perfbench on this tree and append it:\n"
             f"  python3 perfbench/run.py --seed 1\n"
             f"  python tools/bench_trajectory.py --pr {newest} --title '...' "
             f"perfbench/out/result-seed1.json"
         )
         return 1
-    print(f"BENCH_trajectory.jsonl: PR {newest} recorded ({len(recorded)} PRs in all)")
+    print(f"BENCH_trajectory.jsonl: PR {newest} recorded ({len(lines)} PRs in all)")
+    previous = max((pr for pr in lines if pr < newest), default=None)
+    if previous is None:
+        return 0
+    moved = moved_figures(lines[previous], lines[newest])
+    print(f"{len(moved)} exact figures moved since PR {previous}")
+    for workload, figure, before, after in moved:
+        print(f"  {workload:18s} {figure:52s} {before!r} -> {after!r}")
+    entry = changes_entry(newest)
+    unnamed = sorted({figure for _workload, figure, _before, _after in moved if figure not in entry})
+    if unnamed:
+        print(f"not named in CHANGES.md's PR {newest} entry: {', '.join(unnamed)}")
+        return 1
     return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true", help="fail if the newest PR has no line")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="fail if the newest PR has no line, or moved an exact figure its entry does not name",
+    )
     parser.add_argument("--pr", type=int, help="PR number of the tree that was measured")
     parser.add_argument("--title", default="", help="a few words naming the PR")
     parser.add_argument("result", nargs="?", type=Path, help="perfbench/out/result-seed*.json")
