@@ -258,8 +258,8 @@ class PadicoFramework:
 
     ``fidelity`` selects the TCP simulation fidelity for every node booted
     by this framework: ``"packet"`` (default) runs the full per-burst
-    window model; ``"hybrid"`` lets stable flows collapse into the fluid
-    fast path (:mod:`repro.simnet.fluid`) with byte-count-exact fallback.
+    window model; ``"hybrid"`` plans a loss-free link's rounds ahead
+    (:mod:`repro.simnet.fluid`), the packet round being the fallback.
     """
 
     def __init__(

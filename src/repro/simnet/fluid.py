@@ -1,113 +1,106 @@
 """Fluid-model fast path: collapse stable TCP flows into rate events.
 
-PR 3 made the event kernel cheap and PR 5 sharded it; what remains on the
-deployment profile is the *model*: ``TcpConnection._pump`` costs a handful
-of events plus frame/delivery/observer machinery per congestion-window
-burst, so a bulk stream pays O(bytes / receive_window) heavyweight rounds.
-For flows whose conditions are stable — no loss draws, link parameters
-unchanged, no churn on the path — every one of those rounds is fully
-determined in advance, *including* the rounds of flows that share a sending
-NIC: contention in this model is the per-NIC ``reserve_tx`` queue, and the
-order in which the senders reach it is itself deterministic.  That
-stability is provable, not something to observe first: the one thing
-nobody can compute ahead is a loss draw, and a link with ``loss_rate == 0``
-makes none (``_draw_losses`` does not touch the RNG there).  So an eligible
-flow is fluid from its first byte — the controller takes the pump over when
-the send queue first fills — and this module advances it analytically, its
-slow start included.
+``TcpConnection._pump`` costs a handful of events plus frame / delivery /
+observer machinery per congestion-window burst, so a bulk stream pays
+O(bytes / receive_window) heavyweight rounds.  For flows whose conditions
+are stable — no loss draws, link parameters unchanged, no churn on the
+path — every one of those rounds is fully determined in advance,
+*including* the rounds of flows that share a sending NIC: contention in
+this model is the per-NIC ``reserve_tx`` queue, and the order in which the
+senders reach it is itself deterministic.  That stability is provable, not
+something to observe first: the one thing nobody can compute ahead is a
+loss draw, and a link with ``loss_rate == 0`` makes none (``_draw_losses``
+does not touch the RNG there).  So an eligible flow is fluid from its first
+byte — the controller takes the pump over when the send queue first fills —
+and this module advances it analytically, its slow start included.
 
-Two fluid tiers, chosen per pump:
+One planner, and a choice per pump (:meth:`FluidController.pump`):
 
-``step``
-    one analytic round: same gather / loss draw / NIC reservation / window
-    update as the packet model, but without constructing ``Frame`` /
-    ``Delivery`` objects, demultiplexing through the stack, or charging
-    per-layer costs object-by-object.  The arithmetic follows the packet
-    path operation-for-operation, so the produced virtual times are
-    *float-identical* to the packet model.  Works at any loss rate and any
-    contention: the loss draw happens first, and a positive draw hands the
-    already-drawn round back to the packet path (the RNG stream never
-    forks) — that round only: the flow stays fluid-active, so on a lossy
-    link every round without a drawn loss is a step.
+*The plan.*  One :class:`_NicPlan` per *sending NIC*, over the k >= 1 flows
+that are sending through it and whatever they have queued — one round or a
+thousand.  Preconditions, checked by the flow whose pump fires: the link is
+loss-free, and *every* active sender on the NIC is fluid-active, eligible
+and has a byte queued — wherever its window stands: a plan carries the
+window recurrence next to the timing recurrence.  Then the pending
+``_pump`` timers of the co-senders are cancelled and all k flows' rounds
+are laid out in one pass — per-round NIC reservations, completion times and
+the byte ledger are computed analytically, as far ahead *per flow* as that
+flow has earned (below) — and committed immediately: one batched delivery
+and one trailing pump per flow instead of three timers per burst.  An
+awaited write of a few slow-start windows (32 KB at the initial window: 4
+rounds) is one short plan, and one that fits the window is a plan of one
+round.
 
-``epoch``
-    the closed-form tier, one plan per *sending NIC* (:class:`_NicPlan`)
-    over the k >= 1 flows that are sending through it.  Preconditions,
-    checked by the flow whose pump fires: the link is loss-free, and
-    *every* active sender on the NIC is fluid-active, eligible and has more
-    than one of its own windows queued — wherever that window stands: a
-    plan carries the window recurrence next to the timing recurrence.
-    Then the pending ``_pump`` timers of the co-senders are cancelled and
-    all k flows' rounds are laid out in one pass — per-round NIC
-    reservations, completion times and the byte ledger are computed
-    analytically, as far ahead *per flow* as that flow has earned (below)
-    — and committed immediately: one batched delivery and one trailing
-    pump per flow instead of three timers per burst.  An awaited write of a
-    few slow-start windows (32 KB at the initial window: 4 rounds) is one
-    short plan.
+*Anything else is the packet round.*  On a lossy link, next to a co-sender
+that is not fluid-active and eligible, with no byte queued, or when the
+plan's first round would overtake a batch still on its way to the peer,
+``pump`` flushes the batched observations and returns ``False``:
+``TcpConnection._pump`` runs ``_packet_round`` — that round only; the flow
+stays fluid-active and its next pump chooses again.  There is no third
+spelling of a round to keep float-identical to the packet model.
 
-    *Length.*  How many rounds a plan may lay out for a flow follows the
-    flow's own cut history, not a constant: its first plan is bounded by
-    ``FluidPolicy.first_plan_rounds`` (64); a plan that runs to its end adds
-    its rounds to the flow's streak and the next one may lay out twice the
-    streak; a cut that unwinds something restarts the streak at the rounds
-    the flow had committed of the cut plan, and the next plan may lay out
-    twice those (:attr:`FluidController._horizon`).  So a flow whose NIC is
-    alone — staging a file — is re-planned a logarithmic number of times
-    (64, 128, 384, ... rounds; one plan per 64 MiB send from the second send
-    on), and a flow that foreign frames keep interrupting never lays out,
-    and replays, more than a small multiple of what it sends: a cut throws
-    away at most twice what the flow has committed since the cut before.
+*Length.*  How many rounds a plan may lay out for a flow follows the
+flow's own cut history, not a constant: its first plan is bounded by
+``FluidPolicy.first_plan_rounds`` (64); a plan that runs to its end adds
+its rounds to the flow's streak and the next one may lay out twice the
+streak; a cut that unwinds something restarts the streak at the rounds
+the flow had committed of the cut plan, and the next plan may lay out
+twice those (:attr:`FluidController._horizon`).  So a flow whose NIC is
+alone — staging a file — is re-planned a logarithmic number of times
+(64, 128, 384, ... rounds; one plan per 64 MiB send from the second send
+on), and a flow that foreign frames keep interrupting never lays out,
+and replays, more than a small multiple of what it sends: a cut throws
+away at most twice what the flow has committed since the cut before.
 
-    *Window.*  Each member's share of the plan starts from the flow's
-    ``cwnd``.  While that is below the receiver cap a turn lays out one
-    round of ``min(cwnd, queued)`` bytes and grows the share's window by
-    the zero-loss rule of the packet model — ``TcpConnection._update_window``
-    itself, the one copy packet round, step round and plan all apply: slow
-    start adds what the round delivered, congestion avoidance one segment,
-    clamped to ``[min_cwnd, receive_window]``; ``ssthresh`` only moves on a
-    loss.  Once it is pinned at the cap a turn takes a run-length-encoded
-    stretch of full windows.  Laying a round out grows the connection's own
-    window (a plan is committed as it is laid out); a cut re-derives it
-    from the committed prefix.
+*Window.*  Each member's share of the plan starts from the flow's
+``cwnd``.  While that is below the receiver cap a turn lays out one
+round of ``min(cwnd, queued)`` bytes and grows the share's window by
+the zero-loss rule of the packet model — ``TcpConnection._update_window``
+itself, the one copy the packet round and the plan both apply: slow
+start adds what the round delivered, congestion avoidance one segment,
+clamped to ``[min_cwnd, receive_window]``; ``ssthresh`` only moves on a
+loss.  Once it is pinned at the cap a turn takes a run-length-encoded
+stretch of full windows.  Laying a round out grows the connection's own
+window (a plan is committed as it is laid out); a cut re-derives it
+from the committed prefix.
 
-    *Merge order.*  Each flow obeys the packet pump's recurrence
-    ``t' = t + max(rtt, ser, tx_free - t)`` with
-    ``begin = max(t, tx_free)``; the flows only interact through
-    ``tx_free``, so the joint layout is fixed by the order in which their
-    pumps run.  The engine runs timers in ``(when, seq)`` order and a
-    pump's ``seq`` is drawn when the flow's *previous* pump scheduled it,
-    so the next round to lay out is the one with the earliest pump time,
-    ties going to the flow whose previous round executed first (initially:
-    the pumping flow, then the co-senders by the ``seq`` of their pending
-    timers).  That is the engine's own order, not an approximation of it.
-    A flow that drains leaves the merge; the merge stops when the flow
-    whose turn it is has reached its round cap, and that flow's trailing
-    pump (the earliest one) closes the plan and cuts the next.
+*Merge order.*  Each flow obeys the packet pump's recurrence
+``t' = t + max(rtt, ser, tx_free - t)`` with
+``begin = max(t, tx_free)``; the flows only interact through
+``tx_free``, so the joint layout is fixed by the order in which their
+pumps run.  The engine runs timers in ``(when, seq)`` order and a
+pump's ``seq`` is drawn when the flow's *previous* pump scheduled it,
+so the next round to lay out is the one with the earliest pump time,
+ties going to the flow whose previous round executed first (initially:
+the pumping flow, then the co-senders by the ``seq`` of their pending
+timers).  That is the engine's own order, not an approximation of it.
+A flow that drains leaves the merge; the merge stops when the flow
+whose turn it is has reached its round cap, and that flow's trailing
+pump (the earliest one) closes the plan and cuts the next.
 
-    *Rollback.*  Link churn (:meth:`Network.invalidate_fluid`), any foreign
-    ``Nic.reserve_tx`` (a handshake, a datagram — the NIC names the plan as
-    its ``_fluid_holder``), a flow joining the NIC, new data queued on a
-    member the plan had drained, or either endpoint of a member closing
-    *cut* the joint plan at ``now``: rounds whose pump time has passed are
-    committed, every member's uncommitted suffix is unwound exactly — bytes
-    return to the send queue, completions are cancelled, counters, NIC
-    occupancy and synthesized observations rewind — and each member's pump
-    is rescheduled at the precise virtual time the packet model would have
-    pumped next, in merge order, with the window its committed rounds had
-    grown.  Only churn deactivates the members (each re-activates at its
-    next pump, under whatever holds then); a re-cut for a joiner or a
-    foreign frame leaves them fluid-active.  A member draining cuts nothing
-    — its exit is part of the layout; the flows it leaves behind on the NIC
-    log it (``flow-leave``) and carry on.
+*Rollback.*  Link churn (:meth:`Network.invalidate_fluid`), any foreign
+``Nic.reserve_tx`` (a handshake, a datagram — the NIC names the plan as
+its ``_fluid_holder``), a flow joining the NIC, new data queued on a
+member the plan had drained, or either endpoint of a member closing
+*cut* the joint plan at ``now``: rounds whose pump time has passed are
+committed, every member's uncommitted suffix is unwound exactly — bytes
+return to the send queue, completions are cancelled, counters, NIC
+occupancy and synthesized observations rewind — and each member's pump
+is rescheduled at the precise virtual time the packet model would have
+pumped next, in merge order, with the window its committed rounds had
+grown.  Only churn deactivates the members (each re-activates at its
+next pump, under whatever holds then); a re-cut for a joiner or a
+foreign frame leaves them fluid-active.  A member draining cuts nothing
+— its exit is part of the layout; the flows it leaves behind on the NIC
+log it (``flow-leave``) and carry on.
 
 Fidelity contract (what "hybrid" guarantees vs pure packet mode):
 
 * delivered byte counts are exactly equal, always;
 * virtual completion times — of every send, and of every read that takes
-  in a whole plan's worth — are float-identical for step rounds and for
-  epochs that run to completion, at any number of flows per NIC, and so is
-  the congestion window they leave behind;
+  in a whole plan's worth — are float-identical for plans that run to
+  completion, at any number of flows per NIC, and so is the congestion
+  window they leave behind;
 * intermediate availability is batched at epoch granularity, from a flow's
   first round on: the bytes of a planned stretch become readable together,
   at the ready time of its last round (an epoch interrupted by a cut
@@ -131,19 +124,19 @@ Fidelity contract (what "hybrid" guarantees vs pure packet mode):
   readable ones are handed over first, the others arrive one by one or are
   dropped by the closed endpoint's stack — so the reader is cut off with
   exactly the bytes the packet model had delivered;
-* the per-connection RNG stream is consumed identically, so loss
-  sequences — and everything downstream of them — match the packet run;
+* every round of a lossy link is the packet round, draw included, so loss
+  sequences — and everything downstream of them — are the packet run's;
 * passive observers see synthesized ``tcp-burst`` observations carrying a
   ``bursts=N`` weight whose batched estimator update is value-equal to N
   sequential per-burst updates (closed-form EWMA / window fill).
 
 Known, documented divergences: ``Frame`` objects are not constructed (the
 frame-id counter is still advanced to keep ids aligned for later frames),
-per-burst observation timestamps collapse to the flush time on a loss-free
-link (where every sample is the same sample; on a lossy one a step round
-reports at once, so flows sharing an estimator feed it in packet order),
-and a flow whose endpoints live in different partitions never fluidizes
-(all fluid bookkeeping is shard-local by construction).
+per-burst observation timestamps collapse to the flush time (on a loss-free
+link, where every sample is the same sample; a lossy one reports burst by
+burst, so flows sharing an estimator feed it in packet order), and a flow
+whose endpoints live in different partitions never fluidizes (all fluid
+bookkeeping is shard-local by construction).
 """
 
 from __future__ import annotations
@@ -160,16 +153,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class FluidPolicy:
-    """Tunable thresholds of the fidelity controller."""
+    """The fidelity controller's one tunable."""
 
     #: per-flow round bound of a flow's *first* plan.  Not a bound on later
     #: ones: from there a plan is as long as the flow has earned (see
     #: ``FluidController._horizon``) — twice what it has committed since its
     #: last cut.
     first_plan_rounds: int = 64
-    #: flush synthesized tcp-burst observations every N accumulated bursts
-    #: (epochs always flush at their boundary regardless).
-    observation_batch: int = 32
 
 
 def steady_state_rate(network: "Network", cwnd: int, receive_window: int,
@@ -179,8 +169,8 @@ def steady_state_rate(network: "Network", cwnd: int, receive_window: int,
     Each round moves ``window = min(cwnd, receive_window)`` payload bytes
     and then waits ``max(rtt, serialization)``; with ``nflows`` active
     senders sharing the NIC the wire occupancy multiplies.  This is the
-    rate the packet model converges to and the rate the fluid epoch tier
-    realises exactly.
+    rate the packet model converges to and the rate a fluid plan realises
+    exactly.
     """
     window = min(cwnd, receive_window)
     if window <= 0:
@@ -304,8 +294,17 @@ def _burst(parts: List[memoryview]) -> memoryview:
     return parts[0] if len(parts) == 1 else memoryview(b"".join(parts))
 
 
-def _pump_seq(ctl: "FluidController") -> int:
-    return ctl.conn._pump_handle.seq
+def _round_arrives(peer, payload, rc: float) -> None:
+    """A round of a dissolved batch arrives on its own, as its frame would
+    have: dropped by the stack of an endpoint that closed meanwhile, else
+    through ``_on_segment``'s arrival clamp, ``sim.now`` being the arrival."""
+    if peer.closed and _detached(peer):
+        net = peer.network
+        net.frames_dropped += 1
+        net.drop_log.append((len(payload), "tcp-no-conn"))
+        return
+    now = peer.sim.now
+    peer._enqueue_rx(now, now + rc, payload)
 
 
 class _Share:
@@ -323,7 +322,8 @@ class _Share:
         "drained", "deliver_handle", "cursor", "left",
     )
 
-    def __init__(self, plan: "_NicPlan", ctl: "FluidController", t0: float) -> None:
+    def __init__(self, plan: "_NicPlan", ctl: "FluidController", t0: float,
+                 rx_ready0: float) -> None:
         # NOTE: no reference back to ``plan`` — the plan owns its shares, and
         # a cycle would leave every finished plan (and the send buffers its
         # payload views pin) to the cycle collector
@@ -339,7 +339,8 @@ class _Share:
         self.rc_window = cpu.syscall_overhead + plan.window / cpu.memcpy_bandwidth
         #: recurrence state when the plan was laid out, for bit-exact replay
         self.t0 = self.t = self.t_last = t0
-        self.rx_ready0 = self.rx_ready = peer._last_rx_ready
+        #: (the receive cursor the first round will find: ``FluidController._seed``)
+        self.rx_ready0 = self.rx_ready = rx_ready0
         #: the congestion window the plan found; laying a round out grows
         #: the connection's own, and a cut re-derives it over the committed
         #: prefix from here
@@ -421,8 +422,8 @@ class _NicPlan:
     flow has earned (``_Share.cap``, the flow's ``_horizon``), in closed
     form, for the flow whose pump fired and every co-sender on its NIC.
     Preconditions (checked by :meth:`FluidController.pump`): zero loss rate
-    and every active sender on the NIC fluid-active and eligible with more
-    than one of its own windows queued.  Under those, every round's timing
+    and every active sender on the NIC fluid-active and eligible with a
+    byte queued.  Under those, every round's timing
     is the deterministic recurrence of :func:`_advance` and every round's
     size the zero-loss window recurrence
     (``TcpConnection._update_window``), merged over the flows in the
@@ -441,7 +442,10 @@ class _NicPlan:
     __slots__ = ("nic", "net", "sim", "shares", "live", "observed", "tx_free0", "tx_free",
                  "rtt", "latency", "last_pump", "ncommitted", "window", "w_ser", "w_npkts")
 
-    def __init__(self, ctl: "FluidController", others: List["FluidController"]) -> None:
+    def __init__(self, seeds: List[tuple]) -> None:
+        """``seeds``: ``(controller, pump time, receive cursor)`` of the flow
+        whose pump is executing, then of its co-senders in any order."""
+        ctl = seeds[0][0]
         conn = ctl.conn
         net = self.net = conn.network
         nic = self.nic = ctl._nic
@@ -464,11 +468,9 @@ class _NicPlan:
 
         # ``ctl``'s pump is the one executing; the co-senders' pending
         # pumps run in the order they were scheduled
-        order = [_Share(self, ctl, sim.now)]
-        if others:
-            others.sort(key=_pump_seq)
-            for other in others:
-                order.append(_Share(self, other, other.conn._pump_handle.when))
+        if len(seeds) > 2:
+            seeds[1:] = sorted(seeds[1:], key=lambda seed: seed[0].conn._pump_handle.seq)
+        order = [_Share(self, *seed) for seed in seeds]
         laid_out = list(order)
         self._commit(ctl, laid_out, self.merge(order, self._lay_out))
 
@@ -500,7 +502,6 @@ class _NicPlan:
             member._share = share
             member.epochs += 1
             member.epoch_rounds += nrounds
-            member.fluid_rounds += nrounds
             flow.rounds += nrounds
             consumed = share.nbytes
             flow.bytes_sent += consumed
@@ -826,9 +827,8 @@ class _NicPlan:
         The rounds that are readable by now are handed over at once, the
         ones that have arrived become readable together when the last of
         them does (the peer's receive cursor moves there: a newcomer queues
-        behind them), and each of the others arrives on its own, through
-        the arrival-time clamp — and the stack's demultiplexing — of a step
-        round, as its frame would have."""
+        behind them), and each of the others arrives on its own, as its
+        frame would have (:func:`_round_arrives`)."""
         rounds = [rnd for rnd in self.materialize()[:self.ncommitted] if rnd[R_SHARE] is share]
         share.deliver_handle.cancel()
         share.deliver_handle = None
@@ -854,7 +854,7 @@ class _NicPlan:
             if rnd[R_ARRIVAL] > now:
                 parts = ctl._slice_parts(share.parts, offset, offset + rnd[R_NBYTES])
                 offset += rnd[R_NBYTES]
-                sim.call_at(rnd[R_ARRIVAL], ctl._step_deliver, peer, _burst(parts), rnd[R_RC])
+                sim.call_at(rnd[R_ARRIVAL], _round_arrives, peer, _burst(parts), rnd[R_RC])
 
 
 class FluidController:
@@ -863,20 +863,19 @@ class FluidController:
     The controller takes the pump over as soon as the flow is eligible —
     when its send queue first fills, before any pump on its NIC looks at
     it — and keeps it for as long as it stays so: nothing has to be
-    observed first, because every round a fluid tier runs is one the packet
+    observed first, because every round a plan lays out is one the packet
     model is proven to run identically (a loss draw, the one thing nobody
-    can compute ahead, is made first and hands its round to the packet
-    path).  Churn and changed conditions deactivate the flow, and its next
-    pump re-activates it under whatever holds then; a mere re-cut of its
-    NIC's plan (a flow joining, a foreign frame) does not, and neither does
-    a co-sender leaving the NIC (which does not even cut).
-    ``invalidations`` logs all of them, and the loss draws: every change to
-    what the flow's fluid state was computed under.
+    can compute ahead, is never planned: a lossy link's rounds are the
+    packet round).  Churn and changed conditions deactivate the flow, and
+    its next pump re-activates it under whatever holds then; a mere re-cut
+    of its NIC's plan (a flow joining, a foreign frame) does not, and
+    neither does a co-sender leaving the NIC (which does not even cut).
+    ``invalidations`` logs all of them: every change to what the flow's
+    fluid state was computed under.
     """
 
-    def __init__(self, conn, policy: Optional[FluidPolicy] = None) -> None:
+    def __init__(self, conn, policy: FluidPolicy) -> None:
         self.conn = conn
-        self.policy = policy or FluidPolicy()
         self.active = False
         self._joined = False
         self._ledger: Optional[LinkRateLedger] = None
@@ -898,7 +897,7 @@ class FluidController:
         #: 50 ms: 1.0 / 5.5 / 53.9 with a constant 64, 1.0 / 46.7 / 446 with
         #: no bound (quadratic: every cut re-lays the whole rest out), 1.0 /
         #: 4.0 / 4.1 with this rule.
-        self._horizon = self.policy.first_plan_rounds
+        self._horizon = policy.first_plan_rounds
         self._streak = 0
         # pending synthesized observations (flushed as one tcp-burst);
         # latency/bandwidth are snapshotted when a batch *starts* so a
@@ -912,10 +911,15 @@ class FluidController:
         self._obs_bandwidth = 0.0
         # introspection / test hooks
         self.activations = 0
-        self.fluid_rounds = 0
+        #: plans built for the flow, and the rounds they committed
         self.epochs = 0
         self.epoch_rounds = 0
         self.invalidations: Deque[Tuple[float, str]] = deque(maxlen=32)
+
+    @property
+    def fluid_rounds(self) -> int:
+        """The rounds the packet path did not run: the planned ones."""
+        return self.epoch_rounds
 
     # -- lifecycle hooks called by TcpConnection ----------------------------
     def on_join(self) -> None:
@@ -940,27 +944,6 @@ class FluidController:
         if share is not None and share.drained:
             self._plan.cut("send")
 
-    def on_close(self) -> None:
-        """This endpoint closes actively.  Neither direction can ride a plan
-        across that: its own pump stops at its next turn, and its stack
-        drops whatever arrives from now on — the sender goes on until the
-        FIN reaches it, but round by round, into the void.  Both plans are
-        cut here (a cut is exact at any instant), and the batches pending
-        towards this endpoint are dissolved, so that its reader is handed
-        exactly what the packet model had delivered."""
-        if self._plan is not None:
-            self._plan.cut("close")
-        conn = self.conn
-        if conn.host.partition != conn.peer_host.partition:
-            return  # such a flow never fluidizes, in either direction
-        sender = self._resolve_peer()
-        if sender is not None and sender._fluid is not None and sender._fluid._plan is not None:
-            sender._fluid._plan.cut("peer-close")
-        if conn._rx_batches is not None:
-            batches, conn._rx_batches = conn._rx_batches, None
-            for _arrival, _ready, plan, share in batches:
-                plan.dissolve(share, conn.sim.now)
-
     def on_drain(self) -> None:
         """The send queue drained (or the connection closed)."""
         share = self._share
@@ -981,14 +964,11 @@ class FluidController:
 
     # -- eligibility ---------------------------------------------------------
     def _resolve_peer(self):
-        peer = self._peer_conn
-        if peer is None:
+        if self._peer_conn is None:
             stack = self.conn.peer_host.get_service("tcp")
-            if stack is None or self.conn.peer_conn_id is None:
-                return None
-            peer = stack._connections.get(self.conn.peer_conn_id)
-            self._peer_conn = peer
-        return peer
+            if stack is not None:
+                self._peer_conn = stack._connections.get(self.conn.peer_conn_id)
+        return self._peer_conn
 
     def _eligible(self) -> bool:
         conn = self.conn
@@ -1027,7 +1007,10 @@ class FluidController:
 
     # -- the pump ------------------------------------------------------------
     def pump(self) -> bool:
-        """Run one fluid pump.  Returns False to let the packet path run."""
+        """Plan the rounds of everything queued on the flow's NIC.  Returns
+        False when that cannot be done now — a lossy link, a co-sender that
+        cannot be planned with, a first round that would overtake a batch —
+        and this pump is the packet round's."""
         plan = self._nic._fluid_holder
         if plan is not None:
             # a trailing pump of the NIC's plan: the earliest one, so every
@@ -1040,150 +1023,52 @@ class FluidController:
         if not self.active:
             self._activate()
         conn = self.conn
-        window = min(conn.cwnd, conn.stack.model.receive_window)
-        if conn.network.loss_rate <= 0.0 and self._plannable():
-            others = []
+        if conn.network.loss_rate <= 0.0:
+            seeds = [self._seed(conn.sim.now)]
             for other in self._ledger.co_senders(conn):
+                if seeds[-1] is None:
+                    break
                 ctl = other._fluid
-                if not (ctl.active and ctl._eligible() and ctl._plannable()):
-                    return self._step_round(window)
-                others.append(ctl)
-            _NicPlan(self, others)
-            return True
-        return self._step_round(window)
-
-    def _plannable(self) -> bool:
-        """More than one of the flow's own windows is queued, wherever that
-        window stands (a plan collapses several rounds; a window or less is
-        a single step anyway)."""
-        conn = self.conn
-        window = min(conn.cwnd, conn.stack.model.receive_window)
-        queued = 0
-        for entry in conn._sendq:
-            queued += len(entry[0]) - entry[1]
-            if queued > window:
+                seeds.append(ctl._seed(other._pump_handle.when)
+                             if ctl.active and ctl._eligible() else None)
+            if seeds[-1] is not None:
+                _NicPlan(seeds)
                 return True
+        # the packet round's observation must follow the ones batched so far
+        self._flush_observations()
         return False
 
-    # -- step tier -----------------------------------------------------------
-    def _step_round(self, window: int) -> bool:
-        """One analytic round, float-identical to the packet pump."""
+    def _seed(self, t0: float) -> Optional[tuple]:
+        """``(controller, t0, receive cursor)``: what a plan starts this
+        flow's share from when its next pump is at ``t0``, the cursor being
+        the peer's as the share's first round will find it.  None when no
+        byte is queued, or no such cursor can be told ahead.
+
+        A batch pending towards the peer advances its cursor only when it is
+        handed over, so ``TcpConnection._settle_rx_batches``'s rule applies:
+        one that arrives no later than the first round (which cannot take
+        the wire before ``t0`` or before the NIC is free, whatever the merge
+        order) is ahead of it; one that would be overtaken — the latency
+        dropped — is the packet round's, whose ``_on_segment`` dissolves it."""
         conn = self.conn
-        net = conn.network
-        sim = conn.sim
-        parts, attempted, finishing = conn._gather_window(window)
-        npkts = net.packets_for(attempted)
-        lost_pkts = conn._draw_losses(npkts)
-        if lost_pkts > 0 or attempted == 0:
-            # hand the round — with its already-consumed loss draw — back to
-            # the packet path so the fallback round is packet-exact (its
-            # observation must follow the ones batched so far).
-            self.invalidations.append((sim.now, "loss-draw" if lost_pkts else "empty-window"))
-            self._flush_observations()
-            conn._packet_round(parts, attempted, finishing, npkts, lost_pkts)
-            return True
-        self.fluid_rounds += 1
-        conn.rounds += 1
-        if net._observers:
-            self._note_burst(npkts, attempted)
-
-        ser = net.serialization_time(attempted)
-        nic = net.nic_of(conn.host)
-        begin, end = nic.reserve_tx(sim.now, ser)
-        arrival = end + net.latency
-        tele = conn.stack.telemetry
-        if tele is not None:
-            # the link.tx event the packet path's transmit() observer would
-            # have produced for this round's frame — same fields, same floats
-            tele.emit(
-                "link.tx",
-                t=begin,
-                net=net.name,
-                src=conn.host.name,
-                dst=conn.peer_host.name,
-                nbytes=attempted,
-                begin=begin,
-                end=end,
-                qd=begin - sim.now,
-            )
-        # views over the (immutable) queued send buffers ride to the peer's
-        # receive ring by reference; no per-burst payload is materialised.
-        payload = _burst(parts)
-        conn.bytes_sent += attempted
-
-        # wire accounting the packet path would have done via Frame/transmit
-        next(net._frame_counter)
-        net.frames_sent += 1
-        net.bytes_carried += attempted
-        nic.tx_frames += 1
-        nic.tx_bytes += attempted
-        peer = self._peer_conn
-        peer_nic = net.nic_of(conn.peer_host)
-        peer_nic.rx_frames += 1
-        peer_nic.rx_bytes += attempted
-
-        # receive-side kernel crossing + copy, accumulated in the same float
-        # order as Delivery.cost (0.0 + syscall + copy).  The readiness clamp
-        # runs at *arrival* time (via _step_deliver), not now: the packet
-        # path orders deliveries by updating _last_rx_ready when each frame
-        # is processed at the peer, and a frame sent by a packet-mode round
-        # can still be in flight at this pump — clamping the watermark early
-        # would push that frame's bytes behind this round's.
-        cpu = peer.host.cpu
-        rc = cpu.syscall_overhead + attempted / cpu.memcpy_bandwidth
-        sim.call_at(arrival, self._step_deliver, peer, payload, rc)
-
-        for _view, _offset, done, total in finishing:
-            if done is None or done.triggered:
-                continue
-            sim.call_at(arrival, conn._complete_send, done, total)
-
-        conn._update_window(0, attempted)
-        if tele is not None:
-            tele.emit(
-                "flow.round",
-                flow=conn.flow_id,
-                nbytes=attempted,
-                lost=0,
-                cwnd=conn.cwnd,
-            )
-        if conn._sendq:
-            wait = max(conn.rtt, ser)
-            slack = nic.tx_free_at - sim.now
-            if slack > wait:
-                wait = slack
-            conn._pump_handle = sim.call_later(wait, conn._pump)
+        for entry in conn._sendq:
+            if len(entry[0]) > entry[1]:
+                break
         else:
-            conn._pump_handle = None
-            self.on_drain()
-        return True
+            return None
+        peer = self._peer_conn
+        cursor = peer._last_rx_ready
+        if peer._rx_batches is not None:
+            tx_free = self._nic._tx_free_at
+            first = (t0 if t0 > tx_free else tx_free) + conn.network.latency
+            for arrival, ready, _plan, _share in peer._rx_batches:
+                if arrival > first:
+                    return None
+                if ready > cursor:
+                    cursor = ready
+        return self, t0, cursor
 
-    # -- epoch tier ----------------------------------------------------------
-    @staticmethod
-    def _step_deliver(peer_conn, payload, rc: float) -> None:
-        """Arrival-time half of a step round's delivery.
-
-        Runs at the burst's arrival and applies the same readiness clamp the
-        packet path's ``_on_segment`` applies when a frame is processed —
-        the identical float operations, just evaluated when ``sim.now`` *is*
-        the arrival.  Deferring the clamp to arrival time keeps the peer's
-        ``_last_rx_ready`` watermark updated in stream order even when a
-        packet-mode frame from the round before is still in flight.
-        """
-        if peer_conn.closed and _detached(peer_conn):
-            net = peer_conn.network
-            net.frames_dropped += 1
-            net.drop_log.append((len(payload), "tcp-no-conn"))
-            return
-        sim = peer_conn.sim
-        if peer_conn._rx_batches is not None:
-            peer_conn._settle_rx_batches(sim.now)
-        ready = sim.now + rc
-        if ready < peer_conn._last_rx_ready:
-            ready = peer_conn._last_rx_ready
-        peer_conn._last_rx_ready = ready
-        sim.call_at(ready, peer_conn._append_rx, payload)
-
+    # -- delivery, telemetry and unwinding of a plan's share --------------------
     @staticmethod
     def _epoch_deliver(share: _Share) -> None:
         """Hand ``share.parts`` — the batch, or what a cut or an overtaker
@@ -1289,7 +1174,6 @@ class FluidController:
         conn.bytes_sent -= undone_bytes
         conn.rounds -= undone_rounds
         self.epoch_rounds -= undone_rounds
-        self.fluid_rounds -= undone_rounds
         conn.cwnd = share.cwnd0
         for rnd in committed:
             conn._update_window(0, rnd[R_NBYTES])
@@ -1336,22 +1220,6 @@ class FluidController:
         conn._sendq.extendleft(reversed(restored))
 
     # -- synthesized observations ---------------------------------------------
-    def _note_burst(self, npkts: int, nbytes: int) -> None:
-        net = self.conn.network
-        if self._obs_bursts == 0:
-            self._obs_latency = net.latency
-            self._obs_bandwidth = net.bandwidth
-        self._obs_bursts += 1
-        self._obs_npkts += npkts
-        self._obs_nbytes += nbytes
-        # only equal samples may wait: on a lossy link another flow's drawn
-        # round can come in between, and a windowed loss estimate depends on
-        # the order its samples arrive in
-        if self._share is None and (
-            self._obs_bursts >= self.policy.observation_batch or net.loss_rate > 0.0
-        ):
-            self._flush_observations()
-
     def _flush_observations(self) -> None:
         bursts = self._obs_bursts
         if not bursts:
@@ -1361,9 +1229,9 @@ class FluidController:
         net = self.conn.network
         if net._observers:
             # One weighted observation standing in for `bursts` per-burst
-            # ones: zero-loss by construction (a loss draw ends fluid mode
-            # before it is ever batched), with the frame-timing fields the
-            # packet path's real frames would have exposed.
+            # ones: zero-loss by construction (only a loss-free link is
+            # planned), with the frame-timing fields the packet path's real
+            # frames would have exposed.
             net._observe(
                 "tcp-burst",
                 npkts=npkts,

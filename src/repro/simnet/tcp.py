@@ -81,9 +81,10 @@ class TcpStack:
 
     ``fidelity`` selects the simulation fidelity for this stack's
     connections: ``"packet"`` (default) runs every congestion-window burst
-    through the full per-frame model; ``"hybrid"`` lets stable flows switch
-    to the fluid fast path (:mod:`repro.simnet.fluid`).  A custom
-    ``fluid_policy`` implies hybrid fidelity.
+    through the full per-frame model; ``"hybrid"`` plans the rounds of a
+    flow on a loss-free link ahead, from its first byte
+    (:mod:`repro.simnet.fluid`).  A custom ``fluid_policy`` implies hybrid
+    fidelity.
     """
 
     def __init__(
@@ -485,13 +486,8 @@ class TcpConnection(BufferedConnection):
             if self._fluid is not None:
                 self._fluid.on_drain()
             return
-        fluid = self._fluid
-        if fluid is not None and fluid.pump():
-            return
-        window = min(self.cwnd, self.stack.model.receive_window)
-        parts, attempted, finishing = self._gather_window(window)
-        npkts = self.network.packets_for(attempted)
-        self._packet_round(parts, attempted, finishing, npkts, self._draw_losses(npkts))
+        if self._fluid is None or not self._fluid.pump():
+            self._packet_round()
 
     def _gather_window(self, window: int):
         """Take up to one window of bytes off the send queue head.
@@ -515,15 +511,12 @@ class TcpConnection(BufferedConnection):
                 finishing.append(self._sendq.popleft())
         return parts, attempted, finishing
 
-    def _packet_round(
-        self,
-        parts: List[memoryview],
-        attempted: int,
-        finishing: List[List],
-        npkts: int,
-        lost_pkts: int,
-    ) -> None:
-        """Execute one full-fidelity burst round (the loss draw already made)."""
+    def _packet_round(self) -> None:
+        """Execute one full-fidelity burst round."""
+        window = min(self.cwnd, self.stack.model.receive_window)
+        parts, attempted, finishing = self._gather_window(window)
+        npkts = self.network.packets_for(attempted)
+        lost_pkts = self._draw_losses(npkts)
         delivered = attempted if lost_pkts == 0 else max(
             0, attempted - lost_pkts * self.network.mtu
         )
@@ -612,9 +605,9 @@ class TcpConnection(BufferedConnection):
         """Fire a send's completion event at its last byte's arrival, in
         this timer's own slot.
 
-        The single convergence point of all three data paths (packet round,
-        fluid step, fluid epoch), which is what makes the emitted
-        ``flow.complete`` instants float-identical across fidelities."""
+        The single convergence point of both data paths (packet round and
+        fluid plan), which is what makes the emitted ``flow.complete``
+        instants float-identical across fidelities."""
         if not done._triggered:
             tele = self.stack.telemetry
             if tele is not None:
@@ -632,9 +625,9 @@ class TcpConnection(BufferedConnection):
         return lost
 
     def _update_window(self, lost_pkts: int, delivered: int) -> None:
-        """The window recurrence, its one copy: the packet round and the
-        fluid step apply it as they run, a fluid plan round by laid-out
-        round (loss-free, which leaves ``ssthresh`` alone)."""
+        """The window recurrence, its one copy: the packet round applies it
+        as it runs, a fluid plan round by laid-out round (loss-free, which
+        leaves ``ssthresh`` alone)."""
         mss = self.network.mtu
         if lost_pkts > 0:
             self.ssthresh = max(self.cwnd // 2, 2 * mss)
@@ -658,12 +651,18 @@ class TcpConnection(BufferedConnection):
         delivery.cost.charge_copy(
             delivery.frame.nbytes, self.host.cpu.memcpy_bandwidth, "tcp.recv.copy"
         )
-        # Enqueue the bytes once the kernel-side processing time has elapsed.
+        self._enqueue_rx(delivery.arrived_at, delivery.ready_time(), delivery.payload)
+
+    def _enqueue_rx(self, arrived_at: float, ready: float, payload) -> None:
+        """The arrival clamp, its one copy (a data frame, or a round of a
+        dissolved fluid batch): enqueue the bytes once the kernel-side
+        processing time has elapsed, behind whatever arrived before."""
         if self._rx_batches is not None:
-            self._settle_rx_batches(delivery.arrived_at)
-        ready = max(delivery.ready_time(), self._last_rx_ready)
+            self._settle_rx_batches(arrived_at)
+        if ready < self._last_rx_ready:
+            ready = self._last_rx_ready
         self._last_rx_ready = ready
-        self.sim.call_at(ready, self._append_rx, delivery.payload)
+        self.sim.call_at(ready, self._append_rx, payload)
 
     def _settle_rx_batches(self, now: float) -> None:
         """Something this flow sent after its batched rounds arrives: advance
@@ -710,13 +709,31 @@ class TcpConnection(BufferedConnection):
         self.buffer.close()
 
     # -- teardown -----------------------------------------------------------------
+    def _cut_plans(self) -> None:
+        """An active close ends the fluid plans of both directions, whatever
+        this stack's fidelity (each sender's decides whether it plans).  This
+        flow's pump stops at its next turn; the peer's goes on until the FIN
+        reaches it, but round by round, into the void, this stack dropping
+        what arrives.  Both plans are cut (a cut is exact at any instant) and
+        the batches pending towards this endpoint dissolved, so that its
+        reader is handed exactly what the packet model had delivered."""
+        if self._fluid is not None and self._fluid._plan is not None:
+            self._fluid._plan.cut("close")
+        stack = self.peer_host.get_service(SERVICE_KEY)
+        sender = stack._connections.get(self.peer_conn_id) if stack is not None else None
+        if sender is not None and sender._fluid is not None and sender._fluid._plan is not None:
+            sender._fluid._plan.cut("peer-close")
+        if self._rx_batches is not None:
+            batches, self._rx_batches = self._rx_batches, None
+            for _arrival, _ready, plan, share in batches:
+                plan.dissolve(share, self.sim.now)
+
     def close(self) -> None:
         """Active close: notify the peer, fail any pending reads there."""
         if self.closed:
             return
         self.closed = True
-        if self._fluid is not None:
-            self._fluid.on_close()
+        self._cut_plans()
         tele = self.stack.telemetry
         if tele is not None:
             tele.emit(

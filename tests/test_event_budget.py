@@ -15,7 +15,7 @@ quiescence (or, for the middleware round trips, between two points of the
 driving process): the network's own timers (pump, frame arrival, receive
 append) are part of an operation's budget.
 
-The bulk-TCP section holds the fluid tiers to the same standard, per
+The bulk-TCP section holds the fluid planner to the same standard, per
 transfer instead of per operation: at hybrid fidelity an 8 MiB stream on a
 clean link is a handful of events whatever its length, at the packet run's
 completion instants, and a staged file (awaited 64 MiB sends) costs as few
@@ -290,9 +290,9 @@ def test_a_hybrid_bulk_transfer_is_a_handful_of_events_at_the_packet_instants(
 MIB = 1024 * 1024
 
 
-def staged_tcp(fidelity, sends, parked_read):
+def staged_tcp(fidelity, sends, parked_read, nbytes=64 * MIB):
     """One established connection over ``Ethernet100``, the loop drained;
-    then ``sends`` awaited sends of one shared 64 MiB payload, towards a peer
+    then ``sends`` awaited sends of one shared ``nbytes`` payload, towards a peer
     that drains its socket as the bytes come or — ``parked_read`` — has one
     exact read of everything posted from the start.  Returns ``((plans,
     events, timers), instants)``: the fluid plans built and what the loop ran
@@ -307,7 +307,7 @@ def staged_tcp(fidelity, sends, parked_read):
     accepting, connecting = sb.listen(5000).accept(), sa.connect(b, 5000)
     sim.run()
     conn, peer = connecting.value, accepting.value
-    payload = bytes(64 * MIB)  # zero pages nobody reads
+    payload = bytes(nbytes)  # zero pages nobody reads
     instants = []
     window = Window(sim)
     if parked_read:
@@ -357,6 +357,29 @@ def test_a_staged_transfer_is_as_few_plans_as_its_flow_has_earned(
     # the per-byte form of the budget ROADMAP 1(e) asks for
     delivered = sends * 64
     assert (packet[0][1] / delivered, hybrid[0][1] / delivered) == events_per_mib
+
+
+def test_an_awaited_write_that_fits_the_window_is_one_plan_of_one_round():
+    """The deployment's traffic: awaited 32 KiB writes.  The first is a plan
+    of 4 slow-start rounds; from then on the window exceeds the write, and a
+    write is one plan of one round — 4 loop entries (its pump, the send's
+    completion, the batched delivery, the trailing pump that retires the
+    drained flow), as many as the packet round's (pump, frame arrival,
+    receive append, completion) and as the analytic single round this
+    replaced, at the very same instants.  The committed before-number of
+    ROADMAP 3b (extend the live plan on ``send()`` instead of re-planning)."""
+    few, many = 8, 72
+    runs = {(fidelity, writes): staged_tcp(fidelity, writes, False, nbytes=32 * 1024)
+            for fidelity in ("packet", "hybrid") for writes in (few, many)}
+    assert runs["hybrid", many][1] == runs["packet", many][1]
+    assert runs["hybrid", few][0] == (8, 34, 32) and runs["packet", few][0] == (0, 43, 41)
+    # per write, past the ramp: (plans, events, timers), exact
+    per_write = {
+        fidelity: tuple((m - f) / (many - few)
+                        for f, m in zip(runs[fidelity, few][0], runs[fidelity, many][0]))
+        for fidelity in ("packet", "hybrid")
+    }
+    assert per_write == {"packet": (0.0, 4.0, 4.0), "hybrid": (1.0, 4.0, 4.0)}
 
 
 # -- Circuit and the middleware round trips ----------------------------------------

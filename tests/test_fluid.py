@@ -60,7 +60,7 @@ def flow(*sizes, start=0.0, connect="early", awaited=False, gap=0.0, close_at=No
 class _TracingSimulator(Simulator):
     """Logs every scheduled pump / delivery timer as ``(when, seq, name)``."""
 
-    TRACED = {"_pump", "_epoch_deliver", "_step_deliver", "_append_rx", "_append_rx_parts",
+    TRACED = {"_pump", "_epoch_deliver", "_round_arrives", "_append_rx", "_append_rx_parts",
               "handle_arrival", "_complete_send"}
 
     def __init__(self):
@@ -89,6 +89,7 @@ def run_scenario(
     flows=None,
     latency=None,
     trace=False,
+    peer_fidelity=None,
 ):
     """k client/server transfers towards one host over one link, instrumented.
 
@@ -97,7 +98,8 @@ def run_scenario(
     (``chunk``: awaited sends of that size), plus ``second=(at, nbytes)``
     for a competitor.  ``reader`` is how the receivers read: ``"drain"`` (one
     exact read of everything), ``"trickle"`` (whatever is there, read by
-    read) or ``"none"``.  Returns a dict with, per flow (``out["flows"][i]``),
+    read) or ``"none"``; ``peer_fidelity`` is the receiving stack's, when it
+    is not the senders'.  Returns a dict with, per flow (``out["flows"][i]``),
     the receive-completion and send-completion instants, both endpoints and
     the fluid controller (it carries the introspection counters) — flow 0
     and 1 also under their historical keys — and, when requested, the
@@ -118,7 +120,7 @@ def run_scenario(
         net.latency = latency
     b = Host(sim, "b")
     net.connect(b)
-    sb = TcpStack(b, fidelity=fidelity)
+    sb = TcpStack(b, fidelity=peer_fidelity or fidelity)
     senders = {}
     for name in ["a"] + [spec["src"] for spec in flows]:
         if name not in senders:
@@ -278,17 +280,13 @@ def test_hybrid_lan_transfer_is_float_identical(chunk):
     fl = hybrid["fluid"]
     # fluid from the first byte: one activation, and not one packet round
     assert fl.activations == 1
-    assert fl.fluid_rounds == hybrid["conn"].rounds
-    if chunk is None:
-        # a lossless sole-sender bulk flow rides the closed-form tier alone
-        assert fl.epoch_rounds == fl.fluid_rounds
-    else:
+    assert fl.epoch_rounds == fl.fluid_rounds == hybrid["conn"].rounds
+    if chunk is not None:
         # the first awaited 64 KiB send queues more than one *slow-start*
-        # window and is one plan: 2, 4, 8, 16 segments and the 20536 bytes
-        # left.  That leaves cwnd at 68536, and from then on a send never
-        # queues more than one window: 63 step rounds
-        assert (fl.epochs, fl.epoch_rounds) == (1, 5)
-        assert fl.fluid_rounds == 5 + 63
+        # window and is one plan of 5 rounds: 2, 4, 8, 16 segments and the
+        # 20536 bytes left.  That leaves cwnd at 68536, and from then on a
+        # send never queues more than one window: 63 plans of one round
+        assert (fl.epochs, fl.epoch_rounds) == (1 + 63, 5 + 63)
 
 
 def test_fluid_collapses_event_count():
@@ -309,39 +307,41 @@ def test_fluid_collapses_event_count():
 
 
 def test_loss_draw_falls_back_to_packet_and_matches():
-    """On a lossy WAN the flow rides the step tier, and every positive loss
-    draw hands its round back to the packet path with the draw already
-    consumed — the RNG stream, and everything downstream, stays identical
-    to the pure packet run."""
+    """Nobody can compute a loss draw ahead, so every round of a lossy WAN
+    is the packet round itself, draw included — the RNG stream, and
+    everything downstream, is the pure packet run's by construction."""
     packet = run_scenario("packet", net_cls=WanVthd, nbytes=16 * MIB, probe=True)
     hybrid = run_scenario("hybrid", net_cls=WanVthd, nbytes=16 * MIB, probe=True)
     _assert_equivalent(packet, hybrid)
     _assert_probe_equivalent(packet, hybrid)
     fl = hybrid["fluid"]
-    # the drawn rounds, and only they, ran on the packet path: the flow
-    # stays fluid-active across a loss draw
-    drawn = _reasons(fl).count("loss-draw")
-    assert drawn > 0 and set(_reasons(fl)) == {"loss-draw"}
-    assert fl.fluid_rounds == hybrid["conn"].rounds - drawn > 0
+    # a lossy link is never planned: not a round left the packet path, and
+    # nothing was logged — the flow stays fluid-active all along, ready for
+    # the link to recover
+    assert fl.epochs == fl.epoch_rounds == fl.fluid_rounds == 0 < hybrid["conn"].rounds
+    assert _reasons(fl) == []
     assert fl.activations == 1 and fl.active
-    # a lossy link never reaches the closed-form tier
-    assert fl.epochs == 0
     # the packet run saw actual losses, and the hybrid run saw the same ones
     assert packet["est"].loss.mean() > 0.0
+    assert hybrid["conn"].retransmitted_bytes == packet["conn"].retransmitted_bytes > 0
 
 
 def test_flows_sharing_a_lossy_link_feed_its_estimator_in_packet_order():
     """Two flows, one passive probe, a lossy link: a windowed loss estimate
-    depends on the order its samples arrive in, so a step round's zero-loss
-    sample must not wait in a batch while the other flow's drawn round goes
-    by (it used to, and the estimate read 0.0 against the packet run's)."""
+    depends on the order its samples arrive in, so a zero-loss sample must
+    not wait in a batch while the other flow's drawn round goes by (it used
+    to, and the estimate read 0.0 against the packet run's): on a lossy link
+    every round reports for itself, being the packet round."""
     flows = [flow(8 * MIB), flow(8 * MIB, fill=ord("k"))]
     packet = run_scenario("packet", net_cls=WanVthd, flows=flows, probe=True)
     hybrid = run_scenario("hybrid", net_cls=WanVthd, flows=flows, probe=True)
     _assert_flows_equivalent(packet, hybrid)
     _assert_probe_equivalent(packet, hybrid)
     assert packet["est"].loss.mean() > 0.0
-    assert all("loss-draw" in _reasons(res["fluid"]) for res in hybrid["flows"])
+    for res in hybrid["flows"]:
+        # both flows drew losses, and neither batched a sample
+        assert res["conn"].retransmitted_bytes > 0
+        assert res["fluid"].epochs == 0 and res["fluid"]._obs_bursts == 0
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +610,28 @@ def test_receiver_hanging_up_mid_plan_matches(k):
     assert "peer-close" in _reasons(hung["fluid"])
 
 
+def test_receiver_hanging_up_matches_whatever_the_two_stacks_fidelities():
+    """The four ``{packet, hybrid}`` pairings of sender and receiver: what a
+    hang-up means to the plans towards the closing endpoint is the closing
+    connection's business, not its fluid controller's — a packet-fidelity
+    receiver has none (its hybrid sender used to finish the whole send into
+    the void in one uncut plan, the receiver keeping none of its batch)."""
+    flows = [flow(8 * MIB, hangup_at=0.3)]
+    fidelities = ("packet", "hybrid")
+    runs = {(tx, rx): run_scenario(tx, peer_fidelity=rx, flows=flows)
+            for tx in fidelities for rx in fidelities}
+    seen = {
+        pair: (run["peer"].bytes_received, run["conn"].bytes_sent, run["conn"].rounds,
+               run["net"].frames_dropped, run["tx_free_at"], run["net"].drop_log)
+        for pair, run in runs.items()
+    }
+    assert len(set(map(repr, seen.values()))) == 1
+    received, sent, _rounds, dropped, _busy, _log = seen["packet", "packet"]
+    assert 0 < received < sent < 8 * MIB and dropped == 1
+    for rx in fidelities:
+        assert "peer-close" in _reasons(runs["hybrid", rx]["fluid"])
+
+
 def test_send_queued_behind_a_flow_the_plan_drained_recuts():
     """More data queued on a member whose drain the plan had laid out: the
     short last round and the missing pump after it are no longer what the
@@ -644,7 +666,9 @@ def test_cut_puts_the_send_queue_back_entry_for_entry():
 def test_small_round_after_a_capped_plan_queues_behind_the_batch():
     """The round after a capped plan is tiny: it arrives well before the
     plan's batch is readable, and must wait its turn behind it (the batch
-    advances the peer's receive cursor only when it is delivered)."""
+    advances the peer's receive cursor only when it is delivered, so the
+    tiny round's own plan is seeded from the cursor the batch *will* have
+    left: ``FluidController._seed``)."""
     # a plan of exactly 64 rounds — the slow-start ramp (2, 4, ... 128
     # segments of 1460 bytes: 7 rounds) and 57 full windows — then 100 bytes
     body = 127 * 2 * 1460 + 57 * WINDOW
@@ -653,7 +677,38 @@ def test_small_round_after_a_capped_plan_queues_behind_the_batch():
     hybrid = run_scenario("hybrid", flows=flows)
     _assert_flows_equivalent(packet, hybrid, planned=(0,))
     fl = hybrid["fluid"]
-    assert (fl.epochs, fl.epoch_rounds) == (1, 64) and fl.fluid_rounds == 65
+    # the capped plan, and the plan of one round behind it
+    assert (fl.epochs, fl.epoch_rounds) == (2, 64 + 1) and hybrid["conn"].rounds == 65
+    # a drain reader cannot see a reorder of *instants*; one taking what is
+    # there does: the batch, then the 100 bytes, both when the packet run's
+    # last full window is readable (its copy outlasts the tiny round's trip)
+    packet = run_scenario("packet", flows=flows, reader="trickle")["flows"][0]
+    hybrid = run_scenario("hybrid", flows=flows, reader="trickle")["flows"][0]
+    at, last = packet["reads"][-1]
+    assert last == 100 and packet["reads"][-2] == (at, WINDOW)
+    assert hybrid["reads"] == [(at, body), (at, 100)]
+    assert hybrid["done"] == packet["done"]
+
+
+def test_one_round_plan_behind_a_packet_frame_in_flight_waits_its_turn():
+    """The same hazard across the packet->plan handoff: the link stops being
+    lossy while the last full window — a packet round's frame — is on the
+    wire, and the 100 bytes behind it are a plan of one round, seeded from a
+    cursor that frame has yet to advance.  The frame finds the plan's batch
+    pending when it arrives, ahead of it, and dissolves it: the tiny round
+    arrives on its own and is clamped behind the frame's bytes."""
+    body = 127 * 2 * 1460 + 3 * WINDOW
+    flows = [flow(body, 100)]
+    # "lossy" at a rate that never draws a loss: rounds as on a clean link
+    degrades = [(0.0, dict(loss_rate=1e-12)), (0.09, dict(loss_rate=0.0))]
+    packet = run_scenario("packet", flows=flows, degrades=degrades, reader="trickle")
+    hybrid = run_scenario("hybrid", flows=flows, degrades=degrades, reader="trickle")
+    at, last = packet["flows"][0]["reads"][-1]
+    assert last == 100 and packet["flows"][0]["reads"][-2] == (at, WINDOW)
+    assert hybrid["flows"][0]["reads"] == packet["flows"][0]["reads"]
+    assert hybrid["flows"][0]["done"] == packet["flows"][0]["done"]
+    fl = hybrid["fluid"]
+    assert (fl.epochs, fl.epoch_rounds) == (1, 1) and hybrid["conn"].rounds == 11
 
 
 def test_rollback_timer_order_does_not_depend_on_object_addresses():
@@ -700,10 +755,14 @@ RAMP = 127 * 2 * MSS
 RAMP_LATENCY = 2e-3
 
 
-def _assert_no_packet_round(hybrid):
-    """On a loss-free link nothing is left for the packet path."""
+def _assert_packet_rounds(hybrid, *expected):
+    """How many rounds each flow ran on the packet path (default: none).  On
+    a loss-free link the one thing that puts a round there is a co-sender
+    that cannot be planned with at that pump: one that churn deactivated and
+    that has not pumped since, or one that closed and has yet to notice."""
+    expected += (0,) * (len(hybrid["flows"]) - len(expected))
     for idx, res in enumerate(hybrid["flows"]):
-        assert res["fluid"].fluid_rounds == res["conn"].rounds, idx
+        assert res["conn"].rounds - res["fluid"].epoch_rounds == expected[idx], idx
 
 
 @pytest.mark.parametrize("offsets", [(0.0, 0.0, 0.0), (0.0, 0.006, 0.013)],
@@ -752,7 +811,9 @@ def test_a_cut_inside_the_ramp_restores_the_window_and_matches(what, k):
     packet = run_scenario("packet", flows=flows, latency=RAMP_LATENCY, **extra)
     hybrid = run_scenario("hybrid", flows=flows, latency=RAMP_LATENCY, **extra)
     _assert_flows_equivalent(packet, hybrid, planned=range(len(flows)))
-    _assert_no_packet_round(hybrid)
+    # churn deactivates both flows: the first to pump again finds the other
+    # still inactive, and that pump is a packet round
+    _assert_packet_rounds(hybrid, *[1] * (k - 1 if reason == "degrade" else 0))
     assert all(res["conn"].rounds <= 7 for res in packet["flows"])
     subject = hybrid["flows"][-1 if what in ("close", "hangup") else 0]
     assert reason in _reasons(subject["fluid"])
@@ -763,34 +824,35 @@ def test_a_cut_inside_the_ramp_restores_the_window_and_matches(what, k):
 
 
 @pytest.mark.parametrize(
-    "scripts, epochs, epoch_rounds, rounds",
+    "scripts, epochs, rounds",
     [
         # each send queues one more window than the last one left: 2 rounds
-        ([(4096, 8192, 16384, 32768, 65536)], [5], [10], [10]),
+        ([(4096, 8192, 16384, 32768, 65536)], [5], [10]),
         # the deployment's writes: the first is one 4-round plan (2, 4, 8
-        # segments and the rest), which leaves the window above 32 KB
-        ([(32768,) * 8], [1], [4], [11]),
-        ([(32768,) * 8, (32768,) * 8], [1, 1], [4, 4], [11, 11]),
-        ([(65536, 4096, 49152, 8192)] * 3, [1, 1, 1], [5, 5, 5], [8, 8, 8]),
+        # segments and the rest), which leaves the window above 32 KB — and
+        # each of the 7 others a plan of one round
+        ([(32768,) * 8], [1 + 7], [4 + 7]),
+        ([(32768,) * 8, (32768,) * 8], [8, 8], [11, 11]),
+        # 5 rounds for the first send, one each for the three that fit
+        ([(65536, 4096, 49152, 8192)] * 3, [4, 4, 4], [8, 8, 8]),
     ],
     ids=["doubling", "32k-writes", "32k-writes-x2", "mixed-x3"],
 )
-def test_awaited_sends_of_a_few_windows_are_short_plans(scripts, epochs, epoch_rounds, rounds):
+def test_awaited_sends_of_a_few_windows_are_short_plans(scripts, epochs, rounds):
     flows = [flow(*script, awaited=True, fill=ord("a") + 8 * i)
              for i, script in enumerate(scripts)]
     packet = run_scenario("packet", flows=flows, probe=True)
     hybrid = run_scenario("hybrid", flows=flows, probe=True)
     _assert_flows_equivalent(packet, hybrid, planned=range(len(flows)))
     _assert_probe_equivalent(packet, hybrid)
-    _assert_no_packet_round(hybrid)
+    _assert_packet_rounds(hybrid)
     assert [res["fluid"].epochs for res in hybrid["flows"]] == epochs
-    assert [res["fluid"].epoch_rounds for res in hybrid["flows"]] == epoch_rounds
     assert [res["conn"].rounds for res in hybrid["flows"]] == rounds
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_additive_growth_after_a_loss_is_planned_and_matches(k):
-    """A lossy spell sets ``ssthresh`` (every drawn round on the packet
+    """A lossy spell sets ``ssthresh`` (every round of it on the packet
     path, RNG streams in step), then the link recovers: the flows climb one
     segment per round *inside* plans, far below the receiver cap."""
     flows = [flow(2 * MIB + 99 * i, fill=ord("a") + 8 * i) for i in range(k)]
@@ -801,9 +863,10 @@ def test_additive_growth_after_a_loss_is_planned_and_matches(k):
     _assert_probe_equivalent(packet, hybrid)
     for res in hybrid["flows"]:
         conn, fl = res["conn"], res["fluid"]
-        drawn = _reasons(fl).count("loss-draw")
-        assert drawn > 0 and conn.retransmitted_bytes > 0
-        assert fl.fluid_rounds == conn.rounds - drawn
+        # the spell's rounds, drawn or not, were packet rounds; the recovery
+        # (churn: one deactivation each) handed the flows to the planner
+        assert conn.retransmitted_bytes > 0 and conn.rounds > fl.epoch_rounds
+        assert _reasons(fl).count("degrade") == 1 and fl.activations == 2
         # one segment per round since the last loss, most of them planned
         climbed, rest = divmod(conn.cwnd - conn.ssthresh, MSS)
         assert rest == 0 and conn.cwnd < WINDOW
@@ -909,10 +972,12 @@ CUTS = {
     "degrade-latency": (
         "degrade", lambda at: dict(degrades=[(at, dict(latency=5e-4))]), None, False,
         [(24, 7, True), (14, 14, False), (42, 5, False)]),
-    # the SYN cuts, the first data behind the handshake cuts again one round on
+    # the SYN cuts, the first data behind the handshake cuts again one round
+    # on; the last plan of 12 leaves one round, a plan of its own
     "late-syn": (
         "nic-contention", None, lambda at, k: flow(300_000, start=at, connect="late"), False,
-        [(24, 7, True), (14, 1, True), (2, 2, False), (6, 3, False), (12, 12, False)]),
+        [(24, 7, True), (14, 1, True), (2, 2, False), (6, 3, False), (12, 12, False),
+         (36, 1, False)]),
     # the plan with the joiner ends at the joiner's own first bound of 4
     "joiner": (
         "flow-join", None, lambda at, k: flow(300_000, start=at), False,
@@ -951,9 +1016,12 @@ def test_a_cut_shrinks_the_next_plan_to_twice_what_survived_and_it_grows_back(
     packet = run_scenario("packet", flows=flows, **extra)
     hybrid = run_scenario("hybrid", flows=flows, policy=EARNED, **extra)
     _assert_flows_equivalent(packet, hybrid, planned=range(len(flows)))
-    _assert_no_packet_round(hybrid)
-    _assert_horizons_follow_the_rule(plan_log, hybrid)
     ends = what in ("close", "hangup", "fin-overtakes-batch")
+    # churn deactivates the k flows and a closed one is no longer eligible:
+    # each incumbent pumping before the last of them has pumped again (which
+    # re-activates it, or retires it) runs that one round on the packet path
+    _assert_packet_rounds(hybrid, *[1] * (k - 1 if ends or reason == "degrade" else 0))
+    _assert_horizons_follow_the_rule(plan_log, hybrid)
     subject = hybrid["flows"][k - 1]
     assert reason in _reasons(subject["fluid"])
     for res in hybrid["flows"][:k]:
@@ -1075,11 +1143,11 @@ SEND_SIZES = (1 * MIB, 4096, 4096, 1 * MIB)
 SEND_PAYLOAD = b"".join(bytes([ch]) * n for ch, n in zip(b"abcd", SEND_SIZES))
 
 
-def run_multisend(fidelity, t_inv=None, loss_rate=0.0, probe=False):
+def run_multisend(fidelity, t_inv=None, loss_rate=0.0, clean_at=None, probe=False):
     """Queue four sends with *distinct* contents back-to-back (no awaiting
     between them), so multiple queue entries can complete inside a single
     planned round, and optionally force a fluid invalidation at ``t_inv``
-    or make the link lossy.
+    or make the link lossy (until ``clean_at``, if given).
 
     Unlike :func:`run_scenario`'s uniform payloads, distinct bytes make any
     reordering of the delivered stream visible.
@@ -1115,27 +1183,33 @@ def run_multisend(fidelity, t_inv=None, loss_rate=0.0, probe=False):
     sim.process(server())
     if t_inv is not None:
         sim.call_at(t_inv, net.invalidate_fluid, "test-churn")
+    if clean_at is not None:
+        FaultInjector(sim, TopologyKB(), seed=11, announce=False).degrade_link_at(
+            clean_at, net, loss_rate=0.0)
     sim.run(max_time=600.0)
     return out
 
 
 def test_hybrid_preserves_byte_order_across_handoff():
-    """Distinct-content sends must arrive in exact stream order.  The fluid
-    tiers defer the receive-readiness clamp to arrival time, so a packet-
-    mode frame still in flight at the packet->fluid handoff keeps its place
-    ahead of the fluid bytes that follow it (an early watermark bump used
-    to push the in-flight frame's bytes behind the whole fluid batch).  The
-    handoffs are the loss draws of a lossy link — the one thing left that
-    puts a round on the packet path — and there are none on a clean one."""
-    packet = run_multisend("packet", loss_rate=2e-3)
-    hybrid = run_multisend("hybrid", loss_rate=2e-3)
+    """Distinct-content sends must arrive in exact stream order.  A plan's
+    batch advances the peer's receive cursor when it is handed over, not
+    when it is laid out, so a packet-mode frame still in flight at the
+    packet->fluid handoff keeps its place ahead of the fluid bytes that
+    follow it (an early watermark bump used to push the in-flight frame's
+    bytes behind the whole fluid batch).  The handoff is a lossy link
+    recovering — a lossy link's rounds are the one thing the packet path
+    still runs alone — and there is none on a clean one."""
+    packet = run_multisend("packet", loss_rate=2e-3, clean_at=0.1)
+    hybrid = run_multisend("hybrid", loss_rate=2e-3, clean_at=0.1)
     assert hybrid["data"] == SEND_PAYLOAD
     assert packet["data"] == SEND_PAYLOAD
     assert hybrid["t1"] == packet["t1"]
     assert hybrid["done"] == packet["done"]
-    fl = hybrid["conn"].fluid
-    drawn = _reasons(fl).count("loss-draw")
-    assert drawn >= 2 and fl.fluid_rounds == hybrid["conn"].rounds - drawn > drawn
+    conn, fl = hybrid["conn"], hybrid["conn"].fluid
+    # both sides of the handoff did rounds: the lossy spell's (losses drawn)
+    # on the packet path, the rest planned
+    assert conn.retransmitted_bytes > 0
+    assert 0 < fl.epoch_rounds < conn.rounds == packet["conn"].rounds
     clean = run_multisend("hybrid")
     assert clean["data"] == SEND_PAYLOAD
     assert clean["conn"].fluid.epoch_rounds == clean["conn"].rounds
@@ -1223,7 +1297,7 @@ def run_backlog(fidelity, sends, posted=None):
 )
 def test_a_stuck_reader_does_not_demote_its_sender(sends, posted, plans):
     """Whatever piles up at the receiver changes no byte and no instant of
-    the sender's rounds, so it is no reason to leave the fluid tiers (a
+    the sender's rounds, so it is no reason to leave the fluid planner (a
     backlog of 64 windows used to be one: ``conditions-changed`` after 192
     of the 262 rounds of the 64 MiB transfer, the rest on the packet path,
     at the very same instants)."""

@@ -10,7 +10,7 @@ Two closed-form checks guard the physical model under both fidelities:
   fidelity under test, proving the fluid fast path neither perturbs the
   queueing point nor is perturbed by it.
 * **TCP steady state** — a bulk transfer's goodput must converge to the
-  analytic ``steady_state_rate`` the fluid epoch tier integrates, in both
+  analytic ``steady_state_rate`` a fluid plan integrates, in both
   fidelities, and the two fidelities must complete at the same instant —
   alone on its NIC, and as one of k flows sharing it
   (``steady_state_rate(..., nflows=k)``).

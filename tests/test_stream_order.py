@@ -216,6 +216,14 @@ def run_tcp(fidelity, sends, reads, gathered: bool, fin: bool):
     reads=[("read", True, None, True)],
     fin=True,
 )
+# a one-round plan laid out while the plan before it is still a pending batch
+# at the peer: the lone byte must not be readable ahead of the 136,699 (its
+# share is seeded from the cursor that batch will have left)
+@example(
+    sends=[(bytes(range(251)) * 545)[:136_699], b"\x00"],
+    reads=[("read", False, None, False), ("read", False, None, False)],
+    fin=False,
+)
 def test_tcp_reads_complete_in_order_whatever_their_kind(fidelity, sends, reads, fin):
     logs, posted, conn, work = run_tcp(fidelity, sends, reads, True, fin)
     flat_logs, _, flat_conn, flat_work = run_tcp(fidelity, sends, reads, False, fin)
