@@ -108,7 +108,6 @@ class MadIOCircuitAdapter(CircuitAdapter):
         return self.channel.send(dst_rank, b"", payload, extra_cost=cost, done=done)
 
     def _on_message(self, src_rank: int, header: bytes, body: bytes, delivery: Delivery) -> None:
-        delivery.traverse(f"circuit-adapter:{self.name}")
         self.circuit._deliver(src_rank, body, delivery)
 
 
@@ -198,7 +197,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
     def send(
         self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
     ) -> SimEvent:
-        cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD, "circuit.framing")
+        cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD)
         self._account(len(payload))
         if done is None:
             done = self.sim.event(name="circuit-stream-send")
@@ -258,8 +257,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
             self._peers[id(stream)] = peer
         for src_rank, payload in peer.feed(data):
             rx = SoftDelivery(self.sim)
-            rx.traverse(f"circuit-adapter:{self.name}")
-            rx.cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD, "circuit.framing")
+            rx.cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD)
             self.circuit._deliver(src_rank, payload, rx)
         # Reuse the reverse direction of an incoming stream when we have no
         # outgoing stream yet (avoids building two sockets per pair).  The
@@ -363,9 +361,8 @@ class LoopbackCircuitAdapter(CircuitAdapter):
         self._account(len(payload))
         rx = SoftDelivery(self.sim)
         rx.cost.merge(cost)
-        rx.cost.charge(self.per_message_overhead, "loopback.msg")
-        rx.cost.charge_copy(len(payload), self.host.cpu.memcpy_bandwidth, "loopback.copy")
-        rx.traverse("circuit-adapter:loopback")
+        rx.cost.charge(self.per_message_overhead)
+        rx.cost.charge_copy(len(payload), self.host.cpu.memcpy_bandwidth)
         src_rank = self.circuit.rank
         self.sim.call_later(
             max(0.0, rx.ready_time() - self.sim.now) * 0.0,  # deliver through _deliver's own delay

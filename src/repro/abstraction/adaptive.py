@@ -180,7 +180,6 @@ class AdaptiveVLink:
         #: True when the peer closed while promising bytes we never received
         #: (only possible when the carrying wire died with data in flight).
         self.truncated = False
-        self.bytes_written = 0
         self.bytes_read = 0
 
     # -- VLink-compatible primitives -------------------------------------------
@@ -197,7 +196,6 @@ class AdaptiveVLink:
             return op
         start = self.out_offset
         self.out_offset += len(data)
-        self.bytes_written += len(data)
         self._out_buffer.append((start, data))
         self._write_waiters.append((self.out_offset, op))
         self._flush()
@@ -542,7 +540,7 @@ class AdaptiveVLink:
         self.migrations += 1
         self.last_migration_at = self.sim.now
         self.last_migration_error = None
-        tele = self.manager.telemetry
+        tele = self.sim.telemetry
         if tele is not None:
             tele.emit(
                 "route.migrate",
@@ -597,7 +595,6 @@ class AdaptiveListener:
         self.sim = manager.sim
         self.port = port
         self.sessions: Dict[int, AdaptiveVLink] = {}
-        self.resumed = 0
         self.rejected = 0
         self.closed = False
         self._accept_callback: Optional[Callable[[AdaptiveVLink], None]] = None
@@ -665,7 +662,6 @@ class AdaptiveListener:
                 raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_UNKNOWN, 0))
                 return
             raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_OK, session.in_delivered))
-            self.resumed += 1
             session._attach_rail(raw, client_delivered, initial=extra)
             return
         session = AdaptiveVLink(self.manager, session_id, None, self.port, role="server")

@@ -133,7 +133,7 @@ class Circuit:
         cost = Cost()
         if extra_cost is not None:
             cost.merge(extra_cost)
-        cost.charge(CIRCUIT_LAYER_OVERHEAD, "circuit.layer")
+        cost.charge(CIRCUIT_LAYER_OVERHEAD)
         payload = message.finish()
         self.messages_sent += 1
         self.bytes_sent += message.payload_bytes
@@ -173,8 +173,7 @@ class Circuit:
 
     def _deliver(self, src_rank: int, payload: bytes, rx: RxPath) -> None:
         """Called by adapters when a complete message has arrived."""
-        rx.traverse(f"circuit:{self.name}")
-        rx.cost.charge(CIRCUIT_LAYER_OVERHEAD, "circuit.layer")
+        rx.cost.charge(CIRCUIT_LAYER_OVERHEAD)
         incoming = CircuitIncoming(src_rank, payload, src_name=self.group[src_rank].name)
         self.messages_received += 1
         self.bytes_received += incoming.payload_bytes

@@ -12,7 +12,7 @@ protocol.
 
 from __future__ import annotations
 
-from typing import Any, List, Protocol, runtime_checkable, TYPE_CHECKING
+from typing import Any, Protocol, runtime_checkable, TYPE_CHECKING
 
 from repro.simnet.cost import Cost, MICROSECOND
 
@@ -30,8 +30,6 @@ class RxPath(Protocol):
 
     cost: Cost
 
-    def traverse(self, layer_name: str) -> None: ...
-
     def ready_time(self) -> float: ...
 
     def complete_into(self, event: "SimEvent", value: Any = None) -> None: ...
@@ -44,10 +42,6 @@ class SoftDelivery:
         self.sim = sim
         self.arrived_at = sim.now if arrived_at is None else arrived_at
         self.cost = Cost()
-        self.path: List[str] = []
-
-    def traverse(self, layer_name: str) -> None:
-        self.path.append(layer_name)
 
     def ready_time(self) -> float:
         return self.arrived_at + self.cost.seconds

@@ -183,8 +183,8 @@ class MadVLinkConnection(BufferedConnection):
         if self.peer_conn_id is None:
             raise AbstractionError("write() before the MadIO VLink connection is established")
         cost = Cost()
-        cost.charge(VLINK_LAYER_OVERHEAD, "vlink.layer")
-        cost.charge(CROSS_PARADIGM_STREAM_OVERHEAD, "vlink.cross-paradigm")
+        cost.charge(VLINK_LAYER_OVERHEAD)
+        cost.charge(CROSS_PARADIGM_STREAM_OVERHEAD)
         header = _DATA_HEADER.pack(self.peer_conn_id, 0)
         self.bytes_sent += len(data)
         return self.driver.data_channel.send(
@@ -203,8 +203,8 @@ class MadVLinkConnection(BufferedConnection):
 
     # -- receive path (called by the driver) --------------------------------------
     def _on_data(self, body: bytes, rx: RxPath) -> None:
-        rx.cost.charge(VLINK_LAYER_OVERHEAD, "vlink.layer")
-        rx.cost.charge(CROSS_PARADIGM_STREAM_OVERHEAD, "vlink.cross-paradigm")
+        rx.cost.charge(VLINK_LAYER_OVERHEAD)
+        rx.cost.charge(CROSS_PARADIGM_STREAM_OVERHEAD)
         # Appends are serialized per connection: a small message's lower
         # receive-side cost must not let its bytes overtake an earlier large
         # message's — this is a byte stream, not a message interface.
@@ -250,7 +250,7 @@ class MadIOVLinkDriver(VLinkDriver):
         done = self.sim.event(name=f"madio-vlink-connect({dst_host.name}:{port})")
         self._pending_connects[conn.conn_id] = done
         ctl = _CTL.pack(_CTL_CONNECT, port, conn.conn_id, 0)
-        cost = Cost().charge(VLINK_LAYER_OVERHEAD, "vlink.layer")
+        cost = Cost().charge(VLINK_LAYER_OVERHEAD)
         self.ctl_channel.send(peer_rank, ctl, b"", extra_cost=cost)
         return done
 
@@ -259,7 +259,6 @@ class MadIOVLinkDriver(VLinkDriver):
 
     # -- MadIO callbacks ----------------------------------------------------------------
     def _on_ctl(self, src_rank: int, header: bytes, body: bytes, delivery: Delivery) -> None:
-        delivery.traverse("vlink-madio-ctl")
         kind, port, conn_a, conn_b = _CTL.unpack(header)
         peer_host = self.group[src_rank]
         if kind == _CTL_CONNECT:
@@ -296,7 +295,6 @@ class MadIOVLinkDriver(VLinkDriver):
                 self._conns.pop(conn_a, None)
 
     def _on_data(self, src_rank: int, header: bytes, body: bytes, delivery: Delivery) -> None:
-        delivery.traverse("vlink-madio-data")
         conn_id, _flags = _DATA_HEADER.unpack(header)
         conn = self._conns.get(conn_id)
         if conn is None:
@@ -329,8 +327,8 @@ class LoopbackPipe(BufferedConnection):
         if self.closed or self.peer is None:
             raise AbstractionError("write() on closed loopback pipe")
         rx = SoftDelivery(self.sim)
-        rx.cost.charge(self.driver.per_message_overhead, "loopback.msg")
-        rx.cost.charge_copy(len(data), self.driver.host.cpu.memcpy_bandwidth, "loopback.copy")
+        rx.cost.charge(self.driver.per_message_overhead)
+        rx.cost.charge_copy(len(data), self.driver.host.cpu.memcpy_bandwidth)
         if done is None:
             done = self.sim.event(name="loopback-write")
         self.sim.call_later(rx.cost.seconds, self.peer.buffer.append, immutable(data))

@@ -70,13 +70,12 @@ class VLinkState(enum.Enum):
 class VLinkOperation(SimEvent):
     """An asynchronous VLink operation (post / poll / handler)."""
 
-    __slots__ = ("kind", "vlink", "posted_at")
+    __slots__ = ("kind", "vlink")
 
     def __init__(self, sim, kind: str, vlink: Optional["VLink"] = None):
         super().__init__(sim, name=kind)
         self.kind = kind
         self.vlink = vlink
-        self.posted_at = sim.now
 
     def poll(self) -> bool:
         """Non-blocking completion test."""
@@ -108,7 +107,6 @@ class VLink:
         self.conn = conn
         self.route = route
         self.state = VLinkState.ESTABLISHED if conn is not None else VLinkState.IDLE
-        self.bytes_written = 0
         self.bytes_read = 0
         manager._links.append(self)
 
@@ -126,7 +124,6 @@ class VLink:
         self._check_established("write")
         if done is None:
             done = VLinkOperation(self.sim, "write", self)
-        self.bytes_written += len(data)
         # drivers may alias the buffer: mutables are snapshotted here, once
         return self.conn.write(immutable(data), done)
 
@@ -250,8 +247,6 @@ class VLinkManager:
         self.host = host
         self.sim = host.sim
         self.selector = selector
-        # flight-recorder hook (wired by PadicoFramework.enable_telemetry)
-        self.telemetry = None
         self._drivers: Dict[str, "VLinkDriver"] = {}
         self._listeners: Dict[int, VLinkListener] = {}
         self._links: List[VLink] = []
@@ -579,8 +574,8 @@ class VLinkManager:
                     # recently migrated and the current route still works:
                     # hold the route (flap damping) and re-evaluate when the
                     # dwell expires.
-                    if self.telemetry is not None:
-                        self.telemetry.emit(
+                    if self.sim.telemetry is not None:
+                        self.sim.telemetry.emit(
                             "route.dwell_veto",
                             session=f"{link.session_id:#x}",
                             peer=link.peer_name,

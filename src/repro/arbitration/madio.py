@@ -214,7 +214,7 @@ class MadIO:
         cost = Cost()
         if extra_cost is not None:
             cost.merge(extra_cost)
-        cost.charge(DEMUX_OVERHEAD, "madio.mux")
+        cost.charge(DEMUX_OVERHEAD)
 
         # The logical channel's group may be a subset of the hardware
         # channel's group: translate the rank.
@@ -238,9 +238,8 @@ class MadIO:
 
     # -- receive path ---------------------------------------------------------------------
     def _on_madeleine_message(self, incoming: MadIncoming, delivery: Delivery) -> None:
-        delivery.traverse(MADIO_SUBSYSTEM)
         self.core.charge_dispatch(MADIO_SUBSYSTEM, delivery.cost, nbytes=incoming.payload_bytes)
-        delivery.cost.charge(DEMUX_OVERHEAD, "madio.demux")
+        delivery.cost.charge(DEMUX_OVERHEAD)
 
         first = incoming.unpack(PackMode.EXPRESS)
         name_len, header_len, body_len = _MADIO_HEADER.unpack_from(first, 0)

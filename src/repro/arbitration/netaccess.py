@@ -24,12 +24,11 @@ several middleware systems inside one subsystem) are active at once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.simnet.cost import Cost, MICROSECOND
 from repro.simnet.host import Host
-from repro.simnet.trace import Probe
 
 
 NETACCESS_SERVICE = "netaccess"
@@ -55,7 +54,6 @@ class SubsystemStats:
     dispatches: int = 0
     bytes_delivered: int = 0
     arbitration_time: float = 0.0
-    last_dispatch_at: float = field(default=-1.0)
 
 
 class NetAccessCore:
@@ -78,7 +76,6 @@ class NetAccessCore:
         self._penalties: Dict[str, float] = {}
         self.poll_slice = poll_slice
         self.starvation_penalty = starvation_penalty
-        self.probe = Probe()
         host.register_service(NETACCESS_SERVICE, self)
 
     @property
@@ -166,13 +163,11 @@ class NetAccessCore:
         """Charge the arbitration cost for one delivery into ``cost`` and
         update the per-subsystem accounting.  Returns the seconds charged."""
         seconds = self.dispatch_cost(name)
-        cost.charge(seconds, f"netaccess.{name}")
+        cost.charge(seconds)
         stats = self.stats(name)
         stats.dispatches += 1
         stats.bytes_delivered += nbytes
         stats.arbitration_time += seconds
-        stats.last_dispatch_at = self.sim.now
-        self.probe("dispatch", subsystem=name, nbytes=nbytes, seconds=seconds)
         return seconds
 
     def defer(self, name: str, fn: Callable, *args) -> None:
@@ -183,8 +178,6 @@ class NetAccessCore:
         stats = self.stats(name)
         stats.dispatches += 1
         stats.arbitration_time += seconds
-        stats.last_dispatch_at = self.sim.now
-        self.probe("dispatch", subsystem=name, nbytes=0, seconds=seconds)
         self.sim.call_later(seconds, fn, *args)
 
     # -- reporting ------------------------------------------------------------------------

@@ -286,39 +286,36 @@ class PadicoFramework:
         self._nodes: Dict[str, PadicoNode] = {}
         self._networks: Dict[str, Network] = {}
         self._booted = False
-        #: the flight recorder (:mod:`repro.telemetry`): ``None`` until
-        #: :meth:`enable_telemetry` — every instrumented component gates its
-        #: emission on its own ``telemetry`` attribute being non-None, so the
-        #: disabled deployment runs the exact pre-telemetry hot path.
-        self.telemetry: Optional[TelemetryHub] = None
 
     # -- observability -----------------------------------------------------------------
+    @property
+    def telemetry(self) -> Optional[TelemetryHub]:
+        """The flight recorder (:mod:`repro.telemetry`): ``None`` until
+        :meth:`enable_telemetry`.  It lives on the simulator — every
+        instrumented component gates its emission on ``sim.telemetry`` being
+        non-None, so the disabled deployment runs the exact pre-telemetry
+        hot path and a component built later cannot be missed."""
+        return self.sim.telemetry
+
     def enable_telemetry(
         self,
         *,
         jsonl_path: Optional[str] = None,
         engine_window: float = 0.25,
     ) -> TelemetryHub:
-        """Attach the flight recorder to every instrumented component.
+        """Attach the flight recorder to the deployment.
 
         Creates a :class:`~repro.telemetry.TelemetryHub` (optionally
-        streaming JSONL to ``jsonl_path``), wires it into the simulator,
-        the monitor, every fault injector, every registered network and
-        every booted node's TCP stack and VLink manager.  Components
-        created afterwards (networks added, nodes booted, injectors
-        fetched) are wired on creation.  Idempotent while enabled."""
+        streaming JSONL to ``jsonl_path``), sets it as ``sim.telemetry`` —
+        the one hook every emitter reads — and observes every registered
+        network (networks added afterwards are observed on creation).
+        Idempotent while enabled."""
         if self.telemetry is not None:
             return self.telemetry
         hub = TelemetryHub(self.sim, jsonl_path=jsonl_path, engine_window=engine_window)
-        self.telemetry = hub
         self.sim.telemetry = hub
-        self.monitoring.telemetry = hub
-        for injector in self._fault_injectors.values():
-            injector.telemetry = hub
         for network in self._networks.values():
             hub.observe_network(network)
-        for node in self._nodes.values():
-            self._wire_node_telemetry(node)
         return hub
 
     def disable_telemetry(self) -> None:
@@ -330,23 +327,8 @@ class PadicoFramework:
         if hub is None:
             return
         hub.release_networks()
-        self.telemetry = None
         self.sim.telemetry = None
-        self.monitoring.telemetry = None
-        for injector in self._fault_injectors.values():
-            injector.telemetry = None
-        for node in self._nodes.values():
-            if node.tcp is not None:
-                node.tcp.telemetry = None
-            if node.vlink is not None:
-                node.vlink.telemetry = None
         hub.close()
-
-    def _wire_node_telemetry(self, node: PadicoNode) -> None:
-        if node.tcp is not None:
-            node.tcp.telemetry = self.telemetry
-        if node.vlink is not None:
-            node.vlink.telemetry = self.telemetry
 
     # -- deployment construction ----------------------------------------------------
     def add_network(self, network: Network) -> Network:
@@ -467,8 +449,6 @@ class PadicoFramework:
                 ctx = contextlib.nullcontext(self.sim)
             with ctx:
                 node.boot()
-            if self.telemetry is not None:
-                self._wire_node_telemetry(node)
             nodes.append(node)
         self._booted = True
         return nodes
@@ -513,7 +493,6 @@ class PadicoFramework:
         injector = self._fault_injectors.get((seed, announce))
         if injector is None:
             injector = FaultInjector(self.sim, self.topology, seed=seed, announce=announce)
-            injector.telemetry = self.telemetry
             self._fault_injectors[(seed, announce)] = injector
         return injector
 

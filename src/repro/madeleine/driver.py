@@ -141,7 +141,6 @@ class MadeleineDriver:
 
     # -- receive path -----------------------------------------------------------------
     def _handle_delivery(self, delivery: Delivery) -> None:
-        delivery.traverse(MADELEINE_SERVICE)
         channel_key = delivery.frame.channel
         if not isinstance(channel_key, tuple) or len(channel_key) != 2 or channel_key[0] != "mad":
             delivery.frame.network.record_drop(delivery.frame, "madeleine-bad-channel")
@@ -230,14 +229,11 @@ class MadChannel:
         cost = Cost()
         if extra_cost is not None:
             cost.merge(extra_cost)
-        cost.charge(costs.send_overhead, "madeleine.send")
-        cost.charge(costs.per_segment_overhead * message.segment_count, "madeleine.pack")
-        cost.charge_copy(len(payload), costs.pipeline_copy_bandwidth, "madeleine.pipeline")
+        cost.charge(costs.send_overhead)
+        cost.charge(costs.per_segment_overhead * message.segment_count)
+        cost.charge_copy(len(payload), costs.pipeline_copy_bandwidth)
         if message.payload_bytes > costs.rendezvous_threshold:
-            cost.charge(
-                2.0 * self.network.latency + costs.rendezvous_control_overhead,
-                "madeleine.rendezvous",
-            )
+            cost.charge(2.0 * self.network.latency + costs.rendezvous_control_overhead)
         dst_host = self.group[message.dst_rank]
         self.network.transmit(
             self.host,
@@ -275,14 +271,11 @@ class MadChannel:
     def _receive(self, delivery: Delivery) -> None:
         costs = self.driver.costs
         frame = delivery.frame
-        delivery.traverse(f"mad-channel-{self.name}")
-        delivery.cost.charge(costs.recv_overhead, "madeleine.recv")
+        delivery.cost.charge(costs.recv_overhead)
         nsegs = frame.meta.get("segments", 1)
-        delivery.cost.charge(costs.per_segment_overhead * nsegs, "madeleine.unpack")
+        delivery.cost.charge(costs.per_segment_overhead * nsegs)
         payload_len = max(0, frame.nbytes - segment_overhead(nsegs))
-        delivery.cost.charge_copy(
-            payload_len, costs.pipeline_copy_bandwidth, "madeleine.pipeline"
-        )
+        delivery.cost.charge_copy(payload_len, costs.pipeline_copy_bandwidth)
         incoming = MadIncoming(
             src_rank=frame.meta.get("src_rank", -1),
             raw=frame.payload,

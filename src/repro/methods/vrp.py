@@ -166,7 +166,7 @@ class VrpConnection(BufferedConnection):
             self.peer_host,
             header + chunk,
             channel=("vrp-data", self.data_channel_id),
-            send_cost=Cost().charge(VRP_CALL_OVERHEAD, "vrp.send"),
+            send_cost=Cost().charge(VRP_CALL_OVERHEAD),
         )
         if frame is None:
             self.stats.datagrams_lost += 1

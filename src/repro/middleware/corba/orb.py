@@ -185,8 +185,8 @@ class ORB:
     def message_cost(self, body_bytes: int) -> float:
         """Software cost of producing or consuming one GIOP message side."""
         cost = Cost()
-        cost.charge(self.profile.per_call_overhead, "orb.call")
-        cost.charge_copy(body_bytes, self.profile.marshal_bandwidth, "orb.marshal")
+        cost.charge(self.profile.per_call_overhead)
+        cost.charge_copy(body_bytes, self.profile.marshal_bandwidth)
         return cost.seconds
 
     def next_request_id(self) -> int:

@@ -148,7 +148,7 @@ class DsmNode:
         msg.pack_cheaper(payload)
         from repro.simnet.cost import Cost
 
-        cost = Cost().charge(DSM_PROTOCOL_OVERHEAD, "dsm.protocol")
+        cost = Cost().charge(DSM_PROTOCOL_OVERHEAD)
         self.circuit.post(msg, extra_cost=cost)
 
     def _on_message(self, src_rank: int, incoming: CircuitIncoming, rx) -> None:

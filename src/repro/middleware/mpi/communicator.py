@@ -180,8 +180,8 @@ class Communicator(CollectiveMixin):
         req = Request(self.sim, "send")
         header = _MPI_HEADER.pack(self.context, tag, self.rank, flags)
         cost = Cost()
-        cost.charge(profile.per_call_overhead, "mpi.send")
-        cost.charge_copy(len(payload), profile.copy_bandwidth, "mpi.copy")
+        cost.charge(profile.per_call_overhead)
+        cost.charge_copy(len(payload), profile.copy_bandwidth)
         channel = self.runtime.channel
         msg = channel.begin_packing(dest)
         channel.pack(msg, header, PackMode.EXPRESS)

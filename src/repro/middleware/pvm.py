@@ -152,8 +152,8 @@ class PvmTask:
         payload = buf.encode()
         header = _PVM_HEADER.pack(self.mytid, tag, len(buf.items))
         cost = Cost()
-        cost.charge(PVM_CALL_OVERHEAD, "pvm.send")
-        cost.charge_copy(len(payload), PVM_COPY_BANDWIDTH, "pvm.copy")
+        cost.charge(PVM_CALL_OVERHEAD)
+        cost.charge_copy(len(payload), PVM_COPY_BANDWIDTH)
         msg = self.circuit.new_message(dst_rank)
         msg.pack_express(header)
         msg.pack_cheaper(payload)

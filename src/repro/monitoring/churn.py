@@ -93,8 +93,6 @@ class FaultInjector:
         self.seed = seed
         self.rng = random.Random(seed)
         self.announce = announce
-        # flight-recorder hook (wired by PadicoFramework.enable_telemetry)
-        self.telemetry = None
         self.log: List[FaultEvent] = []
         self._saved: Dict[Network, _SavedParams] = {}
 
@@ -259,8 +257,9 @@ class FaultInjector:
 
     def _record(self, kind: str, target: str, detail: str = "") -> None:
         self.log.append(FaultEvent(at=self.sim.now, kind=kind, target=target, detail=detail))
-        if self.telemetry is not None:
-            self.telemetry.emit("churn.fault", fault=kind, target=target, detail=detail)
+        tele = self.sim.telemetry
+        if tele is not None:
+            tele.emit("churn.fault", fault=kind, target=target, detail=detail)
 
     def describe(self) -> Dict[str, object]:
         return {

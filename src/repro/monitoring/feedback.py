@@ -137,8 +137,6 @@ class TopologyMonitor:
     ):
         self.topology = topology
         self.sim = sim
-        # flight-recorder hook (wired by PadicoFramework.enable_telemetry)
-        self.telemetry = None
         self.push_threshold = push_threshold
         self.dead_after = dead_after
         self._watches: Dict[Network, LinkWatch] = {}
@@ -218,15 +216,15 @@ class TopologyMonitor:
                 watch.marked_down = True
                 self.links_marked_down += 1
                 self.topology.mark_link_down(network, detail="probe timeout")
-                if self.telemetry is not None:
-                    self.telemetry.emit("monitor.link_down", net=network.name)
+                if self.sim.telemetry is not None:
+                    self.sim.telemetry.emit("monitor.link_down", net=network.name)
             return
         if watch.marked_down and estimator.consecutive_lost == 0:
             watch.marked_down = False
             self.links_marked_up += 1
             self.topology.mark_link_up(network, detail="probe recovered")
-            if self.telemetry is not None:
-                self.telemetry.emit("monitor.link_up", net=network.name)
+            if self.sim.telemetry is not None:
+                self.sim.telemetry.emit("monitor.link_up", net=network.name)
         estimate = estimator.estimate()
         if estimate is None:
             return
@@ -291,8 +289,8 @@ class TopologyMonitor:
         watch.pushed = estimate
         watch.believed = estimate
         self.pushes += 1
-        if self.telemetry is not None:
-            self.telemetry.emit(
+        if self.sim.telemetry is not None:
+            self.sim.telemetry.emit(
                 "monitor.push",
                 net=network.name,
                 latency=estimate.latency,

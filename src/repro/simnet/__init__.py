@@ -45,7 +45,6 @@ from repro.simnet.networks import (
     Loopback,
 )
 from repro.simnet.tcp import TcpStack, TcpConnection, TcpListener, TcpModel
-from repro.simnet.trace import Trace, TraceRecord, Counter
 
 __all__ = [
     "Simulator",
@@ -75,7 +74,4 @@ __all__ = [
     "TcpConnection",
     "TcpListener",
     "TcpModel",
-    "Trace",
-    "TraceRecord",
-    "Counter",
 ]

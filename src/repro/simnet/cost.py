@@ -17,13 +17,14 @@ Costs come in two flavours:
     per-byte work such as a memory copy or a marshalling pass, expressed as
     an equivalent copy bandwidth in bytes/second.
 
-The ledger also keeps a breakdown per label so benchmarks and tests can
-assert *where* time went (e.g. "MadIO adds < 0.1 µs over plain Madeleine").
+A :class:`Cost` is one running total: *where* time went is read from the
+ladder of transports (``perfbench/stack.py``), one rung per layer, not from
+the ledger.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Tuple
 
 MICROSECOND = 1e-6
 MILLISECOND = 1e-3
@@ -34,38 +35,34 @@ MB = 1_000_000  # the paper reports MB/s in decimal megabytes
 class Cost:
     """Accumulates virtual CPU time spent by software layers on one operation."""
 
-    __slots__ = ("_total", "_breakdown")
+    __slots__ = ("_total",)
 
     def __init__(self) -> None:
         self._total = 0.0
-        self._breakdown: Dict[str, float] = {}
 
     # -- charging -----------------------------------------------------------
-    def charge(self, seconds: float, label: str = "misc") -> "Cost":
+    def charge(self, seconds: float) -> "Cost":
         """Add a fixed software overhead (seconds of virtual time)."""
         if seconds < 0:
             raise ValueError(f"negative cost: {seconds!r}")
         self._total += seconds
-        self._breakdown[label] = self._breakdown.get(label, 0.0) + seconds
         return self
 
-    def charge_us(self, microseconds: float, label: str = "misc") -> "Cost":
+    def charge_us(self, microseconds: float) -> "Cost":
         """Add a fixed software overhead expressed in microseconds."""
-        return self.charge(microseconds * MICROSECOND, label)
+        return self.charge(microseconds * MICROSECOND)
 
-    def charge_copy(self, nbytes: int, bandwidth: float, label: str = "copy") -> "Cost":
+    def charge_copy(self, nbytes: int, bandwidth: float) -> "Cost":
         """Add per-byte work at an equivalent ``bandwidth`` (bytes/second)."""
         if bandwidth <= 0:
             raise ValueError(f"copy bandwidth must be positive, got {bandwidth!r}")
         if nbytes < 0:
             raise ValueError(f"negative byte count: {nbytes!r}")
-        return self.charge(nbytes / bandwidth, label)
+        return self.charge(nbytes / bandwidth)
 
     def merge(self, other: "Cost") -> "Cost":
         """Fold another ledger into this one (used when layers hand off)."""
         self._total += other._total
-        for label, value in other._breakdown.items():
-            self._breakdown[label] = self._breakdown.get(label, 0.0) + value
         return self
 
     # -- reading ------------------------------------------------------------
@@ -79,28 +76,13 @@ class Cost:
         """Total accumulated virtual time, in microseconds."""
         return self._total / MICROSECOND
 
-    def component(self, label: str) -> float:
-        """Seconds charged under ``label`` (0.0 if never charged)."""
-        return self._breakdown.get(label, 0.0)
-
-    def breakdown(self) -> Dict[str, float]:
-        """A copy of the per-label breakdown (seconds)."""
-        return dict(self._breakdown)
-
-    def labels(self) -> Iterable[str]:
-        return self._breakdown.keys()
-
     def copy(self) -> "Cost":
         clone = Cost()
         clone._total = self._total
-        clone._breakdown = dict(self._breakdown)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(
-            f"{k}={v / MICROSECOND:.3f}us" for k, v in sorted(self._breakdown.items())
-        )
-        return f"<Cost {self.microseconds:.3f}us [{parts}]>"
+        return f"<Cost {self.microseconds:.3f}us>"
 
 
 def latency_bandwidth_time(nbytes: int, latency: float, bandwidth: float) -> float:

@@ -312,13 +312,12 @@ class SimEvent:
 class Timeout(SimEvent):
     """An event that fires ``delay`` seconds of virtual time after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, name: str = ""):
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay!r}")
         super().__init__(sim, name=name or "timeout")
-        self.delay = float(delay)
         sim.call_later(delay, self.fire, value)
 
 
@@ -1004,14 +1003,13 @@ class ReferenceSimulator(Simulator):
     Everything — zero-delay callbacks, triggered events, near and far
     timers — goes through one ``heapq`` ordered by ``(when, seq)``, exactly
     like the pre-wheel kernel.  The tier-1 determinism tests run recorded
-    scenarios on both schedulers and assert trace equality; the scale
-    benchmark uses it to quantify the wheel's gain on identical workloads.
-    Cancellation is honoured (dead entries are skipped when popped) so the
-    two kernels accept the same API.
+    scenarios on both schedulers and assert trace equality.  Cancellation
+    is honoured (dead entries are skipped when popped) so the two kernels
+    accept the same API; it takes no options — there is no wheel to size.
     """
 
-    def __init__(self, *, wheel_width: float = 64e-6, wheel_buckets: int = 512) -> None:
-        super().__init__(wheel_width=wheel_width, wheel_buckets=wheel_buckets)
+    def __init__(self) -> None:
+        super().__init__()
         self._heap: List = []
 
     def _push_triggered(self, ev: SimEvent) -> None:

@@ -510,11 +510,6 @@ class _NicPlan:
             deque(islice(frame_counter, nrounds), 0)
             net.frames_sent += nrounds
             net.bytes_carried += consumed
-            nic.tx_frames += nrounds
-            nic.tx_bytes += consumed
-            peer_nic = net.nic_of(flow.peer_host)
-            peer_nic.rx_frames += nrounds
-            peer_nic.rx_bytes += consumed
             if self.observed:
                 if member._obs_bursts == 0:
                     member._obs_latency = latency
@@ -752,7 +747,7 @@ class _NicPlan:
         if nic._fluid_holder is self:
             nic._fluid_holder = None
         now = self.sim.now
-        tele = self.shares[0].conn.stack.telemetry
+        tele = self.sim.telemetry
         if self.last_pump > now or tele is not None:
             self._resolve(self.materialize(), now, tele)
         for share in self.shares:
@@ -958,7 +953,7 @@ class FluidController:
         self.active = True
         self.activations += 1
         self._ledger.register_fluid(self)
-        tele = self.conn.stack.telemetry
+        tele = self.conn.sim.telemetry
         if tele is not None:
             tele.emit("fluid.activate", flow=self.conn.flow_id)
 
@@ -1000,7 +995,7 @@ class FluidController:
             self.invalidations.append((self.conn.sim.now, reason))
             if self._ledger is not None:
                 self._ledger.unregister_fluid(self)
-            tele = self.conn.stack.telemetry
+            tele = self.conn.sim.telemetry
             if tele is not None:
                 tele.emit("fluid.invalidate", flow=self.conn.flow_id, reason=reason)
         self._flush_observations()
@@ -1163,8 +1158,6 @@ class FluidController:
         conn = self.conn
         sim = conn.sim
         net = conn.network
-        nic = plan.nic
-        peer_nic = net.nic_of(conn.peer_host)
         cut = sum(rnd[R_NBYTES] for rnd in committed)
         undone_bytes = share.nbytes - cut
         undone_rounds = len(uncommitted)
@@ -1179,10 +1172,6 @@ class FluidController:
             conn._update_window(0, rnd[R_NBYTES])
         net.frames_sent -= undone_rounds
         net.bytes_carried -= undone_bytes
-        nic.tx_frames -= undone_rounds
-        nic.tx_bytes -= undone_bytes
-        peer_nic.rx_frames -= undone_rounds
-        peer_nic.rx_bytes -= undone_bytes
         if plan.observed:
             self._obs_bursts -= undone_rounds
             for rnd in uncommitted:

@@ -84,7 +84,6 @@ class Delivery:
         self.frame = frame
         self.arrived_at = arrived_at
         self.cost = Cost()
-        self.path: List[str] = []
 
     @property
     def payload(self) -> bytes:
@@ -93,10 +92,6 @@ class Delivery:
     @property
     def sim(self) -> "Simulator":
         return self.frame.network.sim
-
-    def traverse(self, layer_name: str) -> None:
-        """Record that a software layer handled this delivery (for tracing)."""
-        self.path.append(layer_name)
 
     def ready_time(self) -> float:
         """Virtual time at which the data is available to the application."""
@@ -135,10 +130,6 @@ class Nic:
         self._fluid_holder = None
         self._receive_handler: Optional[Callable[[Delivery], None]] = None
         self._owner: Optional[str] = None
-        self.tx_frames = 0
-        self.tx_bytes = 0
-        self.rx_frames = 0
-        self.rx_bytes = 0
 
     # -- arbitration hook ----------------------------------------------------
     def set_receive_handler(self, handler: Callable[[Delivery], None], owner: str) -> None:
@@ -182,8 +173,6 @@ class Nic:
 
     # -- receive ----------------------------------------------------------------
     def handle_arrival(self, frame: Frame, arrived_at: float) -> None:
-        self.rx_frames += 1
-        self.rx_bytes += frame.nbytes
         delivery = Delivery(frame, arrived_at)
         if self._receive_handler is None:
             self.network.record_drop(frame, reason="no-handler")
@@ -211,7 +200,6 @@ class Network:
         mtu: int = 1500,
         header_bytes: int = 0,
         loss_rate: float = 0.0,
-        duplex: bool = True,
         seed: int = 0x5EED,
     ) -> None:
         if latency < 0 or bandwidth <= 0 or mtu <= 0:
@@ -225,7 +213,6 @@ class Network:
         self.mtu = mtu
         self.header_bytes = header_bytes
         self.loss_rate = loss_rate
-        self.duplex = duplex
         self.rng = random.Random(seed)
         self.nics: Dict["Host", Nic] = {}
         self._frame_counter = itertools.count(1)
@@ -405,8 +392,6 @@ class Network:
             return frame
         self.frames_sent += 1
         self.bytes_carried += nbytes
-        src_nic.tx_frames += 1
-        src_nic.tx_bytes += nbytes
         # the arrival executes in the *destination's* partition; on a
         # partitioned kernel a cross-partition delivery rides the boundary
         # mailbox (arrival >= window horizon: the wire latency is the

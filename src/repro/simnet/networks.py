@@ -258,8 +258,6 @@ class Loopback(Network):
         arrival = end + self.latency
         self.frames_sent += 1
         self.bytes_carried += frame.nbytes
-        nic.tx_frames += 1
-        nic.tx_bytes += frame.nbytes
         self.sim.call_at_partition(host.partition, arrival, nic.handle_arrival, frame, arrival)
         return frame
 

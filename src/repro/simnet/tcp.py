@@ -107,9 +107,6 @@ class TcpStack:
         )
         self.host = host
         self.sim = host.sim
-        # flight-recorder hook (wired by PadicoFramework.enable_telemetry);
-        # None = recording off, one attribute check on the hot paths
-        self.telemetry = None
         self.model = model or TcpModel()
         self._listeners: Dict[int, "TcpListener"] = {}
         self._connections: Dict[int, "TcpConnection"] = {}
@@ -192,7 +189,7 @@ class TcpStack:
         self._connections[conn.conn_id] = conn
         done = self.sim.event(name=f"connect({self.host.name}->{peer.name}:{port})")
         conn._connect_event = done
-        cost = Cost().charge(self.host.cpu.syscall_overhead, "tcp.connect")
+        cost = Cost().charge(self.host.cpu.syscall_overhead)
         network.transmit(
             self.host,
             peer,
@@ -205,7 +202,6 @@ class TcpStack:
 
     # -- demultiplexing -----------------------------------------------------------
     def _handle_delivery(self, delivery: Delivery) -> None:
-        delivery.traverse("os-tcp")
         channel = delivery.frame.channel
         if not isinstance(channel, tuple) or len(channel) != 2:
             delivery.frame.network.record_drop(delivery.frame, "tcp-bad-channel")
@@ -239,7 +235,7 @@ class TcpStack:
                 frame.src,
                 b"RST",
                 channel=(CH_SYNACK, client_conn_id),
-                send_cost=Cost().charge(self.host.cpu.syscall_overhead, "tcp.rst"),
+                send_cost=Cost().charge(self.host.cpu.syscall_overhead),
                 meta={"refused": True},
             )
             return
@@ -253,8 +249,8 @@ class TcpStack:
         conn.peer_conn_id = client_conn_id
         conn.established = True
         self._connections[conn.conn_id] = conn
-        if self.telemetry is not None:
-            self.telemetry.emit(
+        if self.sim.telemetry is not None:
+            self.sim.telemetry.emit(
                 "flow.open",
                 flow=conn.flow_id,
                 src=self.host.name,
@@ -262,7 +258,7 @@ class TcpStack:
                 port=port,
                 role="server",
             )
-        cost = Cost().charge(self.host.cpu.syscall_overhead, "tcp.accept")
+        cost = Cost().charge(self.host.cpu.syscall_overhead)
         frame.network.transmit(
             self.host,
             frame.src,
@@ -287,8 +283,8 @@ class TcpStack:
             return
         conn.peer_conn_id = frame.meta["server_conn"]
         conn.established = True
-        if self.telemetry is not None:
-            self.telemetry.emit(
+        if self.sim.telemetry is not None:
+            self.sim.telemetry.emit(
                 "flow.open",
                 flow=conn.flow_id,
                 src=self.host.name,
@@ -296,7 +292,7 @@ class TcpStack:
                 port=conn.remote_port,
                 role="client",
             )
-        delivery.cost.charge(self.host.cpu.syscall_overhead, "tcp.connect-complete")
+        delivery.cost.charge(self.host.cpu.syscall_overhead)
         if done is not None and not done.triggered:
             delivery.complete_into(done, conn)
 
@@ -321,7 +317,6 @@ class TcpListener:
         self._ready: List[TcpConnection] = []
         self._waiters: List = []
         self._accept_callback: Optional[Callable[["TcpConnection"], None]] = None
-        self.accepted_count = 0
 
     def is_full(self) -> bool:
         return len(self._ready) >= self.backlog
@@ -342,7 +337,6 @@ class TcpListener:
         return ev
 
     def _enqueue(self, conn: "TcpConnection", delivery: Delivery) -> None:
-        self.accepted_count += 1
         if self._waiters:
             delivery.complete_into(self._waiters.pop(0), conn)
         elif self._accept_callback is not None:
@@ -467,16 +461,16 @@ class TcpConnection(BufferedConnection):
             self._sendq.append([memoryview(data.parts[-1]), 0, done, len(data)])
         else:
             self._sendq.append([memoryview(data), 0, done, len(data)])
-        if self.stack.telemetry is not None:
-            self.stack.telemetry.emit("flow.send", flow=self.flow_id, nbytes=len(data))
+        if self.sim.telemetry is not None:
+            self.sim.telemetry.emit("flow.send", flow=self.flow_id, nbytes=len(data))
         if self._pump_handle is None:
             if self._fluid is not None:
                 self._fluid.on_join()
             # Charge the send()-side kernel crossing and user->kernel copy once
             # per send call; per-burst wire costs are handled by the pump.
             cost = Cost()
-            cost.charge(self.host.cpu.syscall_overhead, "tcp.send.syscall")
-            cost.charge_copy(len(data), self.host.cpu.memcpy_bandwidth, "tcp.send.copy")
+            cost.charge(self.host.cpu.syscall_overhead)
+            cost.charge_copy(len(data), self.host.cpu.memcpy_bandwidth)
             self._pump_handle = self.sim.call_later(cost.seconds, self._pump)
         return done
 
@@ -576,8 +570,8 @@ class TcpConnection(BufferedConnection):
                 self._sendq.append([memoryview(b""), 0, done, total])
 
         self._update_window(lost_pkts, delivered)
-        if self.stack.telemetry is not None:
-            self.stack.telemetry.emit(
+        if self.sim.telemetry is not None:
+            self.sim.telemetry.emit(
                 "flow.round",
                 flow=self.flow_id,
                 nbytes=attempted,
@@ -609,7 +603,7 @@ class TcpConnection(BufferedConnection):
         fluid plan), which is what makes the emitted ``flow.complete``
         instants float-identical across fidelities."""
         if not done._triggered:
-            tele = self.stack.telemetry
+            tele = self.sim.telemetry
             if tele is not None:
                 tele.emit("flow.complete", flow=self.flow_id, nbytes=total)
             done.fire(total)
@@ -646,11 +640,8 @@ class TcpConnection(BufferedConnection):
 
     # -- receiving -----------------------------------------------------------------
     def _on_segment(self, delivery: Delivery) -> None:
-        delivery.traverse(f"tcp-conn-{self.conn_id}")
-        delivery.cost.charge(self.host.cpu.syscall_overhead, "tcp.recv.syscall")
-        delivery.cost.charge_copy(
-            delivery.frame.nbytes, self.host.cpu.memcpy_bandwidth, "tcp.recv.copy"
-        )
+        delivery.cost.charge(self.host.cpu.syscall_overhead)
+        delivery.cost.charge_copy(delivery.frame.nbytes, self.host.cpu.memcpy_bandwidth)
         self._enqueue_rx(delivery.arrived_at, delivery.ready_time(), delivery.payload)
 
     def _enqueue_rx(self, arrived_at: float, ready: float, payload) -> None:
@@ -698,7 +689,7 @@ class TcpConnection(BufferedConnection):
         if self.closed:
             return
         self.closed = True
-        tele = self.stack.telemetry
+        tele = self.sim.telemetry
         if tele is not None:
             tele.emit(
                 "flow.close",
@@ -734,7 +725,7 @@ class TcpConnection(BufferedConnection):
             return
         self.closed = True
         self._cut_plans()
-        tele = self.stack.telemetry
+        tele = self.sim.telemetry
         if tele is not None:
             tele.emit(
                 "flow.close",
@@ -748,7 +739,7 @@ class TcpConnection(BufferedConnection):
                 self.peer_host,
                 b"FIN",
                 channel=(CH_FIN, self.peer_conn_id),
-                send_cost=Cost().charge(self.host.cpu.syscall_overhead, "tcp.close"),
+                send_cost=Cost().charge(self.host.cpu.syscall_overhead),
             )
         self.stack._unregister(self)
         self.buffer.set_close_callback(None)  # the close callback is for the peer's FIN

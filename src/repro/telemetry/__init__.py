@@ -3,10 +3,10 @@
 The package has four layers (ISSUE 7 / ROADMAP item 4):
 
 - :mod:`repro.telemetry.hub` — :class:`TelemetryHub`, the collection point.
-  Instrumented subsystems hold a ``telemetry`` attribute that is ``None``
-  when recording is off (hot paths gate on that single attribute check) and
-  the hub when :meth:`repro.core.framework.PadicoFramework.enable_telemetry`
-  wired it up.  Events are flat JSON-serializable dicts; on a partitioned
+  Instrumented subsystems read ``sim.telemetry``, which is ``None`` when
+  recording is off (hot paths gate on that single attribute check) and the
+  hub once :meth:`repro.core.framework.PadicoFramework.enable_telemetry`
+  set it.  Events are flat JSON-serializable dicts; on a partitioned
   kernel they collect in per-shard buffers merged deterministically at the
   window barriers.
 - :mod:`repro.telemetry.series` — :class:`MetricSeries`, compact windowed

@@ -2,10 +2,10 @@
 
 Every instrumented subsystem (TCP stacks, the fluid controller, the
 topology monitor, fault injectors, VLink managers, the partitioned kernel)
-holds a ``telemetry`` attribute that is ``None`` by default; hot paths pay
-one attribute check when recording is off.  When a hub is wired in, they
-call :meth:`TelemetryHub.emit` with a kind string and flat JSON-compatible
-fields.
+reads one hook, ``sim.telemetry``, which is ``None`` by default; hot paths
+pay one attribute check when recording is off.  When a hub is set there,
+they call :meth:`TelemetryHub.emit` with a kind string and flat
+JSON-compatible fields.
 
 Event shape
 -----------

@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    """A fresh import of ``tools/<name>.py`` (scripts, not a package)."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def run(fw, gen, max_time=60.0):
     """Run a generator to completion inside a framework's simulator."""

@@ -345,6 +345,33 @@ def test_route_dwell_does_not_pin_a_dead_route():
     assert client.route is not None and not client.route.is_direct  # gateway path
 
 
+def test_failed_migration_records_its_fault_and_retries():
+    """The backup path is silently dead when the direct wire dies: the
+    attempt times out, the session keeps the fault and retries by itself,
+    and once the backup works the bytes arrive and the fault is cleared."""
+    fw, edge, gw, remote, wan, lan, wan2 = wan_pair_with_backup()
+    listener = fw.node("remote").vlink_listen(8470, adaptive=True)
+    total = 60_000
+
+    def scenario():
+        accept_op = listener.accept()
+        client = yield fw.node("edge").vlink_connect(fw.node("remote"), 8470, adaptive=True)
+        server = yield accept_op
+        wan.up = wan2.up = False
+        fw.topology.mark_link_down(wan, detail="died")  # wan2: nobody noticed
+        client.write(pattern(total))
+        yield fw.sim.timeout(5.0)
+        fault = client.last_migration_error
+        wan2.up = True
+        data = yield server.read(total)
+        return client, fault, data
+
+    client, fault, data = run(fw, scenario(), max_time=300)
+    assert isinstance(fault, TimeoutError)
+    assert data == pattern(total)
+    assert client.migrations == 1 and client.last_migration_error is None
+
+
 def test_adaptive_link_survives_flapping_wan():
     """A link flapping down/up (seeded Poisson schedule) never loses bytes."""
     fw, edge, gw, remote, wan, lan, wan2 = wan_pair_with_backup()
@@ -471,7 +498,7 @@ def test_stream_mesh_send_pacing_preserves_message_order(ethernet_cluster):
         big_msg = ca.new_message(1)
         big_msg.pack_cheaper(big)
         # a hefty send-side cost (e.g. packing copies) delays the big write
-        ca.post(big_msg, extra_cost=Cost().charge(0.002, "test.pack"))
+        ca.post(big_msg, extra_cost=Cost().charge(0.002))
         small_msg = ca.new_message(1)
         small_msg.pack_express(small)
         ca.post(small_msg)  # nearly free: used to leapfrog the big one

@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from tests.helpers import REPO, load_tool
 
 
 @pytest.fixture
 def tool(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "bench_trajectory", REPO / "tools" / "bench_trajectory.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tool("bench_trajectory")
     monkeypatch.setattr(module, "TRAJECTORY", tmp_path / "BENCH_trajectory.jsonl")
     monkeypatch.setattr(module, "CHANGES", tmp_path / "CHANGES.md")
     return module

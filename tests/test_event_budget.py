@@ -105,8 +105,8 @@ def test_vlink_write_over_sysio_is_four_events_and_lands_at_the_last_bytes_arriv
     (frame,) = frames
     assert done_at == [frame.meta["arrival"]]
     cpu = tcp.host.cpu
-    send_cost = Cost().charge(cpu.syscall_overhead, "syscall")
-    send_cost.charge_copy(len(PAYLOAD), cpu.memcpy_bandwidth, "copy")
+    send_cost = Cost().charge(cpu.syscall_overhead)
+    send_cost.charge_copy(len(PAYLOAD), cpu.memcpy_bandwidth)
     assert done_at[0] == pytest.approx(
         window.t0 + send_cost.seconds + tcp.network.one_way_time(len(PAYLOAD)), rel=1e-12
     )
@@ -198,8 +198,8 @@ def test_loopback_pipe_write_and_read_complete_together_after_the_copy():
     # the append, the write's delayed trigger, the read (6 events before)
     assert window.close() == (3, 2)
     pipe = client.conn
-    copy = Cost().charge(pipe.driver.per_message_overhead, "msg")
-    copy.charge_copy(len(PAYLOAD), pipe.driver.host.cpu.memcpy_bandwidth, "copy")
+    copy = Cost().charge(pipe.driver.per_message_overhead)
+    copy.charge_copy(len(PAYLOAD), pipe.driver.host.cpu.memcpy_bandwidth)
     assert read_at == write_at == [window.t0 + copy.seconds]
     assert (read.value, write.value) == (PAYLOAD, len(PAYLOAD))
 

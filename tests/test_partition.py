@@ -13,7 +13,7 @@ import inspect
 import pytest
 
 from repro.core import PadicoFramework
-from repro.simnet.engine import SimulationError, Simulator
+from repro.simnet.engine import ReferenceSimulator, SimulationError, Simulator
 from repro.simnet.networks import Ethernet100, WanVthd, grid_deployment
 from repro.simnet.partition import (
     DEFAULT_LOOKAHEAD,
@@ -51,11 +51,11 @@ def test_partitioned_rejects_bad_config():
             Simulator(partitions=partitions, no_such_option="bogus")
     with pytest.raises(SimulationError):
         PartitionedSimulator(partitions=1)
-    with pytest.raises((SimulationError, TypeError)):
-        # subclasses cannot be sharded through the kwarg
-        from repro.simnet.engine import ReferenceSimulator
-
-        ReferenceSimulator(partitions=2)
+    # the reference heap has no wheel to size and cannot be sharded
+    assert set(inspect.signature(ReferenceSimulator.__init__).parameters) == {"self"}
+    for option in ("wheel_width", "wheel_buckets", "partitions"):
+        with pytest.raises(TypeError):
+            ReferenceSimulator(**{option: 2})
 
 
 def test_single_loop_partition_hooks_are_noops():

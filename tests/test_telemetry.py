@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.core import PadicoFramework
+from repro.monitoring import FaultInjector
 from repro.monitoring.estimators import LinkEstimator, LinkSample
 from repro.simnet.networks import grid_deployment
 from repro.telemetry import (
@@ -37,16 +38,25 @@ def build_and_run(
     telemetry=True,
     jsonl_path=None,
     disable_before_run=False,
+    enable="grid",
 ):
-    """The shared scenario; returns (framework, hub-or-None)."""
+    """The shared scenario; returns (framework, hub-or-None).  ``enable``
+    places ``enable_telemetry()``: ``"first"`` on the empty framework,
+    ``"grid"`` once the networks exist, ``"last"`` after boot, the monitor's
+    watches and the fault injector."""
     fw = PadicoFramework(fidelity=fidelity, partitions=partitions)
-    grid = grid_deployment(fw, rows=2, cols=2, hosts_per_cluster=3)
     hub = None
-    if telemetry:
+    if telemetry and enable == "first":
+        hub = fw.enable_telemetry(jsonl_path=jsonl_path)
+    grid = grid_deployment(fw, rows=2, cols=2, hosts_per_cluster=3)
+    if telemetry and enable == "grid":
         hub = fw.enable_telemetry(jsonl_path=jsonl_path)
     fw.boot()
     for wan in grid.wans:
         fw.monitoring.watch(wan, coalesce=4)
+    injector = fw.fault_injector(seed=77)
+    if telemetry and enable == "last":
+        hub = fw.enable_telemetry(jsonl_path=jsonl_path)
 
     def serve(session):
         session.set_data_handler(lambda link: link.read_available())
@@ -63,7 +73,6 @@ def build_and_run(
     d.vlink_listen(7100).set_accept_callback(serve)
     c.vlink_connect(d, 7100).add_callback(lambda ev: ev.value.write(b"y" * 300_000))
 
-    injector = fw.fault_injector(seed=77)
     injector.degrade_link_at(1.0, grid.wans[0], loss_rate=0.02)
 
     if disable_before_run:
@@ -121,13 +130,27 @@ def test_disable_telemetry_detaches_everything():
     fw.disable_telemetry()
     assert hub.closed
     assert fw.sim.telemetry is None
-    assert fw.monitoring.telemetry is None
-    for node in fw.nodes():
-        assert node.tcp.telemetry is None
-        assert node.vlink.telemetry is None
     # a further run adds no events to the closed hub
     fw.run(until=HORIZON + 0.5)
     assert len(hub.events) == n_observed
+
+
+def test_enable_order_cannot_matter():
+    """Emitters read ``sim.telemetry``, so a hub enabled before any network,
+    node or injector exists records what one enabled after all of them does."""
+    _, early = build_and_run(enable="first")
+    _, late = build_and_run(enable="last")
+    assert len(early.events) == len(late.events) > 0
+    assert canonical_kpi_json(compute_kpis(early.events, horizon=HORIZON)) == (
+        canonical_kpi_json(compute_kpis(late.events, horizon=HORIZON))
+    )
+    # a component the framework never saw records too
+    fw, hub = build_and_run(enable="last")
+    stranger = FaultInjector(fw.sim, fw.topology, seed=5)
+    stranger.fail_link_at(HORIZON + 0.1, fw.networks()[0])
+    fw.run(until=HORIZON + 0.2)
+    hub.flush()
+    assert [ev["t"] for ev in hub.events if ev["k"] == "churn.fault"][-1] == HORIZON + 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,15 @@ script approximates the high-signal pyflakes-family rules with the stdlib
 * F841 — local variables assigned once and never read (simple names only,
   underscore-prefixed dummies excluded, augmented/annotated/unpacking
   targets excluded — mirroring ruff's default scoping);
-* E9 — files that do not compile.
+* E9 — files that do not compile;
+* W001 — (cross-file, not a ruff rule) an attribute *stored* under one of
+  :data:`STORE_ROOTS` that no file of :data:`LOAD_ROOTS` ever loads and
+  that appears in no string constant (``getattr``, a ``describe()`` key):
+  a counter with a writer and no reader, paid for on every message.
 
 Usage: ``python tools/lint_offline.py [paths...]`` (defaults to
-``src tests benchmarks examples tools``).  Exits non-zero on findings.
+``src tests benchmarks examples tools``; the cross-file rule runs on the
+default sweep only).  Exits non-zero on findings.
 """
 
 from __future__ import annotations
@@ -21,6 +26,15 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: the layers on the per-message path: a store here costs every message
+STORE_ROOTS = tuple(
+    f"src/repro/{layer}" for layer in ("simnet", "arbitration", "abstraction", "madeleine")
+)
+#: everywhere a reader could live
+LOAD_ROOTS = ("src", "tests", "benchmarks", "examples", "tools", "perfbench")
 
 
 def _names_loaded(tree: ast.AST) -> set:
@@ -153,6 +167,50 @@ def check_file(path: Path) -> list:
     ]
 
 
+def _python_files(roots, base: Path) -> list:
+    return [path for root in roots for path in sorted((base / root).rglob("*.py"))]
+
+
+def check_write_only_attributes(base: Path = REPO) -> list:
+    """W001 over the tree at ``base``: ``x.name = ...`` / ``x.name += ...``
+    under :data:`STORE_ROOTS` with no ``x.name`` load and no ``"name"``
+    string constant anywhere in :data:`LOAD_ROOTS` (``__slots__`` entries
+    declare a slot, they do not read it)."""
+    read = set()
+    for path in _python_files(LOAD_ROOTS, base):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        slots = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                slots.update(id(sub) for sub in ast.walk(node.value))
+        read.update(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in slots
+        )
+    findings = []
+    for path in _python_files(STORE_ROOTS, base):
+        seen = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and node.attr not in read
+                and node.attr not in seen
+            ):
+                seen.add(node.attr)
+                findings.append(
+                    (path.relative_to(base), node.lineno,
+                     f"W001 attribute {node.attr!r} is stored but never loaded")
+                )
+    return sorted(findings)
+
+
 def main(argv: list) -> int:
     roots = [Path(p) for p in (argv or ["src", "tests", "benchmarks", "examples", "tools"])]
     findings = []
@@ -160,6 +218,8 @@ def main(argv: list) -> int:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in files:
             findings.extend(check_file(path))
+    if not argv:
+        findings.extend(check_write_only_attributes())
     for path, lineno, message in findings:
         print(f"{path}:{lineno}: {message}")
     print(f"{len(findings)} finding(s)")

@@ -4,10 +4,12 @@
 ``perfbench/``'s builders are imported (nothing there is edited): one warm
 window, on which the engine's loop entries are counted — timers by
 callback, triggered events by kind — then one window under :mod:`cProfile`.
-It prints the top functions by own time and the two censuses: the view a
-perfbench number is explained with — which functions a batch spends its
-window in, which timers it schedules and which events it triggers, how
-often.  The counts are deterministic, so two censuses diff exactly: a layer
+It prints the top functions by own time, the profile folded by layer
+(``perfbench/tracer.py``'s own ``fold``, so the ``self_s`` / ``calls`` rows
+are the ones a traced perfbench run reports) and the two censuses: the view
+a perfbench number is explained with — which functions and layers a batch
+spends its window in, which timers it schedules and which events it
+triggers, how often.  The counts are deterministic, so two censuses diff exactly: a layer
 that re-grows a completion hop shows up as a new row, not as a wall-clock
 suspicion.  ``--json`` writes a machine-readable artifact so CI can archive
 a nightly profile next to the benchmark numbers and regressions can be
@@ -100,6 +102,15 @@ def _print_census(census: Counter, what: str, top: int) -> None:
         print(f"{count:10d}  {100.0 * count / total:5.1f}%  {name}")
 
 
+def _print_layers(layers: dict) -> None:
+    total_s = sum(self_s for self_s, _calls in layers.values())
+    total_calls = sum(calls for _self_s, calls in layers.values())
+    print(f"{total_calls} Python calls, {total_s:.3f} s self time, by layer")
+    for layer, (self_s, calls) in layers.items():
+        if calls:
+            print(f"{calls:10d}  {self_s:8.3f} s  {100.0 * self_s / total_s:5.1f}%  {layer}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", help="a perfbench workload, e.g. bulk_staging")
@@ -110,6 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", help="write a JSON artifact here")
     args = parser.parse_args(argv)
 
+    import tracer
     import workloads
     from repro.simnet.engine import Simulator
 
@@ -154,6 +166,8 @@ def main(argv=None) -> int:
     _print_stats(stats, args.sort, args.top)
     print(f"one window of {args.workload}: {outcome.units:g} {workload.unit}, "
           f"{failed} of {outcome.attempted} checks failed")
+    layers = tracer.fold(profiler)
+    _print_layers(layers)
     _print_census(timers, "timers scheduled, by callback", args.top)
     _print_census(triggered, "events triggered, by kind", args.top)
     if args.json:
@@ -167,6 +181,10 @@ def main(argv=None) -> int:
             "failed": failed,
             "sort": args.sort,
             "hotspots": _rows(stats, args.top, args.sort),
+            "layers": {
+                layer: {"self_s": round(self_s, 6), "calls": calls}
+                for layer, (self_s, calls) in layers.items()
+            },
             "timers_scheduled": sum(timers.values()),
             "timer_census": [
                 {"callback": name, "count": count} for name, count in timers.most_common()
