@@ -81,9 +81,9 @@ class MadIOCircuitAdapter(CircuitAdapter):
 
     name = "madio"
 
-    def __init__(self, circuit: Circuit, route: RouteChoice, madio: Optional[MadIO] = None):
+    def __init__(self, circuit: Circuit, route: RouteChoice):
         super().__init__(circuit, route)
-        self.madio = madio or self.host.require_service("madio")
+        self.madio: MadIO = self.host.require_service("madio")
         if route.network is None:
             raise AbstractionError("MadIO circuit adapter needs a parallel network")
         self.network: Network = route.network
@@ -280,9 +280,9 @@ class SysIOCircuitAdapter(StreamMeshCircuitAdapter):
     #: this one.
     PORT_OFFSET = 200000
 
-    def __init__(self, circuit: Circuit, route: RouteChoice, sysio: Optional[SysIO] = None):
+    def __init__(self, circuit: Circuit, route: RouteChoice):
         super().__init__(circuit, route)
-        self.sysio = sysio or self.host.require_service("sysio")
+        self.sysio: SysIO = self.host.require_service("sysio")
         self.network = route.network
 
     def _listen(self, port: int, on_incoming: Callable) -> None:
@@ -300,19 +300,14 @@ class VLinkCircuitAdapter(StreamMeshCircuitAdapter):
 
     name = "vlink"
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        route: RouteChoice,
-        vlink_manager: Optional[VLinkManager] = None,
-        method: Optional[str] = None,
-    ):
+    def __init__(self, circuit: Circuit, route: RouteChoice):
         super().__init__(circuit, route)
-        self.vlink_manager = vlink_manager or self.host.require_service("vlink")
-        # route.method may be "vlink:parallel_streams" — extract the VLink method.
-        if method is None and route.method.startswith("vlink:"):
-            method = route.method.split(":", 1)[1]
-        self.method = method
+        self.vlink_manager: VLinkManager = self.host.require_service("vlink")
+        # "vlink:parallel_streams" names the VLink method; plain "vlink"
+        # (routed links) leaves it to the pinned route
+        self.method: Optional[str] = None
+        if route.method.startswith("vlink:"):
+            self.method = route.method.split(":", 1)[1]
 
     def _listen(self, port: int, on_incoming: Callable) -> None:
         listener = self.vlink_manager.listen(port)

@@ -55,14 +55,9 @@ class AdaptiveCircuitAdapter(StreamMeshCircuitAdapter):
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        route: RouteChoice,
-        vlink_manager: Optional[VLinkManager] = None,
-    ):
+    def __init__(self, circuit: Circuit, route: RouteChoice):
         super().__init__(circuit, route)
-        self.vlink_manager = vlink_manager or self.host.require_service("vlink")
+        self.vlink_manager: VLinkManager = self.host.require_service("vlink")
         self.listener: Optional[AdaptiveListener] = None
 
     # -- stream-mesh transport hooks ---------------------------------------------

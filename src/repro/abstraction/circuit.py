@@ -36,6 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 CIRCUIT_SERVICE = "circuit"
 
+#: ``factory(circuit, route)`` builds the adapter serving one method of a circuit.
+AdapterFactory = Callable[["Circuit", RouteChoice], "CircuitAdapter"]
+
 
 def circuit_port(name: str) -> int:
     """Deterministic TCP/VLink port for a circuit name (cross-host stable)."""
@@ -206,19 +209,25 @@ class Circuit:
 class CircuitManager:
     """Per-host factory for circuits; holds adapter factories and the selector."""
 
-    def __init__(self, host: Host, selector: Optional[Selector] = None):
+    def __init__(
+        self,
+        host: Host,
+        selector: Optional[Selector] = None,
+        factories: Optional[Dict[str, AdapterFactory]] = None,
+    ):
         self.host = host
         self.sim = host.sim
         self.selector = selector
-        self._factories: Dict[str, Callable[[Circuit, RouteChoice], "CircuitAdapter"]] = {}
+        #: ``factories`` is a table shared between managers (the framework
+        #: hands every node the same one) and never written through here
+        self._factories: Dict[str, AdapterFactory] = factories if factories is not None else {}
         self._circuits: Dict[str, Circuit] = {}
         host.register_service(CIRCUIT_SERVICE, self, replace=True)
 
     # -- adapter registry -----------------------------------------------------------
-    def register_adapter_factory(
-        self, name: str, factory: Callable[[Circuit, RouteChoice], "CircuitAdapter"]
-    ) -> None:
-        self._factories[name] = factory
+    def register_adapter_factory(self, name: str, factory: AdapterFactory) -> None:
+        """A per-host addition: this manager gets its own copy of the table."""
+        self._factories = {**self._factories, name: factory}
 
     def adapter_names(self) -> List[str]:
         """Registered adapter factories that are actually usable right now.

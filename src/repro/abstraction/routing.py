@@ -7,15 +7,16 @@ private LAN, and only the gateway also holds a WAN interface.  A direct
 common network between two arbitrary hosts therefore often does not exist,
 yet a path through one or more gateways does.
 
-This module turns the :class:`~repro.abstraction.topology.TopologyKB` into a
+This module reads the :class:`~repro.abstraction.topology.TopologyKB` as a
 weighted host–network graph and runs shortest-path search over it:
 
 * :class:`RoutingEngine` — Dijkstra over hosts, edge weights derived from the
   first-order transfer-time model of :mod:`repro.simnet.cost` (latency plus
   a reference payload over the wire bandwidth, a loss penalty, and a
   store-and-forward penalty per intermediate node so direct links always win
-  ties).  Host paths and adjacency are memoized in a generation-stamped
-  cache invalidated whenever the topology changes.
+  ties).  The graph is searched in place — from a host to its networks'
+  other hosts, through the NIC tables — and never materialised; host paths
+  and one weight per network are memoized until the topology changes.
 * :class:`RouteChoice` — the selector's decision for one hop (historically
   the whole decision; it now also records which hosts the hop joins).
 * :class:`Route` — an ordered sequence of :class:`RouteChoice` hops from a
@@ -145,16 +146,17 @@ class Route:
 class RoutingEngine:
     """Shortest-path search over the host–network graph of a TopologyKB.
 
-    All query results (adjacency, host paths) are memoized and stamped with
-    :attr:`TopologyKB.generation`; registering a host or a network — or
-    attaching a NIC anywhere in the simulation — invalidates them.
+    What is memoized (host paths, one edge weight per network) belongs to
+    one :attr:`TopologyKB.generation`; registering a host or a network,
+    attaching a NIC anywhere in the simulation, a measurement or a liveness
+    verdict drops it.
     """
 
     def __init__(self, topology: TopologyKB):
         self.topology = topology
-        self._adjacency: Optional[Dict[Host, List[Tuple[float, Host, Network]]]] = None
-        self._adjacency_generation = -1
-        self._path_cache: Dict[Tuple[int, int], Tuple[int, List[Hop]]] = {}
+        self._generation = -1
+        self._weights: Dict[Network, float] = {}
+        self._path_cache: Dict[Tuple[int, int], List[Hop]] = {}
 
     # -- edge weights ----------------------------------------------------------
     def edge_weight(self, network: Network) -> float:
@@ -173,35 +175,13 @@ class RoutingEngine:
         )
         return base * (1.0 + 10.0 * topology.effective_loss_rate(network))
 
-    # -- graph construction -----------------------------------------------------
-    def _graph(self) -> Dict[Host, List[Tuple[float, Host, Network]]]:
+    def _sync(self) -> None:
+        """Drop what an older topology generation memoized."""
         generation = self.topology.generation
-        if self._adjacency is not None and self._adjacency_generation == generation:
-            return self._adjacency
-        adjacency: Dict[Host, List[Tuple[float, Host, Network]]] = {}
-        registered = {id(h) for h in self.topology.hosts()}
-        for network in self.topology.networks():
-            if not self.topology.is_link_up(network):
-                continue
-            members = [
-                h
-                for h in network.hosts()
-                if id(h) in registered and self.topology.is_host_up(h)
-            ]
-            if len(members) < 2:
-                continue
-            weight = self.edge_weight(network)
-            for a in members:
-                edges = adjacency.setdefault(a, [])
-                for b in members:
-                    if b is not a:
-                        edges.append((weight, b, network))
-        for host in self.topology.hosts():
-            adjacency.setdefault(host, [])
-        self._adjacency = adjacency
-        self._adjacency_generation = generation
-        self._path_cache.clear()
-        return adjacency
+        if self._generation != generation:
+            self._generation = generation
+            self._weights.clear()
+            self._path_cache.clear()
 
     # -- queries -----------------------------------------------------------------
     def host_path(self, src: Host, dst: Host) -> List[Hop]:
@@ -213,13 +193,11 @@ class RoutingEngine:
         """
         if src is dst:
             return []
-        generation = self.topology.generation
+        self._sync()
         key = (id(src), id(dst))
-        cached = self._path_cache.get(key)
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        hops = self._dijkstra(src, dst)
-        self._path_cache[key] = (generation, hops)
+        hops = self._path_cache.get(key)
+        if hops is None:
+            hops = self._path_cache[key] = self._dijkstra(src, dst)
         return hops
 
     def reachable(self, src: Host, dst: Host) -> bool:
@@ -234,27 +212,47 @@ class RoutingEngine:
         return [hop.dst for hop in self.host_path(src, dst)[:-1]]
 
     def describe(self) -> Dict[str, object]:
-        graph = self._graph()
+        self._sync()
+        topology = self.topology
+        edges = 0
+        for network in topology.networks():
+            if topology.is_link_up(network):
+                members = sum(1 for h in network.nics if self._relays(h))
+                edges += members * (members - 1)
         return {
-            "generation": self.topology.generation,
-            "hosts": len(graph),
-            "edges": sum(len(v) for v in graph.values()),
+            "generation": topology.generation,
+            "hosts": len(topology.hosts()),
+            "edges": edges,
             "cached_paths": len(self._path_cache),
         }
 
     # -- internals ----------------------------------------------------------------
+    def _relays(self, host: Host) -> bool:
+        """A vertex of the graph: registered and believed up."""
+        topology = self.topology
+        return topology.is_host_registered(host) and topology.is_host_up(host)
+
     def _dijkstra(self, src: Host, dst: Host) -> List[Hop]:
-        graph = self._graph()
-        if src not in graph or dst not in graph:
+        """Search the host–network graph in place: a host's edges are its
+        own live registered networks (registration order), a network's are
+        its attached hosts (attachment order) — the order every member of a
+        LAN reaching every other used to be laid out in, so equal-cost
+        paths resolve the same way without the clique ever being built."""
+        topology = self.topology
+        if not (topology.is_host_registered(src) and topology.is_host_registered(dst)):
             raise AbstractionError(
                 f"no route between {src.name} and {dst.name}: "
                 f"host not part of the registered topology"
             )
+        weights = self._weights
         dist: Dict[Host, float] = {src: 0.0}
         prev: Dict[Host, Tuple[Host, Network, float]] = {}
         visited: set = set()
         counter = 0  # tie-breaker: hosts are not orderable
-        queue: List[Tuple[float, int, Host]] = [(0.0, counter, src)]
+        # a source believed down has no edges
+        queue: List[Tuple[float, int, Host]] = (
+            [(0.0, counter, src)] if topology.is_host_up(src) else []
+        )
         while queue:
             d, _, here = heapq.heappop(queue)
             if here in visited:
@@ -262,17 +260,21 @@ class RoutingEngine:
             if here is dst:
                 break
             visited.add(here)
-            for weight, neighbour, network in graph[here]:
-                if neighbour in visited:
-                    continue
-                cost = d + weight
-                if neighbour is not dst:
-                    cost += ROUTE_RELAY_PENALTY
-                if cost < dist.get(neighbour, float("inf")):
-                    dist[neighbour] = cost
-                    prev[neighbour] = (here, network, weight)
-                    counter += 1
-                    heapq.heappush(queue, (cost, counter, neighbour))
+            for network in topology.networks_between(here, here):
+                weight = weights.get(network)
+                if weight is None:
+                    weight = weights[network] = self.edge_weight(network)
+                for neighbour in network.nics:
+                    if neighbour in visited:  # ``here`` included
+                        continue
+                    cost = d + weight
+                    if neighbour is not dst:
+                        cost += ROUTE_RELAY_PENALTY
+                    if cost < dist.get(neighbour, float("inf")) and self._relays(neighbour):
+                        dist[neighbour] = cost
+                        prev[neighbour] = (here, network, weight)
+                        counter += 1
+                        heapq.heappush(queue, (cost, counter, neighbour))
         if dst not in prev:
             raise AbstractionError(
                 f"no route between {src.name} and {dst.name}: "

@@ -343,23 +343,28 @@ class Selector:
         connected pairs).  Raises :class:`AbstractionError` when the pair is
         unreachable or ``src is dst``.
         """
-        hops = self.routing.host_path(src, dst)
-        if not hops:
+        if src is dst:
             raise AbstractionError(
                 f"no circuit hops to pin between {src.name} and {dst.name}"
             )
+        # like choose_vlink_route: a directly connected pair is never relayed
+        # (ensure_gateways provisions no gateway for one)
+        if self.topology.link_profile(src, dst).link_class is not LinkClass.NONE:
+            legs = [(src, dst)]
+        else:
+            legs = [(hop.src, hop.dst) for hop in self.routing.host_path(src, dst)]
         choices: List[RouteChoice] = []
-        for index, hop in enumerate(hops):
+        for index, (hop_src, hop_dst) in enumerate(legs):
             hop_available = (
                 available
                 if index == 0 and available is not None
-                else self.vlink_methods_on(hop.src, reliable_only=True)
+                else self.vlink_methods_on(hop_src, reliable_only=True)
             )
             choices.append(
                 self._pick(
-                    hop.src,
-                    hop.dst,
-                    self.mutually_available(hop_available, hop.dst, reliable_only=True),
+                    hop_src,
+                    hop_dst,
+                    self.mutually_available(hop_available, hop_dst, reliable_only=True),
                     _DEFAULT_CIRCUIT_HOP,
                     self.preferences.circuit_hop_methods,
                     _CROSS_PARADIGM_VLINK,

@@ -92,7 +92,9 @@ class TopologyKB:
     :attr:`generation`, and cached :class:`LinkProfile` objects from an older
     generation are recomputed on the next lookup.  The
     :class:`~repro.abstraction.routing.RoutingEngine` stamps its own caches
-    with the same counter.
+    with the same counter.  Nothing here is indexed by pair or by network
+    membership: the hosts' and networks' own NIC tables are the adjacency,
+    and the KB adds which of them are registered and believed up.
 
     The KB is *mutable at runtime*: the monitoring subsystem pushes measured
     link metrics (:meth:`apply_measurement`) and liveness verdicts
@@ -106,7 +108,9 @@ class TopologyKB:
     """
 
     def __init__(self) -> None:
-        self._networks: List[Network] = []
+        #: network -> registration stamp, in registration order: the
+        #: membership test and the sort key of :meth:`networks_between`
+        self._networks: Dict[Network, int] = {}
         self._hosts: List[Host] = []
         self._host_ids: Set[int] = set()
         self._hosts_by_name: Dict[str, Host] = {}
@@ -243,7 +247,7 @@ class TopologyKB:
         registered host of the same name when one exists, and raises
         otherwise.
         """
-        if host not in self._hosts:
+        if id(host) not in self._host_ids:
             return
         self._hosts.remove(host)
         self._host_ids.discard(id(host))
@@ -262,7 +266,7 @@ class TopologyKB:
         """Unregister a network entirely (permanent decommission)."""
         if network not in self._networks:
             return
-        self._networks.remove(network)
+        del self._networks[network]
         self._measured.pop(network, None)
         self._down_networks.discard(network)
         self._generation += 1
@@ -290,14 +294,16 @@ class TopologyKB:
     # -- registration ---------------------------------------------------------
     def register_network(self, network: Network) -> Network:
         if network not in self._networks:
-            self._networks.append(network)
             self._sim = self._sim or network.sim
             self._generation += 1
+            # the local generation only grows: a stamp orders registrations
+            # across removals too
+            self._networks[network] = self._generation
             self._notify("registration", network=network)
         return network
 
     def register_host(self, host: Host) -> Host:
-        if host not in self._hosts:
+        if id(host) not in self._host_ids:
             self._hosts.append(host)
             self._host_ids.add(id(host))
             self._hosts_by_name.setdefault(host.name, host)
@@ -323,10 +329,17 @@ class TopologyKB:
 
     # -- queries -------------------------------------------------------------------
     def networks_between(self, a: Host, b: Host) -> List[Network]:
-        """All registered *live* networks that connect ``a`` and ``b``."""
-        if a is b:
-            return [n for n in self._networks if self.is_link_up(n) and n.is_attached(a)]
-        return [n for n in self._networks if self.is_link_up(n) and n.connects(a, b)]
+        """All registered *live* networks that connect ``a`` and ``b``, in
+        registration order (``a is b``: the host's own).
+
+        Read off the two hosts' NIC tables, so the cost follows the
+        interfaces of a host, not the networks of the grid.
+        """
+        stamps, down, theirs = self._networks, self._down_networks, b.nics
+        found = [n for n in a.nics if n in theirs and n in stamps and n not in down]
+        if len(found) > 1:
+            found.sort(key=stamps.__getitem__)
+        return found
 
     def classify_network(self, network: Network) -> LinkClass:
         """Class of a single network considered in isolation.
@@ -369,8 +382,8 @@ class TopologyKB:
     def link_profile(self, a: Host, b: Host) -> LinkProfile:
         """Full profile of the (a, b) path used by the selector.
 
-        Memoized per host pair: the selector used to rescan every registered
-        network on every call, an O(#networks) walk on the connect hot path.
+        Memoized per host pair and generation; a miss costs the two hosts'
+        NIC tables (:meth:`networks_between`), not a walk over the grid.
         """
         key = (id(a), id(b))
         generation = self.generation

@@ -20,6 +20,7 @@ from repro.simnet.tcp import TcpStack
 from repro.madeleine import MadeleineDriver
 from repro.arbitration import MadIO, NetAccessCore, SysIO
 from repro.abstraction import (
+    AdaptiveCircuitAdapter,
     Circuit,
     CircuitManager,
     GATEWAY_RELAY_SERVICE,
@@ -39,13 +40,33 @@ from repro.abstraction import (
     VLinkManager,
 )
 from repro.abstraction.common import AbstractionError
-from repro.abstraction.topology import WAN_LATENCY_THRESHOLD
+from repro.abstraction.topology import LinkClass, WAN_LATENCY_THRESHOLD
 from repro.monitoring import FaultInjector, TopologyMonitor
 from repro.telemetry import TelemetryHub
 
 
 class FrameworkError(RuntimeError):
     """Deployment / bootstrap errors."""
+
+
+#: The Circuit adapter factories of a booted node, one table for every
+#: node: each adapter finds the node's subsystem among its host's services
+#: (``sysio``, ``vlink``, ``madio``), so the rows are the classes themselves.
+#: ``vlink:<method>`` rides the alternate VLink method its route names;
+#: ``vlink`` serves routed links (no common network) with the per-hop
+#: methods pinned by the selector's circuit-hop policy; ``adaptive`` makes
+#: every remote leg a migratable session (``circuit(..., adaptive=True)``).
+_CIRCUIT_ADAPTERS = {
+    "sysio": SysIOCircuitAdapter,
+    "loopback": LoopbackCircuitAdapter,
+    "vlink": VLinkCircuitAdapter,
+    "vlink:parallel_streams": VLinkCircuitAdapter,
+    "vlink:vrp": VLinkCircuitAdapter,
+    "vlink:adoc": VLinkCircuitAdapter,
+    "adaptive": AdaptiveCircuitAdapter,
+}
+#: ... of a node with a SAN: the straight parallel adapter as well.
+_SAN_CIRCUIT_ADAPTERS = {**_CIRCUIT_ADAPTERS, "madio": MadIOCircuitAdapter}
 
 
 class PadicoNode:
@@ -110,36 +131,9 @@ class PadicoNode:
                 self.vlink.register_driver(driver)
         self.vlink.register_driver(LoopbackVLinkDriver(host))
 
-        # Abstraction layer: Circuit manager with its adapter factories.
-        self.circuits = CircuitManager(host, selector)
-        if self.madio is not None:
-            self.circuits.register_adapter_factory(
-                "madio", lambda circuit, route: MadIOCircuitAdapter(circuit, route, self.madio)
-            )
-        self.circuits.register_adapter_factory(
-            "sysio", lambda circuit, route: SysIOCircuitAdapter(circuit, route, self.sysio)
-        )
-        self.circuits.register_adapter_factory(
-            "loopback", lambda circuit, route: LoopbackCircuitAdapter(circuit, route)
-        )
-        for vlink_method in ("parallel_streams", "vrp", "adoc"):
-            self.circuits.register_adapter_factory(
-                f"vlink:{vlink_method}",
-                lambda circuit, route, m=vlink_method: VLinkCircuitAdapter(
-                    circuit, route, self.vlink, method=m
-                ),
-            )
-        # Routed circuit links (no common network) ride plain VLinks with
-        # the per-hop methods pinned by the selector's circuit-hop policy.
-        self.circuits.register_adapter_factory(
-            "vlink", lambda circuit, route: VLinkCircuitAdapter(circuit, route, self.vlink)
-        )
-        # Adaptive circuits: every remote leg as a migratable session
-        # (created with `circuit(..., adaptive=True)`).
-        from repro.abstraction.adaptive_circuit import AdaptiveCircuitAdapter
-
-        self.circuits.register_adapter_factory(
-            "adaptive", lambda circuit, route: AdaptiveCircuitAdapter(circuit, route, self.vlink)
+        # Abstraction layer: Circuit manager over the shared adapter table.
+        self.circuits = CircuitManager(
+            host, selector, _SAN_CIRCUIT_ADAPTERS if self.madio is not None else _CIRCUIT_ADAPTERS
         )
 
         # Gateway relay: every booted node can store-and-forward VLink
@@ -149,11 +143,12 @@ class PadicoNode:
 
         # Adaptive re-routing: migrations towards a destination may need
         # relay nodes booted (and WAN methods enabled) on the new route.
-        self.vlink.gateway_provisioner = (
-            lambda dst, _fw=self.framework, _src=host: _fw.ensure_gateways(_src, dst)
-        )
+        self.vlink.gateway_provisioner = self._provision_gateways
         self._booted = True
         return self
+
+    def _provision_gateways(self, dst: Host) -> None:
+        self.framework.ensure_gateways(self.host, dst)
 
     @property
     def booted(self) -> bool:
@@ -462,11 +457,18 @@ class PadicoFramework:
         return self.selector.choose_vlink_route(host_a, host_b, available)
 
     def ensure_gateways(self, src: Host, dst: Host) -> List[PadicoNode]:
-        """Boot the relay nodes on the src->dst route (no-op for direct links
-        or unreachable pairs — the connect path reports those itself), and
-        enable the WAN method drivers on every gateway of the route so the
-        relayed hops can use parallel streams / zero-tolerance VRP instead
-        of a plain socket per hop."""
+        """Boot the relay nodes on the src->dst route (no-op for unreachable
+        pairs — the connect path reports those itself), and enable the WAN
+        method drivers on every gateway of the route so the relayed hops can
+        use parallel streams / zero-tolerance VRP instead of a plain socket
+        per hop.
+
+        A pair the knowledge base connects directly has no gateways: the
+        selector (``choose_vlink_route``, ``pin_circuit_route``) never
+        relays it, whatever a path through a third host would weigh, so no
+        route is searched for it."""
+        if self.topology.link_profile(src, dst).link_class is not LinkClass.NONE:
+            return []
         try:
             gateways = self.routing.gateways_between(src, dst)
         except AbstractionError:

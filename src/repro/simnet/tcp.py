@@ -384,7 +384,9 @@ class TcpConnection(BufferedConnection):
         # ``network.mtu`` instead of being a thirtieth.
         self.cwnd = stack.model.initial_cwnd(network.mtu)
         self.ssthresh = stack.model.initial_ssthresh
-        self._rng = random.Random((network.rng.randint(0, 1 << 30) << 8) ^ self.conn_id)
+        #: the seed of this connection's loss stream until its first draw,
+        #: its ``random.Random`` from then on: a loss-free link never draws
+        self._rng = (network.rng.randint(0, 1 << 30) << 8) ^ self.conn_id
 
         self._sendq: Deque[List] = deque()  # entries: [memoryview, offset, done_event, total]
         #: the ``_pump`` timer while the flow is pumping (pending, or the
@@ -612,9 +614,12 @@ class TcpConnection(BufferedConnection):
         p = self.network.loss_rate
         if p <= 0.0 or npkts == 0:
             return 0
+        rng = self._rng
+        if rng.__class__ is int:  # still the seed (no call: every lossy round tests it)
+            rng = self._rng = random.Random(rng)
         lost = 0
         for _ in range(npkts):
-            if self._rng.random() < p:
+            if rng.random() < p:
                 lost += 1
         return lost
 

@@ -1,8 +1,9 @@
 """Tests for the abstraction layer: VLink, Circuit, adapters, topology, selector."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from tests.helpers import run
+from tests.helpers import random_topologies, run
 
 from repro.abstraction import (
     AbstractionError,
@@ -64,6 +65,34 @@ def test_topology_prefers_lan_over_wan_and_san_over_all():
         net.connect(b)
     assert fw.topology.link_class(a, b) is LinkClass.LAN
     assert fw.topology.best_network([wan, eth]) is eth
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_topologies())
+def test_networks_between_reads_the_nic_tables_like_the_scan_of_every_network(topology):
+    """The NIC-table intersection is the walk over every registered network
+    it replaced (kept here as the reference), registration order included."""
+    kb, hosts = topology
+    for a in hosts:
+        for b in hosts:
+            if a is b:
+                scan = [n for n in kb.networks() if kb.is_link_up(n) and n.is_attached(a)]
+            else:
+                scan = [n for n in kb.networks() if kb.is_link_up(n) and n.connects(a, b)]
+            assert kb.networks_between(a, b) == scan
+
+
+def test_a_removed_network_registers_again_at_the_end():
+    fw = PadicoFramework()
+    a, b = fw.add_host("a"), fw.add_host("b")
+    nets = [fw.add_network(Ethernet100(fw.sim, f"eth{i}")) for i in range(3)]
+    for net in nets:
+        net.connect(a), net.connect(b)
+    kb = fw.topology
+    kb.remove_network(nets[1])
+    assert kb.networks_between(a, b) == [nets[0], nets[2]]
+    kb.register_network(nets[1])
+    assert kb.networks() == kb.networks_between(a, b) == [nets[0], nets[2], nets[1]]
 
 
 def test_selector_default_policy():

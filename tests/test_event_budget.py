@@ -25,18 +25,24 @@ per delivered MiB.
 
 from __future__ import annotations
 
+import contextlib
+import cProfile
+import gc
+import pstats
+import sys
+
 import pytest
 
 from repro.abstraction.circuit import CIRCUIT_LAYER_OVERHEAD
 from repro.abstraction.common import CROSS_PARADIGM_STREAM_OVERHEAD, VLINK_LAYER_OVERHEAD
 from repro.arbitration.madio import DEMUX_OVERHEAD
-from repro.core import paper_cluster
+from repro.core import PadicoFramework, paper_cluster
 from repro.madeleine.message import segment_overhead
 from repro.simnet.buffers import Gather
 from repro.simnet.cost import Cost
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
-from repro.simnet.networks import Ethernet100
+from repro.simnet.networks import Ethernet100, grid_deployment
 from repro.simnet.tcp import TcpStack
 
 PAYLOAD = b"8 bytes!"
@@ -513,3 +519,75 @@ def test_java_socket_round_trip_is_twelve_events():
     events, timers, seconds = round_trip_budget(fw, round_trip)
     assert (events, timers) == (12, 10)  # 24 events before
     assert seconds == pytest.approx(8.002111737089203e-05, rel=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Set-up: what a host pays follows what it uses, not what the grid holds
+# --------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def undisturbed():
+    """The collector and any line tracer (coverage) off, for a region whose
+    Python calls or objects are counted: a collection runs whatever
+    ``gc.callbacks`` holds inside the count (hypothesis times collections
+    there), a tracer written in Python allocates per frame."""
+    trace = sys.gettrace()
+    sys.settrace(None)
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        sys.settrace(trace)
+
+
+def direct_connect_calls(cols):
+    """Python calls (``cProfile``'s total) of one ``vlink_connect`` between
+    two LAN neighbours of cluster 0 and the run that establishes it, on a
+    booted ``2 x cols`` grid of 6-host clusters."""
+    fw = PadicoFramework()
+    grid = grid_deployment(fw, rows=2, cols=cols, hosts_per_cluster=6)
+    fw.boot()
+    src, dst = (fw.node(host.name) for host in grid.clusters[0][1:3])
+    dst.vlink_listen(7000)
+    profile = cProfile.Profile()
+    with undisturbed():
+        profile.enable()
+        link = fw.sim.run(until=src.vlink_connect(dst, 7000), max_time=60)
+        profile.disable()
+    assert link.driver_name == "sysio"
+    return pstats.Stats(profile).total_calls
+
+
+def test_a_direct_connect_costs_the_same_calls_in_a_small_and_a_large_grid():
+    """Two counts of one process, no committed literal: the selector reads
+    the two hosts' NIC tables and searches no route for a pair it connects
+    directly, so 8 times the clusters, networks and hosts add not one call
+    (they added 4x when every connect scanned every registered network)."""
+    direct_connect_calls(2)  # first use: lazy imports run their module bodies
+    assert direct_connect_calls(2) == direct_connect_calls(16)
+
+
+#: GC-tracked objects one booted, idle host adds (dicts aside), on the 2x2x10
+#: grid below; 58.2 when ``boot`` built nine closures per node.
+IDLE_HOST_OBJECTS = 39.2
+
+
+def test_a_booted_idle_host_stays_within_its_object_budget():
+    """``len(gc.get_objects())`` across ``fw.boot()``, collector off.  Dicts
+    are left out: whether an instance's attribute dict is an object of its
+    own is the interpreter's choice (3.10: always; 3.11 on: on demand)."""
+    paper_cluster(2)  # first boot of a process: lazy imports, module caches
+    fw = PadicoFramework()
+    grid_deployment(fw, rows=2, cols=2, hosts_per_cluster=10)
+
+    def tracked():
+        return sum(1 for obj in gc.get_objects() if type(obj) is not dict)
+
+    with undisturbed():
+        before = tracked()
+        fw.boot()
+        per_host = (tracked() - before) / len(fw.nodes())
+    assert per_host <= IDLE_HOST_OBJECTS

@@ -1,13 +1,18 @@
 """Tests for the multi-hop routing subsystem (routing engine, gateway relay,
 cached link profiles, multi-rail drivers, routed circuits)."""
 
+import heapq
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from tests.helpers import run
+from tests.helpers import random_topologies, run
 
+from repro.abstraction.routing import ROUTE_RELAY_PENALTY
 from repro.abstraction import (
     AbstractionError,
     GATEWAY_RELAY_PORT,
+    GATEWAY_RELAY_SERVICE,
     LinkClass,
     Route,
     RoutingEngine,
@@ -15,7 +20,7 @@ from repro.abstraction import (
 )
 from repro.core import PadicoFramework, paper_cluster, paper_wan_pair
 from repro.simnet.buffers import Gather
-from repro.simnet.networks import Ethernet100, Myrinet2000, WanVthd
+from repro.simnet.networks import Ethernet100, LossyInternet, Myrinet2000, WanVthd
 
 
 def gateway_topology():
@@ -148,6 +153,71 @@ def test_routing_engine_standalone_and_describe():
     assert report["hosts"] >= 3 and report["edges"] >= 4
 
 
+def clique_reference_path(engine, src, dst):
+    """The search as it ran before the graph was walked in place: every
+    network expanded into ``(weight, neighbour, network)`` tuples, each member
+    towards every other, then Dijkstra over those lists.  Kept as the
+    reference the in-place search must reproduce hop for hop."""
+    kb = engine.topology
+    registered = {id(h) for h in kb.hosts()}
+    adjacency = {host: [] for host in kb.hosts()}
+    for network in kb.networks():
+        if not kb.is_link_up(network):
+            continue
+        members = [h for h in network.hosts() if id(h) in registered and kb.is_host_up(h)]
+        for a in members:
+            adjacency[a].extend(
+                (engine.edge_weight(network), b, network) for b in members if b is not a
+            )
+    if src not in adjacency or dst not in adjacency:
+        raise AbstractionError("host not part of the registered topology")
+    dist, prev, visited, counter = {src: 0.0}, {}, set(), 0
+    queue = [(0.0, counter, src)]
+    while queue:
+        d, _, here = heapq.heappop(queue)
+        if here in visited:
+            continue
+        if here is dst:
+            break
+        visited.add(here)
+        for weight, neighbour, network in adjacency[here]:
+            if neighbour in visited:
+                continue
+            cost = d + weight + (ROUTE_RELAY_PENALTY if neighbour is not dst else 0.0)
+            if cost < dist.get(neighbour, float("inf")):
+                dist[neighbour] = cost
+                prev[neighbour] = (here, network, weight)
+                counter += 1
+                heapq.heappush(queue, (cost, counter, neighbour))
+    if dst not in prev:
+        raise AbstractionError("no chain of common networks connects them")
+    hops, here = [], dst
+    while here is not src:
+        earlier, network, weight = prev[here]
+        hops.append((earlier, here, network, weight))
+        here = earlier
+    return hops[::-1]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(random_topologies())
+def test_in_place_search_finds_the_clique_expansions_hops(topology):
+    kb, hosts = topology
+    engine = RoutingEngine(kb)
+    for src in hosts:
+        for dst in hosts:
+            if src is dst:
+                continue
+            try:
+                expected = clique_reference_path(engine, src, dst)
+            except AbstractionError:
+                with pytest.raises(AbstractionError, match="no route between"):
+                    engine.host_path(src, dst)
+                continue
+            found = engine.host_path(src, dst)
+            assert [(h.src, h.dst, h.network, h.weight) for h in found] == expected
+
+
 # --------------------------------------------------------------------------
 # Gateway relay: end-to-end payload through a host with no common network
 # --------------------------------------------------------------------------
@@ -225,6 +295,56 @@ def test_node_helper_boots_gateways_on_demand():
 
     assert run(fw, scenario()) == "sysio"
     assert fw.node("gw").booted  # the framework picked and booted the gateway
+
+
+def lossy_triangle():
+    """``a`` and ``b`` share a lossy Internet path and each has its own fast
+    WAN to the multi-homed ``g``: the cheapest *path* detours through ``g``,
+    the selector connects the pair directly."""
+    fw = PadicoFramework()
+    a, g, b = fw.add_host("a"), fw.add_host("g"), fw.add_host("b")
+    slow = fw.add_network(LossyInternet(fw.sim, "slow"))
+    slow.connect(a), slow.connect(b)
+    for name, end in (("wan-a", a), ("wan-b", b)):
+        wan = fw.add_network(WanVthd(fw.sim, name))
+        wan.connect(end), wan.connect(g)
+    return fw, a, g, b, slow
+
+
+def test_ensure_gateways_provisions_only_a_route_the_connect_takes():
+    fw, a, g, b, slow = lossy_triangle()
+    fw.boot()
+    assert [h.name for h in fw.routing.gateways_between(a, b)] == ["g"]
+    assert fw.route_between(a, b).describe() == "a -[sysio/slow]-> b"
+    assert fw.selector.pin_circuit_route(a, b).is_direct  # circuit legs agree
+    stock = {"loopback", "sysio"}
+    assert fw.ensure_gateways(a, b) == []
+    assert set(fw.node("g").vlink.driver_names()) == stock
+    listener = fw.node("b").vlink_listen(5150)
+
+    def connect():
+        accept_op = listener.accept()
+        yield fw.node("a").vlink_connect(fw.node("b"), 5150)
+        yield accept_op
+
+    run(fw, connect())
+    assert set(fw.node("g").vlink.driver_names()) == stock
+    assert fw.node("g").gateway_relay.relayed == 0
+
+    # the direct link believed dead (what an adaptive migration reacts to):
+    # now the route does relay, and its gateway gets the WAN method drivers
+    fw.topology.mark_link_down(slow)
+    fw.ensure_gateways(a, b)
+    assert set(fw.node("g").vlink.driver_names()) > stock
+    run(fw, connect())
+    assert fw.node("g").gateway_relay.relayed == 1
+
+
+def test_ensure_gateways_leaves_a_bystander_unbooted():
+    fw, a, g, b, _slow = lossy_triangle()
+    fw.boot(["a", "b"])
+    assert fw.ensure_gateways(a, b) == []
+    assert not g.has_service(GATEWAY_RELAY_SERVICE)
 
 
 def test_relay_ttl_exhaustion_refuses():

@@ -1,11 +1,13 @@
 """Unit tests for the TCP model (handshake, streams, congestion behaviour)."""
 
+import random
+
 import pytest
 
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
 from repro.simnet.networks import Ethernet100, LossyInternet, WanVthd
-from repro.simnet.tcp import TcpError, TcpModel, TcpStack
+from repro.simnet.tcp import TcpConnection, TcpError, TcpModel, TcpStack
 
 
 def make_pair(net_cls=Ethernet100, **net_kwargs):
@@ -309,3 +311,28 @@ def test_segment_appends_never_reorder_across_sizes():
 
     data = fw.sim.run(until=fw.sim.process(scenario()), max_time=60)
     assert data == payload
+
+
+def test_a_loss_free_connection_never_builds_its_rng():
+    sim, net, sa, sb, a, b = make_pair()
+    _elapsed, ok = transfer(sim, sa, sb, b, 1 << 20)
+    assert ok
+    conns = sa.connections() + sb.connections()
+    assert len(conns) == 2
+    assert not any(isinstance(conn._rng, random.Random) for conn in conns)
+
+
+def test_the_lazy_loss_stream_is_the_eager_one():
+    """A connection takes one draw of its network's stream when it is built,
+    as ever, and its own losses are those of the ``random.Random`` it used
+    to build from that draw on the spot."""
+    sim, net, sa, sb, a, b = make_pair(WanVthd)
+    net.loss_rate = 0.01
+    twin = random.Random()
+    twin.setstate(net.rng.getstate())
+    conn = TcpConnection(sa, net, b, 40000, 5000)
+    eager = random.Random((twin.randint(0, 1 << 30) << 8) ^ conn.conn_id)
+    assert net.rng.getstate() == twin.getstate()
+    expected = [sum(eager.random() < 0.01 for _ in range(180)) for _ in range(50)]
+    assert [conn._draw_losses(180) for _ in range(50)] == expected
+    assert sum(expected) > 0

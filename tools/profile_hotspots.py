@@ -3,17 +3,21 @@
 
 ``perfbench/``'s builders are imported (nothing there is edited): one warm
 window, on which the engine's loop entries are counted — timers by
-callback, triggered events by kind — then one window under :mod:`cProfile`.
-It prints the top functions by own time, the profile folded by layer
-(``perfbench/tracer.py``'s own ``fold``, so the ``self_s`` / ``calls`` rows
-are the ones a traced perfbench run reports) and the two censuses: the view
-a perfbench number is explained with — which functions and layers a batch
-spends its window in, which timers it schedules and which events it
-triggers, how often.  The counts are deterministic, so two censuses diff exactly: a layer
-that re-grows a completion hop shows up as a new row, not as a wall-clock
-suspicion.  ``--json`` writes a machine-readable artifact so CI can archive
-a nightly profile next to the benchmark numbers and regressions can be
-diffed function by function instead of re-measured from scratch.
+callback, triggered events by kind — then one batch under :mod:`cProfile`,
+its set-up (``build()``: deployment, boot, connects — what ``setup_s``
+times) and its window (``wall_s``) each in a profile of its own.  For both
+phases it prints the top functions by own time and the profile folded by
+layer (``perfbench/tracer.py``'s own ``fold``, so the window's ``self_s`` /
+``calls`` rows are the ones a traced perfbench run reports), then the two
+censuses: the view a perfbench number is explained with — which functions
+and layers a batch spends its set-up and its window in, which timers it
+schedules and which events it triggers, how often.  The counts are
+deterministic, so two censuses diff exactly: a layer that re-grows a
+completion hop shows up as a new row, not as a wall-clock suspicion.
+``--json`` writes a machine-readable artifact (the window's section at the
+top level, the build's under ``setup``) so CI can archive a nightly profile
+next to the benchmark numbers and regressions can be diffed function by
+function instead of re-measured from scratch.
 
 Usage::
 
@@ -111,6 +115,38 @@ def _print_layers(layers: dict) -> None:
             print(f"{calls:10d}  {self_s:8.3f} s  {100.0 * self_s / total_s:5.1f}%  {layer}")
 
 
+def _profiled(phase, fold):
+    """Run ``phase()`` under a profiler of its own: its result and the
+    phase's section of the report (printed by :func:`_print_phase`)."""
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.enable()
+    try:
+        result = phase()
+    finally:
+        profiler.disable()
+    wall = time.perf_counter() - start
+    return result, {"wall": wall, "stats": pstats.Stats(profiler), "layers": fold(profiler)}
+
+
+def _print_phase(title: str, section: dict, sort: str, top: int) -> None:
+    print(f"== {title}: {section['wall']:.3f} s under the profiler ==")
+    _print_stats(section["stats"], sort, top)
+    _print_layers(section["layers"])
+
+
+def _phase_artifact(section: dict, sort: str, top: int) -> dict:
+    return {
+        "profiled_wall_s": round(section["wall"], 3),
+        "calls": section["stats"].total_calls,
+        "hotspots": _rows(section["stats"], top, sort),
+        "layers": {
+            layer: {"self_s": round(self_s, 6), "calls": calls}
+            for layer, (self_s, calls) in section["layers"].items()
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", help="a perfbench workload, e.g. bulk_staging")
@@ -152,22 +188,14 @@ def main(argv=None) -> int:
         Simulator._schedule, Simulator._push_triggered = schedule, push_triggered
     warm = batch.finish()
 
-    batch = workload.build(args.seed, scale)
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    batch.run()
-    profiler.disable()
-    wall = time.perf_counter() - start
+    batch, setup = _profiled(lambda: workload.build(args.seed, scale), tracer.fold)
+    _, window = _profiled(batch.run, tracer.fold)
     outcome = batch.finish()
     failed = warm.failed + outcome.failed
 
-    stats = pstats.Stats(profiler)
-    _print_stats(stats, args.sort, args.top)
-    print(f"one window of {args.workload}: {outcome.units:g} {workload.unit}, "
-          f"{failed} of {outcome.attempted} checks failed")
-    layers = tracer.fold(profiler)
-    _print_layers(layers)
+    _print_phase(f"set-up of {args.workload} (one build)", setup, args.sort, args.top)
+    _print_phase(f"one window of {args.workload}", window, args.sort, args.top)
+    print(f"{outcome.units:g} {workload.unit}, {failed} of {outcome.attempted} checks failed")
     _print_census(timers, "timers scheduled, by callback", args.top)
     _print_census(triggered, "events triggered, by kind", args.top)
     if args.json:
@@ -175,16 +203,14 @@ def main(argv=None) -> int:
             "perfbench": args.workload,
             "seed": args.seed,
             "scale": "quick" if args.quick else "full",
-            "profiled_wall_s": round(wall, 3),
             "units": outcome.units,
             "unit": workload.unit,
             "failed": failed,
             "sort": args.sort,
-            "hotspots": _rows(stats, args.top, args.sort),
-            "layers": {
-                layer: {"self_s": round(self_s, 6), "calls": calls}
-                for layer, (self_s, calls) in layers.items()
-            },
+            # the window's section stays at the top level, where the
+            # artifacts archived so far have it
+            **_phase_artifact(window, args.sort, args.top),
+            "setup": _phase_artifact(setup, args.sort, args.top),
             "timers_scheduled": sum(timers.values()),
             "timer_census": [
                 {"callback": name, "count": count} for name, count in timers.most_common()
