@@ -144,7 +144,7 @@ class VLink:
 
     def _count_read(self, op: SimEvent) -> None:
         if op._exc is None:
-            self.bytes_read += len(op._value)
+            self.bytes_read += len(op.value)
 
     def close(self) -> VLinkOperation:
         """Post a close of the link."""

@@ -29,9 +29,8 @@ as it is — the client's object, over a SAN — else materialised, once.
 from __future__ import annotations
 
 import struct
+import sys
 from typing import Any, Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.simnet.buffers import Gather, immutable
 
@@ -259,7 +258,8 @@ class _OctetSeq(TypeCode):
     name = "sequence<octet>"
 
     def encode(self, out: CdrOutputStream, value) -> None:
-        if isinstance(value, np.ndarray):
+        np = sys.modules.get("numpy")  # an ndarray ``value`` means numpy is loaded
+        if np is not None and isinstance(value, np.ndarray):
             value = value.tobytes()
         if not isinstance(value, (bytes, bytearray, memoryview)):
             raise CdrError(f"sequence<octet> requires bytes, got {type(value).__name__}")
@@ -279,12 +279,16 @@ class _TypedSeq(TypeCode):
         self.align = align
 
     def encode(self, out: CdrOutputStream, value) -> None:
+        import numpy as np
+
         arr = np.asarray(value, dtype=self.np_dtype)
         out.put_ulong(arr.size)
         out._align(self.align)
         out.put_raw(arr.astype(f">{self.np_dtype[1:]}").tobytes())
 
     def decode(self, inp: CdrInputStream):
+        import numpy as np
+
         count = inp.get_ulong()
         inp._align(self.align)
         raw = inp.get_view(count * self.itemsize)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pickle
 import struct
+import sys
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.simnet.buffers import immutable
 from repro.simnet.cost import Cost
@@ -226,7 +225,8 @@ class Communicator(CollectiveMixin):
         req = self.irecv(source, tag)
         raw = yield req.wait()
         datatype = datatype or MPI_BYTE
-        if isinstance(buf, np.ndarray):
+        np = sys.modules.get("numpy")  # an ndarray ``buf`` means numpy is loaded
+        if np is not None and isinstance(buf, np.ndarray):
             flat = np.frombuffer(raw, dtype=buf.dtype)
             if flat.size != buf.size:
                 raise MpiError(

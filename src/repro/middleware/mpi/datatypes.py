@@ -4,14 +4,17 @@ Buffers are numpy arrays or raw bytes; generic Python objects go through
 pickle exactly as in mpi4py's lowercase API.  Datatypes matter for two
 things here: knowing the element size (for counts and displacements) and
 reconstructing typed arrays on the receive side.
+
+numpy is imported where an array is built; an ``isinstance`` guard asks
+``sys.modules`` first — no ndarray can exist before numpy is imported, so
+bytes and pickled traffic never pays for loading it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,13 +31,16 @@ class Datatype:
             if isinstance(values, (bytes, bytearray, memoryview)):
                 return bytes(values)
             raise TypeError(f"datatype {self.name} requires a bytes-like buffer")
-        arr = np.asarray(values, dtype=self.np_dtype)
-        return arr.tobytes()
+        import numpy as np
+
+        return np.asarray(values, dtype=self.np_dtype).tobytes()
 
     def from_bytes(self, raw: bytes):
         """Rebuild a numpy array (or bytes) from the wire representation."""
         if self.np_dtype is None:
             return bytes(raw)
+        import numpy as np
+
         return np.frombuffer(raw, dtype=self.np_dtype).copy()
 
     def count_of(self, raw: bytes) -> int:
@@ -71,20 +77,32 @@ class ReduceOp:
         return self.fn(a, b)
 
 
+def _arrays(a, b):
+    """numpy when ``a`` or ``b`` is an array, else None."""
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return np
+    return None
+
+
 def _sum(a, b):
-    return np.add(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a + b
+    np = _arrays(a, b)
+    return a + b if np is None else np.add(a, b)
 
 
 def _prod(a, b):
-    return np.multiply(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a * b
+    np = _arrays(a, b)
+    return a * b if np is None else np.multiply(a, b)
 
 
 def _min(a, b):
-    return np.minimum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else min(a, b)
+    np = _arrays(a, b)
+    return min(a, b) if np is None else np.minimum(a, b)
 
 
 def _max(a, b):
-    return np.maximum(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else max(a, b)
+    np = _arrays(a, b)
+    return max(a, b) if np is None else np.maximum(a, b)
 
 
 SUM = ReduceOp("MPI_SUM", _sum)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.simnet.cost import MICROSECOND, MB, Cost
 from repro.madeleine.message import PackMode
 from repro.abstraction.circuit import Circuit, CircuitIncoming
@@ -129,13 +127,17 @@ class PvmTask:
             raise PvmError("pack call before pvm_initsend()")
         return self._send_buffer
 
+    # numpy is imported by the typed calls only: string and byte messages
+    # never load it
     def pkint(self, values) -> None:
-        arr = np.asarray(values, dtype="<i4")
-        self._buffer().pack(_T_INT, arr.tobytes())
+        import numpy as np
+
+        self._buffer().pack(_T_INT, np.asarray(values, dtype="<i4").tobytes())
 
     def pkdouble(self, values) -> None:
-        arr = np.asarray(values, dtype="<f8")
-        self._buffer().pack(_T_DOUBLE, arr.tobytes())
+        import numpy as np
+
+        self._buffer().pack(_T_DOUBLE, np.asarray(values, dtype="<f8").tobytes())
 
     def pkbyte(self, raw: bytes) -> None:
         self._buffer().pack(_T_BYTES, bytes(raw))
@@ -192,9 +194,13 @@ class PvmTask:
         return self._recv_buffer
 
     def upkint(self):
+        import numpy as np
+
         return np.frombuffer(self._active_recv().next_item(_T_INT), dtype="<i4").copy()
 
     def upkdouble(self):
+        import numpy as np
+
         return np.frombuffer(self._active_recv().next_item(_T_DOUBLE), dtype="<f8").copy()
 
     def upkbyte(self) -> bytes:

@@ -164,14 +164,18 @@ class SimEvent:
     through :meth:`succeed` (with a value) or :meth:`fail` (with an
     exception).  Callbacks registered with :meth:`add_callback` run when the
     event is processed by the simulator loop, in registration order.
+
+    ``value`` is the value passed to :meth:`succeed` — or, once the event
+    failed, the exception (``_exc`` holds it too and backs :attr:`ok`).
     """
 
     #: ``seq`` is stamped by the simulator when the event triggers (it
     #: orders the ready FIFO against due timers); unset while pending.
+    #: ``callbacks`` is None once the event is processed.
     __slots__ = (
         "sim",
         "callbacks",
-        "_value",
+        "value",
         "_exc",
         "_triggered",
         "_processed",
@@ -181,8 +185,8 @@ class SimEvent:
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
-        self.callbacks: List[Callable[["SimEvent"], None]] = []
-        self._value: Any = None
+        self.callbacks: Optional[List[Callable[["SimEvent"], None]]] = []
+        self.value: Any = None
         self._exc: Optional[BaseException] = None
         self._triggered = False
         self._processed = False
@@ -204,13 +208,6 @@ class SimEvent:
         """True if the event succeeded (only meaningful once triggered)."""
         return self._triggered and self._exc is None
 
-    @property
-    def value(self) -> Any:
-        """The value passed to :meth:`succeed` (or the failure exception)."""
-        if self._exc is not None:
-            return self._exc
-        return self._value
-
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "SimEvent":
         """Trigger the event successfully, optionally after ``delay``."""
@@ -220,7 +217,7 @@ class SimEvent:
             self.sim.call_later(delay, self.fire, value)
             return self
         self._triggered = True
-        self._value = value
+        self.value = value
         self.sim._push_triggered(self)
         return self
 
@@ -234,7 +231,7 @@ class SimEvent:
             self.sim.call_later(delay, self.fire, None, exc)
             return self
         self._triggered = True
-        self._exc = exc
+        self.value = self._exc = exc
         self.sim._push_triggered(self)
         return self
 
@@ -257,9 +254,9 @@ class SimEvent:
             raise self._already_triggered()
         self._triggered = True
         self._processed = True
-        self._value = value
+        self.value = value if exc is None else exc
         self._exc = exc
-        callbacks, self.callbacks = self.callbacks, []
+        callbacks, self.callbacks = self.callbacks, None
         for fn in callbacks:
             fn(self)
 
@@ -279,11 +276,13 @@ class SimEvent:
     def remove_callback(self, fn: Callable[["SimEvent"], None]) -> bool:
         """Detach a callback registered with :meth:`add_callback`.
 
-        Returns True if it was found.  Used by :meth:`Process.interrupt` to
-        abandon the event the process was waiting on: without the removal, a
-        later firing of the abandoned event would re-enter the generator at
-        the wrong yield point.
+        Returns True if it was found (never, once the event is processed).
+        Used by :meth:`Process.interrupt` to abandon the event the process
+        was waiting on: without the removal, a later firing of the abandoned
+        event would re-enter the generator at the wrong yield point.
         """
+        if self.callbacks is None:
+            return False
         try:
             self.callbacks.remove(fn)
             return True
@@ -382,10 +381,10 @@ class Process(SimEvent):
         if self._triggered:
             return
         try:
-            if ev.ok:
+            if ev._exc is None:
                 nxt = self._gen.send(ev.value)
             else:
-                nxt = self._gen.throw(ev.value)
+                nxt = self._gen.throw(ev._exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -713,7 +712,7 @@ class Simulator:
     @staticmethod
     def _process_event(ev: SimEvent) -> None:
         ev._processed = True
-        callbacks, ev.callbacks = ev.callbacks, []
+        callbacks, ev.callbacks = ev.callbacks, None
         for fn in callbacks:
             fn(ev)
 
@@ -841,7 +840,7 @@ class Simulator:
             fn(*args)
         else:
             item._processed = True
-            callbacks, item.callbacks = item.callbacks, []
+            callbacks, item.callbacks = item.callbacks, None
             for fn in callbacks:
                 fn(item)
 
@@ -902,12 +901,7 @@ class Simulator:
             :class:`SimulationError` (used by tests as a deadlock guard).
         """
         self._stopped = False
-        target_event: Optional[SimEvent] = None
-        target_time: Optional[float] = None
-        if isinstance(until, SimEvent):
-            target_event = until
-        elif until is not None:
-            target_time = float(until)
+        target_event, target_time = self._targets(until, self._now)
 
         # The loop interleaves the same-timestamp FIFO with due timers in
         # exact (when, seq) order.  The next-timer triple is cached across
@@ -924,32 +918,41 @@ class Simulator:
                 timer = self._pull()
                 timer_gen = self._timer_gen
             if ready:
-                item = ready[0]
-                is_handle = item.__class__ is TimerHandle
-                if is_handle and item._state != _PENDING:
-                    ready.popleft()
-                    continue
-                if (
-                    timer is None
-                    or self._now < timer[0]
-                    or (self._now == timer[0] and item.seq < timer[1])
-                ):
-                    ready.popleft()
-                    self._live -= 1
-                    self._events_processed += 1
-                    if is_handle:
-                        item._state = _FIRED
-                        fn = item.fn
-                        args = item.args
-                        item.fn = None
-                        item.args = None
-                        fn(*args)
-                    else:
-                        item._processed = True
-                        callbacks = item.callbacks
-                        item.callbacks = []
-                        for fn in callbacks:
-                            fn(item)
+                # The FIFO drains whole while no timer is due at `now`, and up
+                # to the due timer's seq while one is.  What its entries
+                # append is at `now` with a later seq (`_schedule` sends
+                # `when <= now` here) and a timer they schedule lies ahead,
+                # so between entries only stop() and the target are checked.
+                last = timer[1] if timer is not None and timer[0] <= self._now else None
+                if last is None or ready[0].seq < last:
+                    while ready:
+                        item = ready.popleft()
+                        if last is not None and item.seq > last:
+                            ready.appendleft(item)
+                            break
+                        if item.__class__ is TimerHandle:
+                            if item._state != _PENDING:
+                                continue
+                            self._live -= 1
+                            self._events_processed += 1
+                            item._state = _FIRED
+                            fn = item.fn
+                            args = item.args
+                            item.fn = None
+                            item.args = None
+                            fn(*args)
+                        else:
+                            self._live -= 1
+                            self._events_processed += 1
+                            item._processed = True
+                            callbacks = item.callbacks
+                            item.callbacks = None
+                            for fn in callbacks:
+                                fn(item)
+                        if self._stopped or (
+                            target_event is not None and target_event._processed
+                        ):
+                            break
                     continue
             if timer is None:
                 if target_event is not None and not target_event.triggered:
@@ -973,6 +976,22 @@ class Simulator:
                 return target_event.value
             raise target_event.value
         return None
+
+    @staticmethod
+    def _targets(until: Optional[Any], now: float) -> tuple:
+        """:meth:`run`'s ``until`` as ``(event, time)``, the other one None.
+        A time before ``now`` is refused, as :meth:`call_at` refuses one: the
+        clock never moves backwards."""
+        if isinstance(until, SimEvent):
+            return until, None
+        if until is None:
+            return None, None
+        target_time = float(until)
+        if target_time < now:
+            raise SimulationError(
+                f"cannot run until the past (until={target_time!r} < now={now!r})"
+            )
+        return None, target_time
 
     def stop(self) -> None:
         """Stop :meth:`run` at the next iteration (used by watchdogs)."""
@@ -1044,12 +1063,7 @@ class ReferenceSimulator(Simulator):
 
     def run(self, until: Optional[Any] = None, max_time: Optional[float] = None) -> Any:
         self._stopped = False
-        target_event: Optional[SimEvent] = None
-        target_time: Optional[float] = None
-        if isinstance(until, SimEvent):
-            target_event = until
-        elif until is not None:
-            target_time = float(until)
+        target_event, target_time = self._targets(until, self._now)
 
         while not self._stopped:
             if target_event is not None and target_event._processed:

@@ -397,7 +397,8 @@ class Network:
         # mailbox (arrival >= window horizon: the wire latency is the
         # lookahead), on the single loop this is a plain call_at.
         self.sim.call_at_partition(dst.partition, arrival, dst_nic.handle_arrival, frame, arrival)
-        self._observe("frame", frame=frame)
+        if self._observers:
+            self._observe("frame", frame=frame)
         return frame
 
     def transmit_datagram(

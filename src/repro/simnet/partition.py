@@ -397,13 +397,7 @@ class PartitionedSimulator(Simulator):
 
     def run(self, until: Optional[Any] = None, max_time: Optional[float] = None) -> Any:
         self._p_stopped = False
-        target_event: Optional[SimEvent] = None
-        target_time: Optional[float] = None
-        if isinstance(until, SimEvent):
-            target_event = until
-        elif until is not None:
-            target_time = float(until)
-
+        target_event, target_time = self._targets(until, self._time)
         self._run_windows(target_event, target_time, max_time)
 
         if target_event is not None and target_event.triggered:

@@ -612,3 +612,144 @@ def test_periodic_task_self_cancel_from_callback():
     assert holder["task"].runs == 1
     assert sim.now == pytest.approx(0.1)
     assert sim.pending_count() == 0
+
+
+# ---------------------------------------------------------------------------
+# the clock never moves backwards
+# ---------------------------------------------------------------------------
+
+EVERY_KERNEL = {
+    "wheel": Simulator,
+    "heap": ReferenceSimulator,
+    "partitioned": lambda: Simulator(partitions=2),
+}
+
+
+@pytest.mark.parametrize("kernel", EVERY_KERNEL.values(), ids=EVERY_KERNEL.keys())
+def test_run_until_a_past_instant_is_refused_and_leaves_the_clock(kernel):
+    sim = kernel()
+    fired = []
+    sim.call_later(1.0, fired.append, 1.0)
+    sim.call_later(5.0, fired.append, 5.0)
+    sim.run(until=2.0)
+    with pytest.raises(SimulationError, match=r"until=1\.5 < now=2\.0"):
+        sim.run(until=1.5)
+    assert sim.now == 2.0
+    # a relative delay still counts from the instants already executed
+    sim.call_later(1.0, fired.append, 3.0)
+    sim.run()
+    assert fired == [1.0, 3.0, 5.0] and sim.now == 5.0
+
+
+# ---------------------------------------------------------------------------
+# the ready drain: one pass of the run loop per triggered event
+# ---------------------------------------------------------------------------
+
+
+def same_on_both_kernels(scenario):
+    """``scenario(sim)``'s observation on the wheel kernel, asserted equal to
+    the reference heap's."""
+    wheel = scenario(Simulator())
+    assert wheel == scenario(ReferenceSimulator())
+    return wheel
+
+
+def burst_at(sim, when, names, log):
+    """At ``when``, trigger one event per name, each logging ``(now, name)``
+    when processed; a far timer stays pending throughout."""
+    events = [sim.event(name=name) for name in names]
+    for ev in events:
+        ev.add_callback(lambda e: log.append((sim.now, e.name)))
+    sim.call_later(10.0, log.append, "far")
+    sim.call_later(when, lambda: [ev.succeed() for ev in events])
+    return events
+
+
+def test_a_run_ending_on_its_event_mid_drain_leaves_the_rest_queued_in_order():
+    def scenario(sim):
+        log = []
+        events = burst_at(sim, 1.0, "abcde", log)
+        sim.run(until=events[1])
+        first = (list(log), sim.now, sim.pending_count())
+        del log[:]
+        sim.run()
+        return first, log
+
+    first, rest = same_on_both_kernels(scenario)
+    assert first == ([(1.0, "a"), (1.0, "b")], 1.0, 4)
+    assert rest == [(1.0, "c"), (1.0, "d"), (1.0, "e"), "far"]
+
+
+def test_stop_from_a_callback_inside_a_drain_stops_right_after_that_entry():
+    def scenario(sim):
+        log = []
+        events = burst_at(sim, 1.0, "abc", log)
+        events[1].add_callback(lambda _e: sim.stop())
+        sim.run()
+        first = (list(log), sim.now)
+        sim.run()
+        return first, log
+
+    first, log = same_on_both_kernels(scenario)
+    assert first == ([(1.0, "a"), (1.0, "b")], 1.0)
+    assert log == [(1.0, "a"), (1.0, "b"), (1.0, "c"), "far"]
+
+
+def test_a_cancelled_zero_delay_handle_is_skipped_and_not_counted():
+    def scenario(sim):
+        log = []
+        sim.call_later(10.0, log.append, "far")
+
+        def burst():
+            sim.call_later(0.0, log.append, "a")
+            sim.call_later(0.0, log.append, "b").cancel()
+            sim.call_later(0.0, log.append, "c")
+
+        sim.call_later(1.0, burst)
+        sim.run(until=5.0)
+        stats = sim.stats()
+        return log, stats.events_processed, stats.cancellations
+
+    # the burst's timer and two of its three callbacks
+    assert same_on_both_kernels(scenario) == (["a", "c"], 3, 1)
+
+
+def test_a_processed_event_runs_a_new_callback_at_once_and_has_none_to_remove():
+    def scenario(sim):
+        seen = []
+        now, later = sim.event(), sim.event()
+        for ev in (now, later):
+            ev.add_callback(seen.append)
+        now.succeed("now")
+        later.succeed("later", delay=1.0)  # processed by its timer
+        sim.run()
+        out = []
+        for ev in (now, later):
+            del seen[:]
+            ev.add_callback(seen.append)
+            out.append((seen == [ev], ev.remove_callback(seen.append), ev.value))
+        return out
+
+    assert same_on_both_kernels(scenario) == [(True, False, "now"), (True, False, "later")]
+
+
+def test_a_failed_event_holds_its_exception_as_value_and_raises_it_in_a_waiter():
+    def scenario(sim):
+        out = []
+        for delay in (0.0, 1.0):
+            exc = ValueError(f"failed after {delay}")
+            ev = sim.event()
+
+            def waiter(ev=ev):
+                try:
+                    yield ev
+                except ValueError as caught:
+                    return caught
+
+            waiting = sim.process(waiter())
+            ev.fail(exc, delay=delay)
+            caught = sim.run(until=waiting)
+            out.append((ev.value is exc, ev.ok, caught is exc))
+        return out
+
+    assert same_on_both_kernels(scenario) == [(True, False, True)] * 2

@@ -1,4 +1,4 @@
-"""``tools/lint_offline.py``'s cross-file rule, run on the tree itself."""
+"""``tools/lint_offline.py``'s tree rules, run on the tree itself."""
 
 from __future__ import annotations
 
@@ -27,3 +27,30 @@ def test_the_rule_sees_stores_and_counts_loads_and_string_keys(tmp_path):
     findings = load_tool("lint_offline").check_write_only_attributes(tmp_path)
     assert [(str(path), line) for path, line, _ in findings] == [("src/repro/simnet/nic.py", 4)]
     assert "'sent'" in findings[0][2]
+
+
+def test_numpy_is_imported_inside_functions_only(tmp_path):
+    lint = load_tool("lint_offline")
+    assert lint.check_module_level_numpy() == []
+    package = tmp_path / "src" / "repro" / "middleware"
+    package.mkdir(parents=True)
+    (package / "codec.py").write_text(
+        "import numpy as np\n"
+        "try:\n"
+        "    from numpy.linalg import norm\n"
+        "except ImportError:\n"
+        "    norm = None\n"
+        "import numpyro, sys\n"
+        "class Codec:\n"
+        "    import numpy\n"
+        "    def encode(self, values):\n"
+        "        import numpy as np\n"
+        "        return np.asarray(values).tobytes()\n"
+    )
+    findings = lint.check_module_level_numpy(tmp_path)
+    assert [(str(path), line) for path, line, _ in findings] == [
+        ("src/repro/middleware/codec.py", 1),
+        ("src/repro/middleware/codec.py", 3),
+        ("src/repro/middleware/codec.py", 8),
+    ]
+    assert all(message.startswith("W002") for _, _, message in findings)

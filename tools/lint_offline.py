@@ -14,11 +14,18 @@ script approximates the high-signal pyflakes-family rules with the stdlib
 * W001 — (cross-file, not a ruff rule) an attribute *stored* under one of
   :data:`STORE_ROOTS` that no file of :data:`LOAD_ROOTS` ever loads and
   that appears in no string constant (``getattr``, a ``describe()`` key):
-  a counter with a writer and no reader, paid for on every message.
+  a counter with a writer and no reader, paid for on every message;
+* W002 — (not a ruff rule) ``import numpy`` / ``from numpy import ...``
+  outside every function of a module under :data:`NUMPY_ROOT`: numpy is
+  13.7 MB of resident memory (numpy 2.4, CPython 3.11, x86-64 Linux) that
+  every importer of the module pays, whether or not it ever handles an
+  array.  Import it inside the function
+  that builds one, and test ``sys.modules.get("numpy")`` before an
+  ``isinstance(x, np.ndarray)``.
 
 Usage: ``python tools/lint_offline.py [paths...]`` (defaults to
-``src tests benchmarks examples tools``; the cross-file rule runs on the
-default sweep only).  Exits non-zero on findings.
+``src tests benchmarks examples tools``; the tree rules W001 and W002 run
+on the default sweep only).  Exits non-zero on findings.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ STORE_ROOTS = tuple(
 )
 #: everywhere a reader could live
 LOAD_ROOTS = ("src", "tests", "benchmarks", "examples", "tools", "perfbench")
+#: the library: numpy is imported inside functions only (W002)
+NUMPY_ROOT = "src/repro"
 
 
 def _names_loaded(tree: ast.AST) -> set:
@@ -211,6 +220,34 @@ def check_write_only_attributes(base: Path = REPO) -> list:
     return sorted(findings)
 
 
+def _outside_functions(node: ast.AST):
+    """The nodes below ``node`` that run when the module is imported."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def check_module_level_numpy(base: Path = REPO) -> list:
+    """W002 over the tree at ``base``: a numpy import under
+    :data:`NUMPY_ROOT` that is not inside a function."""
+    findings = []
+    for path in _python_files((NUMPY_ROOT,), base):
+        for node in _outside_functions(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                findings.append(
+                    (path.relative_to(base), node.lineno,
+                     "W002 module-level numpy import: import it where an array is handled")
+                )
+    return sorted(findings)
+
+
 def main(argv: list) -> int:
     roots = [Path(p) for p in (argv or ["src", "tests", "benchmarks", "examples", "tools"])]
     findings = []
@@ -220,6 +257,7 @@ def main(argv: list) -> int:
             findings.extend(check_file(path))
     if not argv:
         findings.extend(check_write_only_attributes())
+        findings.extend(check_module_level_numpy())
     for path, lineno, message in findings:
         print(f"{path}:{lineno}: {message}")
     print(f"{len(findings)} finding(s)")
