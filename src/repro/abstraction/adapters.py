@@ -21,23 +21,25 @@ the stream frame header in one gather write.
 from __future__ import annotations
 
 import struct
+from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.simnet.buffers import ByteRing, Gather
+from repro.simnet.buffers import Gather
 from repro.simnet.cost import Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.simnet.network import Delivery, Network
 from repro.arbitration.madio import MadIO, MadIOChannel
-from repro.arbitration.sysio import SysIO
 from repro.abstraction.common import (
     AbstractionError,
     CROSS_PARADIGM_FRAMING_OVERHEAD,
     SoftDelivery,
 )
 from repro.abstraction.circuit import Circuit
+from repro.abstraction.drivers import SysIOVLinkDriver
+from repro.abstraction.records import Serializer, read_records
 from repro.abstraction.selector import RouteChoice
-from repro.abstraction.vlink import VLink, VLinkManager
+from repro.abstraction.vlink import VLinkManager
 
 
 class CircuitAdapter:
@@ -116,41 +118,13 @@ class MadIOCircuitAdapter(CircuitAdapter):
 # ---------------------------------------------------------------------------
 
 _FRAME = struct.Struct("!II")  # src_rank, payload length
-_HELLO = struct.Struct("!4sI")  # magic, src_rank
-_HELLO_MAGIC = b"CIRC"
+#: a stream's first record is its hello: the tag where a frame has its
+#: source rank, the sender's rank where a frame has its length, no payload
+_HELLO_TAG = int.from_bytes(b"CIRC", "big")
 
 
-class _StreamPeer:
-    """Receive-side reassembly state for one incoming byte stream."""
-
-    def __init__(self) -> None:
-        self.buffer = ByteRing()
-        self.src_rank: Optional[int] = None
-
-    def feed(self, data) -> List[Tuple[int, bytes]]:
-        """Append stream bytes; return the complete messages extracted, each
-        as the chunks it arrived in (``decode_segments`` flattens per
-        segment, not per message)."""
-        buffer = self.buffer
-        buffer.append(data)
-        out: List[Tuple[int, bytes]] = []
-        while True:
-            if self.src_rank is None:
-                if len(buffer) < _HELLO.size:
-                    return out
-                magic, rank = _HELLO.unpack(buffer.peek(_HELLO.size))
-                if magic != _HELLO_MAGIC:
-                    raise AbstractionError("bad circuit stream hello")
-                self.src_rank = rank
-                buffer.skip(_HELLO.size)
-                continue
-            if len(buffer) < _FRAME.size:
-                return out
-            src_rank, length = _FRAME.unpack(buffer.peek(_FRAME.size))
-            if len(buffer) < _FRAME.size + length:
-                return out
-            buffer.skip(_FRAME.size)
-            out.append((src_rank, buffer.take_gather(length)))
+def _frame_len(fields: Tuple[int, int]) -> int:
+    return 0 if fields[0] == _HELLO_TAG else fields[1]
 
 
 class StreamMeshCircuitAdapter(CircuitAdapter):
@@ -159,6 +133,8 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
     A lazily built mesh: the first message towards a rank opens a stream to
     that rank's circuit port; incoming streams are identified by a small
     hello record carrying the sender's rank.  Messages are length-prefixed.
+    A stream is anything with the driver-connection read surface (a SysIO
+    socket, a VLink, an adaptive session).
     """
 
     name = "stream-mesh"
@@ -167,12 +143,11 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         super().__init__(circuit, route)
         self._out_streams: Dict[int, object] = {}
         self._connecting: Dict[int, List[Tuple[bytes, Cost, SimEvent]]] = {}
-        self._peers: Dict[int, _StreamPeer] = {}
-        # per-destination cursor serializing framed writes: a later small
-        # message with a cheaper send-side cost must never overtake an
-        # earlier large one towards the same rank (message-level twin of
-        # the MadVLink fix).
-        self._next_write_at: Dict[int, float] = {}
+        #: the sender's rank of each incoming stream, once its hello arrived
+        self._peers: Dict[int, int] = {}
+        # per-destination cursor: a later small message with a cheaper
+        # send-side cost must never overtake an earlier large one
+        self._cursors: Dict[int, Serializer] = defaultdict(lambda: Serializer(self.sim))
 
     # subclass hooks ------------------------------------------------------------
     def _listen(self, port: int, on_incoming: Callable) -> None:
@@ -180,14 +155,6 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
 
     def _connect(self, dst_host: Host, port: int) -> SimEvent:
         raise NotImplementedError
-
-    @staticmethod
-    def _watch(stream, fn: Callable) -> None:
-        """Register the data-readable callback on a stream."""
-        if hasattr(stream, "set_data_callback"):
-            stream.set_data_callback(fn)
-        else:
-            stream.set_data_handler(fn)
 
     # lifecycle ---------------------------------------------------------------------
     def start(self) -> None:
@@ -222,9 +189,8 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
                 return
             stream = ev.value
             self._out_streams[dst_rank] = stream
-            self._watch(stream, lambda _s=None: self._on_stream_data(stream))
-            hello = _HELLO.pack(_HELLO_MAGIC, self.circuit.rank)
-            stream.write(hello)
+            stream.set_data_callback(self._on_stream_data)
+            stream.write(_FRAME.pack(_HELLO_TAG, self.circuit.rank))
             for p, c, d in queued:
                 self._send_on(stream, dst_rank, p, c, d)
 
@@ -233,29 +199,23 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
 
     def _send_on(self, stream, dst_rank: int, payload: bytes, cost: Cost, done: SimEvent) -> None:
         frame = Gather((_FRAME.pack(self.circuit.rank, len(payload)), payload))
-        # The framing cost delays the actual write, but writes towards one
-        # destination stay serialized (same-time events are FIFO in the
-        # engine).
-        ready = max(self.sim.now + cost.seconds, self._next_write_at.get(dst_rank, 0.0))
-        self._next_write_at[dst_rank] = ready
-        # the stream (a SysSocket or a VLink) completes the send's own event
-        self.sim.call_later(ready - self.sim.now, stream.write, frame, done)
+        # the framing cost delays the write; the stream completes the send's own event
+        self._cursors[dst_rank].after(cost.seconds, stream.write, frame, done)
 
     # receive path ---------------------------------------------------------------------
     def _on_incoming_stream(self, stream, peer_host) -> None:
-        self._watch(stream, lambda _s=None: self._on_stream_data(stream))
+        stream.set_data_callback(self._on_stream_data)
         # data may already be buffered
         self._on_stream_data(stream)
 
     def _on_stream_data(self, stream) -> None:
-        data = stream.read_available(gather=True)
-        if not data:
-            return
-        peer = self._peers.get(id(stream))
-        if peer is None:
-            peer = _StreamPeer()
-            self._peers[id(stream)] = peer
-        for src_rank, payload in peer.feed(data):
+        key = id(stream)
+        for (src_rank, length), payload in read_records(stream, _FRAME, _frame_len):
+            if src_rank == _HELLO_TAG:
+                self._peers[key] = length
+                continue
+            if key not in self._peers:
+                raise AbstractionError("bad circuit stream hello")
             rx = SoftDelivery(self.sim)
             rx.cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD)
             self.circuit._deliver(src_rank, payload, rx)
@@ -263,9 +223,19 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         # outgoing stream yet (avoids building two sockets per pair).  The
         # peer's parser for that direction has not seen a hello yet, so send
         # ours before any framed message travels back.
-        if peer.src_rank is not None and peer.src_rank not in self._out_streams:
-            self._out_streams[peer.src_rank] = stream
-            stream.write(_HELLO.pack(_HELLO_MAGIC, self.circuit.rank))
+        peer = self._peers.get(key)
+        if peer is not None and peer not in self._out_streams:
+            self._out_streams[peer] = stream
+            stream.write(_FRAME.pack(_HELLO_TAG, self.circuit.rank))
+
+
+class _CircuitPorts(SysIOVLinkDriver):
+    """SysIO sockets in the circuits' own port range: the VLink port
+    namespace *is* the raw SysIO one, so a mixed group (legs on this adapter
+    and on VLink-based ones) must not collide with the VLink listener of the
+    circuit port; the method drivers' offsets stay below this one."""
+
+    PORT_OFFSET = 200000
 
 
 class SysIOCircuitAdapter(StreamMeshCircuitAdapter):
@@ -273,25 +243,15 @@ class SysIOCircuitAdapter(StreamMeshCircuitAdapter):
 
     name = "sysio"
 
-    #: own SysIO port range: a mixed group (some legs on this adapter, some
-    #: on VLink-based adapters) must not collide with the VLink manager's
-    #: listener for the same circuit port — the VLink port namespace *is*
-    #: the raw SysIO namespace, and the method drivers' offsets stay below
-    #: this one.
-    PORT_OFFSET = 200000
-
     def __init__(self, circuit: Circuit, route: RouteChoice):
         super().__init__(circuit, route)
-        self.sysio: SysIO = self.host.require_service("sysio")
-        self.network = route.network
+        self.ports = _CircuitPorts(self.host.require_service("sysio"), route.network)
 
     def _listen(self, port: int, on_incoming: Callable) -> None:
-        self.sysio.listen(
-            port + self.PORT_OFFSET, lambda sock: on_incoming(sock, sock.conn.peer_host)
-        )
+        self.ports.listen(port, on_incoming)
 
     def _connect(self, dst_host: Host, port: int) -> SimEvent:
-        return self.sysio.connect(dst_host, port + self.PORT_OFFSET, network=self.network)
+        return self.ports.connect(dst_host, port)
 
 
 class VLinkCircuitAdapter(StreamMeshCircuitAdapter):
@@ -330,13 +290,6 @@ class VLinkCircuitAdapter(StreamMeshCircuitAdapter):
         except ValueError:
             return None
         return self.circuit._routes_by_rank.get(rank)
-
-    @staticmethod
-    def _watch(stream, fn: Callable) -> None:
-        if isinstance(stream, VLink):
-            stream.set_data_handler(fn)
-        else:
-            stream.set_data_callback(fn)
 
 
 class LoopbackCircuitAdapter(CircuitAdapter):

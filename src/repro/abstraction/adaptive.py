@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import struct
 import zlib
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.simnet.buffers import ByteRing, StreamBuffer
+from repro.simnet.buffers import StreamBuffer
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.abstraction.common import AbstractionError
+from repro.abstraction.records import no_body, read_hello, read_records
 from repro.abstraction.routing import Route, RouteChoice
 from repro.abstraction.vlink import VLink, VLinkManager, VLinkOperation, VLinkState
 
@@ -58,6 +60,7 @@ _STATUS_UNKNOWN = 0
 
 #: rail frame header: type, stream offset, payload length.
 _FRAME = struct.Struct("!BQI")
+_frame_len = itemgetter(2)
 _T_DATA = 1
 _T_ACK = 2
 _T_CLOSE = 3
@@ -89,31 +92,6 @@ def route_signature(route: "Optional[Route | RouteChoice]") -> Optional[Tuple]:
         )
         for hop in hops
     )
-
-
-class _FrameParser:
-    """Per-rail reassembly of ``(type, offset, payload)`` frames.
-
-    Incoming chunks are aliased into a :class:`ByteRing`; headers are peeked
-    without assembling payloads, and each payload byte is sliced out exactly
-    once.
-    """
-
-    def __init__(self) -> None:
-        self.buffer = ByteRing()
-
-    def feed(self, data: bytes) -> List[Tuple[int, int, bytes]]:
-        ring = self.buffer
-        ring.append(data)
-        out: List[Tuple[int, int, bytes]] = []
-        header_size = _FRAME.size
-        while len(ring) >= header_size:
-            kind, offset, length = _FRAME.unpack(ring.peek(header_size))
-            if len(ring) < header_size + length:
-                break
-            ring.skip(header_size)
-            out.append((kind, offset, ring.take(length)))
-        return out
 
 
 class AdaptiveVLink:
@@ -149,7 +127,6 @@ class AdaptiveVLink:
         self.state = VLinkState.CONNECTING
         self.rail: Optional[VLink] = None
         self.rail_signature: Optional[Tuple] = None
-        self._parser: Optional[_FrameParser] = None
         self.buffer = StreamBuffer(self.sim)  # inbound, app-visible
         # outbound bookkeeping (absolute stream offsets)
         self.out_offset = 0  # bytes accepted from the application
@@ -262,6 +239,9 @@ class AdaptiveVLink:
     def available(self) -> int:
         return self.buffer.available()
 
+    def peek(self, nbytes: int) -> bytes:
+        return self.buffer.peek(nbytes)
+
     def read_available(self, limit: Optional[int] = None, gather: bool = False):
         data = self.buffer.read_available(limit, gather)
         self.bytes_read += len(data)
@@ -272,6 +252,8 @@ class AdaptiveVLink:
             self.buffer.set_data_callback(None)
         else:
             self.buffer.set_data_callback(lambda: fn(self))
+
+    set_data_callback = set_data_handler
 
     @property
     def peer_name(self) -> str:
@@ -293,7 +275,7 @@ class AdaptiveVLink:
         return self.out_offset - self.peer_acked
 
     # -- rail management -----------------------------------------------------------
-    def _attach_rail(self, rail: VLink, peer_delivered: int, initial: bytes = b"") -> None:
+    def _attach_rail(self, rail: VLink, peer_delivered: int) -> None:
         """Adopt ``rail`` as the carrier; resend everything past
         ``peer_delivered`` (the bytes the peer reported as delivered)."""
         old = self.rail
@@ -305,13 +287,10 @@ class AdaptiveVLink:
         self.rail = rail
         self.rail_signature = route_signature(rail.route)
         self._rail_dead = False
-        self._parser = _FrameParser()
         self._on_ack(peer_delivered)
         self.sent_offset = peer_delivered
         rail.set_data_handler(self._on_rail_data)
         rail.set_close_handler(self._on_rail_closed)
-        if initial:
-            self._on_frames(self._parser.feed(initial))
         self._flush()
 
     def _flush(self) -> None:
@@ -343,18 +322,14 @@ class AdaptiveVLink:
 
     # -- receive path ----------------------------------------------------------------
     def _on_rail_data(self, rail: VLink) -> None:
-        if rail is not self.rail or self._parser is None:
+        if rail is not self.rail:
             rail.read_available()
             return
-        data = rail.read_available()
-        if data:
-            self._on_frames(self._parser.feed(data))
-
-    def _on_frames(self, frames: List[Tuple[int, int, bytes]]) -> None:
         got_data = False
-        for kind, offset, payload in frames:
+        for (kind, offset, _length), payload in read_records(rail, _FRAME, _frame_len):
             if kind == _T_DATA:
-                got_data = self._on_data(offset, payload) or got_data
+                # a frame is delivered flat: a read that matches it gets it whole
+                got_data = self._on_data(offset, bytes(payload)) or got_data
             elif kind == _T_ACK:
                 self._on_ack(offset)
             elif kind == _T_CLOSE:
@@ -630,31 +605,14 @@ class AdaptiveListener:
             self.rejected += 1
             raw.close()
             return
-        hello = bytearray()
-        handshaken = [False]
+        read_hello(raw, _HELLO, no_body, self._handshaken)
 
-        def _on_data(link: VLink) -> None:
-            if handshaken[0]:
-                return
-            hello.extend(link.read_available())
-            if len(hello) < _HELLO.size:
-                return
-            handshaken[0] = True
-            link.set_data_handler(None)
-            magic, session_id, kind, client_delivered = _HELLO.unpack_from(hello, 0)
-            extra = bytes(hello[_HELLO.size :])
-            if magic != _HELLO_MAGIC:
-                self.rejected += 1
-                link.close()
-                return
-            self._handshaken(link, session_id, kind, client_delivered, extra)
-
-        raw.set_data_handler(_on_data)
-        _on_data(raw)
-
-    def _handshaken(
-        self, raw: VLink, session_id: int, kind: int, client_delivered: int, extra: bytes
-    ) -> None:
+    def _handshaken(self, raw: VLink, hello: Tuple, _body) -> None:
+        magic, session_id, kind, client_delivered = hello
+        if magic != _HELLO_MAGIC:
+            self.rejected += 1
+            raw.close()
+            return
         if kind == SESSION_RESUME:
             session = self.sessions.get(session_id)
             if session is None or session.state is VLinkState.CLOSED:
@@ -662,14 +620,14 @@ class AdaptiveListener:
                 raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_UNKNOWN, 0))
                 return
             raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_OK, session.in_delivered))
-            session._attach_rail(raw, client_delivered, initial=extra)
+            session._attach_rail(raw, client_delivered)
             return
         session = AdaptiveVLink(self.manager, session_id, None, self.port, role="server")
         session.listener = self
         self.sessions[session_id] = session
         raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_OK, 0))
         session.state = VLinkState.ESTABLISHED
-        session._attach_rail(raw, client_delivered, initial=extra)
+        session._attach_rail(raw, client_delivered)
         if self._waiters:
             self._waiters.pop(0).succeed(session)
         elif self._accept_callback is not None:

@@ -14,8 +14,8 @@ This module provides the three core drivers:
 * :class:`LoopbackVLinkDriver` — intra-host links between two middleware
   systems living in the same process.
 
-The WAN-specific method drivers (parallel streams, AdOC compression, VRP)
-live in :mod:`repro.methods` and register themselves under their own names.
+The method drivers of :mod:`repro.methods` subclass the SysIO driver and
+frame their records through :mod:`repro.abstraction.records`.
 
 The driver-connection interface
 -------------------------------
@@ -27,7 +27,7 @@ a *driver connection*: any object with
   :class:`~repro.simnet.buffers.Gather`, already immutable) as one write;
 * ``recv(nbytes=None, done=None, gather=False)`` /
   ``recv_exact(nbytes, done=None, gather=False)`` — a partial / exact read;
-* ``available()``, ``read_available(limit=None, gather=False)``,
+* ``available()``, ``peek(n)``, ``read_available(limit=None, gather=False)``,
   ``set_data_callback(fn)``, ``set_close_callback(fn)`` (both called with the
   connection), ``close()`` and ``peer_name``.
 
@@ -121,9 +121,19 @@ class VLinkDriver:
 
 
 class SysIOVLinkDriver(VLinkDriver):
-    """Delegates the five VLink primitives to SysIO arbitrated sockets."""
+    """Delegates the five VLink primitives to SysIO arbitrated sockets.
+
+    The base of the method drivers of :mod:`repro.methods` too: a subclass
+    gives its ``PORT_OFFSET`` (its own SysIO port range, so several drivers
+    serve one VLink port side by side) and ``_wrap(sock, ready, fail)``, which
+    hands ``ready(conn, delay=0.0)`` its connection over ``sock``; ``fail(exc)``
+    fails a connect, and is None on an accepted socket (a driver closes one it
+    rejects).
+    """
 
     name = "sysio"
+    PORT_OFFSET = 0
+    _wrap: Optional[Callable] = None  # the straight driver's connection is the socket
 
     def __init__(self, sysio: SysIO, network: Optional[Network] = None):
         super().__init__(sysio.host)
@@ -131,10 +141,41 @@ class SysIOVLinkDriver(VLinkDriver):
         self.network = network
 
     def listen(self, port: int, on_incoming: Callable) -> None:
-        self.sysio.listen(port, lambda sock: on_incoming(sock, sock.conn.peer_host))
+        port += self.PORT_OFFSET
+        if self._wrap is None:
+            self.sysio.listen(port, lambda sock: on_incoming(sock, sock.conn.peer_host))
+        else:
+            self.sysio.listen(port, lambda sock: self._accepted(sock, on_incoming))
+
+    def _accepted(self, sock, on_incoming: Callable) -> None:
+        peer = sock.conn.peer_host
+
+        def ready(conn, delay: float = 0.0) -> None:
+            if delay:
+                self.sim.call_later(delay, on_incoming, conn, peer)
+            else:
+                on_incoming(conn, peer)
+
+        self._wrap(sock, ready, None)
 
     def connect(self, dst_host: Host, port: int) -> SimEvent:
-        return self.sysio.connect(dst_host, port, network=self.network)
+        attempt = self._open(dst_host, port)
+        if self._wrap is None:
+            return attempt
+        done = self.sim.event(name=f"{self.name}-connect({dst_host.name}:{port})")
+
+        def connected(ev) -> None:
+            if ev.ok:
+                self._wrap(ev.value, done.succeed, done.fail)
+            else:
+                done.fail(ev.value)
+
+        attempt.add_callback(connected)
+        return done
+
+    def _open(self, dst_host: Host, port: int) -> SimEvent:
+        """One SysIO socket to ``port`` in this driver's range."""
+        return self.sysio.connect(dst_host, port + self.PORT_OFFSET, network=self.network)
 
     def reaches(self, dst_host: Host) -> bool:
         return any(

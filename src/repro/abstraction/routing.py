@@ -36,11 +36,11 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.simnet.buffers import ByteRing
 from repro.simnet.cost import MILLISECOND, latency_bandwidth_time
 from repro.simnet.host import Host
 from repro.simnet.network import Network
 from repro.abstraction.common import AbstractionError, GATEWAY_FORWARD_OVERHEAD
+from repro.abstraction.records import Serializer, read_hello
 from repro.abstraction.topology import LinkClass, TopologyKB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -358,6 +358,12 @@ def decode_pinned_hops(blob: bytes) -> List[Tuple[str, str, Dict[str, float]]]:
     return triples
 
 
+def _hello_len(fields: Tuple) -> int:
+    """The name and the pinned hops; nothing behind a bad magic (refused at once)."""
+    magic, _port, _ttl, name_len, pin_len = fields
+    return name_len + pin_len if magic == _RELAY_MAGIC else 0
+
+
 class _RelaySession:
     """One upstream stream being handshaken and then spliced downstream."""
 
@@ -366,44 +372,22 @@ class _RelaySession:
         self.sim = relay.sim
         self.upstream = upstream
         self.downstream: Optional["VLink"] = None
-        self.buffer = ByteRing()
-        self.header: Optional[Tuple[int, int, int, int]] = None  # port, ttl, name_len, pin_len
-        self.failed = False
         self.closed = False
-        # per-direction cursor serializing forwarded writes: a small chunk's
-        # shorter copy delay must never let it overtake an earlier large one.
-        self._next_write_at: Dict[int, float] = {}
-        upstream.set_data_handler(lambda _link: self._on_upstream_data())
-        self._on_upstream_data()
+        # one cursor per direction: a small chunk's shorter copy delay must
+        # never let it overtake an earlier large one
+        self._to_downstream = Serializer(self.sim)
+        self._to_upstream = Serializer(self.sim)
+        # payload behind the hello stays buffered upstream while the next leg opens
+        read_hello(upstream, _RELAY_HELLO, _hello_len, self._on_hello)
 
     # -- handshake phase -------------------------------------------------------
-    def _on_upstream_data(self) -> None:
-        if self.failed:
-            self.upstream.read_available()
+    def _on_hello(self, upstream: "VLink", fields: Tuple, body) -> None:
+        magic, port, ttl, name_len, _pin_len = fields
+        if magic != _RELAY_MAGIC:
+            self._refuse("relay: bad handshake magic")
             return
-        self.buffer.append(self.upstream.read_available())
-        if self.header is None:
-            if len(self.buffer) < _RELAY_HELLO.size:
-                return
-            magic, port, ttl, name_len, pin_len = _RELAY_HELLO.unpack(
-                self.buffer.peek(_RELAY_HELLO.size)
-            )
-            if magic != _RELAY_MAGIC:
-                self._refuse("relay: bad handshake magic")
-                return
-            self.header = (port, ttl, name_len, pin_len)
-        port, ttl, name_len, pin_len = self.header
-        if len(self.buffer) < _RELAY_HELLO.size + name_len + pin_len:
-            return
-        self.buffer.skip(_RELAY_HELLO.size)
-        dst_name = self.buffer.take(name_len).decode("utf-8")
-        pinned = self.buffer.take(pin_len)
-        # handshake complete: keep buffering payload while the next leg opens
-        self.upstream.set_data_handler(lambda _link: self._buffer_early_payload())
-        self._open_downstream(dst_name, port, ttl, pinned)
-
-    def _buffer_early_payload(self) -> None:
-        self.buffer.append(self.upstream.read_available())
+        body = bytes(body)
+        self._open_downstream(body[:name_len].decode("utf-8"), port, ttl, body[name_len:])
 
     def _open_downstream(self, dst_name: str, port: int, ttl: int, pinned: bytes = b"") -> None:
         if ttl <= 0:
@@ -472,13 +456,12 @@ class _RelaySession:
         self.downstream = ev.value
         self.relay.relayed += 1
         self.upstream.write(_RELAY_OK)
-        if self.buffer:
-            self._forward(self.downstream, self.buffer.take())
+        self._pump(self.upstream, self.downstream, self._to_downstream)  # what came early
         self.upstream.set_data_handler(
-            lambda _link: self._pump(self.upstream, self.downstream)
+            lambda _link: self._pump(self.upstream, self.downstream, self._to_downstream)
         )
         self.downstream.set_data_handler(
-            lambda _link: self._pump(self.downstream, self.upstream)
+            lambda _link: self._pump(self.downstream, self.upstream, self._to_upstream)
         )
         # close() on either leg (local teardown, peer FIN, gateway death)
         # propagates to the other leg and reclaims the session.
@@ -486,8 +469,6 @@ class _RelaySession:
         self.downstream.set_close_handler(lambda _link: self.teardown("downstream closed"))
 
     def _refuse(self, reason: str) -> None:
-        self.failed = True
-        self.buffer.clear()
         self.relay.refused += 1
         self.relay.last_error = reason
         self.upstream.write(_RELAY_FAIL)
@@ -507,25 +488,18 @@ class _RelaySession:
         self.relay._reclaim(self, reason)
 
     # -- splice phase -----------------------------------------------------------
-    def _pump(self, src_link: "VLink", dst_link: "VLink") -> None:
-        # a relay only forwards: the burst goes on as the chunks it arrived
-        # in (one gather write), never joined here
+    def _pump(self, src_link: "VLink", dst_link: "VLink", cursor: Serializer) -> None:
+        """Store-and-forward what ``src_link`` holds, charging the gateway's
+        CPU for it; ``cursor`` keeps the writes towards one leg in order.
+
+        A relay only forwards: the burst goes on as the chunks it arrived in
+        (one gather write), never joined here.
+        """
         data = src_link.read_available(gather=True)
         if data:
-            self._forward(dst_link, data)
-
-    def _forward(self, dst_link: "VLink", data: bytes) -> None:
-        """Store-and-forward one chunk, charging the gateway's CPU for it.
-
-        Writes towards one leg are serialized: each chunk fires no earlier
-        than the previous one (same-time events are FIFO in the simulator),
-        so in-order byte-stream semantics survive the relay.
-        """
-        self.relay.bytes_forwarded += len(data)
-        delay = GATEWAY_FORWARD_OVERHEAD + self.relay.host.cpu.copy_time(len(data))
-        ready = max(self.sim.now + delay, self._next_write_at.get(id(dst_link), 0.0))
-        self._next_write_at[id(dst_link)] = ready
-        self.sim.call_later(ready - self.sim.now, self._write_out, dst_link, data)
+            self.relay.bytes_forwarded += len(data)
+            delay = GATEWAY_FORWARD_OVERHEAD + self.relay.host.cpu.copy_time(len(data))
+            cursor.after(delay, self._write_out, dst_link, data)
 
     @staticmethod
     def _write_out(dst_link: "VLink", data: bytes) -> None:

@@ -108,7 +108,6 @@ class VLink:
         self.route = route
         self.state = VLinkState.ESTABLISHED if conn is not None else VLinkState.IDLE
         self.bytes_read = 0
-        manager._links.append(self)
 
     # -- primitives -----------------------------------------------------------
     def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
@@ -162,6 +161,9 @@ class VLink:
         """Bytes readable without waiting."""
         return self.conn.available()
 
+    def peek(self, nbytes: int) -> bytes:
+        return self.conn.peek(nbytes)
+
     def read_available(self, limit: Optional[int] = None, gather: bool = False):
         data = self.conn.read_available(limit, gather)
         self.bytes_read += len(data)
@@ -182,6 +184,11 @@ class VLink:
         adaptive links (rail-death detection).
         """
         self.conn.set_close_callback(None if fn is None else (lambda _conn: fn(self)))
+
+    # the driver-connection names, so a VLink is a stream like a socket
+    # (what the record layer and the stream-mesh adapters read)
+    set_data_callback = set_data_handler
+    set_close_callback = set_close_handler
 
     # -- internals ----------------------------------------------------------------
     def _check_established(self, opname: str) -> None:
@@ -249,7 +256,6 @@ class VLinkManager:
         self.selector = selector
         self._drivers: Dict[str, "VLinkDriver"] = {}
         self._listeners: Dict[int, VLinkListener] = {}
-        self._links: List[VLink] = []
         #: open adaptive sessions originated here (migration candidates).
         self._adaptive_links: List = []
         self._topology_subscribed = False
@@ -295,9 +301,6 @@ class VLinkManager:
         return sorted(
             name for name, driver in self._drivers.items() if getattr(driver, "reliable", True)
         )
-
-    def links(self) -> List[VLink]:
-        return list(self._links)
 
     # -- server side -----------------------------------------------------------------
     def listen(self, port: int) -> VLinkListener:

@@ -64,6 +64,9 @@ class SysSocket:
     def available(self) -> int:
         return self.conn.available()
 
+    def peek(self, nbytes: int) -> bytes:
+        return self.conn.peek(nbytes)
+
     # -- sending -------------------------------------------------------------------
     def write(self, data: bytes, done: Optional["SimEvent"] = None) -> "SimEvent":
         """Write bytes on the socket; the event (``done`` when the caller

@@ -15,6 +15,11 @@ line*:
   for lossy WANs: give up a bounded amount of reliability for bandwidth.
 * :mod:`repro.methods.security` — GSI-style authentication + ciphering for
   links that cross administrative sites.
+
+Each driver subclasses :class:`~repro.abstraction.drivers.SysIOVLinkDriver`
+(its own SysIO port range and a ``_wrap`` of the connected socket) and parses
+its records in place through :mod:`repro.abstraction.records`; AdOC and GSI
+are codecs over one :class:`~repro.abstraction.records.CodecConnection`.
 """
 
 from repro.methods.parallel_streams import ParallelStreamsVLinkDriver, ParallelStreamConnection

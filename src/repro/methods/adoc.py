@@ -18,14 +18,13 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
-from repro.simnet.buffers import ByteRing
 from repro.simnet.cost import MB
-from repro.simnet.engine import SimEvent
-from repro.simnet.host import Host
 from repro.arbitration.sysio import SysIO, SysSocket
-from repro.abstraction.drivers import BufferedConnection, StreamBuffer, VLinkDriver
+from repro.abstraction.drivers import SysIOVLinkDriver
+from repro.abstraction.records import CodecConnection
 
 _BLOCK = struct.Struct("!BII")  # flags, original length, wire length
 _FLAG_COMPRESSED = 0x01
@@ -69,51 +68,18 @@ class AdocCodec:
         return wire, len(wire) / (self.decompress_bandwidth * 20)
 
 
-class AdocConnection(BufferedConnection):
-    """A compressed byte-stream over one SysIO socket."""
+class AdocConnection(CodecConnection):
+    """A compressed byte stream over one SysIO socket: each write is one block."""
+
+    RECORD = _BLOCK
 
     def __init__(self, driver: "AdocVLinkDriver", sock: SysSocket):
-        self.driver = driver
-        self.sim = driver.sim
         self.codec = driver.codec
-        self.sock = sock
-        self.peer_name = sock.peer_name
-        self.buffer = StreamBuffer(driver.sim)
-        self._rx = ByteRing()
-        self.closed = False
         self.blocks_sent = 0
         self.blocks_compressed = 0
         self.bytes_in = 0
         self.bytes_on_wire = 0
-        # per-direction cursors serializing the size-dependent codec delays:
-        # a small block's cheaper (de)compression must never let it overtake
-        # an earlier large one — this is a byte stream.
-        self._next_write_at = 0.0
-        self._next_append_at = 0.0
-        sock.set_data_callback(self._on_data)
-
-    # -- driver-connection interface --------------------------------------------------
-    def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
-        if self.closed:
-            raise ConnectionError("write() on closed AdOC connection")
-        flags, wire, cpu = self.codec.encode(bytes(data))
-        self.blocks_sent += 1
-        if flags & _FLAG_COMPRESSED:
-            self.blocks_compressed += 1
-        self.bytes_in += len(data)
-        self.bytes_on_wire += len(wire)
-        frame = _BLOCK.pack(flags, len(data), len(wire)) + wire
-        if done is None:
-            done = self.sim.event(name="adoc-write")
-        ready = max(self.sim.now + cpu, self._next_write_at)
-        self._next_write_at = ready
-        self.sim.call_later(ready - self.sim.now, self.sock.write, frame, done)
-        return done
-
-    def close(self) -> None:
-        self.closed = True
-        self.sock.close()
-        self.buffer.close()
+        super().__init__(driver.sim, sock)
 
     @property
     def compression_ratio(self) -> float:
@@ -122,57 +88,31 @@ class AdocConnection(BufferedConnection):
             return 1.0
         return self.bytes_on_wire / self.bytes_in
 
-    # -- receive path ---------------------------------------------------------------------
-    def _on_data(self, sock: SysSocket) -> None:
-        rx = self._rx
-        rx.append(sock.read_available())
-        while True:
-            if len(rx) < _BLOCK.size:
-                return
-            flags, original, wire_len = _BLOCK.unpack(rx.peek(_BLOCK.size))
-            if len(rx) < _BLOCK.size + wire_len:
-                return
-            rx.skip(_BLOCK.size)
-            wire = rx.take(wire_len)
-            block, cpu = self.codec.decode(flags, wire, original)
-            ready = max(self.sim.now + cpu, self._next_append_at)
-            self._next_append_at = ready
-            self.sim.call_later(ready - self.sim.now, self.buffer.append, block)
+    def _encode(self, data: bytes) -> tuple:
+        flags, wire, cpu = self.codec.encode(data)
+        self.blocks_sent += 1
+        if flags & _FLAG_COMPRESSED:
+            self.blocks_compressed += 1
+        self.bytes_in += len(data)
+        self.bytes_on_wire += len(wire)
+        return _BLOCK.pack(flags, len(data), len(wire)), wire, cpu
+
+    _body_len = itemgetter(2)  # the wire length
+
+    def _decode(self, fields: tuple, wire: bytes) -> tuple:
+        flags, original, _wire_len = fields
+        return self.codec.decode(flags, wire, original)
 
 
-class AdocVLinkDriver(VLinkDriver):
+class AdocVLinkDriver(SysIOVLinkDriver):
     """The ``adoc`` VLink driver: SysIO + adaptive online compression."""
 
     name = "adoc"
-
-    #: the driver listens on its own SysIO port range so that several
-    #: VLink drivers can serve the same logical VLink port side by side.
     PORT_OFFSET = 110000
 
     def __init__(self, sysio: SysIO, codec: Optional[AdocCodec] = None):
-        super().__init__(sysio.host)
-        self.sysio = sysio
+        super().__init__(sysio)
         self.codec = codec or AdocCodec()
 
-    def listen(self, port: int, on_incoming: Callable) -> None:
-        self.sysio.listen(
-            port + self.PORT_OFFSET,
-            lambda sock: on_incoming(AdocConnection(self, sock), sock.conn.peer_host),
-        )
-
-    def connect(self, dst_host: Host, port: int) -> SimEvent:
-        done = self.sim.event(name=f"adoc-connect({dst_host.name}:{port})")
-
-        def _connected(ev) -> None:
-            if ev.ok:
-                done.succeed(AdocConnection(self, ev.value))
-            else:
-                done.fail(ev.value)
-
-        self.sysio.connect(dst_host, port + self.PORT_OFFSET).add_callback(_connected)
-        return done
-
-    def reaches(self, dst_host: Host) -> bool:
-        return any(
-            net.paradigm == "distributed" for net in self.host.shares_network_with(dst_host)
-        )
+    def _wrap(self, sock: SysSocket, ready: Callable, fail: Optional[Callable]) -> None:
+        ready(AdocConnection(self, sock))

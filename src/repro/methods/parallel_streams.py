@@ -16,57 +16,23 @@ stream, so the layer above still sees ordered stream semantics.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.simnet.buffers import ByteRing
+from repro.simnet.buffers import BufferedConnection, StreamBuffer
 from repro.simnet.cost import MICROSECOND, split_even
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.arbitration.sysio import SysIO, SysSocket
-from repro.abstraction.drivers import BufferedConnection, StreamBuffer, VLinkDriver
+from repro.abstraction.drivers import SysIOVLinkDriver
+from repro.abstraction.records import no_body, read_hello, read_records
 
 _HELLO = struct.Struct("!QHH")      # session id, stream index, total streams
 _RECORD = struct.Struct("!QHI")     # record id, slice index, slice length
+_slice_len = itemgetter(2)
 
 #: striping / reassembly software cost per record and per side.
 STRIPING_OVERHEAD = 1.5 * MICROSECOND
-
-
-class _Reassembler:
-    """Collects record slices from every member stream, releases records in order."""
-
-    def __init__(self, total_streams: int, sink: StreamBuffer):
-        self.total_streams = total_streams
-        self.sink = sink
-        self._partial: Dict[int, List[Optional[bytes]]] = {}
-        self._complete: Dict[int, bytes] = {}
-        self._next_record = 0
-        self._per_stream = {i: ByteRing() for i in range(total_streams)}
-
-    def feed(self, stream_index: int, data: bytes) -> None:
-        ring = self._per_stream[stream_index]
-        ring.append(data)
-        while True:
-            if len(ring) < _RECORD.size:
-                break
-            record_id, slice_index, length = _RECORD.unpack(ring.peek(_RECORD.size))
-            if len(ring) < _RECORD.size + length:
-                break
-            ring.skip(_RECORD.size)
-            self._add_slice(record_id, slice_index, ring.take(length))
-
-    def _add_slice(self, record_id: int, slice_index: int, payload: bytes) -> None:
-        slices = self._partial.setdefault(record_id, [None] * self.total_streams)
-        slices[slice_index] = payload
-        if all(s is not None for s in slices):
-            self._complete[record_id] = b"".join(slices)  # type: ignore[arg-type]
-            del self._partial[record_id]
-            self._release()
-
-    def _release(self) -> None:
-        while self._next_record in self._complete:
-            self.sink.append(self._complete.pop(self._next_record))
-            self._next_record += 1
 
 
 class ParallelStreamConnection(BufferedConnection):
@@ -81,8 +47,9 @@ class ParallelStreamConnection(BufferedConnection):
         self.peer_name = peer_name
         self.members: List[Optional[SysSocket]] = [None] * total_streams
         self.buffer = StreamBuffer(driver.sim)
-        self._reassembler = _Reassembler(total_streams, self.buffer)
         self._next_record = 0
+        #: record id -> its slices, until every member delivered its own
+        self._slices: Dict[int, List] = {}
         self.closed = False
         self.bytes_sent = 0
 
@@ -90,23 +57,21 @@ class ParallelStreamConnection(BufferedConnection):
     def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         if self.closed:
             raise ConnectionError("write() on closed parallel-streams connection")
-        if any(m is None for m in self.members):
+        if not self.established:
             raise ConnectionError("parallel-streams connection not fully established")
         record_id = self._next_record
         self._next_record += 1
         data = bytes(data)  # striping slices a contiguous record
         self.bytes_sent += len(data)
-        slices = split_even(len(data), self.total_streams)
         events = []
         offset = 0
-        delay = STRIPING_OVERHEAD
-        for index, length in enumerate(slices):
-            chunk = data[offset : offset + length]
+        for index, length in enumerate(split_even(len(data), self.total_streams)):
+            frame = _RECORD.pack(record_id, index, length) + data[offset : offset + length]
             offset += length
-            frame = _RECORD.pack(record_id, index, length) + chunk
-            sock = self.members[index]
             ev = self.sim.event(name=f"pstream-write({index})")
-            self.sim.call_later(delay, self._deferred_write, sock, frame, ev)
+            self.sim.call_later(
+                STRIPING_OVERHEAD, self._deferred_write, self.members[index], frame, ev
+            )
             events.append(ev)
         # the one fan-in of the stack: each member socket completes its own
         # slice's event, and the join is the write's completion
@@ -134,62 +99,65 @@ class ParallelStreamConnection(BufferedConnection):
                 sock.close()
         self.buffer.close()
 
-    # -- internal --------------------------------------------------------------------------
+    # -- receive path ------------------------------------------------------------------
     def _attach_member(self, index: int, sock: SysSocket) -> None:
         self.members[index] = sock
-        sock.set_data_callback(lambda s, i=index: self._on_member_data(i, s))
+        sock.set_data_callback(self._on_member_data)
 
-    def _on_member_data(self, index: int, sock: SysSocket) -> None:
-        data = sock.read_available()
-        if data:
-            self.sim.call_later(STRIPING_OVERHEAD, self._reassembler.feed, index, data)
+    def _on_member_data(self, sock: SysSocket) -> None:
+        slices = read_records(sock, _RECORD, _slice_len)
+        if slices:
+            self.sim.call_later(STRIPING_OVERHEAD, self._reassemble, slices)
+
+    def _reassemble(self, slices: list) -> None:
+        """File each slice under its record and release a complete record.
+
+        Records complete in order: every member carries its slices in record
+        order, so record ``r``'s last slice is filed before ``r + 1``'s."""
+        for (record_id, index, _length), payload in slices:
+            parts = self._slices.setdefault(record_id, [None] * self.total_streams)
+            parts[index] = payload
+            if all(part is not None for part in parts):
+                del self._slices[record_id]
+                self.buffer.append(b"".join(map(bytes, parts)))
 
     @property
     def established(self) -> bool:
         return all(m is not None for m in self.members)
 
 
-class ParallelStreamsVLinkDriver(VLinkDriver):
+class ParallelStreamsVLinkDriver(SysIOVLinkDriver):
     """The ``parallel_streams`` VLink driver (N SysIO sockets per link)."""
 
     name = "parallel_streams"
-
-    #: the driver listens on its own SysIO port range so that several
-    #: VLink drivers can serve the same logical VLink port side by side.
     PORT_OFFSET = 100000
 
     def __init__(self, sysio: SysIO, streams: int = 4):
-        super().__init__(sysio.host)
+        super().__init__(sysio)
         if streams < 1:
             raise ValueError("streams must be >= 1")
-        self.sysio = sysio
         self.streams = streams
+        #: accepted sessions some of whose members have not attached yet
         self._sessions: Dict[int, ParallelStreamConnection] = {}
         self._next_session = (hash(self.host.name) & 0xFFFF) << 16
 
     # -- server side -----------------------------------------------------------------
-    def listen(self, port: int, on_incoming: Callable) -> None:
-        def _accepted(sock: SysSocket) -> None:
-            # The first bytes on each member socket carry the hello record.
-            def _on_first_data(s: SysSocket) -> None:
-                if s.available() < _HELLO.size:
-                    return
-                hello = s.read_available(_HELLO.size)
-                session_id, index, total = _HELLO.unpack(hello)
-                conn = self._sessions.get(session_id)
-                if conn is None:
-                    conn = ParallelStreamConnection(self, session_id, total, peer_name=s.peer_name)
-                    self._sessions[session_id] = conn
-                conn._attach_member(index, s)
-                # surface the connection to VLink once every member arrived
-                if conn.established and not getattr(conn, "_announced", False):
-                    conn._announced = True
-                    on_incoming(conn, None)
+    def _wrap(self, sock: SysSocket, ready: Callable, fail: Optional[Callable]) -> None:
+        """The first bytes on each member socket are its hello; the
+        connection surfaces once its last member attached."""
 
-            sock.set_data_callback(_on_first_data)
-            _on_first_data(sock)
+        def attach(s: SysSocket, hello: tuple, _body) -> None:
+            session_id, index, total = hello
+            conn = self._sessions.get(session_id)
+            if conn is None:
+                conn = ParallelStreamConnection(self, session_id, total, peer_name=s.peer_name)
+                self._sessions[session_id] = conn
+            conn._attach_member(index, s)
+            if conn.established:
+                del self._sessions[session_id]
+                ready(conn)
 
-        self.sysio.listen(port + self.PORT_OFFSET, _accepted)
+        read_hello(sock, _HELLO, no_body, attach)
 
     # -- client side ------------------------------------------------------------------
     def connect(self, dst_host: Host, port: int) -> SimEvent:
@@ -209,7 +177,6 @@ class ParallelStreamsVLinkDriver(VLinkDriver):
         session_id = self._next_session
         self._next_session += 1
         conn = ParallelStreamConnection(self, session_id, streams, peer_name=dst_host.name)
-        pending = {"count": 0}
 
         def _member_connected(index: int, ev) -> None:
             if not ev.ok:
@@ -219,17 +186,11 @@ class ParallelStreamsVLinkDriver(VLinkDriver):
             sock: SysSocket = ev.value
             sock.write(_HELLO.pack(session_id, index, streams))
             conn._attach_member(index, sock)
-            pending["count"] += 1
-            if pending["count"] == streams and not done.triggered:
+            if conn.established and not done.triggered:
                 done.succeed(conn)
 
         for index in range(streams):
-            self.sysio.connect(dst_host, port + self.PORT_OFFSET).add_callback(
+            self._open(dst_host, port).add_callback(
                 lambda ev, i=index: _member_connected(i, ev)
             )
         return done
-
-    def reaches(self, dst_host: Host) -> bool:
-        return any(
-            net.paradigm == "distributed" for net in self.host.shares_network_with(dst_host)
-        )

@@ -27,13 +27,14 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.simnet.buffers import ByteRing
+from repro.simnet.buffers import BufferedConnection, StreamBuffer
 from repro.simnet.cost import MICROSECOND, Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.simnet.network import Delivery, Network
 from repro.arbitration.sysio import SysIO, SysSocket
-from repro.abstraction.drivers import BufferedConnection, StreamBuffer, VLinkDriver
+from repro.abstraction.drivers import SysIOVLinkDriver
+from repro.abstraction.records import no_body, read_hello, read_records
 
 _CTL_RECORD = struct.Struct("!BQII")   # kind, record id, total length, chunk size
 _DATA_HEADER = struct.Struct("!QII")   # record id, offset, length
@@ -55,17 +56,9 @@ class VrpStats:
     """Per-connection accounting of the reliability trade-off."""
 
     records: int = 0
-    datagrams_sent: int = 0
-    datagrams_lost: int = 0
     retransmissions: int = 0
     bytes_delivered: int = 0
     bytes_zero_filled: int = 0
-
-    @property
-    def observed_loss(self) -> float:
-        if self.datagrams_sent == 0:
-            return 0.0
-        return self.datagrams_lost / self.datagrams_sent
 
 
 class _RecordRx:
@@ -86,29 +79,28 @@ class _RecordRx:
             self._seen_offsets.add(offset)
             self.received += len(chunk)
 
-    @property
-    def delivered_fraction(self) -> float:
-        return self.received / self.total if self.total else 1.0
+    def grow(self, total: int) -> None:
+        """The record is ``total`` bytes long (its holes zero-filled)."""
+        self.total = total
+        self.data.extend(bytes(max(0, total - len(self.data))))
 
 
 class VrpConnection(BufferedConnection):
     """One VRP logical link (control over TCP, data over lossy datagrams)."""
 
-    def __init__(self, driver: "VrpVLinkDriver", ctl: SysSocket, network: Network,
-                 peer_host: Host, data_channel_id: int,
-                 tolerance: Optional[float] = None):
+    def __init__(self, driver: "VrpVLinkDriver", ctl: SysSocket, data_channel_id: int,
+                 tolerance: float):
         self.driver = driver
         self.sim = driver.sim
         self.ctl = ctl
-        self.network = network
-        self.peer_host = peer_host
-        self.peer_name = peer_host.name
+        self.network = network = ctl.network
+        self.peer_host = ctl.conn.peer_host
+        self.peer_name = self.peer_host.name
         self.data_channel_id = data_channel_id
-        self.tolerance = driver.tolerance if tolerance is None else tolerance
+        self.tolerance = tolerance
         self.chunk_size = min(network.mtu, 1400)
         self.buffer = StreamBuffer(driver.sim)
         self.stats = VrpStats()
-        self._ctl_rx = ByteRing()
         self._records_rx: Dict[int, _RecordRx] = {}
         # accepted records held until every earlier record was released: a
         # record delayed by retransmission must not be overtaken by a later
@@ -160,16 +152,13 @@ class VrpConnection(BufferedConnection):
             return
         chunk = data[offset : offset + self.chunk_size]
         header = _DATA_HEADER.pack(record_id, offset, len(chunk))
-        self.stats.datagrams_sent += 1
-        frame = self.network.transmit_datagram(
+        self.network.transmit_datagram(
             self.driver.host,
             self.peer_host,
             header + chunk,
             channel=("vrp-data", self.data_channel_id),
             send_cost=Cost().charge(VRP_CALL_OVERHEAD),
         )
-        if frame is None:
-            self.stats.datagrams_lost += 1
         # pace at the wire rate: next datagram when this one has been serialised
         pace = self.network.serialization_time(len(chunk) + _DATA_HEADER.size)
         self.sim.call_later(pace, self._pump_record, record_id, offset + len(chunk))
@@ -196,25 +185,19 @@ class VrpConnection(BufferedConnection):
             record = _RecordRx(record_id, offset + length)
             self._records_rx[record_id] = record
         if offset + length > record.total:
-            record.total = offset + length
-            record.data.extend(b"\x00" * (offset + length - len(record.data)))
+            record.grow(offset + length)
         record.add(offset, chunk)
         if record.sender_finished:
             self._maybe_complete(record)
 
-    def _on_ctl_data(self, _sock: SysSocket) -> None:
-        rx = self._ctl_rx
-        rx.append(self.ctl.read_available())
-        while len(rx) >= _CTL_RECORD.size:
-            kind, record_id, total, chunk_size = _CTL_RECORD.unpack(rx.take(_CTL_RECORD.size))
+    def _on_ctl_data(self, ctl: SysSocket) -> None:
+        for (kind, record_id, total, _chunk_size), _ in read_records(ctl, _CTL_RECORD, no_body):
             if kind == _CTL_NEW_RECORD:
                 record = self._records_rx.get(record_id)
                 if record is None:
                     self._records_rx[record_id] = _RecordRx(record_id, total)
                 else:
-                    record.total = total
-                    if len(record.data) < total:
-                        record.data.extend(b"\x00" * (total - len(record.data)))
+                    record.grow(total)
             elif kind == _CTL_RECORD_SENT:
                 record = self._records_rx.setdefault(record_id, _RecordRx(record_id, total))
                 record.sender_finished = True
@@ -252,20 +235,16 @@ class VrpConnection(BufferedConnection):
             self.ctl.write(_CTL_RECORD.pack(_CTL_NACK, record.record_id, missing, 0))
 
 
-class VrpVLinkDriver(VLinkDriver):
+class VrpVLinkDriver(SysIOVLinkDriver):
     """The ``vrp`` VLink driver."""
 
     name = "vrp"
-
-    #: the driver listens on its own SysIO port range so that several
-    #: VLink drivers can serve the same logical VLink port side by side.
     PORT_OFFSET = 120000
 
     def __init__(self, sysio: SysIO, tolerance: float = 0.10):
-        super().__init__(sysio.host)
+        super().__init__(sysio)
         if not (0.0 <= tolerance < 1.0):
             raise ValueError("tolerance must be in [0, 1)")
-        self.sysio = sysio
         self.tolerance = tolerance
         self._sinks: Dict[int, VrpConnection] = {}
         self._next_channel = (hash(self.host.name) & 0xFFF) << 16
@@ -303,25 +282,15 @@ class VrpVLinkDriver(VLinkDriver):
         self._datagram_handler_installed[network.name] = True
 
     # -- connection setup -----------------------------------------------------------------
-    def listen(self, port: int, on_incoming: Callable) -> None:
-        def _accepted(ctl_sock: SysSocket) -> None:
-            def _on_hello(s: SysSocket) -> None:
-                if s.available() < _VRP_HELLO.size:
-                    return
-                channel_id, tolerance_ppm = _VRP_HELLO.unpack(
-                    s.read_available(_VRP_HELLO.size)
-                )
-                s.set_data_callback(None)
-                conn = VrpConnection(
-                    self, s, s.network, s.conn.peer_host, channel_id,
-                    tolerance=tolerance_ppm / 1e6,
-                )
-                on_incoming(conn, s.conn.peer_host)
+    def _wrap(self, sock: SysSocket, ready: Callable, fail: Optional[Callable]) -> None:
+        """The accepting side: the control socket's hello names the data
+        channel and the tolerance."""
 
-            ctl_sock.set_data_callback(_on_hello)
-            _on_hello(ctl_sock)
+        def accepted(ctl: SysSocket, hello: tuple, _body) -> None:
+            channel_id, tolerance_ppm = hello
+            ready(VrpConnection(self, ctl, channel_id, tolerance_ppm / 1e6))
 
-        self.sysio.listen(port + self.PORT_OFFSET, _accepted)
+        read_hello(sock, _VRP_HELLO, no_body, accepted)
 
     def connect(self, dst_host: Host, port: int) -> SimEvent:
         return self._connect(dst_host, port, self.tolerance)
@@ -346,16 +315,7 @@ class VrpVLinkDriver(VLinkDriver):
                 return
             ctl_sock: SysSocket = ev.value
             ctl_sock.write(_VRP_HELLO.pack(channel_id, int(round(tolerance * 1e6))))
-            conn = VrpConnection(
-                self, ctl_sock, ctl_sock.network, dst_host, channel_id,
-                tolerance=tolerance,
-            )
-            done.succeed(conn)
+            done.succeed(VrpConnection(self, ctl_sock, channel_id, tolerance))
 
-        self.sysio.connect(dst_host, port + self.PORT_OFFSET).add_callback(_connected)
+        self._open(dst_host, port).add_callback(_connected)
         return done
-
-    def reaches(self, dst_host: Host) -> bool:
-        return any(
-            net.paradigm == "distributed" for net in self.host.shares_network_with(dst_host)
-        )

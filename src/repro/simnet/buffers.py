@@ -15,8 +15,8 @@ a head offset:
   writable buffers are defensively snapshotted, see below);
 * ``take`` slices each byte out at most once; when a read consumes exactly
   the head chunk, the original object is returned without any copy at all;
-* ``peek`` / ``skip`` let frame parsers unpack headers without consuming or
-  assembling payloads.
+* ``peek`` lets a record reader (:mod:`repro.abstraction.records`) unpack a
+  header without consuming it or assembling the body behind it.
 
 Rules for driver authors
 ------------------------
@@ -277,31 +277,6 @@ class ByteRing:
                 break
         return b"".join(parts)
 
-    def skip(self, nbytes: int) -> int:
-        """Consume up to ``nbytes`` without assembling them; returns the
-        number of bytes skipped (header consumption in frame parsers)."""
-        size = self._size
-        if nbytes > size:
-            nbytes = size
-        if nbytes <= 0:
-            return 0
-        chunks = self._chunks
-        head = self._head
-        remaining = nbytes
-        while remaining:
-            first = chunks[0]
-            avail = len(first) - head
-            if avail <= remaining:
-                chunks.popleft()
-                head = 0
-                remaining -= avail
-            else:
-                head += remaining
-                remaining = 0
-        self._head = head
-        self._size = size - nbytes
-        return nbytes
-
     def clear(self) -> None:
         self._chunks.clear()
         self._head = 0
@@ -360,6 +335,10 @@ class StreamBuffer:
     # -- consuming ---------------------------------------------------------
     def available(self) -> int:
         return self._buffer._size
+
+    def peek(self, nbytes: int) -> bytes:
+        """The next ``nbytes`` buffered (fewer at the tail), not consumed."""
+        return self._buffer.peek(nbytes)
 
     def read_available(self, limit: Optional[int] = None, gather: bool = False):
         """Non-blocking read of whatever is buffered (up to ``limit``)."""
@@ -445,6 +424,9 @@ class BufferedConnection:
 
     def available(self) -> int:
         return self.buffer.available()
+
+    def peek(self, nbytes: int) -> bytes:
+        return self.buffer.peek(nbytes)
 
     def read_available(self, limit: Optional[int] = None, gather: bool = False):
         return self.buffer.read_available(limit, gather)

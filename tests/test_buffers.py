@@ -12,14 +12,12 @@ def test_empty_ring():
     assert ring.take() == b""
     assert ring.take(10) == b""
     assert ring.peek(10) == b""
-    assert ring.skip(10) == 0
 
 
 def test_zero_length_operations():
     ring = ByteRing(b"abc")
     assert ring.take(0) == b""
     assert ring.peek(0) == b""
-    assert ring.skip(0) == 0
     ring.append(b"")  # no-op
     assert len(ring) == 3
     assert ring.take() == b"abc"
@@ -68,24 +66,6 @@ def test_peek_does_not_consume():
     assert ring.take() == b"abcdef"
 
 
-def test_skip_across_boundaries():
-    ring = ByteRing()
-    ring.append(b"abc")
-    ring.append(b"def")
-    ring.append(b"ghi")
-    assert ring.skip(4) == 4
-    assert ring.take() == b"efghi"
-    assert ring.skip(5) == 0
-
-
-def test_skip_partial_chunk():
-    ring = ByteRing(b"abcdef")
-    assert ring.skip(2) == 2
-    assert ring.peek(2) == b"cd"
-    assert ring.skip(100) == 4
-    assert not ring
-
-
 def test_wrap_around_reuse():
     """Interleaved produce/consume cycles: offsets reset as chunks retire."""
     ring = ByteRing()
@@ -127,7 +107,7 @@ def test_clear():
 
 
 def test_interleaved_exactness_stress():
-    """Byte-for-byte FIFO order over a randomized append/take/skip mix."""
+    """Byte-for-byte FIFO order over a randomized append/take/take_iov mix."""
     import random
 
     rng = random.Random(1234)
@@ -149,9 +129,9 @@ def test_interleaved_exactness_stress():
             assert ring.peek(n) == bytes(model[:n])
         else:
             n = rng.randrange(0, 12)
-            skipped = ring.skip(n)
-            assert skipped == min(n, len(model))
-            del model[:skipped]
+            expect = bytes(model[:n])
+            del model[: len(expect)]
+            assert b"".join(ring.take_iov(n)) == expect
         assert len(ring) == len(model)
     assert ring.take() == bytes(model)
 
@@ -174,7 +154,7 @@ def test_partly_consumed_head_is_sliced_as_a_view_of_the_chunk():
     # a read that stops inside the next chunk: both partial slices are views
     ring = ByteRing(chunk)
     ring.append(chunk)
-    ring.skip(5)
+    ring.take(5)
     head, tail = ring.take_iov(len(chunk))
     assert head.obj is chunk and tail.obj is chunk and (len(head), len(tail)) == (len(chunk) - 5, 5)
 
@@ -205,7 +185,7 @@ _sizes = st.one_of(st.none(), st.integers(min_value=0, max_value=40), st.just(10
 _ring_ops = st.lists(
     st.one_of(
         st.tuples(st.just("append"), _chunks),
-        st.tuples(st.sampled_from(["take", "take_iov", "take_gather", "peek", "skip"]), _sizes),
+        st.tuples(st.sampled_from(["take", "take_iov", "take_gather", "peek"]), _sizes),
     ),
     max_size=60,
 )
@@ -235,9 +215,6 @@ def test_every_take_agrees_with_take_on_a_twin_ring(ops):
         elif op == "peek":
             n = 7 if arg is None else arg
             assert ring.peek(n) == twin.peek(n)
-        elif op == "skip":
-            n = 0 if arg is None else arg
-            assert ring.skip(n) == len(twin.take(n))
         else:
             taken = getattr(ring, op)(arg)
             assert _image(taken) == twin.take(arg)

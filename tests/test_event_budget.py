@@ -29,6 +29,7 @@ import contextlib
 import cProfile
 import gc
 import pstats
+import random
 import sys
 from pathlib import Path
 
@@ -423,6 +424,47 @@ def test_one_circuit_message_is_four_events():
     assert recv_at == [pytest.approx(frame.meta["arrival"] + receive_cost, rel=1e-12)]
     src, incoming = receiving.value
     assert (src, incoming.unpack()) == (0, PAYLOAD)
+
+
+# -- the SysIO method drivers: one delivered MiB -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "method, budget",
+    [
+        ("adoc", (53, 52)),
+        ("gsi", (53, 52)),
+        # (181, 172) when every member burst fed the reassembler a timer,
+        # whether or not it completed a slice
+        ("parallel_streams", (165, 156)),
+        ("vrp", (1537, 1532)),
+    ],
+)
+def test_a_method_driver_delivers_a_mib_within_its_budget(method, budget):
+    """Four 256 KiB writes of incompressible bytes across the VTHD WAN, one
+    exact read of the MiB: every event and timer from the first write to
+    quiescence (the records, the codec and striping delays, VRP's datagrams
+    and control records, the TCP rounds under them)."""
+    from repro.core import paper_wan_pair
+    from repro.methods import register_method_drivers
+
+    fw, group = paper_wan_pair()
+    for host in group:
+        register_method_drivers(fw.node(host.name), vrp_tolerance=0.0)
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    accepting = n1.vlink_listen(4200).accept()
+    connecting = n0.vlink_connect(n1, 4200, method=method)
+    fw.sim.run()
+    client, server = connecting.value, accepting.value
+    assert client.driver_name == method
+    payload = random.Random(7).randbytes(MIB)
+    window = Window(fw.sim)
+    for offset in range(0, MIB, MIB // 4):
+        client.write(payload[offset : offset + MIB // 4])
+    read = server.read(MIB)
+    fw.sim.run()
+    assert window.close() == budget
+    assert read.value == payload
 
 
 def round_trip_budget(fw, round_trip):

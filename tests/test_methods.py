@@ -1,5 +1,9 @@
 """Tests for the alternate communication methods (parallel streams, AdOC, VRP, GSI)."""
 
+import gc
+import hashlib
+import weakref
+
 import pytest
 
 from tests.helpers import run
@@ -12,6 +16,7 @@ from repro.methods import (
     VrpVLinkDriver,
     register_method_drivers,
 )
+from repro.methods.security import SecurityError, _cipher
 
 
 def wan_with_methods(streams=4, vrp_tolerance=0.10):
@@ -98,6 +103,28 @@ def test_parallel_streams_beat_single_stream_on_wan():
 
     assert bw_multi > bw_single * 1.1
     assert bw_multi / 1e6 < 12.6  # still capped by the Ethernet-100 access link
+
+
+def test_parallel_streams_forget_a_session_once_its_members_attached():
+    fw, group = wan_with_methods(streams=3)
+
+    def exchange():
+        client, server = connect_via(fw, group, "parallel_streams", 8150)
+
+        def scenario():
+            client.write(b"ping")
+            data = yield server.read(4)
+            return data
+
+        assert run(fw, scenario()) == b"ping"
+        client.close()
+        server.close()
+        fw.sim.run()
+        return weakref.ref(server.conn)
+
+    server_conn = exchange()
+    gc.collect()
+    assert server_conn() is None
 
 
 def test_parallel_streams_driver_validation(cluster):
@@ -227,6 +254,7 @@ def test_vrp_zero_tolerance_retransmits_to_full_reliability():
     data = run(fw, scenario(), max_time=3600)
     assert data == b"R" * total
     assert server.conn.stats.bytes_zero_filled == 0
+    assert client.conn.stats.retransmissions >= 1 and client.conn.stats.records == 1
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +278,10 @@ def test_secure_driver_roundtrip_and_confidentiality():
     assert wire_bytes >= len(secret)
 
 
-def test_secure_driver_rejects_unknown_ca():
+def test_a_gsi_connect_with_an_unknown_ca_fails_with_a_security_error():
+    """Replaces ``test_secure_driver_rejects_unknown_ca``, which also passed
+    when the connect never completed: the server closes the socket of a
+    client whose credential another CA signed, and the connect fails."""
     fw, group = wan_with_methods()
     n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
     # replace node0's credential with one signed by a different CA
@@ -260,22 +291,27 @@ def test_secure_driver_rejects_unknown_ca():
 
     def scenario():
         listener.accept()
-        try:
+        with pytest.raises(SecurityError):
             yield n0.vlink_connect(n1, 8900, method="gsi")
-        except Exception as exc:
-            return type(exc).__name__
-        # the server silently drops the unauthenticated connection; the
-        # connect may also simply never complete — treat both as rejection
-        return "no-error"
+        return fw.sim.now
 
-    # either the connect fails or it never completes (deadlock -> SimulationError)
-    from repro.simnet.engine import SimulationError
+    assert run(fw, scenario(), max_time=10) < 1.0
 
-    try:
-        result = run(fw, scenario(), max_time=10)
-    except SimulationError:
-        result = "never-established"
-    assert result != "no-error"
+
+def _reference_cipher(key: bytes, data: bytes) -> bytes:
+    """The keystream loop and per-byte generator XOR the driver replaced."""
+    stream = bytearray()
+    while len(stream) < len(data):
+        stream += hashlib.sha256(key + (len(stream) // 32).to_bytes(8, "big")).digest()
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4096])
+def test_the_gsi_cipher_is_the_per_byte_xor(length):
+    key = hashlib.sha256(b"session").digest()
+    data = bytes((7 * i + 3) % 256 for i in range(length))
+    assert _cipher(key, data) == _reference_cipher(key, data)
+    assert _cipher(key, _cipher(key, data)) == data
 
 
 def test_site_credentials():

@@ -38,7 +38,8 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: the layers on the per-message path: a store here costs every message
 STORE_ROOTS = tuple(
-    f"src/repro/{layer}" for layer in ("simnet", "arbitration", "abstraction", "madeleine")
+    f"src/repro/{layer}"
+    for layer in ("simnet", "arbitration", "abstraction", "madeleine", "methods")
 )
 #: everywhere a reader could live
 LOAD_ROOTS = ("src", "tests", "benchmarks", "examples", "tools", "perfbench")
