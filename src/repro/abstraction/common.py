@@ -57,7 +57,8 @@ class SoftDelivery:
 # ---------------------------------------------------------------------------
 # Calibrated per-layer software costs (seconds, per message and per side).
 # The sum of wire + Madeleine + MadIO + these layer costs is what lands on the
-# paper's Table 1 latencies; see EXPERIMENTS.md for the full budget.
+# paper's Table 1 latencies; perfbench's ``stack_pingpong`` workload measures
+# those sums rung by rung (its ``*.oneway_us`` figures).
 # ---------------------------------------------------------------------------
 
 #: Circuit abstract-interface bookkeeping (straight parallel path).

@@ -292,25 +292,17 @@ class PadicoFramework:
         hot path and a component built later cannot be missed."""
         return self.sim.telemetry
 
-    def enable_telemetry(
-        self,
-        *,
-        jsonl_path: Optional[str] = None,
-        engine_window: float = 0.25,
-    ) -> TelemetryHub:
+    def enable_telemetry(self, *, jsonl_path: Optional[str] = None) -> TelemetryHub:
         """Attach the flight recorder to the deployment.
 
         Creates a :class:`~repro.telemetry.TelemetryHub` (optionally
-        streaming JSONL to ``jsonl_path``), sets it as ``sim.telemetry`` —
-        the one hook every emitter reads — and observes every registered
-        network (networks added afterwards are observed on creation).
-        Idempotent while enabled."""
+        streaming JSONL to ``jsonl_path``) and sets it as ``sim.telemetry``
+        — the one hook every emitter, networks included, reads; there is
+        nothing else to wire.  Idempotent while enabled."""
         if self.telemetry is not None:
             return self.telemetry
-        hub = TelemetryHub(self.sim, jsonl_path=jsonl_path, engine_window=engine_window)
+        hub = TelemetryHub(self.sim, jsonl_path=jsonl_path)
         self.sim.telemetry = hub
-        for network in self._networks.values():
-            hub.observe_network(network)
         return hub
 
     def disable_telemetry(self) -> None:
@@ -321,7 +313,6 @@ class PadicoFramework:
         hub = self.telemetry
         if hub is None:
             return
-        hub.release_networks()
         self.sim.telemetry = None
         hub.close()
 
@@ -331,8 +322,6 @@ class PadicoFramework:
             raise FrameworkError(f"network name {network.name!r} already used")
         self._networks[network.name] = network
         self.topology.register_network(network)
-        if self.telemetry is not None:
-            self.telemetry.observe_network(network)
         return network
 
     def network(self, name: str) -> Network:

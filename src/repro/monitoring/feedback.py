@@ -53,7 +53,7 @@ class LinkWatch:
             alpha=alpha, window=window, min_samples=min_samples, batch=coalesce
         )
         # A passive probe on a *boundary* link observes traffic from both
-        # endpoints' shards (the observer fires in the transmitting shard),
+        # endpoints' shards (the probe is called in the transmitting shard),
         # and mid-window the two shards' clocks are not comparable: the
         # shard that runs second would feed the estimator samples older
         # than ones it already holds.  Boundary watches therefore route
@@ -73,7 +73,6 @@ class LinkWatch:
             self.active = ActivePingProbe(
                 network, on_sample, interval=interval, seed=seed
             )
-        self.pushed: Optional[MeasuredLink] = None
         self.marked_down = False
         # what the KB believed when the watch started: the baseline the
         # estimates are compared against (the live network attributes are
@@ -286,7 +285,6 @@ class TopologyMonitor:
             loss_rate=estimate.loss_rate,
             detail=f"measured over {estimate.samples} samples",
         )
-        watch.pushed = estimate
         watch.believed = estimate
         self.pushes += 1
         if self.sim.telemetry is not None:

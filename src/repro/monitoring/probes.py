@@ -2,11 +2,13 @@
 
 Two complementary observation channels feed the estimators:
 
-* :class:`PassiveLinkProbe` — hangs off a network's instrumentation hook
-  (:meth:`repro.simnet.network.Network.add_observer`) and converts every
-  real frame crossing the wire into latency/bandwidth samples, and every
+* :class:`PassiveLinkProbe` — sits in the network's ``probe`` slot, one per
+  link; the transmit paths call it directly and it converts every real
+  frame crossing the wire into latency/bandwidth samples, and every
   datagram loss or blackholed frame into a loss sample.  Free (no traffic
-  of its own) but blind when the link is idle.
+  of its own) but blind when the link is idle.  The flight recorder does
+  not share this channel: the network emits ``link.*`` events to
+  ``sim.telemetry`` on its own, so recording feeds nothing to the model.
 * :class:`ActivePingProbe` — a fixed-rate simulator process
   (:class:`repro.simnet.engine.PeriodicTask`) emulating a tiny echo probe
   between two hosts of the network: each tick it draws the probe's fate
@@ -15,114 +17,113 @@ Two complementary observation channels feed the estimators:
   run of lost probes is the failure-detector signal.
 
 TCP's internal loss model never drops frames (the window model absorbs the
-loss and retransmits), so TCP losses reach the passive probe through a
-dedicated ``"tcp-burst"`` observation emitted per congestion-window burst:
-it carries the burst's packet count and loss draw, and the probe turns it
-into a per-burst loss *fraction* sample.  The matching TCP data frame skips
-the implicit zero-loss update (``count_loss=False``) so the rate is not
-halved.  Active probes remain the only failure-detection signal and the
-only observation channel on idle links.
+loss and retransmits), so TCP losses reach the passive probe through
+:meth:`PassiveLinkProbe.burst`, called per congestion-window burst with the
+burst's packet count and loss draw; the probe turns it into a per-burst
+loss *fraction* sample.  The matching TCP data frame skips the implicit
+zero-loss update (``count_loss=False``) so the rate is not halved.  Active
+probes remain the only failure-detection signal and the only observation
+channel on idle links.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.simnet.host import Host
-from repro.simnet.network import Network
+from repro.simnet.network import Frame, Network
 from repro.monitoring.estimators import LinkSample
 
 
 class PassiveLinkProbe:
-    """Per-link observer recording achieved metrics from real traffic."""
+    """Per-link observer recording achieved metrics from real traffic.
+
+    A link has at most one: the probe takes the network's ``probe`` slot,
+    and :meth:`detach` frees it."""
 
     def __init__(self, network: Network, on_sample: Callable[[LinkSample], None]):
+        if network.probe is not None:
+            raise ValueError(f"network {network.name!r} already has a passive probe")
         self.network = network
         self.on_sample = on_sample
         self.frames = 0
         self.losses = 0
-        self._hook = network.add_observer(self._observe)
+        network.probe = self
 
-    def _observe(self, network: Network, kind: str, info: Dict) -> None:
-        if kind == "frame":
-            frame = info["frame"]
-            meta = frame.meta
-            tx_begin = meta.get("tx_begin")
-            tx_end = meta.get("tx_end")
-            arrival = meta.get("arrival")
-            latency = None
-            bandwidth = None
-            if tx_end is not None and arrival is not None:
-                latency = arrival - tx_end
-            if tx_begin is not None and tx_end is not None and tx_end > tx_begin:
-                bandwidth = network.wire_bytes(frame.nbytes) / (tx_end - tx_begin)
-            self.frames += 1
-            # the TCP layer tags its data segments: their loss verdict
-            # arrives in the burst's "tcp-burst" observation instead
-            is_tcp_data = bool(meta.get("tcp_data"))
+    def frame(self, frame: Frame) -> None:
+        """A frame was put on the wire and will arrive."""
+        network = self.network
+        meta = frame.meta
+        tx_begin = meta["tx_begin"]
+        tx_end = meta["tx_end"]
+        bandwidth = None
+        if tx_end > tx_begin:
+            bandwidth = network.wire_bytes(frame.nbytes) / (tx_end - tx_begin)
+        self.frames += 1
+        self.on_sample(
+            LinkSample(
+                at=network.sim.now,
+                kind="frame",
+                latency=meta["arrival"] - tx_end,
+                bandwidth=bandwidth,
+                nbytes=frame.nbytes,
+                # a TCP data frame's loss verdict arrives with its burst's
+                # report; counting the frame as a zero-loss sample too would
+                # halve the measured rate
+                count_loss=not meta.get("tcp_data"),
+            )
+        )
+
+    def burst(self, npkts: int, lost_pkts: int, nbytes: int, bursts: int = 1,
+              latency: Optional[float] = None, bandwidth: Optional[float] = None) -> None:
+        """A TCP congestion-window burst of ``npkts`` packets, ``lost_pkts``
+        of them lost to the window model's draw.
+
+        A fluid-mode flow batches ``bursts`` zero-loss bursts into one
+        report (the weight keeps estimator sample counts equal to the
+        packet run) and passes the ``latency`` / ``bandwidth`` their frames
+        would have measured: those bursts ride no real frames, so the probe
+        synthesizes the frame samples too (a stable flow's frames observe
+        the link's nominal parameters exactly; see :meth:`frame`)."""
+        if npkts <= 0:
+            return
+        if lost_pkts:
+            self.losses += 1
+        now = self.network.sim.now
+        self.on_sample(
+            LinkSample(
+                at=now,
+                kind="tcp",
+                nbytes=nbytes,
+                loss_fraction=lost_pkts / npkts,
+                bursts=bursts,
+            )
+        )
+        if latency is not None:
+            self.frames += bursts
             self.on_sample(
                 LinkSample(
-                    at=network.sim.now,
+                    at=now,
                     kind="frame",
                     latency=latency,
                     bandwidth=bandwidth,
-                    nbytes=frame.nbytes,
-                    # a TCP data frame's loss verdict arrives with its
-                    # burst's "tcp-burst" observation; counting the frame as
-                    # a zero-loss sample too would halve the measured rate
-                    count_loss=not is_tcp_data,
-                )
-            )
-        elif kind == "tcp-burst":
-            npkts = info.get("npkts", 0)
-            if npkts <= 0:
-                return
-            lost_pkts = info.get("lost_pkts", 0)
-            # a fluid-mode flow batches several bursts into one observation
-            # (always zero-loss: a loss draw ends fluid mode first); the
-            # weight keeps estimator sample counts equal to the packet run
-            bursts = info.get("bursts", 1)
-            if lost_pkts:
-                self.losses += 1
-            self.on_sample(
-                LinkSample(
-                    at=network.sim.now,
-                    kind="tcp",
-                    nbytes=info.get("nbytes", 0),
-                    loss_fraction=lost_pkts / npkts,
+                    nbytes=nbytes,
+                    count_loss=False,
                     bursts=bursts,
                 )
             )
-            if info.get("fluid"):
-                # Fluid bursts ride no real frames, so synthesize the
-                # latency/bandwidth samples the per-burst data frames would
-                # have produced (a stable flow's frames observe the link's
-                # nominal parameters exactly; see the "frame" branch above).
-                self.frames += bursts
-                self.on_sample(
-                    LinkSample(
-                        at=network.sim.now,
-                        kind="frame",
-                        latency=info.get("latency"),
-                        bandwidth=info.get("bandwidth"),
-                        nbytes=info.get("nbytes", 0),
-                        count_loss=False,
-                        bursts=bursts,
-                    )
-                )
-        elif kind in ("datagram-lost", "blackhole"):
-            self.losses += 1
-            nbytes = info.get("nbytes", 0)
-            frame = info.get("frame")
-            if frame is not None:
-                nbytes = frame.nbytes
-            self.on_sample(
-                LinkSample(at=network.sim.now, kind="frame", nbytes=nbytes, lost=True)
-            )
+
+    def loss(self, nbytes: int) -> None:
+        """``nbytes`` vanished: a lost datagram or a blackholed frame."""
+        self.losses += 1
+        self.on_sample(
+            LinkSample(at=self.network.sim.now, kind="frame", nbytes=nbytes, lost=True)
+        )
 
     def detach(self) -> None:
-        self.network.remove_observer(self._hook)
+        if self.network.probe is self:
+            self.network.probe = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PassiveLinkProbe {self.network.name} frames={self.frames} losses={self.losses}>"

@@ -1,7 +1,7 @@
 """Fluid-model fast path: collapse stable TCP flows into rate events.
 
 ``TcpConnection._pump`` costs a handful of events plus frame / delivery /
-observer machinery per congestion-window burst, so a bulk stream pays
+probe machinery per congestion-window burst, so a bulk stream pays
 O(bytes / receive_window) heavyweight rounds.  For flows whose conditions
 are stable — no loss draws, link parameters unchanged, no churn on the
 path — every one of those rounds is fully determined in advance,
@@ -126,7 +126,7 @@ Fidelity contract (what "hybrid" guarantees vs pure packet mode):
   exactly the bytes the packet model had delivered;
 * every round of a lossy link is the packet round, draw included, so loss
   sequences — and everything downstream of them — are the packet run's;
-* passive observers see synthesized ``tcp-burst`` observations carrying a
+* a passive probe receives synthesized burst reports carrying a
   ``bursts=N`` weight whose batched estimator update is value-equal to N
   sequential per-burst updates (closed-form EWMA / window fill).
 
@@ -450,10 +450,10 @@ class _NicPlan:
         net = self.net = conn.network
         nic = self.nic = ctl._nic
         sim = self.sim = conn.sim
-        #: whether the plan accumulated synthesized observations (observers
-        #: were attached at planning time) — a cut must only rewind the
+        #: whether the plan accumulated synthesized observations (the link
+        #: had a probe at planning time) — a cut must only rewind the
         #: observation counters when it did, or they go negative.
-        self.observed = bool(net._observers)
+        self.observed = net.probe is not None
         self.tx_free0 = self.tx_free = nic._tx_free_at
         self.rtt = conn.rtt
         self.latency = net.latency
@@ -894,7 +894,7 @@ class FluidController:
         #: 4.0 / 4.1 with this rule.
         self._horizon = policy.first_plan_rounds
         self._streak = 0
-        # pending synthesized observations (flushed as one tcp-burst);
+        # pending synthesized observations (flushed as one burst report);
         # latency/bandwidth are snapshotted when a batch *starts* so a
         # flush that happens after link churn still reports the parameters
         # the batched rounds actually ran under (any churn invalidates the
@@ -1215,19 +1215,10 @@ class FluidController:
             return
         npkts, nbytes = self._obs_npkts, self._obs_nbytes
         self._obs_bursts = self._obs_npkts = self._obs_nbytes = 0
-        net = self.conn.network
-        if net._observers:
-            # One weighted observation standing in for `bursts` per-burst
-            # ones: zero-loss by construction (only a loss-free link is
-            # planned), with the frame-timing fields the packet path's real
-            # frames would have exposed.
-            net._observe(
-                "tcp-burst",
-                npkts=npkts,
-                lost_pkts=0,
-                nbytes=nbytes,
-                bursts=bursts,
-                fluid=True,
-                latency=self._obs_latency,
-                bandwidth=self._obs_bandwidth,
-            )
+        probe = self.conn.network.probe
+        if probe is not None:
+            # One weighted report standing in for `bursts` per-burst ones:
+            # zero-loss by construction (only a loss-free link is planned),
+            # with the frame-timing fields the packet path's real frames
+            # would have exposed.
+            probe.burst(npkts, 0, nbytes, bursts, self._obs_latency, self._obs_bandwidth)

@@ -230,8 +230,11 @@ class Network:
         #: span partitions is a *boundary* link (see
         #: :mod:`repro.simnet.partition`).
         self.partition: Optional[int] = None
-        #: traffic observers (passive link probes); see :meth:`add_observer`.
-        self._observers: List[Callable[["Network", str, Dict[str, Any]], None]] = []
+        #: the passive probe fed by this link's traffic, or None: a
+        #: :class:`~repro.monitoring.probes.PassiveLinkProbe` sets it and its
+        #: ``detach()`` clears it.  The flight recorder does not ride it;
+        #: the transmit paths emit to ``sim.telemetry`` themselves.
+        self.probe = None
         #: per-link rate-share ledger for the fluid fast path, created
         #: lazily by :func:`repro.simnet.fluid.ledger_for` the first time a
         #: hybrid-fidelity TCP connection pumps on this link.
@@ -281,31 +284,7 @@ class Network:
         except KeyError:
             raise LookupError(f"host {host.name!r} is not attached to {self.name!r}") from None
 
-    # -- instrumentation ----------------------------------------------------------
-    def add_observer(self, fn: Callable[["Network", str, Dict[str, Any]], None]) -> Callable:
-        """Register a traffic observer ``fn(network, kind, info)``.
-
-        ``kind`` is ``"frame"`` (a frame was put on the wire and will arrive;
-        ``info["frame"]`` carries the timing metadata), ``"datagram-lost"``
-        (an unreliable datagram was dropped by the loss model),
-        ``"blackhole"`` (a frame was swallowed by a down link or dead host)
-        or ``"tcp-burst"`` (a TCP congestion-window burst reporting its
-        internal loss draw: ``info["npkts"]``/``info["lost_pkts"]`` — the
-        window model absorbs losses instead of dropping frames, so this is
-        the only way passive observers see them).
-        Passive link probes (:mod:`repro.monitoring.probes`) hang off this.
-        """
-        self._observers.append(fn)
-        return fn
-
-    def remove_observer(self, fn: Callable) -> None:
-        if fn in self._observers:
-            self._observers.remove(fn)
-
-    def _observe(self, kind: str, **info: Any) -> None:
-        for fn in list(self._observers):
-            fn(self, kind, info)
-
+    # -- link state -------------------------------------------------------------------
     def link_alive(self, src: "Host", dst: "Host") -> bool:
         """True when the wire and both endpoints are physically up."""
         return self.up and src.up and dst.up
@@ -388,7 +367,7 @@ class Network:
             # Reliability above this point is the job of the layers that the
             # monitoring/adaptive subsystem provides (acks + retransmission).
             self.record_drop(frame, reason="link-down")
-            self._observe("blackhole", frame=frame)
+            self._report_loss(nbytes, "blackhole")
             return frame
         self.frames_sent += 1
         self.bytes_carried += nbytes
@@ -397,8 +376,14 @@ class Network:
         # mailbox (arrival >= window horizon: the wire latency is the
         # lookahead), on the single loop this is a plain call_at.
         self.sim.call_at_partition(dst.partition, arrival, dst_nic.handle_arrival, frame, arrival)
-        if self._observers:
-            self._observe("frame", frame=frame)
+        telemetry = self.sim.telemetry
+        if telemetry is not None:
+            telemetry.emit(
+                "link.tx", t=begin, net=self.name, src=src.name, dst=dst.name,
+                nbytes=nbytes, begin=begin, end=end, qd=begin - self.sim.now,
+            )
+        if self.probe is not None:
+            self.probe.frame(frame)
         return frame
 
     def transmit_datagram(
@@ -420,7 +405,7 @@ class Network:
         if not self.link_alive(src, dst):
             self.frames_dropped += 1
             self.drop_log.append((len(payload), "link-down"))
-            self._observe("datagram-lost", nbytes=len(payload), reason="link-down")
+            self._report_loss(len(payload), "link-down")
             return None
         packets = self.packets_for(len(payload))
         lost = any(self.rng.random() < self.loss_rate for _ in range(packets))
@@ -433,7 +418,7 @@ class Network:
             src_nic = self.nic_of(src)
             sw = send_cost.seconds if send_cost is not None else 0.0
             src_nic.reserve_tx(self.sim.now + sw, self.serialization_time(len(payload)))
-            self._observe("datagram-lost", nbytes=len(payload), reason="loss")
+            self._report_loss(len(payload), "loss")
             return None
         return self.transmit(
             src, dst, payload, channel=channel, send_cost=send_cost, meta=meta
@@ -442,6 +427,15 @@ class Network:
     def record_drop(self, frame: Frame, reason: str) -> None:
         self.frames_dropped += 1
         self.drop_log.append((frame.nbytes, reason))
+
+    def _report_loss(self, nbytes: int, reason: str) -> None:
+        """Tell the flight recorder and the probe that ``nbytes`` left the
+        sender and will never arrive."""
+        telemetry = self.sim.telemetry
+        if telemetry is not None:
+            telemetry.emit("link.loss", net=self.name, nbytes=nbytes, reason=reason)
+        if self.probe is not None:
+            self.probe.loss(nbytes)
 
     # -- descriptive -----------------------------------------------------------------
     @property

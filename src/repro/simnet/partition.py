@@ -62,7 +62,7 @@ Determinism contract for scenario authors:
   topology KB) must only be *written* by its owning partition; reads from
   other partitions see window-granular state.  *Passive* link probes on a
   boundary network observe traffic from **both** endpoints' partitions
-  (the observer fires in the transmitting shard); their samples ride the
+  (the probe is called in the transmitting shard); their samples ride the
   **barrier sample bus** (:meth:`PartitionedSimulator.publish_at_barrier`):
   shard-local buffers drained at the window barrier in a deterministic
   ``(sample time, source partition, publish order)`` merge — two shards'

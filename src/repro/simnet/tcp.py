@@ -517,18 +517,17 @@ class TcpConnection(BufferedConnection):
             0, attempted - lost_pkts * self.network.mtu
         )
         self.rounds += 1
-        if npkts and self.network._observers:
-            # Surface the window model's internal loss draw to the network
-            # instrumentation hooks: passive probes otherwise never see TCP
-            # losses (the model absorbs them instead of dropping frames), so
-            # passive WAN loss estimates — and the method parameters derived
-            # from them — read zero on TCP-carried hops.  Zero-loss bursts
-            # are reported too: they are the samples that gate estimator
-            # readiness on lossless links and that decay the windowed loss
-            # estimate after a degraded link recovers.
-            self.network._observe(
-                "tcp-burst", npkts=npkts, lost_pkts=lost_pkts, nbytes=attempted
-            )
+        probe = self.network.probe
+        if npkts and probe is not None:
+            # Surface the window model's internal loss draw to the link's
+            # passive probe: it otherwise never sees TCP losses (the model
+            # absorbs them instead of dropping frames), so passive WAN loss
+            # estimates — and the method parameters derived from them — read
+            # zero on TCP-carried hops.  Zero-loss bursts are reported too:
+            # they are the samples that gate estimator readiness on lossless
+            # links and that decay the windowed loss estimate after a
+            # degraded link recovers.
+            probe.burst(npkts, lost_pkts, attempted)
 
         burst = parts[0] if len(parts) == 1 else memoryview(b"".join(parts))
         if delivered > 0:
@@ -539,9 +538,9 @@ class TcpConnection(BufferedConnection):
                 payload,
                 channel=(CH_DATA, self.peer_conn_id),
                 send_cost=None,
-                # tcp_data tags the frame for passive observers: its loss
-                # verdict travels in the burst's "tcp-burst" observation,
-                # so the frame itself must not count as a loss sample.
+                # tcp_data tags the frame for the passive probe: its loss
+                # verdict travels in the burst's report, so the frame
+                # itself must not count as a loss sample.
                 meta={"seq": self.bytes_sent, "tcp_data": True},
             )
             arrival = frame.meta["arrival"]

@@ -1,12 +1,13 @@
 """Flight recorder: structured telemetry export, KPI analysis, replay.
 
-The package has four layers (ISSUE 7 / ROADMAP item 4):
+The package has four layers:
 
 - :mod:`repro.telemetry.hub` — :class:`TelemetryHub`, the collection point.
-  Instrumented subsystems read ``sim.telemetry``, which is ``None`` when
-  recording is off (hot paths gate on that single attribute check) and the
-  hub once :meth:`repro.core.framework.PadicoFramework.enable_telemetry`
-  set it.  Events are flat JSON-serializable dicts; on a partitioned
+  Instrumented subsystems — networks included — read ``sim.telemetry``,
+  which is ``None`` when recording is off (hot paths gate on that single
+  attribute check) and the hub once
+  :meth:`repro.core.framework.PadicoFramework.enable_telemetry` set it;
+  nothing else is wired.  Events are flat JSON-serializable dicts; on a partitioned
   kernel they collect in per-shard buffers merged deterministically at the
   window barriers.
 - :mod:`repro.telemetry.series` — :class:`MetricSeries`, compact windowed

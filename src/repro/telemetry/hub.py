@@ -1,11 +1,14 @@
 """TelemetryHub: the flight recorder's collection point.
 
-Every instrumented subsystem (TCP stacks, the fluid controller, the
-topology monitor, fault injectors, VLink managers, the partitioned kernel)
-reads one hook, ``sim.telemetry``, which is ``None`` by default; hot paths
-pay one attribute check when recording is off.  When a hub is set there,
-they call :meth:`TelemetryHub.emit` with a kind string and flat
-JSON-compatible fields.
+Every instrumented subsystem (networks, TCP stacks, the fluid controller,
+the topology monitor, fault injectors, VLink managers, the partitioned
+kernel) reads one hook, ``sim.telemetry``, which is ``None`` by default;
+hot paths pay one attribute check when recording is off.  When a hub is set
+there, they call :meth:`TelemetryHub.emit` with a kind string and flat
+JSON-compatible fields.  Nothing is wired per object, so a component built
+by hand records like any other, and the hub feeds nothing back: the passive
+probes that feed the topology model have their own channel
+(``Network.probe``), so recording on or off runs the same model.
 
 Event shape
 -----------
@@ -43,6 +46,10 @@ from typing import Any, Dict, List, Optional
 
 __all__ = ["TelemetryHub", "event_line"]
 
+#: virtual seconds between ``engine.window`` samples (per-shard event/timer
+#: counter deltas); :meth:`TelemetryHub.flush` always takes a final one.
+ENGINE_WINDOW = 0.25
+
 
 def event_line(ev: Dict[str, Any]) -> str:
     """The canonical JSONL encoding of one event (no trailing newline)."""
@@ -60,30 +67,17 @@ class TelemetryHub:
     jsonl_path:
         Optional path; when given, every event is also streamed to this
         file as one JSON line (written in commit order).
-    engine_window:
-        Virtual-time interval between ``engine.window`` samples (per-shard
-        event/timer counter deltas).  ``None`` disables periodic sampling;
-        a final cumulative sample is always taken by :meth:`flush`.
     """
 
-    def __init__(
-        self,
-        sim,
-        *,
-        jsonl_path: Optional[str] = None,
-        engine_window: Optional[float] = 0.25,
-    ) -> None:
+    def __init__(self, sim, *, jsonl_path: Optional[str] = None) -> None:
         self.sim = sim
         self.events: List[Dict[str, Any]] = []
         nparts = sim.partition_count
         self._nparts = nparts
         self._seq = [0] * nparts
         self._buffers: List[List[Dict[str, Any]]] = [[] for _ in range(nparts)]
-        self._engine_window = engine_window
-        self._next_engine = engine_window if engine_window is not None else None
+        self._next_engine = ENGINE_WINDOW
         self._engine_prev: List[Optional[Dict[str, int]]] = [None] * nparts
-        self._observed_networks: Dict[Any, Any] = {}
-        self.jsonl_path = jsonl_path
         self._file = open(jsonl_path, "w", encoding="utf-8") if jsonl_path else None
         self.closed = False
 
@@ -103,7 +97,7 @@ class TelemetryHub:
         ev.update(fields)
         if self._nparts == 1:
             self._commit(ev)
-            if self._next_engine is not None and ev["t"] >= self._next_engine:
+            if ev["t"] >= self._next_engine:
                 self._sample_engine(ev["t"])
         else:
             # shard-local append; merged (deterministically) at the barrier
@@ -117,7 +111,7 @@ class TelemetryHub:
     def on_window_barrier(self, window_end: float) -> None:
         """Partitioned-kernel hook: drain shard buffers at a window barrier."""
         self._drain_buffers()
-        if self._next_engine is not None and window_end >= self._next_engine:
+        if window_end >= self._next_engine:
             self._sample_engine(window_end)
 
     def _drain_buffers(self) -> None:
@@ -134,13 +128,11 @@ class TelemetryHub:
     # -- engine counters ------------------------------------------------------
     def _sample_engine(self, now: float) -> None:
         """Emit per-shard ``engine.window`` counter deltas up to ``now``."""
-        window = self._engine_window
-        if window is not None:
-            # advance to the next boundary strictly beyond `now`
-            nxt = self._next_engine
-            while nxt is not None and nxt <= now:
-                nxt += window
-            self._next_engine = nxt
+        # advance to the next boundary strictly beyond `now`
+        nxt = self._next_engine
+        while nxt <= now:
+            nxt += ENGINE_WINDOW
+        self._next_engine = nxt
         partition_stats = getattr(self.sim, "partition_stats", None)
         shards = partition_stats() if partition_stats is not None else [self.sim.stats()]
         for i, st in enumerate(shards):
@@ -174,54 +166,6 @@ class TelemetryHub:
         s = self._seq[p]
         self._seq[p] = s + 1
         return s
-
-    # -- network attachment ---------------------------------------------------
-    def observe_network(self, network) -> None:
-        """Attach to ``network``'s observer fan-out (frames + losses)."""
-        if network in self._observed_networks:
-            return
-
-        def _observer(net, kind, info, _hub=self):
-            if kind == "frame":
-                frame = info["frame"]
-                meta = frame.meta
-                begin = meta["tx_begin"]
-                _hub.emit(
-                    "link.tx",
-                    t=begin,
-                    net=net.name,
-                    src=frame.src.name,
-                    dst=frame.dst.name,
-                    nbytes=frame.nbytes,
-                    begin=begin,
-                    end=meta["tx_end"],
-                    qd=begin - net.sim.now,
-                )
-            elif kind == "blackhole":
-                frame = info["frame"]
-                _hub.emit(
-                    "link.loss",
-                    net=net.name,
-                    nbytes=frame.nbytes,
-                    reason="blackhole",
-                )
-            elif kind == "datagram-lost":
-                _hub.emit(
-                    "link.loss",
-                    net=net.name,
-                    nbytes=info.get("nbytes", 0),
-                    reason=info.get("reason", "loss"),
-                )
-            # "tcp-burst" observations are consumed by passive probes; the
-            # hub's flow.round / fluid.* events already carry that story.
-
-        self._observed_networks[network] = network.add_observer(_observer)
-
-    def release_networks(self) -> None:
-        """Detach every observer installed by :meth:`observe_network`."""
-        for network, fn in self._observed_networks.items():
-            network.remove_observer(fn)
-        self._observed_networks.clear()
 
     # -- lifecycle ------------------------------------------------------------
     def flush(self) -> None:

@@ -74,12 +74,25 @@ def completion_time(op):
     return seen
 
 
+class _FrameTap:
+    """A stand-in passive probe that keeps the frames a link carries."""
+
+    def __init__(self):
+        self.frames = []
+
+    def frame(self, frame):
+        self.frames.append(frame)
+
+    def burst(self, *args):
+        pass
+
+    def loss(self, nbytes):
+        pass
+
+
 def frames_of(network):
-    frames = []
-    network.add_observer(
-        lambda _net, kind, info: frames.append(info["frame"]) if kind == "frame" else None
-    )
-    return frames
+    tap = network.probe = _FrameTap()
+    return tap.frames
 
 
 def vlink_pair(method, port=4100):

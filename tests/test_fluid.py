@@ -1238,10 +1238,10 @@ def test_rollback_splits_sends_completing_in_same_round():
 
 
 def test_unobserved_epoch_rollback_keeps_obs_counters_clean():
-    """With no passive observers attached, an epoch accumulates no
+    """With no passive probe attached, an epoch accumulates no
     synthesized observations — its rollback must not rewind the counters
     anyway (they went negative, and a probe attaching before the next
-    flush would have received a negative-weight tcp-burst sample)."""
+    flush would have received a negative-weight burst report)."""
     hybrid = run_multisend("hybrid", t_inv=0.044)
     fl = hybrid["conn"].fluid
     assert "test-churn" in _reasons(fl)

@@ -106,7 +106,21 @@ def test_passive_probe_observes_real_traffic():
     bw = [s.bandwidth for s in ok if s.bandwidth is not None]
     assert bw and bw[0] == pytest.approx(wan.bandwidth, rel=0.05)
     probe.detach()
-    assert probe._observe not in wan._observers
+    assert wan.probe is None
+
+
+def test_a_link_has_one_passive_probe_and_detach_frees_its_slot():
+    fw, edge, gw, remote, wan, lan, wan2 = wan_pair_with_backup()
+    first = PassiveLinkProbe(wan, lambda sample: None)
+    assert wan.probe is first
+    with pytest.raises(ValueError, match="already has a passive probe"):
+        PassiveLinkProbe(wan, lambda sample: None)
+    assert wan.probe is first
+    first.detach()
+    second = PassiveLinkProbe(wan, lambda sample: None)
+    assert wan.probe is second
+    first.detach()  # a detached probe frees nothing it no longer holds
+    assert wan.probe is second
 
 
 def test_passive_probe_sees_tcp_window_model_losses():

@@ -367,3 +367,30 @@ def test_a_stream_mesh_circuit_delivers_messages_in_order(sizes):
     assert [value for _, value in log] == messages
     nonempty = [(at, value) for at, value in log if value]
     check_order(nonempty, b"".join(messages), [(False, None)] * len(nonempty))
+
+
+def test_a_later_cheaper_message_never_overtakes_a_dearer_one_on_the_stream_mesh():
+    """A middleware's copy cost reaches the adapter as ``extra_cost`` and
+    delays each message's write by its size: the stream's ``Serializer``
+    keeps a 10-byte message posted after a 30,000-byte one behind it."""
+    from repro.core import paper_wan_pair
+    from repro.simnet.cost import Cost
+
+    fw, group = paper_wan_pair()
+    sender, receiver = (fw.node(host.name).circuit("order", group) for host in group)
+    cpu = group[0].cpu
+    sizes = []
+
+    def receive():
+        sender.send(1, b"warm-up")
+        yield receiver.recv()  # the stream exists: the posts below ride it
+        for data in ragged([30_000, 10]):
+            message = sender.new_message(1)
+            message.pack_express(data)
+            sender.post(message, extra_cost=Cost().charge_copy(len(data), cpu.memcpy_bandwidth))
+        for _ in range(2):
+            _src, incoming = yield receiver.recv()
+            sizes.append(len(incoming.unpack()))
+
+    fw.sim.run(until=fw.sim.process(receive()), max_time=60)
+    assert sizes == [30_000, 10]

@@ -16,7 +16,7 @@ import pytest
 from repro.core import PadicoFramework
 from repro.monitoring import FaultInjector
 from repro.monitoring.estimators import LinkEstimator, LinkSample
-from repro.simnet.networks import grid_deployment
+from repro.simnet.networks import Ethernet100, grid_deployment
 from repro.telemetry import (
     MetricSeries,
     canonical_kpi_json,
@@ -151,6 +151,33 @@ def test_enable_order_cannot_matter():
     fw.run(until=HORIZON + 0.2)
     hub.flush()
     assert [ev["t"] for ev in hub.events if ev["k"] == "churn.fault"][-1] == HORIZON + 0.1
+
+
+def test_a_network_built_by_hand_records_like_any_other():
+    """A network never passed to ``fw.add_network`` records its frames: it
+    emits ``link.tx`` to ``sim.telemetry`` itself, like every emitter."""
+    fw = PadicoFramework()
+    hub = fw.enable_telemetry()
+    a, b = fw.add_host("a", site="s1"), fw.add_host("b", site="s1")
+    side = Ethernet100(fw.sim, "side")
+    side.connect(a)
+    side.connect(b)
+    fw.boot()
+    listener = fw.node("b").tcp.listen(9000)
+
+    def scenario():
+        accepting = listener.accept()
+        client = yield fw.node("a").tcp.connect(b, 9000, network=side)
+        server = yield accepting
+        client.send(b"x" * 100_000)
+        data = yield server.recv_exact(100_000)
+        return len(data)
+
+    assert fw.sim.run(until=fw.sim.process(scenario()), max_time=10) == 100_000
+    assert side.name not in {network.name for network in fw.networks()}
+    rounds = [ev for ev in hub.events if ev["k"] == "flow.round"]
+    frames = [ev for ev in hub.events if ev["k"] == "link.tx" and ev["net"] == "side"]
+    assert (len(rounds), len(frames)) == (6, 8)
 
 
 # ---------------------------------------------------------------------------

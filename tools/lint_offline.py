@@ -36,10 +36,13 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: the layers on the per-message path: a store here costs every message
+#: the layers on the per-message path, where a store costs every message,
+#: and the observers that ride it (monitoring, the flight recorder)
 STORE_ROOTS = tuple(
     f"src/repro/{layer}"
-    for layer in ("simnet", "arbitration", "abstraction", "madeleine", "methods")
+    for layer in (
+        "simnet", "arbitration", "abstraction", "madeleine", "methods", "monitoring", "telemetry",
+    )
 )
 #: everywhere a reader could live
 LOAD_ROOTS = ("src", "tests", "benchmarks", "examples", "tools", "perfbench")
