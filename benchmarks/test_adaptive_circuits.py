@@ -74,6 +74,7 @@ def deployment():
     # wan2 is the backup: slightly higher latency keeps wan1 preferred
     # until the measured degradation inverts the edge weights.
     wan2.latency = wan1.latency * 1.15
+    wan2.changed("degrade")
     for h in ("a0", "a1", "ga1", "ga2"):
         lan_a.connect(fw.host(h))
     for h in ("b0", "b1", "gb1", "gb2"):

@@ -143,7 +143,7 @@ class FaultInjector:
             network.loss_rate = loss_rate
             changes.append(f"loss_rate={loss_rate:g}")
         detail = ", ".join(changes)
-        network.invalidate_fluid("degrade")
+        network.changed("degrade")
         self._record("degrade-link", network.name, detail)
         if self.announce:
             self.topology.touch_network(network, detail=f"degraded: {detail}")
@@ -155,7 +155,7 @@ class FaultInjector:
 
     def _fail_link(self, network: Network) -> None:
         network.up = False
-        network.invalidate_fluid("link-down")
+        network.changed("link-down")
         self._record("fail-link", network.name)
         if self.announce:
             self.topology.mark_link_down(network, detail="fault injected")
@@ -171,7 +171,7 @@ class FaultInjector:
             network.latency = saved.latency
             network.bandwidth = saved.bandwidth
             network.loss_rate = saved.loss_rate
-        network.invalidate_fluid("recover")
+        network.changed("recover")
         self._record("recover-link", network.name)
         if self.announce:
             self.topology.clear_measurement(network, detail="recovered")
@@ -187,7 +187,7 @@ class FaultInjector:
     def _kill_host(self, host: Host) -> None:
         host.up = False
         for network in host.networks():
-            network.invalidate_fluid("host-down")
+            network.changed("host-down")
         relay = host.get_service(GATEWAY_RELAY_SERVICE)
         if relay is not None:
             relay.shutdown(reason=f"host {host.name} died")
@@ -201,7 +201,7 @@ class FaultInjector:
     def _revive_host(self, host: Host) -> None:
         host.up = True
         for network in host.networks():
-            network.invalidate_fluid("host-up")
+            network.changed("host-up")
         relay = host.get_service(GATEWAY_RELAY_SERVICE)
         if relay is not None:
             relay.restart()

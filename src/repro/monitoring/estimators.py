@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 
 @dataclass
@@ -130,6 +130,24 @@ class SlidingWindowEstimator:
         self.samples = 0
 
 
+def _twin(obj):
+    """A shallow copy (``copy.copy`` without its protocol lookups)."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
+
+
+def _blend_runs(ewma: EwmaEstimator, x: float, n: int, times: int) -> None:
+    """``times`` successive ``ewma.update_many(x, n)`` calls; past a fixed
+    point (a blend that changes nothing) only the sample count moves."""
+    for done in range(1, times + 1):
+        value = ewma.value
+        ewma.update_many(x, n)
+        if ewma.value == value:
+            ewma.samples += (times - done) * n
+            return
+
+
 @dataclass
 class LinkEstimator:
     """Combined per-link estimators fed by probe samples.
@@ -158,10 +176,10 @@ class LinkEstimator:
     bandwidth: EwmaEstimator = field(init=False)
     loss: SlidingWindowEstimator = field(init=False)
     consecutive_lost: int = field(init=False, default=0)
+    #: observation time of the last sample received (applied or coalesced)
     last_sample_at: float = field(init=False, default=0.0)
     _run_sample: Optional[LinkSample] = field(init=False, default=None, repr=False)
     _run_pending: int = field(init=False, default=0, repr=False)
-    _run_last_at: float = field(init=False, default=0.0, repr=False)
 
     def __post_init__(self) -> None:
         self.latency = EwmaEstimator(self.alpha)
@@ -173,43 +191,118 @@ class LinkEstimator:
         self._flush_run()
         return self.loss.samples
 
+    def _extends_run(self, sample: LinkSample) -> bool:
+        """Would ``update(sample)`` only join the pending coalescing run?"""
+        run = self._run_sample
+        return (
+            run is not None
+            and self.batch > 1
+            and not sample.lost
+            and sample.bursts == 1
+            and self.consecutive_lost == 0
+            and sample.kind == run.kind
+            and sample.latency == run.latency
+            and sample.bandwidth == run.bandwidth
+            and sample.loss_fraction == run.loss_fraction
+            and sample.count_loss == run.count_loss
+        )
+
     def update(self, sample: LinkSample) -> bool:
         """Fold one sample in.
 
         Returns True when the estimator state advanced (callers re-evaluate
         their downstream consumers then), False when the sample was merely
         buffered into a pending coalescing run (``batch > 1``)."""
-        if (
-            self.batch > 1
-            and not sample.lost
-            and sample.bursts == 1
-            and self.consecutive_lost == 0
-        ):
-            run = self._run_sample
-            if (
-                run is not None
-                and sample.kind == run.kind
-                and sample.latency == run.latency
-                and sample.bandwidth == run.bandwidth
-                and sample.loss_fraction == run.loss_fraction
-                and sample.count_loss == run.count_loss
-            ):
-                self._run_pending += 1
-                self._run_last_at = sample.at
-                if self._run_pending >= self.batch:
-                    self._flush_run()
-                    return True
-                return False
-            # run boundary: flush the old run, apply this sample now and
-            # remember it as the new run head
-            self._flush_run()
-            self._run_sample = sample
-            self._apply(sample)
-            return True
+        self.last_sample_at = sample.at
+        if self._extends_run(sample):
+            self._run_pending += 1
+            if self._run_pending >= self.batch:
+                self._flush_run()
+                return True
+            return False
+        # run boundary: flush the old run and apply this sample now; a
+        # coalescible sample becomes the new run head
         self._flush_run()
-        self._run_sample = None
+        coalescible = (
+            self.batch > 1 and not sample.lost and sample.bursts == 1
+            and self.consecutive_lost == 0
+        )
+        self._run_sample = sample if coalescible else None
         self._apply(sample)
         return True
+
+    def update_run(self, sample: LinkSample, n: int) -> bool:
+        """``n`` sequential ``update(sample)`` calls in closed form.
+
+        ``sample`` (the last of the run, by ``at``) is a successful probe
+        sample: a latency, a bandwidth and a 0.0 for the loss window.  The
+        run head applies alone, as ``update`` would apply it; the rest join
+        the coalescing run, so every ``batch`` of them is one
+        ``update_many`` flush and the remainder stays pending.  State
+        afterwards is exactly the sequential result; the return value is the
+        last call's."""
+        advanced = False
+        while n and not self._extends_run(sample):
+            advanced = self.update(sample)
+            n -= 1
+        if not n:
+            return advanced
+        self.last_sample_at = sample.at
+        flushes, self._run_pending = divmod(self._run_pending + n, self.batch)
+        if flushes:
+            size = self.batch
+            # the window keeps the last `window` values: one extend leaves
+            # the contents of `flushes` extends
+            self.loss.update_many(0.0, flushes * size)
+            _blend_runs(self.latency, sample.latency, size, flushes)
+            _blend_runs(self.bandwidth, sample.bandwidth, size, flushes)
+        return self._run_pending == 0
+
+    def preview(self, sample: LinkSample, limit: int,
+                acts: Callable[[MeasuredLink], bool]) -> int:
+        """How many of the next ``limit`` ``update(sample)`` calls, with
+        ``sample`` a successful probe sample (see :meth:`update_run`), pass
+        before the first whose estimate ``acts`` on: ``limit`` if none does.
+
+        Runs on a copy, from one point where ``update`` returns True to the
+        next, and stops early at a fixed point: once a flush leaves both
+        smoothed values where they were over an all-zero loss window, every
+        later one does too."""
+        trial = self._copy()
+        done = 0
+        while True:
+            joins = trial._extends_run(sample)
+            # with batch 1 every update is the same single blend
+            flush = joins or trial.batch == 1
+            step = trial.batch - trial._run_pending if joins else 1
+            done += step
+            if done > limit:
+                return limit
+            latency, bandwidth = trial.latency.value, trial.bandwidth.value
+            trial.update_run(sample, step)
+            estimate = trial.estimate()
+            if estimate is None:
+                continue
+            if acts(estimate):
+                return done - 1
+            if (
+                flush and latency == estimate.latency and bandwidth == estimate.bandwidth
+                and not any(trial.loss._values)
+            ):
+                return limit
+
+    def _copy(self) -> "LinkEstimator":
+        trial = _twin(self)
+        trial._own_smoothers()
+        return trial
+
+    def _own_smoothers(self) -> None:
+        """Stop sharing the smoothers with the estimator this was copied from."""
+        self.latency = _twin(self.latency)
+        self.bandwidth = _twin(self.bandwidth)
+        values = self.loss._values
+        self.loss = _twin(self.loss)
+        self.loss._values = values.copy()
 
     def _flush_run(self) -> None:
         """Apply a pending coalesced run in closed form (``update_many``)."""
@@ -218,7 +311,6 @@ class LinkEstimator:
             return
         self._run_pending = 0
         run = self._run_sample
-        self.last_sample_at = self._run_last_at
         if run.loss_fraction is not None:
             self.loss.update_many(run.loss_fraction, n)
             return
@@ -230,7 +322,6 @@ class LinkEstimator:
             self.bandwidth.update_many(run.bandwidth, n)
 
     def _apply(self, sample: LinkSample) -> None:
-        self.last_sample_at = sample.at
         bursts = sample.bursts
         if sample.lost:
             self.loss.update(1.0)

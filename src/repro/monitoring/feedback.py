@@ -16,6 +16,7 @@ afterwards marks it back up.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from typing import Dict, Iterable, List, Optional
 
@@ -47,9 +48,18 @@ class LinkWatch:
         active: bool,
         coalesce: int = 1,
     ):
+        """Watch ``network`` from the partition executing the constructor.
+
+        The active probe keeps one timer, at the next tick whose outcome
+        the monitor would act on (see :class:`ActivePingProbe`): the watch
+        vouches for the ticks in between (:meth:`_quiet_ticks`) and folds
+        them into the estimator as runs (``update_run``).  A passive sample
+        and a :meth:`Network.changed` first fold the ticks due by then; a
+        read of :attr:`estimator` and :meth:`stop` fold the ticks due by
+        now."""
         self.monitor = monitor
         self.network = network
-        self.estimator = LinkEstimator(
+        self._estimator = LinkEstimator(
             alpha=alpha, window=window, min_samples=min_samples, batch=coalesce
         )
         # A passive probe on a *boundary* link observes traffic from both
@@ -60,19 +70,29 @@ class LinkWatch:
         # every sample over the barrier sample bus: shard-local buffers,
         # drained at the window edge and merged by virtual time, so the
         # estimator sees both shards' samples in the single loop's order.
+        # Ticks then act on nothing mid-window: the barrier folds them in.
         sim = monitor.sim
         self._bus_key: Optional[str] = None
         on_sample = self._on_sample
         if sim.partition_count > 1 and sim.is_boundary(network):
-            self._bus_key = f"linkwatch:{network.name}"
+            # one channel per watch: a re-watch must not inherit the
+            # publications of the window its predecessor stopped in
+            self._bus_key = f"linkwatch:{network.name}#{next(monitor._serial)}"
             sim.register_barrier_channel(self._bus_key, self._apply_batch)
             on_sample = self._publish_sample
         self.passive = PassiveLinkProbe(network, on_sample)
         self.active: Optional[ActivePingProbe] = None
         if active:
-            self.active = ActivePingProbe(
+            self.active = probe = ActivePingProbe(
                 network, on_sample, interval=interval, seed=seed
             )
+            self.passive.on_change = self._changed
+            if self._bus_key is None:
+                self.passive.on_sample = self._observe
+                probe.on_run = self._on_run
+                probe.quiet_ticks = self._quiet_ticks
+            else:
+                probe.quiet_ticks = _window_quiet
         self.marked_down = False
         # what the KB believed when the watch started: the baseline the
         # estimates are compared against (the live network attributes are
@@ -97,25 +117,93 @@ class LinkWatch:
         ``batch`` arrives as ``(src_partition, publish_index, sample)`` in
         (partition, index) order; re-sort by observation time first so the
         estimator consumes samples in virtual-time order regardless of
-        which endpoint's shard observed them."""
-        for _p, _i, sample in sorted(batch, key=lambda e: (e[2].at, e[0], e[1])):
-            self._on_sample(sample)
+        which endpoint's shard observed them.  The probe's ticks of the
+        window that published nothing join in as the probe's partition's,
+        ahead of its publications of the same instant."""
+        merged = [(sample.at, p, i, sample) for p, i, sample in batch]
+        probe = self.active
+        if probe is not None:
+            ticks = []
+            probe.advance(self.monitor.sim.now, ticks.append)
+            merged += [(tick.at, probe.partition, -1, tick) for tick in ticks]
+        merged.sort()  # (at, partition, index) is unique: samples never compare
+        for entry in merged:
+            self._on_sample(entry[3])
 
     def _on_sample(self, sample: LinkSample) -> None:
         # update() returns False when the sample was coalesced into a
         # pending run (estimator batch > 1): the estimate cannot have moved,
         # so the per-sample evaluation — the dominant monitoring cost on
         # probe-heavy runs — is skipped entirely.
-        if self.estimator.update(sample):
+        if self._estimator.update(sample):
             self.monitor._evaluate(self)
+
+    def _on_run(self, sample: LinkSample, n: int) -> None:
+        """``n`` successful ticks ending at ``sample.at``: the ones before the
+        last act on nothing (the probe's plan), so only the last evaluates."""
+        if self._estimator.update_run(sample, n):
+            self.monitor._evaluate(self)
+
+    def _observe(self, sample: LinkSample) -> None:
+        """A passive sample: the ticks due by its instant come first, and the
+        tick after it may act (its run head applies alone)."""
+        probe = self.active
+        probe.advance(sample.at)
+        self._on_sample(sample)
+        probe.wake_soon()
+
+    def _quiet_ticks(self, sample: LinkSample, limit: int) -> int:
+        """How many of the next ``limit`` ticks, all successful with
+        ``sample``'s values, neither push nor mark the link up: the
+        estimator runs them forward on a copy through ``_should_push``."""
+        if self.marked_down:
+            return 0  # the next successful tick marks the link up
+        monitor = self.monitor
+        return self._estimator.preview(
+            sample, limit, lambda estimate: monitor._should_push(self, estimate)
+        )
+
+    def _changed(self) -> None:
+        """:meth:`Network.changed`: fold the ticks due by now under the old
+        parameters, then plan under the new ones.  A change made by another
+        partition mid-window (a host flip) reaches the probe's partition
+        at the window's end."""
+        sim = self.monitor.sim
+        probe = self.active
+        end = sim.window_end
+        if end is not None and sim.current_partition != probe.partition:
+            sim.call_at_partition(probe.partition, end, self._changed)
+            return
+        probe.advance(sim.now)
+        probe.replan()
+
+    @property
+    def estimator(self) -> LinkEstimator:
+        """The estimator, with the ticks due by now folded in.  A read may
+        flush its pending coalesced run (``estimate()`` and ``samples`` do),
+        so the probe wakes at its next tick to plan from there."""
+        probe = self.active
+        if probe is not None:
+            probe.advance(self.monitor.sim.now)
+            probe.wake_soon()
+        return self._estimator
 
     def stop(self) -> None:
         self.passive.detach()
         if self.active is not None:
             self.active.cancel()
+        if self._bus_key is not None:
+            # after the barrier has delivered this window's publications
+            sim = self.monitor.sim
+            sim.call_at_barrier(sim.now, sim.unregister_barrier_channel, self._bus_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LinkWatch {self.network.name} samples={self.estimator.samples}>"
+        return f"<LinkWatch {self.network.name} samples={self._estimator.samples}>"
+
+
+def _window_quiet(_sample: LinkSample, limit: int) -> int:
+    """A boundary watch's ticks act on nothing until the barrier."""
+    return limit
 
 
 class TopologyMonitor:
@@ -139,6 +227,7 @@ class TopologyMonitor:
         self.push_threshold = push_threshold
         self.dead_after = dead_after
         self._watches: Dict[Network, LinkWatch] = {}
+        self._serial = itertools.count()  # barrier-bus channel per watch
         self.pushes = 0
         self.reclassifications = 0
         self.links_marked_down = 0
@@ -159,15 +248,16 @@ class TopologyMonitor:
     ) -> LinkWatch:
         """Start monitoring ``network``; idempotent per network.
 
-        The watch (its active probe's periodic task in particular) runs in
-        the event-loop partition that owns the link, so a partitioned kernel
+        The watch (its active probe's timer in particular) runs in the
+        event-loop partition that owns the link, so a partitioned kernel
         keeps probe execution next to the link it measures.
 
         ``coalesce > 1`` batches runs of identical probe samples into
         closed-form estimator updates and skips the per-sample evaluation
         in between (see :class:`~repro.monitoring.estimators.LinkEstimator`
-        ``batch``) — the probe-tick cost reduction for steady links; loss
-        and changed samples still apply and evaluate immediately."""
+        ``batch``); loss and changed samples still apply and evaluate
+        immediately.  Either way a tick costs an engine event only when the
+        evaluation it leads to would act (see :class:`LinkWatch`)."""
         if network in self._watches:
             return self._watches[network]
         with self.sim.in_partition(network.owning_partition()):
@@ -207,7 +297,7 @@ class TopologyMonitor:
 
     # -- the feedback step ---------------------------------------------------------
     def _evaluate(self, watch: LinkWatch) -> None:
-        estimator = watch.estimator
+        estimator = watch._estimator
         network = watch.network
         # Failure detection first: a run of lost probes is death, not loss.
         if estimator.consecutive_lost >= self.dead_after:

@@ -417,10 +417,14 @@ class PeriodicTask:
     """A lightweight recurring task: run ``fn(*args)`` every ``interval``.
 
     The engine-level helper behind simulator *processes* that only need a
-    fixed-rate tick (active link probes, estimator push loops): cheaper than
-    a full generator process and explicitly cancellable.  Note that a live
-    periodic task keeps the timer queue non-empty, so ``run(until=None)``
-    will not terminate until every periodic task has been cancelled.
+    fixed-rate tick whose every run has an effect (heartbeats, beacons):
+    cheaper than a full generator process and explicitly cancellable.  A
+    tick that is usually pure arithmetic should not be one timer per tick —
+    active link probes keep a single timer at the next tick whose outcome is
+    observable (:class:`repro.monitoring.probes.ActivePingProbe`).  Note
+    that a live periodic task keeps the timer queue non-empty, so
+    ``run(until=None)`` will not terminate until every periodic task has
+    been cancelled.
     """
 
     __slots__ = ("sim", "interval", "fn", "args", "cancelled", "runs", "_handle")
@@ -649,6 +653,12 @@ class Simulator:
     def current_partition(self) -> int:
         """Index of the partition whose events are executing right now."""
         return 0
+
+    @property
+    def window_end(self) -> Optional[float]:
+        """The horizon of the conservative window executing right now, or
+        None outside one (always None on the single loop: no windows)."""
+        return None
 
     def call_at_partition(
         self, partition: int, when: float, fn: Callable, *args: Any

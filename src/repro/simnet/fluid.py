@@ -78,7 +78,7 @@ A flow that drains leaves the merge; the merge stops when the flow
 whose turn it is has reached its round cap, and that flow's trailing
 pump (the earliest one) closes the plan and cuts the next.
 
-*Rollback.*  Link churn (:meth:`Network.invalidate_fluid`), any foreign
+*Rollback.*  Link churn (:meth:`Network.changed`), any foreign
 ``Nic.reserve_tx`` (a handshake, a datagram — the NIC names the plan as
 its ``_fluid_holder``), a flow joining the NIC, new data queued on a
 member the plan had drained, or either endpoint of a member closing

@@ -289,17 +289,27 @@ class Network:
         """True when the wire and both endpoints are physically up."""
         return self.up and src.up and dst.up
 
-    def invalidate_fluid(self, reason: str = "link-params") -> None:
-        """Drop every fluidized flow on this link back to the packet model.
+    def changed(self, reason: str) -> None:
+        """Tell every cache of this link's parameters that they changed.
 
-        Must be called after any out-of-band change to the link's
-        parameters or state (the churn injector does this); fluid flows
-        pick up *scheduled* parameter reads per round on their own, but a
-        committed multi-round epoch plan has to be rolled back explicitly.
+        Must be called right after any out-of-band change to ``latency``,
+        ``bandwidth``, ``loss_rate`` or ``up``, or to an attached host's
+        ``up`` (the churn injector does this; lint rule W003 flags a store
+        without it).  The listeners, in order:
+
+        * the fluid ledger: every fluidized flow on the link drops back to
+          the packet model (flows read parameters per round on their own,
+          but a committed multi-round epoch plan has to be rolled back);
+        * the passive probe, which tells its link watch: the watch's active
+          probe folds its ticks up to now under the old parameters and
+          plans again under the new ones.
         """
         ledger = self.fluid_ledger
         if ledger is not None:
             ledger.invalidate(reason)
+        probe = self.probe
+        if probe is not None:
+            probe.changed()
 
     # -- timing model ---------------------------------------------------------------
     def packets_for(self, nbytes: int) -> int:

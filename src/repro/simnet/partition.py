@@ -224,6 +224,10 @@ class PartitionedSimulator(Simulator):
     def current_partition(self) -> int:
         return self._active_shard().index
 
+    @property
+    def window_end(self) -> Optional[float]:
+        return self._window_end
+
     # -- boundaries / lookahead --------------------------------------------
     def add_boundary(self, network: Any) -> Any:
         """Register a partition-spanning network; its (current) latency
@@ -274,6 +278,11 @@ class PartitionedSimulator(Simulator):
         order.  Re-registering a key replaces the consumer.
         """
         self._bus_consumers[key] = consumer
+
+    def unregister_barrier_channel(self, key: str) -> None:
+        """Drop channel ``key``'s consumer: later publications on it are
+        discarded at the barrier."""
+        self._bus_consumers.pop(key, None)
 
     def publish_at_barrier(self, key: str, payload: Any) -> None:
         """Publish ``payload`` on barrier-bus channel ``key``.

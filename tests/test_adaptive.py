@@ -334,6 +334,7 @@ def test_route_dwell_does_not_pin_a_dead_route():
         # well inside the dwell window the whole wire dies: the session must
         # abandon it for the gateway path right away
         wan.up = False
+        wan.changed("link-down")
         fw.topology.mark_link_down(wan, detail="died inside dwell")
         client.write(pattern(total))
         data = yield server.read(total)
@@ -358,11 +359,13 @@ def test_failed_migration_records_its_fault_and_retries():
         client = yield fw.node("edge").vlink_connect(fw.node("remote"), 8470, adaptive=True)
         server = yield accept_op
         wan.up = wan2.up = False
+        wan.changed("link-down"), wan2.changed("link-down")
         fw.topology.mark_link_down(wan, detail="died")  # wan2: nobody noticed
         client.write(pattern(total))
         yield fw.sim.timeout(5.0)
         fault = client.last_migration_error
         wan2.up = True
+        wan2.changed("link-up")
         data = yield server.read(total)
         return client, fault, data
 

@@ -41,11 +41,12 @@ from repro.abstraction.common import CROSS_PARADIGM_STREAM_OVERHEAD, VLINK_LAYER
 from repro.arbitration.madio import DEMUX_OVERHEAD
 from repro.core import PadicoFramework, paper_cluster
 from repro.madeleine.message import segment_overhead
+from repro.monitoring.probes import LOOKAHEAD
 from repro.simnet.buffers import Gather, StreamBuffer
 from repro.simnet.cost import Cost
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
-from repro.simnet.networks import Ethernet100, grid_deployment
+from repro.simnet.networks import Ethernet100, WanVthd, grid_deployment
 from repro.simnet.tcp import TcpStack
 
 PAYLOAD = b"8 bytes!"
@@ -698,3 +699,35 @@ def test_a_satisfied_read_inside_a_drain_is_six_python_calls():
     pass.  7 while ``SimEvent.value`` was a property."""
     chained_read_calls(128)  # first use
     assert chained_read_calls(256) - chained_read_calls(128) == 6 * 128
+
+
+def watched_link(network_cls, seed):
+    """A two-host link under a ``coalesce=8`` watch probing every 50 ms, run
+    for 30 virtual seconds with no traffic: ``(events, timers, watch)``,
+    the watch's set-up timer included."""
+    fw = PadicoFramework()
+    a, b = fw.add_host("a"), fw.add_host("b")
+    net = fw.add_network(network_cls(fw.sim, "wan"))
+    net.connect(a), net.connect(b)
+    window = Window(fw.sim)
+    watch = fw.monitoring.watch(net, interval=0.05, seed=seed, coalesce=8)
+    fw.sim.run(until=30.0)
+    events, timers = window.close()
+    return events, timers, watch
+
+
+def test_a_watched_wan_pays_a_timer_per_observable_tick_only():
+    """599 ticks, 12 timers: the set-up one, the lost probe (it pushes), the
+    evaluation that pushes back once that loss leaves the 32-sample window,
+    and nine wake-ups a ``LOOKAHEAD`` of ticks apart (the last one pending).
+    A timer per tick scheduled 600."""
+    events, timers, watch = watched_link(WanVthd, seed=7)
+    assert (watch.active.sent, watch.active.lost, watch.monitor.pushes) == (599, 1, 2)
+    assert (events, timers) == (11, 1 + 1 + 1 + 9)
+
+
+def test_a_watched_lossless_idle_lan_wakes_once_a_lookahead():
+    events, timers, watch = watched_link(Ethernet100, seed=0x9806)
+    assert watch.active.lost == 0 and watch.monitor.pushes == 0
+    assert events <= 30.0 / (LOOKAHEAD * 0.05) + 1
+    assert timers == events + 1  # one timer is always pending

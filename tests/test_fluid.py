@@ -118,6 +118,7 @@ def run_scenario(
     net = net_cls(sim)
     if latency is not None:
         net.latency = latency
+        net.changed("degrade")
     b = Host(sim, "b")
     net.connect(b)
     sb = TcpStack(b, fidelity=peer_fidelity or fidelity)
@@ -1155,6 +1156,7 @@ def run_multisend(fidelity, t_inv=None, loss_rate=0.0, clean_at=None, probe=Fals
     sim = Simulator()
     net = Ethernet100(sim)
     net.loss_rate = loss_rate
+    net.changed("degrade")
     a, b = Host(sim, "a"), Host(sim, "b")
     net.connect(a)
     net.connect(b)
@@ -1182,7 +1184,7 @@ def run_multisend(fidelity, t_inv=None, loss_rate=0.0, clean_at=None, probe=Fals
     sim.process(client())
     sim.process(server())
     if t_inv is not None:
-        sim.call_at(t_inv, net.invalidate_fluid, "test-churn")
+        sim.call_at(t_inv, net.changed, "test-churn")
     if clean_at is not None:
         FaultInjector(sim, TopologyKB(), seed=11, announce=False).degrade_link_at(
             clean_at, net, loss_rate=0.0)
@@ -1453,7 +1455,7 @@ def test_ledger_join_cuts_the_plan_on_that_nic_only():
     net.nic_of(b).reserve_tx(0.0, 1e-6)
     assert pb.cuts == ["nic-contention"]
     # a full-link invalidation (churn) demotes everyone, in registration order
-    net.invalidate_fluid("degrade")
+    net.changed("degrade")
     assert fa.invalidated == fb.invalidated == ["degrade"]
 
 

@@ -96,6 +96,7 @@ def run_kernel_scenario(sim, rows: int, cols: int, hosts_per_cluster: int, horiz
     # churn: Poisson-thinning flap schedules on the WAN links
     def set_up(net, up):
         net.up = up
+        net.changed("flap")
         count["flaps"] += 1
 
     for wan in grid.wans:

@@ -54,3 +54,37 @@ def test_numpy_is_imported_inside_functions_only(tmp_path):
         ("src/repro/middleware/codec.py", 8),
     ]
     assert all(message.startswith("W002") for _, _, message in findings)
+
+
+def test_a_link_change_nobody_announces_is_a_finding(tmp_path):
+    lint = load_tool("lint_offline")
+    assert [
+        finding
+        for root in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((lint.REPO / root).rglob("*.py"))
+        for finding in lint.check_file(path)
+        if finding[2].startswith("W003")
+    ] == []
+    source = tmp_path / "churn.py"
+    source.write_text(
+        "def silent(wan, host):\n"
+        "    wan.up = False\n"                      # 2: finding
+        "    host.up, wan.loss_rate = False, 0.1\n"  # 3: two findings
+        "\n"
+        "def announced(wan):\n"
+        "    wan.latency = 0.02\n"
+        "    wan.changed('degrade')\n"
+        "\n"
+        "class Link:\n"
+        "    def __init__(self):\n"
+        "        self.bandwidth = 1e6\n"            # its own attribute
+        "    def nested(self, wan):\n"
+        "        def later():\n"
+        "            wan.bandwidth = 1.0\n"         # 14: the outer call is not its
+        "        wan.changed('x')\n"
+        "        return later\n"
+    )
+    findings = lint.check_file(source)
+    assert sorted((line, message.split()[3]) for _path, line, message in findings) == [
+        (2, ".up"), (3, ".loss_rate"), (3, ".up"), (14, ".bandwidth"),
+    ]

@@ -129,6 +129,7 @@ def test_passive_probe_sees_tcp_window_model_losses():
     estimate on a TCP-carried WAN hop."""
     fw, edge, gw, remote, wan, lan, wan2 = wan_pair_with_backup()
     wan.loss_rate = 0.02  # well above VTHD residual: estimate converges fast
+    wan.changed("degrade")
     fw.boot()
     watch = fw.monitoring.watch(wan, active=False)  # passive only: no pings
     listener = fw.node("remote").vlink_listen(7050)
@@ -165,6 +166,7 @@ def test_passive_only_watch_works_on_lossless_tcp_link():
     must decay back down after a degraded link recovers."""
     fw, edge, gw, remote, wan, lan, wan2 = wan_pair_with_backup()
     wan.loss_rate = 0.0
+    wan.changed("degrade")
     fw.boot()
     # a small sliding window keeps the decay phase of the test short (the
     # lossless 400 KB transfer contributes only a handful of bursts)
@@ -194,10 +196,12 @@ def test_passive_only_watch_works_on_lossless_tcp_link():
     # degrade, transfer (loss accumulates), recover, transfer again: the
     # windowed estimate must fall back toward zero on the zero-loss bursts
     wan.loss_rate = 0.05
+    wan.changed("degrade")
     transfer(7061)
     degraded = watch.estimator.estimate().loss_rate
     assert degraded > 0.004
     wan.loss_rate = 0.0
+    wan.changed("recover")
     transfer(7062)
     transfer(7063)  # the sliding window displaces degraded-era samples
     recovered = watch.estimator.estimate().loss_rate
@@ -241,6 +245,7 @@ def test_dead_link_detection_survives_tcp_traffic():
         client.write(b"a" * 64_000)
         yield fw.sim.timeout(0.05)
         wan.up = False  # silent death: only the probes can tell
+        wan.changed("link-down")  # ... and a sleeping probe must hear of it
         # keep the TCP sender pumping into the blackhole throughout
         for _ in range(10):
             client.write(b"b" * 64_000)
@@ -281,10 +286,12 @@ def test_wire_probe_is_alive_while_any_two_members_are_up():
     samples = []
     probe = ActivePingProbe(wan, samples.append, interval=0.01, seed=3)
     twin = random.Random(3)
+    at = [0.0]
 
     def tick(expect_alive):
         before = len(samples)
-        probe._tick()
+        at[0] += 0.01
+        fw.sim.run(until=at[0])
         if expect_alive:
             lost = twin.random() < wan.loss_rate or twin.random() < wan.loss_rate
             assert samples[-1].lost == lost
@@ -294,15 +301,20 @@ def test_wire_probe_is_alive_while_any_two_members_are_up():
 
     tick(True)
     hosts[0].up = hosts[2].up = False
+    wan.changed("host-down")
     tick(True)  # h1 and h3 still talk
     hosts[3].up = False
+    wan.changed("host-down")
     tick(False)  # a lone survivor
     hosts[0].up = True
+    wan.changed("host-up")
     tick(True)
     wan.up = False
+    wan.changed("link-down")
     tick(False)
     # same verdicts, same draws: the probe's stream is where the twin's is
-    assert probe.rng.random() == twin.random()
+    # (its generator runs ahead: the next uniform is the buffer's head)
+    assert probe._draws[0] == twin.random()
     assert (probe.sent, probe.lost) == (5, sum(s.lost for s in samples))
     probe.cancel()
 

@@ -311,6 +311,7 @@ def test_boundary_network_autoregisters_and_bounds_lookahead():
     assert sim.effective_lookahead() == wan.latency
     # degraded boundary latency shrinks the next window dynamically
     wan.latency = wan.latency / 2
+    wan.changed("degrade")
     assert sim.effective_lookahead() == wan.latency
 
 
@@ -470,6 +471,34 @@ def test_partitioned_relayed_stream_delivers_same_bytes_as_single_loop():
     assert sim_fw.sim.windows_run > 0
 
 
+def test_rewatch_of_a_boundary_link_starts_from_zero_samples():
+    """Regression: a boundary watch's barrier channel was keyed by the
+    link's name and outlived the watch, so the barrier handed the samples
+    its probe published before an unwatch — mid-window — to the watch that
+    replaced it.  The stopped watch keeps what it observed while watching;
+    the new one starts empty."""
+    fw = PadicoFramework(partitions=2)
+    grid = grid_deployment(fw, rows=1, cols=2, hosts_per_cluster=3)
+    wan = grid.wans[0]
+    assert wan in fw.sim.boundary_networks()
+    old = fw.monitoring.watch(wan, interval=0.0005)
+    watches = {}
+
+    def rewatch():
+        assert fw.sim.window_end is not None  # inside a window
+        fw.monitoring.unwatch(wan)
+        watches["new"] = fw.monitoring.watch(wan, interval=1000.0)
+
+    fw.sim.call_at_partition(wan.owning_partition(), 0.0101, rewatch)
+    fw.sim.run(until=0.03)
+    # every tick up to the unwatch: 0.0101 / 0.0005
+    assert old.estimator.samples == old.active.sent == 20
+    assert watches["new"].estimator.samples == 0
+    fw.monitoring.stop()
+    fw.sim.run(until=0.05)
+    assert fw.sim._bus_consumers == {}
+
+
 def test_partitioned_on_demand_gateway_boot_mid_run():
     """A routed connect whose relay gateway was never booted must provision
     it from model code — across partitions — exactly like the single loop
@@ -550,6 +579,7 @@ def test_mid_window_boundary_latency_drop_is_a_violation():
 
     def mutate(lat):
         wan.latency = lat
+        wan.changed("degrade")
 
     # pre-fix routing: the owning partition's loop, exact fault time
     sim.call_at_partition(wan.owning_partition(), 0.05, mutate, 2e-3)

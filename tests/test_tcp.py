@@ -328,6 +328,7 @@ def test_the_lazy_loss_stream_is_the_eager_one():
     to build from that draw on the spot."""
     sim, net, sa, sb, a, b = make_pair(WanVthd)
     net.loss_rate = 0.01
+    net.changed("degrade")
     twin = random.Random()
     twin.setstate(net.rng.getstate())
     conn = TcpConnection(sa, net, b, 40000, 5000)

@@ -21,7 +21,14 @@ script approximates the high-signal pyflakes-family rules with the stdlib
   every importer of the module pays, whether or not it ever handles an
   array.  Import it inside the function
   that builds one, and test ``sys.modules.get("numpy")`` before an
-  ``isinstance(x, np.ndarray)``.
+  ``isinstance(x, np.ndarray)``;
+* W003 — (not a ruff rule) ``x.up`` / ``x.latency`` / ``x.bandwidth`` /
+  ``x.loss_rate = ...`` with ``x`` not ``self``, in a function that never
+  calls ``.changed(``: an out-of-band link change nobody announced with
+  :meth:`repro.simnet.network.Network.changed`, so a sleeping active probe
+  keeps folding ticks under the old parameters and a fluid plan keeps its
+  committed rounds.  (perfbench is frozen and not swept; its
+  ``kernel_timers`` has no probes and no fluid flows.)
 
 Usage: ``python tools/lint_offline.py [paths...]`` (defaults to
 ``src tests benchmarks examples tools``; the tree rules W001 and W002 run
@@ -48,6 +55,9 @@ STORE_ROOTS = tuple(
 LOAD_ROOTS = ("src", "tests", "benchmarks", "examples", "tools", "perfbench")
 #: the library: numpy is imported inside functions only (W002)
 NUMPY_ROOT = "src/repro"
+#: link state every parameter cache listens for through Network.changed
+#: (W003); ``up`` also stands for a host's
+LINK_PARAMETERS = ("up", "latency", "bandwidth", "loss_rate")
 
 
 def _names_loaded(tree: ast.AST) -> set:
@@ -164,6 +174,61 @@ class _FunctionVisitor(ast.NodeVisitor):
             )
 
 
+def _own_nodes(fn):
+    """The nodes of ``fn``'s body that are not inside a nested function."""
+    for child in ast.iter_child_nodes(fn):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _own_nodes(child)
+
+
+def _stored_attributes(node):
+    """``(attribute node)`` targets of an assignment statement, unpacked."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Attribute):
+            yield target
+
+
+def check_unannounced_link_changes(path: Path, tree: ast.AST) -> list:
+    """W003: a store to :data:`LINK_PARAMETERS` on anything but ``self`` in
+    a function that never calls ``.changed(``."""
+    findings = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_nodes(fn))
+        stores = [
+            target
+            for node in own
+            for target in _stored_attributes(node)
+            if target.attr in LINK_PARAMETERS
+            and not (isinstance(target.value, ast.Name) and target.value.id == "self")
+        ]
+        if not stores or any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "changed"
+            for node in own
+        ):
+            continue
+        for target in stores:
+            findings.append(
+                (path, target.lineno,
+                 f"W003 store to .{target.attr} with no .changed() call: "
+                 "the link's probes and fluid plans never hear of it")
+            )
+    return findings
+
+
 def check_file(path: Path) -> list:
     source = path.read_text()
     try:
@@ -171,6 +236,7 @@ def check_file(path: Path) -> list:
     except SyntaxError as exc:
         return [(path, exc.lineno or 0, f"E9 syntax error: {exc.msg}")]
     findings = check_unused_imports(path, tree, source)
+    findings.extend(check_unannounced_link_changes(path, tree))
     _FunctionVisitor(path, findings).visit(tree)
     lines = source.splitlines()
     return [
