@@ -60,9 +60,13 @@ itself, the one copy the packet round and the plan both apply: slow
 start adds what the round delivered, congestion avoidance one segment,
 clamped to ``[min_cwnd, receive_window]``; ``ssthresh`` only moves on a
 loss.  Once it is pinned at the cap a turn takes a run-length-encoded
-stretch of full windows.  Laying a round out grows the connection's own
-window (a plan is committed as it is laid out); a cut re-derives it
-from the committed prefix.
+stretch of full windows, and lays its timing out in closed form: inside
+one binade of the clock a run of identical rounds is an arithmetic
+progression in floating point, so a sole sender's stretch costs a few
+steps of the recurrence per binade its pump times cross, not one per
+round (:func:`_advance`; a replay still steps every round).  Laying a
+round out grows the connection's own window (a plan is committed as it
+is laid out); a cut re-derives it from the committed prefix.
 
 *Merge order.*  Each flow obeys the packet pump's recurrence
 ``t' = t + max(rtt, ser, tx_free - t)`` with
@@ -141,9 +145,11 @@ bookkeeping is shard-local by construction).
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from math import frexp, ldexp
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -277,6 +283,19 @@ R_SHARE = 7    # the member flow's `_Share`
 R_RC = 8       # receive-side kernel crossing + copy
 
 _NEVER = float("inf")
+#: the least positive normal double: a pump time below it never jumps
+_TINY = sys.float_info.min
+
+
+def _tie(scale: int, constants: Tuple[float, ...]) -> bool:
+    """Whether adding one of ``constants`` (each ``>= 0`` and below
+    ``2**53`` units) to a multiple of the unit ``2**-scale`` is a
+    round-half-even tie, whose result depends on that multiple's parity."""
+    for c in constants:
+        q = ldexp(c, scale)
+        if q - int(q) == 0.5:
+            return True
+    return False
 
 
 def _detached(peer) -> bool:
@@ -380,6 +399,33 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     run before ``bound``, the earliest pump of any other member (after its
     first round a flow is the most recently executed one, so it loses
     every tie).
+
+    Replay (``rounds`` given) steps every round; planning jumps over a
+    uniform run, exactly.  Inside one binade ``[2**(e-1), 2**e)`` every
+    double is a multiple of ``u = 2**(e-53)``, and adding a constant
+    ``c >= 0`` to such an ``x`` rounds to ``x`` plus a multiple of ``u``
+    that depends on ``x`` only through its parity in ``u`` — and not even
+    on that unless ``c / u`` is an odd multiple of 1/2, a round-half-even
+    tie.  Once the NIC is free at the next pump ``t0`` (``tx_free <= t0``:
+    every round of a sole sender but the first), a round adds the same
+    constants to its pump time each time, so with ``d = fl(t0 + step) - t0``
+    the pump times are ``t0 + j*d`` exactly while every value a round
+    computes stays below ``2**e`` — provided translating by ``d`` keeps
+    the roundings: ``d`` is an even multiple of ``u``, or none of ``ser``,
+    ``latency``, ``rc`` and the step is a tie.  The jump lands on the last
+    round of the run — bounded by ``count``, by the first pump at or after
+    ``bound`` and by the top of the binade — and the loop runs that round
+    with its own float operations: ``t_last``, ``end`` and the ``ready``
+    clamp are read off it (``ready`` grows with ``end``, so only the
+    incoming ``rx_ready`` can clamp, and the last round applies it).
+
+    What stays per round: the first round (the NIC may still be busy), the
+    one that crosses into the next binade, a pump time of zero (or below
+    the least normal double), and a binade where ``d`` is odd and a
+    constant is a tie — there the loop steps to the next binade rather than
+    translate by ``2*d``.  A run that ``bound`` stops after one round —
+    every pinned turn of a plan of k >= 2 flows — breaks before the jump is
+    looked at.
     """
     rtt = plan.rtt
     latency = plan.latency
@@ -387,7 +433,12 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     t = share.t
     rx_ready = share.rx_ready
     floor = rtt if rtt > ser else ser
-    for n in range(1, count + 1):
+    # the pump time from which a jump is worth a look: the next binade
+    # once one was looked at, never for replay
+    retry = _TINY if rounds is None else _NEVER
+    n = 0
+    while True:
+        n += 1
         t_last = t
         # Nic.reserve_tx: begin = max(t, tx_free)
         end = (t if t > tx_free else tx_free) + ser
@@ -405,8 +456,40 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
         # t + max(rtt, ser, tx_free - t)
         wait = end - t
         t = t + (wait if wait > floor else floor)
-        if t >= bound:
+        if t >= bound or n == count:
             break
+        if t >= retry and tx_free <= t:
+            # a uniform run from t: at most one look per binade
+            e = frexp(t)[1]
+            top = retry = ldexp(1.0, e)
+            # its first round, with the loop's operations
+            end0 = t + ser
+            wait = end0 - t
+            step = wait if wait > floor else floor
+            t1 = t + step
+            peak = end0 + latency + rc
+            if peak < t1:
+                peak = t1
+            if peak >= top:
+                continue
+            # in units of u, where every value here is an integer below 2**53
+            scale = 53 - e
+            d = int(ldexp(t1 - t, scale))
+            if not d or d & 1 and _tie(scale, (ser, latency, rc, step)):
+                continue
+            # rounds 0 .. k-2 of the run stay below `top` ...
+            k = (int(ldexp(top - peak, scale)) - 1) // d + 2
+            if bound < top:
+                # ... and none of the pumps 1 .. k-1 reaches `bound`
+                k_bound = -(-int(ldexp(bound - t, scale)) // d)
+                if k_bound < k:
+                    k = k_bound
+            if k > count - n:
+                k = count - n
+            if k > 1:
+                # skip to the run's last round; the loop runs that one
+                t += (k - 1) * (t1 - t)
+                n += k - 1
     plan.tx_free = tx_free
     share.t = t
     share.t_last = t_last
@@ -586,12 +669,12 @@ class _NicPlan:
             # Whole windows off the head entry, no send completes.  With the
             # window pinned at the receiver cap — the dominant shape of a
             # bulk transfer — that is a uniform stretch: one run descriptor
-            # covers all its rounds and only the timing recurrence runs per
-            # round.  A window still growing is one round, and the next turn
-            # sees it grown.  Either way one payload view covers what the
-            # flow takes off the entry in consecutive turns.  At least one
-            # byte stays on the entry so its completion round takes the
-            # slow path.
+            # covers all its rounds, and `_advance` lays their timing out a
+            # binade of the clock at a time.  A window still growing is one
+            # round, and the next turn sees it grown.  Either way one payload
+            # view covers what the flow takes off the entry in consecutive
+            # turns.  At least one byte stays on the entry so its completion
+            # round takes the slow path.
             if pinned:
                 k = (navail - 1) // window
                 if k > room:
@@ -891,7 +974,9 @@ class FluidController:
         #: ``Ethernet100`` with a foreign frame never / every 0.5 s / every
         #: 50 ms: 1.0 / 5.5 / 53.9 with a constant 64, 1.0 / 46.7 / 446 with
         #: no bound (quadratic: every cut re-lays the whole rest out), 1.0 /
-        #: 4.0 / 4.1 with this rule.
+        #: 4.0 / 4.1 with this rule.  Those are rounds, not steps: laying a
+        #: sole sender's rounds out costs a few steps per binade of the
+        #: clock (``_advance``), a replay one step per round.
         self._horizon = policy.first_plan_rounds
         self._streak = 0
         # pending synthesized observations (flushed as one burst report);

@@ -19,8 +19,8 @@ The bulk-TCP section holds the fluid planner to the same standard, per
 transfer instead of per operation: at hybrid fidelity an 8 MiB stream on a
 clean link is a handful of events whatever its length, at the packet run's
 completion instants, and a staged file (awaited 64 MiB sends) costs as few
-plans as its flow has earned — plans, events and timers exact, and events
-per delivered MiB.
+plans as its flow has earned — plans, events, timers and the rounds the
+planner steps one by one exact, and events per delivered MiB.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import cProfile
 import gc
+import inspect
 import pstats
 import random
 import sys
@@ -42,6 +43,7 @@ from repro.arbitration.madio import DEMUX_OVERHEAD
 from repro.core import PadicoFramework, paper_cluster
 from repro.madeleine.message import segment_overhead
 from repro.monitoring.probes import LOOKAHEAD
+from repro.simnet import fluid
 from repro.simnet.buffers import Gather, StreamBuffer
 from repro.simnet.cost import Cost
 from repro.simnet.engine import Simulator
@@ -313,13 +315,43 @@ def test_a_hybrid_bulk_transfer_is_a_handful_of_events_at_the_packet_instants(
 MIB = 1024 * 1024
 
 
+@contextlib.contextmanager
+def planning_steps():
+    """Count the rounds ``fluid._advance``'s per-round loop runs while it
+    plans (``rounds is None``; a replay steps every round by design): one
+    per execution of the loop's first statement, seen by a line tracer on
+    that one function.  Yields a one-element list holding the count."""
+    code = fluid._advance.__code__
+    lines, first = inspect.getsourcelines(fluid._advance)
+    body = first + next(i for i, line in enumerate(lines) if line.strip() == "t_last = t")
+    steps = [0]
+
+    def step(frame, event, arg):
+        if event == "line" and frame.f_lineno == body:
+            steps[0] += 1
+        return step
+
+    def call(frame, event, arg):
+        if frame.f_code is code and frame.f_locals["rounds"] is None:
+            return step
+        return None
+
+    trace = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield steps
+    finally:
+        sys.settrace(trace)
+
+
 def staged_tcp(fidelity, sends, parked_read, nbytes=64 * MIB):
     """One established connection over ``Ethernet100``, the loop drained;
     then ``sends`` awaited sends of one shared ``nbytes`` payload, towards a peer
     that drains its socket as the bytes come or — ``parked_read`` — has one
     exact read of everything posted from the start.  Returns ``((plans,
-    events, timers), instants)``: the fluid plans built and what the loop ran
-    from the first send to quiescence, and when each send completed and the
+    events, timers, steps), instants)``: the fluid plans built, what the loop
+    ran from the first send to quiescence and the rounds the planner stepped
+    one by one (:func:`planning_steps`), and when each send completed and the
     read had its bytes."""
     sim = Simulator()
     net = Ethernet100(sim)
@@ -344,10 +376,11 @@ def staged_tcp(fidelity, sends, parked_read, nbytes=64 * MIB):
             instants.append(sim.now)
 
     sim.process(sender())
-    sim.run()
+    with planning_steps() as steps:
+        sim.run()
     assert peer.bytes_received == sends * len(payload)
     plans = conn.fluid.epochs if conn.fluid is not None else 0
-    return (plans, *window.close()), instants
+    return (plans, *window.close(), steps[0]), instants
 
 
 @pytest.mark.parametrize(
@@ -358,13 +391,17 @@ def staged_tcp(fidelity, sends, parked_read, nbytes=64 * MIB):
         # 70 left — by then the flow has earned 524 — and every later send is
         # one plan: 7 plans, each its batched delivery, the send's completion
         # and the drained pump, plus the sender's five resumptions.  With a
-        # constant bound of 64 rounds (PR 18): 21 plans, (54, 52).
-        (5, False, (0, 3865, 3863), (7, 26, 24), (12.078125, 0.08125)),
+        # constant bound of 64 rounds (PR 18): 21 plans, (54, 52).  The
+        # planner steps 33 of the 1,286 rounds one by one — the ramp's, and a
+        # few per binade of the clock a pinned stretch crosses; it stepped
+        # all 1,286 before laying runs out in closed form.
+        (5, False, (0, 3865, 3863, 0), (7, 26, 24, 33), (12.078125, 0.08125)),
         # the reader of a staged file: one exact read of the 64 MiB, parked
         # from the start.  It used to demote its sender once 64 windows had
         # piled up behind it (a receiver-pressure fallback, deleted): 3
         # plans, then 70 packet rounds, (220, 217) at the very same instants.
-        (1, True, (0, 790, 787), (3, 11, 8), (12.34375, 0.171875)),
+        # It steps 19 of its 262 rounds (all 262 before the closed form).
+        (1, True, (0, 790, 787, 0), (3, 11, 8, 19), (12.34375, 0.171875)),
     ],
     ids=["five-awaited-sends", "peer-parked-on-one-exact-read"],
 )
@@ -395,14 +432,15 @@ def test_an_awaited_write_that_fits_the_window_is_one_plan_of_one_round():
     runs = {(fidelity, writes): staged_tcp(fidelity, writes, False, nbytes=32 * 1024)
             for fidelity in ("packet", "hybrid") for writes in (few, many)}
     assert runs["hybrid", many][1] == runs["packet", many][1]
-    assert runs["hybrid", few][0] == (8, 34, 32) and runs["packet", few][0] == (0, 43, 41)
-    # per write, past the ramp: (plans, events, timers), exact
+    assert runs["hybrid", few][0] == (8, 34, 32, 11) and runs["packet", few][0] == (0, 43, 41, 0)
+    # per write, past the ramp: (plans, events, timers, steps), exact — a
+    # plan of one round is one step
     per_write = {
         fidelity: tuple((m - f) / (many - few)
                         for f, m in zip(runs[fidelity, few][0], runs[fidelity, many][0]))
         for fidelity in ("packet", "hybrid")
     }
-    assert per_write == {"packet": (0.0, 4.0, 4.0), "hybrid": (1.0, 4.0, 4.0)}
+    assert per_write == {"packet": (0.0, 4.0, 4.0, 0.0), "hybrid": (1.0, 4.0, 4.0, 1.0)}
 
 
 # -- Circuit and the middleware round trips ----------------------------------------

@@ -9,10 +9,14 @@ checks, each test pins down *which* fluid transition it exercised via the
 controller's introspection counters.
 """
 
+import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.abstraction.topology import TopologyKB
 from repro.core import FrameworkError, PadicoFramework
@@ -1051,12 +1055,15 @@ FOREIGN_FRAME_EVERY = {"never": None, "every-500ms": 0.5, "every-50ms": 0.05}
 @pytest.mark.parametrize("rate", sorted(FOREIGN_FRAME_EVERY))
 def test_plan_layout_work_is_amortised_whatever_cuts_the_flow(rate, monkeypatch):
     """The recorded measurement behind ``FluidController._horizon``, machine-
-    independent: rounds run through the timing recurrence — laid out, and
+    independent: rounds passed through ``fluid._advance`` — laid out, and
     replayed when a cut needs them — per round the flow sends.  A 256 MiB
     sole sender (1030 rounds) on whose NIC a foreign frame takes the wire
     never / every 0.5 s / every 50 ms: 1.0 / 4.0 / 4.1.  A constant bound of
     64 rounds gave 1.0 / 5.5 / 53.9 (and 17 plans where nothing cuts), no
-    bound at all 1.0 / 46.7 / 446 — every cut re-lays the whole rest out."""
+    bound at all 1.0 / 46.7 / 446 — every cut re-lays the whole rest out.
+    These are rounds, not steps: laying a sole sender's run out costs a few
+    steps per binade of its pump times, and only a replay steps per round
+    (``test_event_budget.py`` pins the steps)."""
     counted = []
     advance = fluid._advance
 
@@ -1088,6 +1095,69 @@ def test_plan_layout_work_is_amortised_whatever_cuts_the_flow(rate, monkeypatch)
     # the stack drops each foreign frame it is handed; each one cut a plan
     assert ("nic-contention" in _reasons(conn.fluid)) == bool(net.drop_log) == (rate != "never")
     assert 1.0 <= sum(counted) / conn.rounds <= 4.5
+
+
+def _unit(e):
+    """``u`` of the binade ``[2**(e-1), 2**e)``: its doubles' spacing."""
+    return math.ldexp(1.0, e - 53)
+
+
+@st.composite
+def _recurrences(draw):
+    """Inputs of one ``_advance`` call, biased to where laying out in closed
+    form could go wrong: a pump time just below a power of two, zero or tiny
+    against the round's wire time; constants that are round-half-even ties
+    in the pump time's binade or the next; a NIC still busy at the first
+    pump; a ``bound`` that stops a run midway; latency- and wire-bound
+    rounds; up to 5,000 rounds."""
+    e = draw(st.integers(-12, 8))
+    t0 = draw(st.one_of(
+        st.floats(math.ldexp(1.0, e - 1), math.ldexp(1.0, e), exclude_max=True),
+        st.integers(1, 2000).map(lambda k: math.ldexp(1.0, e) - k * _unit(e)),
+        st.sampled_from([0.0, 5e-324, 1e-12]),
+    ))
+    binade = math.frexp(t0)[1] if t0 > 1e-9 else e
+
+    def constant():
+        c = draw(st.floats(0.0, 0.05))
+        if draw(st.booleans()):
+            # c = (m + 1/2) * u: a tie in t0's binade or the next one
+            u = _unit(binade + draw(st.integers(0, 1)))
+            c = (math.floor(c / u) + 0.5) * u
+        return c
+
+    ser, latency, rc = constant(), constant(), constant()
+    rtt = draw(st.sampled_from([2.0 * latency, constant()]))
+    tx_free = t0 + draw(st.sampled_from([-1e-3, 0.0, constant()]))
+    rx_ready = t0 + draw(st.sampled_from([0.0, constant(), 10.0]))
+    count = draw(st.integers(1, 5000))
+    step = max(rtt, ser, 1e-9)
+    bound = draw(st.sampled_from([math.inf, t0 + draw(st.floats(0.0, 1.2)) * count * step]))
+    return rtt, latency, tx_free, t0, rx_ready, count, bound, ser, rc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_recurrences())
+# a first round that leaves the NIC busy at the next pump: it ends at
+# tx_free = 0.5 + 2**-53, but its wait, end - 2**-54, and the next pump,
+# 2**-54 + wait, are both ties that round down to 0.5
+@example((0.0, 0.0, 0.5, 2.0**-54, 0.0, 10, math.inf, 2.0**-53, 0.0))
+def test_laying_a_run_out_is_stepping_it(case):
+    """Planning (``rounds is None``) jumps over uniform runs in closed form;
+    replay steps every round.  Both from the same state must agree on every
+    bit: the rounds taken and the recurrence state they leave."""
+    rtt, latency, tx_free, t0, rx_ready, count, bound, ser, rc = case
+
+    def advance(rounds):
+        plan = SimpleNamespace(rtt=rtt, latency=latency, tx_free=tx_free)
+        share = SimpleNamespace(t=t0, rx_ready=rx_ready, t_last=None, end=None)
+        n = fluid._advance(plan, share, count, bound, 1, ser, rc, 1, rounds)
+        return n, plan.tx_free, share.t, share.t_last, share.rx_ready, share.end
+
+    replayed = []
+    planned = advance(None)
+    assert planned == advance(replayed)
+    assert len(replayed) == planned[0]
 
 
 def test_a_partial_reader_lags_by_at_most_the_last_plans_bytes():
