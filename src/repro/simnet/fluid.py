@@ -59,12 +59,18 @@ the zero-loss rule of the packet model — ``TcpConnection._update_window``
 itself, the one copy the packet round and the plan both apply: slow
 start adds what the round delivered, congestion avoidance one segment,
 clamped to ``[min_cwnd, receive_window]``; ``ssthresh`` only moves on a
-loss.  Once it is pinned at the cap a turn takes a run-length-encoded
-stretch of full windows, and lays its timing out in closed form: inside
+loss.  Once it is pinned at the cap the flow is in a *stretch* of full
+windows off its head entry, booked once, whole, when it starts: one
+run-length-encoded run, and one payload view cut at the flow's next
+ordinary round (the merge takes back what a stretch it ends did not lay
+out), not turn by turn.  Its timing is laid out in closed form: inside
 one binade of the clock a run of identical rounds is an arithmetic
 progression in floating point, so a sole sender's stretch costs a few
 steps of the recurrence per binade its pump times cross, not one per
-round (:func:`_advance`; a replay still steps every round).  Laying a
+round (:func:`_advance`; a replay still steps every round).  Flows that
+share the NIC take turns of a round or a few; while every one whose turn
+comes is in a stretch, the turns rotate inside ``_advance``'s own loop,
+so a turn costs its step of the recurrence and nothing else.  Laying a
 round out grows the connection's own window (a plan is committed as it
 is laid out); a cut re-derives it from the committed prefix.
 
@@ -78,9 +84,12 @@ so the next round to lay out is the one with the earliest pump time,
 ties going to the flow whose previous round executed first (initially:
 the pumping flow, then the co-senders by the ``seq`` of their pending
 timers).  That is the engine's own order, not an approximation of it.
-A flow that drains leaves the merge; the merge stops when the flow
-whose turn it is has reached its round cap, and that flow's trailing
-pump (the earliest one) closes the plan and cuts the next.
+:meth:`_NicPlan.merge` applies it turn by turn, and ``_advance``
+applies it within a rotation of pinned stretches, up to the first
+member's stretch limit.  A flow that drains leaves the merge; the merge
+stops when the flow whose turn it is has reached its round cap, and that
+flow's trailing pump (the earliest one) closes the plan and cuts the
+next.
 
 *Rollback.*  Link churn (:meth:`Network.changed`), any foreign
 ``Nic.reserve_tx`` (a handshake, a datagram — the NIC names the plan as
@@ -166,6 +175,11 @@ class FluidPolicy:
     #: ``FluidController._horizon``) — twice what it has committed since its
     #: last cut.
     first_plan_rounds: int = 64
+
+    def __post_init__(self) -> None:
+        # a plan with no round to lay out for its first member would never end
+        if self.first_plan_rounds < 1:
+            raise ValueError(f"first_plan_rounds must be at least 1, not {self.first_plan_rounds}")
 
 
 def steady_state_rate(network: "Network", cwnd: int, receive_window: int,
@@ -337,7 +351,7 @@ class _Share:
 
     __slots__ = (
         "ctl", "conn", "peer", "cap", "rc_window", "t0", "rx_ready0", "cwnd0", "t", "t_last",
-        "rx_ready", "end", "runs", "parts", "tail", "nbytes", "nrounds", "completions",
+        "rx_ready", "end", "runs", "parts", "taken", "nbytes", "nrounds", "completions",
         "drained", "deliver_handle", "cursor", "left",
     )
 
@@ -372,8 +386,10 @@ class _Share:
         #: plan never concatenates them (a plan of hundreds of rounds would
         #: otherwise materialise a temporary as large as the send itself).
         self.parts: List[memoryview] = []
-        #: (buffer, start, stop) behind ``parts[-1]`` when it can still grow
-        self.tail: Optional[tuple] = None
+        #: bytes full-window rounds have taken off the head entry of the send
+        #: queue since its last ordinary round, not yet in ``parts`` (one
+        #: view covers them all, see ``_NicPlan._book``)
+        self.taken = 0
         self.nbytes = 0
         self.nrounds = 0
         #: per fully-consumed send, in consumption order:
@@ -386,10 +402,15 @@ class _Share:
         self.drained = False
         #: the pending batched delivery of ``parts``; None once handed over
         self.deliver_handle = None
+        #: rounds left of the uniform run the share is in: while planning, of
+        #: the pinned stretch it is laying out (``_NicPlan._lay_out``); while
+        #: replaying, of ``runs[cursor]``
+        self.left = 0
 
 
 def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: int,
-             ser: float, rc: float, npkts: int, rounds: Optional[List[tuple]]) -> int:
+             ser: float, rc: float, npkts: int, rounds: Optional[List[tuple]],
+             order: Optional[List[_Share]] = None) -> int:
     """Lay out up to ``count`` equal rounds of one flow; return how many.
 
     The one copy of the timing recurrence, used by planning and by replay:
@@ -400,10 +421,24 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     first round a flow is the most recently executed one, so it loses
     every tie).
 
+    Planning a pinned stretch (``order`` given: the merging members, the
+    flow last) rotates: when the flow's turn ends at ``bound``, the loop
+    picks the member :meth:`_NicPlan.merge` would pick next — the earliest
+    pump, ties to the first in ``order`` — moves it to the end of ``order``
+    and runs its turn there, provided that member is in a pinned stretch
+    too.  Each member's rounds are counted off its ``left`` (its
+    ``count``).  The rotation ends at a member whose turn comes that is
+    not in a stretch, or at the first member to reach its stretch's limit:
+    the caller answers for that member (``order[-1]``, whose rounds the
+    return value counts) — its cap ends the merge, and its next turn is
+    its completion round.  A sole sender is a rotation of one: ``bound``
+    is infinite, it never switches.
+
     Replay (``rounds`` given) steps every round; planning jumps over a
-    uniform run, exactly.  Inside one binade ``[2**(e-1), 2**e)`` every
-    double is a multiple of ``u = 2**(e-53)``, and adding a constant
-    ``c >= 0`` to such an ``x`` rounds to ``x`` plus a multiple of ``u``
+    uniform run, exactly, while the same flow continues.  Inside one
+    binade ``[2**(e-1), 2**e)`` every double is a multiple of
+    ``u = 2**(e-53)``, and adding a constant ``c >= 0`` to such an
+    ``x`` rounds to ``x`` plus a multiple of ``u``
     that depends on ``x`` only through its parity in ``u`` — and not even
     on that unless ``c / u`` is an odd multiple of 1/2, a round-half-even
     tie.  Once the NIC is free at the next pump ``t0`` (``tx_free <= t0``:
@@ -423,9 +458,9 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     one that crosses into the next binade, a pump time of zero (or below
     the least normal double), and a binade where ``d`` is odd and a
     constant is a tie — there the loop steps to the next binade rather than
-    translate by ``2*d``.  A run that ``bound`` stops after one round —
-    every pinned turn of a plan of k >= 2 flows — breaks before the jump is
-    looked at.
+    translate by ``2*d``.  A turn that ``bound`` ends after one round —
+    every pinned turn of a plan of k >= 2 flows — switches or breaks
+    before the jump is looked at.
     """
     rtt = plan.rtt
     latency = plan.latency
@@ -457,7 +492,33 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
         wait = end - t
         t = t + (wait if wait > floor else floor)
         if t >= bound or n == count:
-            break
+            if order is None or n == count:
+                break
+            # the flow's turn is over: the next is the merge's pick
+            share.t = t
+            nxt = order[0]
+            bound = _NEVER
+            for other in order:
+                if other.t < nxt.t:
+                    bound = nxt.t
+                    nxt = other
+                elif other is not nxt and other.t < bound:
+                    bound = other.t
+            if not nxt.left:
+                break
+            share.t_last = t_last
+            share.rx_ready = rx_ready
+            share.end = end
+            share.left -= n
+            order.remove(nxt)
+            order.append(nxt)
+            share = nxt
+            t = share.t
+            rx_ready = share.rx_ready
+            rc = share.rc_window
+            count = share.left
+            n = 0
+            continue
         if t >= retry and tx_free <= t:
             # a uniform run from t: at most one look per binade
             e = frexp(t)[1]
@@ -495,6 +556,8 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     share.t_last = t_last
     share.rx_ready = rx_ready
     share.end = end
+    if order is not None:
+        share.left -= n
     return n
 
 
@@ -555,7 +618,11 @@ class _NicPlan:
             seeds[1:] = sorted(seeds[1:], key=lambda seed: seed[0].conn._pump_handle.seq)
         order = [_Share(self, *seed) for seed in seeds]
         laid_out = list(order)
-        self._commit(ctl, laid_out, self.merge(order, self._lay_out))
+        unfinished = self.merge(order, self._lay_out)
+        for share in laid_out:
+            if share.taken:
+                self._book(share)
+        self._commit(ctl, laid_out, unfinished)
 
     def _commit(self, ctl: "FluidController", laid_out: List[_Share],
                 unfinished: List[_Share]) -> None:
@@ -632,9 +699,13 @@ class _NicPlan:
 
         ``order`` lists the merging shares by the execution order of their
         previous rounds, and is kept that way.  The share with the earliest
-        pump time (first in ``order`` among equals) takes a
-        ``turn(share, bound)``: True keeps it merging, False retires it,
-        None keeps it and ends the merge.  Returns the shares still
+        pump time (first in ``order`` among equals) moves to the end of
+        ``order`` and takes a ``turn(share, bound, order)``, ``bound`` being
+        the earliest pump of the others: True keeps it merging, False
+        retires it, None keeps it and ends the merge.  A planning turn may
+        rotate through several members (:func:`_advance` picks them by the
+        same rule): it moves each to the end as its turn begins, and its
+        answer is about the last, ``order[-1]``.  Returns the shares still
         merging."""
         while order:
             best = order[0]
@@ -645,78 +716,85 @@ class _NicPlan:
                     best = share
                 elif share is not best and share.t < bound:
                     bound = share.t
-            stays = turn(best, bound)
-            order.remove(best)
+            if best is not order[-1]:
+                order.remove(best)
+                order.append(best)
+            stays = turn(best, bound, order)
             if stays is None:
-                order.append(best)
                 break
-            if stays:
-                order.append(best)
+            if not stays:
+                order.pop()
         return order
 
-    def _lay_out(self, share: _Share, bound: float) -> Optional[bool]:
+    def _lay_out(self, share: _Share, bound: float, order: List[_Share]) -> Optional[bool]:
         """Planning turn: consume ``share``'s send queue into rounds, each
-        as large as the flow's window has grown by then."""
-        conn = share.conn
-        pinned = conn.cwnd >= self.window
-        window = self.window if pinned else conn.cwnd
-        room = share.cap - share.nrounds
-        sendq = conn._sendq
-        entry = sendq[0]
-        view, offset = entry[0], entry[1]
-        navail = len(view) - offset
-        if navail > window:
-            # Whole windows off the head entry, no send completes.  With the
-            # window pinned at the receiver cap — the dominant shape of a
-            # bulk transfer — that is a uniform stretch: one run descriptor
-            # covers all its rounds, and `_advance` lays their timing out a
-            # binade of the clock at a time.  A window still growing is one
-            # round, and the next turn sees it grown.  Either way one payload
-            # view covers what the flow takes off the entry in consecutive
-            # turns.  At least one byte stays on the entry so its completion
-            # round takes the slow path.
-            if pinned:
-                k = (navail - 1) // window
-                if k > room:
-                    k = room
-                ser, rc, npkts = self.w_ser, share.rc_window, self.w_npkts
-            else:
-                k = 1
-                ser, rc, npkts = self._round_costs(share, window)
-            n = _advance(self, share, k, bound, window, ser, rc, npkts, None)
-            stop = offset + n * window
-            entry[1] = stop
-            tail = share.tail
-            if tail is not None and tail[0] is view and tail[2] == offset:
-                offset = tail[1]
-                share.parts[-1] = view[offset:stop]
-            else:
-                share.parts.append(view[offset:stop])
-            share.tail = (view, offset, stop)
-            runs = share.runs
-            if runs and runs[-1][1] == window:
-                runs[-1][0] += n
-            else:
-                runs.append([n, window, ser, rc, npkts])
-            share.nrounds += n
-            share.nbytes += n * window
-            if pinned:
+        as large as the flow's window has grown by then.
+
+        Whole windows off the head entry complete no send, and one payload
+        view covers what the flow takes off the entry until its next
+        ordinary round (``taken``, cut by :meth:`_book`).  With the window
+        pinned at the receiver cap — the dominant shape of a bulk transfer
+        — they are a uniform *stretch* of ``(navail - 1) // window`` rounds
+        (at least one byte stays on the entry, so its completion round is
+        an ordinary one), or of what the flow's ``cap`` leaves.  It is
+        booked once, whole, when it starts — one run descriptor, the
+        window clamped straight back — and its turns are ``_advance`` steps
+        and nothing else: the step rotates through the other members'
+        stretches, counting each member's rounds off its ``left``.  No code
+        outside plan construction looks at a share mid-merge, and the merge
+        takes back what a stretch it ends did not lay out.  A window still
+        growing is one round, and the next turn sees it grown."""
+        left = share.left
+        if not left:
+            conn = share.conn
+            pinned = conn.cwnd >= self.window
+            window = self.window if pinned else conn.cwnd
+            room = share.cap - share.nrounds
+            sendq = conn._sendq
+            entry = sendq[0]
+            navail = len(entry[0]) - entry[1] - share.taken
+            if navail > window:
+                if pinned:
+                    k = (navail - 1) // window
+                    if k > room:
+                        k = room
+                    ser, rc, npkts = self.w_ser, share.rc_window, self.w_npkts
+                else:
+                    k = 1
+                    ser, rc, npkts = self._round_costs(share, window)
+                runs = share.runs
+                if runs and runs[-1][1] == window:
+                    runs[-1][0] += k
+                else:
+                    runs.append([k, window, ser, rc, npkts])
+                share.nrounds += k
+                share.nbytes += k * window
+                share.taken += k * window
+                if not pinned:
+                    _advance(self, share, 1, bound, window, ser, rc, npkts, None)
+                    conn._update_window(0, window)
+                    return True if room > 1 else None
                 conn.cwnd = window  # its growth is clamped straight back
-            else:
-                conn._update_window(0, window)
-            # such a turn never drains the queue; a flow at its round cap
-            # ends the plan (every round laid out so far runs before any
-            # member's next pump, so the earliest trailing pump finds the
-            # plan fully committed, and cuts the next)
-            return True if n < room else None
+                share.left = left = k
+        if left:
+            _advance(self, share, left, bound, self.window, self.w_ser, share.rc_window,
+                     self.w_npkts, None, order)
+            last = order[-1]
+            # the member whose turn ended the rotation is mid-stretch, or
+            # ran it out; a flow at its round cap ends the plan (every round
+            # laid out so far runs before any member's next pump, so the
+            # earliest trailing pump finds the plan fully committed, and
+            # cuts the next)
+            return True if last.left or last.nrounds < last.cap else None
         # the rest of the head entry fits in a window: one ordinary round
+        if share.taken:
+            self._book(share)
         parts, attempted, retired = conn._gather_window(window)
         end_off = share.nbytes
         if attempted:
             ser, rc, npkts = self._round_costs(share, attempted)
             _advance(self, share, 1, bound, attempted, ser, rc, npkts, None)
             share.parts.extend(parts)
-            share.tail = None
             share.runs.append([1, attempted, ser, rc, npkts])
             share.nrounds += 1
             share.nbytes += attempted
@@ -736,6 +814,24 @@ class _NicPlan:
             share.drained = True
             return False
         return True if room > 1 else None
+
+    def _book(self, share: _Share) -> None:
+        """Cut the payload view of the full windows ``share`` has taken off
+        the head entry of its send queue since its last ordinary round.
+        A stretch the merge ended early gives back what it did not lay
+        out."""
+        left = share.left
+        if left:
+            share.left = 0
+            share.runs[-1][0] -= left
+            share.nrounds -= left
+            share.nbytes -= left * self.window
+            share.taken -= left * self.window
+        entry = share.conn._sendq[0]
+        offset = entry[1]
+        stop = entry[1] = offset + share.taken
+        share.taken = 0
+        share.parts.append(entry[0][offset:stop])
 
     def _round_costs(self, share: _Share, nbytes: int) -> Tuple[float, float, int]:
         """``(ser, rc, npkts)`` of one round of ``nbytes``: wire time,
@@ -764,7 +860,7 @@ class _NicPlan:
             share.cursor = 0
             share.left = share.runs[0][0]
 
-        def turn(share: _Share, bound: float) -> bool:
+        def turn(share: _Share, bound: float, _order: List[_Share]) -> bool:
             run = share.runs[share.cursor]
             share.left -= _advance(self, share, share.left, bound, run[1], run[2], run[3],
                                    run[4], rounds)

@@ -19,8 +19,9 @@ The bulk-TCP section holds the fluid planner to the same standard, per
 transfer instead of per operation: at hybrid fidelity an 8 MiB stream on a
 clean link is a handful of events whatever its length, at the packet run's
 completion instants, and a staged file (awaited 64 MiB sends) costs as few
-plans as its flow has earned — plans, events, timers and the rounds the
-planner steps one by one exact, and events per delivered MiB.
+plans as its flow has earned — plans, events, timers, the planner's Python
+calls and the rounds it steps one by one exact, and events per delivered
+MiB.
 """
 
 from __future__ import annotations
@@ -254,12 +255,36 @@ def test_a_gathered_read_costs_what_the_flat_read_costs(method, budget):
 # -- bulk TCP at hybrid fidelity: a transfer's budget, not a round's ---------------------
 
 
+@contextlib.contextmanager
+def fluid_calls():
+    """Count Python calls into ``simnet/fluid.py``: ``sys.setprofile``'s
+    ``call`` events of code compiled from that file, comprehensions left
+    out (Python 3.12 inlines them into their function).  Puts the previous
+    profiler back.  Yields a one-element list holding the count."""
+    filename = fluid.__file__
+    inlined = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+    calls = [0]
+
+    def count(frame, event, arg):
+        if (event == "call" and frame.f_code.co_filename == filename
+                and frame.f_code.co_name not in inlined):
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
 def bulk_tcp(fidelity, nflows, nbytes=8 * 1024 * 1024):
     """``nflows`` connections from one host to another over ``Ethernet100``,
     established and drained; then ``nbytes`` sent on each at once.  Returns
-    ``((events, timers), instants)`` of the transfers: what the loop ran
-    from the sends to quiescence, and when each send completed and each
-    reader had its bytes."""
+    ``((events, timers), instants, calls)`` of the transfers: what the loop
+    ran from the sends to quiescence, when each send completed and each
+    reader had its bytes, and the Python calls into the fluid planner the
+    run made (:func:`fluid_calls`)."""
     sim = Simulator()
     net = Ethernet100(sim)
     a, b = Host(sim, "a"), Host(sim, "b")
@@ -278,13 +303,14 @@ def bulk_tcp(fidelity, nflows, nbytes=8 * 1024 * 1024):
     for conn, peer in pairs:
         instants.append(completion_time(conn.send(payload)))
         instants.append(completion_time(peer.recv_exact(nbytes)))
-    sim.run()
+    with fluid_calls() as calls:
+        sim.run()
     assert all(conn.rounds == 38 for conn, _peer in pairs)
-    return window.close(), instants
+    return window.close(), instants, calls[0]
 
 
 @pytest.mark.parametrize(
-    "nflows, packet_budget, budget",
+    "nflows, packet_budget, budget, calls",
     [
         # per flow, packet: 38 rounds of pump, frame arrival and receive
         # append, the send's completion, one read.  Hybrid: the first pump
@@ -293,15 +319,25 @@ def bulk_tcp(fidelity, nflows, nbytes=8 * 1024 * 1024):
         # read — 5 events, 4 timers, whatever the transfer's length.  When
         # a flow had to show 8 zero-loss packet rounds with its window
         # pinned before a plan would take it (PR 17): (29, 28) and (57, 56).
-        (1, (116, 115), (5, 4)),
+        # The planner's calls: 7 slow-start turns, the stretch of 30 full
+        # windows in one `_advance` call, its booking, the completion
+        # round, the plan's set-up and wind-down (43 before `_book`, which
+        # books the stretch once).
+        (1, (116, 115), (5, 4), 44),
         # two flows on the NIC: one joint plan, laid out by the pump that
-        # runs first — the other flow's pending one is cancelled unrun
-        (2, (232, 230), (9, 8)),
+        # runs first — the other flow's pending one is cancelled unrun.
+        # Their 60 pinned rounds, a turn each, rotate inside 3 `_advance`
+        # calls; the 14 slow-start and 2 completion turns remain turns of
+        # the merge (194 calls when every pinned turn was a merge
+        # iteration, a `_lay_out` and an `_advance` call)
+        (2, (232, 230), (9, 8), 82),
+        # 90 pinned rounds in 5 calls (290 turn by turn)
+        (3, (348, 345), (13, 12), 123),
     ],
-    ids=["sole-sender", "two-per-nic"],
+    ids=["sole-sender", "two-per-nic", "three-per-nic"],
 )
 def test_a_hybrid_bulk_transfer_is_a_handful_of_events_at_the_packet_instants(
-    nflows, packet_budget, budget
+    nflows, packet_budget, budget, calls
 ):
     packet = bulk_tcp("packet", nflows)
     hybrid = bulk_tcp("hybrid", nflows)
@@ -310,6 +346,8 @@ def test_a_hybrid_bulk_transfer_is_a_handful_of_events_at_the_packet_instants(
     # machine-independent, and exact: a flow that falls back to per-round
     # events fails here, and none of the saving moves a completion
     assert hybrid[1] == packet[1] and all(len(seen) == 1 for seen in hybrid[1])
+    # the planner's own work per transfer: Python calls into simnet/fluid.py
+    assert hybrid[2] == calls
 
 
 MIB = 1024 * 1024

@@ -37,7 +37,7 @@ from repro.simnet.fluid import (
 )
 from repro.simnet.host import Host
 from repro.simnet.networks import Ethernet100, WanVthd
-from repro.simnet.tcp import TcpError, TcpStack
+from repro.simnet.tcp import TcpError, TcpModel, TcpStack
 
 PORT = 4242
 MIB = 1024 * 1024
@@ -1158,6 +1158,129 @@ def test_laying_a_run_out_is_stepping_it(case):
     planned = advance(None)
     assert planned == advance(replayed)
     assert len(replayed) == planned[0]
+
+
+def run_joint(fidelity, sizes, offsets=None, latency=None, window=None, first_plan_rounds=None):
+    """One send of ``sizes[i]`` bytes on each of ``len(sizes)`` connections
+    from host ``a`` to host ``b`` over ``Ethernet100`` (so the flows share
+    ``a``'s NIC), send i posted ``offsets[i]`` seconds after *every*
+    handshake is done — unlike :func:`run_scenario`, whose flows start from
+    their own handshakes, so flows posted together here pump together;
+    ``latency`` and the receive ``window`` replace the link's and the
+    model's, ``first_plan_rounds`` the hybrid policy's.  Returns, per flow,
+    ``(send completion, read completion, rounds)``."""
+    sim = Simulator()
+    net = Ethernet100(sim)
+    if latency is not None:
+        net.latency = latency
+        net.changed("degrade")
+    a, b = Host(sim, "a"), Host(sim, "b")
+    net.connect(a)
+    net.connect(b)
+    model = TcpModel()
+    if window is not None:
+        model.receive_window = window
+    if fidelity == "hybrid" and first_plan_rounds is not None:
+        policy = dict(fluid_policy=FluidPolicy(first_plan_rounds=first_plan_rounds))
+    else:
+        policy = dict(fidelity=fidelity)
+    sa, sb = TcpStack(a, model, **policy), TcpStack(b, model, **policy)
+    pairs = []
+    for port in range(PORT, PORT + len(sizes)):
+        accepting, connecting = sb.listen(port).accept(), sa.connect(b, port)
+        sim.run()
+        pairs.append((connecting.value, accepting.value))
+    start = sim.now
+    out = []
+    for (conn, peer), nbytes, at in zip(pairs, sizes, offsets or [0.0] * len(sizes)):
+        sent, read = sim.event(), peer.recv_exact(nbytes)
+        sim.call_at(start + at, lambda conn=conn, n=nbytes, ev=sent: conn.send(bytes(n), done=ev))
+        when = []
+        for ev in (sent, read):
+            ev.add_callback(lambda _ev, when=when: when.append(sim.now))
+        out.append((when, conn))
+    sim.run()
+    assert all(peer.bytes_received == n for (_conn, peer), n in zip(pairs, sizes))
+    return [(*when, conn.rounds) for when, conn in out]
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_a_first_plan_of_no_round_is_rejected(rounds):
+    """A plan whose first member may lay out no round never ends its merge:
+    ``first_plan_rounds`` is at least 1."""
+    with pytest.raises(ValueError):
+        FluidPolicy(first_plan_rounds=rounds)
+
+
+def test_a_first_plan_of_one_round_on_a_window_pinned_from_the_start_matches():
+    """A receive window equal to the initial window (2 segments) pins the
+    flow from its first round, so its first plan is a stretch of one round,
+    as long as its cap (a cap of 0 hung the simulator); the plans after it
+    grow as the flow earns them, at the packet run's instants."""
+    packet = run_joint("packet", [MIB], window=2920)
+    hybrid = run_joint("hybrid", [MIB], window=2920, first_plan_rounds=1)
+    assert hybrid == packet
+    assert packet[0][2] == 360 and packet[0][0] == pytest.approx(0.0887, abs=1e-4)
+
+
+@st.composite
+def _joint_plans(draw):
+    """Two or three flows on one NIC: sizes of whole windows or ragged, equal
+    or not, the sends posted together, a fraction of a window's wire time
+    apart or whole rounds apart, on a wire-bound or an RTT-bound link, and
+    first plans of a few rounds — the plans after them grow to 2, 4, 12, ...
+    times that, so a member's cap falls inside a rotation of stretches."""
+    k = draw(st.integers(2, 3))
+    window = draw(st.sampled_from([WINDOW, 64 * 1024]))
+    sizes = [draw(st.integers(6, 40)) * window + draw(st.sampled_from([0, 1, 777, window - 1]))
+             for _ in range(k)]
+    if draw(st.booleans()):
+        # flows in lockstep: on an RTT-bound link their pumps tie round
+        # after round, and the rotation must break every tie as the merge does
+        sizes = sizes[:1] * k
+    # in units of a window's wire time on a 100 Mbit/s link
+    spread = draw(st.sampled_from([0.0, 0.2, 3.0])) * window * 8 / 100e6
+    offsets = [draw(st.floats(0.0, spread)) for _ in range(k)]
+    latency = draw(st.sampled_from([None, 0.03]))
+    return sizes, offsets, latency, window, draw(st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_joint_plans())
+def test_laying_a_joint_plan_out_is_replaying_it(case):
+    """Planning a joint plan rotates its pinned members inside ``_advance``
+    and books their stretches once; ``materialize`` replays it turn by turn,
+    one member at a time.  Right after every plan's construction the replay
+    must leave each share's recurrence state and ledger — and the NIC's
+    ``tx_free`` — exactly as planning did, and return every round laid out.
+    No member lays out more than its cap, and the merge ends only when
+    every member drained or the one that took the last turn is at its cap."""
+    sizes, offsets, latency, window, first = case
+    commit = fluid._NicPlan._commit
+    joint = []
+
+    def state(plan):
+        return plan.tx_free, [(share.t, share.t_last, share.rx_ready, share.end, share.nrounds,
+                               share.nbytes, [list(run) for run in share.runs])
+                              for share in plan.shares]
+
+    def replaying(plan, ctl, laid_out, unfinished):
+        commit(plan, ctl, laid_out, unfinished)
+        planned = state(plan)
+        rounds = plan.materialize()
+        assert state(plan) == planned
+        assert len(rounds) == sum(share.nrounds for share in plan.shares)
+        assert all(share.nrounds <= share.cap for share in plan.shares)
+        last = rounds[-1][fluid.R_SHARE]
+        assert last.nrounds == last.cap or all(share.drained for share in plan.shares)
+        joint.append(len(plan.shares) > 1)
+
+    fluid._NicPlan._commit = replaying
+    try:
+        run_joint("hybrid", sizes, offsets, latency, window, first)
+    finally:
+        fluid._NicPlan._commit = commit
+    assert any(joint)
 
 
 def test_a_partial_reader_lags_by_at_most_the_last_plans_bytes():
