@@ -73,7 +73,7 @@ def test_fig3_curve(benchmark, once, drive, monkeypatch, curve):
     benchmark.extra_info["series_MBps"] = {s: round(v, 2) for s, v in results.items()}
     # shape check: within 15 % of the paper's plateau
     assert plateau == pytest.approx(paper_plateau, rel=0.15)
-    assert plateau == pytest.approx(model_plateau, rel=1e-9)
+    assert plateau == model_plateau
     # bandwidth must grow with message size (the S-curve of Figure 3)
     assert results[32] < results[16384] < results[max(results)]
 

@@ -25,7 +25,6 @@ from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.buffers import Gather
-from repro.simnet.cost import Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.simnet.network import Delivery, Network
@@ -59,10 +58,11 @@ class CircuitAdapter:
         """Open whatever channels / listeners the adapter needs."""
 
     def send(
-        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+        self, dst_rank: int, payload: bytes, cost: float, done: Optional[SimEvent] = None
     ) -> SimEvent:
-        """Transmit one fully packed Circuit message; completes ``done`` (the
-        caller's own operation) when given, a new event otherwise."""
+        """Transmit one fully packed Circuit message after ``cost`` seconds
+        of send-side software cost; completes ``done`` (the caller's own
+        operation) when given, a new event otherwise."""
         raise NotImplementedError
 
     def _account(self, nbytes: int) -> None:
@@ -98,7 +98,7 @@ class MadIOCircuitAdapter(CircuitAdapter):
         self.channel.set_receive_callback(self._on_message)
 
     def send(
-        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+        self, dst_rank: int, payload: bytes, cost: float, done: Optional[SimEvent] = None
     ) -> SimEvent:
         if self.channel is None:
             raise AbstractionError("adapter not started")
@@ -142,7 +142,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
     def __init__(self, circuit: Circuit, route: RouteChoice):
         super().__init__(circuit, route)
         self._out_streams: Dict[int, object] = {}
-        self._connecting: Dict[int, List[Tuple[bytes, Cost, SimEvent]]] = {}
+        self._connecting: Dict[int, List[Tuple[bytes, float, SimEvent]]] = {}
         #: the sender's rank of each incoming stream, once its hello arrived
         self._peers: Dict[int, int] = {}
         # per-destination cursor: a later small message with a cheaper
@@ -162,9 +162,9 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
 
     # send path ---------------------------------------------------------------------
     def send(
-        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+        self, dst_rank: int, payload: bytes, cost: float, done: Optional[SimEvent] = None
     ) -> SimEvent:
-        cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD)
+        cost += CROSS_PARADIGM_FRAMING_OVERHEAD
         self._account(len(payload))
         if done is None:
             done = self.sim.event(name="circuit-stream-send")
@@ -197,10 +197,10 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         attempt.add_callback(_connected)
         return done
 
-    def _send_on(self, stream, dst_rank: int, payload: bytes, cost: Cost, done: SimEvent) -> None:
+    def _send_on(self, stream, dst_rank: int, payload: bytes, cost: float, done: SimEvent) -> None:
         frame = Gather((_FRAME.pack(self.circuit.rank, len(payload)), payload))
         # the framing cost delays the write; the stream completes the send's own event
-        self._cursors[dst_rank].after(cost.seconds, stream.write, frame, done)
+        self._cursors[dst_rank].after(cost, stream.write, frame, done)
 
     # receive path ---------------------------------------------------------------------
     def _on_incoming_stream(self, stream, peer_host) -> None:
@@ -217,7 +217,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
             if key not in self._peers:
                 raise AbstractionError("bad circuit stream hello")
             rx = SoftDelivery(self.sim)
-            rx.cost.charge(CROSS_PARADIGM_FRAMING_OVERHEAD)
+            rx.cost += CROSS_PARADIGM_FRAMING_OVERHEAD
             self.circuit._deliver(src_rank, payload, rx)
         # Reuse the reverse direction of an incoming stream when we have no
         # outgoing stream yet (avoids building two sockets per pair).  The
@@ -302,23 +302,15 @@ class LoopbackCircuitAdapter(CircuitAdapter):
         self.per_message_overhead = per_message_overhead
 
     def send(
-        self, dst_rank: int, payload: bytes, cost: Cost, done: Optional[SimEvent] = None
+        self, dst_rank: int, payload: bytes, cost: float, done: Optional[SimEvent] = None
     ) -> SimEvent:
         if self.circuit.host_of(dst_rank) is not self.host:
             raise AbstractionError("loopback circuit adapter only reaches the local host")
         self._account(len(payload))
         rx = SoftDelivery(self.sim)
-        rx.cost.merge(cost)
-        rx.cost.charge(self.per_message_overhead)
-        rx.cost.charge_copy(len(payload), self.host.cpu.memcpy_bandwidth)
-        src_rank = self.circuit.rank
-        self.sim.call_later(
-            max(0.0, rx.ready_time() - self.sim.now) * 0.0,  # deliver through _deliver's own delay
-            self.circuit._deliver,
-            src_rank,
-            payload,
-            rx,
-        )
+        rx.cost = cost + self.per_message_overhead + len(payload) / self.host.cpu.memcpy_bandwidth
+        # delivered through _deliver's own delay
+        self.sim.call_later(0.0, self.circuit._deliver, self.circuit.rank, payload, rx)
         if done is None:
             done = self.sim.event(name="circuit-loopback-send")
-        return done.succeed(len(payload), delay=rx.cost.seconds)
+        return done.succeed(len(payload), delay=rx.cost)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.simnet.cost import Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host, HostGroup
 from repro.madeleine.message import MadIncoming, MadMessage
@@ -127,20 +126,17 @@ class Circuit:
     def post(
         self,
         message: CircuitMessage,
-        extra_cost: Optional[Cost] = None,
+        extra_cost: float = 0.0,
         done: Optional[SimEvent] = None,
     ) -> SimEvent:
         """Send a packed message; the event (``done``, when the caller hands
-        its own operation down) fires at local send completion."""
+        its own operation down) fires at local send completion.
+        ``extra_cost`` is the caller's send-side cost, in seconds."""
         adapter = self.adapter_for(message.dst_rank)
-        cost = Cost()
-        if extra_cost is not None:
-            cost.merge(extra_cost)
-        cost.charge(CIRCUIT_LAYER_OVERHEAD)
         payload = message.finish()
         self.messages_sent += 1
         self.bytes_sent += message.payload_bytes
-        return adapter.send(message.dst_rank, payload, cost, done)
+        return adapter.send(message.dst_rank, payload, extra_cost + CIRCUIT_LAYER_OVERHEAD, done)
 
     def send(self, dst_rank: int, *buffers: bytes, express_first: bool = True) -> SimEvent:
         """Convenience: pack ``buffers`` (first express, rest cheaper) and post."""
@@ -176,7 +172,7 @@ class Circuit:
 
     def _deliver(self, src_rank: int, payload: bytes, rx: RxPath) -> None:
         """Called by adapters when a complete message has arrived."""
-        rx.cost.charge(CIRCUIT_LAYER_OVERHEAD)
+        rx.cost += CIRCUIT_LAYER_OVERHEAD
         incoming = CircuitIncoming(src_rank, payload, src_name=self.group[src_rank].name)
         self.messages_received += 1
         self.bytes_received += incoming.payload_bytes

@@ -1,8 +1,8 @@
 """Shared helpers of the abstraction layer.
 
 The parallel-paradigm receive path (Myrinet → Madeleine → MadIO) carries a
-:class:`repro.simnet.network.Delivery` object whose cost ledger every layer
-charges into, so sub-microsecond layering costs stay visible.  The
+:class:`repro.simnet.network.Delivery` object whose ``cost`` (seconds) every
+layer adds its own to, so sub-microsecond layering costs stay visible.  The
 distributed-paradigm receive path (TCP → SysIO) surfaces as plain socket
 callbacks after the kernel costs have already elapsed; :class:`SoftDelivery`
 gives that path the same interface so the layers above (VLink, Circuit,
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol, runtime_checkable, TYPE_CHECKING
 
-from repro.simnet.cost import Cost, MICROSECOND
+from repro.simnet.cost import MICROSECOND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.engine import SimEvent, Simulator
@@ -28,7 +28,7 @@ class AbstractionError(RuntimeError):
 class RxPath(Protocol):
     """What the receive-side layers need from a delivery context."""
 
-    cost: Cost
+    cost: float
 
     def ready_time(self) -> float: ...
 
@@ -41,17 +41,17 @@ class SoftDelivery:
     def __init__(self, sim: "Simulator", arrived_at: float = None):
         self.sim = sim
         self.arrived_at = sim.now if arrived_at is None else arrived_at
-        self.cost = Cost()
+        self.cost = 0.0
 
     def ready_time(self) -> float:
-        return self.arrived_at + self.cost.seconds
+        return self.arrived_at + self.cost
 
     def complete_into(self, event: "SimEvent", value: Any = None) -> None:
         delay = max(0.0, self.ready_time() - self.sim.now)
         event.succeed(value, delay=delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SoftDelivery at {self.arrived_at:.9f}s +{self.cost.microseconds:.2f}us>"
+        return f"<SoftDelivery at {self.arrived_at:.9f}s +{self.cost / MICROSECOND:.2f}us>"
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ import struct
 from typing import Callable, Dict, Optional
 
 from repro.simnet.buffers import BufferedConnection, StreamBuffer, immutable
-from repro.simnet.cost import Cost
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.simnet.network import Delivery, Network
@@ -74,7 +73,6 @@ from repro.abstraction.common import (
     AbstractionError,
     CROSS_PARADIGM_STREAM_OVERHEAD,
     RxPath,
-    SoftDelivery,
     VLINK_LAYER_OVERHEAD,
 )
 
@@ -223,9 +221,7 @@ class MadVLinkConnection(BufferedConnection):
             raise AbstractionError("write() on closed MadIO VLink connection")
         if self.peer_conn_id is None:
             raise AbstractionError("write() before the MadIO VLink connection is established")
-        cost = Cost()
-        cost.charge(VLINK_LAYER_OVERHEAD)
-        cost.charge(CROSS_PARADIGM_STREAM_OVERHEAD)
+        cost = VLINK_LAYER_OVERHEAD + CROSS_PARADIGM_STREAM_OVERHEAD
         header = _DATA_HEADER.pack(self.peer_conn_id, 0)
         self.bytes_sent += len(data)
         return self.driver.data_channel.send(
@@ -244,8 +240,8 @@ class MadVLinkConnection(BufferedConnection):
 
     # -- receive path (called by the driver) --------------------------------------
     def _on_data(self, body: bytes, rx: RxPath) -> None:
-        rx.cost.charge(VLINK_LAYER_OVERHEAD)
-        rx.cost.charge(CROSS_PARADIGM_STREAM_OVERHEAD)
+        rx.cost += VLINK_LAYER_OVERHEAD
+        rx.cost += CROSS_PARADIGM_STREAM_OVERHEAD
         # Appends are serialized per connection: a small message's lower
         # receive-side cost must not let its bytes overtake an earlier large
         # message's — this is a byte stream, not a message interface.
@@ -291,8 +287,7 @@ class MadIOVLinkDriver(VLinkDriver):
         done = self.sim.event(name=f"madio-vlink-connect({dst_host.name}:{port})")
         self._pending_connects[conn.conn_id] = done
         ctl = _CTL.pack(_CTL_CONNECT, port, conn.conn_id, 0)
-        cost = Cost().charge(VLINK_LAYER_OVERHEAD)
-        self.ctl_channel.send(peer_rank, ctl, b"", extra_cost=cost)
+        self.ctl_channel.send(peer_rank, ctl, b"", extra_cost=VLINK_LAYER_OVERHEAD)
         return done
 
     def reaches(self, dst_host: Host) -> bool:
@@ -367,13 +362,11 @@ class LoopbackPipe(BufferedConnection):
     def write(self, data: bytes, done: Optional[SimEvent] = None) -> SimEvent:
         if self.closed or self.peer is None:
             raise AbstractionError("write() on closed loopback pipe")
-        rx = SoftDelivery(self.sim)
-        rx.cost.charge(self.driver.per_message_overhead)
-        rx.cost.charge_copy(len(data), self.driver.host.cpu.memcpy_bandwidth)
+        cost = self.driver.per_message_overhead + len(data) / self.driver.host.cpu.memcpy_bandwidth
         if done is None:
             done = self.sim.event(name="loopback-write")
-        self.sim.call_later(rx.cost.seconds, self.peer.buffer.append, immutable(data))
-        return done.succeed(len(data), delay=rx.cost.seconds)
+        self.sim.call_later(cost, self.peer.buffer.append, immutable(data))
+        return done.succeed(len(data), delay=cost)
 
     def close(self) -> None:
         self.closed = True

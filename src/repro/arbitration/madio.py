@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.simnet.cost import Cost, MICROSECOND
+from repro.simnet.cost import MICROSECOND
 from repro.simnet.host import HostGroup
 from repro.simnet.network import Delivery, Network
 from repro.madeleine import (
@@ -93,7 +93,7 @@ class MadIOChannel:
         dst_rank: int,
         header: bytes,
         body: bytes,
-        extra_cost: Optional[Cost] = None,
+        extra_cost: float = 0.0,
         done: Optional["SimEvent"] = None,
     ) -> "SimEvent":
         """Send one (header, body) message to ``dst_rank``.
@@ -103,9 +103,9 @@ class MadIOChannel:
         segments or a GIOP message's parts — is packed ``CHEAPER``, by
         reference, and the receive callback is handed that same object.
 
-        ``extra_cost`` lets the layer above (a VLink driver or Circuit
-        adapter) charge its own send-side software cost onto the same
-        operation, so that it delays the wire transmission exactly like the
+        ``extra_cost`` is the send-side software cost (seconds) of the layer
+        above (a VLink driver or Circuit adapter), added to this operation's
+        so that it delays the wire transmission exactly like the
         corresponding code path would; ``done`` is that layer's own
         operation, completed at local send completion instead of a new event.
         """
@@ -198,7 +198,7 @@ class MadIO:
         dst_rank: int,
         header: bytes,
         body: bytes,
-        extra_cost: Optional[Cost] = None,
+        extra_cost: float = 0.0,
         done: Optional["SimEvent"] = None,
     ) -> "SimEvent":
         hw = self._hw_channels.get(channel.network.name)
@@ -210,11 +210,6 @@ class MadIO:
         if len(name_bytes) > 0xFFFF:
             raise ArbitrationError("logical channel name too long")
         madio_header = _MADIO_HEADER.pack(len(name_bytes), len(header), len(body)) + name_bytes
-
-        cost = Cost()
-        if extra_cost is not None:
-            cost.merge(extra_cost)
-        cost.charge(DEMUX_OVERHEAD)
 
         # The logical channel's group may be a subset of the hardware
         # channel's group: translate the rank.
@@ -234,12 +229,12 @@ class MadIO:
         if body:
             msg.pack_cheaper(body)
         channel.messages_sent += 1
-        return hw.end_packing(msg, extra_cost=cost, done=done)
+        return hw.end_packing(msg, extra_cost=extra_cost + DEMUX_OVERHEAD, done=done)
 
     # -- receive path ---------------------------------------------------------------------
     def _on_madeleine_message(self, incoming: MadIncoming, delivery: Delivery) -> None:
-        self.core.charge_dispatch(MADIO_SUBSYSTEM, delivery.cost, nbytes=incoming.payload_bytes)
-        delivery.cost.charge(DEMUX_OVERHEAD)
+        delivery.cost += self.core.charge_dispatch(MADIO_SUBSYSTEM, nbytes=incoming.payload_bytes)
+        delivery.cost += DEMUX_OVERHEAD
 
         first = incoming.unpack(PackMode.EXPRESS)
         name_len, header_len, body_len = _MADIO_HEADER.unpack_from(first, 0)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.simnet.cost import Cost, MICROSECOND
+from repro.simnet.cost import MICROSECOND
 from repro.simnet.host import Host
 
 
@@ -159,11 +159,10 @@ class NetAccessCore:
         others_weight = sum(s.weight for n, s in self._subsystems.items() if n != name)
         return self._poll_slice * (others_weight / stats.weight)
 
-    def charge_dispatch(self, name: str, cost: Cost, nbytes: int = 0) -> float:
-        """Charge the arbitration cost for one delivery into ``cost`` and
-        update the per-subsystem accounting.  Returns the seconds charged."""
+    def charge_dispatch(self, name: str, nbytes: int = 0) -> float:
+        """The arbitration cost (seconds) of one delivery to ``name``, booked
+        in the per-subsystem accounting; the caller adds it to its delivery."""
         seconds = self.dispatch_cost(name)
-        cost.charge(seconds)
         stats = self.stats(name)
         stats.dispatches += 1
         stats.bytes_delivered += nbytes
@@ -174,11 +173,7 @@ class NetAccessCore:
         """Run ``fn`` after the arbitration dispatch delay (used by SysIO,
         whose underlying TCP deliveries have already consumed their own
         receive-side cost when the callback becomes runnable)."""
-        seconds = self.dispatch_cost(name)
-        stats = self.stats(name)
-        stats.dispatches += 1
-        stats.arbitration_time += seconds
-        self.sim.call_later(seconds, fn, *args)
+        self.sim.call_later(self.charge_dispatch(name), fn, *args)
 
     # -- reporting ------------------------------------------------------------------------
     def fairness_report(self) -> Dict[str, Dict[str, float]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.simnet.cost import Cost, MB, MICROSECOND, KB
+from repro.simnet.cost import MB, MICROSECOND, KB, check_profile
 from repro.simnet.host import Host, HostGroup
 from repro.simnet.network import Delivery, Network, PARADIGM_PARALLEL
 from repro.madeleine.message import (
@@ -50,6 +50,8 @@ class MadeleineCostModel:
     pipeline_copy_bandwidth: float = 12_000.0 * MB
     rendezvous_threshold: int = 32 * KB
     rendezvous_control_overhead: float = 1.0 * MICROSECOND
+
+    __post_init__ = check_profile
 
 
 class _ChannelState:
@@ -217,23 +219,21 @@ class MadChannel:
     def end_packing(
         self,
         message: MadMessage,
-        extra_cost: Optional[Cost] = None,
+        extra_cost: float = 0.0,
         done: Optional["SimEvent"] = None,
     ) -> "SimEvent":
         """Transmit ``message``; the returned event (``done``, when the layer
         above hands its own operation down) fires when the send-side buffers
-        are reusable (local completion).  The frame carries the segment list
-        by reference; its length is the wire length."""
+        are reusable (local completion).  ``extra_cost`` is the seconds of
+        send-side cost the layers above added.  The frame carries the segment
+        list by reference; its length is the wire length."""
         costs = self.driver.costs
         payload = message.finish()
-        cost = Cost()
-        if extra_cost is not None:
-            cost.merge(extra_cost)
-        cost.charge(costs.send_overhead)
-        cost.charge(costs.per_segment_overhead * message.segment_count)
-        cost.charge_copy(len(payload), costs.pipeline_copy_bandwidth)
+        cost = (extra_cost + costs.send_overhead
+                + costs.per_segment_overhead * message.segment_count
+                + len(payload) / costs.pipeline_copy_bandwidth)
         if message.payload_bytes > costs.rendezvous_threshold:
-            cost.charge(2.0 * self.network.latency + costs.rendezvous_control_overhead)
+            cost += 2.0 * self.network.latency + costs.rendezvous_control_overhead
         dst_host = self.group[message.dst_rank]
         self.network.transmit(
             self.host,
@@ -248,7 +248,7 @@ class MadChannel:
         conn.bytes_sent += message.payload_bytes
         if done is None:
             done = self.sim.event(name="mad-send")
-        return done.succeed(message.payload_bytes, delay=cost.seconds)
+        return done.succeed(message.payload_bytes, delay=cost)
 
     def send(self, dst_rank: int, *buffers: bytes, express_first: bool = True) -> "SimEvent":
         """Convenience: pack ``buffers`` (first one express, rest cheaper) and send."""
@@ -271,11 +271,11 @@ class MadChannel:
     def _receive(self, delivery: Delivery) -> None:
         costs = self.driver.costs
         frame = delivery.frame
-        delivery.cost.charge(costs.recv_overhead)
         nsegs = frame.meta.get("segments", 1)
-        delivery.cost.charge(costs.per_segment_overhead * nsegs)
         payload_len = max(0, frame.nbytes - segment_overhead(nsegs))
-        delivery.cost.charge_copy(payload_len, costs.pipeline_copy_bandwidth)
+        delivery.cost += costs.recv_overhead
+        delivery.cost += costs.per_segment_overhead * nsegs
+        delivery.cost += payload_len / costs.pipeline_copy_bandwidth
         incoming = MadIncoming(
             src_rank=frame.meta.get("src_rank", -1),
             raw=frame.payload,

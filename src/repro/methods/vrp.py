@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.simnet.buffers import BufferedConnection, StreamBuffer
-from repro.simnet.cost import MICROSECOND, Cost
+from repro.simnet.cost import MICROSECOND
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
 from repro.simnet.network import Delivery, Network
@@ -157,7 +157,7 @@ class VrpConnection(BufferedConnection):
             self.peer_host,
             header + chunk,
             channel=("vrp-data", self.data_channel_id),
-            send_cost=Cost().charge(VRP_CALL_OVERHEAD),
+            send_cost=VRP_CALL_OVERHEAD,
         )
         # pace at the wire rate: next datagram when this one has been serialised
         pace = self.network.serialization_time(len(chunk) + _DATA_HEADER.size)

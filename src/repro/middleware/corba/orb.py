@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional, Tuple
 
-from repro.simnet.cost import Cost
 from repro.personalities.syswrap import SysWrap, SysWrapSocket
 from repro.middleware.corba.cdr import CdrInputStream, CdrOutputStream
 from repro.middleware.corba.giop import (
@@ -184,10 +183,7 @@ class ORB:
     # -- cost model -------------------------------------------------------------
     def message_cost(self, body_bytes: int) -> float:
         """Software cost of producing or consuming one GIOP message side."""
-        cost = Cost()
-        cost.charge(self.profile.per_call_overhead)
-        cost.charge_copy(body_bytes, self.profile.marshal_bandwidth)
-        return cost.seconds
+        return self.profile.per_call_overhead + body_bytes / self.profile.marshal_bandwidth
 
     def next_request_id(self) -> int:
         return next(self._request_ids)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.simnet.cost import MB, MICROSECOND
+from repro.simnet.cost import MB, MICROSECOND, check_profile
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class OrbProfile:
     #: whether the implementation marshals without copying payloads.
     zero_copy: bool
     giop_version: tuple = (1, 2)
+
+    __post_init__ = check_profile
 
     def describe(self) -> str:
         strategy = "zero-copy" if self.zero_copy else "copying"

@@ -146,10 +146,7 @@ class DsmNode:
         msg = self.circuit.new_message(dst_rank)
         msg.pack_express(_MSG.pack(kind, page, self.rank))
         msg.pack_cheaper(payload)
-        from repro.simnet.cost import Cost
-
-        cost = Cost().charge(DSM_PROTOCOL_OVERHEAD)
-        self.circuit.post(msg, extra_cost=cost)
+        self.circuit.post(msg, extra_cost=DSM_PROTOCOL_OVERHEAD)
 
     def _on_message(self, src_rank: int, incoming: CircuitIncoming, rx) -> None:
         header = incoming.unpack(PackMode.EXPRESS)

@@ -8,7 +8,6 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simnet.buffers import immutable
-from repro.simnet.cost import Cost
 from repro.simnet.host import HostGroup
 from repro.madeleine.message import PackMode
 from repro.personalities.madeleine_api import VirtualMadeleine
@@ -178,9 +177,7 @@ class Communicator(CollectiveMixin):
         profile = self.runtime.profile
         req = Request(self.sim, "send")
         header = _MPI_HEADER.pack(self.context, tag, self.rank, flags)
-        cost = Cost()
-        cost.charge(profile.per_call_overhead)
-        cost.charge_copy(len(payload), profile.copy_bandwidth)
+        cost = profile.per_call_overhead + len(payload) / profile.copy_bandwidth
         channel = self.runtime.channel
         msg = channel.begin_packing(dest)
         channel.pack(msg, header, PackMode.EXPRESS)

@@ -54,7 +54,7 @@ class DirectMadeleineChannel:
     def pack(message: MadMessage, data: bytes, mode: PackMode = PackMode.CHEAPER) -> MadMessage:
         return message.pack(data, mode)
 
-    def end_packing(self, message: MadMessage, extra_cost=None, done=None):
+    def end_packing(self, message: MadMessage, extra_cost=0.0, done=None):
         return self.channel.end_packing(message, extra_cost, done)
 
     # -- unpacking ----------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simnet.cost import KB, MB, MICROSECOND
+from repro.simnet.cost import KB, MB, MICROSECOND, check_profile
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class MpiProfile:
     per_call_overhead: float
     copy_bandwidth: float
     eager_threshold: int = 32 * KB
+
+    __post_init__ = check_profile
 
     def describe(self) -> str:
         return (

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Tuple
 
-from repro.simnet.cost import MICROSECOND, MB, Cost
+from repro.simnet.cost import MICROSECOND, MB
 from repro.madeleine.message import PackMode
 from repro.abstraction.circuit import Circuit, CircuitIncoming
 
@@ -153,9 +153,7 @@ class PvmTask:
         dst_rank = self.rank_of_tid(dest_tid)
         payload = buf.encode()
         header = _PVM_HEADER.pack(self.mytid, tag, len(buf.items))
-        cost = Cost()
-        cost.charge(PVM_CALL_OVERHEAD)
-        cost.charge_copy(len(payload), PVM_COPY_BANDWIDTH)
+        cost = PVM_CALL_OVERHEAD + len(payload) / PVM_COPY_BANDWIDTH
         msg = self.circuit.new_message(dst_rank)
         msg.pack_express(header)
         msg.pack_cheaper(payload)

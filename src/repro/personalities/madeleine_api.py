@@ -59,7 +59,7 @@ class VirtualMadChannel:
         message.pack(data, mode)
         return message
 
-    def end_packing(self, message: CircuitMessage, extra_cost=None, done=None):
+    def end_packing(self, message: CircuitMessage, extra_cost=0.0, done=None):
         return self.circuit.post(message, extra_cost, done)
 
     # -- unpacking (receive side) -----------------------------------------------------

@@ -32,7 +32,6 @@ from repro.simnet.engine import (
     SimulationError,
 )
 from repro.simnet.partition import PartitionedSimulator, LookaheadViolation
-from repro.simnet.cost import Cost
 from repro.simnet.host import Host, CpuModel
 from repro.simnet.network import Network, Nic, Frame, Delivery
 from repro.simnet.networks import (
@@ -56,7 +55,6 @@ __all__ = [
     "SimulationError",
     "PartitionedSimulator",
     "LookaheadViolation",
-    "Cost",
     "Host",
     "CpuModel",
     "Network",

@@ -3,27 +3,30 @@
 Every layer of the reproduced PadicoTM stack (Madeleine, MadIO/SysIO, the
 VLink/Circuit adapters, the personalities and the middleware systems) is real
 Python code that manipulates real bytes, but the *time* it would take on the
-paper's platform (dual Pentium III, 1 GHz) is tracked explicitly through a
-:class:`Cost` ledger rather than through wall-clock measurement — wall clock
+paper's platform (dual Pentium III, 1 GHz) is tracked explicitly as a plain
+``float`` of seconds rather than through wall-clock measurement — wall clock
 of the simulator host would be meaningless for reproducing 2004 numbers.
 
-Costs come in two flavours:
+A layer's cost is a fixed per-operation software overhead (function call
+chains, header manipulation, system call, interrupt, ...) plus per-byte work
+such as a memory copy or a marshalling pass, expressed as an equivalent copy
+bandwidth in bytes/second: ``overhead + nbytes / bandwidth``.  A message's
+cost is the left-to-right sum of what each layer adds, in the order the
+layers run (float addition does not associate: regrouping a sum moves the
+model's last bits, which the paper-row benchmarks pin exactly); *where* time
+went is read from the ladder of transports (``perfbench/stack.py``), one
+rung per layer, not from the sum.
 
-``charge(seconds)``
-    fixed per-operation software overhead (function call chains, header
-    manipulation, system call, interrupt, ...).
-
-``charge_copy(nbytes, bandwidth)``
-    per-byte work such as a memory copy or a marshalling pass, expressed as
-    an equivalent copy bandwidth in bytes/second.
-
-A :class:`Cost` is one running total: *where* time went is read from the
-ladder of transports (``perfbench/stack.py``), one rung per layer, not from
-the ledger.
+The profiles those terms come from (:class:`~repro.simnet.host.CpuModel`,
+Madeleine's, MPI's and the ORBs') are checked once, when built, by
+:func:`check_profile`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
 from typing import Tuple
 
 MICROSECOND = 1e-6
@@ -32,57 +35,37 @@ KB = 1024
 MB = 1_000_000  # the paper reports MB/s in decimal megabytes
 
 
-class Cost:
-    """Accumulates virtual CPU time spent by software layers on one operation."""
+def _check(owner: str, names: Tuple[str, ...], values: tuple) -> None:
+    for name, value in zip(names, values):
+        if value is not dataclasses.MISSING and (
+            value < 0 if name.endswith("_overhead") else value <= 0
+        ):
+            raise ValueError(f"{owner}.{name} = {value!r}")
 
-    __slots__ = ("_total",)
 
-    def __init__(self) -> None:
-        self._total = 0.0
+@functools.cache
+def _rate_fields(cls) -> tuple:
+    """``(get, names, defaults)`` of a cost profile class: a getter of its
+    ``*_overhead`` and ``*_bandwidth`` fields (a tuple: every profile has
+    two or more), their names, and their class defaults, checked here once
+    (``MISSING`` where a field has none)."""
+    fields = [f for f in dataclasses.fields(cls) if f.name.endswith(("_overhead", "_bandwidth"))]
+    names = tuple(f.name for f in fields)
+    defaults = tuple(f.default for f in fields)
+    _check(cls.__name__, names, defaults)
+    return operator.attrgetter(*names), names, defaults
 
-    # -- charging -----------------------------------------------------------
-    def charge(self, seconds: float) -> "Cost":
-        """Add a fixed software overhead (seconds of virtual time)."""
-        if seconds < 0:
-            raise ValueError(f"negative cost: {seconds!r}")
-        self._total += seconds
-        return self
 
-    def charge_us(self, microseconds: float) -> "Cost":
-        """Add a fixed software overhead expressed in microseconds."""
-        return self.charge(microseconds * MICROSECOND)
-
-    def charge_copy(self, nbytes: int, bandwidth: float) -> "Cost":
-        """Add per-byte work at an equivalent ``bandwidth`` (bytes/second)."""
-        if bandwidth <= 0:
-            raise ValueError(f"copy bandwidth must be positive, got {bandwidth!r}")
-        if nbytes < 0:
-            raise ValueError(f"negative byte count: {nbytes!r}")
-        return self.charge(nbytes / bandwidth)
-
-    def merge(self, other: "Cost") -> "Cost":
-        """Fold another ledger into this one (used when layers hand off)."""
-        self._total += other._total
-        return self
-
-    # -- reading ------------------------------------------------------------
-    @property
-    def seconds(self) -> float:
-        """Total accumulated virtual time, in seconds."""
-        return self._total
-
-    @property
-    def microseconds(self) -> float:
-        """Total accumulated virtual time, in microseconds."""
-        return self._total / MICROSECOND
-
-    def copy(self) -> "Cost":
-        clone = Cost()
-        clone._total = self._total
-        return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Cost {self.microseconds:.3f}us>"
+def check_profile(profile) -> None:
+    """A cost profile's ``__post_init__``: every ``*_overhead`` field is a
+    cost (>= 0 seconds) and every ``*_bandwidth`` field a rate (> 0 bytes/s).
+    Every host builds a ``CpuModel`` from the defaults, so a profile equal
+    to its checked defaults costs one getter call and one comparison (and
+    reads no ``__dict__``, which would materialise one per instance)."""
+    get, names, defaults = _rate_fields(type(profile))
+    values = get(profile)
+    if values != defaults:
+        _check(type(profile).__name__, names, values)
 
 
 def latency_bandwidth_time(nbytes: int, latency: float, bandwidth: float) -> float:

@@ -366,8 +366,9 @@ class _Share:
         #: how many rounds the plan may lay out for this flow: what the flow
         #: has earned (``FluidController._horizon``)
         self.cap = ctl._horizon
-        # receive-side kernel crossing + copy of one full window, in the
-        # same float order as Delivery.cost (0.0 + syscall + copy)
+        # receive-side kernel crossing + copy of one full window, in the float
+        # order TcpConnection._on_segment adds them to a fresh Delivery.cost
+        # (0.0 + syscall, then + copy; 0.0 + syscall is syscall exactly)
         cpu = peer.host.cpu
         self.rc_window = cpu.syscall_overhead + plan.window / cpu.memcpy_bandwidth
         #: recurrence state when the plan was laid out, for bit-exact replay
@@ -835,8 +836,9 @@ class _NicPlan:
 
     def _round_costs(self, share: _Share, nbytes: int) -> Tuple[float, float, int]:
         """``(ser, rc, npkts)`` of one round of ``nbytes``: wire time,
-        receive-side kernel crossing + copy (in the float order of
-        ``Delivery.cost``: 0.0 + syscall + copy), packet count."""
+        receive-side kernel crossing + copy (in the float order
+        ``TcpConnection._on_segment`` adds them to a fresh ``Delivery.cost``:
+        0.0 + syscall, then + copy), packet count."""
         net = self.net
         cpu = share.peer.host.cpu
         return (net.serialization_time(nbytes),

@@ -3,9 +3,9 @@
 A :class:`Host` stands for one machine of the deployment — in the paper's
 platform a dual Pentium III 1 GHz node with 512 MB RAM.  The host carries
 
-* a :class:`CpuModel` describing the software-side costs that every layer
-  charges through :class:`repro.simnet.cost.Cost` (memory-copy bandwidth,
-  system-call overhead, interrupt/callback dispatch overhead),
+* a :class:`CpuModel` describing the software-side costs, in seconds, that
+  the layers add to a message's (memory-copy bandwidth, system-call
+  overhead, interrupt/callback dispatch overhead),
 * the set of :class:`~repro.simnet.network.Nic` attached to it, keyed by
   network, and
 * a per-host *service registry* used by the upper layers (NetAccess core,
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
-from repro.simnet.cost import MB, MICROSECOND
+from repro.simnet.cost import MB, MICROSECOND, check_profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.engine import Simulator
@@ -48,6 +48,8 @@ class CpuModel:
     callback_overhead: float = 0.05 * MICROSECOND
     thread_switch_overhead: float = 0.6 * MICROSECOND
     interrupt_overhead: float = 4.0 * MICROSECOND
+
+    __post_init__ = check_profile
 
     def copy_time(self, nbytes: int) -> float:
         """Seconds to copy ``nbytes`` once at ``memcpy_bandwidth``."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.simnet.buffers import immutable
-from repro.simnet.cost import Cost, MB, MICROSECOND
+from repro.simnet.cost import MB, MICROSECOND
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simnet.engine import SimEvent, Simulator
@@ -74,16 +74,17 @@ class Delivery:
 
     The receive path of the reproduced stack (NetAccess demultiplexing,
     adapter, personality, middleware unmarshalling) is a chain of synchronous
-    callbacks executed at the frame's arrival time.  Each stage charges its
-    software cost into :attr:`cost`; the terminal consumer then calls
-    :meth:`complete_into` so the application-visible completion event fires
-    only after the accumulated receive-side cost has elapsed.
+    callbacks executed at the frame's arrival time.  Each stage adds its
+    software cost, in seconds, to :attr:`cost` (a ``float``, 0.0 at arrival);
+    the terminal consumer then calls :meth:`complete_into` so the
+    application-visible completion event fires only after the accumulated
+    receive-side cost has elapsed.
     """
 
     def __init__(self, frame: Frame, arrived_at: float):
         self.frame = frame
         self.arrived_at = arrived_at
-        self.cost = Cost()
+        self.cost = 0.0
 
     @property
     def payload(self) -> bytes:
@@ -95,7 +96,7 @@ class Delivery:
 
     def ready_time(self) -> float:
         """Virtual time at which the data is available to the application."""
-        return self.arrived_at + self.cost.seconds
+        return self.arrived_at + self.cost
 
     def complete_into(self, event: "SimEvent", value: Any = None) -> None:
         """Trigger ``event`` once the receive-side software cost has elapsed."""
@@ -103,7 +104,10 @@ class Delivery:
         event.succeed(value, delay=delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Delivery {self.frame!r} at {self.arrived_at:.9f}s +{self.cost.microseconds:.2f}us>"
+        return (
+            f"<Delivery {self.frame!r} at {self.arrived_at:.9f}s "
+            f"+{self.cost / MICROSECOND:.2f}us>"
+        )
 
 
 class Nic:
@@ -338,16 +342,17 @@ class Network:
         payload: bytes,
         *,
         channel: Any = None,
-        send_cost: Optional[Cost] = None,
+        send_cost: float = 0.0,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Frame:
         """Reliable message transmission from ``src`` to ``dst``.
 
-        The frame leaves the source NIC after the accumulated *send-side*
-        software cost, waits for the NIC transmit link to be free, occupies
-        it for the serialisation time, then arrives at ``dst`` after the wire
-        latency.  The destination NIC's receive handler (installed by the
-        arbitration layer) is invoked at arrival time.
+        The frame leaves the source NIC after ``send_cost``, the seconds of
+        *send-side* software cost the layers above added up, waits for the
+        NIC transmit link to be free, occupies it for the serialisation time,
+        then arrives at ``dst`` after the wire latency.  The destination
+        NIC's receive handler (installed by the arbitration layer) is invoked
+        at arrival time.
         """
         src_nic = self.nic_of(src)
         dst_nic = self.nic_of(dst)
@@ -365,8 +370,7 @@ class Network:
             meta=dict(meta or {}),
         )
         nbytes = frame.nbytes
-        sw = send_cost.seconds if send_cost is not None else 0.0
-        ready = self.sim.now + sw
+        ready = self.sim.now + send_cost
         begin, end = src_nic.reserve_tx(ready, self.serialization_time(nbytes))
         arrival = end + self.latency
         frame.meta.setdefault("tx_begin", begin)
@@ -403,7 +407,7 @@ class Network:
         payload: bytes,
         *,
         channel: Any = None,
-        send_cost: Optional[Cost] = None,
+        send_cost: float = 0.0,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Optional[Frame]:
         """Unreliable transmission: the whole datagram is dropped with the
@@ -426,8 +430,7 @@ class Network:
             # downstream; charge occupancy so a lossy link cannot magically
             # exceed its bandwidth by retransmitting for free.
             src_nic = self.nic_of(src)
-            sw = send_cost.seconds if send_cost is not None else 0.0
-            src_nic.reserve_tx(self.sim.now + sw, self.serialization_time(len(payload)))
+            src_nic.reserve_tx(self.sim.now + send_cost, self.serialization_time(len(payload)))
             self._report_loss(len(payload), "loss")
             return None
         return self.transmit(

@@ -239,7 +239,7 @@ class Loopback(Network):
             return self._transmit_self(src, payload, **kwargs)
         return super().transmit(src, dst, payload, **kwargs)
 
-    def _transmit_self(self, host, payload, *, channel=None, send_cost=None, meta=None):
+    def _transmit_self(self, host, payload, *, channel=None, send_cost=0.0, meta=None):
         from repro.simnet.network import Frame
 
         nic = self.nic_of(host)
@@ -252,8 +252,7 @@ class Loopback(Network):
             payload=immutable(payload),
             meta=dict(meta or {}),
         )
-        sw = send_cost.seconds if send_cost is not None else 0.0
-        ready = self.sim.now + sw
+        ready = self.sim.now + send_cost
         begin, end = nic.reserve_tx(ready, self.serialization_time(frame.nbytes))
         arrival = end + self.latency
         self.frames_sent += 1

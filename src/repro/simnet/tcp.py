@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING
 
 from repro.simnet.buffers import BufferedConnection, Gather, StreamBuffer, immutable
-from repro.simnet.cost import Cost, KB
+from repro.simnet.cost import KB
 from repro.simnet.fluid import FluidController, FluidPolicy
 from repro.simnet.network import Delivery, Network, PARADIGM_DISTRIBUTED
 
@@ -189,13 +189,12 @@ class TcpStack:
         self._connections[conn.conn_id] = conn
         done = self.sim.event(name=f"connect({self.host.name}->{peer.name}:{port})")
         conn._connect_event = done
-        cost = Cost().charge(self.host.cpu.syscall_overhead)
         network.transmit(
             self.host,
             peer,
             b"SYN",
             channel=(CH_SYN, port),
-            send_cost=cost,
+            send_cost=self.host.cpu.syscall_overhead,
             meta={"client_conn": conn.conn_id, "client_port": conn.local_port},
         )
         return done
@@ -235,7 +234,7 @@ class TcpStack:
                 frame.src,
                 b"RST",
                 channel=(CH_SYNACK, client_conn_id),
-                send_cost=Cost().charge(self.host.cpu.syscall_overhead),
+                send_cost=self.host.cpu.syscall_overhead,
                 meta={"refused": True},
             )
             return
@@ -258,13 +257,12 @@ class TcpStack:
                 port=port,
                 role="server",
             )
-        cost = Cost().charge(self.host.cpu.syscall_overhead)
         frame.network.transmit(
             self.host,
             frame.src,
             b"SYNACK",
             channel=(CH_SYNACK, client_conn_id),
-            send_cost=cost,
+            send_cost=self.host.cpu.syscall_overhead,
             meta={"server_conn": conn.conn_id},
         )
         listener._enqueue(conn, delivery)
@@ -292,7 +290,7 @@ class TcpStack:
                 port=conn.remote_port,
                 role="client",
             )
-        delivery.cost.charge(self.host.cpu.syscall_overhead)
+        delivery.cost += self.host.cpu.syscall_overhead
         if done is not None and not done.triggered:
             delivery.complete_into(done, conn)
 
@@ -470,10 +468,9 @@ class TcpConnection(BufferedConnection):
                 self._fluid.on_join()
             # Charge the send()-side kernel crossing and user->kernel copy once
             # per send call; per-burst wire costs are handled by the pump.
-            cost = Cost()
-            cost.charge(self.host.cpu.syscall_overhead)
-            cost.charge_copy(len(data), self.host.cpu.memcpy_bandwidth)
-            self._pump_handle = self.sim.call_later(cost.seconds, self._pump)
+            cpu = self.host.cpu
+            cost = cpu.syscall_overhead + len(data) / cpu.memcpy_bandwidth
+            self._pump_handle = self.sim.call_later(cost, self._pump)
         return done
 
     def _pump(self) -> None:
@@ -537,7 +534,6 @@ class TcpConnection(BufferedConnection):
                 self.peer_host,
                 payload,
                 channel=(CH_DATA, self.peer_conn_id),
-                send_cost=None,
                 # tcp_data tags the frame for the passive probe: its loss
                 # verdict travels in the burst's report, so the frame
                 # itself must not count as a loss sample.
@@ -644,8 +640,9 @@ class TcpConnection(BufferedConnection):
 
     # -- receiving -----------------------------------------------------------------
     def _on_segment(self, delivery: Delivery) -> None:
-        delivery.cost.charge(self.host.cpu.syscall_overhead)
-        delivery.cost.charge_copy(delivery.frame.nbytes, self.host.cpu.memcpy_bandwidth)
+        cpu = self.host.cpu
+        delivery.cost += cpu.syscall_overhead
+        delivery.cost += delivery.frame.nbytes / cpu.memcpy_bandwidth
         self._enqueue_rx(delivery.arrived_at, delivery.ready_time(), delivery.payload)
 
     def _enqueue_rx(self, arrived_at: float, ready: float, payload) -> None:
@@ -743,7 +740,7 @@ class TcpConnection(BufferedConnection):
                 self.peer_host,
                 b"FIN",
                 channel=(CH_FIN, self.peer_conn_id),
-                send_cost=Cost().charge(self.host.cpu.syscall_overhead),
+                send_cost=self.host.cpu.syscall_overhead,
             )
         self.stack._unregister(self)
         self.buffer.set_close_callback(None)  # the close callback is for the peer's FIN

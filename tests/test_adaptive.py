@@ -9,7 +9,6 @@ from repro.abstraction import LinkClass, Route, VLinkState
 from repro.core import PadicoFramework
 from repro.methods import register_wan_method_drivers
 from repro.simnet.buffers import Gather
-from repro.simnet.cost import Cost
 from repro.simnet.networks import Ethernet100, WanVthd
 
 
@@ -501,7 +500,7 @@ def test_stream_mesh_send_pacing_preserves_message_order(ethernet_cluster):
         big_msg = ca.new_message(1)
         big_msg.pack_cheaper(big)
         # a hefty send-side cost (e.g. packing copies) delays the big write
-        ca.post(big_msg, extra_cost=Cost().charge(0.002))
+        ca.post(big_msg, extra_cost=0.002)
         small_msg = ca.new_message(1)
         small_msg.pack_express(small)
         ca.post(small_msg)  # nearly free: used to leapfrog the big one

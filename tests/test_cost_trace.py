@@ -1,9 +1,13 @@
-"""Unit tests for cost accounting and the transfer-time helpers."""
+"""Unit tests for the cost profiles' checks and the transfer-time helpers."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.madeleine.driver import MadeleineCostModel
+from repro.middleware.corba.profiles import OMNIORB_4
+from repro.middleware.mpi.profiles import MPICH_1_2_5
 from repro.simnet.cost import (
-    Cost,
     combine_bandwidths,
     effective_bandwidth,
     format_bandwidth,
@@ -13,40 +17,28 @@ from repro.simnet.cost import (
     split_even,
     MB,
 )
+from repro.simnet.host import CpuModel
 
 
-def test_cost_accumulates():
-    c = Cost()
-    c.charge(1e-6).charge(2e-6).charge(3e-6)
-    assert c.seconds == pytest.approx(6e-6)
-
-
-def test_cost_charge_us():
-    c = Cost().charge_us(2.5)
-    assert c.microseconds == pytest.approx(2.5)
-
-
-def test_cost_copy_charging():
-    c = Cost().charge_copy(1_000_000, 100 * MB)
-    assert c.seconds == pytest.approx(0.01)
-
-
-def test_cost_rejects_invalid():
-    with pytest.raises(ValueError):
-        Cost().charge(-1.0)
-    with pytest.raises(ValueError):
-        Cost().charge_copy(10, 0)
-    with pytest.raises(ValueError):
-        Cost().charge_copy(-1, 100)
-
-
-def test_cost_merge_and_copy():
-    a = Cost().charge(1e-6)
-    b = Cost().charge(2e-6).charge(1e-6)
-    clone = a.copy()
-    a.merge(b)
-    assert a.seconds == pytest.approx(4e-6)
-    assert clone.seconds == pytest.approx(1e-6)
+@pytest.mark.parametrize(
+    "profile, overhead, bandwidth",
+    [
+        (CpuModel(), "syscall_overhead", "memcpy_bandwidth"),
+        (MadeleineCostModel(), "per_segment_overhead", "pipeline_copy_bandwidth"),
+        (MPICH_1_2_5, "per_call_overhead", "copy_bandwidth"),
+        (OMNIORB_4, "per_call_overhead", "marshal_bandwidth"),
+    ],
+    ids=["CpuModel", "MadeleineCostModel", "MpiProfile", "OrbProfile"],
+)
+def test_a_cost_profile_checks_its_overheads_and_bandwidths(profile, overhead, bandwidth):
+    """The terms a layer adds to a message's cost are checked once, when
+    their profile is built: an overhead is >= 0 seconds, a bandwidth > 0."""
+    replace(profile, **{overhead: 0.0})  # a layer may be free
+    with pytest.raises(ValueError, match=overhead):
+        replace(profile, **{overhead: -1e-6})
+    for rate in (0.0, -100 * MB):
+        with pytest.raises(ValueError, match=bandwidth):
+            replace(profile, **{bandwidth: rate})
 
 
 def test_latency_bandwidth_time():

@@ -46,11 +46,14 @@ from repro.madeleine.message import segment_overhead
 from repro.monitoring.probes import LOOKAHEAD
 from repro.simnet import fluid
 from repro.simnet.buffers import Gather, StreamBuffer
-from repro.simnet.cost import Cost
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
 from repro.simnet.networks import Ethernet100, WanVthd, grid_deployment
 from repro.simnet.tcp import TcpStack
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import stack  # noqa: E402 - perfbench's ladder is the transport
 
 PAYLOAD = b"8 bytes!"
 
@@ -131,10 +134,9 @@ def test_vlink_write_over_sysio_is_four_events_and_lands_at_the_last_bytes_arriv
     (frame,) = frames
     assert done_at == [frame.meta["arrival"]]
     cpu = tcp.host.cpu
-    send_cost = Cost().charge(cpu.syscall_overhead)
-    send_cost.charge_copy(len(PAYLOAD), cpu.memcpy_bandwidth)
+    send_cost = cpu.syscall_overhead + len(PAYLOAD) / cpu.memcpy_bandwidth
     assert done_at[0] == pytest.approx(
-        window.t0 + send_cost.seconds + tcp.network.one_way_time(len(PAYLOAD)), rel=1e-12
+        window.t0 + send_cost + tcp.network.one_way_time(len(PAYLOAD)), rel=1e-12
     )
     assert server.available() == len(PAYLOAD)
 
@@ -224,9 +226,9 @@ def test_loopback_pipe_write_and_read_complete_together_after_the_copy():
     # the append, the write's delayed trigger, the read (6 events before)
     assert window.close() == (3, 2)
     pipe = client.conn
-    copy = Cost().charge(pipe.driver.per_message_overhead)
-    copy.charge_copy(len(PAYLOAD), pipe.driver.host.cpu.memcpy_bandwidth)
-    assert read_at == write_at == [window.t0 + copy.seconds]
+    driver = pipe.driver
+    copy = driver.per_message_overhead + len(PAYLOAD) / driver.host.cpu.memcpy_bandwidth
+    assert read_at == write_at == [window.t0 + copy]
     assert (read.value, write.value) == (PAYLOAD, len(PAYLOAD))
 
 
@@ -760,11 +762,18 @@ def chained_read_calls(reads):
         sim.run(until=0.5)
         profile.disable()
     assert left == [0]
+    return repro_calls(profile)
+
+
+def repro_calls(profile):
+    """``profile``'s calls of functions under ``src/repro``, comprehensions
+    left out (Python 3.12 inlines them into their function)."""
     root = str(Path(repro.__file__).parent)
+    inlined = {"<listcomp>", "<dictcomp>", "<setcomp>"}
     return sum(
         ncalls
-        for (filename, _line, _name), (_cc, ncalls, *_rest) in pstats.Stats(profile).stats.items()
-        if filename.startswith(root)
+        for (filename, _line, name), (_cc, ncalls, *_rest) in pstats.Stats(profile).stats.items()
+        if filename.startswith(root) and name not in inlined
     )
 
 
@@ -775,6 +784,58 @@ def test_a_satisfied_read_inside_a_drain_is_six_python_calls():
     pass.  7 while ``SimEvent.value`` was a property."""
     chained_read_calls(128)  # first use
     assert chained_read_calls(256) - chained_read_calls(128) == 6 * 128
+
+
+def round_trip_calls(make, round_trips):
+    """Python calls under ``src/repro`` of ``round_trips`` 8-byte round
+    trips on a fresh ladder rung, built and warmed up as its
+    ``stack_pingpong`` batch does."""
+    rung = make()
+
+    def warm_up():
+        yield from rung.connect()
+        for _ in range(3):
+            yield from rung.pingpong(b"warm-up!")
+
+    def traffic():
+        for _ in range(round_trips):
+            echoed = yield from rung.pingpong(PAYLOAD)
+            assert echoed == PAYLOAD
+
+    rung.sim.run(until=rung.sim.process(warm_up()), max_time=60)
+    profile = cProfile.Profile()
+    with undisturbed():
+        profile.enable()
+        rung.sim.run(until=rung.sim.process(traffic()), max_time=60)
+        profile.disable()
+    return repro_calls(profile)
+
+
+#: Python calls under ``src/repro`` per 8-byte round trip, by rung, in
+#: ``stack.RUNGS`` order: what each layer's code costs the simulator host.
+RUNG_CALLS = {
+    "simnet.network": 57,
+    "madeleine": 174,
+    "arbitration.madio": 198,
+    "abstraction.circuit": 272,
+    "abstraction.vlink": 246,
+    "middleware.mpi": 368,
+    "middleware.mpi_standalone": 278,
+    "middleware.corba": 430,
+    "middleware.corba.omniorb3": 430,
+    "middleware.corba.mico": 430,
+    "middleware.corba.orbacus": 430,
+    "middleware.javasockets": 326,
+}
+
+
+@pytest.mark.parametrize("make, layer", zip(stack.RUNGS, RUNG_CALLS), ids=list(RUNG_CALLS))
+def test_a_ladder_round_trip_costs_its_python_calls_exactly(make, layer):
+    """The difference of a 256- and a 128-round-trip window, so the
+    set-up and the first use of each code path cancel out."""
+    assert make().layer == layer
+    calls = round_trip_calls(make, 256) - round_trip_calls(make, 128)
+    assert calls == RUNG_CALLS[layer] * 128
 
 
 def watched_link(network_cls, seed):

@@ -14,7 +14,7 @@ from repro.simnet.networks import (
     SciNetwork,
     WanVthd,
 )
-from repro.simnet.cost import Cost, MB
+from repro.simnet.cost import MB
 
 
 def make_pair(net_cls=Myrinet2000):
@@ -187,7 +187,7 @@ def test_send_cost_delays_transmission():
     sim2, net2, a2, b2 = make_pair()
     times2 = []
     net2.nic_of(b2).set_receive_handler(lambda d: times2.append(sim2.now), owner="t")
-    net2.transmit(a2, b2, b"x" * 100, send_cost=Cost().charge(5e-6))
+    net2.transmit(a2, b2, b"x" * 100, send_cost=5e-6)
     sim2.run()
     assert times2[0] == pytest.approx(baseline + 5e-6)
 

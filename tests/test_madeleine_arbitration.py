@@ -244,14 +244,11 @@ def test_netaccess_accounting_and_report():
     sim = Simulator()
     core = NetAccessCore(Host(sim, "h"))
     core.register_subsystem("sysio")
-    from repro.simnet.cost import Cost
-
-    cost = Cost()
-    core.charge_dispatch("sysio", cost, nbytes=100)
+    seconds = core.charge_dispatch("sysio", nbytes=100)
     report = core.fairness_report()
     assert report["sysio"]["dispatches"] == 1
     assert report["sysio"]["bytes"] == 100
-    assert cost.seconds > 0
+    assert seconds == core.dispatch_cost("sysio") > 0
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import chop
 
-from repro.simnet.cost import Cost, combine_bandwidths, required_copy_bandwidth, split_even
+from repro.simnet.cost import combine_bandwidths, required_copy_bandwidth, split_even
 from repro.simnet.engine import Simulator
 from repro.madeleine.message import PackMode, decode_segments, encode_segments
 from repro.abstraction.drivers import StreamBuffer
@@ -56,15 +56,6 @@ def test_copy_bandwidth_inversion(observed, wire):
     assert combine_bandwidths(wire, copy) == np.float64(observed).item() or abs(
         combine_bandwidths(wire, copy) - observed
     ) < 1e-6 * observed
-
-
-@COMMON
-@given(st.lists(st.floats(min_value=1e-9, max_value=1e-3), max_size=30))
-def test_cost_total_equals_sum_of_components(charges):
-    cost = Cost()
-    for seconds in charges:
-        cost.charge(seconds)
-    assert abs(cost.seconds - sum(charges)) < 1e-12
 
 
 # --------------------------------------------------------------------------

@@ -374,7 +374,6 @@ def test_a_later_cheaper_message_never_overtakes_a_dearer_one_on_the_stream_mesh
     delays each message's write by its size: the stream's ``Serializer``
     keeps a 10-byte message posted after a 30,000-byte one behind it."""
     from repro.core import paper_wan_pair
-    from repro.simnet.cost import Cost
 
     fw, group = paper_wan_pair()
     sender, receiver = (fw.node(host.name).circuit("order", group) for host in group)
@@ -387,7 +386,7 @@ def test_a_later_cheaper_message_never_overtakes_a_dearer_one_on_the_stream_mesh
         for data in ragged([30_000, 10]):
             message = sender.new_message(1)
             message.pack_express(data)
-            sender.post(message, extra_cost=Cost().charge_copy(len(data), cpu.memcpy_bandwidth))
+            sender.post(message, extra_cost=len(data) / cpu.memcpy_bandwidth)
         for _ in range(2):
             _src, incoming = yield receiver.recv()
             sizes.append(len(incoming.unpack()))
