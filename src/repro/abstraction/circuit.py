@@ -217,7 +217,8 @@ class CircuitManager:
         #: ``factories`` is a table shared between managers (the framework
         #: hands every node the same one) and never written through here
         self._factories: Dict[str, AdapterFactory] = factories if factories is not None else {}
-        self._circuits: Dict[str, Circuit] = {}
+        #: name -> (circuit, the ``adaptive`` flag it was created with)
+        self._circuits: Dict[str, Tuple[Circuit, bool]] = {}
         host.register_service(CIRCUIT_SERVICE, self, replace=True)
 
     # -- adapter registry -----------------------------------------------------------
@@ -262,9 +263,29 @@ class CircuitManager:
         per-source byte order — when its hop degrades or its gateway dies.
         Every member of the group must agree on the flag (an adaptive
         endpoint handshakes sessions, a static one expects raw streams).
+
+        A name opens one circuit per host: asking for it again returns the
+        same endpoint, and raises :class:`AbstractionError` if the group
+        (the same object, or the same host names in order) or the adaptive
+        flag differ from the first open's.
         """
         if name in self._circuits:
-            return self._circuits[name]
+            circuit, have_adaptive = self._circuits[name]
+            if circuit.group is not group and [h.name for h in circuit.group] != [
+                h.name for h in group
+            ]:
+                raise AbstractionError(
+                    f"circuit {name!r} is already open over group {circuit.group.name!r}; "
+                    f"reopening it over group {group.name!r} is not possible — "
+                    "pick a different name"
+                )
+            if bool(adaptive) != have_adaptive:
+                raise AbstractionError(
+                    f"circuit {name!r} is already open with adaptive={have_adaptive}; "
+                    f"reopening it with adaptive={bool(adaptive)} is not possible — "
+                    "pick a different name"
+                )
+            return circuit
         if adaptive and methods:
             # forcing a concrete adapter per rank and asking for migratable
             # sessions contradict each other; failing beats silently
@@ -305,7 +326,7 @@ class CircuitManager:
             adapter = adapters_by_method.get("adaptive")
             if isinstance(adapter, AdaptiveCircuitAdapter):
                 circuit.adaptive = AdaptiveCircuitSession(circuit, adapter)
-        self._circuits[name] = circuit
+        self._circuits[name] = (circuit, bool(adaptive))
         return circuit
 
     def _route(
@@ -340,7 +361,7 @@ class CircuitManager:
         raise AbstractionError(f"no Circuit adapters registered on host {self.host.name}")
 
     def circuit(self, name: str) -> Circuit:
-        return self._circuits[name]
+        return self._circuits[name][0]
 
     def circuits(self) -> List[Circuit]:
-        return list(self._circuits.values())
+        return [circuit for circuit, _adaptive in self._circuits.values()]

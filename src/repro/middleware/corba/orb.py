@@ -126,7 +126,6 @@ class Proxy:
         self.sim = orb.sim
         self.reference = reference
         self.interface = interface
-        self.invocations = 0
 
     def invoke(self, operation: str, *args):
         """Invoke ``operation(*args)`` on the remote object (generator)."""
@@ -141,7 +140,6 @@ class Proxy:
         yield self.sim.timeout(self.orb.message_cost(len(body)))
         conn = yield from self.orb._client_connection(self.reference)
         reply_ev = conn.send_request(request, expect_reply=not op.oneway)
-        self.invocations += 1
         if op.oneway:
             yield reply_ev
             return None
@@ -207,7 +205,6 @@ class ORB:
         listener_sock = self.syswrap.socket()
         listener_sock.bind((self.node.host.name, self.port))
         listener_sock.listen()
-        self._listener_sock = listener_sock
         self.sim.process(self._accept_loop(listener_sock), name=f"giop-accept-{self.port}")
 
     def _accept_loop(self, listener_sock: SysWrapSocket):

@@ -51,7 +51,6 @@ class RtiGateway:
         self._federations: Dict[str, Dict[str, _Federate]] = {}
         self._objects: Dict[Tuple[str, int], Tuple[str, str]] = {}  # (fed, id) -> (class, owner)
         self._next_object_id = 1
-        self.updates_routed = 0
         sock = self.syswrap.socket()
         sock.bind((node.host.name, port))
         sock.listen()
@@ -123,7 +122,6 @@ class RtiGateway:
                 )
                 for other in self._federations.get(federation, {}).values():
                     if other.name != federate.name and object_class in other.subscriptions:
-                        self.updates_routed += 1
                         other.sock.send(notification)
                 yield sock.send(self._encode({"kind": "ack"}))
             else:
@@ -153,7 +151,6 @@ class RtiAmbassador:
         self._sock: Optional[SysWrapSocket] = None
         self._replies: List = []
         self._reply_waiters: List = []
-        self.reflections_received = 0
 
     # -- connection and request/response plumbing ----------------------------------
     def _ensure_connected(self):
@@ -174,7 +171,6 @@ class RtiAmbassador:
                 return
             msg = pickle.loads(payload)
             if msg["kind"] == "reflect":
-                self.reflections_received += 1
                 self.federate_ambassador.reflect_attribute_values(
                     msg["object_id"], msg["object_class"], msg["attributes"],
                     msg["sender"], msg.get("timestamp"),

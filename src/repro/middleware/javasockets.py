@@ -49,7 +49,6 @@ class JavaSocket:
         self.sim = syswrap.sim
         self.profile = profile or JvmProfile()
         self._sock = _accepted if _accepted is not None else syswrap.socket()
-        self.bytes_written = 0
         self.bytes_read = 0
 
     # -- connection management ----------------------------------------------------
@@ -69,7 +68,6 @@ class JavaSocket:
         cost = self.profile.per_call_overhead + len(data) / self.profile.copy_bandwidth
         yield self.sim.timeout(cost)
         yield self._sock.send(data)
-        self.bytes_written += len(data)
         return len(data)
 
     def read(self, nbytes: int):

@@ -44,6 +44,11 @@ class MpiRuntime:
 
     ``adaptive`` overrides the adaptive flag for ``channels="circuit"``
     (``adaptive=False`` gives route-aware static legs).
+
+    The runtime takes its messages from the channel's receive callback
+    (:meth:`_on_message`), as the DSM and PVM take theirs from a Circuit:
+    no receiver process and no queue sit between the delivery and the
+    communicator's matching engine.
     """
 
     def __init__(
@@ -87,7 +92,7 @@ class MpiRuntime:
         self._communicators: Dict[int, "Communicator"] = {}
         self._next_context = 0
         self.comm_world = self.create_communicator()
-        self._receiver = self.sim.process(self._receiver_loop(), name=f"mpi-recv-{node.host.name}")
+        channel.set_receive_callback(self._on_message)
 
     # -- communicator management -------------------------------------------------
     def create_communicator(self) -> "Communicator":
@@ -99,18 +104,16 @@ class MpiRuntime:
         return comm
 
     # -- the progress engine -------------------------------------------------------
-    def _receiver_loop(self):
-        """Single progress loop: demultiplex incoming messages to communicators."""
-        while True:
-            src_rank, incoming = yield self.channel.begin_unpacking()
-            header = incoming.unpack(PackMode.EXPRESS)
-            payload = incoming.unpack() if incoming.remaining_segments else b""
-            incoming.end_unpacking()
-            context, tag, hdr_src, flags = _MPI_HEADER.unpack(header)
-            comm = self._communicators.get(context)
-            if comm is None:
-                raise MpiError(f"message for unknown communicator context {context}")
-            comm._on_message(hdr_src, tag, flags, payload)
+    def _on_message(self, src_rank: int, incoming, rx) -> None:
+        """The channel's receive callback: demultiplex to the communicator."""
+        header = incoming.unpack(PackMode.EXPRESS)
+        payload = incoming.unpack() if incoming.remaining_segments else b""
+        incoming.end_unpacking()
+        context, tag, hdr_src, flags = _MPI_HEADER.unpack(header)
+        comm = self._communicators.get(context)
+        if comm is None:
+            raise MpiError(f"message for unknown communicator context {context}")
+        comm._on_message(hdr_src, tag, flags, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MpiRuntime {self.profile.name} rank={self.comm_world.rank}/{self.comm_world.size}>"
@@ -127,7 +130,6 @@ class Communicator(CollectiveMixin):
         self._unexpected: List[Tuple[int, int, int, bytes]] = []
         self._collective_seq = 0
         self.sends = 0
-        self.receives = 0
 
     # -- identity ---------------------------------------------------------------
     @property
@@ -180,8 +182,8 @@ class Communicator(CollectiveMixin):
         cost = profile.per_call_overhead + len(payload) / profile.copy_bandwidth
         channel = self.runtime.channel
         msg = channel.begin_packing(dest)
-        channel.pack(msg, header, PackMode.EXPRESS)
-        channel.pack(msg, payload, PackMode.CHEAPER)
+        msg.pack(header, PackMode.EXPRESS)
+        msg.pack(payload, PackMode.CHEAPER)
         channel.end_packing(msg, extra_cost=cost, done=req.event)
         self.sends += 1
         return req
@@ -258,14 +260,19 @@ class Communicator(CollectiveMixin):
         return (want_src in (ANY_SOURCE, src)) and (want_tag in (ANY_TAG, tag))
 
     def _on_message(self, src: int, tag: int, flags: int, payload: bytes) -> None:
-        self.receives += 1
-        for idx, (want_src, want_tag, req) in enumerate(self._posted):
+        posted = self._posted
+        idx = 0
+        while idx < len(posted):
+            want_src, want_tag, req = posted[idx]
             if req.cancelled:
-                continue
-            if self._matches(want_src, want_tag, src, tag):
-                self._posted.pop(idx)
+                # a cancelled receive leaves the posted list when met
+                del posted[idx]
+            elif self._matches(want_src, want_tag, src, tag):
+                del posted[idx]
                 self._complete_recv(req, src, tag, flags, payload)
                 return
+            else:
+                idx += 1
         self._unexpected.append((src, tag, flags, payload))
 
     def _complete_recv(self, req: Request, src: int, tag: int, flags: int, payload: bytes) -> None:

@@ -8,18 +8,22 @@ Madeleine, without the MadIO multiplexing, the NetAccess arbitration or the
 Circuit abstraction in between.
 
 :class:`DirectMadeleineChannel` exposes the virtual-Madeleine channel
-interface over a raw :class:`repro.madeleine.driver.MadChannel`, so the very
-same :class:`~repro.middleware.mpi.communicator.MpiRuntime` code runs in
-both configurations and the measured difference is exactly the framework's
-overhead.
+interface — packing on the send side, one receive callback on the other —
+over a raw :class:`repro.madeleine.driver.MadChannel`, so the very same
+:class:`~repro.middleware.mpi.communicator.MpiRuntime` code runs in both
+configurations and the measured difference is exactly the framework's
+overhead.  Like the personality it keeps no receive queue: Madeleine hands
+each message over on arrival, and the channel runs the runtime's callback
+once the message's bytes are ready.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable
 
 from repro.simnet.host import HostGroup
-from repro.madeleine import MadChannel, MadIncoming, MadeleineDriver, PackMode
+from repro.simnet.network import Delivery
+from repro.madeleine import MadChannel, MadIncoming, MadeleineDriver
 from repro.madeleine.message import MadMessage
 
 
@@ -29,9 +33,6 @@ class DirectMadeleineChannel:
     def __init__(self, channel: MadChannel):
         self.channel = channel
         self.sim = channel.sim
-        self._recv_queue: List[Tuple[int, MadIncoming]] = []
-        self._recv_waiters: List[Tuple[Optional[int], object]] = []
-        channel.set_receive_callback(self._on_message)
 
     # -- identity -------------------------------------------------------------
     @property
@@ -50,47 +51,20 @@ class DirectMadeleineChannel:
     def begin_packing(self, dst_rank: int) -> MadMessage:
         return self.channel.begin_packing(dst_rank)
 
-    @staticmethod
-    def pack(message: MadMessage, data: bytes, mode: PackMode = PackMode.CHEAPER) -> MadMessage:
-        return message.pack(data, mode)
-
     def end_packing(self, message: MadMessage, extra_cost=0.0, done=None):
         return self.channel.end_packing(message, extra_cost, done)
 
-    # -- unpacking ----------------------------------------------------------------
-    def begin_unpacking(self, src_rank: Optional[int] = None):
-        ev = self.sim.event(name=f"direct-mad-unpack({self.name})")
-        for idx, (rank, incoming) in enumerate(self._recv_queue):
-            if src_rank is None or rank == src_rank:
-                self._recv_queue.pop(idx)
-                ev.succeed((rank, incoming))
-                return ev
-        self._recv_waiters.append((src_rank, ev))
-        return ev
+    # -- receive side -------------------------------------------------------------
+    def set_receive_callback(self, fn: Callable[[int, MadIncoming, Delivery], None]) -> None:
+        """Install ``fn(src_rank, incoming, delivery)``, run once the
+        message's bytes are ready (Madeleine hands it over on arrival)."""
+        sim = self.sim
 
-    @staticmethod
-    def unpack(incoming: MadIncoming, mode: Optional[PackMode] = None) -> bytes:
-        return incoming.unpack(mode)
+        def on_message(incoming: MadIncoming, delivery: Delivery) -> None:
+            ready = max(0.0, delivery.ready_time() - sim.now)
+            sim.call_later(ready, fn, incoming.src_rank, incoming, delivery)
 
-    @staticmethod
-    def end_unpacking(incoming: MadIncoming) -> None:
-        incoming.end_unpacking()
-
-    # -- internal -------------------------------------------------------------------
-    def _on_message(self, incoming: MadIncoming, delivery) -> None:
-        entry = (incoming.src_rank, incoming)
-        ready = max(0.0, delivery.ready_time() - self.sim.now)
-        self.sim.call_later(ready, self._enqueue, entry)
-
-    def _enqueue(self, entry) -> None:
-        src_rank, incoming = entry
-        for idx, (want, ev) in enumerate(self._recv_waiters):
-            if want is None or want == src_rank:
-                self._recv_waiters.pop(idx)
-                if not ev.triggered:
-                    ev.succeed((src_rank, incoming))
-                return
-        self._recv_queue.append(entry)
+        self.channel.set_receive_callback(on_message)
 
 
 def standalone_mpi_pair(

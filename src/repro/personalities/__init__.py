@@ -18,7 +18,8 @@ PadicoTM's personalities, all reproduced here:
 * :class:`~repro.personalities.fastmessage.FastMessages` — the FastMessage
   2.0 API over Circuit.
 * :class:`~repro.personalities.madeleine_api.VirtualMadeleine` — a virtual
-  Madeleine API over Circuit (what MPICH/Madeleine links against).
+  Madeleine channel over Circuit (what MPICH/Madeleine links against):
+  packing to send, the Circuit's receive callback to receive.
 """
 
 from repro.personalities.vio import Vio, VioSocket, VioError

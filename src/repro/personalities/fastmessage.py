@@ -31,8 +31,6 @@ class FMStream:
 
     def __init__(self, fm: "FastMessages", dest: int, handler_id: int):
         self.fm = fm
-        self.dest = dest
-        self.handler_id = handler_id
         self._message: CircuitMessage = fm.circuit.new_message(dest)
         self._message.pack_express(_FM_HEADER.pack(handler_id))
         self._pieces = 0
@@ -84,7 +82,6 @@ class FastMessages:
         self.sim = circuit.sim
         self._handlers: Dict[int, Callable[[_FMIncoming], None]] = {}
         self._queue: List[Tuple[int, CircuitIncoming]] = []
-        self.messages_extracted = 0
         circuit.set_receive_callback(self._on_message)
 
     # -- identity -------------------------------------------------------------------
@@ -107,11 +104,8 @@ class FastMessages:
 
     # -- sending ---------------------------------------------------------------------
     def begin_message(self, dest: int, handler_id: int) -> FMStream:
-        """``FM_begin_message``: start a message towards node ``dest``."""
-        if handler_id not in self._handlers and dest != self.nodeid:
-            # FM semantics allow sending to handlers registered only on the
-            # destination; nothing to check locally beyond basic sanity.
-            pass
+        """``FM_begin_message``: start a message towards node ``dest``
+        (``handler_id`` need only be registered on the destination)."""
         return FMStream(self, dest, handler_id)
 
     def send(self, dest: int, handler_id: int, *pieces: bytes):
@@ -137,7 +131,6 @@ class FastMessages:
                 raise FMError(f"no handler registered for id {handler_id}")
             handler(_FMIncoming(incoming, src_rank))
             handled += 1
-            self.messages_extracted += 1
         return handled
 
     def pending(self) -> int:

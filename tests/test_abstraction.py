@@ -390,6 +390,24 @@ def test_circuit_group_membership_enforced(cluster4):
         outsider.circuit("sub-circuit", sub)
 
 
+def test_circuit_name_reuse_needs_the_same_group_and_adaptive_flag(cluster4):
+    fw, group = cluster4
+    node = fw.node(group[0].name)
+    g01 = fw.group([group[0].name, group[1].name], "g01")
+    g02 = fw.group([group[0].name, group[2].name], "g02")
+    x = node.circuit("x", g01)
+    # the same host names in the same order name the same circuit
+    assert node.circuit("x", fw.group([group[0].name, group[1].name], "g01-again")) is x
+    with pytest.raises(AbstractionError, match="already open over group 'g01'"):
+        node.circuit("x", g02)
+    with pytest.raises(AbstractionError, match="already open with adaptive=False"):
+        node.circuit("x", g01, adaptive=True)
+    y = node.circuit("y", g01, adaptive=True)
+    assert node.circuit("y", g01, adaptive=True) is y
+    with pytest.raises(AbstractionError, match="already open with adaptive=True"):
+        node.circuit("y", g01)
+
+
 def test_circuit_multi_node_group(cluster4):
     fw, group = cluster4
     circuits = [fw.node(h.name).circuit("ring", group) for h in group]

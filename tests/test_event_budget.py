@@ -576,14 +576,23 @@ def round_trip_budget(fw, round_trip):
     return out[0]
 
 
-def test_mpi_round_trip_is_ten_events():
-    from repro.middleware.mpi import MPICH_1_2_5, MpiRuntime
+@pytest.mark.parametrize(
+    "standalone, seconds",
+    [(False, 2.4317696969696974e-05), (True, 2.304103030303032e-05)],
+    ids=["framework", "standalone"],
+)
+def test_mpi_round_trip_is_eight_events_on_both_bindings(standalone, seconds):
+    from repro.middleware.mpi import MPICH_1_2_5, MpiRuntime, standalone_mpi_pair
 
     fw, group = paper_cluster(2)
-    runtimes = [
-        MpiRuntime(fw.node(host.name), group, profile=MPICH_1_2_5, channel_name="bench")
-        for host in group
-    ]
+    if standalone:
+        san = next(n for n in group[0].networks() if n.is_parallel)
+        runtimes = standalone_mpi_pair(san, group, profile=MPICH_1_2_5)
+    else:
+        runtimes = [
+            MpiRuntime(fw.node(host.name), group, profile=MPICH_1_2_5, channel_name="bench")
+            for host in group
+        ]
     comm0, comm1 = (runtime.comm_world for runtime in runtimes)
 
     def round_trip():
@@ -593,12 +602,13 @@ def test_mpi_round_trip_is_ten_events():
         echoed = yield comm0.irecv(1, 8).wait()
         assert echoed == PAYLOAD
 
-    events, timers, seconds = round_trip_budget(fw, round_trip)
-    # per direction: send request, frame arrival, circuit delivery, receive
-    # request, plus the process resumptions (16 events before: the send
-    # request alone was timer + mad-send + chain, the receive timer + event)
-    assert (events, timers) == (10, 8)
-    assert seconds == pytest.approx(2.4317696969696974e-05, rel=1e-9)
+    events, timers, elapsed = round_trip_budget(fw, round_trip)
+    # per direction: send request, frame arrival, the delivery timer that
+    # runs MPI's receive callback, the receive request's timer resuming the
+    # process (16 events before the one-completion rule; 10 while a receiver
+    # process pulled each message from the channel's own queue)
+    assert (events, timers) == (8, 8)
+    assert elapsed == pytest.approx(seconds, rel=1e-9)
 
 
 def test_omniorb_round_trip_is_fourteen_events():
@@ -819,8 +829,8 @@ RUNG_CALLS = {
     "arbitration.madio": 198,
     "abstraction.circuit": 272,
     "abstraction.vlink": 246,
-    "middleware.mpi": 368,
-    "middleware.mpi_standalone": 278,
+    "middleware.mpi": 340,
+    "middleware.mpi_standalone": 248,
     "middleware.corba": 430,
     "middleware.corba.omniorb3": 430,
     "middleware.corba.mico": 430,

@@ -1,4 +1,5 @@
-"""``examples/quickstart.py`` runs, and prints the paper's Table 1 rows."""
+"""Every example runs, and ``examples/quickstart.py`` prints the paper's
+Table 1 rows."""
 
 from __future__ import annotations
 
@@ -23,6 +24,13 @@ LAYER_OF = {
     "MPICH-1.2.5": "middleware.mpi",
     "omniORB-4.0.0": "middleware.corba",
 }
+
+
+@pytest.mark.parametrize(
+    "example", sorted((REPO / "examples").glob("*.py")), ids=lambda path: path.stem
+)
+def test_example_runs(example):
+    runpy.run_path(str(example))["main"]()
 
 
 def test_quickstart_prints_four_table1_rows_within_tolerance(capsys):

@@ -140,6 +140,26 @@ def test_isend_irecv_requests(cluster):
     assert data == b"nonblocking" and src == 0
 
 
+def test_cancelled_receives_leave_the_posted_list_when_a_message_arrives(cluster):
+    fw, group = cluster
+    comms = mpi_world(fw, group)
+    receiver = comms[1]
+    for req in [receiver.irecv(0, 5) for _ in range(3)]:
+        req.cancel()
+
+    def scenario():
+        yield from comms[0].send(b"tag five", 1, tag=5)
+        yield fw.sim.timeout(1e-3)
+        # the arrival met three cancelled receives: none of them took it and
+        # none of them stays posted for later arrivals to scan past
+        after_arrival = (list(receiver._posted), receiver.pending_unexpected())
+        data = yield from receiver.recv(0, 5)
+        return after_arrival, data
+
+    assert run(fw, scenario()) == (([], 1), b"tag five")
+    assert receiver._posted == [] and receiver.pending_unexpected() == 0
+
+
 def test_sendrecv(cluster):
     fw, group = cluster
     comms = mpi_world(fw, group)
@@ -410,12 +430,12 @@ def test_mpi_channel_name_reuse_across_modes_rejected(cluster):
     """The circuit behind a channel name is cached per node: reopening the
     same name in a different adaptive mode must fail loudly instead of
     silently handing back the other transport."""
-    from repro.madeleine.message import MadeleineError
+    from repro.abstraction.common import AbstractionError
 
     fw, group = cluster
     node = fw.node(group[0].name)
     MpiRuntime(node, group, channel_name="reuse")  # static vmad circuit
-    with pytest.raises(MadeleineError, match="already open with adaptive=False"):
+    with pytest.raises(AbstractionError, match="already open with adaptive=False"):
         MpiRuntime(node, group, channels="circuit", channel_name="reuse")
 
 

@@ -17,7 +17,7 @@ from repro.personalities import (
     VioError,
     VirtualMadeleine,
 )
-from repro.madeleine.message import PackMode
+from repro.madeleine.message import MadeleineError, PackMode
 from repro.simnet.buffers import Gather
 
 
@@ -271,17 +271,25 @@ def test_virtual_madeleine_pack_unpack(cluster):
     ch1 = vm1.open_channel("vm", group)
     assert ch0.rank == 0 and ch1.size == 2
 
-    def scenario():
-        msg = ch0.begin_packing(1)
-        ch0.pack(msg, b"header", PackMode.EXPRESS)
-        ch0.pack(msg, b"bulk" * 20, PackMode.CHEAPER)
-        ch0.end_packing(msg)
-        src, incoming = yield ch1.begin_unpacking()
-        hdr = ch1.unpack(incoming, PackMode.EXPRESS)
-        bulk = ch1.unpack(incoming, PackMode.CHEAPER)
-        ch1.end_unpacking(incoming)
-        return src, hdr, bulk
+    received = []
 
-    src, hdr, bulk = run(fw, scenario())
+    def on_message(src, incoming, rx):
+        hdr = incoming.unpack(PackMode.EXPRESS)
+        bulk = incoming.unpack(PackMode.CHEAPER)
+        incoming.end_unpacking()
+        received.append((src, hdr, bulk, fw.sim.now))
+
+    ch1.set_receive_callback(on_message)
+    sent_at = fw.sim.now
+    msg = ch0.begin_packing(1)
+    msg.pack(b"header", PackMode.EXPRESS)
+    msg.pack(b"bulk" * 20, PackMode.CHEAPER)
+    ch0.end_packing(msg)
+    fw.sim.run()
+    ((src, hdr, bulk, at),) = received
     assert (src, hdr, bulk) == (0, b"header", b"bulk" * 20)
+    # the callback runs once the bytes are ready, not at the send instant
+    assert at > sent_at
+    with pytest.raises(MadeleineError, match="loop back"):
+        ch0.begin_packing(0)
     assert vm0.channels() == ["vm"]

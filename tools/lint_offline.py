@@ -44,11 +44,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 #: the layers on the per-message path, where a store costs every message,
-#: and the observers that ride it (monitoring, the flight recorder)
+#: the observers that ride it (monitoring, the flight recorder), and the
+#: personalities, middleware and framework that drive it
 STORE_ROOTS = tuple(
     f"src/repro/{layer}"
     for layer in (
         "simnet", "arbitration", "abstraction", "madeleine", "methods", "monitoring", "telemetry",
+        "personalities", "middleware", "core",
     )
 )
 #: everywhere a reader could live
