@@ -66,7 +66,6 @@ from repro.abstraction.adapters import (
     MadIOCircuitAdapter,
     SysIOCircuitAdapter,
     VLinkCircuitAdapter,
-    LoopbackCircuitAdapter,
 )
 
 __all__ = [
@@ -110,5 +109,4 @@ __all__ = [
     "MadIOCircuitAdapter",
     "SysIOCircuitAdapter",
     "VLinkCircuitAdapter",
-    "LoopbackCircuitAdapter",
 ]

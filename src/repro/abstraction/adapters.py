@@ -291,26 +291,3 @@ class VLinkCircuitAdapter(StreamMeshCircuitAdapter):
             return None
         return self.circuit._routes_by_rank.get(rank)
 
-
-class LoopbackCircuitAdapter(CircuitAdapter):
-    """Circuit messages between two endpoints hosted on the same node."""
-
-    name = "loopback"
-
-    def __init__(self, circuit: Circuit, route: RouteChoice, per_message_overhead: float = 0.4e-6):
-        super().__init__(circuit, route)
-        self.per_message_overhead = per_message_overhead
-
-    def send(
-        self, dst_rank: int, payload: bytes, cost: float, done: Optional[SimEvent] = None
-    ) -> SimEvent:
-        if self.circuit.host_of(dst_rank) is not self.host:
-            raise AbstractionError("loopback circuit adapter only reaches the local host")
-        self._account(len(payload))
-        rx = SoftDelivery(self.sim)
-        rx.cost = cost + self.per_message_overhead + len(payload) / self.host.cpu.memcpy_bandwidth
-        # delivered through _deliver's own delay
-        self.sim.call_later(0.0, self.circuit._deliver, self.circuit.rank, payload, rx)
-        if done is None:
-            done = self.sim.event(name="circuit-loopback-send")
-        return done.succeed(len(payload), delay=rx.cost)

@@ -70,11 +70,9 @@ class AdaptiveCircuitAdapter(StreamMeshCircuitAdapter):
             dst_host, port, route_provider=self._route_provider_for(dst_host)
         )
 
-    def _route_provider_for(self, dst_host: Host) -> Optional[Callable[[], Optional[Route]]]:
+    def _route_provider_for(self, dst_host: Host) -> Callable[[], Optional[Route]]:
         """Rails follow circuit-hop pinning, re-evaluated per migration."""
         selector = self.vlink_manager.selector
-        if selector is None:
-            return None
         manager = self.vlink_manager
 
         def provide() -> Optional[Route]:

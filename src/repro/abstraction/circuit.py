@@ -205,27 +205,18 @@ class Circuit:
 class CircuitManager:
     """Per-host factory for circuits; holds adapter factories and the selector."""
 
-    def __init__(
-        self,
-        host: Host,
-        selector: Optional[Selector] = None,
-        factories: Optional[Dict[str, AdapterFactory]] = None,
-    ):
+    def __init__(self, host: Host, selector: Selector, factories: Dict[str, AdapterFactory]):
         self.host = host
         self.sim = host.sim
         self.selector = selector
         #: ``factories`` is a table shared between managers (the framework
         #: hands every node the same one) and never written through here
-        self._factories: Dict[str, AdapterFactory] = factories if factories is not None else {}
+        self._factories = factories
         #: name -> (circuit, the ``adaptive`` flag it was created with)
         self._circuits: Dict[str, Tuple[Circuit, bool]] = {}
         host.register_service(CIRCUIT_SERVICE, self, replace=True)
 
     # -- adapter registry -----------------------------------------------------------
-    def register_adapter_factory(self, name: str, factory: AdapterFactory) -> None:
-        """A per-host addition: this manager gets its own copy of the table."""
-        self._factories = {**self._factories, name: factory}
-
     def adapter_names(self) -> List[str]:
         """Registered adapter factories that are actually usable right now.
 
@@ -300,11 +291,7 @@ class CircuitManager:
             if dst_host is self.host:
                 continue
             route = self._route(circuit, dst_host, methods, dst_rank)
-            factory_name = route.method
-            if adaptive and route.method not in ("loopback",):
-                # local legs cannot lose their rail; everything else rides
-                # a migratable session.
-                factory_name = "adaptive"
+            factory_name = "adaptive" if adaptive else route.method
             adapter = adapters_by_method.get(factory_name)
             if adapter is None:
                 factory = self._factories.get(factory_name)
@@ -336,32 +323,16 @@ class CircuitManager:
         methods: Optional[Dict[int, str]],
         dst_rank: int,
     ) -> RouteChoice:
-        from repro.abstraction.topology import LinkClass
-
         if methods is not None and dst_rank in methods:
             forced = methods[dst_rank]
-            network = None
-            if self.selector is not None:
-                profile = self.selector.topology.link_profile(self.host, dst_host)
-                network = Selector._network_for(forced, profile)
-                link_class = profile.link_class
-            else:
-                link_class = LinkClass.NONE
+            profile = self.selector.topology.link_profile(self.host, dst_host)
             return RouteChoice(
-                method=forced, network=network, link_class=link_class, reason="forced"
+                method=forced,
+                network=Selector._network_for(forced, profile),
+                link_class=profile.link_class,
+                reason="forced",
             )
-        if self.selector is not None:
-            return self.selector.choose_circuit_route(self.host, dst_host, self.adapter_names())
-        # No selector: prefer madio when registered, else sysio.
-        for fallback in ("madio", "sysio", "loopback"):
-            if fallback in self._factories:
-                return RouteChoice(
-                    method=fallback, network=None, link_class=LinkClass.NONE, reason="fallback"
-                )
-        raise AbstractionError(f"no Circuit adapters registered on host {self.host.name}")
+        return self.selector.choose_circuit_route(self.host, dst_host, self.adapter_names())
 
     def circuit(self, name: str) -> Circuit:
         return self._circuits[name][0]
-
-    def circuits(self) -> List[Circuit]:
-        return [circuit for circuit, _adaptive in self._circuits.values()]

@@ -538,12 +538,7 @@ class GatewayRelay:
 
     @property
     def topology(self) -> TopologyKB:
-        selector = self.manager.selector
-        if selector is None:
-            raise AbstractionError(
-                f"gateway relay on {self.host.name} has no selector/topology"
-            )
-        return selector.topology
+        return self.manager.selector.topology
 
     def _on_upstream(self, link: "VLink") -> None:
         if self.shut_down:

@@ -193,10 +193,6 @@ class TopologyKB:
             self._generation += 1
             self._notify("measurement", network=network, detail=detail or "cleared")
 
-    def measurement(self, network: Network) -> Dict[str, float]:
-        """The measured overrides currently applied to ``network`` (may be empty)."""
-        return dict(self._measured.get(network, {}))
-
     def touch_network(self, network: Network, detail: str = "") -> None:
         """Declare that a network's parameters changed in place (oracle mode
         of the churn injector): flush caches and notify subscribers."""

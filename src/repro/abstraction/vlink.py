@@ -250,7 +250,7 @@ class VLinkListener:
 class VLinkManager:
     """Per-host VLink factory: driver registry + connect/listen entry points."""
 
-    def __init__(self, host: Host, selector: Optional[Selector] = None):
+    def __init__(self, host: Host, selector: Selector):
         self.host = host
         self.sim = host.sim
         self.selector = selector
@@ -328,9 +328,8 @@ class VLinkManager:
 
         The driver is chosen by (in decreasing priority) the explicit
         ``method`` argument, a pre-pinned ``route`` (route-aware Circuits,
-        adaptive route providers and relay continuations pass one), the
-        selector's route for the link, or — with none available — a plain
-        preference for straight drivers.  For a multi-hop route the
+        adaptive route providers and relay continuations pass one), or the
+        selector's route for the link.  For a multi-hop route the
         connection is opened to the first gateway's relay service, which
         store-and-forwards towards the destination (``relay_ttl`` bounds the
         remaining chain length) honouring the route's pinned per-hop methods
@@ -363,22 +362,17 @@ class VLinkManager:
             # else: the pinned decision is gone/unreachable — fall back to
             # live selection below.
         if method is None:
-            if self.selector is not None:
-                available = (
-                    self.reliable_driver_names() if reliable_only else self.driver_names()
-                )
-                full_route = self.selector.choose_vlink_route(
-                    self.host, dst_host, available, reliable_only=reliable_only
-                )
-                if not full_route.is_direct:
-                    self._connect_via_relay(full_route, dst_host, port, relay_ttl, op)
-                    return op
-                chosen = full_route.first
-                method = chosen.method
-                if params is None and chosen.params:
-                    params = dict(chosen.params)
-            else:
-                method = self._fallback_method(dst_host)
+            available = self.reliable_driver_names() if reliable_only else self.driver_names()
+            full_route = self.selector.choose_vlink_route(
+                self.host, dst_host, available, reliable_only=reliable_only
+            )
+            if not full_route.is_direct:
+                self._connect_via_relay(full_route, dst_host, port, relay_ttl, op)
+                return op
+            chosen = full_route.first
+            method = chosen.method
+            if params is None and chosen.params:
+                params = dict(chosen.params)
         driver = self.resolve_driver(method, dst_host)
 
         def _connected(ev):
@@ -529,7 +523,7 @@ class VLinkManager:
 
     def _register_adaptive(self, link) -> None:
         self._adaptive_links.append(link)
-        if not self._topology_subscribed and self.selector is not None:
+        if not self._topology_subscribed:
             self.selector.topology.subscribe(self._on_topology_change)
             self._topology_subscribed = True
 
@@ -550,8 +544,6 @@ class VLinkManager:
 
     def _reroute_adaptive_links(self) -> None:
         self._reroute_scheduled = False
-        if self.selector is None:
-            return
         from repro.abstraction.adaptive import route_signature
 
         for link in list(self._adaptive_links):
@@ -607,8 +599,6 @@ class VLinkManager:
         rail = link.rail
         if rail is None or rail.state is not VLinkState.ESTABLISHED:
             return False
-        if self.selector is None:
-            return True
         route = rail.route
         hops = getattr(route, "hops", None)
         if hops is None:
@@ -633,20 +623,6 @@ class VLinkManager:
         link._dwell_recheck = False
         if link.state is VLinkState.ESTABLISHED and link in self._adaptive_links:
             self._reroute_adaptive_links()
-
-    def _fallback_method(self, dst_host: Host) -> str:
-        order = ["loopback"] if dst_host is self.host else []
-        order += ["madio", "sysio"]
-        for name in order:
-            if name in self._drivers:
-                if name == "madio" and not self._drivers[name].reaches(dst_host):
-                    continue
-                if name == "loopback" and dst_host is not self.host:
-                    continue
-                return name
-        if self._drivers:
-            return next(iter(sorted(self._drivers)))
-        raise AbstractionError(f"no VLink drivers registered on host {self.host.name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VLinkManager host={self.host.name} drivers={self.driver_names()}>"

@@ -159,9 +159,6 @@ class MadIO:
         self._hw_channels[network.name] = channel
         self._hw_groups[network.name] = group
 
-    def attached_networks(self):
-        return list(self._hw_channels)
-
     def group_on(self, network: Network) -> HostGroup:
         try:
             return self._hw_groups[network.name]
@@ -187,9 +184,6 @@ class MadIO:
             chan = MadIOChannel(self, name, network, group or self._hw_groups[network.name])
             self._logical[key] = chan
         return chan
-
-    def logical_channels(self):
-        return list(self._logical.values())
 
     # -- send path -------------------------------------------------------------------
     def _send(

@@ -138,10 +138,6 @@ class NetAccessCore:
         self._competitive_hog = hog
         self._penalties.clear()
 
-    @property
-    def competitive_hog(self) -> Optional[str]:
-        return self._competitive_hog
-
     # -- dispatch cost -----------------------------------------------------------------
     def dispatch_cost(self, name: str) -> float:
         """Arbitration cost (seconds) of delivering one event to ``name``."""
@@ -191,11 +187,3 @@ class NetAccessCore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         subs = ",".join(self._subsystems)
         return f"<NetAccessCore host={self.host.name} subsystems=[{subs}]>"
-
-
-def netaccess_for(host: Host) -> NetAccessCore:
-    """Return the host's NetAccess core, creating it on first use."""
-    core = host.get_service(NETACCESS_SERVICE)
-    if core is None:
-        core = NetAccessCore(host)
-    return core

@@ -136,11 +136,6 @@ class SysListener:
         sock = SysSocket(self.sysio, conn, label=f"accepted:{self.port}")
         if self._accept_callback is not None:
             self.sysio._dispatch(sock, self._accept_callback)
-        else:
-            self.sysio._pending_accepts.setdefault(self.port, []).append(sock)
-
-    def take_pending(self) -> List[SysSocket]:
-        return self.sysio._pending_accepts.pop(self.port, [])
 
     def close(self) -> None:
         self.listener.close()
@@ -156,7 +151,6 @@ class SysIO:
         self.stack = stack or self.host.get_service(TCP_SERVICE) or TcpStack(self.host)
         self._sockets: List[SysSocket] = []
         self._listeners: Dict[int, SysListener] = {}
-        self._pending_accepts: Dict[int, List[SysSocket]] = {}
         self.bytes_sent = 0
         self.dispatches = 0
         core.register_subsystem(SYSIO_SUBSYSTEM)

@@ -3,9 +3,8 @@
 This package plays the role of the PadicoTM process infrastructure: it boots
 one :class:`~repro.core.framework.PadicoNode` per host (NetAccess core,
 MadIO, SysIO, Madeleine driver, the VLink and Circuit managers with their
-drivers/adapters registered), maintains the topology knowledge base and the
-selector, and offers a registry of dynamically loadable middleware modules
-(the Python analogue of PadicoTM's dynamically loaded binary modules).
+drivers/adapters registered) and maintains the topology knowledge base and the
+selector.
 
 Typical use::
 
@@ -27,7 +26,6 @@ from repro.core.config import (
     NodeSpec,
     load_deployment,
 )
-from repro.core.modules import ModuleRegistry, ModuleInfo, global_registry
 from repro.core.testbeds import (
     paper_cluster,
     paper_wan_pair,
@@ -44,9 +42,6 @@ __all__ = [
     "WanLinkSpec",
     "NodeSpec",
     "load_deployment",
-    "ModuleRegistry",
-    "ModuleInfo",
-    "global_registry",
     "paper_cluster",
     "paper_wan_pair",
     "paper_lossy_pair",

@@ -25,7 +25,6 @@ from repro.abstraction import (
     CircuitManager,
     GATEWAY_RELAY_SERVICE,
     GatewayRelay,
-    LoopbackCircuitAdapter,
     LoopbackVLinkDriver,
     MadIOCircuitAdapter,
     MadIOVLinkDriver,
@@ -58,7 +57,6 @@ class FrameworkError(RuntimeError):
 #: every remote leg a migratable session (``circuit(..., adaptive=True)``).
 _CIRCUIT_ADAPTERS = {
     "sysio": SysIOCircuitAdapter,
-    "loopback": LoopbackCircuitAdapter,
     "vlink": VLinkCircuitAdapter,
     "vlink:parallel_streams": VLinkCircuitAdapter,
     "vlink:vrp": VLinkCircuitAdapter,
@@ -86,7 +84,6 @@ class PadicoNode:
         self.gateway_relay: Optional[GatewayRelay] = None
         self._booted = False
         self._wan_methods_enabled = False
-        self._middleware: Dict[str, object] = {}
 
     # -- bootstrap -------------------------------------------------------------
     def boot(self) -> "PadicoNode":
@@ -213,24 +210,6 @@ class PadicoNode:
                 raise FrameworkError("adaptive connects pick their own method; drop method=")
             return self.vlink.connect_adaptive(dst_host, port)
         return self.vlink.connect(dst_host, port, method=method)
-
-    # -- middleware registry (per node) --------------------------------------------------
-    def register_middleware(self, name: str, instance: object) -> object:
-        """Record a middleware system loaded into this node (MPI, an ORB, ...)."""
-        self._middleware[name] = instance
-        return instance
-
-    def middleware(self, name: str) -> object:
-        try:
-            return self._middleware[name]
-        except KeyError:
-            raise FrameworkError(
-                f"middleware {name!r} not loaded on node {self.host.name!r}; "
-                f"loaded: {sorted(self._middleware)}"
-            ) from None
-
-    def loaded_middleware(self) -> List[str]:
-        return sorted(self._middleware)
 
     def _require_boot(self) -> None:
         if not self._booted:

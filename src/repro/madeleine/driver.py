@@ -63,9 +63,6 @@ class _ChannelState:
         self.group = group
         self.endpoints: Dict[Host, "MadChannel"] = {}
 
-    def endpoint_for(self, host: Host) -> Optional["MadChannel"]:
-        return self.endpoints.get(host)
-
 
 def _channel_registry(network: Network) -> Dict[str, _ChannelState]:
     registry = getattr(network, "_madeleine_channels", None)
@@ -97,9 +94,6 @@ class MadeleineDriver:
         nic = network.nic_of(self.host)
         nic.set_receive_handler(self._handle_delivery, owner=MADELEINE_SERVICE)
         self._owned_networks.append(network)
-
-    def owned_networks(self) -> List[Network]:
-        return list(self._owned_networks)
 
     # -- channel management -------------------------------------------------------
     def open_channel(self, name: str, network: Network, group: HostGroup) -> "MadChannel":

@@ -103,9 +103,6 @@ class MadMessage:
     def segment_count(self) -> int:
         return len(self._segments)
 
-    def segments(self) -> List[Tuple[PackMode, bytes]]:
-        return list(self._segments)
-
     def finish(self) -> "SegmentGather":
         """Freeze the message into its wire image (called by ``end_packing``)."""
         if self._finished:

@@ -24,12 +24,8 @@ cost):
 * :mod:`repro.middleware.pvm` — a PVM-style message-passing library.
 * :mod:`repro.middleware.dsm` — a page-based distributed shared memory.
 
-Every module registers itself in :func:`repro.core.modules.global_registry`
-so deployments can load "any combination of them at the same time".
+A middleware system is loaded by constructing it on a booted
+:class:`~repro.core.framework.PadicoNode` (``MpiRuntime(node, group)``,
+``ORB(node, profile)``, ...); any combination of them may run on the same
+nodes at the same time (§4.3).
 """
-
-from repro.middleware.registry import register_builtin_modules
-
-register_builtin_modules()
-
-__all__ = ["register_builtin_modules"]

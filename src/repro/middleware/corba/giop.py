@@ -126,15 +126,6 @@ class GiopMessage:
         body = Gather((view[end:], *rest)) if rest else view[end:]
         return cls(msg_type, request_id, body, object_key, operation, status, version)
 
-    @property
-    def total_bytes(self) -> int:
-        """Size of the encoded message including the GIOP header."""
-        return GIOP_HEADER_SIZE + len(self.body) + (
-            _REQUEST_PREFIX.size + len(self.object_key) + len(self.operation.encode("utf-8"))
-            if self.msg_type == MSG_REQUEST
-            else _REPLY_PREFIX.size
-        )
-
 
 def make_request(request_id: int, object_key: bytes, operation: str, body: bytes) -> GiopMessage:
     return GiopMessage(

@@ -156,7 +156,7 @@ class DataInputStream:
 
 
 class JavaSocketLayer:
-    """The per-node entry point registered as the ``java-sockets`` middleware."""
+    """The per-node entry point of the JVM socket layer."""
 
     def __init__(
         self, node, profile: Optional[JvmProfile] = None, forced_method: Optional[str] = None

@@ -114,9 +114,6 @@ class PvmTask:
     def rank_of_tid(tid: int) -> int:
         return tid - 0x40000
 
-    def siblings(self) -> List[int]:
-        return [self.tid_of_rank(r) for r in range(self.circuit.size)]
-
     # -- send buffer management --------------------------------------------------------
     def initsend(self) -> None:
         """``pvm_initsend``: start a fresh send buffer."""

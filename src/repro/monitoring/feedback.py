@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.simnet.engine import Simulator
 from repro.simnet.network import Network
@@ -210,8 +210,8 @@ class TopologyMonitor:
     """Owns the monitoring feedback loop of one deployment.
 
     Exposed as ``framework.monitoring``; call :meth:`watch` per network of
-    interest (or :meth:`watch_all`), and the measured world starts replacing
-    the nominal one for every selection decision.
+    interest, and the measured world starts replacing the nominal one for
+    every selection decision.
     """
 
     def __init__(
@@ -276,10 +276,6 @@ class TopologyMonitor:
             )
         self._watches[network] = watch
         return watch
-
-    def watch_all(self, networks: Optional[Iterable[Network]] = None, **kwargs) -> List[LinkWatch]:
-        targets = list(networks) if networks is not None else self.topology.networks()
-        return [self.watch(n, **kwargs) for n in targets]
 
     def unwatch(self, network: Network) -> None:
         watch = self._watches.pop(network, None)

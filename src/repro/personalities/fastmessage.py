@@ -33,7 +33,6 @@ class FMStream:
         self.fm = fm
         self._message: CircuitMessage = fm.circuit.new_message(dest)
         self._message.pack_express(_FM_HEADER.pack(handler_id))
-        self._pieces = 0
         self._ended = False
 
     def send_piece(self, data: bytes) -> "FMStream":
@@ -41,7 +40,6 @@ class FMStream:
         if self._ended:
             raise FMError("FM_send_piece after FM_end_message")
         self._message.pack_cheaper(data)
-        self._pieces += 1
         return self
 
     def end(self):
@@ -50,10 +48,6 @@ class FMStream:
             raise FMError("FM_end_message called twice")
         self._ended = True
         return self.fm.circuit.post(self._message)
-
-    @property
-    def pieces(self) -> int:
-        return self._pieces
 
 
 class _FMIncoming:
@@ -68,10 +62,6 @@ class _FMIncoming:
         if self._incoming.remaining_segments == 0:
             raise FMError("FM_receive past the end of the message")
         return self._incoming.unpack()
-
-    @property
-    def remaining_pieces(self) -> int:
-        return self._incoming.remaining_segments
 
 
 class FastMessages:

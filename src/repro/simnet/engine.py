@@ -120,11 +120,6 @@ class TimerHandle:
         sim._cancellations += 1
         return True
 
-    def __lt__(self, other: "TimerHandle") -> bool:
-        if self.when != other.when:
-            return self.when < other.when
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = ("pending", "fired", "cancelled")[self._state]
         return f"<TimerHandle t={self.when:g} #{self.seq} {state}>"
@@ -344,11 +339,6 @@ class Process(SimEvent):
         boot = SimEvent(sim, name=f"{self.name}/boot")
         boot.add_callback(self._resume)
         boot.succeed(None)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield point."""

@@ -123,13 +123,6 @@ class Host:
     def has_service(self, key: str) -> bool:
         return key in self._services
 
-    # -- labels (free-form metadata used by the topology knowledge base) -------
-    def set_label(self, key: str, value: str) -> None:
-        self._labels[key] = value
-
-    def get_label(self, key: str, default: str = "") -> str:
-        return self._labels.get(key, default)
-
     @property
     def site(self) -> str:
         """Administrative site of the host (used for WAN/secure-link decisions)."""

@@ -261,11 +261,6 @@ class Loopback(Network):
         return frame
 
 
-def standard_cluster_networks(sim: "Simulator"):
-    """Convenience: the two intra-cluster networks of the paper's platform."""
-    return Myrinet2000(sim), Ethernet100(sim)
-
-
 class GridDeployment:
     """Handles onto a deployment built by :func:`grid_deployment`."""
 

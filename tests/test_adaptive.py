@@ -6,6 +6,7 @@ import pytest
 from tests.helpers import run
 
 from repro.abstraction import LinkClass, Route, VLinkState
+from repro.abstraction.adaptive import MIGRATION_TIMEOUT
 from repro.core import PadicoFramework
 from repro.methods import register_wan_method_drivers
 from repro.simnet.buffers import Gather
@@ -103,6 +104,37 @@ def test_adaptive_connect_refused_without_listener(cluster):
             return "refused"
 
     assert run(fw, scenario()) == "refused"
+
+
+def test_adaptive_handshake_times_out_against_a_silent_listener(cluster, monkeypatch):
+    """A plain listener accepts the rail and never answers the hello: the
+    connect fails at MIGRATION_TIMEOUT and the pending rail is closed."""
+    fw, group = cluster
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    listener = n1.vlink_listen(8052)  # plain: accepts, never replies
+    rails = []
+    connect = n0.vlink.connect
+
+    def spy(*args, **kwargs):
+        rails.append(connect(*args, **kwargs))
+        return rails[-1]
+
+    monkeypatch.setattr(n0.vlink, "connect", spy)
+
+    def scenario():
+        accept_op = listener.accept()
+        start = fw.sim.now
+        try:
+            yield n0.vlink_connect(n1, 8052, adaptive=True)
+        except TimeoutError as exc:
+            yield accept_op
+            return str(exc), fw.sim.now - start
+
+    message, elapsed = run(fw, scenario())
+    assert message == "adaptive handshake to node1:8052 timed out"
+    assert elapsed == MIGRATION_TIMEOUT
+    (rail,) = rails
+    assert rail.value.state is VLinkState.CLOSED
 
 
 def test_adaptive_close_propagates(cluster):

@@ -29,11 +29,14 @@ from repro.middleware.corba import (
     StructTC,
     TC_DOUBLE,
     TC_DOUBLE_SEQ,
+    TC_FLOAT,
     TC_LONG,
+    TC_LONGLONG,
     TC_OCTET_SEQ,
     TC_STRING,
     TC_VOID,
 )
+from repro.middleware.corba.cdr import TC_SHORT
 from repro.middleware.corba.giop import make_reply, make_request
 from repro.simnet.buffers import Gather
 
@@ -115,10 +118,23 @@ def test_cdr_octet_sequence_is_the_part_when_it_is_exactly_one():
 
 
 def test_cdr_struct_and_nested_sequence():
-    point = StructTC("Point", [("x", TC_DOUBLE), ("y", TC_DOUBLE), ("label", TC_STRING)])
+    point = StructTC(
+        "Point",
+        [
+            ("x", TC_DOUBLE),
+            ("y", TC_DOUBLE),
+            ("label", TC_STRING),
+            ("layer", TC_SHORT),
+            ("stamp", TC_LONGLONG),
+            ("weight", TC_FLOAT),
+        ],
+    )
     path = SequenceTC(point)
     out = CdrOutputStream()
-    value = [{"x": 1.0, "y": 2.0, "label": "a"}, {"x": -1.0, "y": 0.5, "label": "b"}]
+    value = [
+        {"x": 1.0, "y": 2.0, "label": "a", "layer": -7, "stamp": 2**40 + 1, "weight": 0.25},
+        {"x": -1.0, "y": 0.5, "label": "b", "layer": 300, "stamp": -(2**33), "weight": -1.5},
+    ]
     path.encode(out, value)
     assert path.decode(CdrInputStream(out.getvalue())) == value
     with pytest.raises(CdrError):

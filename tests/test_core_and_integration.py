@@ -1,5 +1,5 @@
-"""Tests for the core framework, deployment config, module registry, and
-cross-middleware integration scenarios (the paper's §2.1 use cases)."""
+"""Tests for the core framework, deployment config, and cross-middleware
+integration scenarios (the paper's §2.1 use cases)."""
 
 import pytest
 
@@ -9,12 +9,10 @@ from repro.core import (
     DeploymentConfig,
     FrameworkError,
     PadicoFramework,
-    global_registry,
     load_deployment,
     paper_cluster,
     two_cluster_grid,
 )
-from repro.core.modules import ModuleRegistry
 
 
 # --------------------------------------------------------------------------
@@ -63,15 +61,6 @@ def test_framework_status_report():
     assert report["adjacency"]["node0--node1"] == "san"
 
 
-def test_node_middleware_registry():
-    fw, group = paper_cluster(2)
-    node = fw.node("node0")
-    node.register_middleware("thing", object())
-    assert "thing" in node.loaded_middleware()
-    with pytest.raises(FrameworkError):
-        node.middleware("absent")
-
-
 def test_deployment_config_realises_grid():
     config = DeploymentConfig()
     config.add_cluster("rennes", ["r0", "r1"], site="rennes", san="myrinet", lan="ethernet100")
@@ -108,54 +97,6 @@ def test_load_deployment_from_dict():
     )
     fw.boot()
     assert len(fw.nodes()) == 2
-
-
-# --------------------------------------------------------------------------
-# Module registry
-# --------------------------------------------------------------------------
-
-
-def test_global_registry_contains_builtin_middleware():
-    import repro.middleware  # noqa: F401 - triggers registration
-
-    registry = global_registry()
-    names = registry.names()
-    assert "mpi" in names and "soap" in names and "corba:Mico-2.3.7" in names
-    assert {m.name for m in registry.by_paradigm("parallel")} >= {"mpi", "pvm", "dsm"}
-    assert registry.get("mpi").personality == "madeleine"
-    with pytest.raises(LookupError):
-        registry.get("not-a-module")
-
-
-def test_module_registry_load_and_validation():
-    registry = ModuleRegistry()
-    with pytest.raises(ValueError):
-        registry.register("x", paradigm="weird", personality="p")
-    made = []
-    registry.register("base", paradigm="distributed", personality="syswrap",
-                      factory=lambda node: made.append("base") or "BASE")
-    registry.register("dep", paradigm="distributed", personality="syswrap",
-                      factory=lambda node: made.append("dep") or "DEP", requires=["base"])
-    fw, group = paper_cluster(2)
-    node = fw.node("node0")
-    instance = registry.load("dep", node)
-    assert instance == "DEP"
-    assert made == ["base", "dep"]
-    assert node.middleware("base") == "BASE"
-
-
-def test_registry_load_mpi_through_registry():
-    import repro.middleware  # noqa: F401
-
-    fw, group = paper_cluster(2)
-    runtimes = [global_registry().load("mpi", fw.node(h.name), group=group) for h in group]
-
-    def scenario():
-        runtimes[0].comm_world.isend(b"via-registry", 1, tag=1)
-        data = yield from runtimes[1].comm_world.recv(0, 1)
-        return data
-
-    assert run(fw, scenario()) == b"via-registry"
 
 
 # --------------------------------------------------------------------------

@@ -169,11 +169,30 @@ def test_negative_timeout_rejected():
 
 
 def test_cannot_schedule_in_the_past():
-    sim = Simulator()
-    sim.call_later(5.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.call_at(1.0, lambda: None)
+    for kernel in KERNELS:
+        sim = kernel()
+        sim.call_later(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match=r"in the past \(t=1.0 < now=5.0\)"):
+            sim.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match=r"in the past \(delay=-0.5\)"):
+            sim.call_later(-0.5, lambda: None)
+
+
+def test_bad_kernel_options_are_rejected():
+    with pytest.raises(SimulationError, match="wheel_width must be positive"):
+        Simulator(wheel_width=0.0)
+    with pytest.raises(SimulationError, match="wheel_buckets >= 1"):
+        Simulator(wheel_buckets=0)
+    with pytest.raises(SimulationError, match="periodic interval must be positive, got 0"):
+        Simulator().every(0, lambda: None)
+
+    class SingleLoop(Simulator):
+        pass
+
+    # only Simulator itself dispatches partitions=N to the partitioned kernel
+    with pytest.raises(SimulationError, match="SingleLoop does not support partitions=2"):
+        SingleLoop(partitions=2)
 
 
 def test_process_returns_value():
@@ -309,22 +328,35 @@ def test_run_until_time():
 
 
 def test_run_detects_deadlock():
-    sim = Simulator()
-    ev = sim.event()
-    with pytest.raises(SimulationError, match="deadlock"):
-        sim.run(until=ev)
+    for kernel in KERNELS:
+        sim = kernel()
+        ev = sim.event()
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run(until=ev)
 
 
 def test_max_time_guard():
-    sim = Simulator()
+    for kernel in KERNELS:
+        sim = kernel()
 
-    def forever():
-        while True:
-            yield sim.timeout(1.0)
+        def forever():
+            while True:
+                yield sim.timeout(1.0)
 
-    sim.process(forever())
-    with pytest.raises(SimulationError, match="max_time"):
-        sim.run(max_time=10.0)
+        sim.process(forever())
+        with pytest.raises(SimulationError, match="virtual time exceeded max_time=10.0"):
+            sim.run(max_time=10.0)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_step_runs_one_entry_at_a_time(kernel):
+    sim = kernel()
+    fired = []
+    sim.call_later(2.0, fired.append, "b")
+    sim.call_later(1.0, fired.append, "a")
+    assert sim.step() and fired == ["a"] and sim.now == 1.0
+    assert sim.step() and fired == ["a", "b"] and sim.now == 2.0
+    assert not sim.step()
 
 
 def test_stop_interrupts_run():

@@ -17,6 +17,7 @@ from repro.middleware.mpi import (
     MPICH_1_2_5,
     MpiError,
     MpiRuntime,
+    PROD,
     SUM,
     standalone_mpi_pair,
 )
@@ -53,6 +54,8 @@ def test_reduce_ops_on_scalars_and_arrays():
     assert MIN(2, 3) == 2
     assert MAX(np.array([1, 5]), np.array([4, 2])).tolist() == [4, 5]
     assert SUM(np.array([1.0, 2.0]), np.array([3.0, 4.0])).tolist() == [4.0, 6.0]
+    assert PROD(3, 4) == 12
+    assert PROD(np.array([2, 3]), np.array([4, 5])).tolist() == [8, 15]
 
 
 # --------------------------------------------------------------------------
@@ -287,14 +290,17 @@ def test_reduce_and_allreduce(cluster4):
     comms = mpi_world(fw, group, channel_name="reduce")
 
     def gen(comm, rank):
+        assert (comm.Get_rank(), comm.Get_size()) == (rank, 4)
         total = yield from comm.reduce(rank + 1, op=SUM, root=0)
         every = yield from comm.allreduce(rank + 1, op=SUM)
-        return total, every
+        product = yield from comm.reduce(rank + 1, op=PROD, root=0)
+        return total, every, product
 
     results = run_collective(fw, comms, gen)
     assert results[0][0] == 10  # 1+2+3+4 at the root
     assert all(r[1] == 10 for r in results)
     assert all(results[i][0] is None for i in range(1, 4))
+    assert results[0][2] == 24  # 1*2*3*4 at the root
 
 
 def test_gather_scatter_allgather_alltoall(cluster4):

@@ -37,17 +37,19 @@ def test_java_sockets_data_streams(cluster):
         out = DataOutputStream(client)
         inp = DataInputStream(server)
         yield from out.write_int(42)
+        yield from out.write_long(-(2**40) - 3)
         yield from out.write_double(2.75)
         yield from out.write_utf("grid")
         yield from out.write_fully(b"raw")
         i = yield from inp.read_int()
+        j = yield from inp.read_long()
         d = yield from inp.read_double()
         s = yield from inp.read_utf()
         raw = yield from inp.read_fully(3)
-        return i, d, s, raw, client.driver_name
+        return i, j, d, s, raw, client.driver_name
 
-    i, d, s, raw, driver = run(fw, scenario())
-    assert (i, d, s, raw) == (42, 2.75, "grid", b"raw")
+    i, j, d, s, raw, driver = run(fw, scenario())
+    assert (i, j, d, s, raw) == (42, -(2**40) - 3, 2.75, "grid", b"raw")
     assert driver == "madio"  # the JVM socket layer rides Myrinet transparently
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
-from repro.simnet.networks import Ethernet100, LossyInternet, WanVthd
+from repro.simnet.networks import Ethernet100, LossyInternet, Myrinet2000, WanVthd
 from repro.simnet.tcp import TcpConnection, TcpError, TcpModel, TcpStack
 
 
@@ -253,13 +253,33 @@ def test_send_on_closed_connection_raises():
         conn.close()
         try:
             conn.send(b"late")
-        except TcpError:
-            out["raised"] = True
+        except TcpError as exc:
+            out["raised"] = str(exc) == "send() on closed connection"
 
     sim.process(client())
     sim.process(server_noop(listener))
     sim.run(max_time=10)
     assert out.get("raised") is True
+
+
+def test_send_before_established_raises():
+    sim, net, sa, sb, a, b = make_pair()
+    sb.listen(9010)
+    connected = sa.connect(b, 9010)
+    (conn,) = sa.connections()  # the SYN is in flight
+    with pytest.raises(TcpError, match=r"^send\(\) before the connection is established$"):
+        conn.send(b"early")
+    sim.run(until=connected, max_time=10)
+    assert conn.established
+
+
+def test_stack_refuses_a_parallel_network():
+    sim, net, sa, sb, a, b = make_pair()
+    san = Myrinet2000(sim, name="san0")
+    san.connect(a)
+    with pytest.raises(ValueError, match="only drives distributed-paradigm networks, not 'san0'"):
+        sa.attach(san)
+    assert sa.networks() == [net]
 
 
 def server_noop(listener):
