@@ -53,26 +53,28 @@ and replays, more than a small multiple of what it sends: a cut throws
 away at most twice what the flow has committed since the cut before.
 
 *Window.*  Each member's share of the plan starts from the flow's
-``cwnd``.  While that is below the receiver cap a turn lays out one
-round of ``min(cwnd, queued)`` bytes and grows the share's window by
-the zero-loss rule of the packet model — ``TcpConnection._update_window``
-itself, the one copy the packet round and the plan both apply: slow
-start adds what the round delivered, congestion avoidance one segment,
-clamped to ``[min_cwnd, receive_window]``; ``ssthresh`` only moves on a
-loss.  Once it is pinned at the cap the flow is in a *stretch* of full
-windows off its head entry, booked once, whole, when it starts: one
-run-length-encoded run, and one payload view cut at the flow's next
-ordinary round (the merge takes back what a stretch it ends did not lay
-out), not turn by turn.  Its timing is laid out in closed form: inside
-one binade of the clock a run of identical rounds is an arithmetic
-progression in floating point, so a sole sender's stretch costs a few
-steps of the recurrence per binade its pump times cross, not one per
-round (:func:`_advance`; a replay still steps every round).  Flows that
-share the NIC take turns of a round or a few; while every one whose turn
-comes is in a stretch, the turns rotate inside ``_advance``'s own loop,
-so a turn costs its step of the recurrence and nothing else.  Laying a
-round out grows the connection's own window (a plan is committed as it
-is laid out); a cut re-derives it from the committed prefix.
+``cwnd``, and a round carries ``min(cwnd, queued)`` bytes.  The window
+grows by the zero-loss rule of the packet model —
+``TcpModel.grown_window``, the one copy the packet round and the plan
+both apply: slow start adds what the round delivered, congestion
+avoidance one segment, clamped to ``[min_cwnd, receive_window]``;
+``ssthresh`` only moves on a loss.  Full windows off the flow's head
+entry are *booked* once, whole, when a turn starts with more than a
+window left on it: the *ramp*, one run-length-encoded run per window
+while it grows, then, once it is pinned at the cap, the *stretch* of
+full windows, one run — with one payload view cut at the flow's next
+ordinary round (the merge takes back what a booking it ends did not lay
+out), not turn by turn.  A stretch's timing is laid out in closed form:
+inside one binade of the clock a run of identical rounds is an
+arithmetic progression in floating point, so a sole sender's stretch
+costs a few steps of the recurrence per binade its pump times cross,
+not one per round (:func:`_advance`; a replay still steps every round).
+Flows that share the NIC take turns of a round or a few; while every
+one whose turn comes is mid-booking, the turns rotate inside
+``_advance``'s own loop, so a turn costs its step of the recurrence and
+nothing else.  Laying a round out grows the connection's own window (a
+plan is committed as it is laid out); a cut re-derives it from the
+committed prefix.
 
 *Merge order.*  Each flow obeys the packet pump's recurrence
 ``t' = t + max(rtt, ser, tx_free - t)`` with
@@ -85,8 +87,8 @@ ties going to the flow whose previous round executed first (initially:
 the pumping flow, then the co-senders by the ``seq`` of their pending
 timers).  That is the engine's own order, not an approximation of it.
 :meth:`_NicPlan.merge` applies it turn by turn, and ``_advance``
-applies it within a rotation of pinned stretches, up to the first
-member's stretch limit.  A flow that drains leaves the merge; the merge
+applies it within a rotation of bookings, up to the first member's
+booking limit.  A flow that drains leaves the merge; the merge
 stops when the flow whose turn it is has reached its round cap, and that
 flow's trailing pump (the earliest one) closes the plan and cuts the
 next.
@@ -350,27 +352,21 @@ class _Share:
     """
 
     __slots__ = (
-        "ctl", "conn", "peer", "cap", "rc_window", "t0", "rx_ready0", "cwnd0", "t", "t_last",
+        "ctl", "conn", "peer", "cap", "t0", "rx_ready0", "cwnd0", "t", "t_last",
         "rx_ready", "end", "runs", "parts", "taken", "nbytes", "nrounds", "completions",
         "drained", "deliver_handle", "cursor", "left",
     )
 
-    def __init__(self, plan: "_NicPlan", ctl: "FluidController", t0: float,
-                 rx_ready0: float) -> None:
-        # NOTE: no reference back to ``plan`` — the plan owns its shares, and
+    def __init__(self, ctl: "FluidController", t0: float, rx_ready0: float) -> None:
+        # NOTE: no reference back to the plan — the plan owns its shares, and
         # a cycle would leave every finished plan (and the send buffers its
         # payload views pin) to the cycle collector
         self.ctl = ctl
         self.conn = ctl.conn
-        peer = self.peer = ctl._peer_conn
+        self.peer = ctl._peer_conn
         #: how many rounds the plan may lay out for this flow: what the flow
         #: has earned (``FluidController._horizon``)
         self.cap = ctl._horizon
-        # receive-side kernel crossing + copy of one full window, in the float
-        # order TcpConnection._on_segment adds them to a fresh Delivery.cost
-        # (0.0 + syscall, then + copy; 0.0 + syscall is syscall exactly)
-        cpu = peer.host.cpu
-        self.rc_window = cpu.syscall_overhead + plan.window / cpu.memcpy_bandwidth
         #: recurrence state when the plan was laid out, for bit-exact replay
         self.t0 = self.t = self.t_last = t0
         #: (the receive cursor the first round will find: ``FluidController._seed``)
@@ -403,9 +399,10 @@ class _Share:
         self.drained = False
         #: the pending batched delivery of ``parts``; None once handed over
         self.deliver_handle = None
-        #: rounds left of the uniform run the share is in: while planning, of
-        #: the pinned stretch it is laying out (``_NicPlan._lay_out``); while
-        #: replaying, of ``runs[cursor]``
+        #: rounds left of ``runs[cursor]``, the run the share's next round is
+        #: in: while planning, of the rounds it booked and has not laid out
+        #: yet (``_NicPlan._lay_out``; 0 when it has none); while replaying,
+        #: of the rounds it laid out
         self.left = 0
 
 
@@ -422,18 +419,21 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     first round a flow is the most recently executed one, so it loses
     every tie).
 
-    Planning a pinned stretch (``order`` given: the merging members, the
-    flow last) rotates: when the flow's turn ends at ``bound``, the loop
-    picks the member :meth:`_NicPlan.merge` would pick next — the earliest
-    pump, ties to the first in ``order`` — moves it to the end of ``order``
-    and runs its turn there, provided that member is in a pinned stretch
-    too.  Each member's rounds are counted off its ``left`` (its
-    ``count``).  The rotation ends at a member whose turn comes that is
-    not in a stretch, or at the first member to reach its stretch's limit:
-    the caller answers for that member (``order[-1]``, whose rounds the
-    return value counts) — its cap ends the merge, and its next turn is
-    its completion round.  A sole sender is a rotation of one: ``bound``
-    is infinite, it never switches.
+    Planning a booking (``order`` given: the merging members, the flow
+    last; ``count`` and the round's constants those of ``runs[cursor]``)
+    rotates: when the flow's turn ends at ``bound``, the loop picks the
+    member :meth:`_NicPlan.merge` would pick next — the earliest pump, ties
+    to the first in ``order`` — moves it to the end of ``order`` and runs
+    its turn there, provided that member is mid-booking too.  A member's
+    rounds are those of its booked runs, one step each: its turn starts
+    with the constants of ``runs[cursor]`` and counts its rounds off its
+    ``left``, and when a run is laid out the next one it booked goes on
+    from there, turn or no turn.  The rotation ends at a member whose turn
+    comes that is not mid-booking, or at the first member to reach its
+    booking's limit: the caller answers for that member (``order[-1]``) —
+    its cap ends the merge, and its next turn is its completion round.  A
+    sole sender is a rotation of one: ``bound`` is infinite, it never
+    switches.  The return value counts every round the call laid out.
 
     Replay (``rounds`` given) steps every round; planning jumps over a
     uniform run, exactly, while the same flow continues.  Inside one
@@ -460,8 +460,9 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     the least normal double), and a binade where ``d`` is odd and a
     constant is a tie — there the loop steps to the next binade rather than
     translate by ``2*d``.  A turn that ``bound`` ends after one round —
-    every pinned turn of a plan of k >= 2 flows — switches or breaks
-    before the jump is looked at.
+    every turn of a plan of k >= 2 flows sharing the wire — switches or
+    breaks before the jump is looked at, and so does a round that ends a
+    run.
     """
     rtt = plan.rtt
     latency = plan.latency
@@ -472,6 +473,8 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     # the pump time from which a jump is worth a look: the next binade
     # once one was looked at, never for replay
     retry = _TINY if rounds is None else _NEVER
+    # rounds laid out before the run (of whichever flow) being laid out
+    laid = 0
     n = 0
     while True:
         n += 1
@@ -493,31 +496,52 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
         wait = end - t
         t = t + (wait if wait > floor else floor)
         if t >= bound or n == count:
-            if order is None or n == count:
+            if order is None:
                 break
+            if n == count:
+                # the run is laid out: the flow's next booked one goes on
+                # from here, or the flow is at its booking's limit
+                runs = share.runs
+                cursor = share.cursor + 1
+                if cursor == len(runs):
+                    break
+                share.cursor = cursor
+                count, nbytes, ser, rc, npkts = runs[cursor]
+                floor = rtt if rtt > ser else ser
+                laid += n
+                n = 0
+                if t < bound:
+                    continue
             # the flow's turn is over: the next is the merge's pick
             share.t = t
             nxt = order[0]
-            bound = _NEVER
-            for other in order:
-                if other.t < nxt.t:
-                    bound = nxt.t
-                    nxt = other
-                elif other is not nxt and other.t < bound:
-                    bound = other.t
+            if len(order) == 2:
+                # of two, the other flow, whose pump bounded this turn; this
+                # one's bounds the next
+                bound = t
+            else:
+                bound = _NEVER
+                for other in order:
+                    if other.t < nxt.t:
+                        bound = nxt.t
+                        nxt = other
+                    elif other is not nxt and other.t < bound:
+                        bound = other.t
             if not nxt.left:
                 break
             share.t_last = t_last
             share.rx_ready = rx_ready
             share.end = end
-            share.left -= n
+            share.left = count - n
             order.remove(nxt)
             order.append(nxt)
             share = nxt
             t = share.t
             rx_ready = share.rx_ready
-            rc = share.rc_window
             count = share.left
+            _count, nbytes, ser, rc, npkts = share.runs[share.cursor]
+            floor = rtt if rtt > ser else ser
+            laid += n
             n = 0
             continue
         if t >= retry and tx_free <= t:
@@ -558,8 +582,8 @@ def _advance(plan: "_NicPlan", share: _Share, count: int, bound: float, nbytes: 
     share.rx_ready = rx_ready
     share.end = end
     if order is not None:
-        share.left -= n
-    return n
+        share.left = count - n
+    return laid + n
 
 
 class _NicPlan:
@@ -587,7 +611,7 @@ class _NicPlan:
     """
 
     __slots__ = ("nic", "net", "sim", "shares", "live", "observed", "tx_free0", "tx_free",
-                 "rtt", "latency", "last_pump", "ncommitted", "window", "w_ser", "w_npkts")
+                 "rtt", "latency", "last_pump", "ncommitted", "window", "costs")
 
     def __init__(self, seeds: List[tuple]) -> None:
         """``seeds``: ``(controller, pump time, receive cursor)`` of the flow
@@ -604,22 +628,26 @@ class _NicPlan:
         self.tx_free0 = self.tx_free = nic._tx_free_at
         self.rtt = conn.rtt
         self.latency = net.latency
-        # constants of the uniform rounds (a full receive window, what a
-        # flow sends once its congestion window is pinned at that cap; one
-        # host, one stack: the members share it), computed with the
-        # identical expressions the per-round path uses so the produced
-        # floats match bit-for-bit
-        window = self.window = conn.stack.model.receive_window
-        self.w_ser = net.serialization_time(window)
-        self.w_npkts = net.packets_for(window)
+        #: the receiver cap of the members' windows (one host, one stack:
+        #: the members share it)
+        self.window = conn.stack.model.receive_window
+        #: ``(ser, npkts, ssthresh, grown)`` of each window size the plan
+        #: books: its wire time and packet count, computed once with the
+        #: identical expressions the per-round path uses (so the produced
+        #: floats match bit-for-bit), and the window after it under that
+        #: ``ssthresh``
+        self.costs: Optional[Dict[int, Tuple[float, int, int, int]]] = {}
 
         # ``ctl``'s pump is the one executing; the co-senders' pending
         # pumps run in the order they were scheduled
         if len(seeds) > 2:
             seeds[1:] = sorted(seeds[1:], key=lambda seed: seed[0].conn._pump_handle.seq)
-        order = [_Share(self, *seed) for seed in seeds]
+        order = [_Share(*seed) for seed in seeds]
         laid_out = list(order)
         unfinished = self.merge(order, self._lay_out)
+        # only the layout reads it, and a NIC's plan lives as long as its
+        # flows send (in a batch of 950 NICs: 0.8 MB of peak RSS)
+        self.costs = None
         for share in laid_out:
             if share.taken:
                 self._book(share)
@@ -733,59 +761,80 @@ class _NicPlan:
 
         Whole windows off the head entry complete no send, and one payload
         view covers what the flow takes off the entry until its next
-        ordinary round (``taken``, cut by :meth:`_book`).  With the window
-        pinned at the receiver cap — the dominant shape of a bulk transfer
-        — they are a uniform *stretch* of ``(navail - 1) // window`` rounds
-        (at least one byte stays on the entry, so its completion round is
-        an ordinary one), or of what the flow's ``cap`` leaves.  It is
-        booked once, whole, when it starts — one run descriptor, the
-        window clamped straight back — and its turns are ``_advance`` steps
-        and nothing else: the step rotates through the other members'
-        stretches, counting each member's rounds off its ``left``.  No code
-        outside plan construction looks at a share mid-merge, and the merge
-        takes back what a stretch it ends did not lay out.  A window still
-        growing is one round, and the next turn sees it grown."""
-        left = share.left
-        if not left:
-            conn = share.conn
-            pinned = conn.cwnd >= self.window
-            window = self.window if pinned else conn.cwnd
-            room = share.cap - share.nrounds
-            sendq = conn._sendq
+        ordinary round (``taken``, cut by :meth:`_book`).  So when a turn
+        starts with more than a window left on the entry, the flow's rounds
+        up to its next ordinary one are *booked*, whole, there and then:
+        its ramp — one run per window of the loss-free recurrence
+        (``TcpModel.grown_window``) while it grows — and, once the window
+        is pinned at the receiver cap, the stretch of full windows
+        ``(navail - 1) // window`` long (at least one byte stays on the
+        entry, so its completion round is an ordinary one); all of it no
+        more than the flow's ``cap`` leaves.  The connection's window is
+        set to what the booked rounds grow it to.  The turns of a booking
+        are ``_advance`` steps and nothing else: the step rotates through
+        the other members' bookings, counting each member's rounds off its
+        ``left``.  No code outside plan construction looks at a share
+        mid-merge, and the merge takes back what a booking it ends did not
+        lay out."""
+        conn = share.conn
+        cap = self.window
+        window = conn.cwnd if conn.cwnd < cap else cap
+        room = share.cap - share.nrounds
+        sendq = conn._sendq
+        if not share.left:
             entry = sendq[0]
             navail = len(entry[0]) - entry[1] - share.taken
             if navail > window:
-                if pinned:
-                    k = (navail - 1) // window
-                    if k > room:
-                        k = room
-                    ser, rc, npkts = self.w_ser, share.rc_window, self.w_npkts
-                else:
-                    k = 1
-                    ser, rc, npkts = self._round_costs(share, window)
                 runs = share.runs
-                if runs and runs[-1][1] == window:
-                    runs[-1][0] += k
-                else:
-                    runs.append([k, window, ser, rc, npkts])
-                share.nrounds += k
-                share.nbytes += k * window
-                share.taken += k * window
-                if not pinned:
-                    _advance(self, share, 1, bound, window, ser, rc, npkts, None)
-                    conn._update_window(0, window)
-                    return True if room > 1 else None
-                conn.cwnd = window  # its growth is clamped straight back
-                share.left = left = k
-        if left:
-            _advance(self, share, left, bound, self.window, self.w_ser, share.rc_window,
-                     self.w_npkts, None, order)
+                share.cursor = len(runs)
+                costs = self.costs
+                ssthresh = conn.ssthresh
+                cpu = share.peer.host.cpu
+                syscall, memcpy = cpu.syscall_overhead, cpu.memcpy_bandwidth
+                nbooked = 0
+                while True:
+                    cost = costs.get(window)
+                    if cost is None or cost[2] != ssthresh:
+                        cost = costs[window] = (
+                            self.net.serialization_time(window), self.net.packets_for(window),
+                            ssthresh, conn.stack.model.grown_window(window, window, ssthresh,
+                                                                    conn.network.mtu))
+                    # receive-side kernel crossing + copy, in the float order
+                    # TcpConnection._on_segment adds them to a fresh
+                    # Delivery.cost (0.0 + syscall is syscall exactly)
+                    rc = syscall + window / memcpy
+                    if window == cap:
+                        # pinned: the stretch, the booking's last run
+                        k = (navail - 1) // cap
+                        if k > room:
+                            k = room
+                        runs.append([k, cap, cost[0], rc, cost[1]])
+                        nbooked += k * cap
+                        room -= k
+                        break
+                    # a window of the ramp
+                    runs.append([1, window, cost[0], rc, cost[1]])
+                    nbooked += window
+                    navail -= window
+                    room -= 1
+                    window = cost[3]
+                    if navail <= window or not room:
+                        break
+                share.left = runs[share.cursor][0]
+                share.nrounds = share.cap - room
+                share.nbytes += nbooked
+                share.taken += nbooked
+                # what the booked rounds grow it to
+                conn.cwnd = window
+        if share.left:
+            run = share.runs[share.cursor]
+            _advance(self, share, share.left, bound, run[1], run[2], run[3], run[4], None, order)
             last = order[-1]
-            # the member whose turn ended the rotation is mid-stretch, or
-            # ran it out; a flow at its round cap ends the plan (every round
-            # laid out so far runs before any member's next pump, so the
-            # earliest trailing pump finds the plan fully committed, and
-            # cuts the next)
+            # the member whose turn ended the rotation is mid-booking, or
+            # ran its booking out; a flow at its round cap ends the plan
+            # (every round laid out so far runs before any member's next
+            # pump, so the earliest trailing pump finds the plan fully
+            # committed, and cuts the next)
             return True if last.left or last.nrounds < last.cap else None
         # the rest of the head entry fits in a window: one ordinary round
         if share.taken:
@@ -819,15 +868,26 @@ class _NicPlan:
     def _book(self, share: _Share) -> None:
         """Cut the payload view of the full windows ``share`` has taken off
         the head entry of its send queue since its last ordinary round.
-        A stretch the merge ended early gives back what it did not lay
-        out."""
+        A booking the merge ended early gives back the rounds it did not
+        lay out — ``runs[cursor]``'s last ``left`` and every run after it —
+        and the window goes back to what the rounds laid out had grown it
+        to: the size of the first round given back."""
         left = share.left
         if left:
             share.left = 0
-            share.runs[-1][0] -= left
+            runs = share.runs
+            cursor = share.cursor
+            run = runs[cursor]
+            share.conn.cwnd = run[1]
+            run[0] -= left
+            nbytes = left * run[1]
+            for later in runs[cursor + 1:]:
+                left += later[0]
+                nbytes += later[0] * later[1]
+            del runs[cursor + 1 if run[0] else cursor:]
             share.nrounds -= left
-            share.nbytes -= left * self.window
-            share.taken -= left * self.window
+            share.nbytes -= nbytes
+            share.taken -= nbytes
         entry = share.conn._sendq[0]
         offset = entry[1]
         stop = entry[1] = offset + share.taken

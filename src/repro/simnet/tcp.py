@@ -67,6 +67,18 @@ class TcpModel:
     def min_cwnd(self, mss: int) -> int:
         return self.min_window_segments * mss
 
+    def grown_window(self, cwnd: int, delivered: int, ssthresh: int, mss: int) -> int:
+        """The window after a loss-free round that delivered ``delivered``
+        bytes — its one copy, which the packet round applies as it runs and
+        a fluid plan as it books a flow's ramp: slow start adds what the
+        round delivered, congestion avoidance one segment, then the clamp
+        to ``[min_cwnd, receive_window]``."""
+        cwnd += delivered if cwnd < ssthresh else mss
+        floor = self.min_window_segments * mss
+        if cwnd < floor:
+            cwnd = floor
+        return cwnd if cwnd < self.receive_window else self.receive_window
+
 
 class TcpError(ConnectionError):
     """Connection-level failures (refused, reset, closed)."""
@@ -343,7 +355,16 @@ class TcpListener:
             self._ready.append(conn)
 
     def close(self) -> None:
+        """Stop listening: the port takes no more connections, an accept
+        still waiting fails, and the connections established but not
+        accepted yet are closed (their peers see the FIN)."""
         self.stack.close_listener(self.port)
+        waiters, self._waiters = self._waiters, []
+        for ev in waiters:
+            ev.fail(TcpError("listener closed"))
+        ready, self._ready = self._ready, []
+        for conn in ready:
+            conn.close()
 
 
 class TcpConnection(BufferedConnection):
@@ -619,24 +640,20 @@ class TcpConnection(BufferedConnection):
         return lost
 
     def _update_window(self, lost_pkts: int, delivered: int) -> None:
-        """The window recurrence, its one copy: the packet round applies it
-        as it runs, a fluid plan round by laid-out round (loss-free, which
-        leaves ``ssthresh`` alone)."""
+        """The window recurrence after a round: a loss halves it (or, when
+        nothing got through, a retransmission timeout resets it), anything
+        else is :meth:`TcpModel.grown_window` (which leaves ``ssthresh``
+        alone)."""
         mss = self.network.mtu
+        model = self.stack.model
         if lost_pkts > 0:
             self.ssthresh = max(self.cwnd // 2, 2 * mss)
-            if delivered == 0:
-                # retransmission timeout: back to one segment, slow start again
-                self.cwnd = self.stack.model.min_cwnd(mss)
-            else:
-                self.cwnd = self.ssthresh
+            # a retransmission timeout (nothing got through) goes back to one
+            # segment and slow start again
+            cwnd = model.min_cwnd(mss) if delivered == 0 else self.ssthresh
+            self.cwnd = min(max(cwnd, model.min_cwnd(mss)), model.receive_window)
         else:
-            if self.cwnd < self.ssthresh:
-                self.cwnd += delivered  # slow start: double per round
-            else:
-                self.cwnd += mss  # congestion avoidance: +1 MSS per round
-        self.cwnd = max(self.cwnd, self.stack.model.min_cwnd(mss))
-        self.cwnd = min(self.cwnd, self.stack.model.receive_window)
+            self.cwnd = model.grown_window(self.cwnd, delivered, self.ssthresh, mss)
 
     # -- receiving -----------------------------------------------------------------
     def _on_segment(self, delivery: Delivery) -> None:

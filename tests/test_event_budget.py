@@ -321,20 +321,21 @@ def bulk_tcp(fidelity, nflows, nbytes=8 * 1024 * 1024):
         # read — 5 events, 4 timers, whatever the transfer's length.  When
         # a flow had to show 8 zero-loss packet rounds with its window
         # pinned before a plan would take it (PR 17): (29, 28) and (57, 56).
-        # The planner's calls: 7 slow-start turns, the stretch of 30 full
-        # windows in one `_advance` call, its booking, the completion
-        # round, the plan's set-up and wind-down (43 before `_book`, which
-        # books the stretch once).
-        (1, (116, 115), (5, 4), 44),
+        # The planner's calls: the ramp and the stretch booked in one turn
+        # and laid out by one `_advance` call, the completion round, the
+        # plan's set-up and wind-down (44 when each of the 7 slow-start
+        # rounds was a turn of the merge of its own).
+        (1, (116, 115), (5, 4), 23),
         # two flows on the NIC: one joint plan, laid out by the pump that
         # runs first — the other flow's pending one is cancelled unrun.
-        # Their 60 pinned rounds, a turn each, rotate inside 3 `_advance`
-        # calls; the 14 slow-start and 2 completion turns remain turns of
-        # the merge (194 calls when every pinned turn was a merge
-        # iteration, a `_lay_out` and an `_advance` call)
-        (2, (232, 230), (9, 8), 82),
-        # 90 pinned rounds in 5 calls (290 turn by turn)
-        (3, (348, 345), (13, 12), 123),
+        # Their 74 booked rounds, ramps and stretches, a turn each, rotate
+        # inside 3 `_advance` calls; the 2 completion rounds remain turns
+        # of the merge (82 when the 14 slow-start rounds were turns of the
+        # merge, 194 when every pinned turn was one too)
+        (2, (232, 230), (9, 8), 40),
+        # 111 booked rounds in 5 calls (123 with the ramps turn by turn,
+        # 290 with every round a turn)
+        (3, (348, 345), (13, 12), 60),
     ],
     ids=["sole-sender", "two-per-nic", "three-per-nic"],
 )

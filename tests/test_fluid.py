@@ -94,6 +94,7 @@ def run_scenario(
     latency=None,
     trace=False,
     peer_fidelity=None,
+    model=None,
 ):
     """k client/server transfers towards one host over one link, instrumented.
 
@@ -103,7 +104,8 @@ def run_scenario(
     for a competitor.  ``reader`` is how the receivers read: ``"drain"`` (one
     exact read of everything), ``"trickle"`` (whatever is there, read by
     read) or ``"none"``; ``peer_fidelity`` is the receiving stack's, when it
-    is not the senders'.  Returns a dict with, per flow (``out["flows"][i]``),
+    is not the senders'; ``model`` the ``TcpModel`` of every stack.
+    Returns a dict with, per flow (``out["flows"][i]``),
     the receive-completion and send-completion instants, both endpoints and
     the fluid controller (it carries the introspection counters) — flow 0
     and 1 also under their historical keys — and, when requested, the
@@ -125,15 +127,15 @@ def run_scenario(
         net.changed("degrade")
     b = Host(sim, "b")
     net.connect(b)
-    sb = TcpStack(b, fidelity=peer_fidelity or fidelity)
+    sb = TcpStack(b, model, fidelity=peer_fidelity or fidelity)
     senders = {}
     for name in ["a"] + [spec["src"] for spec in flows]:
         if name not in senders:
             net.connect(Host(sim, name))
             if policy is not None:
-                senders[name] = TcpStack(net.hosts()[-1], fluid_policy=policy)
+                senders[name] = TcpStack(net.hosts()[-1], model, fluid_policy=policy)
             else:
-                senders[name] = TcpStack(net.hosts()[-1], fidelity=fidelity)
+                senders[name] = TcpStack(net.hosts()[-1], model, fidelity=fidelity)
     a = senders["a"].host
     out = {"sim": sim, "net": net, "flows": [{"done": []} for _ in flows]}
     if probe:
@@ -878,6 +880,71 @@ def test_additive_growth_after_a_loss_is_planned_and_matches(k):
         assert climbed >= fl.epoch_rounds > 10
 
 
+#: where a booked ramp ends or is cut: per case, the extra run_scenario
+#: arguments (both runs; ``policy`` the hybrid run's only) and the senders
+RAMP_EDGES = {
+    # the second flow starts once the first is pinned: the joint plan its
+    # join brings books that flow's whole ramp next to the other's stretch
+    "ramp-beside-a-stretch": ({}, [flow(RAMP + 20 * WINDOW),
+                                   flow(RAMP + 3 * WINDOW + 5, start=0.05, fill=ord("j"))]),
+    # head entries shorter than the next ramp window: the booking stops at
+    # the window an entry cannot fill, and the ordinary round after it
+    # takes the rest and the next entry's first bytes
+    "short-head-entry": ({}, [flow(20_000, 300_000, 70_001),
+                              flow(9 * MSS + 1, 500_000, fill=ord("j"))]),
+    # first plans of 3 rounds: a cap lands mid-ramp, and the merge it ends
+    # gives back what the other member booked beyond it
+    "cap-mid-ramp": (dict(policy=FluidPolicy(first_plan_rounds=3)),
+                     [flow(RAMP + 2 * WINDOW), flow(RAMP + WINDOW + 1, fill=ord("j"))]),
+    # a degrade cuts the joint plan while both members are mid-ramp
+    "degrade-mid-ramp": (dict(degrades=[(0.02, dict(bandwidth=8_000_000.0))]),
+                         [flow(RAMP + 4 * WINDOW),
+                          flow(RAMP + 2 * WINDOW, start=0.006, fill=ord("j"))]),
+    # ssthresh below the receive window: slow start up to it, then one
+    # segment more per round, every window a run of the booking
+    "congestion-avoidance": (dict(model=TcpModel(initial_ssthresh=16 * MSS)),
+                             [flow(2 * MIB), flow(MIB + 7, fill=ord("j"))]),
+    "three-flows": ({}, [flow(RAMP + 2 * WINDOW + i, start=0.003 * i, fill=ord("a") + 8 * i)
+                         for i in range(3)]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(RAMP_EDGES))
+def test_a_booked_ramp_matches_the_packet_run(what, monkeypatch):
+    """A flow's ramp is booked whole, as its turn starts, and laid out
+    inside ``_advance``'s rotation: wherever the booking stops, and whatever
+    cuts or caps it, every instant, byte, round and final window is the
+    packet run's, and the flows' rounds are all planned."""
+    extra, flows = RAMP_EDGES[what]
+    extra = dict(extra, latency=RAMP_LATENCY)
+    policy = extra.pop("policy", None)
+    book = fluid._NicPlan._book
+    given_back = []
+
+    def booking(plan, share):
+        given_back.append(share.left)
+        book(plan, share)
+
+    packet = run_scenario("packet", flows=flows, **extra)
+    monkeypatch.setattr(fluid._NicPlan, "_book", booking)
+    hybrid = run_scenario("hybrid", flows=flows, policy=policy, **extra)
+    _assert_flows_equivalent(packet, hybrid, planned=range(len(flows)))
+    if what == "degrade-mid-ramp":
+        # churn deactivates both flows: the first to pump again finds the
+        # other still inactive, and that pump is a packet round
+        assert all(_reasons(res["fluid"]).count("degrade") == 1 for res in hybrid["flows"])
+        _assert_packet_rounds(hybrid, 1, 0)
+    else:
+        _assert_packet_rounds(hybrid)
+    if what == "cap-mid-ramp":
+        assert any(given_back)
+    if what == "congestion-avoidance":
+        for res in hybrid["flows"]:
+            conn = res["conn"]
+            assert conn.ssthresh == 16 * MSS < conn.cwnd < WINDOW
+            assert (conn.cwnd - conn.ssthresh) % MSS == 0
+
+
 def test_a_planned_sends_bytes_become_readable_at_its_batchs_ready_time():
     """The stated divergence (fidelity contract, intermediate availability),
     from a flow's first round on: a reader taking what is there sees a
@@ -1229,7 +1296,7 @@ def _joint_plans(draw):
     or not, the sends posted together, a fraction of a window's wire time
     apart or whole rounds apart, on a wire-bound or an RTT-bound link, and
     first plans of a few rounds — the plans after them grow to 2, 4, 12, ...
-    times that, so a member's cap falls inside a rotation of stretches."""
+    times that, so a member's cap falls inside a rotation of ramps or stretches."""
     k = draw(st.integers(2, 3))
     window = draw(st.sampled_from([WINDOW, 64 * 1024]))
     sizes = [draw(st.integers(6, 40)) * window + draw(st.sampled_from([0, 1, 777, window - 1]))
@@ -1248,8 +1315,8 @@ def _joint_plans(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_joint_plans())
 def test_laying_a_joint_plan_out_is_replaying_it(case):
-    """Planning a joint plan rotates its pinned members inside ``_advance``
-    and books their stretches once; ``materialize`` replays it turn by turn,
+    """Planning a joint plan books its members' ramps and stretches once
+    and rotates them inside ``_advance``; ``materialize`` replays it turn by turn,
     one member at a time.  Right after every plan's construction the replay
     must leave each share's recurrence state and ledger — and the NIC's
     ``tx_free`` — exactly as planning did, and return every round laid out.

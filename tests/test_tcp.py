@@ -357,3 +357,83 @@ def test_the_lazy_loss_stream_is_the_eager_one():
     expected = [sum(eager.random() < 0.01 for _ in range(180)) for _ in range(50)]
     assert [conn._draw_losses(180) for _ in range(50)] == expected
     assert sum(expected) > 0
+
+
+def test_the_loss_free_window_step_is_the_packet_rounds():
+    """``TcpModel.grown_window`` iterated from the initial window is the
+    sequence of windows ``_update_window(0, cwnd)`` leaves round after
+    round: slow start up to ``ssthresh``, the round that crosses it, then
+    one segment a round up to the receiver cap."""
+    sim = Simulator()
+    net = Ethernet100(sim)
+    a, b = Host(sim, "a"), Host(sim, "b")
+    net.connect(a)
+    net.connect(b)
+    model = TcpModel(initial_ssthresh=20_000, receive_window=64 * 1024)
+    sa, sb = TcpStack(a, model), TcpStack(b, model)
+    sb.listen(9014)
+    connecting = sa.connect(b, 9014)
+    sim.run()
+    conn = connecting.value
+    mss = net.mtu
+    window, seen = conn.cwnd, []
+    for _ in range(40):
+        conn._update_window(0, conn.cwnd)
+        window = model.grown_window(window, window, conn.ssthresh, mss)
+        assert conn.cwnd == window
+        seen.append(window)
+    assert seen[:3] == [4 * mss, 8 * mss, 16 * mss]  # 16 * mss crosses ssthresh
+    assert seen[3] == 17 * mss and seen[-1] == model.receive_window
+    assert conn.ssthresh == 20_000
+
+
+def test_closing_a_listener_fails_a_pending_accept():
+    """An accept still waiting when its listener closes fails, instead of
+    leaving the process that waits on it parked for good, and the port
+    refuses connections from then on."""
+    sim, net, sa, sb, a, b = make_pair()
+    listener = sb.listen(9015)
+    out = {}
+
+    def server():
+        try:
+            yield listener.accept()
+        except TcpError as exc:
+            out["accept"] = str(exc)
+
+    def client():
+        try:
+            yield sa.connect(b, 9015)
+        except TcpError as exc:
+            out["connect"] = str(exc)
+
+    sim.process(server())
+    sim.run()
+    listener.close()
+    sim.run(until=sim.process(client()), max_time=10)
+    assert out["accept"] == "listener closed"
+    assert "refused" in out["connect"]
+
+
+def test_closing_a_listener_closes_the_connections_nobody_accepted():
+    """Connections established on a listener that nobody accepted are
+    closed with it: the client's read ends instead of waiting for bytes
+    that will never come."""
+    sim, net, sa, sb, a, b = make_pair()
+    listener = sb.listen(9016)
+    out = {}
+
+    def client():
+        conn = yield sa.connect(b, 9016)
+        try:
+            yield conn.recv_exact(1)
+        except ConnectionError:
+            out["read"] = "failed"
+
+    done = sim.process(client())
+    sim.run()
+    (queued,) = listener._ready
+    listener.close()
+    sim.run(until=done, max_time=10)
+    assert queued.closed and not listener._ready
+    assert out == {"read": "failed"}

@@ -5,7 +5,11 @@
 window, on which the engine's loop entries are counted — timers by
 callback, triggered events by kind — then one batch under :mod:`cProfile`,
 its set-up (``build()``: deployment, boot, connects — what ``setup_s``
-times) and its window (``wall_s``) each in a profile of its own.  For both
+times) and its window (``wall_s``) each in a profile of its own, under the
+collector regime perfbench times them in: set-up with the cyclic garbage
+collector on, every window collected before and run with it paused (else
+a collection pause is charged to whichever function allocates when it
+strikes).  For both
 phases it prints the top functions by own time and the profile folded by
 layer (``perfbench/tracer.py``'s own ``fold``, so the window's ``self_s`` /
 ``calls`` rows are the ones a traced perfbench run reports), then the two
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import json
 import pstats
@@ -129,6 +134,17 @@ def _profiled(phase, fold):
     return result, {"wall": wall, "stats": pstats.Stats(profiler), "layers": fold(profiler)}
 
 
+def _paused(window):
+    """``window()`` as perfbench's harness runs a batch's window: the
+    collector run first, then paused until the window is over."""
+    gc.collect()
+    gc.disable()
+    try:
+        return window()
+    finally:
+        gc.enable()
+
+
 def _print_phase(title: str, section: dict, sort: str, top: int) -> None:
     print(f"== {title}: {section['wall']:.3f} s under the profiler ==")
     _print_stats(section["stats"], sort, top)
@@ -183,13 +199,13 @@ def main(argv=None) -> int:
     batch = workload.build(args.seed, scale)
     Simulator._schedule, Simulator._push_triggered = counting_schedule, counting_push
     try:
-        batch.run()
+        _paused(batch.run)
     finally:
         Simulator._schedule, Simulator._push_triggered = schedule, push_triggered
     warm = batch.finish()
 
     batch, setup = _profiled(lambda: workload.build(args.seed, scale), tracer.fold)
-    _, window = _profiled(batch.run, tracer.fold)
+    _, window = _paused(lambda: _profiled(batch.run, tracer.fold))
     outcome = batch.finish()
     failed = warm.failed + outcome.failed
 
