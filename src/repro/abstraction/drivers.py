@@ -26,7 +26,8 @@ a *driver connection*: any object with
 * ``write(data, done=None)`` — queue ``data`` (``bytes`` or a
   :class:`~repro.simnet.buffers.Gather`, already immutable) as one write;
 * ``recv(nbytes=None, done=None, gather=False)`` /
-  ``recv_exact(nbytes, done=None, gather=False)`` — a partial / exact read;
+  ``recv_exact(nbytes, done=None, gather=False, charge=None)`` — a partial /
+  exact read (``charge()``: the caller's own cost of it, see below);
 * ``available()``, ``peek(n)``, ``read_available(limit=None, gather=False)``,
   ``set_data_callback(fn)``, ``set_close_callback(fn)`` (both called with the
   connection), ``close()`` and ``peer_name``.
@@ -39,14 +40,15 @@ is given does it mint an event of its own.  A connection that wraps another
 one passes ``done`` further down instead of chaining a second event onto the
 first, and a layer that charges time does so as the delay of that one
 trigger (``done.succeed(value, delay)``), never as a timer followed by an
-event.
+event — a read's by passing ``charge`` down, which the buffer adds to the
+completion's delay when it hands the bytes over.
 
 The receive half of every connection is one
 :class:`~repro.simnet.buffers.StreamBuffer` (behind
 :class:`~repro.simnet.buffers.BufferedConnection`, which ``TcpConnection``
 is too; :class:`~repro.arbitration.sysio.SysSocket` passes it ``charge=``,
-the callable returning the dispatch delay of the read's trigger at the
-instant the bytes are handed over).  Hence, everywhere:
+the callable returning the dispatch delay of the read's trigger — then the
+caller's own charge — at the instant the bytes are handed over).  Hence:
 
 * a read completes with ``bytes`` unless the caller — one that parses over
   parts or only forwards — asked ``gather=True``: it then gets the buffered

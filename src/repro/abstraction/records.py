@@ -33,31 +33,25 @@ def no_body(fields) -> int:
     return 0
 
 
-def _read_record(stream, header: struct.Struct, body_len: Callable):
-    size = header.size
-    buffered = stream.available()
-    if buffered < size:
-        return None
-    fields = header.unpack(stream.peek(size))
-    length = body_len(fields)
-    if buffered < size + length:
-        return None
-    stream.read_available(size)
-    return fields, stream.read_available(length, gather=True)
-
-
-def read_records(stream, header: struct.Struct, body_len: Callable) -> List[tuple]:
-    """Every complete ``(fields, body)`` buffered on ``stream``, consumed.
+def read_records(stream, header: struct.Struct, body_len: Callable, most: int = -1) -> List[tuple]:
+    """Every complete ``(fields, body)`` buffered on ``stream`` (the first
+    ``most`` of them, when given), consumed.
 
     ``body_len(fields)`` is the body's length; ``body`` is the writer's
     ``bytes`` or a :class:`~repro.simnet.buffers.Gather` of the chunks it
     arrived in.  A partial record stays buffered on ``stream``.
     """
     records = []
-    record = _read_record(stream, header, body_len)
-    while record is not None:
-        records.append(record)
-        record = _read_record(stream, header, body_len)
+    size = header.size
+    buffered = stream.available()
+    while buffered >= size and len(records) != most:
+        fields = header.unpack(stream.peek(size))
+        end = size + body_len(fields)
+        if buffered < end:
+            break
+        stream.read_available(size)
+        records.append((fields, stream.read_available(end - size, gather=True)))
+        buffered -= end
     return records
 
 
@@ -70,12 +64,12 @@ def read_hello(sock, header: struct.Struct, body_len: Callable, then: Callable,
 
     def _on_data(stream) -> None:
         nonlocal done
-        record = None if done else _read_record(stream, header, body_len)
-        if record is not None:
+        records = [] if done else read_records(stream, header, body_len, 1)
+        if records:
             done = True
             stream.set_data_callback(None)
             stream.set_close_callback(None)
-            then(stream, *record)
+            then(stream, *records[0])
 
     sock.set_close_callback(on_close)
     sock.set_data_callback(_on_data)

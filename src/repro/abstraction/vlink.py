@@ -126,19 +126,18 @@ class VLink:
         # drivers may alias the buffer: mutables are snapshotted here, once
         return self.conn.write(immutable(data), done)
 
-    def read(
-        self, nbytes: int, exact: bool = True, done: Optional[SimEvent] = None, gather=False
-    ) -> SimEvent:
+    def read(self, nbytes: int, exact=True, done=None, gather=False, charge=None) -> SimEvent:
         """Post a read; completes with the bytes (exactly ``nbytes`` when
         ``exact``, otherwise whatever is available up to ``nbytes``) — by
         reference, as the writer's own ``bytes`` or a ``Gather`` of the
-        buffered chunks, for a caller that parses over parts (``gather``)."""
+        buffered chunks, for a caller that parses over parts (``gather``);
+        ``charge()``, the caller's own cost of an exact read, delays its completion."""
         self._check_established("read")
         if done is None:
             done = VLinkOperation(self.sim, "read", self)
         done.add_callback(self._count_read)
         if exact:
-            return self.conn.recv_exact(nbytes, done, gather)
+            return self.conn.recv_exact(nbytes, done, gather, charge)
         return self.conn.recv(nbytes, done, gather)
 
     def _count_read(self, op: SimEvent) -> None:

@@ -89,11 +89,13 @@ class SysSocket:
         NetAccess dispatch cost (and, in the no-arbitration ablation, the
         starvation penalty) applies to every socket readiness event — as
         the delay of the read's one trigger, taken when TCP hands the bytes
-        (or the failure) over."""
+        (or the failure) over; an exact read's own ``charge()`` follows it."""
         return self.conn.recv(nbytes, done, gather, self.sysio._read_dispatch)
 
-    def recv_exact(self, nbytes: int, done=None, gather=False) -> "SimEvent":
-        return self.conn.recv_exact(nbytes, done, gather, self.sysio._read_dispatch)
+    def recv_exact(self, nbytes: int, done=None, gather=False, charge=None) -> "SimEvent":
+        dispatch = self.sysio._read_dispatch
+        return self.conn.recv_exact(nbytes, done, gather, dispatch if charge is None else
+                                    lambda: dispatch() + charge())
 
     # -- lifecycle -----------------------------------------------------------------------
     def set_close_callback(self, fn: Optional[Callable[["SysSocket"], None]]) -> None:

@@ -6,26 +6,29 @@ implemented — Request and Reply — with the standard 12-byte GIOP header
 byte-stream transport and interoperates across ORB profiles (the paper's
 interoperability requirement: CORBA stays IIOP-compatible on the wire).
 
-``encode`` returns a :class:`~repro.simnet.buffers.Gather`: the GIOP header
-(its own part: the receiver's 12-byte header read then takes a whole chunk
-and the body read starts on a chunk boundary), the request/reply prefix, and
-the parts of the CDR body by reference — ``bytes()`` of it is the message.
-``decode`` takes the payload as it was read — flat, or the gather of a
-``recv_exact(..., gather=True)`` — parses the request/reply prefix out of
-its leading part and keeps ``body`` as the rest by reference.
+On a stream a message is one :data:`GIOP_HEADER`-framed record of
+:mod:`repro.abstraction.records`.  ``encode`` returns a
+:class:`~repro.simnet.buffers.Gather`: the GIOP header (its own part), the
+request/reply prefix and the parts of the CDR body by reference — or, under
+:data:`GATHER_MIN`, prefix and body joined.  ``decode`` takes the record's
+header fields and body — flat or gathered — parses the request/reply prefix
+out of its leading part and keeps ``body`` as the rest by reference.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Tuple
 
 from repro.simnet.buffers import Gather
 
-_GIOP_HEADER = struct.Struct("!4sBBBBI")  # magic, major, minor, flags, msg type, body size
+GIOP_HEADER = struct.Struct("!4sBBBBI")  # magic, major, minor, flags, msg type, body size
 GIOP_MAGIC = b"GIOP"
-GIOP_HEADER_SIZE = _GIOP_HEADER.size
+#: a body this long travels as its parts (its octet sequence reaches the peer
+#: uncopied); a shorter one is joined, which costs less than walking its parts
+GATHER_MIN = 4096
 
 MSG_REQUEST = 0
 MSG_REPLY = 1
@@ -57,7 +60,6 @@ class GiopMessage:
     reply_status: int = REPLY_OK
     version: Tuple[int, int] = (1, 2)
     flags: int = 0
-    meta: dict = field(default_factory=dict)
 
     # -- encoding -----------------------------------------------------------------
     def encode(self) -> Gather:
@@ -73,30 +75,22 @@ class GiopMessage:
         else:
             raise GiopError(f"unsupported GIOP message type {self.msg_type}")
         body = self.body
-        header = _GIOP_HEADER.pack(
-            GIOP_MAGIC,
-            self.version[0],
-            self.version[1],
-            self.flags,
-            self.msg_type,
-            len(prefix) + len(body),
+        size = len(prefix) + len(body)
+        header = GIOP_HEADER.pack(
+            GIOP_MAGIC, self.version[0], self.version[1], self.flags, self.msg_type, size
         )
+        if size < GATHER_MIN:
+            return Gather((header, prefix + bytes(body)))
         return Gather((header, prefix, body))
 
     # -- decoding -------------------------------------------------------------------
-    @staticmethod
-    def parse_header(header: bytes) -> Tuple[int, int, Tuple[int, int]]:
-        """Return ``(msg_type, body_size, version)`` from a 12-byte header."""
-        if len(header) != GIOP_HEADER_SIZE:
-            raise GiopError(f"GIOP header must be {GIOP_HEADER_SIZE} bytes, got {len(header)}")
-        magic, major, minor, _flags, msg_type, size = _GIOP_HEADER.unpack(header)
+    @classmethod
+    def decode(cls, fields: tuple, payload) -> "GiopMessage":
+        """The message of one record: ``fields`` are its unpacked
+        :data:`GIOP_HEADER`, ``payload`` its body."""
+        magic, major, minor, _flags, msg_type, size = fields
         if magic != GIOP_MAGIC:
             raise GiopError(f"bad GIOP magic {magic!r}")
-        return msg_type, size, (major, minor)
-
-    @classmethod
-    def decode(cls, header: bytes, payload: bytes) -> "GiopMessage":
-        msg_type, size, version = cls.parse_header(header)
         if len(payload) != size:
             raise GiopError(f"GIOP body size mismatch: header says {size}, got {len(payload)}")
         # The prefix is parsed out of the leading part of a gathered read and
@@ -122,9 +116,12 @@ class GiopMessage:
         if end > len(view):
             if not rest:
                 raise GiopError(f"truncated GIOP message: {len(view)} bytes, prefix needs {end}")
-            return cls.decode(header, bytes(payload))
+            return cls.decode(fields, bytes(payload))
         body = Gather((view[end:], *rest)) if rest else view[end:]
-        return cls(msg_type, request_id, body, object_key, operation, status, version)
+        return cls(msg_type, request_id, body, object_key, operation, status, (major, minor))
+
+
+body_size = itemgetter(5)  # a GIOP record's ``body_len``: the header's last field
 
 
 def make_request(request_id: int, object_key: bytes, operation: str, body: bytes) -> GiopMessage:

@@ -17,27 +17,25 @@ the paper makes for the real omniORB/Mico/ORBacus binaries.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Dict, Optional, Tuple
 
+from repro.abstraction.records import Serializer
 from repro.personalities.syswrap import SysWrap, SysWrapSocket
 from repro.middleware.corba.cdr import CdrInputStream, CdrOutputStream
 from repro.middleware.corba.giop import (
-    GIOP_HEADER_SIZE,
+    GIOP_HEADER,
     GiopMessage,
     MSG_REPLY,
     MSG_REQUEST,
     REPLY_OK,
     REPLY_SYSTEM_EXCEPTION,
+    body_size,
     make_reply,
     make_request,
 )
 from repro.middleware.corba.idl import Interface
 from repro.middleware.corba.profiles import OrbProfile, OMNIORB_4
-
-
-#: a GIOP body this long is read as a gather (its octet sequence reaches the
-#: servant uncopied); joining a shorter one costs less than walking its parts
-GATHER_MIN = 4096
 
 
 class CorbaError(RuntimeError):
@@ -81,14 +79,15 @@ class Servant:
 
 
 class _ClientConnection:
-    """One cached client-side GIOP connection with a reply-matching reader."""
+    """One cached client-side GIOP connection: replies are matched to their
+    callers by request id as they arrive."""
 
     def __init__(self, orb: "ORB", sock: SysWrapSocket):
         self.orb = orb
         self.sim = orb.sim
         self.sock = sock
         self._pending: Dict[int, object] = {}
-        self._reader = self.sim.process(self._read_loop(), name="giop-client-reader")
+        sock.on_records(GIOP_HEADER, body_size, self._on_reply)
 
     def send_request(self, message: GiopMessage, expect_reply: bool):
         """The event a caller waits on: the matched reply, or — oneway — the
@@ -99,23 +98,12 @@ class _ClientConnection:
         ev = self._pending[message.request_id] = self.sim.event(name="giop-reply")
         return ev
 
-    def _read_loop(self):
-        while True:
-            try:
-                header = yield self.sock.recv_exact(GIOP_HEADER_SIZE)
-                _msg_type, size, _version = GiopMessage.parse_header(header)
-                payload = (yield self.sock.recv_exact(size, size >= GATHER_MIN)) if size else b""
-            except (ConnectionError, OSError):
-                return
-            reply = GiopMessage.decode(header, payload)
-            if reply.msg_type != MSG_REPLY:
-                continue
-            ev = self._pending.pop(reply.request_id, None)
-            if ev is None:
-                continue
+    def _on_reply(self, _sock, fields, payload) -> None:
+        reply = GiopMessage.decode(fields, payload)
+        ev = self._pending.pop(reply.request_id, None) if reply.msg_type == MSG_REPLY else None
+        if ev is not None:
             # Demarshalling cost of the reply on the client side.
-            cost = self.orb.message_cost(len(reply.body))
-            ev.succeed(reply, delay=cost)
+            ev.succeed(reply, delay=self.orb.message_cost(len(reply.body)))
 
 
 class Proxy:
@@ -210,55 +198,75 @@ class ORB:
     def _accept_loop(self, listener_sock: SysWrapSocket):
         while True:
             sock, _peer = yield listener_sock.accept()
-            self.sim.process(self._serve_connection(sock), name="giop-server-conn")
+            self._serve_connection(sock)
 
-    def _serve_connection(self, sock: SysWrapSocket):
-        while True:
-            try:
-                header = yield sock.recv_exact(GIOP_HEADER_SIZE)
-                msg_type, size, _version = GiopMessage.parse_header(header)
-                payload = (yield sock.recv_exact(size, size >= GATHER_MIN)) if size else b""
-            except (ConnectionError, OSError):
-                return
-            if msg_type != MSG_REQUEST:
-                continue
-            request = GiopMessage.decode(header, payload)
-            # Demarshalling + POA dispatch cost on the server side.
-            yield self.sim.timeout(self.message_cost(len(request.body)))
-            reply = yield from self._dispatch(request)
-            if reply is None:
-                continue  # oneway
-            # Marshalling cost of the reply on the server side.
-            yield self.sim.timeout(self.message_cost(len(reply.body)))
-            yield sock.send(reply.encode())
+    def _serve_connection(self, sock: SysWrapSocket) -> None:
+        """Answer the requests ``sock`` brings: a request's servant method is
+        called once its demarshalling cost has elapsed, in arrival order; its
+        reply, once marshalled, leaves after every earlier request's — a
+        method that is a generator (it makes nested invocations) runs as a
+        process of its own and holds back the replies behind it."""
+        rx = Serializer(self.sim)
+        #: per answered request, in order: [] until marshalled, then [wire or None]
+        replies = deque()
+
+        def ready(slot: list, wire) -> None:
+            slot.append(wire)
+            while replies and replies[0]:
+                wire = replies.popleft()[0]
+                if wire is not None:
+                    sock.send(wire)
+
+        def marshal(slot: list, reply: Optional[GiopMessage]) -> None:
+            if reply is None:  # oneway
+                return ready(slot, None)
+            self.sim.call_later(self.message_cost(len(reply.body)), ready, slot, reply.encode())
+
+        def answer(request: GiopMessage) -> None:
+            slot = []
+            replies.append(slot)
+            reply = self._dispatch(request)
+            if reply is None or isinstance(reply, GiopMessage):
+                return marshal(slot, reply)
+            self.sim.process(reply).add_callback(lambda done: marshal(slot, done.value))
+
+        def on_request(_sock, fields, payload) -> None:
+            request = GiopMessage.decode(fields, payload)
+            if request.msg_type == MSG_REQUEST:
+                rx.after(self.message_cost(len(request.body)), answer, request)
+
+        sock.on_records(GIOP_HEADER, body_size, on_request)
 
     def _dispatch(self, request: GiopMessage):
-        entry = self._servants.get(request.object_key)
-        if entry is None:
-            return make_reply(
-                request.request_id,
-                f"unknown object key {request.object_key!r}".encode("utf-8"),
-                status=REPLY_SYSTEM_EXCEPTION,
-            )
-        servant, interface = entry
+        """The reply to ``request`` (None for a oneway), or a generator returning
+        it when the servant method is one (it makes nested invocations)."""
         try:
+            entry = self._servants.get(request.object_key)
+            if entry is None:
+                raise CorbaError(f"unknown object key {request.object_key!r}")
+            servant, interface = entry
             op = interface.operation(request.operation)
             args = op.decode_args(CdrInputStream(request.body))
             result = servant._dispatch(request.operation, args)
             if hasattr(result, "send") and hasattr(result, "throw"):
-                # servant method is itself a generator (it performs nested
-                # communication); run it to completion inside this process.
-                result = yield from result
-            self.requests_served += 1
-            if op.oneway:
-                return None
-            out = CdrOutputStream()
-            op.encode_result(out, result)
-            return make_reply(request.request_id, out.getvalue())
+                return self._nested(request, op, result)
+            return self._reply(request, op, result)
         except Exception as exc:  # noqa: BLE001 - converted to a GIOP system exception
-            return make_reply(
-                request.request_id, str(exc).encode("utf-8"), status=REPLY_SYSTEM_EXCEPTION
-            )
+            return make_reply(request.request_id, str(exc).encode(), status=REPLY_SYSTEM_EXCEPTION)
+
+    def _nested(self, request: GiopMessage, op, method):
+        try:
+            return self._reply(request, op, (yield from method))
+        except Exception as exc:  # noqa: BLE001 - converted to a GIOP system exception
+            return make_reply(request.request_id, str(exc).encode(), status=REPLY_SYSTEM_EXCEPTION)
+
+    def _reply(self, request: GiopMessage, op, result) -> Optional[GiopMessage]:
+        self.requests_served += 1
+        if op.oneway:
+            return None
+        out = CdrOutputStream()
+        op.encode_result(out, result)
+        return make_reply(request.request_id, out.getvalue())
 
     # -- client side --------------------------------------------------------------------
     def string_to_object(self, ior: str, interface: Interface) -> Proxy:

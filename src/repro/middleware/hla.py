@@ -19,12 +19,14 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.simnet.cost import MICROSECOND
 from repro.personalities.syswrap import SysWrap, SysWrapSocket
 
 _FRAME = struct.Struct("!I")
+_frame_len = itemgetter(0)
 RTI_MESSAGE_OVERHEAD = 20.0 * MICROSECOND
 
 
@@ -35,6 +37,7 @@ class RtiError(RuntimeError):
 @dataclass
 class _Federate:
     name: str
+    federation: str
     sock: SysWrapSocket
     subscriptions: Set[str] = field(default_factory=set)
     published: Set[str] = field(default_factory=set)
@@ -49,8 +52,10 @@ class RtiGateway:
         self.port = port
         self.syswrap = SysWrap(node.vlink)
         self._federations: Dict[str, Dict[str, _Federate]] = {}
-        self._objects: Dict[Tuple[str, int], Tuple[str, str]] = {}  # (fed, id) -> (class, owner)
+        self._objects: Dict[Tuple[str, int], str] = {}  # (federation, id) -> class
         self._next_object_id = 1
+        #: the federate each connection joined as
+        self._members: Dict[SysWrapSocket, _Federate] = {}
         sock = self.syswrap.socket()
         sock.bind((node.host.name, port))
         sock.listen()
@@ -65,67 +70,59 @@ class RtiGateway:
     def _accept_loop(self, listener: SysWrapSocket):
         while True:
             sock, _peer = yield listener.accept()
-            self.sim.process(self._serve(sock), name="rtig-conn")
+            sock.on_records(_FRAME, _frame_len, self._received, self._closed)
 
-    def _serve(self, sock: SysWrapSocket):
-        federate: Optional[_Federate] = None
-        federation: Optional[str] = None
-        while True:
-            try:
-                header = yield sock.recv_exact(_FRAME.size)
-                (size,) = _FRAME.unpack(header)
-                payload = yield sock.recv_exact(size)
-            except (ConnectionError, OSError):
-                if federate is not None and federation is not None:
-                    self._federations.get(federation, {}).pop(federate.name, None)
-                return
-            yield self.sim.timeout(RTI_MESSAGE_OVERHEAD)
-            msg = pickle.loads(payload)
-            kind = msg["kind"]
-            if kind == "create_federation":
-                self._federations.setdefault(msg["federation"], {})
-                yield sock.send(self._encode({"kind": "ack"}))
-            elif kind == "join":
-                federation = msg["federation"]
-                if federation not in self._federations:
-                    yield sock.send(
-                        self._encode({"kind": "error", "message": "no such federation"})
-                    )
-                    continue
-                federate = _Federate(msg["federate"], sock)
-                self._federations[federation][federate.name] = federate
-                yield sock.send(self._encode({"kind": "joined", "federate": federate.name}))
-            elif kind == "publish":
-                federate.published.add(msg["object_class"])
-                yield sock.send(self._encode({"kind": "ack"}))
-            elif kind == "subscribe":
-                federate.subscriptions.add(msg["object_class"])
-                yield sock.send(self._encode({"kind": "ack"}))
-            elif kind == "register_object":
-                object_id = self._next_object_id
-                self._next_object_id += 1
-                self._objects[(federation, object_id)] = (msg["object_class"], federate.name)
-                yield sock.send(self._encode({"kind": "object_registered", "object_id": object_id}))
-            elif kind == "update":
-                object_class, _owner = self._objects.get(
-                    (federation, msg["object_id"]), (msg.get("object_class", ""), "")
-                )
-                notification = self._encode(
-                    {
-                        "kind": "reflect",
-                        "object_id": msg["object_id"],
-                        "object_class": object_class,
-                        "attributes": msg["attributes"],
-                        "sender": federate.name,
-                        "timestamp": msg.get("timestamp"),
-                    }
-                )
-                for other in self._federations.get(federation, {}).values():
-                    if other.name != federate.name and object_class in other.subscriptions:
-                        other.sock.send(notification)
-                yield sock.send(self._encode({"kind": "ack"}))
+    def _received(self, sock: SysWrapSocket, _fields, payload) -> None:
+        self.sim.call_later(RTI_MESSAGE_OVERHEAD, self._serve, sock, payload)
+
+    def _closed(self, sock: SysWrapSocket) -> None:
+        federate = self._members.pop(sock, None)
+        if federate is not None:
+            self._federations.get(federate.federation, {}).pop(federate.name, None)
+
+    def _serve(self, sock: SysWrapSocket, payload) -> None:
+        """Answer one message, :data:`RTI_MESSAGE_OVERHEAD` after it arrived."""
+        msg = pickle.loads(bytes(payload))
+        kind = msg["kind"]
+        federate = self._members.get(sock)
+        if kind == "create_federation":
+            self._federations.setdefault(msg["federation"], {})
+            reply = {"kind": "ack"}
+        elif kind == "join":
+            federation = self._federations.get(msg["federation"])
+            if federation is None:
+                reply = {"kind": "error", "message": "no such federation"}
             else:
-                yield sock.send(self._encode({"kind": "error", "message": f"unknown {kind!r}"}))
+                federate = _Federate(msg["federate"], msg["federation"], sock)
+                federation[federate.name] = self._members[sock] = federate
+                reply = {"kind": "joined", "federate": federate.name}
+        elif kind == "publish":
+            federate.published.add(msg["object_class"])
+            reply = {"kind": "ack"}
+        elif kind == "subscribe":
+            federate.subscriptions.add(msg["object_class"])
+            reply = {"kind": "ack"}
+        elif kind == "register_object":
+            object_id = self._next_object_id
+            self._next_object_id += 1
+            self._objects[(federate.federation, object_id)] = msg["object_class"]
+            reply = {"kind": "object_registered", "object_id": object_id}
+        elif kind == "update":
+            object_class = self._objects.get(
+                (federate.federation, msg["object_id"]), msg.get("object_class", "")
+            )
+            notification = self._encode({
+                "kind": "reflect", "object_id": msg["object_id"], "object_class": object_class,
+                "attributes": msg["attributes"], "sender": federate.name,
+                "timestamp": msg.get("timestamp"),
+            })
+            for other in self._federations.get(federate.federation, {}).values():
+                if other.name != federate.name and object_class in other.subscriptions:
+                    other.sock.send(notification)
+            reply = {"kind": "ack"}
+        else:
+            reply = {"kind": "error", "message": f"unknown {kind!r}"}
+        sock.send(self._encode(reply))
 
 
 class FederateAmbassador:
@@ -149,7 +146,7 @@ class RtiAmbassador:
         self.syswrap = SysWrap(node.vlink)
         self.federate_ambassador = federate_ambassador or FederateAmbassador()
         self._sock: Optional[SysWrapSocket] = None
-        self._replies: List = []
+        #: the requests awaiting their reply, in the order they were sent
         self._reply_waiters: List = []
 
     # -- connection and request/response plumbing ----------------------------------
@@ -159,39 +156,25 @@ class RtiAmbassador:
         sock = self.syswrap.socket()
         yield sock.connect((self.rtig_host, self.port))
         self._sock = sock
-        self.sim.process(self._reader(), name="federate-reader")
+        sock.on_records(_FRAME, _frame_len, self._received)
 
-    def _reader(self):
-        while True:
-            try:
-                header = yield self._sock.recv_exact(_FRAME.size)
-                (size,) = _FRAME.unpack(header)
-                payload = yield self._sock.recv_exact(size)
-            except (ConnectionError, OSError):
-                return
-            msg = pickle.loads(payload)
-            if msg["kind"] == "reflect":
-                self.federate_ambassador.reflect_attribute_values(
-                    msg["object_id"], msg["object_class"], msg["attributes"],
-                    msg["sender"], msg.get("timestamp"),
-                )
-            else:
-                if self._reply_waiters:
-                    ev = self._reply_waiters.pop(0)
-                    if not ev.triggered:
-                        ev.succeed(msg)
-                else:
-                    self._replies.append(msg)
+    def _received(self, _sock, _fields, payload) -> None:
+        msg = pickle.loads(bytes(payload))
+        if msg["kind"] == "reflect":
+            self.federate_ambassador.reflect_attribute_values(
+                msg["object_id"], msg["object_class"], msg["attributes"],
+                msg["sender"], msg.get("timestamp"),
+            )
+        else:
+            self._reply_waiters.pop(0).succeed(msg)
 
     def _request(self, msg: dict):
         yield from self._ensure_connected()
         yield self.sim.timeout(RTI_MESSAGE_OVERHEAD)
+        reply_ev = self.sim.event(name="rti-reply")
+        self._reply_waiters.append(reply_ev)
         yield self._sock.send(RtiGateway._encode(msg))
-        if self._replies:
-            return self._replies.pop(0)
-        ev = self.sim.event(name="rti-reply")
-        self._reply_waiters.append(ev)
-        reply = yield ev
+        reply = yield reply_ev
         if reply.get("kind") == "error":
             raise RtiError(reply.get("message", "RTI error"))
         return reply

@@ -72,9 +72,8 @@ class JavaSocket:
 
     def read(self, nbytes: int):
         """InputStream.read (fully): generator returning exactly ``nbytes``."""
-        data = yield self._sock.recv_exact(nbytes)
-        cost = self.profile.per_call_overhead + len(data) / self.profile.copy_bandwidth
-        yield self.sim.timeout(cost)
+        cost = self.profile.per_call_overhead + nbytes / self.profile.copy_bandwidth
+        data = yield self._sock.recv_exact(nbytes, charge=lambda: cost)
         self.bytes_read += len(data)
         return data
 

@@ -56,10 +56,6 @@ class _SendBuffer:
             out += raw
         return bytes(out)
 
-    @property
-    def nbytes(self) -> int:
-        return sum(len(raw) for _, raw in self.items)
-
 
 class _RecvBuffer:
     """The active receive buffer consumed by the upk* calls."""

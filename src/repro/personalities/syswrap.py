@@ -14,7 +14,8 @@ close`` keyed by file-descriptor-like integers.  The middleware systems in
 are written against this facade exactly as their real counterparts are
 written against libc sockets; swapping the VLink driver underneath (SysIO on
 Ethernet, MadIO on Myrinet, parallel streams on a WAN) requires no change in
-their code, which is the paper's central claim.
+their code, which is the paper's central claim.  Message-framed middleware
+(GIOP, the RTI) takes its messages as records (:meth:`SysWrapSocket.on_records`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional, TYPE_CHECKING
 
+from repro.abstraction.records import read_records
 from repro.abstraction.vlink import VLink, VLinkListener, VLinkManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,10 +117,24 @@ class SysWrapSocket:
         """Returns an event completing with up to ``nbytes`` bytes."""
         return self._require_link("recv").read(nbytes, exact=False)
 
-    def recv_exact(self, nbytes: int, gather: bool = False):
-        """Extension used by message-framed middleware (GIOP, SOAP-over-HTTP);
-        ``gather=True`` (the reader parses over parts) as for ``VLink.read``."""
-        return self._require_link("recv_exact").read(nbytes, True, None, gather)
+    def recv_exact(self, nbytes: int, gather: bool = False, charge=None):
+        """Extension used by SOAP-over-HTTP and the JVM layer; ``gather`` and
+        ``charge`` (the read's own cost) as for ``VLink.read``."""
+        return self._require_link("recv_exact").read(nbytes, True, None, gather, charge)
+
+    def on_records(self, header, body_len, on_record, on_close=None) -> None:
+        """``on_record(self, fields, body)`` for each ``header``-framed record
+        as soon as all of it is buffered (``records.read_records`` over the
+        link, in its readiness callback: no read is posted), ``on_close(self)``
+        once the stream closes."""
+        link = self._require_link("on_records")
+
+        def _on_data(stream) -> None:
+            for fields, body in read_records(stream, header, body_len):
+                on_record(self, fields, body)
+
+        link.set_close_callback(None if on_close is None else lambda _link: on_close(self))
+        link.set_data_callback(_on_data)
 
     def close(self) -> None:
         if self._closed:

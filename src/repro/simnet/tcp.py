@@ -176,9 +176,6 @@ class TcpStack:
         self._listeners[port] = listener
         return listener
 
-    def close_listener(self, port: int) -> None:
-        self._listeners.pop(port, None)
-
     # -- active open -------------------------------------------------------------
     def connect(
         self, peer: "Host", port: int, network: Optional[Network] = None
@@ -327,6 +324,7 @@ class TcpListener:
         self._ready: List[TcpConnection] = []
         self._waiters: List = []
         self._accept_callback: Optional[Callable[["TcpConnection"], None]] = None
+        self.closed = False
 
     def is_full(self) -> bool:
         return len(self._ready) >= self.backlog
@@ -340,7 +338,9 @@ class TcpListener:
     def accept(self) -> "SimEvent":
         """Event mode: succeeds with the next established connection."""
         ev = self.stack.sim.event(name=f"accept(:{self.port})")
-        if self._ready:
+        if self.closed:
+            ev.fail(TcpError("listener closed"))
+        elif self._ready:
             ev.succeed(self._ready.pop(0))
         else:
             self._waiters.append(ev)
@@ -356,9 +356,11 @@ class TcpListener:
 
     def close(self) -> None:
         """Stop listening: the port takes no more connections, an accept
-        still waiting fails, and the connections established but not
-        accepted yet are closed (their peers see the FIN)."""
-        self.stack.close_listener(self.port)
+        still waiting or posted later fails, and the connections established
+        but not accepted yet are closed (their peers see the FIN)."""
+        self.closed = True
+        if self.stack._listeners.get(self.port) is self:  # not a new listener's
+            del self.stack._listeners[self.port]
         waiters, self._waiters = self._waiters, []
         for ev in waiters:
             ev.fail(TcpError("listener closed"))

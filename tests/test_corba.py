@@ -37,7 +37,8 @@ from repro.middleware.corba import (
     TC_VOID,
 )
 from repro.middleware.corba.cdr import TC_SHORT
-from repro.middleware.corba.giop import make_reply, make_request
+from repro.middleware.corba.giop import GIOP_HEADER, body_size, make_reply, make_request
+from repro.personalities.syswrap import SysWrapSocket
 from repro.simnet.buffers import Gather
 
 
@@ -157,10 +158,9 @@ def test_cdr_void():
 def test_giop_request_roundtrip():
     req = make_request(17, b"objkey", "compute", b"\x01\x02\x03")
     wire = bytes(req.encode())
-    header, payload = wire[:12], wire[12:]
-    msg_type, size, version = GiopMessage.parse_header(header)
-    assert msg_type == MSG_REQUEST and size == len(payload)
-    decoded = GiopMessage.decode(header, payload)
+    fields, payload = GIOP_HEADER.unpack(wire[:12]), wire[12:]
+    assert fields[4] == MSG_REQUEST and body_size(fields) == len(payload)
+    decoded = GiopMessage.decode(fields, payload)
     assert decoded.request_id == 17
     assert decoded.object_key == b"objkey"
     assert decoded.operation == "compute"
@@ -170,18 +170,17 @@ def test_giop_request_roundtrip():
 def test_giop_reply_roundtrip_and_errors():
     rep = make_reply(9, b"result", status=0)
     wire = bytes(rep.encode())
-    decoded = GiopMessage.decode(wire[:12], wire[12:])
+    fields = GIOP_HEADER.unpack(wire[:12])
+    decoded = GiopMessage.decode(fields, wire[12:])
     assert decoded.msg_type == MSG_REPLY and decoded.request_id == 9
     with pytest.raises(GiopError):
-        GiopMessage.parse_header(b"NOPE" + wire[4:12])
+        GiopMessage.decode(GIOP_HEADER.unpack(b"NOPE" + wire[4:12]), wire[12:])
     with pytest.raises(GiopError):
-        GiopMessage.decode(wire[:12], wire[12:] + b"extra")
-    with pytest.raises(GiopError):
-        GiopMessage.parse_header(b"short")
+        GiopMessage.decode(fields, wire[12:] + b"extra")
     with pytest.raises(GiopError):  # a payload shorter than its own prefix
-        GiopMessage.decode(struct.pack("!4sBBBBI", b"GIOP", 1, 2, 0, MSG_REPLY, 4), b"1234")
+        GiopMessage.decode((b"GIOP", 1, 2, 0, MSG_REPLY, 4), b"1234")
     # a part boundary inside the prefix: decoded all the same, body intact
-    split = GiopMessage.decode(wire[:12], Gather((wire[12:15], wire[15:19], wire[19:])))
+    split = GiopMessage.decode(fields, Gather((wire[12:15], wire[15:19], wire[19:])))
     assert (split.request_id, split.reply_status, bytes(split.body)) == (9, 0, b"result")
 
 
@@ -321,6 +320,108 @@ def test_orb_oneway_invocation(cluster):
         return servant.notifications
 
     assert run(fw, scenario()) == ["fire-and-forget"]
+
+
+class _CallLog(Servant):
+    """Records the order the ORB dispatches its calls in."""
+
+    def __init__(self):
+        self.calls = []
+
+    def notify(self, msg):
+        self.calls.append(("notify", len(msg)))
+
+    def add(self, a, b):
+        self.calls.append(("add", a))
+        return a + b
+
+    def checksum(self, data):
+        self.calls.append(("checksum", len(data)))
+        return len(data)
+
+
+def test_orb_concurrent_callers_on_one_connection_get_their_own_replies_in_request_order(
+    cluster, monkeypatch
+):
+    """A 256 KiB request, then an 8-byte one on the same cached connection:
+    the small request's cheaper demarshalling must not let it overtake the
+    large one, at the servant or on the wire."""
+    fw, group = cluster
+    server_orb = ORB(fw.node(group[1].name), MICO_2_3_7)
+    client_orb = ORB(fw.node(group[0].name), MICO_2_3_7)
+    servant = _CallLog()
+    proxy = client_orb.object_to_proxy(server_orb.activate_object(servant, CALC_IDL), CALC_IDL)
+    sent = []
+    send = SysWrapSocket.send
+
+    def recording_send(sock, data):
+        if sock.syswrap is server_orb.syswrap:
+            sent.append(struct.unpack_from("!I", bytes(data), 12)[0])  # reply request id
+        return send(sock, data)
+
+    monkeypatch.setattr(SysWrapSocket, "send", recording_send)
+    big, small = b"B" * 256 * 1024, b"8 bytes!"
+
+    def caller(payload, delay):
+        yield fw.sim.timeout(delay)
+        return (yield from proxy.invoke("checksum", payload))
+
+    def scenario():
+        yield from proxy.invoke("add", 0.0, 0.0)  # opens and caches the connection
+        del servant.calls[:], sent[:]
+        # the small request leaves once the large one is on the wire
+        first = fw.sim.process(caller(big, 0.0))
+        second = fw.sim.process(caller(small, client_orb.message_cost(len(big)) + 1e-4))
+        return (yield first), (yield second)
+
+    assert run(fw, scenario()) == (len(big), len(small))
+    assert servant.calls == [("checksum", len(big)), ("checksum", len(small))]
+    assert len(sent) == 2 and sent == sorted(sent)
+
+
+def test_orb_oneway_then_two_way_reach_the_servant_in_order(cluster):
+    fw, group = cluster
+    server_orb = ORB(fw.node(group[1].name), MICO_2_3_7)
+    client_orb = ORB(fw.node(group[0].name), MICO_2_3_7)
+    servant = _CallLog()
+    proxy = client_orb.object_to_proxy(server_orb.activate_object(servant, CALC_IDL), CALC_IDL)
+
+    def scenario():
+        yield from proxy.invoke("notify", "n" * 200_000)  # returns once sent
+        return (yield from proxy.invoke("add", 1.0, 2.0))
+
+    assert run(fw, scenario()) == 3.0
+    assert servant.calls == [("notify", 200_000), ("add", 1.0)]
+
+
+def test_orb_generator_servant_makes_a_nested_invocation(cluster4):
+    """A servant method that is a generator runs its nested invocation (to a
+    third ORB) before its own reply leaves."""
+    fw, group = cluster4
+    backend_orb = ORB(fw.node(group[2].name), OMNIORB_4)
+    middle_orb = ORB(fw.node(group[1].name), OMNIORB_4)
+    client_orb = ORB(fw.node(group[0].name), OMNIORB_4)
+    backend = backend_orb.object_to_proxy(
+        backend_orb.activate_object(Calculator(), CALC_IDL, key="calc"), CALC_IDL
+    )
+    backend = middle_orb.object_to_proxy(backend.reference, CALC_IDL)
+
+    class Forwarder(Servant):
+        def add(self, a, b):
+            total = yield from backend.invoke("add", a, b)
+            return total * 10
+
+    front = client_orb.object_to_proxy(
+        middle_orb.activate_object(Forwarder(), CALC_IDL, key="fwd"), CALC_IDL
+    )
+
+    def scenario():
+        first = yield from front.invoke("add", 1.0, 2.0)
+        second = yield from front.invoke("add", 0.5, 0.25)
+        return first, second
+
+    assert run(fw, scenario()) == (30.0, 7.5)
+    assert (middle_orb.requests_served, backend_orb.requests_served) == (2, 2)
 
 
 def test_orb_duplicate_key_rejected(cluster):

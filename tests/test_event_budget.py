@@ -612,7 +612,7 @@ def test_mpi_round_trip_is_eight_events_on_both_bindings(standalone, seconds):
     assert elapsed == pytest.approx(seconds, rel=1e-9)
 
 
-def test_omniorb_round_trip_is_fourteen_events():
+def test_omniorb_round_trip_is_ten_events():
     from repro.middleware import corba
 
     fw, group = paper_cluster(2)
@@ -634,13 +634,18 @@ def test_omniorb_round_trip_is_fourteen_events():
         assert echoed == PAYLOAD
 
     events, timers, seconds = round_trip_budget(fw, round_trip)
-    # 28 events before: every marshalling Timeout was two, every socket
-    # read and write three (stream event, VLink operation, SysWrap relay)
-    assert (events, timers) == (14, 10)
+    # the client's marshalling timer, its request send, the frame arrival
+    # and stream append that run the server's record callback, the
+    # demarshal-and-answer timer, the reply's marshalling timer, its send,
+    # the arrival and append, the caller's reply timer (28 events before the
+    # one-completion rule, when every Timeout was two and every socket read
+    # and write three; 14 while a reader process read each message's header,
+    # then its body)
+    assert (events, timers) == (10, 10)
     assert seconds == pytest.approx(3.7063907103825153e-05, rel=1e-9)
 
 
-def test_java_socket_round_trip_is_twelve_events():
+def test_java_socket_round_trip_is_ten_events():
     from repro.middleware.javasockets import JavaSocketLayer
 
     fw, group = paper_cluster(2)
@@ -664,8 +669,90 @@ def test_java_socket_round_trip_is_twelve_events():
         assert echoed == PAYLOAD
 
     events, timers, seconds = round_trip_budget(fw, round_trip)
-    assert (events, timers) == (12, 10)  # 24 events before
+    # each read's JVM cost is its completion's delay (24 events before the
+    # one-completion rule; 12 while a Timeout followed each read)
+    assert (events, timers) == (10, 10)
     assert seconds == pytest.approx(8.002111737089203e-05, rel=1e-9)
+
+
+def test_soap_round_trip_budget():
+    from repro.middleware.soap import SoapClient, SoapServer
+
+    fw, group = paper_cluster(2)
+    server = SoapServer(fw.node(group[1].name), 18200)
+    server.register("echo", lambda data="": data)
+    client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18200)
+
+    def round_trip():
+        echoed = yield from client.call("echo", data="8 bytes!")
+        assert echoed == "8 bytes!"
+
+    events, timers, seconds = round_trip_budget(fw, round_trip)
+    assert (events, timers) == (12, 10)
+    assert seconds == pytest.approx(0.00020615400000000003, rel=1e-9)
+
+
+def test_hla_request_and_ack_budget():
+    from repro.middleware.hla import RtiAmbassador, RtiGateway
+
+    fw, group = paper_cluster(2)
+    RtiGateway(fw.node(group[0].name), port=17000)
+    federate = RtiAmbassador(fw.node(group[1].name), group[0], port=17000)
+
+    def join():
+        yield from federate.create_federation_execution("budget")
+        yield from federate.join_federation_execution("f1", "budget")
+
+    fw.sim.run(until=fw.sim.process(join()), max_time=10.0)
+
+    def round_trip():
+        yield from federate.publish_object_class("Aircraft")
+
+    events, timers, seconds = round_trip_budget(fw, round_trip)
+    # the RTIG and the federate take each message in their record callback
+    # (13 events while a reader process on each end read a message's
+    # length, then its body)
+    assert (events, timers) == (9, 8)
+    assert seconds == pytest.approx(6.074983333333335e-05, rel=1e-9)
+
+
+def test_dsm_remote_read_budget():
+    from repro.middleware.dsm import DsmNode
+
+    fw, group = paper_cluster(2)
+    DsmNode(fw.node(group[0].name), group, pages=8, page_size=256)
+    reader = DsmNode(fw.node(group[1].name), group, pages=8, page_size=256)
+    pages = iter((0, 2))  # both homed on rank 0, neither cached yet
+
+    def round_trip():
+        data = yield from reader.read(next(pages))
+        assert data == bytes(256)
+
+    events, timers, seconds = round_trip_budget(fw, round_trip)
+    assert (events, timers) == (7, 7)
+    assert seconds == pytest.approx(2.690566666666667e-05, rel=1e-9)
+
+
+def test_pvm_round_trip_budget():
+    from repro.middleware.pvm import PvmTask
+
+    fw, group = paper_cluster(2)
+    t0, t1 = (PvmTask(fw.node(host.name), group) for host in group)
+
+    def round_trip():
+        t0.initsend()
+        t0.pkbyte(PAYLOAD)
+        t0.send(t1.mytid, tag=7)
+        yield from t1.recv(tag=7)
+        t1.initsend()
+        t1.pkbyte(t1.upkbyte())
+        t1.send(t0.mytid, tag=8)
+        yield from t0.recv(tag=8)
+        assert t0.upkbyte() == PAYLOAD
+
+    events, timers, seconds = round_trip_budget(fw, round_trip)
+    assert (events, timers) == (8, 8)
+    assert seconds == pytest.approx(3.700122222222222e-05, rel=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -823,7 +910,9 @@ def round_trip_calls(make, round_trips):
 
 
 #: Python calls under ``src/repro`` per 8-byte round trip, by rung, in
-#: ``stack.RUNGS`` order: what each layer's code costs the simulator host.
+#: ``stack.RUNGS`` order: what each layer's code costs the simulator host
+#: (each ORB 430 and Java sockets 326 while the middleware above SysWrap read
+#: a message's header, then its body, and ran its read charges as Timeouts).
 RUNG_CALLS = {
     "simnet.network": 57,
     "madeleine": 174,
@@ -832,11 +921,11 @@ RUNG_CALLS = {
     "abstraction.vlink": 246,
     "middleware.mpi": 340,
     "middleware.mpi_standalone": 248,
-    "middleware.corba": 430,
-    "middleware.corba.omniorb3": 430,
-    "middleware.corba.mico": 430,
-    "middleware.corba.orbacus": 430,
-    "middleware.javasockets": 326,
+    "middleware.corba": 376,
+    "middleware.corba.omniorb3": 376,
+    "middleware.corba.mico": 376,
+    "middleware.corba.orbacus": 376,
+    "middleware.javasockets": 310,
 }
 
 

@@ -88,3 +88,40 @@ def test_a_link_change_nobody_announces_is_a_finding(tmp_path):
     assert sorted((line, message.split()[3]) for _path, line, message in findings) == [
         (2, ".up"), (3, ".loss_rate"), (3, ".up"), (14, ".bandwidth"),
     ]
+
+
+def test_a_read_charge_run_as_its_own_timer_is_a_finding(tmp_path):
+    lint = load_tool("lint_offline")
+    assert lint.check_read_charge_timeouts() == []
+    package = tmp_path / "src" / "repro" / "middleware"
+    package.mkdir(parents=True)
+    (package / "stream.py").write_text(
+        "class Stream:\n"
+        "    def read(self, n):\n"
+        "        data = yield self.sock.recv_exact(n)\n"
+        "        cost = self.cost(len(data))\n"
+        "        yield self.sim.timeout(cost)\n"            # 5: finding
+        "        return data\n"
+        "    def charged(self, n):\n"
+        "        return (yield self.sock.recv_exact(n, charge=self.cost))\n"
+        "    def write(self, data):\n"
+        "        yield self.sim.timeout(self.cost(len(data)))\n"  # a write charge
+        "        yield self.sock.send(data)\n"
+        "    def answer(self, n):\n"
+        "        request = yield from self.sock.read(n)\n"
+        "        yield self.sock.send(request)\n"
+        "        yield self.sim.timeout(1e-6)\n"           # a yield between
+        "        if request:\n"
+        "            yield self.sim.timeout(1e-6)\n"       # another block
+    )
+    (tmp_path / "src" / "repro" / "simnet").mkdir()
+    (tmp_path / "src" / "repro" / "simnet" / "wire.py").write_text(
+        "def pump(sock, sim):\n"
+        "    yield sock.recv(1)\n"
+        "    yield sim.timeout(1.0)\n"                     # not above VLink
+    )
+    findings = lint.check_read_charge_timeouts(tmp_path)
+    assert [(str(path), line) for path, line, _ in findings] == [
+        ("src/repro/middleware/stream.py", 5)
+    ]
+    assert findings[0][2].startswith("W004")

@@ -191,6 +191,22 @@ def test_hla_join_unknown_federation_fails(cluster):
     assert run(fw, scenario()) == "RtiError"
 
 
+def test_hla_rtig_drops_a_federate_whose_connection_closes(cluster):
+    fw, group = cluster
+    rtig = RtiGateway(fw.node(group[0].name), port=17102)
+    amb = RtiAmbassador(fw.node(group[1].name), group[0], port=17102)
+
+    def scenario():
+        yield from amb.create_federation_execution("sim")
+        yield from amb.join_federation_execution("leaver", "sim")
+        joined = sorted(rtig._federations["sim"])
+        amb._sock.close()
+        yield fw.sim.timeout(1e-3)
+        return joined, sorted(rtig._federations["sim"])
+
+    assert run(fw, scenario()) == (["leaver"], [])
+
+
 # --------------------------------------------------------------------------
 # PVM
 # --------------------------------------------------------------------------

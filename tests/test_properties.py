@@ -22,7 +22,7 @@ from repro.middleware.corba.cdr import (
     TC_OCTET_SEQ,
     TC_STRING,
 )
-from repro.middleware.corba.giop import GiopMessage, make_reply, make_request
+from repro.middleware.corba.giop import GIOP_HEADER, GiopMessage, make_reply, make_request
 from repro.middleware.soap import build_envelope, parse_envelope
 from repro.methods.adoc import AdocCodec
 
@@ -173,12 +173,12 @@ def test_cdr_double_sequence_roundtrip(values):
 def test_giop_request_roundtrip(request_id, key, operation, body, cuts):
     msg = make_request(request_id, key, operation, body)
     wire = bytes(msg.encode())
-    decoded = GiopMessage.decode(wire[:12], wire[12:])
+    decoded = GiopMessage.decode(GIOP_HEADER.unpack(wire[:12]), wire[12:])
     assert (decoded.request_id, decoded.object_key, decoded.operation, decoded.body) == (
         request_id, key, operation, body,
     )
     # the payload as a gathered read hands it over: cut anywhere, prefix included
-    decoded = GiopMessage.decode(wire[:12], chop(wire[12:], cuts))
+    decoded = GiopMessage.decode(GIOP_HEADER.unpack(wire[:12]), chop(wire[12:], cuts))
     assert (decoded.request_id, decoded.object_key, decoded.operation, bytes(decoded.body)) == (
         request_id, key, operation, body,
     )
@@ -190,7 +190,7 @@ def test_giop_request_roundtrip(request_id, key, operation, body, cuts):
 def test_giop_reply_roundtrip(request_id, body, status):
     msg = make_reply(request_id, body, status=status)
     wire = bytes(msg.encode())
-    decoded = GiopMessage.decode(wire[:12], wire[12:])
+    decoded = GiopMessage.decode(GIOP_HEADER.unpack(wire[:12]), wire[12:])
     assert (decoded.request_id, decoded.body, decoded.reply_status) == (request_id, body, status)
 
 

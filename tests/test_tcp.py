@@ -80,6 +80,33 @@ def test_duplicate_listen_rejected():
         sb.listen(7000)
 
 
+def test_accept_on_a_closed_listener_fails_at_once():
+    sim, net, sa, sb, a, b = make_pair()
+    listener = sb.listen(7001)
+    listener.close()
+    ev = listener.accept()
+    sim.run()
+    assert ev.triggered and not ev.ok
+    assert isinstance(ev.value, TcpError) and "listener closed" in str(ev.value)
+
+
+def test_closing_a_listener_twice_leaves_a_new_listener_on_its_port():
+    sim, net, sa, sb, a, b = make_pair()
+    old = sb.listen(80)
+    old.close()
+    new = sb.listen(80)
+    old.close()
+
+    def client():
+        conn = yield sa.connect(b, 80)
+        return conn
+
+    accepted = new.accept()
+    sim.run(until=sim.process(client()))
+    sim.run()
+    assert accepted.ok and accepted.value.peer_host is a
+
+
 def test_no_common_network_raises():
     sim = Simulator()
     net = Ethernet100(sim)

@@ -29,10 +29,16 @@ script approximates the high-signal pyflakes-family rules with the stdlib
   keeps folding ticks under the old parameters and a fluid plan keeps its
   committed rounds.  (perfbench is frozen and not swept; its
   ``kernel_timers`` has no probes and no fluid flows.)
+* W004 — (not a ruff rule) under :data:`CHARGE_ROOTS`, a ``yield
+  <x>.timeout(...)`` statement whose block's previous yielding statement
+  yields a ``recv`` / ``recv_exact`` / ``read`` call: a read's cost run as a
+  timer of its own after the read completes, two loop entries where the
+  stack's rule (``abstraction/drivers.py``) has one — pass it as the read's
+  ``charge`` instead, the delay of its one completion.
 
 Usage: ``python tools/lint_offline.py [paths...]`` (defaults to
-``src tests benchmarks examples tools``; the tree rules W001 and W002 run
-on the default sweep only).  Exits non-zero on findings.
+``src tests benchmarks examples tools``; the tree rules W001, W002 and W004
+run on the default sweep only).  Exits non-zero on findings.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ NUMPY_ROOT = "src/repro"
 #: link state every parameter cache listens for through Network.changed
 #: (W003); ``up`` also stands for a host's
 LINK_PARAMETERS = ("up", "latency", "bandwidth", "loss_rate")
+#: the layers above VLink, whose reads may charge time (W004)
+CHARGE_ROOTS = ("src/repro/middleware", "src/repro/personalities")
+#: the read calls a charge must ride (W004)
+READ_CALLS = ("recv", "recv_exact", "read")
 
 
 def _names_loaded(tree: ast.AST) -> set:
@@ -320,6 +330,48 @@ def check_module_level_numpy(base: Path = REPO) -> list:
     return sorted(findings)
 
 
+def _yielded_call(stmt) -> "str | None":
+    """``name`` when ``stmt`` is ``[target =] yield [from] <x>.name(...)``."""
+    if not isinstance(stmt, (ast.Expr, ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        return None
+    value = stmt.value
+    if (
+        isinstance(value, (ast.Yield, ast.YieldFrom))
+        and isinstance(value.value, ast.Call)
+        and isinstance(value.value.func, ast.Attribute)
+    ):
+        return value.value.func.attr
+    return None
+
+
+def check_read_charge_timeouts(base: Path = REPO) -> list:
+    """W004 over the tree at ``base``: in a statement block under
+    :data:`CHARGE_ROOTS`, a ``yield <x>.timeout(...)`` whose previous
+    yielding statement yields one of :data:`READ_CALLS` (statements that do
+    not yield may sit between them)."""
+    findings = []
+    for path in _python_files(CHARGE_ROOTS, base):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for field in ("body", "orelse", "finalbody"):
+                block = getattr(node, field, None)
+                if not isinstance(block, list):
+                    continue
+                after_read = False
+                for stmt in block:
+                    name = _yielded_call(stmt)
+                    if name == "timeout" and after_read:
+                        findings.append(
+                            (path.relative_to(base), stmt.lineno,
+                             "W004 read charge run as a timer after the read: "
+                             "pass it as the read's charge")
+                        )
+                    if name is not None:
+                        after_read = name in READ_CALLS
+                    elif any(isinstance(sub, (ast.Yield, ast.YieldFrom)) for sub in _own_nodes(stmt)):
+                        after_read = False
+    return sorted(findings)
+
+
 def main(argv: list) -> int:
     roots = [Path(p) for p in (argv or ["src", "tests", "benchmarks", "examples", "tools"])]
     findings = []
@@ -330,6 +382,7 @@ def main(argv: list) -> int:
     if not argv:
         findings.extend(check_write_only_attributes())
         findings.extend(check_module_level_numpy())
+        findings.extend(check_read_charge_timeouts())
     for path, lineno, message in findings:
         print(f"{path}:{lineno}: {message}")
     print(f"{len(findings)} finding(s)")
