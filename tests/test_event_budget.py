@@ -938,6 +938,88 @@ def test_a_ladder_round_trip_costs_its_python_calls_exactly(make, layer):
     assert calls == RUNG_CALLS[layer] * 128
 
 
+class _OffLadder:
+    """A rung for :func:`round_trip_calls` of a middleware the ladder does
+    not carry, on the paper's two-node cluster: ``pingpong`` is one 8-byte
+    call and its answer, as in the event budgets above."""
+
+    def __init__(self):
+        self.fw, group = paper_cluster(2)
+        self.sim = self.fw.sim
+        self.group = group
+        self.node0, self.node1 = (self.fw.node(host.name) for host in group)
+
+    def connect(self):
+        return iter(())
+
+
+class _SoapEcho(_OffLadder):
+    def __init__(self):
+        from repro.middleware.soap import SoapClient, SoapServer
+
+        super().__init__()
+        SoapServer(self.node1, 18200).register("echo", lambda data=b"": data)
+        self.client = SoapClient(self.node0, self.node1.host, 18200)
+
+    def pingpong(self, payload):
+        return (yield from self.client.call("echo", data=payload))
+
+
+class _RtiAck(_OffLadder):
+    """An RTI request and its ack (the RTIG answers, it echoes nothing)."""
+
+    def __init__(self):
+        from repro.middleware.hla import RtiAmbassador, RtiGateway
+
+        super().__init__()
+        RtiGateway(self.node0, port=17000)
+        self.federate = RtiAmbassador(self.node1, self.group[0], port=17000)
+
+    def connect(self):
+        yield from self.federate.create_federation_execution("budget")
+        yield from self.federate.join_federation_execution("f1", "budget")
+
+    def pingpong(self, payload):
+        yield from self.federate.publish_object_class("Aircraft")
+        return payload
+
+
+class _PvmEcho(_OffLadder):
+    def __init__(self):
+        from repro.middleware.pvm import PvmTask
+
+        super().__init__()
+        self.t0, self.t1 = PvmTask(self.node0, self.group), PvmTask(self.node1, self.group)
+
+    def pingpong(self, payload):
+        t0, t1 = self.t0, self.t1
+        t0.initsend()
+        t0.pkbyte(payload)
+        t0.send(t1.mytid, tag=7)
+        yield from t1.recv(tag=7)
+        t1.initsend()
+        t1.pkbyte(t1.upkbyte())
+        t1.send(t0.mytid, tag=8)
+        yield from t0.recv(tag=8)
+        return t0.upkbyte()
+
+
+#: Python calls under ``src/repro`` per round trip of the middleware off
+#: the ladder, measured as :data:`RUNG_CALLS` is.
+MIDDLEWARE_CALLS = {
+    "gsoap": (_SoapEcho, 347),
+    "hla": (_RtiAck, 304),
+    "pvm": (_PvmEcho, 336),
+}
+
+
+@pytest.mark.parametrize("name", list(MIDDLEWARE_CALLS))
+def test_a_middleware_round_trip_off_the_ladder_costs_its_python_calls_exactly(name):
+    make, per_round_trip = MIDDLEWARE_CALLS[name]
+    calls = round_trip_calls(make, 256) - round_trip_calls(make, 128)
+    assert calls == per_round_trip * 128
+
+
 def watched_link(network_cls, seed):
     """A two-host link under a ``coalesce=8`` watch probing every 50 ms, run
     for 30 virtual seconds with no traffic: ``(events, timers, watch)``,
