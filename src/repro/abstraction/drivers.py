@@ -41,7 +41,9 @@ one passes ``done`` further down instead of chaining a second event onto the
 first, and a layer that charges time does so as the delay of that one
 trigger (``done.succeed(value, delay)``), never as a timer followed by an
 event — a read's by passing ``charge`` down, which the buffer adds to the
-completion's delay when it hands the bytes over.
+completion's delay when it hands the bytes over; a write's by posting the
+write that much later (``call_later(cost, conn.write, data, done)``), which
+fails ``done``, not the run, if the connection closed meanwhile.
 
 The receive half of every connection is one
 :class:`~repro.simnet.buffers.StreamBuffer` (behind

@@ -170,7 +170,7 @@ class VLink:
 
     def set_data_handler(self, fn: Optional[Callable[["VLink"], None]]) -> None:
         """Handler called whenever new bytes become readable (asynchronous
-        personalities and the SOAP/CORBA server loops use this)."""
+        personalities and SysWrap's readiness hook use this)."""
         if fn is None:
             self.conn.set_data_callback(None)
         else:

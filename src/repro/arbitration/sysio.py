@@ -16,7 +16,7 @@ concurrency benchmark inspects.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.simnet.network import Network
 from repro.simnet.tcp import TcpConnection, TcpListener, TcpStack, SERVICE_KEY as TCP_SERVICE
@@ -42,7 +42,6 @@ class SysSocket:
         self._close_callback: Optional[Callable[["SysSocket"], None]] = None
         conn.set_data_callback(self._on_readable)
         conn.set_close_callback(self._on_closed)
-        sysio._register_socket(self)
 
     # -- introspection ----------------------------------------------------------
     @property
@@ -103,7 +102,6 @@ class SysSocket:
 
     def close(self) -> None:
         self.conn.close()
-        self.sysio._unregister_socket(self)
 
     # -- internal: wired to the TCP stack ---------------------------------------------------
     def _on_readable(self, _conn: TcpConnection) -> None:
@@ -151,7 +149,6 @@ class SysIO:
         self.host = core.host
         self.sim = core.sim
         self.stack = stack or self.host.get_service(TCP_SERVICE) or TcpStack(self.host)
-        self._sockets: List[SysSocket] = []
         self._listeners: Dict[int, SysListener] = {}
         self.bytes_sent = 0
         self.dispatches = 0
@@ -186,17 +183,6 @@ class SysIO:
         attempt.add_callback(_on_connected)
         return done
 
-    def open_sockets(self) -> List[SysSocket]:
-        """The sockets currently scanned by the receipt loop."""
-        return list(self._sockets)
-
-    def _register_socket(self, sock: SysSocket) -> None:
-        self._sockets.append(sock)
-
-    def _unregister_socket(self, sock: SysSocket) -> None:
-        if sock in self._sockets:
-            self._sockets.remove(sock)
-
     # -- the receipt loop ---------------------------------------------------------------
     def _dispatch(self, sock: SysSocket, fn: Callable[[SysSocket], None]) -> None:
         """Deliver one readiness callback through the NetAccess core."""
@@ -206,12 +192,11 @@ class SysIO:
     def _read_dispatch(self) -> float:
         """One posted read became ready: count it, return its dispatch delay."""
         self.dispatches += 1
-        return self.core.dispatch_cost(SYSIO_SUBSYSTEM)
+        return self.core.charge_dispatch(SYSIO_SUBSYSTEM)
 
     # -- reporting -------------------------------------------------------------------------
     def describe(self) -> Dict[str, float]:
         return {
-            "open_sockets": float(len(self._sockets)),
             "listeners": float(len(self._listeners)),
             "dispatches": float(self.dispatches),
             "bytes_sent": float(self.bytes_sent),

@@ -17,11 +17,10 @@ the paper makes for the real omniORB/Mico/ORBacus binaries.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Dict, Optional, Tuple
 
-from repro.abstraction.records import Serializer
-from repro.personalities.syswrap import SysWrap, SysWrapSocket
+from repro.abstraction.common import AbstractionError
+from repro.personalities.syswrap import ReplyQueue, SysWrap, SysWrapSocket
 from repro.middleware.corba.cdr import CdrInputStream, CdrOutputStream
 from repro.middleware.corba.giop import (
     GIOP_HEADER,
@@ -89,14 +88,17 @@ class _ClientConnection:
         self._pending: Dict[int, object] = {}
         sock.on_records(GIOP_HEADER, body_size, self._on_reply)
 
-    def send_request(self, message: GiopMessage, expect_reply: bool):
-        """The event a caller waits on: the matched reply, or — oneway — the
-        request's own send completion."""
-        sent = self.sock.send(message.encode())
-        if not expect_reply:
-            return sent
-        ev = self._pending[message.request_id] = self.sim.event(name="giop-reply")
-        return ev
+    def send_request(self, message: GiopMessage, ev, oneway: bool):
+        """Send ``message``: its caller's ``ev`` completes with the matched
+        reply or, oneway, with the send."""
+        if oneway:
+            return self.sock.send(message.encode(), ev)
+        try:  # the socket may have closed during the marshalling charge
+            self.sock.send(message.encode())
+        except (OSError, AbstractionError) as exc:
+            ev.fail(exc)
+        else:
+            self._pending[message.request_id] = ev
 
     def _on_reply(self, _sock, fields, payload) -> None:
         reply = GiopMessage.decode(fields, payload)
@@ -125,13 +127,18 @@ class Proxy:
             self.orb.next_request_id(), self.reference.object_key, operation, body
         )
         # Marshalling + stub cost on the client side delays the send.
-        yield self.sim.timeout(self.orb.message_cost(len(body)))
-        conn = yield from self.orb._client_connection(self.reference)
-        reply_ev = conn.send_request(request, expect_reply=not op.oneway)
+        cost = self.orb.message_cost(len(body))
+        ev = self.sim.event(name="giop-call")
+        conn = self.orb._client_conns.get((self.reference.host_name, self.reference.port))
+        if conn is None:  # the first call connects once it is marshalled
+            yield self.sim.timeout(cost)
+            conn = yield from self.orb._connect(self.reference)
+            conn.send_request(request, ev, op.oneway)
+        else:
+            self.sim.call_later(cost, conn.send_request, request, ev, op.oneway)
+        reply: GiopMessage = yield ev
         if op.oneway:
-            yield reply_ev
             return None
-        reply: GiopMessage = yield reply_ev
         if reply.reply_status != REPLY_OK:
             raise CorbaError(
                 f"system exception from {operation!r}: {str(bytes(reply.body), 'utf-8', 'replace')}"
@@ -193,12 +200,7 @@ class ORB:
         listener_sock = self.syswrap.socket()
         listener_sock.bind((self.node.host.name, self.port))
         listener_sock.listen()
-        self.sim.process(self._accept_loop(listener_sock), name=f"giop-accept-{self.port}")
-
-    def _accept_loop(self, listener_sock: SysWrapSocket):
-        while True:
-            sock, _peer = yield listener_sock.accept()
-            self._serve_connection(sock)
+        listener_sock.on_ready(self._serve_connection)
 
     def _serve_connection(self, sock: SysWrapSocket) -> None:
         """Answer the requests ``sock`` brings: a request's servant method is
@@ -206,40 +208,19 @@ class ORB:
         reply, once marshalled, leaves after every earlier request's — a
         method that is a generator (it makes nested invocations) runs as a
         process of its own and holds back the replies behind it."""
-        rx = Serializer(self.sim)
-        #: per answered request, in order: [] until marshalled, then [wire or None]
-        replies = deque()
-
-        def ready(slot: list, wire) -> None:
-            slot.append(wire)
-            while replies and replies[0]:
-                wire = replies.popleft()[0]
-                if wire is not None:
-                    sock.send(wire)
-
-        def marshal(slot: list, reply: Optional[GiopMessage]) -> None:
-            if reply is None:  # oneway
-                return ready(slot, None)
-            self.sim.call_later(self.message_cost(len(reply.body)), ready, slot, reply.encode())
-
-        def answer(request: GiopMessage) -> None:
-            slot = []
-            replies.append(slot)
-            reply = self._dispatch(request)
-            if reply is None or isinstance(reply, GiopMessage):
-                return marshal(slot, reply)
-            self.sim.process(reply).add_callback(lambda done: marshal(slot, done.value))
+        replies = ReplyQueue(sock, self._dispatch)
 
         def on_request(_sock, fields, payload) -> None:
             request = GiopMessage.decode(fields, payload)
             if request.msg_type == MSG_REQUEST:
-                rx.after(self.message_cost(len(request.body)), answer, request)
+                replies.after(self.message_cost(len(request.body)), replies.answer, request)
 
         sock.on_records(GIOP_HEADER, body_size, on_request)
 
     def _dispatch(self, request: GiopMessage):
-        """The reply to ``request`` (None for a oneway), or a generator returning
-        it when the servant method is one (it makes nested invocations)."""
+        """The reply to ``request`` as ``(marshalling seconds, wire)`` (None
+        for a oneway), or a generator returning it when the servant method is
+        one (it makes nested invocations)."""
         try:
             entry = self._servants.get(request.object_key)
             if entry is None:
@@ -252,21 +233,27 @@ class ORB:
                 return self._nested(request, op, result)
             return self._reply(request, op, result)
         except Exception as exc:  # noqa: BLE001 - converted to a GIOP system exception
-            return make_reply(request.request_id, str(exc).encode(), status=REPLY_SYSTEM_EXCEPTION)
+            return self._system_exception(request, exc)
 
     def _nested(self, request: GiopMessage, op, method):
         try:
             return self._reply(request, op, (yield from method))
         except Exception as exc:  # noqa: BLE001 - converted to a GIOP system exception
-            return make_reply(request.request_id, str(exc).encode(), status=REPLY_SYSTEM_EXCEPTION)
+            return self._system_exception(request, exc)
 
-    def _reply(self, request: GiopMessage, op, result) -> Optional[GiopMessage]:
+    def _reply(self, request: GiopMessage, op, result):
         self.requests_served += 1
         if op.oneway:
             return None
         out = CdrOutputStream()
         op.encode_result(out, result)
-        return make_reply(request.request_id, out.getvalue())
+        body = out.getvalue()
+        return self.message_cost(len(body)), make_reply(request.request_id, body).encode()
+
+    def _system_exception(self, request: GiopMessage, exc: Exception):
+        body = str(exc).encode()
+        reply = make_reply(request.request_id, body, status=REPLY_SYSTEM_EXCEPTION)
+        return self.message_cost(len(body)), reply.encode()
 
     # -- client side --------------------------------------------------------------------
     def string_to_object(self, ior: str, interface: Interface) -> Proxy:
@@ -275,15 +262,12 @@ class ORB:
     def object_to_proxy(self, reference: ObjectReference, interface: Interface) -> Proxy:
         return Proxy(self, reference, interface)
 
-    def _client_connection(self, reference: ObjectReference):
-        key = (reference.host_name, reference.port)
-        conn = self._client_conns.get(key)
-        if conn is not None:
-            return conn
+    def _connect(self, reference: ObjectReference):
+        """Open and cache the connection to ``reference``'s server (generator)."""
         sock = self.syswrap.socket()
         yield sock.connect((reference.host_name, reference.port))
         conn = _ClientConnection(self, sock)
-        self._client_conns[key] = conn
+        self._client_conns[(reference.host_name, reference.port)] = conn
         return conn
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

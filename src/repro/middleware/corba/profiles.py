@@ -36,7 +36,6 @@ class OrbProfile:
     marshal_bandwidth: float
     #: whether the implementation marshals without copying payloads.
     zero_copy: bool
-    giop_version: tuple = (1, 2)
 
     __post_init__ = check_profile
 
@@ -53,7 +52,6 @@ OMNIORB_3 = OrbProfile(
     per_call_overhead=5.05 * MICROSECOND,
     marshal_bandwidth=104_000.0 * MB,
     zero_copy=True,
-    giop_version=(1, 0),
 )
 
 OMNIORB_4 = OrbProfile(
@@ -61,7 +59,6 @@ OMNIORB_4 = OrbProfile(
     per_call_overhead=4.10 * MICROSECOND,
     marshal_bandwidth=30_500.0 * MB,
     zero_copy=True,
-    giop_version=(1, 2),
 )
 
 MICO_2_3_7 = OrbProfile(
@@ -69,7 +66,6 @@ MICO_2_3_7 = OrbProfile(
     per_call_overhead=26.4 * MICROSECOND,
     marshal_bandwidth=142.5 * MB,
     zero_copy=False,
-    giop_version=(1, 2),
 )
 
 ORBACUS_4_0_5 = OrbProfile(
@@ -77,7 +73,6 @@ ORBACUS_4_0_5 = OrbProfile(
     per_call_overhead=21.9 * MICROSECOND,
     marshal_bandwidth=171.0 * MB,
     zero_copy=False,
-    giop_version=(1, 2),
 )
 
 ORB_PROFILES: Dict[str, OrbProfile] = {

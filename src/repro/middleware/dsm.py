@@ -124,7 +124,6 @@ class DsmNode:
             # cached read copy recorded in the directory.
             for reader in self._readers.get(page, set()):
                 if reader != self.rank:
-                    self.invalidations_sent = getattr(self, "invalidations_sent", 0) + 1
                     self._send(reader, _INVALIDATE, page, b"")
             self._readers[page] = set()
         self._owned[page][offset : offset + len(data)] = data
@@ -142,9 +141,10 @@ class DsmNode:
         data = yield ev
         return data
 
-    def _send(self, dst_rank: int, kind: int, page: int, payload: bytes) -> None:
+    def _send(self, dst_rank: int, kind: int, page: int, payload: bytes,
+              requester: int = -1) -> None:  # the rank to answer, this one by default
         msg = self.circuit.new_message(dst_rank)
-        msg.pack_express(_MSG.pack(kind, page, self.rank))
+        msg.pack_express(_MSG.pack(kind, page, self.rank if requester < 0 else requester))
         msg.pack_cheaper(payload)
         self.circuit.post(msg, extra_cost=DSM_PROTOCOL_OVERHEAD)
 
@@ -174,16 +174,16 @@ class DsmNode:
             raise DsmError(f"unknown DSM message kind {kind}")
 
     def _handle_read_request(self, page: int, requester: int) -> None:
+        self._readers.setdefault(page, set()).add(requester)
         if page in self._owned:
-            self._readers.setdefault(page, set()).add(requester)
             self._send(requester, _READ_REPLY, page, bytes(self._owned[page]))
         else:
             # home without ownership: forward to the current owner recorded in
-            # the directory (two-hop read).
+            # the directory (two-hop read), which answers the requester itself.
             owner = self._directory.get(page, self.home_of(page))
             if owner == self.rank:
                 raise DsmError(f"directory says rank {owner} owns page {page} but it does not")
-            self._send(owner, _READ_REQ, page, _MSG.pack(_READ_REQ, page, requester))
+            self._send(owner, _READ_REQ, page, b"", requester)
 
     def _handle_own_request(self, page: int, requester: int) -> None:
         if self.home_of(page) == self.rank:

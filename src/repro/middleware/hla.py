@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.abstraction.common import AbstractionError
 from repro.simnet.cost import MICROSECOND
 from repro.personalities.syswrap import SysWrap, SysWrapSocket
 
@@ -59,18 +60,15 @@ class RtiGateway:
         sock = self.syswrap.socket()
         sock.bind((node.host.name, port))
         sock.listen()
-        self.sim.process(self._accept_loop(sock), name=f"rtig-accept-{port}")
+        sock.on_ready(
+            lambda conn: conn.on_records(_FRAME, _frame_len, self._received, self._closed)
+        )
 
     # -- wire helpers ------------------------------------------------------------
     @staticmethod
     def _encode(msg: dict) -> bytes:
         payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
         return _FRAME.pack(len(payload)) + payload
-
-    def _accept_loop(self, listener: SysWrapSocket):
-        while True:
-            sock, _peer = yield listener.accept()
-            sock.on_records(_FRAME, _frame_len, self._received, self._closed)
 
     def _received(self, sock: SysWrapSocket, _fields, payload) -> None:
         self.sim.call_later(RTI_MESSAGE_OVERHEAD, self._serve, sock, payload)
@@ -150,9 +148,7 @@ class RtiAmbassador:
         self._reply_waiters: List = []
 
     # -- connection and request/response plumbing ----------------------------------
-    def _ensure_connected(self):
-        if self._sock is not None:
-            return
+    def _connect(self):
         sock = self.syswrap.socket()
         yield sock.connect((self.rtig_host, self.port))
         self._sock = sock
@@ -169,15 +165,23 @@ class RtiAmbassador:
             self._reply_waiters.pop(0).succeed(msg)
 
     def _request(self, msg: dict):
-        yield from self._ensure_connected()
-        yield self.sim.timeout(RTI_MESSAGE_OVERHEAD)
+        if self._sock is None:
+            yield from self._connect()
         reply_ev = self.sim.event(name="rti-reply")
-        self._reply_waiters.append(reply_ev)
-        yield self._sock.send(RtiGateway._encode(msg))
+        # the federate's per-message cost delays the send
+        self.sim.call_later(RTI_MESSAGE_OVERHEAD, self._post, RtiGateway._encode(msg), reply_ev)
         reply = yield reply_ev
         if reply.get("kind") == "error":
             raise RtiError(reply.get("message", "RTI error"))
         return reply
+
+    def _post(self, wire, reply_ev) -> None:
+        try:  # the socket may have closed during the message's charge
+            self._sock.send(wire)
+        except (OSError, AbstractionError) as exc:
+            reply_ev.fail(exc)
+        else:
+            self._reply_waiters.append(reply_ev)
 
     # -- federation management services ---------------------------------------------------
     def create_federation_execution(self, federation: str):

@@ -11,7 +11,9 @@ object machinery and JNI crossings.
 This module reproduces that layer: :class:`JavaSocket` /
 :class:`JavaServerSocket` mimic the java.net API surface;
 :class:`DataOutputStream` / :class:`DataInputStream` provide the typed
-read/write helpers used by the examples and benchmarks.
+read/write helpers used by the examples and benchmarks.  A call's JVM cost
+is the delay of the one trigger it precedes: a write's send starts that
+much later, a read completes that much later (its ``charge``).
 """
 
 from __future__ import annotations
@@ -63,11 +65,13 @@ class JavaSocket:
 
     # -- raw stream I/O --------------------------------------------------------------
     def write(self, data: bytes):
-        """OutputStream.write: generator completing when the bytes are sent."""
+        """OutputStream.write: generator completing when the bytes are sent;
+        the JVM cost delays the send."""
         data = immutable(data)  # the caller's array is released before the JNI delay
         cost = self.profile.per_call_overhead + len(data) / self.profile.copy_bandwidth
-        yield self.sim.timeout(cost)
-        yield self._sock.send(data)
+        done = self.sim.event(name="jvm-write")
+        self.sim.call_later(cost, self._sock.send, data, done)
+        yield done
         return len(data)
 
     def read(self, nbytes: int):

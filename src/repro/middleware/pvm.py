@@ -158,16 +158,11 @@ class PvmTask:
         Returns the source tid; the message becomes the active receive
         buffer consumed by the ``upk*`` calls.
         """
-        for idx, (msg_src, msg_tag, payload) in enumerate(self._queue):
-            if self._matches(src_tid, tag, msg_src, msg_tag):
-                self._queue.pop(idx)
-                self._recv_buffer = _RecvBuffer(msg_src, msg_tag, payload)
-                return self._recv_buffer.src_tid
-        ev = self.sim.event(name="pvm-recv")
-        self._waiters.append((src_tid, tag, ev))
-        src, msg_tag, payload = yield ev
-        self._recv_buffer = _RecvBuffer(src, msg_tag, payload)
-        return src
+        if not (self._queue and self.nrecv(src_tid, tag)):
+            ev = self.sim.event(name="pvm-recv")
+            self._waiters.append((src_tid, tag, ev))
+            self._recv_buffer = _RecvBuffer(*(yield ev))
+        return self._recv_buffer.src_tid
 
     def nrecv(self, src_tid: int = -1, tag: int = -1) -> bool:
         """``pvm_nrecv``: non-blocking receive; True when a message was consumed."""

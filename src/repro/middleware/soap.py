@@ -9,17 +9,21 @@ HTTP-style framing, dynamic client/server connections.
 The implementation really produces and parses XML envelopes (a small,
 self-contained encoder/parser — no external libraries), frames them in
 HTTP/1.1 POST requests, and charges an encoding cost per byte that reflects
-text conversion overhead.
+text conversion overhead.  Both ends run on SysWrap callbacks: HTTP messages
+are parsed from a connection's buffer as it fills, and each charge is the
+delay of the send or the completion it precedes.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.abstraction.common import AbstractionError
 from repro.simnet.cost import MB, MICROSECOND
-from repro.personalities.syswrap import SysWrap, SysWrapSocket
+from repro.personalities.syswrap import ReplyQueue, SysWrap, SysWrapSocket
 
 SoapValue = Union[int, float, str, bool, bytes, list]
 
@@ -32,6 +36,10 @@ class SoapProfile:
     per_call_overhead: float = 35.0 * MICROSECOND
     #: XML text encoding/decoding throughput.
     encode_bandwidth: float = 40.0 * MB
+
+    def cost(self, nbytes: int) -> float:
+        """The engine's time to encode or decode a message of ``nbytes``."""
+        return self.per_call_overhead + nbytes / self.encode_bandwidth
 
 
 class SoapFault(RuntimeError):
@@ -148,14 +156,36 @@ def http_response(payload: bytes, status: str = "200 OK") -> bytes:
     return headers.encode("ascii") + payload
 
 
-def parse_http(data: bytes) -> Tuple[Dict[str, str], bytes]:
-    head, _, body = data.partition(b"\r\n\r\n")
-    lines = head.decode("ascii", "replace").split("\r\n")
-    headers = {"_start_line": lines[0]}
-    for line in lines[1:]:
-        key, _, value = line.partition(":")
-        headers[key.strip().lower()] = value.strip()
-    return headers, body
+_CONTENT_LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*(\d+)", re.I)
+
+
+def on_http_messages(sock: SysWrapSocket, on_message: Callable,
+                     on_close: Optional[Callable] = None) -> None:
+    """``on_message(body)`` for each HTTP message ``sock`` brings, parsed
+    from its buffer as it fills (no read is posted); ``on_close(sock)`` once
+    it closes."""
+    size = end = 0  # the parsed message's length and header length, 0 until parsed
+
+    def on_data(stream) -> None:
+        nonlocal size, end
+        buffered = stream.available()
+        while buffered:
+            if not size:
+                head = stream.peek(buffered)
+                end = head.find(b"\r\n\r\n") + 4
+                if end < 4:
+                    return
+                length = _CONTENT_LENGTH.search(head, 0, end)
+                size = end + (int(length.group(1)) if length else 0)
+            if buffered < size:
+                return
+            stream.read_available(end)
+            body = stream.read_available(size - end)
+            buffered -= size
+            size = 0
+            on_message(body)
+
+    sock.on_ready(on_data, on_close)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +194,9 @@ def parse_http(data: bytes) -> Tuple[Dict[str, str], bytes]:
 
 
 class SoapServer:
-    """A SOAP RPC endpoint: registered handlers dispatched from HTTP POSTs."""
+    """A SOAP RPC endpoint: registered handlers dispatched from HTTP POSTs,
+    in order per connection, the decoding charge before the handler and the
+    encoding charge before the reply's send."""
 
     def __init__(self, node, port: int, profile: Optional[SoapProfile] = None):
         self.node = node
@@ -177,47 +209,52 @@ class SoapServer:
         sock = self.syswrap.socket()
         sock.bind((node.host.name, port))
         sock.listen()
-        self.sim.process(self._accept_loop(sock), name=f"soap-accept-{port}")
+        sock.on_ready(self._serve)
 
     def register(self, operation: str, handler: Callable) -> None:
         """Register ``handler(**params)`` for ``operation``."""
         self._handlers[operation] = handler
 
-    def _accept_loop(self, listener: SysWrapSocket):
-        while True:
-            sock, _peer = yield listener.accept()
-            self.sim.process(self._serve(sock), name="soap-server-conn")
+    def _serve(self, sock: SysWrapSocket) -> None:
+        replies = ReplyQueue(sock, self._dispatch)
+        on_http_messages(
+            sock, lambda body: replies.after(self.profile.cost(len(body)), replies.answer, body)
+        )
 
-    def _serve(self, sock: SysWrapSocket):
-        while True:
-            try:
-                request = yield from _read_http_message(sock)
-            except (ConnectionError, OSError):
-                return
-            headers, body = request
-            yield self.sim.timeout(self._cost(len(body)))
-            try:
-                operation, params = parse_envelope(body.decode("utf-8"))
-                handler = self._handlers.get(operation)
-                if handler is None:
-                    raise SoapFault(f"no such operation {operation!r}")
-                result = handler(**dict(params))
-                if hasattr(result, "send") and hasattr(result, "throw"):
-                    result = yield from result
-                reply_xml = build_envelope(f"{operation}Response", {"return": result})
-                self.requests_served += 1
-            except Exception as exc:  # noqa: BLE001 - surfaced as a SOAP fault
-                reply_xml = build_fault(str(exc))
-            payload = reply_xml.encode("utf-8")
-            yield self.sim.timeout(self._cost(len(payload)))
-            yield sock.send(http_response(payload))
+    def _dispatch(self, body: bytes):
+        """``(encoding seconds, wire)`` of the reply to ``body``, or a
+        generator returning it."""
+        try:
+            operation, params = parse_envelope(body.decode("utf-8"))
+            handler = self._handlers.get(operation)
+            if handler is None:
+                raise SoapFault(f"no such operation {operation!r}")
+            result = handler(**dict(params))
+            if hasattr(result, "send") and hasattr(result, "throw"):
+                return self._nested(operation, result)
+            return self._reply(operation, result)
+        except Exception as exc:  # noqa: BLE001 - surfaced as a SOAP fault
+            return self._fault(exc)
 
-    def _cost(self, nbytes: int) -> float:
-        return self.profile.per_call_overhead + nbytes / self.profile.encode_bandwidth
+    def _nested(self, operation: str, handler):
+        try:
+            return self._reply(operation, (yield from handler))
+        except Exception as exc:  # noqa: BLE001 - surfaced as a SOAP fault
+            return self._fault(exc)
+
+    def _reply(self, operation: str, result):
+        payload = build_envelope(f"{operation}Response", {"return": result}).encode("utf-8")
+        self.requests_served += 1
+        return self.profile.cost(len(payload)), http_response(payload)
+
+    def _fault(self, exc: Exception):
+        payload = build_fault(str(exc)).encode("utf-8")
+        return self.profile.cost(len(payload)), http_response(payload)
 
 
 class SoapClient:
-    """A SOAP RPC client bound to one endpoint."""
+    """A SOAP RPC client bound to one endpoint: the encoding charge delays a
+    call's send, the decoding charge its reply (replies come in call order)."""
 
     def __init__(self, node, server_host, port: int, profile: Optional[SoapProfile] = None):
         self.node = node
@@ -226,41 +263,40 @@ class SoapClient:
         self.port = port
         self.profile = profile or SoapProfile()
         self.syswrap = SysWrap(node.vlink)
+        self._host_header = str(server_host)
         self._sock: Optional[SysWrapSocket] = None
+        #: the calls awaiting their reply, in the order they were sent
+        self._waiters = deque()
 
     def call(self, operation: str, **params):
         """Invoke ``operation`` with keyword parameters (generator)."""
         envelope = build_envelope(operation, params).encode("utf-8")
-        yield self.sim.timeout(
-            self.profile.per_call_overhead + len(envelope) / self.profile.encode_bandwidth
-        )
-        if self._sock is None:
+        request = http_post("/soap", self._host_header, envelope)
+        cost = self.profile.cost(len(envelope))
+        reply = self.sim.event(name="soap-reply")
+        if self._sock is None:  # the first call connects once it is encoded
+            yield self.sim.timeout(cost)
             sock = self.syswrap.socket()
             yield sock.connect((self.server_host, self.port))
             self._sock = sock
-        yield self._sock.send(http_post("/soap", str(self.server_host), envelope))
-        headers, body = yield from _read_http_message(self._sock)
-        yield self.sim.timeout(
-            self.profile.per_call_overhead + len(body) / self.profile.encode_bandwidth
-        )
-        operation_name, params_out = parse_envelope(body.decode("utf-8"))
-        for name, value in params_out:
-            if name == "return":
-                return value
-        return None
+            on_http_messages(sock, self._on_reply, self._on_close)
+            self._post(request, reply)
+        else:
+            self.sim.call_later(cost, self._post, request, reply)
+        body = yield reply
+        return dict(parse_envelope(body.decode("utf-8"))[1]).get("return")
 
+    def _post(self, request: bytes, reply) -> None:
+        try:  # the socket may have closed during the encoding charge
+            self._sock.send(request)
+        except (OSError, AbstractionError) as exc:
+            reply.fail(exc)
+        else:
+            self._waiters.append(reply)
 
-def _read_http_message(sock: SysWrapSocket):
-    """Read one HTTP message (headers + exact content-length body)."""
-    buffer = b""
-    while b"\r\n\r\n" not in buffer:
-        chunk = yield sock.recv(4096)
-        if not chunk:
-            raise ConnectionError("peer closed during HTTP headers")
-        buffer += chunk
-    headers, body = parse_http(buffer)
-    need = int(headers.get("content-length", "0"))
-    while len(body) < need:
-        chunk = yield sock.recv_exact(need - len(body))
-        body += chunk
-    return headers, body
+    def _on_reply(self, body: bytes) -> None:
+        self._waiters.popleft().succeed(body, delay=self.profile.cost(len(body)))
+
+    def _on_close(self, _sock) -> None:
+        while self._waiters:
+            self._waiters.popleft().fail(ConnectionError("SOAP server closed the connection"))

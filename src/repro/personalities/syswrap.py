@@ -14,16 +14,21 @@ close`` keyed by file-descriptor-like integers.  The middleware systems in
 are written against this facade exactly as their real counterparts are
 written against libc sockets; swapping the VLink driver underneath (SysIO on
 Ethernet, MadIO on Myrinet, parallel streams on a WAN) requires no change in
-their code, which is the paper's central claim.  Message-framed middleware
-(GIOP, the RTI) takes its messages as records (:meth:`SysWrapSocket.on_records`).
+their code, which is the paper's central claim.  The middleware takes its
+connections and bytes in callbacks (:meth:`SysWrapSocket.on_ready`), and a
+cost that precedes a send delays the send (``call_later(cost, sock.send,
+data, done)``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, TYPE_CHECKING
+from collections import deque
+from types import GeneratorType
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
-from repro.abstraction.records import read_records
+from repro.abstraction.common import AbstractionError
+from repro.abstraction.records import Serializer, read_records
 from repro.abstraction.vlink import VLink, VLinkListener, VLinkManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,10 +75,7 @@ class SysWrapSocket:
 
         def _accepted(op) -> None:
             if op.ok:
-                link: VLink = op.value
-                child = self.syswrap.socket()
-                child._link = link
-                done.succeed((child, (link.peer_name, self._bound_port)))
+                done.succeed((self._adopt(op.value), (op.value.peer_name, self._bound_port)))
             else:
                 done.fail(op.value)
 
@@ -99,15 +101,22 @@ class SysWrapSocket:
         )
         return done
 
-    def send(self, data: bytes):
+    def send(self, data: bytes, done=None):
         """Returns the link's write operation: it completes, with the byte
         count the driver reports, once the peer holds all of ``data`` (no
         partial writes).
 
         ``data`` may be a :class:`~repro.simnet.buffers.Gather` (``writev``):
-        header and payload parts go down as one write, uncopied.
+        header and payload parts go down as one write, uncopied.  ``done``
+        as for ``VLink.write``; a write that cannot be posted (the socket
+        closed during a charge) fails it rather than raising out of the run.
         """
-        return self._require_link("send").write(data)
+        if done is None:
+            return self._require_link("send").write(data)
+        try:
+            return self._require_link("send").write(data, done)
+        except (OSError, AbstractionError) as exc:
+            return done.fail(exc)
 
     def sendall(self, data: bytes):
         """Identical to :meth:`send` for this facade (no partial writes)."""
@@ -118,23 +127,33 @@ class SysWrapSocket:
         return self._require_link("recv").read(nbytes, exact=False)
 
     def recv_exact(self, nbytes: int, gather: bool = False, charge=None):
-        """Extension used by SOAP-over-HTTP and the JVM layer; ``gather`` and
+        """Extension used by the JVM layer; ``gather`` and
         ``charge`` (the read's own cost) as for ``VLink.read``."""
         return self._require_link("recv_exact").read(nbytes, True, None, gather, charge)
 
+    def on_ready(self, on_data: Callable, on_close: Optional[Callable] = None) -> None:
+        """``select()`` as callbacks: ``on_data(child)`` for each connection a
+        listening socket accepts; on a connected one, ``on_data(stream)`` as
+        bytes arrive (its link, a record-layer stream: no read is posted)
+        and ``on_close(self)`` once it closes."""
+        if self._listener is not None:
+            self._listener.set_accept_callback(lambda link: on_data(self._adopt(link)))
+            return
+        link = self._require_link("on_ready")
+        link.set_close_callback(None if on_close is None else lambda _link: on_close(self))
+        link.set_data_callback(on_data)
+
     def on_records(self, header, body_len, on_record, on_close=None) -> None:
         """``on_record(self, fields, body)`` for each ``header``-framed record
-        as soon as all of it is buffered (``records.read_records`` over the
-        link, in its readiness callback: no read is posted), ``on_close(self)``
-        once the stream closes."""
-        link = self._require_link("on_records")
+        as soon as all of it is buffered (``records.read_records`` in the
+        :meth:`on_ready` callback), ``on_close(self)`` once the stream
+        closes."""
 
         def _on_data(stream) -> None:
             for fields, body in read_records(stream, header, body_len):
                 on_record(self, fields, body)
 
-        link.set_close_callback(None if on_close is None else lambda _link: on_close(self))
-        link.set_data_callback(_on_data)
+        self.on_ready(_on_data, on_close)
 
     def close(self) -> None:
         if self._closed:
@@ -164,6 +183,11 @@ class SysWrapSocket:
         code does not look at this, which is precisely the point)."""
         return self._link.driver_name if self._link is not None else None
 
+    def _adopt(self, link: VLink) -> "SysWrapSocket":
+        child = self.syswrap.socket()
+        child._link = link
+        return child
+
     def _require_link(self, opname: str) -> VLink:
         if self._link is None:
             raise SocketError(f"{opname}() on unconnected socket fd={self.fd}")
@@ -174,6 +198,41 @@ class SysWrapSocket:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "listening" if self._listener else ("connected" if self._link else "idle")
         return f"<SysWrapSocket fd={self.fd} {state}>"
+
+
+class ReplyQueue(Serializer):
+    """A server connection's answers, in request order: ``after(delay,
+    self.answer, request)`` runs ``dispatch(request)`` — ``(seconds, wire)``,
+    None (no reply), or a generator returning either, run as a process — and
+    ``wire`` leaves ``seconds`` later, after every earlier request's reply."""
+
+    def __init__(self, sock: SysWrapSocket, dispatch: Callable):
+        super().__init__(sock.sim)
+        self.sock = sock
+        self.dispatch = dispatch
+        #: per request, in order: [] until its reply is encoded, then [wire or None]
+        self._slots = deque()
+
+    def answer(self, request) -> None:
+        slot = []
+        self._slots.append(slot)
+        self._encoded(slot, self.dispatch(request))
+
+    def _encoded(self, slot: list, reply) -> None:
+        if isinstance(reply, GeneratorType):
+            self.sim.process(reply).add_callback(lambda done: self._encoded(slot, done.value))
+        elif reply is None:
+            self._ready(slot, None)
+        else:
+            self.sim.call_later(reply[0], self._ready, slot, reply[1])
+
+    def _ready(self, slot: list, wire) -> None:
+        slot.append(wire)
+        slots = self._slots
+        while slots and slots[0]:
+            wire = slots.popleft()[0]
+            if wire is not None:
+                self.sock.send(wire)
 
 
 class SysWrap:

@@ -310,6 +310,32 @@ def test_orb_unknown_object_key(cluster):
     assert run(fw, scenario()) == "rejected"
 
 
+def test_orb_call_whose_socket_closes_during_the_marshal_charge_fails_only_its_caller(cluster):
+    """The marshalling cost delays the request's send; a client socket
+    closed meanwhile fails that call, and the run goes on."""
+    fw, group = cluster
+    servant, proxy, server_orb, client_orb, ref = make_orbs(fw, group)
+
+    def caller():
+        try:
+            yield from proxy.invoke("add", 1.0, 2.0)
+        except OSError as exc:
+            return exc
+
+    def scenario():
+        yield from proxy.invoke("add", 0.0, 0.0)  # opens and caches the connection
+        call = fw.sim.process(caller())
+        yield fw.sim.timeout(client_orb.profile.per_call_overhead / 2)
+        client_orb._client_conns[(ref.host_name, ref.port)].sock.close()
+        failure = yield call
+        yield fw.sim.timeout(1e-3)
+        return failure, fw.sim.now
+
+    failure, now = run(fw, scenario())
+    assert isinstance(failure, OSError) and now > 1e-3
+    assert server_orb.requests_served == 1
+
+
 def test_orb_oneway_invocation(cluster):
     fw, group = cluster
     servant, proxy, *_ = make_orbs(fw, group)

@@ -105,7 +105,7 @@ def test_a_read_charge_run_as_its_own_timer_is_a_finding(tmp_path):
         "    def charged(self, n):\n"
         "        return (yield self.sock.recv_exact(n, charge=self.cost))\n"
         "    def write(self, data):\n"
-        "        yield self.sim.timeout(self.cost(len(data)))\n"  # a write charge
+        "        yield self.sim.timeout(self.cost(len(data)))\n"  # 10: a write charge
         "        yield self.sock.send(data)\n"
         "    def answer(self, n):\n"
         "        request = yield from self.sock.read(n)\n"
@@ -122,6 +122,37 @@ def test_a_read_charge_run_as_its_own_timer_is_a_finding(tmp_path):
     )
     findings = lint.check_read_charge_timeouts(tmp_path)
     assert [(str(path), line) for path, line, _ in findings] == [
-        ("src/repro/middleware/stream.py", 5)
+        ("src/repro/middleware/stream.py", 5), ("src/repro/middleware/stream.py", 10)
     ]
-    assert findings[0][2].startswith("W004")
+    assert findings[0][2].startswith("W004 read charge")
+    assert findings[1][2].startswith("W004 write charge")
+
+
+def test_a_write_charge_run_as_its_own_timer_before_the_send_is_a_finding(tmp_path):
+    lint = load_tool("lint_offline")
+    package = tmp_path / "src" / "repro" / "personalities"
+    package.mkdir(parents=True)
+    (package / "sock.py").write_text(
+        "class Sock:\n"
+        "    def write(self, data):\n"
+        "        yield self.sim.timeout(self.cost)\n"       # 3: finding
+        "        count = len(data)\n"
+        "        yield self.link.write(data)\n"
+        "        return count\n"
+        "    def posted(self, data, done):\n"
+        "        self.sim.call_later(self.cost, self.sock.send, data, done)\n"
+        "        yield done\n"
+        "    def first_call(self, data):\n"
+        "        yield self.sim.timeout(self.cost)\n"       # a connect comes next
+        "        yield from self.connect()\n"
+        "        yield self.sock.sendall(data)\n"
+        "    def guarded(self, data):\n"
+        "        yield self.sim.timeout(self.cost)\n"       # a yielding block comes next
+        "        if data:\n"
+        "            yield self.sock.send(data)\n"
+    )
+    findings = lint.check_read_charge_timeouts(tmp_path)
+    assert [(str(path), line) for path, line, _ in findings] == [
+        ("src/repro/personalities/sock.py", 3)
+    ]
+    assert findings[0][2].startswith("W004 write charge")

@@ -380,6 +380,37 @@ def test_sysio_callback_receipt_loop():
     assert sys_b.core.stats("sysio").dispatches >= 1
 
 
+def test_a_posted_sysio_read_is_booked_in_the_netaccess_accounting():
+    """A read posted on a SysIO socket pays the arbitration dispatch cost,
+    and the core's per-subsystem report counts it, as it counts a readiness
+    callback."""
+    sim = Simulator()
+    eth = Ethernet100(sim)
+    a, b = Host(sim, "a"), Host(sim, "b")
+    eth.connect(a)
+    eth.connect(b)
+    sys_a = SysIO(NetAccessCore(a))
+    sys_b = SysIO(NetAccessCore(b))
+    accepted = []
+    sys_b.listen(6001, accepted.append)
+
+    def client():
+        sock = yield sys_a.connect(b, 6001)
+        yield sock.write(b"posted")
+
+    sim.process(client())
+    sim.run(max_time=10)
+    (server,) = accepted
+    stats = sys_b.core.stats("sysio")
+    dispatches, arbitration = stats.dispatches, stats.arbitration_time
+    read = server.recv_exact(6)
+    sim.run(max_time=10)
+    assert read.value == b"posted"
+    assert stats.dispatches == dispatches + 1
+    assert sys_b.core.fairness_report()["sysio"]["dispatches"] == dispatches + 1
+    assert stats.arbitration_time == arbitration + sys_b.core.dispatch_cost("sysio")
+
+
 def test_sysio_duplicate_port_rejected():
     sim = Simulator()
     eth = Ethernet100(sim)

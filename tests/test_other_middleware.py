@@ -4,6 +4,7 @@ import pytest
 
 from tests.helpers import run
 
+from repro.core import paper_cluster
 from repro.middleware.javasockets import DataInputStream, DataOutputStream, JavaSocketLayer
 from repro.middleware.soap import (
     SoapClient,
@@ -11,8 +12,11 @@ from repro.middleware.soap import (
     SoapServer,
     build_envelope,
     build_fault,
+    http_post,
+    on_http_messages,
     parse_envelope,
 )
+from repro.personalities.syswrap import SysWrap
 from repro.middleware.hla import FederateAmbassador, RtiAmbassador, RtiGateway
 from repro.middleware.pvm import PvmError, PvmTask
 from repro.middleware.dsm import DsmError, DsmNode
@@ -73,6 +77,36 @@ def test_java_socket_latency_much_higher_than_mpi(cluster):
 
     one_way = run(fw, scenario())
     assert 35e-6 < one_way < 46e-6  # paper: 40 us
+
+
+def test_java_write_whose_socket_closes_during_its_charge_fails_only_the_writer(cluster):
+    """The JVM cost delays the send; a socket closed meanwhile fails the
+    write's caller, and the run goes on."""
+    fw, group = cluster
+    layer0 = JavaSocketLayer(fw.node(group[0].name))
+    layer1 = JavaSocketLayer(fw.node(group[1].name))
+    server_socket = layer1.server_socket(6102)
+
+    def writer(client):
+        try:
+            yield from client.write(b"8 bytes!")
+        except OSError as exc:
+            return exc
+
+    def scenario():
+        accept = fw.sim.process(server_socket.accept())
+        client = layer0.socket()
+        yield from client.connect(fw.node(group[1].name).host, 6102)
+        yield accept
+        write = fw.sim.process(writer(client))
+        yield fw.sim.timeout(client.profile.per_call_overhead / 2)
+        client.close()
+        failure = yield write
+        yield fw.sim.timeout(1e-3)
+        return failure, fw.sim.now
+
+    failure, now = run(fw, scenario())
+    assert isinstance(failure, OSError) and now > 1e-3
 
 
 # --------------------------------------------------------------------------
@@ -136,6 +170,90 @@ def test_soap_unknown_operation_returns_fault(cluster):
             return str(exc)
 
     assert "nothing_here" in run(fw, scenario())
+
+
+def test_soap_generator_handler_answers_after_its_own_calls_and_in_request_order(cluster):
+    """A handler that is a generator runs as a process for its request: a
+    later request on the same connection is answered after it."""
+    fw, group = cluster
+    server = SoapServer(fw.node(group[1].name), 18202)
+    log = []
+
+    def slow(n=0):
+        yield fw.sim.timeout(1e-3)
+        log.append(("slow", fw.sim.now))
+        return n * 2
+
+    server.register("slow", slow)
+    server.register("fast", lambda n=0: n + 1)
+    client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18202)
+
+    def call(operation, n, delay):
+        yield fw.sim.timeout(delay)
+        value = yield from client.call(operation, n=n)
+        log.append((operation, fw.sim.now))
+        return value
+
+    def scenario():
+        yield from client.call("fast", n=0)  # opens the connection
+        first = fw.sim.process(call("slow", 21, 0.0))
+        second = fw.sim.process(call("fast", 1, 1e-4))  # sent while "slow" runs
+        return (yield first), (yield second)
+
+    assert run(fw, scenario()) == (42, 2)
+    assert [name for name, _at in log] == ["slow", "slow", "fast"]
+    assert server.requests_served == 3
+
+
+def test_soap_requests_arriving_in_pieces_are_parsed_from_the_buffer(cluster):
+    """HTTP framing is read from the connection's buffer as it fills: a
+    request split inside its headers and inside its body is answered once
+    whole, and a second request in the same write after it is answered too."""
+    fw, group = cluster
+    server = SoapServer(fw.node(group[1].name), 18203)
+    server.register("echo", lambda data="": data)
+    host = fw.node(group[1].name).host
+    first = http_post("/soap", host.name, build_envelope("echo", {"data": "pieces"}).encode())
+    second = http_post("/soap", host.name, build_envelope("echo", {"data": "next"}).encode())
+    cuts = (first.index(b"\r\n") + 3, len(first) - 10)
+    pieces = (first[: cuts[0]], first[cuts[0] : cuts[1]], first[cuts[1] :] + second)
+    replies = []
+
+    def scenario():
+        sock = SysWrap(fw.node(group[0].name).vlink).socket()
+        yield sock.connect((host, 18203))
+        on_http_messages(sock, lambda body: replies.append(parse_envelope(body.decode())))
+        served = []
+        for piece in pieces:
+            yield sock.send(piece)
+            yield fw.sim.timeout(1e-3)
+            served.append(server.requests_served)
+        return served
+
+    assert run(fw, scenario()) == [0, 0, 2]
+    assert replies == [
+        ("echoResponse", [("return", "pieces")]),
+        ("echoResponse", [("return", "next")]),
+    ]
+
+
+def test_soap_call_fails_when_the_server_closes_the_connection(cluster):
+    fw, group = cluster
+    server = fw.node(group[1].name)
+    listener = SysWrap(server.vlink).socket()
+    listener.bind((server.host.name, 18204))
+    listener.listen()
+    # a peer that hangs up on the request instead of answering it
+    listener.on_ready(lambda sock: sock.on_ready(lambda _stream: sock.close()))
+    client = SoapClient(fw.node(group[0].name), server.host, 18204)
+
+    def scenario():
+        try:
+            yield from client.call("echo", data="x")
+        except ConnectionError as exc:
+            return str(exc)
+
+    assert "closed" in run(fw, scenario())
 
 
 # --------------------------------------------------------------------------
@@ -262,6 +380,26 @@ def test_pvm_usage_errors_and_nrecv(cluster):
     assert run(fw, scenario()) is True
 
 
+def test_pvm_recv_takes_an_already_queued_message_without_waiting(cluster):
+    fw, group = cluster
+    t0 = PvmTask(fw.node(group[0].name), group)
+    t1 = PvmTask(fw.node(group[1].name), group)
+
+    def scenario():
+        for tag, text in ((1, "first"), (2, "second")):
+            t0.initsend()
+            t0.pkstr(text)
+            t0.send(t1.mytid, tag=tag)
+        yield fw.sim.timeout(1e-3)  # both queued on t1
+        arrived = fw.sim.now
+        src = yield from t1.recv(tag=2)
+        second = t1.upkstr()
+        yield from t1.recv(tag=1)
+        return src, second, t1.upkstr(), fw.sim.now == arrived
+
+    assert run(fw, scenario()) == (t0.mytid, "second", "first", True)
+
+
 # --------------------------------------------------------------------------
 # DSM
 # --------------------------------------------------------------------------
@@ -308,6 +446,21 @@ def test_dsm_invalidation_on_write_after_read(cluster):
     was_invalidated, data = run(fw, scenario())
     assert was_invalidated
     assert data == b"fresh"
+
+
+def test_dsm_two_hop_read_is_answered_by_the_owner_to_the_reader():
+    """Rank 1 owns page 0 (home: rank 0) after writing it; rank 2's read
+    goes to the home, which forwards it, and the owner answers rank 2."""
+    fw, group = paper_cluster(3)
+    nodes = [DsmNode(fw.node(host.name), group, pages=4, page_size=64) for host in group]
+
+    def scenario():
+        yield from nodes[1].write(0, b"owned-by-rank1")
+        data = yield from nodes[2].read(0)
+        return data[:14]
+
+    assert run(fw, scenario(), max_time=1.0) == b"owned-by-rank1"
+    assert 0 in nodes[1].owned_pages() and nodes[2].is_cached(0)
 
 
 def test_dsm_bounds_checks(cluster):

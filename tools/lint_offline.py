@@ -34,7 +34,11 @@ script approximates the high-signal pyflakes-family rules with the stdlib
   yields a ``recv`` / ``recv_exact`` / ``read`` call: a read's cost run as a
   timer of its own after the read completes, two loop entries where the
   stack's rule (``abstraction/drivers.py``) has one — pass it as the read's
-  ``charge`` instead, the delay of its one completion.
+  ``charge`` instead, the delay of its one completion.  Likewise one whose
+  block's next yielding statement yields a ``send`` / ``sendall`` /
+  ``write`` call: a write's cost run as a timer of its own before the send
+  — post the send that much later instead (``call_later(cost, sock.send,
+  data, done)``).
 
 Usage: ``python tools/lint_offline.py [paths...]`` (defaults to
 ``src tests benchmarks examples tools``; the tree rules W001, W002 and W004
@@ -70,6 +74,8 @@ LINK_PARAMETERS = ("up", "latency", "bandwidth", "loss_rate")
 CHARGE_ROOTS = ("src/repro/middleware", "src/repro/personalities")
 #: the read calls a charge must ride (W004)
 READ_CALLS = ("recv", "recv_exact", "read")
+#: the write calls a charge must delay (W004)
+WRITE_CALLS = ("send", "sendall", "write")
 
 
 def _names_loaded(tree: ast.AST) -> set:
@@ -347,8 +353,9 @@ def _yielded_call(stmt) -> "str | None":
 def check_read_charge_timeouts(base: Path = REPO) -> list:
     """W004 over the tree at ``base``: in a statement block under
     :data:`CHARGE_ROOTS`, a ``yield <x>.timeout(...)`` whose previous
-    yielding statement yields one of :data:`READ_CALLS` (statements that do
-    not yield may sit between them)."""
+    yielding statement yields one of :data:`READ_CALLS`, or whose next one
+    yields one of :data:`WRITE_CALLS` (statements that do not yield may sit
+    between them)."""
     findings = []
     for path in _python_files(CHARGE_ROOTS, base):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -356,19 +363,28 @@ def check_read_charge_timeouts(base: Path = REPO) -> list:
                 block = getattr(node, field, None)
                 if not isinstance(block, list):
                     continue
-                after_read = False
+                previous = None  # the last yielding statement's call, "" when not a call
+                previous_line = None
                 for stmt in block:
                     name = _yielded_call(stmt)
-                    if name == "timeout" and after_read:
+                    if name is None:
+                        if not any(isinstance(sub, (ast.Yield, ast.YieldFrom))
+                                   for sub in _own_nodes(stmt)):
+                            continue
+                        name = ""
+                    if name == "timeout" and previous in READ_CALLS:
                         findings.append(
                             (path.relative_to(base), stmt.lineno,
                              "W004 read charge run as a timer after the read: "
                              "pass it as the read's charge")
                         )
-                    if name is not None:
-                        after_read = name in READ_CALLS
-                    elif any(isinstance(sub, (ast.Yield, ast.YieldFrom)) for sub in _own_nodes(stmt)):
-                        after_read = False
+                    if name in WRITE_CALLS and previous == "timeout":
+                        findings.append(
+                            (path.relative_to(base), previous_line,
+                             "W004 write charge run as a timer before the send: "
+                             "post the send that much later")
+                        )
+                    previous, previous_line = name, stmt.lineno
     return sorted(findings)
 
 
