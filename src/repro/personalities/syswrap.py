@@ -111,11 +111,11 @@ class SysWrapSocket:
         as for ``VLink.write``; a write that cannot be posted (the socket
         closed during a charge) fails it rather than raising out of the run.
         """
-        if done is None:
-            return self._require_link("send").write(data)
         try:
             return self._require_link("send").write(data, done)
         except (OSError, AbstractionError) as exc:
+            if done is None:
+                raise
             return done.fail(exc)
 
     def sendall(self, data: bytes):
