@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional, Tuple
 
-from repro.abstraction.common import AbstractionError
 from repro.personalities.syswrap import ReplyQueue, SysWrap, SysWrapSocket
 from repro.middleware.corba.cdr import CdrInputStream, CdrOutputStream
 from repro.middleware.corba.giop import (
@@ -88,16 +87,12 @@ class _ClientConnection:
         self._pending: Dict[int, object] = {}
         sock.on_records(GIOP_HEADER, body_size, self._on_reply)
 
-    def send_request(self, message: GiopMessage, ev, oneway: bool):
+    def send_request(self, message: GiopMessage, ev, oneway: bool) -> None:
         """Send ``message``: its caller's ``ev`` completes with the matched
         reply or, oneway, with the send."""
         if oneway:
-            return self.sock.send(message.encode(), ev)
-        try:  # the socket may have closed during the marshalling charge
-            self.sock.send(message.encode())
-        except (OSError, AbstractionError) as exc:
-            ev.fail(exc)
-        else:
+            self.sock.send(message.encode(), ev)
+        elif self.sock.post(message.encode(), ev):
             self._pending[message.request_id] = ev
 
     def _on_reply(self, _sock, fields, payload) -> None:
@@ -213,7 +208,7 @@ class ORB:
         def on_request(_sock, fields, payload) -> None:
             request = GiopMessage.decode(fields, payload)
             if request.msg_type == MSG_REQUEST:
-                replies.after(self.message_cost(len(request.body)), replies.answer, request)
+                replies.request(self.message_cost(len(request.body)), request)
 
         sock.on_records(GIOP_HEADER, body_size, on_request)
 

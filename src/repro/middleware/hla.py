@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.abstraction.common import AbstractionError
 from repro.simnet.cost import MICROSECOND
 from repro.personalities.syswrap import SysWrap, SysWrapSocket
 
@@ -116,11 +115,11 @@ class RtiGateway:
             })
             for other in self._federations.get(federate.federation, {}).values():
                 if other.name != federate.name and object_class in other.subscriptions:
-                    other.sock.send(notification)
+                    other.sock.post(notification)
             reply = {"kind": "ack"}
         else:
             reply = {"kind": "error", "message": f"unknown {kind!r}"}
-        sock.send(self._encode(reply))
+        sock.post(self._encode(reply))  # the federate may have left meanwhile
 
 
 class FederateAmbassador:
@@ -176,11 +175,7 @@ class RtiAmbassador:
         return reply
 
     def _post(self, wire, reply_ev) -> None:
-        try:  # the socket may have closed during the message's charge
-            self._sock.send(wire)
-        except (OSError, AbstractionError) as exc:
-            reply_ev.fail(exc)
-        else:
+        if self._sock.post(wire, reply_ev):
             self._reply_waiters.append(reply_ev)
 
     # -- federation management services ---------------------------------------------------

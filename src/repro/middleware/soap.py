@@ -19,9 +19,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.abstraction.common import AbstractionError
 from repro.simnet.cost import MB, MICROSECOND
 from repro.personalities.syswrap import ReplyQueue, SysWrap, SysWrapSocket
 
@@ -217,9 +217,7 @@ class SoapServer:
 
     def _serve(self, sock: SysWrapSocket) -> None:
         replies = ReplyQueue(sock, self._dispatch)
-        on_http_messages(
-            sock, lambda body: replies.after(self.profile.cost(len(body)), replies.answer, body)
-        )
+        on_http_messages(sock, lambda body: replies.request(self.profile.cost(len(body)), body))
 
     def _dispatch(self, body: bytes):
         """``(encoding seconds, wire)`` of the reply to ``body``, or a
@@ -265,7 +263,7 @@ class SoapClient:
         self.syswrap = SysWrap(node.vlink)
         self._host_header = str(server_host)
         self._sock: Optional[SysWrapSocket] = None
-        #: the calls awaiting their reply, in the order they were sent
+        #: the calls awaiting their reply on ``_sock``, in the order they were sent
         self._waiters = deque()
 
     def call(self, operation: str, **params):
@@ -278,8 +276,11 @@ class SoapClient:
             yield self.sim.timeout(cost)
             sock = self.syswrap.socket()
             yield sock.connect((self.server_host, self.port))
-            self._sock = sock
-            on_http_messages(sock, self._on_reply, self._on_close)
+            # a call racing this one may have connected too: each connection
+            # answers the calls it carries
+            self._sock, self._waiters = sock, deque()
+            on_http_messages(sock, partial(self._on_reply, self._waiters),
+                             partial(self._on_close, self._waiters))
             self._post(request, reply)
         else:
             self.sim.call_later(cost, self._post, request, reply)
@@ -287,16 +288,13 @@ class SoapClient:
         return dict(parse_envelope(body.decode("utf-8"))[1]).get("return")
 
     def _post(self, request: bytes, reply) -> None:
-        try:  # the socket may have closed during the encoding charge
-            self._sock.send(request)
-        except (OSError, AbstractionError) as exc:
-            reply.fail(exc)
-        else:
+        if self._sock.post(request, reply):
             self._waiters.append(reply)
 
-    def _on_reply(self, body: bytes) -> None:
-        self._waiters.popleft().succeed(body, delay=self.profile.cost(len(body)))
+    def _on_reply(self, waiters: deque, body: bytes) -> None:
+        waiters.popleft().succeed(body, delay=self.profile.cost(len(body)))
 
-    def _on_close(self, _sock) -> None:
-        while self._waiters:
-            self._waiters.popleft().fail(ConnectionError("SOAP server closed the connection"))
+    @staticmethod
+    def _on_close(waiters: deque, _sock) -> None:
+        while waiters:
+            waiters.popleft().fail(ConnectionError("SOAP server closed the connection"))

@@ -17,7 +17,7 @@ Ethernet, MadIO on Myrinet, parallel streams on a WAN) requires no change in
 their code, which is the paper's central claim.  The middleware takes its
 connections and bytes in callbacks (:meth:`SysWrapSocket.on_ready`), and a
 cost that precedes a send delays the send (``call_later(cost, sock.send,
-data, done)``).
+data, done)``, or :meth:`SysWrapSocket.post` when nothing waits on it).
 """
 
 from __future__ import annotations
@@ -118,6 +118,18 @@ class SysWrapSocket:
                 raise
             return done.fail(exc)
 
+    def post(self, data, failed=None) -> bool:
+        """:meth:`send` from a callback or a timer, no completion awaited:
+        False, with ``failed`` (an event, if any) failed, when the write
+        cannot be posted, rather than an exception out of the run."""
+        try:
+            self._require_link("send").write(data)
+        except (OSError, AbstractionError) as exc:
+            if failed is not None:
+                failed.fail(exc)
+            return False
+        return True
+
     def sendall(self, data: bytes):
         """Identical to :meth:`send` for this facade (no partial writes)."""
         return self.send(data)
@@ -201,10 +213,10 @@ class SysWrapSocket:
 
 
 class ReplyQueue(Serializer):
-    """A server connection's answers, in request order: ``after(delay,
-    self.answer, request)`` runs ``dispatch(request)`` — ``(seconds, wire)``,
-    None (no reply), or a generator returning either, run as a process — and
-    ``wire`` leaves ``seconds`` later, after every earlier request's reply."""
+    """A server connection's answers, in request order: :meth:`request`
+    runs ``dispatch(request)`` — ``(seconds, wire)``, None (no reply), or a
+    generator returning either, run as a process — and ``wire`` leaves
+    ``seconds`` later, after every earlier request's reply."""
 
     def __init__(self, sock: SysWrapSocket, dispatch: Callable):
         super().__init__(sock.sim)
@@ -213,7 +225,12 @@ class ReplyQueue(Serializer):
         #: per request, in order: [] until its reply is encoded, then [wire or None]
         self._slots = deque()
 
-    def answer(self, request) -> None:
+    def request(self, delay: float, request) -> None:
+        """Answer ``request`` ``delay`` seconds from now, or after the one
+        before it."""
+        self.after(delay, self._answer, request)
+
+    def _answer(self, request) -> None:
         slot = []
         self._slots.append(slot)
         self._encoded(slot, self.dispatch(request))
@@ -232,7 +249,7 @@ class ReplyQueue(Serializer):
         while slots and slots[0]:
             wire = slots.popleft()[0]
             if wire is not None:
-                self.sock.send(wire)
+                self.sock.post(wire)  # the client may have closed meanwhile
 
 
 class SysWrap:

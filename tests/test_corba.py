@@ -38,7 +38,7 @@ from repro.middleware.corba import (
 )
 from repro.middleware.corba.cdr import TC_SHORT
 from repro.middleware.corba.giop import GIOP_HEADER, body_size, make_reply, make_request
-from repro.personalities.syswrap import SysWrapSocket
+from repro.personalities.syswrap import SysWrap, SysWrapSocket
 from repro.simnet.buffers import Gather
 
 
@@ -336,6 +336,29 @@ def test_orb_call_whose_socket_closes_during_the_marshal_charge_fails_only_its_c
     assert server_orb.requests_served == 1
 
 
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_orb_server_goes_on_when_a_client_hangs_up_before_its_reply(network, request):
+    """The demarshalling and marshalling charges delay the reply's send: a
+    client that closes meanwhile loses its reply, and the run and the
+    server go on (MICO: its copying marshaller charges long enough)."""
+    fw, group = request.getfixturevalue(network)
+    servant, proxy, server_orb, client_orb, ref = make_orbs(fw, group, MICO_2_3_7)
+    out = CdrOutputStream()
+    CALC_IDL.operation("checksum").encode_args(out, (b"x" * 64 * 1024,))
+    wire = make_request(1, ref.object_key, "checksum", out.getvalue()).encode()
+
+    def scenario():
+        sock = SysWrap(fw.node(group[0].name).vlink).socket()
+        yield sock.connect((fw.node(group[1].name).host, ref.port))
+        yield sock.send(wire)
+        sock.close()
+        yield fw.sim.timeout(1e-3)
+        return (yield from proxy.invoke("add", 2.0, 3.0))
+
+    assert run(fw, scenario()) == 5.0
+    assert server_orb.requests_served == 2
+
+
 def test_orb_oneway_invocation(cluster):
     fw, group = cluster
     servant, proxy, *_ = make_orbs(fw, group)
@@ -378,14 +401,14 @@ def test_orb_concurrent_callers_on_one_connection_get_their_own_replies_in_reque
     servant = _CallLog()
     proxy = client_orb.object_to_proxy(server_orb.activate_object(servant, CALC_IDL), CALC_IDL)
     sent = []
-    send = SysWrapSocket.send
+    post = SysWrapSocket.post
 
-    def recording_send(sock, data):
+    def recording_post(sock, data, failed=None):
         if sock.syswrap is server_orb.syswrap:
             sent.append(struct.unpack_from("!I", bytes(data), 12)[0])  # reply request id
-        return send(sock, data)
+        return post(sock, data, failed)
 
-    monkeypatch.setattr(SysWrapSocket, "send", recording_send)
+    monkeypatch.setattr(SysWrapSocket, "post", recording_post)
     big, small = b"B" * 256 * 1024, b"8 bytes!"
 
     def caller(payload, delay):

@@ -927,10 +927,10 @@ RUNG_CALLS = {
     "abstraction.vlink": 246,
     "middleware.mpi": 340,
     "middleware.mpi_standalone": 248,
-    "middleware.corba": 367,
-    "middleware.corba.omniorb3": 367,
-    "middleware.corba.mico": 367,
-    "middleware.corba.orbacus": 367,
+    "middleware.corba": 368,
+    "middleware.corba.omniorb3": 368,
+    "middleware.corba.mico": 368,
+    "middleware.corba.orbacus": 368,
     "middleware.javasockets": 294,
 }
 
@@ -1015,7 +1015,7 @@ class _PvmEcho(_OffLadder):
 #: per connection read each request and a Timeout ran each charge; HLA 304
 #: while a Timeout ran the request's charge before its send).
 MIDDLEWARE_CALLS = {
-    "gsoap": (_SoapEcho, 309),
+    "gsoap": (_SoapEcho, 310),
     "hla": (_RtiAck, 290),
     "pvm": (_PvmEcho, 336),
 }

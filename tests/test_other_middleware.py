@@ -256,6 +256,54 @@ def test_soap_call_fails_when_the_server_closes_the_connection(cluster):
     assert "closed" in run(fw, scenario())
 
 
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_soap_server_goes_on_when_a_client_hangs_up_before_its_reply(network, request):
+    """The decoding and encoding charges delay the reply's send: a client
+    that closes meanwhile loses its reply, and the run and the server go on."""
+    fw, group = request.getfixturevalue(network)
+    server = SoapServer(fw.node(group[1].name), 18205)
+    server.register("echo", lambda data="": data)
+    host = fw.node(group[1].name).host
+    client = SoapClient(fw.node(group[0].name), host, 18205)
+
+    def scenario():
+        sock = SysWrap(fw.node(group[0].name).vlink).socket()
+        yield sock.connect((host, 18205))
+        yield sock.send(http_post("/soap", host.name, build_envelope("echo", {"data": "x"}).encode()))
+        sock.close()
+        yield fw.sim.timeout(1e-3)
+        return (yield from client.call("echo", data="next"))
+
+    assert run(fw, scenario()) == "next"
+    assert server.requests_served == 2
+
+
+def test_soap_first_calls_racing_to_connect_each_get_their_own_reply(cluster):
+    """Two calls made before the client is connected each open a connection;
+    each gets the reply to its own request, though the later, smaller one
+    is answered first."""
+    fw, group = cluster
+    server = SoapServer(fw.node(group[1].name), 18206)
+    server.register("echo", lambda data="": data)
+    client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18206)
+    big = "B" * 256 * 1024
+
+    def call(data, delay):
+        yield fw.sim.timeout(delay)
+        return (yield from client.call("echo", data=data))
+
+    # the small call is encoded just after the big one, while it connects
+    encoded = client.profile.cost(len(build_envelope("echo", {"data": big}).encode()))
+    lag = encoded - client.profile.per_call_overhead + 1e-6
+
+    def scenario():
+        first = fw.sim.process(call(big, 0.0))
+        second = fw.sim.process(call("small", lag))
+        return (yield first), (yield second)
+
+    assert run(fw, scenario()) == (big, "small")
+
+
 # --------------------------------------------------------------------------
 # HLA
 # --------------------------------------------------------------------------
@@ -323,6 +371,25 @@ def test_hla_rtig_drops_a_federate_whose_connection_closes(cluster):
         return joined, sorted(rtig._federations["sim"])
 
     assert run(fw, scenario()) == (["leaver"], [])
+
+
+def test_hla_rtig_goes_on_when_a_federate_hangs_up_before_its_reply(cluster):
+    """The RTIG answers a message its overhead after it arrived: a federate
+    that closes meanwhile loses the answer, and the gateway goes on."""
+    fw, group = cluster
+    RtiGateway(fw.node(group[0].name), port=17103)
+    amb = RtiAmbassador(fw.node(group[1].name), group[0], port=17103)
+
+    def scenario():
+        sock = SysWrap(fw.node(group[1].name).vlink).socket()
+        yield sock.connect((group[0], 17103))
+        yield sock.send(RtiGateway._encode({"kind": "create_federation", "federation": "a"}))
+        sock.close()
+        yield fw.sim.timeout(1e-3)
+        yield from amb.join_federation_execution("late", "a")
+        return "joined"
+
+    assert run(fw, scenario()) == "joined"
 
 
 # --------------------------------------------------------------------------
