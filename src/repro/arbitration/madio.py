@@ -64,6 +64,13 @@ class MadIOChannel:
         self.name = name
         self.network = network
         self.group = group
+        #: fixed for the channel's life: its encoded name, and — filled on
+        #: first use — each logical rank's hardware-channel rank and back
+        self.wire_name = name.encode("utf-8")
+        if len(self.wire_name) > 0xFFFF:
+            raise ArbitrationError("logical channel name too long")
+        self._hw_rank: Dict[int, int] = {}
+        self._rank_of_hw: Dict[int, int] = {}
         self._receive_callback: Optional[
             Callable[[int, bytes, bytes, Delivery], None]
         ] = None
@@ -200,15 +207,14 @@ class MadIO:
             raise ArbitrationError(
                 f"MadIO not attached to network {channel.network.name!r} on host {self.host.name}"
             )
-        name_bytes = channel.name.encode("utf-8")
-        if len(name_bytes) > 0xFFFF:
-            raise ArbitrationError("logical channel name too long")
+        name_bytes = channel.wire_name
         madio_header = _MADIO_HEADER.pack(len(name_bytes), len(header), len(body)) + name_bytes
 
         # The logical channel's group may be a subset of the hardware
         # channel's group: translate the rank.
-        dst_host = channel.group[dst_rank]
-        hw_rank = hw.group.index_of(dst_host)
+        hw_rank = channel._hw_rank.get(dst_rank)
+        if hw_rank is None:
+            hw_rank = channel._hw_rank[dst_rank] = hw.group.index_of(channel.group[dst_rank])
         msg = hw.begin_packing(hw_rank)
         if self.combine_headers:
             # Header combining: the MadIO header and the caller's header share
@@ -249,11 +255,12 @@ class MadIO:
             delivery.frame.network.record_drop(delivery.frame, f"madio-unknown-channel:{name}")
             return
         # Translate the hardware-channel rank into the logical channel's group.
-        hw_group = self._hw_groups[network_name]
-        src_host = hw_group[incoming.src_rank]
-        try:
-            src_rank = chan.group.index_of(src_host)
-        except ValueError:
-            delivery.frame.network.record_drop(delivery.frame, f"madio-rank-outside-group:{name}")
-            return
+        src_rank = chan._rank_of_hw.get(incoming.src_rank)
+        if src_rank is None:
+            try:
+                src_rank = chan.group.index_of(self._hw_groups[network_name][incoming.src_rank])
+            except ValueError:
+                delivery.frame.network.record_drop(delivery.frame, f"madio-rank-outside-group:{name}")
+                return
+            chan._rank_of_hw[incoming.src_rank] = src_rank
         chan._deliver(src_rank, header, body, delivery)

@@ -30,7 +30,6 @@ from repro.madeleine.message import (
     MadIncoming,
     MadMessage,
     MadeleineError,
-    segment_overhead,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,38 +160,26 @@ class MadConnection:
 
 
 class MadChannel:
-    """One host's endpoint on a Madeleine channel."""
+    """One host's endpoint on a Madeleine channel.
+
+    A channel's name, network, group, the local rank and each rank's host
+    are fixed when it opens: plain attributes, not recomputed per message.
+    """
 
     def __init__(self, driver: MadeleineDriver, state: _ChannelState):
         self.driver = driver
-        self.state = state
         self.host = driver.host
         self.sim = driver.sim
+        self.name = state.name
+        self.network = state.network
+        self.group = state.group
+        #: the host of each rank, in rank order
+        self._hosts = list(state.group)
+        self.rank = state.group.index_of(self.host)
+        self.size = len(self._hosts)
         self._receive_callback: Optional[Callable[[MadIncoming, Delivery], None]] = None
         self._connections: Dict[int, MadConnection] = {}
         self._pending: List[Tuple[MadIncoming, Delivery]] = []
-
-    # -- identity -----------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.state.name
-
-    @property
-    def network(self) -> Network:
-        return self.state.network
-
-    @property
-    def group(self) -> HostGroup:
-        return self.state.group
-
-    @property
-    def rank(self) -> int:
-        """Rank of the local host inside the channel's group."""
-        return self.group.index_of(self.host)
-
-    @property
-    def size(self) -> int:
-        return len(self.group)
 
     def connection(self, peer_rank: int) -> MadConnection:
         conn = self._connections.get(peer_rank)
@@ -208,7 +195,7 @@ class MadChannel:
             raise MadeleineError(f"destination rank {dst_rank} outside group of size {self.size}")
         if dst_rank == self.rank:
             raise MadeleineError("Madeleine channels do not loop back to the local rank")
-        return MadMessage(dst_rank, dst_name=self.group[dst_rank].name)
+        return MadMessage(dst_rank, dst_name=self._hosts[dst_rank].name)
 
     def end_packing(
         self,
@@ -223,21 +210,22 @@ class MadChannel:
         list by reference; its length is the wire length."""
         costs = self.driver.costs
         payload = message.finish()
+        nsegs = len(payload.segments)
         cost = (extra_cost + costs.send_overhead
-                + costs.per_segment_overhead * message.segment_count
-                + len(payload) / costs.pipeline_copy_bandwidth)
+                + costs.per_segment_overhead * nsegs
+                + payload.nbytes / costs.pipeline_copy_bandwidth)
         if message.payload_bytes > costs.rendezvous_threshold:
             cost += 2.0 * self.network.latency + costs.rendezvous_control_overhead
-        dst_host = self.group[message.dst_rank]
+        dst_rank = message.dst_rank
         self.network.transmit(
             self.host,
-            dst_host,
+            self._hosts[dst_rank],
             payload,
             channel=("mad", self.name),
             send_cost=cost,
-            meta={"src_rank": self.rank, "segments": message.segment_count},
+            meta={"src_rank": self.rank, "segments": nsegs},
         )
-        conn = self.connection(message.dst_rank)
+        conn = self._connections.get(dst_rank) or self.connection(dst_rank)
         conn.messages_sent += 1
         conn.bytes_sent += message.payload_bytes
         if done is None:
@@ -265,17 +253,13 @@ class MadChannel:
     def _receive(self, delivery: Delivery) -> None:
         costs = self.driver.costs
         frame = delivery.frame
-        nsegs = frame.meta.get("segments", 1)
-        payload_len = max(0, frame.nbytes - segment_overhead(nsegs))
+        meta = frame.meta
+        nsegs = meta.get("segments", 1)
+        incoming = MadIncoming(meta.get("src_rank", -1), frame.payload, frame.src.name)
         delivery.cost += costs.recv_overhead
         delivery.cost += costs.per_segment_overhead * nsegs
-        delivery.cost += payload_len / costs.pipeline_copy_bandwidth
-        incoming = MadIncoming(
-            src_rank=frame.meta.get("src_rank", -1),
-            raw=frame.payload,
-            src_name=frame.src.name,
-        )
-        conn = self.connection(incoming.src_rank)
+        delivery.cost += incoming.payload_bytes / costs.pipeline_copy_bandwidth
+        conn = self._connections.get(incoming.src_rank) or self.connection(incoming.src_rank)
         conn.messages_received += 1
         conn.bytes_received += incoming.payload_bytes
         if self._receive_callback is None:

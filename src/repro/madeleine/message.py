@@ -51,10 +51,6 @@ class PackMode(enum.Enum):
     EXPRESS = "express"
     CHEAPER = "cheaper"
 
-    @property
-    def wire_code(self) -> int:
-        return 0 if self is PackMode.EXPRESS else 1
-
     @classmethod
     def from_wire(cls, code: int) -> "PackMode":
         if code == 0:
@@ -63,6 +59,10 @@ class PackMode(enum.Enum):
             return cls.CHEAPER
         raise MadeleineError(f"unknown pack mode code {code}")
 
+
+# the per-message paths read the modes as globals: on Python 3.11 a member
+# read off the Enum class goes through ``EnumType``'s slow attribute hook
+_EXPRESS, _CHEAPER = PackMode.EXPRESS, PackMode.CHEAPER
 
 #: wire header in front of every packed segment: (mode, length)
 _SEGMENT_HEADER = struct.Struct("!BI")
@@ -84,20 +84,21 @@ class MadMessage:
         """Append one buffer to the message (by reference when immutable)."""
         if self._finished:
             raise MadeleineError("pack() after end_packing()")
-        if not isinstance(mode, PackMode):
+        if mode is not _CHEAPER and mode is not _EXPRESS:
             raise MadeleineError(f"mode must be a PackMode, got {mode!r}")
-        data = immutable(data)
+        if type(data) is not bytes:
+            data = immutable(data)
         self._segments.append((mode, data))
         self.payload_bytes += len(data)
-        if mode is PackMode.EXPRESS:
+        if mode is _EXPRESS:
             self.express_bytes += len(data)
         return self
 
     def pack_express(self, data: bytes) -> "MadMessage":
-        return self.pack(data, PackMode.EXPRESS)
+        return self.pack(data, _EXPRESS)
 
     def pack_cheaper(self, data: bytes) -> "MadMessage":
-        return self.pack(data, PackMode.CHEAPER)
+        return self.pack(data, _CHEAPER)
 
     @property
     def segment_count(self) -> int:
@@ -122,10 +123,12 @@ class MadIncoming:
         self.src_name = src_name
         #: the sender's segments as they are when the wire image arrived by
         #: reference; decoded from the flat image otherwise
-        self._segments = (
-            raw.segments if isinstance(raw, SegmentGather) else decode_segments(raw)
-        )
-        self.payload_bytes = len(raw) - segment_overhead(len(self._segments))
+        if isinstance(raw, SegmentGather):
+            self._segments = raw.segments
+            self.payload_bytes = raw.nbytes - _SEGMENT_HEADER.size * len(raw.segments)
+        else:
+            self._segments = decode_segments(raw)
+            self.payload_bytes = len(raw) - segment_overhead(len(self._segments))
         self._cursor = 0
         self._finished = False
 
@@ -145,10 +148,10 @@ class MadIncoming:
         return data
 
     def unpack_express(self) -> bytes:
-        return self.unpack(PackMode.EXPRESS)
+        return self.unpack(_EXPRESS)
 
     def unpack_cheaper(self) -> bytes:
-        return self.unpack(PackMode.CHEAPER)
+        return self.unpack(_CHEAPER)
 
     @property
     def remaining_segments(self) -> int:
@@ -176,7 +179,7 @@ def _wire_parts(segments: Sequence[Tuple[PackMode, bytes]]) -> List[bytes]:
     """The wire image of ``segments`` as a list of buffers, in order."""
     parts: List[bytes] = []
     for mode, data in segments:
-        parts.append(_SEGMENT_HEADER.pack(mode.wire_code, len(data)))
+        parts.append(_SEGMENT_HEADER.pack(0 if mode is _EXPRESS else 1, len(data)))
         if isinstance(data, Gather):
             parts.extend(data.parts)
         elif len(data):

@@ -39,7 +39,12 @@ class Operation:
             tc.encode(out, value)
 
     def decode_args(self, inp: CdrInputStream) -> List:
-        return [tc.decode(inp) for _pname, tc in self.params]
+        # a loop, not a comprehension: Python 3.12 inlines comprehensions
+        # (PEP 709), and the per-round-trip call pins must not depend on it
+        args = []
+        for _pname, tc in self.params:
+            args.append(tc.decode(inp))
+        return args
 
     def encode_result(self, out: CdrOutputStream, value) -> None:
         self.result.encode(out, value)

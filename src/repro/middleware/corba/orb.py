@@ -78,14 +78,15 @@ class Servant:
 
 class _ClientConnection:
     """One cached client-side GIOP connection: replies are matched to their
-    callers by request id as they arrive."""
+    callers by request id as they arrive; a close fails every call still
+    waiting for its reply."""
 
     def __init__(self, orb: "ORB", sock: SysWrapSocket):
         self.orb = orb
         self.sim = orb.sim
         self.sock = sock
         self._pending: Dict[int, object] = {}
-        sock.on_records(GIOP_HEADER, body_size, self._on_reply)
+        sock.on_records(GIOP_HEADER, body_size, self._on_reply, self._on_close)
 
     def send_request(self, message: GiopMessage, ev, oneway: bool) -> None:
         """Send ``message``: its caller's ``ev`` completes with the matched
@@ -101,6 +102,11 @@ class _ClientConnection:
         if ev is not None:
             # Demarshalling cost of the reply on the client side.
             ev.succeed(reply, delay=self.orb.message_cost(len(reply.body)))
+
+    def _on_close(self, _sock) -> None:
+        pending, self._pending = self._pending, {}
+        for ev in pending.values():
+            ev.fail(ConnectionError("ORB server closed the connection"))
 
 
 class Proxy:

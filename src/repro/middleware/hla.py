@@ -151,7 +151,7 @@ class RtiAmbassador:
         sock = self.syswrap.socket()
         yield sock.connect((self.rtig_host, self.port))
         self._sock = sock
-        sock.on_records(_FRAME, _frame_len, self._received)
+        sock.on_records(_FRAME, _frame_len, self._received, self._closed)
 
     def _received(self, _sock, _fields, payload) -> None:
         msg = pickle.loads(bytes(payload))
@@ -162,6 +162,11 @@ class RtiAmbassador:
             )
         else:
             self._reply_waiters.pop(0).succeed(msg)
+
+    def _closed(self, _sock) -> None:
+        waiters, self._reply_waiters = self._reply_waiters, []
+        for reply_ev in waiters:
+            reply_ev.fail(ConnectionError("RTIG closed the connection"))
 
     def _request(self, msg: dict):
         if self._sock is None:

@@ -96,6 +96,7 @@ class VioSocket:
             self._link.close()
         if self._listener is not None:
             self._listener.close()
+        self.vio._sockets.pop(id(self), None)
 
     # -- introspection ------------------------------------------------------------------
     @property

@@ -352,31 +352,30 @@ class Network:
         NIC transmit link to be free, occupies it for the serialisation time,
         then arrives at ``dst`` after the wire latency.  The destination
         NIC's receive handler (installed by the arbitration layer) is invoked
-        at arrival time.
+        at arrival time.  :meth:`serialization_time` and :meth:`link_alive`
+        are inlined here, with the same operands in the same order.
         """
-        src_nic = self.nic_of(src)
-        dst_nic = self.nic_of(dst)
+        src_nic = self.nics.get(src) or self.nic_of(src)
+        dst_nic = self.nics.get(dst) or self.nic_of(dst)
         if src is dst:
             raise ValueError(
                 f"{self.name}: transmit() to self; use the Loopback network for local links"
             )
-        frame = Frame(
-            frame_id=next(self._frame_counter),
-            src=src,
-            dst=dst,
-            network=self,
-            channel=channel,
-            payload=immutable(payload),
-            meta=dict(meta or {}),
+        if type(payload) is not bytes:
+            payload = immutable(payload)
+        # a Gather's or a byte view's cached length: no Python-level __len__
+        nbytes = len(payload) if type(payload) is bytes else payload.nbytes
+        meta = dict(meta or {})
+        frame = Frame(next(self._frame_counter), src, dst, self, channel, payload, meta)
+        packets = 1 if nbytes <= 0 else int(math.ceil(nbytes / self.mtu))
+        begin, end = src_nic.reserve_tx(
+            self.sim.now + send_cost, (nbytes + packets * self.header_bytes) / self.bandwidth
         )
-        nbytes = frame.nbytes
-        ready = self.sim.now + send_cost
-        begin, end = src_nic.reserve_tx(ready, self.serialization_time(nbytes))
         arrival = end + self.latency
-        frame.meta.setdefault("tx_begin", begin)
-        frame.meta.setdefault("tx_end", end)
-        frame.meta.setdefault("arrival", arrival)
-        if not self.link_alive(src, dst):
+        meta.setdefault("tx_begin", begin)
+        meta.setdefault("tx_end", end)
+        meta.setdefault("arrival", arrival)
+        if not (self.up and src.up and dst.up):
             # The sender cannot tell: the bytes leave the NIC and vanish.
             # Reliability above this point is the job of the layers that the
             # monitoring/adaptive subsystem provides (acks + retransmission).

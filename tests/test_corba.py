@@ -336,6 +336,27 @@ def test_orb_call_whose_socket_closes_during_the_marshal_charge_fails_only_its_c
     assert server_orb.requests_served == 1
 
 
+def test_orb_call_in_flight_when_the_server_closes_fails_with_connection_error(cluster):
+    """The server hangs up on a cached connection while the next request is
+    on its way: the request is never answered, and the close fails the
+    call instead of leaving its caller parked for good."""
+    fw, group = cluster
+    servant, proxy, server_orb, client_orb, ref = make_orbs(fw, group)
+
+    def scenario():
+        yield from proxy.invoke("add", 0.0, 0.0)  # opens and caches the connection
+        for sock in list(server_orb.syswrap._sockets.values()):
+            if sock.connected:  # the accepted connection, not the listener
+                sock.close()
+        try:
+            yield from proxy.invoke("add", 1.0, 2.0)
+        except ConnectionError as exc:
+            return str(exc)
+
+    assert "closed" in run(fw, scenario())
+    assert server_orb.requests_served == 1
+
+
 @pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
 def test_orb_server_goes_on_when_a_client_hangs_up_before_its_reply(network, request):
     """The demarshalling and marshalling charges delay the reply's send: a

@@ -47,7 +47,7 @@ from repro.monitoring.probes import LOOKAHEAD
 from repro.simnet import fluid
 from repro.simnet.buffers import Gather, StreamBuffer
 from repro.simnet.engine import Simulator
-from repro.simnet.host import Host
+from repro.simnet.host import Host, HostGroup
 from repro.simnet.networks import Ethernet100, WanVthd, grid_deployment
 from repro.simnet.tcp import TcpStack
 
@@ -868,16 +868,27 @@ def chained_read_calls(reads):
     return repro_calls(profile)
 
 
-def repro_calls(profile):
-    """``profile``'s calls of functions under ``src/repro``, comprehensions
-    left out (Python 3.12 inlines them into their function)."""
+def repro_call_counts(profile):
+    """``profile``'s calls of each function under ``src/repro``, keyed as
+    ``pstats`` keys them: ``(filename, first line, name)``.
+
+    No comprehension may run on a pinned path: Python 3.12 inlines them
+    into their function (PEP 709), so a pin that counted one would hold on
+    one interpreter only (``Operation.decode_args`` is a loop for this)."""
     root = str(Path(repro.__file__).parent)
-    inlined = {"<listcomp>", "<dictcomp>", "<setcomp>"}
-    return sum(
-        ncalls
-        for (filename, _line, name), (_cc, ncalls, *_rest) in pstats.Stats(profile).stats.items()
-        if filename.startswith(root) and name not in inlined
-    )
+    counts = {
+        key: ncalls
+        for key, (_cc, ncalls, *_rest) in pstats.Stats(profile).stats.items()
+        if key[0].startswith(root)
+    }
+    inlined = [key for key in counts if key[2] in ("<listcomp>", "<dictcomp>", "<setcomp>")]
+    assert not inlined, f"comprehensions on a pinned path: {inlined}"
+    return counts
+
+
+def repro_calls(profile):
+    """``profile``'s calls of functions under ``src/repro``."""
+    return sum(repro_call_counts(profile).values())
 
 
 def test_a_satisfied_read_inside_a_drain_is_six_python_calls():
@@ -889,10 +900,10 @@ def test_a_satisfied_read_inside_a_drain_is_six_python_calls():
     assert chained_read_calls(256) - chained_read_calls(128) == 6 * 128
 
 
-def round_trip_calls(make, round_trips):
-    """Python calls under ``src/repro`` of ``round_trips`` 8-byte round
-    trips on a fresh ladder rung, built and warmed up as its
-    ``stack_pingpong`` batch does."""
+def round_trip_call_counts(make, round_trips):
+    """Python calls of each function under ``src/repro`` in
+    ``round_trips`` 8-byte round trips on a fresh ladder rung, built and
+    warmed up as its ``stack_pingpong`` batch does."""
     rung = make()
 
     def warm_up():
@@ -911,27 +922,36 @@ def round_trip_calls(make, round_trips):
         profile.enable()
         rung.sim.run(until=rung.sim.process(traffic()), max_time=60)
         profile.disable()
-    return repro_calls(profile)
+    return repro_call_counts(profile)
+
+
+def round_trip_calls(make, round_trips):
+    """Python calls under ``src/repro`` of ``round_trips`` round trips."""
+    return sum(round_trip_call_counts(make, round_trips).values())
 
 
 #: Python calls under ``src/repro`` per 8-byte round trip, by rung, in
 #: ``stack.RUNGS`` order: what each layer's code costs the simulator host
 #: (each ORB 430 and Java sockets 326 while the middleware above SysWrap read
 #: a message's header, then its body, and ran its read charges as Timeouts;
-#: 376 and 310 while its write charges were Timeouts before the send).
+#: 376 and 310 while its write charges were Timeouts before the send; the
+#: wire 57, Madeleine 174, MadIO 198, Circuit 272, VLink 246, MPI 340
+#: (standalone 248), each ORB 368 and Java sockets 294 while Madeleine
+#: recomputed its channel's identity per message and ``transmit`` called
+#: the timing model's helpers).
 RUNG_CALLS = {
-    "simnet.network": 57,
-    "madeleine": 174,
-    "arbitration.madio": 198,
-    "abstraction.circuit": 272,
-    "abstraction.vlink": 246,
-    "middleware.mpi": 340,
-    "middleware.mpi_standalone": 248,
-    "middleware.corba": 368,
-    "middleware.corba.omniorb3": 368,
-    "middleware.corba.mico": 368,
-    "middleware.corba.orbacus": 368,
-    "middleware.javasockets": 294,
+    "simnet.network": 41,
+    "madeleine": 100,
+    "arbitration.madio": 114,
+    "abstraction.circuit": 182,
+    "abstraction.vlink": 162,
+    "middleware.mpi": 246,
+    "middleware.mpi_standalone": 162,
+    "middleware.corba": 286,
+    "middleware.corba.omniorb3": 286,
+    "middleware.corba.mico": 286,
+    "middleware.corba.orbacus": 286,
+    "middleware.javasockets": 210,
 }
 
 
@@ -942,6 +962,20 @@ def test_a_ladder_round_trip_costs_its_python_calls_exactly(make, layer):
     assert make().layer == layer
     calls = round_trip_calls(make, 256) - round_trip_calls(make, 128)
     assert calls == RUNG_CALLS[layer] * 128
+
+
+def test_a_madeleine_round_trip_recomputes_nothing_fixed_at_channel_open():
+    """A channel's group, ranks and hosts and a packed message's segment
+    count and length are fixed before a message is sent: the 256 − 128
+    round-trip difference of the Madeleine rung runs none of the helpers
+    that recompute them (``PackMode.wire_code`` is gone: a segment header's
+    mode code is an identity test)."""
+    window = round_trip_call_counts(stack.MadeleineRung, 256)
+    for key, ncalls in round_trip_call_counts(stack.MadeleineRung, 128).items():
+        window[key] -= ncalls
+    for fn in (HostGroup.index_of, HostGroup.__getitem__, Gather.__len__, segment_overhead):
+        code = fn.__code__
+        assert window.get((code.co_filename, code.co_firstlineno, code.co_name), 0) == 0, fn
 
 
 class _OffLadder:
@@ -1013,11 +1047,13 @@ class _PvmEcho(_OffLadder):
 #: Python calls under ``src/repro`` per round trip of the middleware off
 #: the ladder, measured as :data:`RUNG_CALLS` is (gSOAP 347 while a process
 #: per connection read each request and a Timeout ran each charge; HLA 304
-#: while a Timeout ran the request's charge before its send).
+#: while a Timeout ran the request's charge before its send; gSOAP 310, HLA
+#: 290 and PVM 336 while Madeleine recomputed its channel's identity per
+#: message).
 MIDDLEWARE_CALLS = {
-    "gsoap": (_SoapEcho, 310),
-    "hla": (_RtiAck, 290),
-    "pvm": (_PvmEcho, 336),
+    "gsoap": (_SoapEcho, 226),
+    "hla": (_RtiAck, 206),
+    "pvm": (_PvmEcho, 242),
 }
 
 

@@ -17,7 +17,12 @@ from repro.middleware.soap import (
     parse_envelope,
 )
 from repro.personalities.syswrap import SysWrap
-from repro.middleware.hla import FederateAmbassador, RtiAmbassador, RtiGateway
+from repro.middleware.hla import (
+    RTI_MESSAGE_OVERHEAD,
+    FederateAmbassador,
+    RtiAmbassador,
+    RtiGateway,
+)
 from repro.middleware.pvm import PvmError, PvmTask
 from repro.middleware.dsm import DsmError, DsmNode
 
@@ -371,6 +376,34 @@ def test_hla_rtig_drops_a_federate_whose_connection_closes(cluster):
         return joined, sorted(rtig._federations["sim"])
 
     assert run(fw, scenario()) == (["leaver"], [])
+
+
+def test_hla_request_in_flight_when_the_rtig_closes_fails_with_connection_error(cluster):
+    """The RTIG hangs up after a request left the federate (its overhead
+    after the call) and before the answer (the RTIG's overhead after the
+    request arrives): the close fails the request instead of leaving the
+    federate parked for good."""
+    fw, group = cluster
+    rtig = RtiGateway(fw.node(group[0].name), port=17104)
+    amb = RtiAmbassador(fw.node(group[1].name), group[0], port=17104)
+
+    def join():
+        try:
+            yield from amb.join_federation_execution("late", "sim")
+        except ConnectionError as exc:
+            return str(exc)
+
+    def scenario():
+        yield from amb.create_federation_execution("sim")
+        call = fw.sim.process(join())
+        yield fw.sim.timeout(1.5 * RTI_MESSAGE_OVERHEAD)
+        assert len(amb._reply_waiters) == 1  # the request is on its way
+        for sock in list(rtig.syswrap._sockets.values()):
+            if sock.connected:  # the federate's connection, not the listener
+                sock.close()
+        return (yield call)
+
+    assert "closed" in run(fw, scenario())
 
 
 def test_hla_rtig_goes_on_when_a_federate_hangs_up_before_its_reply(cluster):

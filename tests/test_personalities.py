@@ -47,6 +47,18 @@ def test_vio_connect_send_recv(cluster):
     assert vio0.open_sockets() >= 1
 
 
+def test_a_closed_vio_socket_leaves_its_vio(cluster):
+    fw, group = cluster
+    vio = Vio(fw.node(group[0].name).vlink)
+    vio.socket().close()
+    assert vio.open_sockets() == 0
+    listening = vio.socket().bind(5102).listen()
+    assert vio.open_sockets() == 1
+    listening.close()
+    listening.close()
+    assert vio.open_sockets() == 0
+
+
 def test_vio_usage_errors(cluster):
     fw, group = cluster
     vio = Vio(fw.node(group[0].name).vlink)
