@@ -32,8 +32,8 @@ from repro.madeleine import (
     MadIncoming,
     MadeleineDriver,
     MADELEINE_SERVICE,
-    PackMode,
 )
+from repro.madeleine.message import CHEAPER, EXPRESS
 from repro.arbitration.netaccess import ArbitrationError, NetAccessCore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,14 +78,6 @@ class MadIOChannel:
         self.messages_sent = 0
         self.messages_received = 0
 
-    @property
-    def rank(self) -> int:
-        return self.group.index_of(self.madio.host)
-
-    @property
-    def size(self) -> int:
-        return len(self.group)
-
     def set_receive_callback(
         self, fn: Callable[[int, bytes, bytes, Delivery], None]
     ) -> None:
@@ -124,9 +116,6 @@ class MadIOChannel:
             self._pending.append((src_rank, header, body, delivery))
         else:
             self._receive_callback(src_rank, header, body, delivery)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MadIOChannel {self.name!r} over {self.network.name} rank={self.rank}>"
 
 
 class MadIO:
@@ -236,7 +225,7 @@ class MadIO:
         delivery.cost += self.core.charge_dispatch(MADIO_SUBSYSTEM, nbytes=incoming.payload_bytes)
         delivery.cost += DEMUX_OVERHEAD
 
-        first = incoming.unpack(PackMode.EXPRESS)
+        first = incoming.unpack(EXPRESS)
         name_len, header_len, body_len = _MADIO_HEADER.unpack_from(first, 0)
         offset = _MADIO_HEADER.size
         name = first[offset : offset + name_len].decode("utf-8")
@@ -245,8 +234,8 @@ class MadIO:
             # combined headers: the caller's header follows in the same segment
             header = first[offset : offset + header_len]
         else:
-            header = incoming.unpack(PackMode.EXPRESS) if header_len else b""
-        body = incoming.unpack(PackMode.CHEAPER) if body_len else b""
+            header = incoming.unpack(EXPRESS) if header_len else b""
+        body = incoming.unpack(CHEAPER) if body_len else b""
         incoming.end_unpacking()
 
         network_name = delivery.frame.network.name

@@ -60,9 +60,9 @@ class PackMode(enum.Enum):
         raise MadeleineError(f"unknown pack mode code {code}")
 
 
-# the per-message paths read the modes as globals: on Python 3.11 a member
+# every per-message path reads the modes as globals: on Python 3.11 a member
 # read off the Enum class goes through ``EnumType``'s slow attribute hook
-_EXPRESS, _CHEAPER = PackMode.EXPRESS, PackMode.CHEAPER
+EXPRESS, CHEAPER = PackMode.EXPRESS, PackMode.CHEAPER
 
 #: wire header in front of every packed segment: (mode, length)
 _SEGMENT_HEADER = struct.Struct("!BI")
@@ -84,21 +84,21 @@ class MadMessage:
         """Append one buffer to the message (by reference when immutable)."""
         if self._finished:
             raise MadeleineError("pack() after end_packing()")
-        if mode is not _CHEAPER and mode is not _EXPRESS:
+        if mode is not CHEAPER and mode is not EXPRESS:
             raise MadeleineError(f"mode must be a PackMode, got {mode!r}")
         if type(data) is not bytes:
             data = immutable(data)
         self._segments.append((mode, data))
         self.payload_bytes += len(data)
-        if mode is _EXPRESS:
+        if mode is EXPRESS:
             self.express_bytes += len(data)
         return self
 
     def pack_express(self, data: bytes) -> "MadMessage":
-        return self.pack(data, _EXPRESS)
+        return self.pack(data, EXPRESS)
 
     def pack_cheaper(self, data: bytes) -> "MadMessage":
-        return self.pack(data, _CHEAPER)
+        return self.pack(data, CHEAPER)
 
     @property
     def segment_count(self) -> int:
@@ -148,10 +148,10 @@ class MadIncoming:
         return data
 
     def unpack_express(self) -> bytes:
-        return self.unpack(_EXPRESS)
+        return self.unpack(EXPRESS)
 
     def unpack_cheaper(self) -> bytes:
-        return self.unpack(_CHEAPER)
+        return self.unpack(CHEAPER)
 
     @property
     def remaining_segments(self) -> int:
@@ -179,7 +179,7 @@ def _wire_parts(segments: Sequence[Tuple[PackMode, bytes]]) -> List[bytes]:
     """The wire image of ``segments`` as a list of buffers, in order."""
     parts: List[bytes] = []
     for mode, data in segments:
-        parts.append(_SEGMENT_HEADER.pack(0 if mode is _EXPRESS else 1, len(data)))
+        parts.append(_SEGMENT_HEADER.pack(0 if mode is EXPRESS else 1, len(data)))
         if isinstance(data, Gather):
             parts.extend(data.parts)
         elif len(data):

@@ -23,7 +23,7 @@ import struct
 from typing import Dict, List, Tuple
 
 from repro.simnet.cost import KB, MICROSECOND
-from repro.madeleine.message import PackMode
+from repro.madeleine.message import EXPRESS
 from repro.abstraction.circuit import Circuit, CircuitIncoming
 
 
@@ -149,7 +149,7 @@ class DsmNode:
         self.circuit.post(msg, extra_cost=DSM_PROTOCOL_OVERHEAD)
 
     def _on_message(self, src_rank: int, incoming: CircuitIncoming, rx) -> None:
-        header = incoming.unpack(PackMode.EXPRESS)
+        header = incoming.unpack(EXPRESS)
         payload = incoming.unpack() if incoming.remaining_segments else b""
         incoming.end_unpacking()
         kind, page, requester = _MSG.unpack(header)

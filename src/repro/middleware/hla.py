@@ -19,14 +19,16 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.simnet.cost import MICROSECOND
-from repro.personalities.syswrap import SysWrap, SysWrapSocket
+from repro.personalities.syswrap import RequestSession, SysWrap, SysWrapSocket
 
 _FRAME = struct.Struct("!I")
 _frame_len = itemgetter(0)
+_REFLECTED = itemgetter("object_id", "object_class", "attributes", "sender", "timestamp")
 RTI_MESSAGE_OVERHEAD = 20.0 * MICROSECOND
 
 
@@ -59,9 +61,9 @@ class RtiGateway:
         sock = self.syswrap.socket()
         sock.bind((node.host.name, port))
         sock.listen()
-        sock.on_ready(
-            lambda conn: conn.on_records(_FRAME, _frame_len, self._received, self._closed)
-        )
+        # a message is served RTI_MESSAGE_OVERHEAD after it arrived
+        serve = partial(self.sim.call_later, RTI_MESSAGE_OVERHEAD, self._serve)
+        sock.on_ready(lambda conn: conn.on_records(_FRAME, _frame_len, serve, self._closed))
 
     # -- wire helpers ------------------------------------------------------------
     @staticmethod
@@ -69,16 +71,14 @@ class RtiGateway:
         payload = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
         return _FRAME.pack(len(payload)) + payload
 
-    def _received(self, sock: SysWrapSocket, _fields, payload) -> None:
-        self.sim.call_later(RTI_MESSAGE_OVERHEAD, self._serve, sock, payload)
-
     def _closed(self, sock: SysWrapSocket) -> None:
         federate = self._members.pop(sock, None)
         if federate is not None:
             self._federations.get(federate.federation, {}).pop(federate.name, None)
 
-    def _serve(self, sock: SysWrapSocket, payload) -> None:
-        """Answer one message, :data:`RTI_MESSAGE_OVERHEAD` after it arrived."""
+    def _serve(self, sock: SysWrapSocket, _fields, payload) -> None:
+        """Answer one message; a federation service from a connection that
+        has not joined is an error."""
         msg = pickle.loads(bytes(payload))
         kind = msg["kind"]
         federate = self._members.get(sock)
@@ -93,6 +93,8 @@ class RtiGateway:
                 federate = _Federate(msg["federate"], msg["federation"], sock)
                 federation[federate.name] = self._members[sock] = federate
                 reply = {"kind": "joined", "federate": federate.name}
+        elif federate is None:
+            reply = {"kind": "error", "message": f"{kind!r} before joining a federation"}
         elif kind == "publish":
             federate.published.add(msg["object_class"])
             reply = {"kind": "ack"}
@@ -138,82 +140,51 @@ class RtiAmbassador:
                  federate_ambassador: Optional[FederateAmbassador] = None):
         self.node = node
         self.sim = node.sim
-        self.rtig_host = rtig_host
-        self.port = port
         self.syswrap = SysWrap(node.vlink)
         self.federate_ambassador = federate_ambassador or FederateAmbassador()
-        self._sock: Optional[SysWrapSocket] = None
-        #: the requests awaiting their reply, in the order they were sent
-        self._reply_waiters: List = []
+        self.session = RequestSession(
+            self.syswrap, (rtig_host, port),
+            lambda sock, *on: sock.on_records(_FRAME, _frame_len, *on), self._match)
 
-    # -- connection and request/response plumbing ----------------------------------
-    def _connect(self):
-        sock = self.syswrap.socket()
-        yield sock.connect((self.rtig_host, self.port))
-        self._sock = sock
-        sock.on_records(_FRAME, _frame_len, self._received, self._closed)
-
-    def _received(self, _sock, _fields, payload) -> None:
+    # -- request/response plumbing -------------------------------------------------------
+    def _match(self, _sock, _fields, payload):
+        """The session's matcher: replies come in request order; a reflection
+        goes to the federate ambassador."""
         msg = pickle.loads(bytes(payload))
-        if msg["kind"] == "reflect":
-            self.federate_ambassador.reflect_attribute_values(
-                msg["object_id"], msg["object_class"], msg["attributes"],
-                msg["sender"], msg.get("timestamp"),
-            )
-        else:
-            self._reply_waiters.pop(0).succeed(msg)
+        if msg["kind"] != "reflect":
+            return None, msg, 0.0
+        self.federate_ambassador.reflect_attribute_values(*_REFLECTED(msg))
 
-    def _closed(self, _sock) -> None:
-        waiters, self._reply_waiters = self._reply_waiters, []
-        for reply_ev in waiters:
-            reply_ev.fail(ConnectionError("RTIG closed the connection"))
-
-    def _request(self, msg: dict):
-        if self._sock is None:
-            yield from self._connect()
-        reply_ev = self.sim.event(name="rti-reply")
-        # the federate's per-message cost delays the send
-        self.sim.call_later(RTI_MESSAGE_OVERHEAD, self._post, RtiGateway._encode(msg), reply_ev)
-        reply = yield reply_ev
+    def _request(self, msg: dict, answer: Optional[str] = None):
+        """The reply's ``answer`` field (generator); the federate's cost delays the send."""
+        reply = self.sim.event(name="rti-reply")
+        self.session.call(RTI_MESSAGE_OVERHEAD, RtiGateway._encode(msg), reply)
+        reply = yield reply
         if reply.get("kind") == "error":
             raise RtiError(reply.get("message", "RTI error"))
-        return reply
-
-    def _post(self, wire, reply_ev) -> None:
-        if self._sock.post(wire, reply_ev):
-            self._reply_waiters.append(reply_ev)
+        return reply.get(answer)
 
     # -- federation management services ---------------------------------------------------
     def create_federation_execution(self, federation: str):
-        yield from self._request({"kind": "create_federation", "federation": federation})
+        return self._request({"kind": "create_federation", "federation": federation})
 
     def join_federation_execution(self, federate: str, federation: str):
-        reply = yield from self._request(
-            {"kind": "join", "federate": federate, "federation": federation}
-        )
-        return reply["federate"]
+        return self._request({"kind": "join", "federate": federate, "federation": federation},
+                             "federate")
 
     # -- declaration management --------------------------------------------------------------
     def publish_object_class(self, object_class: str):
-        yield from self._request({"kind": "publish", "object_class": object_class})
+        return self._request({"kind": "publish", "object_class": object_class})
 
     def subscribe_object_class(self, object_class: str):
-        yield from self._request({"kind": "subscribe", "object_class": object_class})
+        return self._request({"kind": "subscribe", "object_class": object_class})
 
     # -- object management ---------------------------------------------------------------------
     def register_object_instance(self, object_class: str):
-        reply = yield from self._request(
-            {"kind": "register_object", "object_class": object_class}
-        )
-        return reply["object_id"]
+        return self._request({"kind": "register_object", "object_class": object_class},
+                             "object_id")
 
     def update_attribute_values(self, object_id: int, attributes: Dict[str, object],
                                 timestamp: Optional[float] = None):
-        yield from self._request(
-            {
-                "kind": "update",
-                "object_id": object_id,
-                "attributes": attributes,
-                "timestamp": timestamp,
-            }
-        )
+        return self._request({"kind": "update", "object_id": object_id,
+                              "attributes": attributes, "timestamp": timestamp})

@@ -9,7 +9,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simnet.buffers import immutable
 from repro.simnet.host import HostGroup
-from repro.madeleine.message import PackMode
+from repro.madeleine.message import CHEAPER, EXPRESS
 from repro.personalities.madeleine_api import VirtualMadeleine
 from repro.middleware.mpi.collectives import CollectiveMixin
 from repro.middleware.mpi.datatypes import Datatype, MPI_BYTE
@@ -106,7 +106,7 @@ class MpiRuntime:
     # -- the progress engine -------------------------------------------------------
     def _on_message(self, src_rank: int, incoming, rx) -> None:
         """The channel's receive callback: demultiplex to the communicator."""
-        header = incoming.unpack(PackMode.EXPRESS)
+        header = incoming.unpack(EXPRESS)
         payload = incoming.unpack() if incoming.remaining_segments else b""
         incoming.end_unpacking()
         context, tag, hdr_src, flags = _MPI_HEADER.unpack(header)
@@ -114,9 +114,6 @@ class MpiRuntime:
         if comm is None:
             raise MpiError(f"message for unknown communicator context {context}")
         comm._on_message(hdr_src, tag, flags, payload)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MpiRuntime {self.profile.name} rank={self.comm_world.rank}/{self.comm_world.size}>"
 
 
 class Communicator(CollectiveMixin):
@@ -182,8 +179,8 @@ class Communicator(CollectiveMixin):
         cost = profile.per_call_overhead + len(payload) / profile.copy_bandwidth
         channel = self.runtime.channel
         msg = channel.begin_packing(dest)
-        msg.pack(header, PackMode.EXPRESS)
-        msg.pack(payload, PackMode.CHEAPER)
+        msg.pack(header, EXPRESS)
+        msg.pack(payload, CHEAPER)
         channel.end_packing(msg, extra_cost=cost, done=req.event)
         self.sends += 1
         return req
@@ -291,6 +288,3 @@ class Communicator(CollectiveMixin):
 
     def pending_unexpected(self) -> int:
         return len(self._unexpected)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Communicator ctx={self.context} rank={self.rank}/{self.size}>"

@@ -19,7 +19,7 @@ import struct
 from typing import List, Optional, Tuple
 
 from repro.simnet.cost import MICROSECOND, MB
-from repro.madeleine.message import PackMode
+from repro.madeleine.message import EXPRESS
 from repro.abstraction.circuit import Circuit, CircuitIncoming
 
 
@@ -201,7 +201,7 @@ class PvmTask:
         return (want_src in (-1, src)) and (want_tag in (-1, tag))
 
     def _on_message(self, src_rank: int, incoming: CircuitIncoming, rx) -> None:
-        header = incoming.unpack(PackMode.EXPRESS)
+        header = incoming.unpack(EXPRESS)
         payload = incoming.unpack() if incoming.remaining_segments else b""
         incoming.end_unpacking()
         src_tid, tag, _count = _PVM_HEADER.unpack(header)

@@ -16,14 +16,13 @@ delay of the send or the completion it precedes.
 
 from __future__ import annotations
 
+import base64
 import re
-from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.simnet.cost import MB, MICROSECOND
-from repro.personalities.syswrap import ReplyQueue, SysWrap, SysWrapSocket
+from repro.personalities.syswrap import ReplyQueue, RequestSession, SysWrap, SysWrapSocket
 
 SoapValue = Union[int, float, str, bool, bytes, list]
 
@@ -64,8 +63,6 @@ def _encode_value(name: str, value: SoapValue) -> str:
         escaped = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         return f'<{name} xsi:type="xsd:string">{escaped}</{name}>'
     if isinstance(value, bytes):
-        import base64
-
         return f'<{name} xsi:type="xsd:base64Binary">{base64.b64encode(value).decode()}</{name}>'
     if isinstance(value, list):
         inner = "".join(_encode_value("item", item) for item in value)
@@ -91,8 +88,6 @@ def _decode_body(body: str) -> List[Tuple[str, SoapValue]]:
         elif xsi_type == "xsd:string":
             out.append((name, text.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")))
         elif xsi_type == "xsd:base64Binary":
-            import base64
-
             out.append((name, base64.b64decode(text)))
         elif xsi_type == "soapenc:Array":
             out.append((name, [v for _n, v in _decode_body(text)]))
@@ -101,7 +96,7 @@ def _decode_body(body: str) -> List[Tuple[str, SoapValue]]:
 
 def build_envelope(operation: str, params: Dict[str, SoapValue]) -> str:
     """Build a SOAP 1.1 request envelope for ``operation``."""
-    body = "".join(_encode_value(k, v) for k, v in params.items())
+    body = "".join(map(_encode_value, params, params.values()))
     return (
         '<?xml version="1.0" encoding="UTF-8"?>'
         '<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/" '
@@ -216,36 +211,23 @@ class SoapServer:
         self._handlers[operation] = handler
 
     def _serve(self, sock: SysWrapSocket) -> None:
-        replies = ReplyQueue(sock, self._dispatch)
+        replies = ReplyQueue(sock, self._handle, self._reply, self._fault)
         on_http_messages(sock, lambda body: replies.request(self.profile.cost(len(body)), body))
 
-    def _dispatch(self, body: bytes):
-        """``(encoding seconds, wire)`` of the reply to ``body``, or a
-        generator returning it."""
-        try:
-            operation, params = parse_envelope(body.decode("utf-8"))
-            handler = self._handlers.get(operation)
-            if handler is None:
-                raise SoapFault(f"no such operation {operation!r}")
-            result = handler(**dict(params))
-            if hasattr(result, "send") and hasattr(result, "throw"):
-                return self._nested(operation, result)
-            return self._reply(operation, result)
-        except Exception as exc:  # noqa: BLE001 - surfaced as a SOAP fault
-            return self._fault(exc)
-
-    def _nested(self, operation: str, handler):
-        try:
-            return self._reply(operation, (yield from handler))
-        except Exception as exc:  # noqa: BLE001 - surfaced as a SOAP fault
-            return self._fault(exc)
+    def _handle(self, body: bytes):
+        """``(operation, the handler's result)`` of a request."""
+        operation, params = parse_envelope(body.decode("utf-8"))
+        handler = self._handlers.get(operation)
+        if handler is None:
+            raise SoapFault(f"no such operation {operation!r}")
+        return operation, handler(**dict(params))
 
     def _reply(self, operation: str, result):
         payload = build_envelope(f"{operation}Response", {"return": result}).encode("utf-8")
         self.requests_served += 1
         return self.profile.cost(len(payload)), http_response(payload)
 
-    def _fault(self, exc: Exception):
+    def _fault(self, _body, exc: Exception):
         payload = build_fault(str(exc)).encode("utf-8")
         return self.profile.cost(len(payload)), http_response(payload)
 
@@ -257,44 +239,21 @@ class SoapClient:
     def __init__(self, node, server_host, port: int, profile: Optional[SoapProfile] = None):
         self.node = node
         self.sim = node.sim
-        self.server_host = server_host
-        self.port = port
         self.profile = profile or SoapProfile()
-        self.syswrap = SysWrap(node.vlink)
+        self.syswrap = syswrap = SysWrap(node.vlink)
         self._host_header = str(server_host)
-        self._sock: Optional[SysWrapSocket] = None
-        #: the calls awaiting their reply on ``_sock``, in the order they were sent
-        self._waiters = deque()
+        self.session = RequestSession(syswrap, (server_host, port), on_http_messages, self._match)
 
     def call(self, operation: str, **params):
         """Invoke ``operation`` with keyword parameters (generator)."""
         envelope = build_envelope(operation, params).encode("utf-8")
-        request = http_post("/soap", self._host_header, envelope)
-        cost = self.profile.cost(len(envelope))
         reply = self.sim.event(name="soap-reply")
-        if self._sock is None:  # the first call connects once it is encoded
-            yield self.sim.timeout(cost)
-            sock = self.syswrap.socket()
-            yield sock.connect((self.server_host, self.port))
-            # a call racing this one may have connected too: each connection
-            # answers the calls it carries
-            self._sock, self._waiters = sock, deque()
-            on_http_messages(sock, partial(self._on_reply, self._waiters),
-                             partial(self._on_close, self._waiters))
-            self._post(request, reply)
-        else:
-            self.sim.call_later(cost, self._post, request, reply)
+        self.session.call(self.profile.cost(len(envelope)),
+                          http_post("/soap", self._host_header, envelope), reply)
         body = yield reply
         return dict(parse_envelope(body.decode("utf-8"))[1]).get("return")
 
-    def _post(self, request: bytes, reply) -> None:
-        if self._sock.post(request, reply):
-            self._waiters.append(reply)
-
-    def _on_reply(self, waiters: deque, body: bytes) -> None:
-        waiters.popleft().succeed(body, delay=self.profile.cost(len(body)))
-
-    @staticmethod
-    def _on_close(waiters: deque, _sock) -> None:
-        while waiters:
-            waiters.popleft().fail(ConnectionError("SOAP server closed the connection"))
+    def _match(self, body: bytes):
+        """The session's matcher: replies come in call order, each once its
+        decoding cost has elapsed."""
+        return None, body, self.profile.cost(len(body))

@@ -18,12 +18,21 @@ their code, which is the paper's central claim.  The middleware takes its
 connections and bytes in callbacks (:meth:`SysWrapSocket.on_ready`), and a
 cost that precedes a send delays the send (``call_later(cost, sock.send,
 data, done)``, or :meth:`SysWrapSocket.post` when nothing waits on it).
+
+The request/reply middleware (the ORB, gSOAP, the RTI) shares one client,
+:class:`RequestSession`, and one server, :class:`ReplyQueue`.  A session
+connects lazily: a call that finds no connection pays its charge, connects,
+then posts; every other call posts its charge later.  Replies are matched to
+their calls by request id or in order, and a close fails the calls waiting
+on that connection with :class:`ConnectionError` and drops it, so the next
+call reopens one.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from types import GeneratorType
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
@@ -96,9 +105,7 @@ class SysWrapSocket:
                 done.fail(op.value)
 
         attempt = self.syswrap.manager.connect(host, int(port), method=self.syswrap.forced_method)
-        attempt.set_handler(
-            _connected
-        )
+        attempt.set_handler(_connected)
         return done
 
     def send(self, data: bytes, done=None):
@@ -130,9 +137,7 @@ class SysWrapSocket:
             return False
         return True
 
-    def sendall(self, data: bytes):
-        """Identical to :meth:`send` for this facade (no partial writes)."""
-        return self.send(data)
+    sendall = send  # identical for this facade: no partial writes
 
     def recv(self, nbytes: int):
         """Returns an event completing with up to ``nbytes`` bytes."""
@@ -207,41 +212,52 @@ class SysWrapSocket:
             raise SocketError(f"{opname}() on closed socket fd={self.fd}")
         return self._link
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "listening" if self._listener else ("connected" if self._link else "idle")
-        return f"<SysWrapSocket fd={self.fd} {state}>"
-
 
 class ReplyQueue(Serializer):
-    """A server connection's answers, in request order: :meth:`request`
-    runs ``dispatch(request)`` — ``(seconds, wire)``, None (no reply), or a
-    generator returning either, run as a process — and ``wire`` leaves
-    ``seconds`` later, after every earlier request's reply."""
+    """A server connection's answers, in request order.  The middleware
+    supplies ``handler(request) -> (context, result)``, ``reply(context,
+    result)`` and ``fault(request, exc)``, each encoder ``(seconds, wire)``
+    or None (no reply).  :meth:`request` runs the handler ``delay`` seconds
+    later; a result that is a generator (the handler makes calls of its
+    own) runs as a process, and its return value is the result; an
+    exception is answered by ``fault``.  ``wire`` leaves ``seconds`` after
+    it is encoded, and after every earlier request's reply."""
 
-    def __init__(self, sock: SysWrapSocket, dispatch: Callable):
+    def __init__(self, sock: SysWrapSocket, handler: Callable, reply: Callable, fault: Callable):
         super().__init__(sock.sim)
         self.sock = sock
-        self.dispatch = dispatch
+        self.handler, self.reply, self.fault = handler, reply, fault
         #: per request, in order: [] until its reply is encoded, then [wire or None]
         self._slots = deque()
 
     def request(self, delay: float, request) -> None:
-        """Answer ``request`` ``delay`` seconds from now, or after the one
-        before it."""
+        """Answer ``request`` ``delay`` seconds from now, or after the one before."""
         self.after(delay, self._answer, request)
 
     def _answer(self, request) -> None:
         slot = []
         self._slots.append(slot)
-        self._encoded(slot, self.dispatch(request))
+        try:
+            context, result = self.handler(request)
+            if isinstance(result, GeneratorType):
+                nested = self.sim.process(self._nested(request, context, result))
+                return nested.add_callback(lambda done: self._encoded(slot, done.value))
+            answer = self.reply(context, result)
+        except Exception as exc:  # noqa: BLE001 - answered with the middleware's fault
+            answer = self.fault(request, exc)
+        self._encoded(slot, answer)
 
-    def _encoded(self, slot: list, reply) -> None:
-        if isinstance(reply, GeneratorType):
-            self.sim.process(reply).add_callback(lambda done: self._encoded(slot, done.value))
-        elif reply is None:
+    def _nested(self, request, context, handler):
+        try:
+            return self.reply(context, (yield from handler))
+        except Exception as exc:  # noqa: BLE001 - answered with the middleware's fault
+            return self.fault(request, exc)
+
+    def _encoded(self, slot: list, answer) -> None:
+        if answer is None:
             self._ready(slot, None)
         else:
-            self.sim.call_later(reply[0], self._ready, slot, reply[1])
+            self.sim.call_later(answer[0], self._ready, slot, answer[1])
 
     def _ready(self, slot: list, wire) -> None:
         slot.append(wire)
@@ -250,6 +266,77 @@ class ReplyQueue(Serializer):
             wire = slots.popleft()[0]
             if wire is not None:
                 self.sock.post(wire)  # the client may have closed meanwhile
+
+
+#: the ``key`` of a call nothing answers: its ``reply`` completes with the send
+ONEWAY = object()
+
+
+class RequestSession:
+    """A client's calls to the server at ``address``, one connection at a
+    time.  ``framing(sock, on_message, on_close)`` installs the middleware's
+    parser on a connection (:meth:`SysWrapSocket.on_records`, gSOAP's HTTP).
+    ``match(*message)`` is ``(key, value, delay)`` for a reply: the call made
+    with ``key`` (None: the oldest) gets ``value`` ``delay`` seconds later.
+    It is None for a message that is not a reply (handled or dropped)."""
+
+    def __init__(self, syswrap: "SysWrap", address, framing: Callable, match: Callable):
+        self.syswrap, self.sim, self.address = syswrap, syswrap.sim, address
+        self.framing, self.match = framing, match
+        #: the connection calls are posted on, None until one connects or once it closes
+        self.sock: Optional[SysWrapSocket] = None
+        #: the calls awaiting their reply on ``sock``, by key, oldest first
+        self.waiters: dict = {}
+
+    def call(self, cost: float, wire, reply, key=None) -> None:
+        """Post ``wire`` ``cost`` seconds from now; ``reply`` completes with
+        its answer (with the send, for ``key`` :data:`ONEWAY`) or fails.
+        A call that finds no connection connects once its charge is paid."""
+        if self.sock is None:
+            self.sim.call_later(cost, self._connect, wire, reply, key)
+        else:
+            self.sim.call_later(cost, self._post, self.sock, self.waiters, wire, reply, key)
+
+    def _connect(self, wire, reply, key) -> None:
+        sock = self.syswrap.socket()
+
+        def connected(attempt) -> None:
+            if not attempt.ok:
+                sock.close()
+                return reply.fail(attempt.value)
+            # each connection answers the calls it carries, so calls that
+            # race to connect are each answered on their own
+            waiters = {}
+            self.sock, self.waiters = sock, waiters
+            self.framing(sock, partial(self._reply, sock, waiters), partial(self._closed, waiters))
+            self._post(sock, waiters, wire, reply, key)
+
+        sock.connect(self.address).add_callback(connected)
+
+    @staticmethod
+    def _post(sock: SysWrapSocket, waiters: dict, wire, reply, key) -> None:
+        if key is ONEWAY:
+            sock.send(wire, reply)
+        elif sock.post(wire, reply):
+            waiters[reply if key is None else key] = reply
+
+    def _reply(self, sock: SysWrapSocket, waiters: dict, *message) -> None:
+        answer = self.match(*message)
+        if answer is not None:
+            key, value, delay = answer
+            waiter = waiters.pop(next(iter(waiters), None) if key is None else key, None)
+            if waiter is not None:
+                waiter.succeed(value, delay)
+            if not waiters and sock is not self.sock:  # it lost a race to connect
+                sock.close()
+
+    def _closed(self, waiters: dict, sock: SysWrapSocket) -> None:
+        if self.sock is sock:
+            self.sock = None
+        for waiter in waiters.values():
+            waiter.fail(ConnectionError("the server closed the connection"))
+        waiters.clear()
+        sock.close()
 
 
 class SysWrap:

@@ -326,7 +326,7 @@ def test_orb_call_whose_socket_closes_during_the_marshal_charge_fails_only_its_c
         yield from proxy.invoke("add", 0.0, 0.0)  # opens and caches the connection
         call = fw.sim.process(caller())
         yield fw.sim.timeout(client_orb.profile.per_call_overhead / 2)
-        client_orb._client_conns[(ref.host_name, ref.port)].sock.close()
+        proxy.session.sock.close()
         failure = yield call
         yield fw.sim.timeout(1e-3)
         return failure, fw.sim.now
@@ -355,6 +355,31 @@ def test_orb_call_in_flight_when_the_server_closes_fails_with_connection_error(c
 
     assert "closed" in run(fw, scenario())
     assert server_orb.requests_served == 1
+
+
+def close_accepted(syswrap):
+    """Hang up every connection ``syswrap``'s listener accepted."""
+    for sock in list(syswrap._sockets.values()):
+        if sock.connected:  # an accepted connection, not the listener
+            sock.close()
+
+
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_orb_call_after_the_server_closed_reopens_the_connection(network, request):
+    """The server hangs up between two calls: the close drops the client's
+    connection, and the next call connects anew, as the first one did."""
+    fw, group = request.getfixturevalue(network)
+    servant, proxy, server_orb, client_orb, ref = make_orbs(fw, group)
+
+    def scenario():
+        yield from proxy.invoke("add", 0.0, 0.0)
+        close_accepted(server_orb.syswrap)
+        yield fw.sim.timeout(1e-3)
+        return (yield from proxy.invoke("add", 1.0, 2.0))
+
+    assert run(fw, scenario()) == 3.0
+    assert server_orb.requests_served == 2
+    assert client_orb.syswrap.open_fds() == [4]  # the closed one is released
 
 
 @pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
@@ -510,8 +535,7 @@ def test_orb_runs_over_myrinet_through_syswrap(cluster):
 
     def scenario():
         yield from proxy.invoke("add", 1.0, 1.0)
-        conn = client_orb._client_conns[(ref.host_name, ref.port)]
-        return conn.sock.driver_name
+        return proxy.session.sock.driver_name
 
     assert run(fw, scenario()) == "madio"
 

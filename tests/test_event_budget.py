@@ -1049,9 +1049,10 @@ class _PvmEcho(_OffLadder):
 #: per connection read each request and a Timeout ran each charge; HLA 304
 #: while a Timeout ran the request's charge before its send; gSOAP 310, HLA
 #: 290 and PVM 336 while Madeleine recomputed its channel's identity per
-#: message).
+#: message; gSOAP 226 while a generator expression encoded an envelope's
+#: parameters).
 MIDDLEWARE_CALLS = {
-    "gsoap": (_SoapEcho, 226),
+    "gsoap": (_SoapEcho, 224),
     "hla": (_RtiAck, 206),
     "pvm": (_PvmEcho, 242),
 }

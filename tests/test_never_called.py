@@ -51,3 +51,21 @@ def test_the_walk_sees_methods_but_not_nested_functions_or_lambdas():
     )
     names = [q for q, _ in load_tool("measure_coverage").outermost_functions(code)]
     assert sorted(names) == ["A.B.n", "A.m", "top"]
+
+
+def test_check_fails_on_a_stale_entry_as_on_a_missing_one(capsys):
+    """With nothing entered, a list naming every function passes; an entry
+    for a function that runs now (here: one no walk finds) fails as a
+    missing entry does."""
+    coverage = load_tool("measure_coverage")
+    never = {
+        f"{path.relative_to(coverage.SRC).as_posix()}::{qualname}": "reason"
+        for path in sorted((coverage.SRC / "repro").rglob("*.py"))
+        for qualname, _ in coverage.outermost_functions(coverage._compile(path))
+    }
+    assert coverage.report_missed({}, set(), never) == 0
+    stale = {**never, "repro/core/framework.py::entered_now": "reason"}
+    assert coverage.report_missed({}, set(), stale) == 1
+    missing = dict(list(never.items())[1:])
+    assert coverage.report_missed({}, set(), missing) == 1
+    assert "STALE entry, entered now" in capsys.readouterr().out

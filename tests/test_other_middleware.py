@@ -21,6 +21,7 @@ from repro.middleware.hla import (
     RTI_MESSAGE_OVERHEAD,
     FederateAmbassador,
     RtiAmbassador,
+    RtiError,
     RtiGateway,
 )
 from repro.middleware.pvm import PvmError, PvmTask
@@ -283,6 +284,70 @@ def test_soap_server_goes_on_when_a_client_hangs_up_before_its_reply(network, re
     assert server.requests_served == 2
 
 
+def close_accepted(syswrap):
+    """Hang up every connection ``syswrap``'s listener accepted."""
+    for sock in list(syswrap._sockets.values()):
+        if sock.connected:  # an accepted connection, not the listener
+            sock.close()
+
+
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_soap_call_after_the_server_closed_reopens_the_connection(network, request):
+    """The server hangs up between two calls: the next call connects anew."""
+    fw, group = request.getfixturevalue(network)
+    server = SoapServer(fw.node(group[1].name), 18207)
+    server.register("echo", lambda data="": data)
+    client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18207)
+
+    def scenario():
+        first = yield from client.call("echo", data="first")
+        close_accepted(server.syswrap)
+        yield fw.sim.timeout(1e-3)
+        return first, (yield from client.call("echo", data="second"))
+
+    assert run(fw, scenario()) == ("first", "second")
+    assert server.requests_served == 2
+    assert client.syswrap.open_fds() == [4]  # the closed one is released
+
+
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_soap_call_whose_connect_is_refused_fails_and_releases_its_socket(network, request):
+    fw, group = request.getfixturevalue(network)
+    client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18208)
+
+    def scenario():
+        try:
+            yield from client.call("echo", data="x")
+        except ConnectionError as exc:  # refused: by the MadIO driver or by TCP
+            return exc
+
+    assert isinstance(run(fw, scenario()), ConnectionError)
+    assert client.syswrap.open_fds() == []
+
+
+def test_soap_generator_handler_that_raises_is_answered_with_a_fault(cluster):
+    """A handler that fails after its own calls is answered in order, as a
+    fault, and the connection serves the next call."""
+    fw, group = cluster
+    server = SoapServer(fw.node(group[1].name), 18209)
+
+    def failing(n=0):
+        yield fw.sim.timeout(1e-3)
+        raise ValueError(f"cannot serve {n}")
+
+    server.register("failing", failing)
+    server.register("echo", lambda data="": data)
+    client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18209)
+
+    def scenario():
+        try:
+            yield from client.call("failing", n=7)
+        except SoapFault as exc:
+            return str(exc), (yield from client.call("echo", data="next"))
+
+    assert run(fw, scenario()) == ("cannot serve 7", "next")
+
+
 def test_soap_first_calls_racing_to_connect_each_get_their_own_reply(cluster):
     """Two calls made before the client is connected each open a connection;
     each gets the reply to its own request, though the later, smaller one
@@ -371,7 +436,7 @@ def test_hla_rtig_drops_a_federate_whose_connection_closes(cluster):
         yield from amb.create_federation_execution("sim")
         yield from amb.join_federation_execution("leaver", "sim")
         joined = sorted(rtig._federations["sim"])
-        amb._sock.close()
+        amb.session.sock.close()
         yield fw.sim.timeout(1e-3)
         return joined, sorted(rtig._federations["sim"])
 
@@ -397,13 +462,86 @@ def test_hla_request_in_flight_when_the_rtig_closes_fails_with_connection_error(
         yield from amb.create_federation_execution("sim")
         call = fw.sim.process(join())
         yield fw.sim.timeout(1.5 * RTI_MESSAGE_OVERHEAD)
-        assert len(amb._reply_waiters) == 1  # the request is on its way
+        assert len(amb.session.waiters) == 1  # the request is on its way
         for sock in list(rtig.syswrap._sockets.values()):
             if sock.connected:  # the federate's connection, not the listener
                 sock.close()
         return (yield call)
 
     assert "closed" in run(fw, scenario())
+
+
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_hla_request_after_the_rtig_closed_reopens_the_connection(network, request):
+    """The RTIG hangs up: the next request connects anew, and the federate
+    joins again on the new connection."""
+    fw, group = request.getfixturevalue(network)
+    rtig = RtiGateway(fw.node(group[0].name), port=17105)
+    amb = RtiAmbassador(fw.node(group[1].name), group[0], port=17105)
+
+    def scenario():
+        yield from amb.create_federation_execution("sim")
+        yield from amb.join_federation_execution("f1", "sim")
+        close_accepted(rtig.syswrap)
+        yield fw.sim.timeout(1e-3)
+        name = yield from amb.join_federation_execution("f1", "sim")
+        yield from amb.publish_object_class("Aircraft")
+        return name, sorted(rtig._federations["sim"]["f1"].published)
+
+    assert run(fw, scenario()) == ("f1", ["Aircraft"])
+    assert amb.syswrap.open_fds() == [4]
+
+
+def test_hla_first_requests_racing_to_connect_keep_one_connection(cluster):
+    """Two requests made before the federate is connected each open a
+    connection and are answered on it; the one that lost the race is closed
+    once its reply is in."""
+    fw, group = cluster
+    RtiGateway(fw.node(group[0].name), port=17107)
+    amb = RtiAmbassador(fw.node(group[1].name), group[0], port=17107)
+
+    def scenario():
+        first = fw.sim.process(amb.create_federation_execution("a"))
+        second = fw.sim.process(amb.join_federation_execution("f1", "nowhere"))
+        yield first
+        try:
+            yield second
+        except RtiError as exc:
+            return str(exc)
+
+    assert run(fw, scenario()) == "no such federation"
+    assert len(amb.syswrap.open_fds()) == 1
+
+
+def test_hla_services_before_joining_are_errors_and_the_rtig_goes_on(cluster):
+    """A connection that has not joined (a new federate, or one that
+    reconnected after a close) gets an error for every federation service,
+    and the RTIG keeps serving."""
+    fw, group = cluster
+    rtig = RtiGateway(fw.node(group[0].name), port=17106)
+    amb = RtiAmbassador(fw.node(group[1].name), group[0], port=17106)
+    services = [
+        lambda: amb.publish_object_class("Aircraft"),
+        lambda: amb.subscribe_object_class("Aircraft"),
+        lambda: amb.register_object_instance("Aircraft"),
+        lambda: amb.update_attribute_values(1, {"alt": 1}),
+    ]
+
+    def scenario():
+        errors = []
+        for service in services:
+            try:
+                yield from service()
+            except RtiError as exc:
+                errors.append(str(exc))
+        yield from amb.create_federation_execution("sim")
+        yield from amb.join_federation_execution("f1", "sim")
+        yield from amb.publish_object_class("Aircraft")
+        return errors
+
+    errors = run(fw, scenario())
+    assert len(errors) == 4 and all("before joining" in error for error in errors)
+    assert rtig._federations["sim"]["f1"].published == {"Aircraft"}
 
 
 def test_hla_rtig_goes_on_when_a_federate_hangs_up_before_its_reply(cluster):
