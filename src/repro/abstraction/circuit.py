@@ -70,6 +70,9 @@ class Circuit:
             raise AbstractionError(
                 f"host {self.host.name!r} is not a member of group {group.name!r}"
             )
+        #: this host's rank and the group's size, fixed when the circuit opens
+        self.rank = group.index_of(self.host)
+        self.size = len(group)
         self._adapters_by_rank: Dict[int, "CircuitAdapter"] = {}
         self._routes_by_rank: Dict[int, RouteChoice] = {}
         self._receive_callback: Optional[Callable[[int, CircuitIncoming, RxPath], None]] = None
@@ -87,14 +90,6 @@ class Circuit:
         self.bytes_received = 0
 
     # -- identity ----------------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self.group.index_of(self.host)
-
-    @property
-    def size(self) -> int:
-        return len(self.group)
-
     @property
     def port(self) -> int:
         return circuit_port(self.name)
@@ -121,7 +116,7 @@ class Circuit:
         """Start incremental packing of a message towards ``dst_rank``."""
         if not (0 <= dst_rank < self.size):
             raise AbstractionError(f"rank {dst_rank} outside group of size {self.size}")
-        return CircuitMessage(dst_rank, dst_name=self.group[dst_rank].name)
+        return CircuitMessage(dst_rank)
 
     def post(
         self,
@@ -173,7 +168,7 @@ class Circuit:
     def _deliver(self, src_rank: int, payload: bytes, rx: RxPath) -> None:
         """Called by adapters when a complete message has arrived."""
         rx.cost += CIRCUIT_LAYER_OVERHEAD
-        incoming = CircuitIncoming(src_rank, payload, src_name=self.group[src_rank].name)
+        incoming = CircuitIncoming(src_rank, payload)
         self.messages_received += 1
         self.bytes_received += incoming.payload_bytes
         ready = max(rx.ready_time(), self._next_deliver_at.get(src_rank, 0.0))

@@ -101,7 +101,13 @@ class SysSocket:
         self._close_callback = fn
 
     def close(self) -> None:
+        """Active close.  The close callback runs here, as a MadIO VLink
+        connection's does: TCP itself runs it only on the peer's FIN."""
+        if self.conn.closed:
+            return
         self.conn.close()
+        if self._close_callback is not None:
+            self._close_callback(self)
 
     # -- internal: wired to the TCP stack ---------------------------------------------------
     def _on_readable(self, _conn: TcpConnection) -> None:

@@ -195,7 +195,7 @@ class MadChannel:
             raise MadeleineError(f"destination rank {dst_rank} outside group of size {self.size}")
         if dst_rank == self.rank:
             raise MadeleineError("Madeleine channels do not loop back to the local rank")
-        return MadMessage(dst_rank, dst_name=self._hosts[dst_rank].name)
+        return MadMessage(dst_rank)
 
     def end_packing(
         self,
@@ -255,7 +255,7 @@ class MadChannel:
         frame = delivery.frame
         meta = frame.meta
         nsegs = meta.get("segments", 1)
-        incoming = MadIncoming(meta.get("src_rank", -1), frame.payload, frame.src.name)
+        incoming = MadIncoming(meta.get("src_rank", -1), frame.payload)
         delivery.cost += costs.recv_overhead
         delivery.cost += costs.per_segment_overhead * nsegs
         delivery.cost += incoming.payload_bytes / costs.pipeline_copy_bandwidth

@@ -71,9 +71,8 @@ _SEGMENT_HEADER = struct.Struct("!BI")
 class MadMessage:
     """A message under construction on the send side (incremental packing)."""
 
-    def __init__(self, dst_rank: int, dst_name: str = ""):
+    def __init__(self, dst_rank: int):
         self.dst_rank = dst_rank
-        self.dst_name = dst_name
         self._segments: List[Tuple[PackMode, bytes]] = []
         self._finished = False
         #: running totals over the packed segments (headers excluded)
@@ -111,16 +110,12 @@ class MadMessage:
         self._finished = True
         return SegmentGather(self._segments)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MadMessage to={self.dst_name or self.dst_rank} segs={self.segment_count} {self.payload_bytes}B>"
-
 
 class MadIncoming:
     """A received message being unpacked incrementally on the receive side."""
 
-    def __init__(self, src_rank: int, raw, src_name: str = ""):
+    def __init__(self, src_rank: int, raw):
         self.src_rank = src_rank
-        self.src_name = src_name
         #: the sender's segments as they are when the wire image arrived by
         #: reference; decoded from the flat image otherwise
         if isinstance(raw, SegmentGather):
@@ -170,9 +165,6 @@ class MadIncoming:
                 f"end_unpacking() with {self.remaining_segments} segment(s) not consumed"
             )
         self._finished = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MadIncoming from={self.src_name or self.src_rank} segs={len(self._segments)}>"
 
 
 def _wire_parts(segments: Sequence[Tuple[PackMode, bytes]]) -> List[bytes]:

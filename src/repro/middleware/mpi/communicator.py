@@ -127,16 +127,11 @@ class Communicator(CollectiveMixin):
         self._unexpected: List[Tuple[int, int, int, bytes]] = []
         self._collective_seq = 0
         self.sends = 0
+        #: the channel's, fixed when the communicator opens
+        self.rank = runtime.channel.rank
+        self.size = runtime.channel.size
 
     # -- identity ---------------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        return self.runtime.channel.rank
-
-    @property
-    def size(self) -> int:
-        return self.runtime.channel.size
-
     def Get_rank(self) -> int:
         return self.rank
 

@@ -35,19 +35,14 @@ class VirtualMadChannel:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
+        #: the circuit's, fixed when it opened
+        self.rank = circuit.rank
+        self.size = circuit.size
 
     # -- identity ---------------------------------------------------------------
     @property
     def name(self) -> str:
         return self.circuit.name
-
-    @property
-    def rank(self) -> int:
-        return self.circuit.rank
-
-    @property
-    def size(self) -> int:
-        return self.circuit.size
 
     # -- packing (send side) -------------------------------------------------------
     def begin_packing(self, dst_rank: int) -> CircuitMessage:

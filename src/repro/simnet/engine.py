@@ -50,7 +50,9 @@ workloads that have cheaper homes:
   hierarchical timer wheel (:attr:`Simulator._buckets`): per-bucket append
   is O(1) and each bucket is sorted once when its turn comes (sorting one
   small, mostly-ordered bucket is far cheaper than maintaining a global
-  heap invariant per event);
+  heap invariant per event); the sorted bucket then drains as a heap
+  (:attr:`Simulator._imminent`), which also takes the delays shorter than a
+  bucket scheduled while it drains;
 * **far-future timers** — everything past the horizon waits in an overflow
   heap and is re-bucketed wheel-window by wheel-window.
 
@@ -60,13 +62,21 @@ O(1) and dead entries no longer churn the queue.  The executed order is the
 exact ``(when, seq)`` order of the historical heap kernel —
 :class:`ReferenceSimulator` keeps that original scheduler alive as an
 executable specification, and the tier-1 suite asserts trace equality
-between the two on recorded scenarios.
+between the two on recorded and on random scenarios.
+
+A timer costs the engine one Python call: ``call_later`` / ``call_at`` /
+``call_at_partition`` build the handle (no ``__init__``) and file it, and
+:meth:`Simulator.run` finds the next timer — across bucket advances and
+window rebuilds — and fires it inline.  :meth:`Simulator._pull` is the same
+search as a method, for :meth:`Simulator.step` and the partition facade;
+the run loop keeps its own copy because a call per bucket advance would
+make the engine's cost per message depend on where bucket edges fall.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
+from heapq import heappop, heappush
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -80,6 +90,8 @@ class SimulationError(RuntimeError):
 #: :class:`TimerHandle` lifecycle states.
 _PENDING, _FIRED, _CANCELLED = 0, 1, 2
 
+_new_handle = object.__new__
+
 class TimerHandle:
     """One scheduled callback, cancellable in O(1).
 
@@ -90,15 +102,10 @@ class TimerHandle:
     queue.  Handles order by ``(when, seq)`` — the engine-wide total order.
     """
 
+    #: No ``__init__``: the scheduling calls build a handle with
+    #: ``object.__new__`` and set its slots themselves, one Python frame
+    #: fewer per timer.
     __slots__ = ("when", "seq", "sim", "fn", "args", "_state")
-
-    def __init__(self, when: float, seq: int, sim: "Simulator", fn: Callable, args: tuple):
-        self.when = when
-        self.seq = seq
-        self.sim = sim
-        self.fn = fn
-        self.args = args
-        self._state = _PENDING
 
     @property
     def cancelled(self) -> bool:
@@ -561,10 +568,10 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._stopped = False
-        # same-timestamp FIFO: (seq, SimEvent) for triggered events and
-        # (seq, TimerHandle) for zero-delay callbacks, in seq order
+        # same-timestamp FIFO: triggered SimEvents and zero-delay
+        # TimerHandles, in seq order
         self._ready: deque = deque()
-        # timer wheel: the bucket at `_cursor` is drained through `_batch`
+        # timer wheel: the bucket at `_cursor` drains as the `_imminent` heap
         self._width = float(wheel_width)
         self._inv_width = 1.0 / float(wheel_width)
         self._nbuckets = int(wheel_buckets)
@@ -573,20 +580,16 @@ class Simulator:
         self._wheel_count = 0
         self._epoch: Optional[float] = None  # None: wheel idle, overflow holds all timers
         self._cursor = -1
-        self._batch: List = []
-        self._batch_pos = 0
-        # sub-bucket-width delays scheduled while their bucket drains
+        # (when, seq, handle) of the draining bucket, sorted when its turn
+        # came (a sorted list is a heap), plus the sub-bucket-width delays
+        # scheduled into it while it drains
         self._imminent: List = []
-        self._head_imminent = False
         # far-future timers: (when, seq, handle) beyond the wheel window
         self._overflow: List = []
-        # bumped whenever a timer lands in a timer structure, so the run
-        # loop's cached head knows to re-pull
-        self._timer_gen = 0
-        # counters (see stats())
+        # counters (see stats()): every seq is a timer or a triggered event,
+        # and every entry is live, executed or cancelled
         self._live = 0
-        self._events_processed = 0
-        self._timers_scheduled = 0
+        self._pushed = 0
         self._cancellations = 0
         self._peak_pending = 0
         self._wheel_rebuilds = 0
@@ -621,17 +624,67 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
+    # The three scheduling calls (call_later, call_at and the single loop's
+    # call_at_partition) each file the timer themselves, and run() fires it
+    # inline: a timer costs the engine the one Python call that scheduled it.
     def call_later(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
         """Run ``fn(*args)`` after ``delay`` virtual seconds; cancellable."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        return self._schedule(self._now + delay, fn, args)
+        now = self._now
+        when = now + delay
+        handle = _new_handle(TimerHandle)
+        handle.when = when
+        handle.seq = seq = self._seq = self._seq + 1
+        handle.sim = self
+        handle.fn = fn
+        handle.args = args
+        handle._state = _PENDING
+        live = self._live = self._live + 1
+        if live > self._peak_pending:
+            self._peak_pending = live
+        if when <= now:
+            self._ready.append(handle)  # fires at the current timestamp
+        elif (epoch := self._epoch) is None or (
+            idx := int((when - epoch) * self._inv_width)
+        ) >= self._nbuckets:
+            heappush(self._overflow, (when, seq, handle))
+        elif idx <= self._cursor:
+            # lands in the draining bucket: a sub-bucket-width delay
+            heappush(self._imminent, (when, seq, handle))
+        else:
+            self._buckets[idx].append((when, seq, handle))
+            self._wheel_count += 1
+        return handle
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> TimerHandle:
         """Run ``fn(*args)`` at absolute virtual time ``when``; cancellable."""
-        if when < self._now:
-            raise SimulationError(f"cannot schedule in the past (t={when!r} < now={self._now!r})")
-        return self._schedule(when, fn, args)
+        now = self._now
+        if when < now:
+            raise SimulationError(f"cannot schedule in the past (t={when!r} < now={now!r})")
+        handle = _new_handle(TimerHandle)
+        handle.when = when
+        handle.seq = seq = self._seq = self._seq + 1
+        handle.sim = self
+        handle.fn = fn
+        handle.args = args
+        handle._state = _PENDING
+        live = self._live = self._live + 1
+        if live > self._peak_pending:
+            self._peak_pending = live
+        if when <= now:
+            self._ready.append(handle)  # fires at the current timestamp
+        elif (epoch := self._epoch) is None or (
+            idx := int((when - epoch) * self._inv_width)
+        ) >= self._nbuckets:
+            heappush(self._overflow, (when, seq, handle))
+        elif idx <= self._cursor:
+            # lands in the draining bucket: a sub-bucket-width delay
+            heappush(self._imminent, (when, seq, handle))
+        else:
+            self._buckets[idx].append((when, seq, handle))
+            self._wheel_count += 1
+        return handle
 
     # -- partition-aware entry points (single-loop: plain pass-throughs) ----
     @property
@@ -660,8 +713,32 @@ class Simulator:
         and must land at or past the current window horizon (conservative
         lookahead); it returns ``None`` instead of a cancellable handle.
         """
-        del partition
-        return self.call_at(when, fn, *args)
+        now = self._now
+        if when < now:
+            raise SimulationError(f"cannot schedule in the past (t={when!r} < now={now!r})")
+        handle = _new_handle(TimerHandle)
+        handle.when = when
+        handle.seq = seq = self._seq = self._seq + 1
+        handle.sim = self
+        handle.fn = fn
+        handle.args = args
+        handle._state = _PENDING
+        live = self._live = self._live + 1
+        if live > self._peak_pending:
+            self._peak_pending = live
+        if when <= now:
+            self._ready.append(handle)  # fires at the current timestamp
+        elif (epoch := self._epoch) is None or (
+            idx := int((when - epoch) * self._inv_width)
+        ) >= self._nbuckets:
+            heappush(self._overflow, (when, seq, handle))
+        elif idx <= self._cursor:
+            # lands in the draining bucket: a sub-bucket-width delay
+            heappush(self._imminent, (when, seq, handle))
+        else:
+            self._buckets[idx].append((when, seq, handle))
+            self._wheel_count += 1
+        return handle
 
     def is_boundary(self, network: Any) -> bool:
         """True when ``network`` spans event-loop partitions.  Always False
@@ -704,6 +781,7 @@ class Simulator:
         # fast path: a triggered event is processed at the current timestamp
         # and is not cancellable — no TimerHandle, no timer structure.
         ev.seq = self._seq = self._seq + 1
+        self._pushed += 1
         live = self._live = self._live + 1
         if live > self._peak_pending:
             self._peak_pending = live
@@ -716,135 +794,57 @@ class Simulator:
         for fn in callbacks:
             fn(ev)
 
-    def _schedule(self, when: float, fn: Callable, args: tuple) -> TimerHandle:
-        seq = self._seq = self._seq + 1
-        handle = TimerHandle(when, seq, self, fn, args)
-        live = self._live = self._live + 1
-        if live > self._peak_pending:
-            self._peak_pending = live
-        self._timers_scheduled += 1
-        if when <= self._now:
-            # fires at the current timestamp: FIFO deque, no heap traffic
-            self._ready.append(handle)
-            return handle
-        self._timer_gen += 1
-        epoch = self._epoch
-        if epoch is not None:
-            idx = int((when - epoch) * self._inv_width)
-            if idx <= self._cursor:
-                # lands inside the bucket currently being drained (delays
-                # shorter than the bucket width: layering costs, dispatch
-                # delays).  A dedicated small heap keeps this O(log m)
-                # whatever the batch size.
-                heapq.heappush(self._imminent, (when, seq, handle))
-            elif idx < self._nbuckets:
-                self._buckets[idx].append((when, seq, handle))
-                self._wheel_count += 1
-            else:
-                heapq.heappush(self._overflow, (when, seq, handle))
-        else:
-            heapq.heappush(self._overflow, (when, seq, handle))
-        return handle
-
     # -- timer-wheel internals ---------------------------------------------
-    def _pop_timer(self) -> None:
-        """Remove the triple last returned by :meth:`_pull` from its home."""
-        if self._head_imminent:
-            heapq.heappop(self._imminent)
-        else:
-            self._batch_pos += 1
-
     def _pull(self) -> Optional[tuple]:
-        """The next live timer triple in (when, seq) order, or None.  The
-        triple is left in place; pop it with :meth:`_pop_timer`."""
+        """The next live timer triple in (when, seq) order, left at the head
+        of ``_imminent``, or None.  :meth:`step` and the partition facade
+        call it; :meth:`run` runs the same code inline (see the module
+        docstring)."""
         imminent = self._imminent
-        while imminent and imminent[0][2]._state != _PENDING:
-            heapq.heappop(imminent)
         while True:
-            batch = self._batch
-            pos = self._batch_pos
-            size = len(batch)
-            while pos < size:
-                triple = batch[pos]
-                if triple[2]._state == _PENDING:
-                    self._batch_pos = pos
-                    if imminent and imminent[0] < triple:
-                        self._head_imminent = True
-                        return imminent[0]
-                    self._head_imminent = False
-                    return triple
-                pos += 1
-            self._batch_pos = pos
             if imminent:
-                # everything in `imminent` precedes every future bucket
-                self._head_imminent = True
-                return imminent[0]
-            if self._wheel_count:
-                cursor = self._cursor + 1
+                if imminent[0][2]._state == _PENDING:
+                    return imminent[0]
+                heappop(imminent)
+            elif self._wheel_count:
+                # the next non-empty bucket, sorted, becomes the drain heap
                 buckets = self._buckets
-                nbuckets = self._nbuckets
-                while cursor < nbuckets and not buckets[cursor]:
+                cursor = self._cursor + 1
+                while not buckets[cursor]:
                     cursor += 1
-                if cursor < nbuckets:
-                    self._cursor = cursor
-                    bucket = buckets[cursor]
-                    buckets[cursor] = []
-                    self._wheel_count -= len(bucket)
-                    bucket.sort()
-                    self._batch = bucket
-                    self._batch_pos = 0
-                    continue
-                self._wheel_count = 0  # pragma: no cover - defensive resync
-            # wheel exhausted: build the next window around the overflow head
-            overflow = self._overflow
-            while overflow and overflow[0][2]._state != _PENDING:
-                heapq.heappop(overflow)
-            if not overflow:
-                self._epoch = None
+                self._cursor = cursor
+                imminent = self._imminent = buckets[cursor]
+                buckets[cursor] = []
+                self._wheel_count -= len(imminent)
+                imminent.sort()
+            else:
+                # the wheel is empty: build the next window around the
+                # overflow head
+                overflow = self._overflow
+                while overflow and overflow[0][2]._state != _PENDING:
+                    heappop(overflow)
                 self._cursor = -1
-                self._batch = []
-                self._batch_pos = 0
-                return None
-            epoch = overflow[0][0]
-            window_end = epoch + self._span
-            self._epoch = epoch
-            self._cursor = -1
-            self._wheel_rebuilds += 1
-            buckets = self._buckets
-            nbuckets = self._nbuckets
-            inv_width = self._inv_width
-            count = 0
-            while overflow and overflow[0][0] < window_end:
-                triple = heapq.heappop(overflow)
-                if triple[2]._state != _PENDING:
-                    continue
-                idx = int((triple[0] - epoch) * inv_width)
-                if idx >= nbuckets:  # pragma: no cover - float boundary guard
-                    idx = nbuckets - 1
-                buckets[idx].append(triple)
-                count += 1
-            self._wheel_count = count
-            self._batch = []
-            self._batch_pos = 0
-
-    def _execute_ready(self, item) -> None:
-        """Run one ``_ready`` entry (SimEvent or zero-delay TimerHandle)."""
-        self._live -= 1
-        self._events_processed += 1
-        if item.__class__ is TimerHandle:
-            item._state = _FIRED
-            fn = item.fn
-            args = item.args
-            item.fn = None
-            item.args = None
-            fn(*args)
-        else:
-            item._processed = True
-            callbacks, item.callbacks = item.callbacks, None
-            for fn in callbacks:
-                fn(item)
+                if not overflow:
+                    self._epoch = None
+                    return None
+                epoch = self._epoch = overflow[0][0]
+                window_end = epoch + self._span
+                self._wheel_rebuilds += 1
+                buckets = self._buckets
+                count = 0
+                while overflow and overflow[0][0] < window_end:
+                    triple = heappop(overflow)
+                    if triple[2]._state == _PENDING:
+                        idx = int((triple[0] - epoch) * self._inv_width)
+                        if idx >= self._nbuckets:  # pragma: no cover - float boundary guard
+                            idx = self._nbuckets - 1
+                        buckets[idx].append(triple)
+                        count += 1
+                self._wheel_count = count
 
     def _execute_timer(self, handle: TimerHandle) -> None:
+        """Fire a due timer (:meth:`step` and the reference heap; :meth:`run`
+        fires inline)."""
         when = handle.when
         if when > self._now:
             self._now = when
@@ -854,7 +854,6 @@ class Simulator:
         handle.fn = None
         handle.args = None
         self._live -= 1
-        self._events_processed += 1
         fn(*args)
 
     def _next_ready(self):
@@ -871,19 +870,19 @@ class Simulator:
     def step(self) -> bool:
         """Run one scheduled entry.  Returns False when nothing is pending."""
         ready_head = self._next_ready()
-        timer_head = self._pull()
-        if ready_head is not None and (
-            timer_head is None
-            or self._now < timer_head[0]
-            or (self._now == timer_head[0] and ready_head.seq < timer_head[1])
-        ):
+        timer = self._pull()
+        if ready_head is not None and (timer is None or (self._now, ready_head.seq) < timer[:2]):
             self._ready.popleft()
-            self._execute_ready(ready_head)
+            if ready_head.__class__ is TimerHandle:
+                self._execute_timer(ready_head)
+            else:
+                self._live -= 1
+                self._process_event(ready_head)
             return True
-        if timer_head is None:
+        if timer is None:
             return False
-        self._pop_timer()
-        self._execute_timer(timer_head[2])
+        heappop(self._imminent)
+        self._execute_timer(timer[2])
         return True
 
     def run(self, until: Optional[Any] = None, max_time: Optional[float] = None) -> Any:
@@ -904,25 +903,62 @@ class Simulator:
         target_event, target_time = self._targets(until, self._now)
 
         # The loop interleaves the same-timestamp FIFO with due timers in
-        # exact (when, seq) order.  The next-timer triple is cached across
-        # ready-FIFO drains: executed events can only add timers through
-        # `_schedule`, which bumps `_timer_gen`, and cancellations are
-        # caught by the handle-state check.
+        # exact (when, seq) order.  Finding the next timer is _pull() and
+        # firing it is _execute_timer(), both inline: between the call that
+        # scheduled a timer and its callback, the engine makes no Python
+        # call, wherever the wheel's bucket edges fall.
         ready = self._ready
-        timer = None
-        timer_gen = -1
         while not self._stopped:
             if target_event is not None and target_event._processed:
                 break
-            if timer is None or timer_gen != self._timer_gen or timer[2]._state != _PENDING:
-                timer = self._pull()
-                timer_gen = self._timer_gen
+            imminent = self._imminent
+            while True:
+                if imminent:
+                    timer = imminent[0]
+                    if timer[2]._state == _PENDING:
+                        break
+                    heappop(imminent)
+                elif self._wheel_count:
+                    buckets = self._buckets
+                    cursor = self._cursor + 1
+                    while not buckets[cursor]:
+                        cursor += 1
+                    self._cursor = cursor
+                    imminent = self._imminent = buckets[cursor]
+                    buckets[cursor] = []
+                    self._wheel_count -= len(imminent)
+                    imminent.sort()
+                else:
+                    # the wheel is empty: build the next window around the
+                    # overflow head
+                    overflow = self._overflow
+                    while overflow and overflow[0][2]._state != _PENDING:
+                        heappop(overflow)
+                    self._cursor = -1
+                    if not overflow:
+                        self._epoch = None
+                        timer = None
+                        break
+                    epoch = self._epoch = overflow[0][0]
+                    window_end = epoch + self._span
+                    self._wheel_rebuilds += 1
+                    buckets = self._buckets
+                    count = 0
+                    while overflow and overflow[0][0] < window_end:
+                        triple = heappop(overflow)
+                        if triple[2]._state == _PENDING:
+                            idx = int((triple[0] - epoch) * self._inv_width)
+                            if idx >= self._nbuckets:  # pragma: no cover - float boundary guard
+                                idx = self._nbuckets - 1
+                            buckets[idx].append(triple)
+                            count += 1
+                    self._wheel_count = count
             if ready:
                 # The FIFO drains whole while no timer is due at `now`, and up
                 # to the due timer's seq while one is.  What its entries
-                # append is at `now` with a later seq (`_schedule` sends
-                # `when <= now` here) and a timer they schedule lies ahead,
-                # so between entries only stop() and the target are checked.
+                # append is at `now` with a later seq (a timer at `when <=
+                # now` goes there) and a timer they schedule lies ahead, so
+                # between entries only stop() and the target are checked.
                 last = timer[1] if timer is not None and timer[0] <= self._now else None
                 if last is None or ready[0].seq < last:
                     while ready:
@@ -934,7 +970,6 @@ class Simulator:
                             if item._state != _PENDING:
                                 continue
                             self._live -= 1
-                            self._events_processed += 1
                             item._state = _FIRED
                             fn = item.fn
                             args = item.args
@@ -943,7 +978,6 @@ class Simulator:
                             fn(*args)
                         else:
                             self._live -= 1
-                            self._events_processed += 1
                             item._processed = True
                             callbacks = item.callbacks
                             item.callbacks = None
@@ -961,15 +995,22 @@ class Simulator:
                         "(deadlock: nobody will ever trigger it)"
                     )
                 break
-            when = timer[0]
+            when, _seq, handle = timer
             if target_time is not None and when > target_time:
                 self._now = target_time
                 break
             if max_time is not None and when > max_time:
                 raise SimulationError(f"virtual time exceeded max_time={max_time}")
-            self._pop_timer()
-            self._execute_timer(timer[2])
-            timer = None
+            heappop(imminent)
+            if when > self._now:
+                self._now = when
+            handle._state = _FIRED
+            fn = handle.fn
+            args = handle.args
+            handle.fn = None
+            handle.args = None
+            self._live -= 1
+            fn(*args)
 
         if target_event is not None and target_event.triggered:
             if target_event.ok:
@@ -1007,8 +1048,8 @@ class Simulator:
         """Kernel counters: events processed, timers scheduled, cancellations,
         peak pending entries, wheel-window rebuilds."""
         return SimStats(
-            events_processed=self._events_processed,
-            timers_scheduled=self._timers_scheduled,
+            events_processed=self._seq - self._live - self._cancellations,
+            timers_scheduled=self._seq - self._pushed,
             cancellations=self._cancellations,
             peak_pending=self._peak_pending,
             wheel_rebuilds=self._wheel_rebuilds,
@@ -1032,16 +1073,36 @@ class ReferenceSimulator(Simulator):
         self._heap: List = []
 
     def _push_triggered(self, ev: SimEvent) -> None:
+        self._pushed += 1
         self._schedule(self._now, self._process_event, (ev,))
 
+    def call_later(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+        return self._schedule(self._now + delay, fn, args)
+
+    def call_at(self, when: float, fn: Callable, *args: Any) -> TimerHandle:
+        if when < self._now:
+            raise SimulationError(f"cannot schedule in the past (t={when!r} < now={self._now!r})")
+        return self._schedule(when, fn, args)
+
+    def call_at_partition(
+        self, partition: int, when: float, fn: Callable, *args: Any
+    ) -> Optional[TimerHandle]:
+        return self.call_at(when, fn, *args)
+
     def _schedule(self, when: float, fn: Callable, args: tuple) -> TimerHandle:
-        seq = self._seq = self._seq + 1
-        handle = TimerHandle(when, seq, self, fn, args)
+        handle = _new_handle(TimerHandle)
+        handle.when = when
+        handle.seq = seq = self._seq = self._seq + 1
+        handle.sim = self
+        handle.fn = fn
+        handle.args = args
+        handle._state = _PENDING
         live = self._live = self._live + 1
         if live > self._peak_pending:
             self._peak_pending = live
-        self._timers_scheduled += 1
-        heapq.heappush(self._heap, (when, seq, handle))
+        heappush(self._heap, (when, seq, handle))
         return handle
 
     def _peek_live(self) -> Optional[TimerHandle]:
@@ -1050,14 +1111,14 @@ class ReferenceSimulator(Simulator):
             handle = heap[0][2]
             if handle._state == _PENDING:
                 return handle
-            heapq.heappop(heap)
+            heappop(heap)
         return None
 
     def step(self) -> bool:
         handle = self._peek_live()
         if handle is None:
             return False
-        heapq.heappop(self._heap)
+        heappop(self._heap)
         self._execute_timer(handle)
         return True
 
@@ -1081,7 +1142,7 @@ class ReferenceSimulator(Simulator):
                 break
             if max_time is not None and head.when > max_time:
                 raise SimulationError(f"virtual time exceeded max_time={max_time}")
-            heapq.heappop(self._heap)
+            heappop(self._heap)
             self._execute_timer(head)
 
         if target_event is not None and target_event.triggered:

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.simnet.engine import (
     AllOf,
@@ -785,3 +788,109 @@ def test_a_failed_event_holds_its_exception_as_value_and_raises_it_in_a_waiter()
         return out
 
     assert same_on_both_kernels(scenario) == [(True, False, True)] * 2
+
+
+# ---------------------------------------------------------------------------
+# differential: the wheel, at its default size and a tiny one, against the
+# reference heap on random schedules
+# ---------------------------------------------------------------------------
+
+#: the delay classes of :func:`random_schedule`, for the default wheel's
+#: 64 µs buckets and ~33 ms horizon
+DELAY_CLASSES = ("zero", "sub-bucket", "buckets", "past-horizon", "tie")
+TIE_GRID = 1e-3
+WHEELS = {
+    "default": Simulator,
+    "tiny": lambda: Simulator(wheel_width=2e-5, wheel_buckets=4),
+}
+
+
+def random_schedule(sim, seed, budget, seeds, splits, finish):
+    """A seeded program of timers, delayed triggers, timeouts and
+    cancellations, run on ``sim`` in pieces: each split is a ``step()``
+    (``None``) or a ``run(until=now + d)``, then the rest runs through
+    ``run()`` or ``step()`` by ``step()`` (``finish``).  Every fired entry
+    posts up to two more (``budget`` in all) and may cancel an earlier
+    handle, pending or not; the choices are drawn in firing order, so a
+    kernel that orders one entry differently draws a different program.
+    Returns the trace and the kernel's counters."""
+    rng = random.Random(seed)
+    trace, handles, left = [], [], [budget]
+
+    def when_from(now):
+        kind = rng.choice(DELAY_CLASSES)
+        if kind == "zero":
+            return now
+        if kind == "sub-bucket":
+            return now + rng.random() * 64e-6
+        if kind == "buckets":
+            return now + rng.random() * 5e-3
+        if kind == "past-horizon":
+            return now + 0.034 + rng.random()
+        return (math.floor(now / TIE_GRID) + rng.randrange(1, 3)) * TIE_GRID
+
+    def act(label):
+        trace.append((sim.now, label))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            if left[0] > 0:
+                left[0] -= 1
+                post(f"{label}.{left[0]}")
+        if handles and rng.random() < 0.3:
+            handle = handles.pop(rng.randrange(len(handles)))
+            trace.append((sim.now, "cancel", handle.seq, handle.cancel()))
+
+    def post(label):
+        now = sim.now
+        when = when_from(now)
+        kind = rng.choice(("later", "at", "partition", "succeed", "fail", "timeout"))
+        if kind == "later":
+            handles.append(sim.call_later(when - now, act, label))
+        elif kind == "at":
+            handles.append(sim.call_at(when, act, label))
+        elif kind == "partition":
+            handles.append(sim.call_at_partition(0, when, act, label))
+        else:
+            ev = sim.timeout(when - now, label) if kind == "timeout" else sim.event(label)
+            ev.add_callback(lambda e: act(f"{label}:{'ok' if e.ok else 'failed'}"))
+            if kind == "succeed":
+                ev.succeed(label, delay=when - now)
+            elif kind == "fail":
+                ev.fail(KeyError(label), delay=when - now)
+
+    for i in range(seeds):
+        post(f"s{i}")
+    for split in splits:
+        if split is None:
+            trace.append(("step", sim.step(), sim.now))
+        else:
+            sim.run(until=sim.now + split)
+            trace.append(("until", sim.now))
+    if finish == "run":
+        sim.run()
+    else:
+        while sim.step():
+            pass
+    stats = sim.stats()
+    return trace, stats.events_processed, stats.timers_scheduled, stats.cancellations
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    budget=st.integers(min_value=0, max_value=80),
+    seeds=st.integers(min_value=1, max_value=12),
+    splits=st.lists(
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.05, allow_nan=False)),
+        max_size=6,
+    ),
+    finish=st.sampled_from(["run", "step"]),
+)
+def test_the_wheel_runs_any_schedule_as_the_reference_heap_does(seed, budget, seeds, splits, finish):
+    """Cancels before and after a timer fires, zero delays, sub-bucket
+    delays scheduled while their bucket drains, timers past the horizon,
+    delayed succeed / fail and Timeouts, ties at one instant, run(until=t)
+    and step(): same trace and same events, timers and cancellations."""
+    reference = random_schedule(ReferenceSimulator(), seed, budget, seeds, splits, finish)
+    assert len(reference[0]) >= seeds
+    for make in WHEELS.values():
+        assert random_schedule(make(), seed, budget, seeds, splits, finish) == reference

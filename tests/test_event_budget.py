@@ -900,6 +900,63 @@ def test_a_satisfied_read_inside_a_drain_is_six_python_calls():
     assert chained_read_calls(256) - chained_read_calls(128) == 6 * 128
 
 
+#: a timer's delay by its index: the ready FIFO, a bucket, the one being
+#: drained (scheduled mid-drain by the callbacks below), later buckets and
+#: the overflow heap past the default wheel's ~33 ms horizon
+TIMER_DELAYS = (0.0, 3e-6, 70e-6, 1e-3, 0.05, 0.5)
+
+TIMER_ENTRY_POINTS = {
+    "call_later": lambda sim, now, when, fn, i: sim.call_later(when - now, fn, i),
+    "call_at": lambda sim, now, when, fn, i: sim.call_at(when, fn, i),
+    "call_at_partition": lambda sim, now, when, fn, i: sim.call_at_partition(0, when, fn, i),
+}
+
+
+def timer_engine_calls(schedule, count):
+    """Python calls of functions in ``simnet/engine.py`` to schedule
+    ``count`` timers through ``schedule(sim, now, when, fn, i)`` and fire
+    them: half at the start, the other half by callbacks, 1 µs after the
+    timer that schedules them."""
+    from repro.simnet import engine
+
+    sim = Simulator()
+    due = {i: TIMER_DELAYS[i % len(TIMER_DELAYS)] + i * 1e-9 for i in range(count // 2)}
+    fired = []
+
+    def fire(i):
+        fired.append(i)
+        if i < count // 2:
+            due[count // 2 + i] = due[i] + 1e-6
+            schedule(sim, due[i], due[count // 2 + i], fire, count // 2 + i)
+
+    profile = cProfile.Profile()
+    with undisturbed():
+        profile.enable()
+        for i in range(count // 2):
+            schedule(sim, 0.0, due[i], fire, i)
+        sim.run()
+        profile.disable()
+    assert sorted(fired) == list(range(count))
+    return sum(
+        ncalls
+        for (filename, _line, _name), (_cc, ncalls, *_rest) in pstats.Stats(profile).stats.items()
+        if filename == engine.__file__
+    )
+
+
+@pytest.mark.parametrize("entry", list(TIMER_ENTRY_POINTS))
+def test_a_timer_costs_the_engine_the_one_call_that_schedules_it(entry):
+    """Filing the timer in the ready FIFO, the draining bucket, a later one
+    or the overflow heap happens inside the scheduling call, and ``run()``
+    pulls the next timer (across bucket advances and window rebuilds) and
+    fires it inline: N timers cost N engine calls.  Six each while a helper
+    filed the handle, built it in ``__init__``, found the head and popped
+    and fired it; seven through ``call_at_partition``, which called
+    ``call_at``."""
+    schedule = TIMER_ENTRY_POINTS[entry]
+    assert timer_engine_calls(schedule, 1200) - timer_engine_calls(schedule, 600) == 600
+
+
 def round_trip_call_counts(make, round_trips):
     """Python calls of each function under ``src/repro`` in
     ``round_trips`` 8-byte round trips on a fresh ladder rung, built and
@@ -938,20 +995,24 @@ def round_trip_calls(make, round_trips):
 #: wire 57, Madeleine 174, MadIO 198, Circuit 272, VLink 246, MPI 340
 #: (standalone 248), each ORB 368 and Java sockets 294 while Madeleine
 #: recomputed its channel's identity per message and ``transmit`` called
-#: the timing model's helpers).
+#: the timing model's helpers; the wire 41, Madeleine 100, MadIO 114,
+#: Circuit 182, VLink 162, MPI 246 (standalone 162), each ORB 286 and Java
+#: sockets 210 while a timer cost the engine six calls, seven through
+#: ``call_at_partition``, the Circuit and Madeleine named a message's peer
+#: host and MPI recomputed its rank and size per message).
 RUNG_CALLS = {
-    "simnet.network": 41,
-    "madeleine": 100,
-    "arbitration.madio": 114,
-    "abstraction.circuit": 182,
-    "abstraction.vlink": 162,
-    "middleware.mpi": 246,
-    "middleware.mpi_standalone": 162,
-    "middleware.corba": 286,
-    "middleware.corba.omniorb3": 286,
-    "middleware.corba.mico": 286,
-    "middleware.corba.orbacus": 286,
-    "middleware.javasockets": 210,
+    "simnet.network": 25,
+    "madeleine": 68,
+    "arbitration.madio": 82,
+    "abstraction.circuit": 140,
+    "abstraction.vlink": 128,
+    "middleware.mpi": 174,
+    "middleware.mpi_standalone": 112,
+    "middleware.corba": 234,
+    "middleware.corba.omniorb3": 234,
+    "middleware.corba.mico": 234,
+    "middleware.corba.orbacus": 234,
+    "middleware.javasockets": 158,
 }
 
 
@@ -1050,11 +1111,12 @@ class _PvmEcho(_OffLadder):
 #: while a Timeout ran the request's charge before its send; gSOAP 310, HLA
 #: 290 and PVM 336 while Madeleine recomputed its channel's identity per
 #: message; gSOAP 226 while a generator expression encoded an envelope's
-#: parameters).
+#: parameters; gSOAP 224, HLA 206 and PVM 242 while a timer cost the engine
+#: six calls and the Circuit named a message's peer host).
 MIDDLEWARE_CALLS = {
-    "gsoap": (_SoapEcho, 224),
-    "hla": (_RtiAck, 206),
-    "pvm": (_PvmEcho, 242),
+    "gsoap": (_SoapEcho, 172),
+    "hla": (_RtiAck, 163),
+    "pvm": (_PvmEcho, 184),
 }
 
 

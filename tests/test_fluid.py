@@ -71,10 +71,18 @@ class _TracingSimulator(Simulator):
         super().__init__()
         self.timer_log = []
 
-    def _schedule(self, when, fn, args):
-        handle = super()._schedule(when, fn, args)
+    def call_later(self, delay, fn, *args):
+        return self._logged(super().call_later(delay, fn, *args), fn)
+
+    def call_at(self, when, fn, *args):
+        return self._logged(super().call_at(when, fn, *args), fn)
+
+    def call_at_partition(self, partition, when, fn, *args):
+        return self._logged(super().call_at_partition(partition, when, fn, *args), fn)
+
+    def _logged(self, handle, fn):
         if fn.__name__ in self.TRACED:
-            self.timer_log.append((when, handle.seq, fn.__name__))
+            self.timer_log.append((handle.when, handle.seq, fn.__name__))
         return handle
 
 

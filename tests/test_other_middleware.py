@@ -311,6 +311,26 @@ def test_soap_call_after_the_server_closed_reopens_the_connection(network, reque
 
 
 @pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_soap_client_that_closes_its_connection_reconnects_on_the_next_call(network, request):
+    """Closing a socket runs its close callback on every VLink driver (TCP
+    runs its own only on the peer's FIN): the session forgets the closed
+    connection, and the next call connects anew."""
+    fw, group = request.getfixturevalue(network)
+    server = SoapServer(fw.node(group[1].name), 18209)
+    server.register("echo", lambda data="": data)
+    client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18209)
+
+    def scenario():
+        first = yield from client.call("echo", data="first")
+        client.session.sock.close()
+        assert client.session.sock is None
+        return first, (yield from client.call("echo", data="second"))
+
+    assert run(fw, scenario()) == ("first", "second")
+    assert client.syswrap.open_fds() == [4]
+
+
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
 def test_soap_call_whose_connect_is_refused_fails_and_releases_its_socket(network, request):
     fw, group = request.getfixturevalue(network)
     client = SoapClient(fw.node(group[0].name), fw.node(group[1].name).host, 18208)
@@ -490,6 +510,22 @@ def test_hla_request_after_the_rtig_closed_reopens_the_connection(network, reque
 
     assert run(fw, scenario()) == ("f1", ["Aircraft"])
     assert amb.syswrap.open_fds() == [4]
+
+
+@pytest.mark.parametrize("network", ["cluster", "ethernet_cluster"])
+def test_hla_rtig_that_closes_a_federate_connection_drops_the_federate(network, request):
+    fw, group = request.getfixturevalue(network)
+    rtig = RtiGateway(fw.node(group[0].name), port=17108)
+    amb = RtiAmbassador(fw.node(group[1].name), group[0], port=17108)
+
+    def scenario():
+        yield from amb.create_federation_execution("sim")
+        yield from amb.join_federation_execution("f1", "sim")
+        joined = sorted(rtig._federations["sim"])
+        close_accepted(rtig.syswrap)
+        return joined, sorted(rtig._federations["sim"]), len(rtig._members)
+
+    assert run(fw, scenario()) == (["f1"], [], 0)
 
 
 def test_hla_first_requests_racing_to_connect_keep_one_connection(cluster):

@@ -40,3 +40,18 @@ def test_the_window_is_profiled_with_the_collector_paused(monkeypatch, capsys):
     assert gc.isenabled()
     report = capsys.readouterr().out
     assert "== one window of kernel_timers" in report
+
+
+def test_the_timer_census_counts_every_timer_the_window_schedules():
+    """The census counts a timer at the call that files it, so on a QUICK
+    ``kernel_timers`` window its total is the window's
+    ``SimStats.timers_scheduled``."""
+    tool = load_tool("profile_hotspots")
+    import workloads  # perfbench's, on the path the tool put it on
+
+    batch = workloads.WORKLOADS["kernel_timers"].build(1, workloads.QUICK)
+    before = batch.sim.stats().timers_scheduled
+    timers, triggered = tool.census(batch.run)
+    scheduled = batch.sim.stats().timers_scheduled - before
+    assert scheduled > 0 and sum(timers.values()) == scheduled
+    assert sum(triggered.values()) > 0

@@ -120,6 +120,49 @@ def _print_layers(layers: dict) -> None:
             print(f"{calls:10d}  {self_s:8.3f} s  {100.0 * self_s / total_s:5.1f}%  {layer}")
 
 
+def census(window):
+    """Run ``window()`` counting the engine's loop entries: ``(timers,
+    triggered)``, the timers it schedules by callback and the events it
+    triggers by kind.  A timer is counted at the scheduling call that
+    files it (``call_later``, ``call_at``, the single loop's
+    ``call_at_partition``), so the total is ``SimStats.timers_scheduled``."""
+    from repro.simnet.engine import Simulator
+
+    timers: Counter = Counter()
+    triggered: Counter = Counter()
+
+    original = {
+        name: getattr(Simulator, name)
+        for name in ("call_later", "call_at", "call_at_partition", "_push_triggered")
+    }
+
+    def counting(name, fn_at):
+        def scheduled(sim, *args):
+            timers[_callback_name(args[fn_at])] += 1
+            return original[name](sim, *args)
+
+        return scheduled
+
+    def counting_push(sim, ev):
+        triggered[_event_kind(ev)] += 1
+        original["_push_triggered"](sim, ev)
+
+    patches = {
+        "call_later": counting("call_later", 1),
+        "call_at": counting("call_at", 1),
+        "call_at_partition": counting("call_at_partition", 2),
+        "_push_triggered": counting_push,
+    }
+    for name, patch in patches.items():
+        setattr(Simulator, name, patch)
+    try:
+        window()
+    finally:
+        for name, fn in original.items():
+            setattr(Simulator, name, fn)
+    return timers, triggered
+
+
 def _profiled(phase, fold):
     """Run ``phase()`` under a profiler of its own: its result and the
     phase's section of the report (printed by :func:`_print_phase`)."""
@@ -175,7 +218,6 @@ def main(argv=None) -> int:
 
     import tracer
     import workloads
-    from repro.simnet.engine import Simulator
 
     workload = workloads.WORKLOADS[args.workload]
     scale = workloads.QUICK if args.quick else workloads.FULL
@@ -184,24 +226,8 @@ def main(argv=None) -> int:
     # batch is the same deterministic computation, so the loop entries
     # counted here are the ones the profiled window makes, and the profile
     # is taken on the unpatched kernel
-    timers: Counter = Counter()
-    triggered: Counter = Counter()
-    schedule, push_triggered = Simulator._schedule, Simulator._push_triggered
-
-    def counting_schedule(sim, when, fn, fn_args):
-        timers[_callback_name(fn)] += 1
-        return schedule(sim, when, fn, fn_args)
-
-    def counting_push(sim, ev):
-        triggered[_event_kind(ev)] += 1
-        push_triggered(sim, ev)
-
     batch = workload.build(args.seed, scale)
-    Simulator._schedule, Simulator._push_triggered = counting_schedule, counting_push
-    try:
-        _paused(batch.run)
-    finally:
-        Simulator._schedule, Simulator._push_triggered = schedule, push_triggered
+    timers, triggered = census(lambda: _paused(batch.run))
     warm = batch.finish()
 
     batch, setup = _profiled(lambda: workload.build(args.seed, scale), tracer.fold)
