@@ -64,8 +64,7 @@ from repro.abstraction.drivers import (
 from repro.abstraction.adapters import (
     CircuitAdapter,
     MadIOCircuitAdapter,
-    SysIOCircuitAdapter,
-    VLinkCircuitAdapter,
+    StreamMeshCircuitAdapter,
 )
 
 __all__ = [
@@ -107,6 +106,5 @@ __all__ = [
     "LoopbackVLinkDriver",
     "CircuitAdapter",
     "MadIOCircuitAdapter",
-    "SysIOCircuitAdapter",
-    "VLinkCircuitAdapter",
+    "StreamMeshCircuitAdapter",
 ]

@@ -2,11 +2,13 @@
 
 Adapters are either *straight* (parallel abstraction on a parallel network:
 :class:`MadIOCircuitAdapter`) or *cross-paradigm* (parallel abstraction on a
-distributed network: :class:`SysIOCircuitAdapter` and
-:class:`VLinkCircuitAdapter`, the latter reusing the alternate VLink method
-drivers such as parallel streams, AdOC or VRP — §4.2: "Circuit adapters have
-been implemented on top of MadIO, SysIO, loopback and VLink (to use the
-alternates VLink adapters)").
+distributed network: :class:`StreamMeshCircuitAdapter`) — §4.2: "Circuit
+adapters have been implemented on top of MadIO, SysIO, loopback and VLink
+(to use the alternates VLink adapters)".  Every cross-paradigm leg is a
+VLink opened on that leg's own route decision: the paper's SysIO adapter is
+a VLink over the SysIO driver, and a leg over parallel streams, AdOC, VRP or
+a gateway route is a VLink over that method or route.  One stream-mesh
+adapter per circuit serves all of them on the circuit's VLink port.
 
 Cross-paradigm adapters must turn the message-oriented Circuit traffic into
 byte streams: each message is framed as ``(src_rank, length, payload)`` and
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.simnet.buffers import Gather
 from repro.simnet.engine import SimEvent
-from repro.simnet.host import Host
 from repro.simnet.network import Delivery, Network
 from repro.arbitration.madio import MadIO, MadIOChannel
 from repro.abstraction.common import (
@@ -35,14 +37,13 @@ from repro.abstraction.common import (
     SoftDelivery,
 )
 from repro.abstraction.circuit import Circuit
-from repro.abstraction.drivers import SysIOVLinkDriver
 from repro.abstraction.records import Serializer, read_records
-from repro.abstraction.selector import RouteChoice
+from repro.abstraction.selector import Route, RouteChoice
 from repro.abstraction.vlink import VLinkManager
 
 
 class CircuitAdapter:
-    """Base class for per-circuit adapters (one instance per method used)."""
+    """Base class for per-circuit adapters (one instance per adapter class used)."""
 
     name = "abstract"
 
@@ -128,19 +129,20 @@ def _frame_len(fields: Tuple[int, int]) -> int:
 
 
 class StreamMeshCircuitAdapter(CircuitAdapter):
-    """Common machinery for Circuit over connected byte streams.
+    """Circuit over connected byte streams: every leg is a VLink.
 
-    A lazily built mesh: the first message towards a rank opens a stream to
-    that rank's circuit port; incoming streams are identified by a small
-    hello record carrying the sender's rank.  Messages are length-prefixed.
-    A stream is anything with the driver-connection read surface (a SysIO
-    socket, a VLink, an adaptive session).
+    A lazily built mesh: the first message towards a rank opens a VLink to
+    that rank's circuit port, on the leg's own route decision; incoming
+    streams are identified by a small hello record carrying the sender's
+    rank.  Messages are length-prefixed.  A stream is anything with the
+    driver-connection read surface (a VLink, an adaptive session).
     """
 
     name = "stream-mesh"
 
     def __init__(self, circuit: Circuit, route: RouteChoice):
         super().__init__(circuit, route)
+        self.vlink_manager: VLinkManager = self.host.require_service("vlink")
         self._out_streams: Dict[int, object] = {}
         self._connecting: Dict[int, List[Tuple[bytes, float, SimEvent]]] = {}
         #: the sender's rank of each incoming stream, once its hello arrived
@@ -149,16 +151,22 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         # send-side cost must never overtake an earlier large one
         self._cursors: Dict[int, Serializer] = defaultdict(lambda: Serializer(self.sim))
 
-    # subclass hooks ------------------------------------------------------------
-    def _listen(self, port: int, on_incoming: Callable) -> None:
-        raise NotImplementedError
-
-    def _connect(self, dst_host: Host, port: int) -> SimEvent:
-        raise NotImplementedError
-
-    # lifecycle ---------------------------------------------------------------------
+    # transport: VLinks (the adaptive adapter opens adaptive sessions) -----------
     def start(self) -> None:
-        self._listen(self.circuit.port, self._on_incoming_stream)
+        self.vlink_manager.listen(self.circuit.port).set_accept_callback(self._on_incoming_stream)
+
+    def _connect(self, dst_rank: int) -> SimEvent:
+        """A VLink on the leg's route decision: its pinned route when the leg
+        is relayed ("vlink"), else its method ("vlink:adoc" rides the VLink
+        method "adoc"), network and parameters."""
+        choice = self.circuit.route_for(dst_rank)
+        dst_host = self.circuit.host_of(dst_rank)
+        if choice.method == "vlink":
+            return self.vlink_manager.connect(dst_host, self.circuit.port, route=choice.via)
+        hop = replace(choice, method=choice.method.rpartition(":")[2])
+        return self.vlink_manager.connect(
+            dst_host, self.circuit.port, route=Route(self.host, dst_host, [hop])
+        )
 
     # send path ---------------------------------------------------------------------
     def send(
@@ -177,8 +185,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
             pending.append((payload, cost, done))
             return done
         self._connecting[dst_rank] = [(payload, cost, done)]
-        dst_host = self.circuit.host_of(dst_rank)
-        attempt = self._connect(dst_host, self.circuit.port)
+        attempt = self._connect(dst_rank)
 
         def _connected(ev):
             queued = self._connecting.pop(dst_rank, [])
@@ -203,7 +210,7 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         self._cursors[dst_rank].after(cost, stream.write, frame, done)
 
     # receive path ---------------------------------------------------------------------
-    def _on_incoming_stream(self, stream, peer_host) -> None:
+    def _on_incoming_stream(self, stream) -> None:
         stream.set_data_callback(self._on_stream_data)
         # data may already be buffered
         self._on_stream_data(stream)
@@ -227,67 +234,3 @@ class StreamMeshCircuitAdapter(CircuitAdapter):
         if peer is not None and peer not in self._out_streams:
             self._out_streams[peer] = stream
             stream.write(_FRAME.pack(_HELLO_TAG, self.circuit.rank))
-
-
-class _CircuitPorts(SysIOVLinkDriver):
-    """SysIO sockets in the circuits' own port range: the VLink port
-    namespace *is* the raw SysIO one, so a mixed group (legs on this adapter
-    and on VLink-based ones) must not collide with the VLink listener of the
-    circuit port; the method drivers' offsets stay below this one."""
-
-    PORT_OFFSET = 200000
-
-
-class SysIOCircuitAdapter(StreamMeshCircuitAdapter):
-    """Circuit over SysIO arbitrated sockets (cross-paradigm, LAN/WAN)."""
-
-    name = "sysio"
-
-    def __init__(self, circuit: Circuit, route: RouteChoice):
-        super().__init__(circuit, route)
-        self.ports = _CircuitPorts(self.host.require_service("sysio"), route.network)
-
-    def _listen(self, port: int, on_incoming: Callable) -> None:
-        self.ports.listen(port, on_incoming)
-
-    def _connect(self, dst_host: Host, port: int) -> SimEvent:
-        return self.ports.connect(dst_host, port)
-
-
-class VLinkCircuitAdapter(StreamMeshCircuitAdapter):
-    """Circuit over VLink — gives the parallel interface access to the
-    alternate VLink methods (parallel streams, AdOC, VRP) on WAN links."""
-
-    name = "vlink"
-
-    def __init__(self, circuit: Circuit, route: RouteChoice):
-        super().__init__(circuit, route)
-        self.vlink_manager: VLinkManager = self.host.require_service("vlink")
-        # "vlink:parallel_streams" names the VLink method; plain "vlink"
-        # (routed links) leaves it to the pinned route
-        self.method: Optional[str] = None
-        if route.method.startswith("vlink:"):
-            self.method = route.method.split(":", 1)[1]
-
-    def _listen(self, port: int, on_incoming: Callable) -> None:
-        listener = self.vlink_manager.listen(port)
-        listener.set_accept_callback(lambda link: on_incoming(link, None))
-
-    def _connect(self, dst_host: Host, port: int) -> SimEvent:
-        choice = self._choice_for(dst_host)
-        route = choice.via if choice is not None else None
-        params = dict(choice.params) if choice is not None and choice.params else None
-        return self.vlink_manager.connect(
-            dst_host, port, method=self.method, route=route, params=params
-        )
-
-    def _choice_for(self, dst_host: Host) -> Optional[RouteChoice]:
-        """The circuit's route decision towards ``dst_host`` (this adapter
-        instance is shared by every rank using the same method, so the
-        per-destination pinning lives on the circuit, not the adapter)."""
-        try:
-            rank = self.circuit.group.index_of(dst_host)
-        except ValueError:
-            return None
-        return self.circuit._routes_by_rank.get(rank)
-

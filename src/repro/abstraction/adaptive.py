@@ -571,7 +571,6 @@ class AdaptiveListener:
         self.port = port
         self.sessions: Dict[int, AdaptiveVLink] = {}
         self.rejected = 0
-        self.closed = False
         self._accept_callback: Optional[Callable[[AdaptiveVLink], None]] = None
         self._ready: List[AdaptiveVLink] = []
         self._waiters: List[VLinkOperation] = []
@@ -593,18 +592,12 @@ class AdaptiveListener:
             fn(self._ready.pop(0))
 
     def close(self) -> None:
-        """Stop accepting: the port is released and — because driver-level
-        listen callbacks stay installed — late incoming rails are refused
-        explicitly (open sessions keep running until closed themselves)."""
-        self.closed = True
+        """Stop accepting: the port is released in every driver, so a new
+        rail is refused (open sessions keep running until closed themselves)."""
         self._raw.close()
 
     # -- handshake ---------------------------------------------------------------
     def _on_raw_link(self, raw: VLink) -> None:
-        if self.closed:
-            self.rejected += 1
-            raw.close()
-            return
         read_hello(raw, _HELLO, no_body, self._handshaken)
 
     def _handshaken(self, raw: VLink, hello: Tuple, _body) -> None:

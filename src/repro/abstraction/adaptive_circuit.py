@@ -34,40 +34,34 @@ from typing import Callable, Dict, List, Optional
 
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
-from repro.abstraction.adaptive import AdaptiveListener, AdaptiveVLink
+from repro.abstraction.adaptive import AdaptiveVLink
 from repro.abstraction.adapters import StreamMeshCircuitAdapter
 from repro.abstraction.circuit import Circuit
 from repro.abstraction.common import AbstractionError
 from repro.abstraction.routing import Route
-from repro.abstraction.selector import RouteChoice
-from repro.abstraction.vlink import VLinkManager
 
 
 class AdaptiveCircuitAdapter(StreamMeshCircuitAdapter):
     """Circuit legs as migratable adaptive sessions (one per remote rank).
 
     The lazily built stream mesh of :class:`StreamMeshCircuitAdapter` is
-    reused verbatim — only the transport factory changes: ``_listen`` opens
-    an :class:`~repro.abstraction.adaptive.AdaptiveListener` and
-    ``_connect`` opens adaptive sessions whose rails are pinned through the
-    selector's circuit-hop policy.
+    reused verbatim — only the transport changes: :meth:`start` opens an
+    :class:`~repro.abstraction.adaptive.AdaptiveListener` and ``_connect``
+    opens adaptive sessions whose rails are pinned through the selector's
+    circuit-hop policy.
     """
 
     name = "adaptive"
 
-    def __init__(self, circuit: Circuit, route: RouteChoice):
-        super().__init__(circuit, route)
-        self.vlink_manager: VLinkManager = self.host.require_service("vlink")
-        self.listener: Optional[AdaptiveListener] = None
+    # -- stream-mesh transport ------------------------------------------------------
+    def start(self) -> None:
+        listener = self.vlink_manager.listen_adaptive(self.circuit.port)
+        listener.set_accept_callback(self._on_incoming_stream)
 
-    # -- stream-mesh transport hooks ---------------------------------------------
-    def _listen(self, port: int, on_incoming: Callable) -> None:
-        self.listener = self.vlink_manager.listen_adaptive(port)
-        self.listener.set_accept_callback(lambda link: on_incoming(link, None))
-
-    def _connect(self, dst_host: Host, port: int) -> SimEvent:
+    def _connect(self, dst_rank: int) -> SimEvent:
+        dst_host = self.circuit.host_of(dst_rank)
         return self.vlink_manager.connect_adaptive(
-            dst_host, port, route_provider=self._route_provider_for(dst_host)
+            dst_host, self.circuit.port, route_provider=self._route_provider_for(dst_host)
         )
 
     def _route_provider_for(self, dst_host: Host) -> Callable[[], Optional[Route]]:

@@ -35,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 CIRCUIT_SERVICE = "circuit"
 
-#: ``factory(circuit, route)`` builds the adapter serving one method of a circuit.
+#: ``factory(circuit, route)`` builds the adapter serving a circuit's legs of
+#: its kind (one per adapter class, however many methods it serves).
 AdapterFactory = Callable[["Circuit", RouteChoice], "CircuitAdapter"]
 
 
@@ -281,23 +282,22 @@ class CircuitManager:
                 "drop one of the two"
             )
         circuit = Circuit(self, name, group)
-        adapters_by_method: Dict[str, "CircuitAdapter"] = {}
+        adapters: Dict[AdapterFactory, "CircuitAdapter"] = {}
         for dst_rank, dst_host in enumerate(group):
             if dst_host is self.host:
                 continue
             route = self._route(circuit, dst_host, methods, dst_rank)
             factory_name = "adaptive" if adaptive else route.method
-            adapter = adapters_by_method.get(factory_name)
+            factory = self._factories.get(factory_name)
+            if factory is None:
+                raise AbstractionError(
+                    f"no Circuit adapter factory {factory_name!r} on host {self.host.name}; "
+                    f"registered: {self.adapter_names()}"
+                )
+            adapter = adapters.get(factory)
             if adapter is None:
-                factory = self._factories.get(factory_name)
-                if factory is None:
-                    raise AbstractionError(
-                        f"no Circuit adapter factory {factory_name!r} on host {self.host.name}; "
-                        f"registered: {self.adapter_names()}"
-                    )
-                adapter = factory(circuit, route)
+                adapter = adapters[factory] = factory(circuit, route)
                 adapter.start()
-                adapters_by_method[factory_name] = adapter
             circuit._set_link(dst_rank, adapter, route)
         if adaptive:
             from repro.abstraction.adaptive_circuit import (
@@ -305,9 +305,9 @@ class CircuitManager:
                 AdaptiveCircuitSession,
             )
 
-            adapter = adapters_by_method.get("adaptive")
-            if isinstance(adapter, AdaptiveCircuitAdapter):
-                circuit.adaptive = AdaptiveCircuitSession(circuit, adapter)
+            for adapter in adapters.values():
+                if isinstance(adapter, AdaptiveCircuitAdapter):
+                    circuit.adaptive = AdaptiveCircuitSession(circuit, adapter)
         self._circuits[name] = (circuit, bool(adaptive))
         return circuit
 

@@ -95,12 +95,22 @@ class VLinkDriver:
         """Start accepting connections on ``port``; ``on_incoming(conn, peer_host)``."""
         raise NotImplementedError
 
-    def connect(self, dst_host: Host, port: int) -> SimEvent:
-        """Open a connection; the event succeeds with a driver connection."""
+    def unlisten(self, port: int) -> None:
+        """Stop accepting on ``port``: a connect to it is refused from now on."""
+        raise NotImplementedError
+
+    def connect(self, dst_host: Host, port: int, network: Optional[Network] = None) -> SimEvent:
+        """Open a connection; the event succeeds with a driver connection.
+        ``network`` is the one the hop's route names (None: the driver's own
+        pick); a driver that runs on a network of its own ignores it."""
         raise NotImplementedError
 
     def connect_with_params(
-        self, dst_host: Host, port: int, params: Optional[Dict[str, float]] = None
+        self,
+        dst_host: Host,
+        port: int,
+        params: Optional[Dict[str, float]] = None,
+        network: Optional[Network] = None,
     ) -> SimEvent:
         """Open a connection with per-connection method parameters.
 
@@ -110,7 +120,7 @@ class VLinkDriver:
         parameters, so pinning a parameter on a driver that cannot honour
         it degrades to the driver's registered configuration.
         """
-        return self.connect(dst_host, port)
+        return self.connect(dst_host, port, network)
 
     def reaches(self, dst_host: Host) -> bool:
         """Can this driver reach ``dst_host`` at all?"""
@@ -137,10 +147,9 @@ class SysIOVLinkDriver(VLinkDriver):
     PORT_OFFSET = 0
     _wrap: Optional[Callable] = None  # the straight driver's connection is the socket
 
-    def __init__(self, sysio: SysIO, network: Optional[Network] = None):
+    def __init__(self, sysio: SysIO):
         super().__init__(sysio.host)
         self.sysio = sysio
-        self.network = network
 
     def listen(self, port: int, on_incoming: Callable) -> None:
         port += self.PORT_OFFSET
@@ -148,6 +157,9 @@ class SysIOVLinkDriver(VLinkDriver):
             self.sysio.listen(port, lambda sock: on_incoming(sock, sock.conn.peer_host))
         else:
             self.sysio.listen(port, lambda sock: self._accepted(sock, on_incoming))
+
+    def unlisten(self, port: int) -> None:
+        self.sysio.unlisten(port + self.PORT_OFFSET)
 
     def _accepted(self, sock, on_incoming: Callable) -> None:
         peer = sock.conn.peer_host
@@ -160,8 +172,8 @@ class SysIOVLinkDriver(VLinkDriver):
 
         self._wrap(sock, ready, None)
 
-    def connect(self, dst_host: Host, port: int) -> SimEvent:
-        attempt = self._open(dst_host, port)
+    def connect(self, dst_host: Host, port: int, network=None) -> SimEvent:
+        attempt = self._open(dst_host, port, network)
         if self._wrap is None:
             return attempt
         done = self.sim.event(name=f"{self.name}-connect({dst_host.name}:{port})")
@@ -175,9 +187,9 @@ class SysIOVLinkDriver(VLinkDriver):
         attempt.add_callback(connected)
         return done
 
-    def _open(self, dst_host: Host, port: int) -> SimEvent:
-        """One SysIO socket to ``port`` in this driver's range."""
-        return self.sysio.connect(dst_host, port + self.PORT_OFFSET, network=self.network)
+    def _open(self, dst_host: Host, port: int, network: Optional[Network]) -> SimEvent:
+        """One SysIO socket to ``port`` in this driver's range, over ``network``."""
+        return self.sysio.connect(dst_host, port + self.PORT_OFFSET, network=network)
 
     def reaches(self, dst_host: Host) -> bool:
         return any(
@@ -280,7 +292,10 @@ class MadIOVLinkDriver(VLinkDriver):
     def listen(self, port: int, on_incoming: Callable) -> None:
         self._listeners[port] = on_incoming
 
-    def connect(self, dst_host: Host, port: int) -> SimEvent:
+    def unlisten(self, port: int) -> None:
+        self._listeners.pop(port, None)
+
+    def connect(self, dst_host: Host, port: int, network=None) -> SimEvent:
         if not self.group.contains(dst_host):
             raise AbstractionError(
                 f"host {dst_host.name!r} is not reachable over {self.network.name!r}"
@@ -393,7 +408,10 @@ class LoopbackVLinkDriver(VLinkDriver):
     def listen(self, port: int, on_incoming: Callable) -> None:
         self._listeners[port] = on_incoming
 
-    def connect(self, dst_host: Host, port: int) -> SimEvent:
+    def unlisten(self, port: int) -> None:
+        self._listeners.pop(port, None)
+
+    def connect(self, dst_host: Host, port: int, network=None) -> SimEvent:
         done = self.sim.event(name=f"loopback-connect(:{port})")
         if dst_host is not self.host:
             done.fail(AbstractionError("loopback driver only connects within the local host"))

@@ -276,6 +276,46 @@ class Selector:
         )
 
     # -- route-level API -----------------------------------------------------------
+    def _pin_route(
+        self,
+        src: Host,
+        dst: Host,
+        available: Optional[List[str]],
+        table: Dict[LinkClass, List[str]],
+        overrides: Dict[LinkClass, List[str]],
+        interface: str,
+        reliable: bool,
+    ) -> Route:
+        """One method per hop of the ``src -> dst`` path, each served on both
+        of its ends: the first hop picks from ``available`` (the drivers on
+        ``src`` when None), a later one from its gateway's drivers.  A
+        directly connected pair is never relayed (ensure_gateways
+        provisions no gateway for one)."""
+        if self.topology.link_profile(src, dst).link_class is not LinkClass.NONE:
+            legs = [(src, dst)]
+        else:
+            legs = [(hop.src, hop.dst) for hop in self.routing.host_path(src, dst)]
+        choices: List[RouteChoice] = []
+        for index, (hop_src, hop_dst) in enumerate(legs):
+            hop_available = (
+                available
+                if index == 0 and available is not None
+                else self.vlink_methods_on(hop_src, reliable_only=reliable)
+            )
+            choices.append(
+                self._pick(
+                    hop_src,
+                    hop_dst,
+                    self.mutually_available(hop_available, hop_dst, reliable),
+                    table,
+                    overrides,
+                    _CROSS_PARADIGM_VLINK,
+                    interface,
+                    reliable=reliable,
+                )
+            )
+        return Route(src, dst, choices)
+
     def choose_vlink_route(
         self, src: Host, dst: Host, available: List[str], reliable_only: bool = False
     ) -> Route:
@@ -284,47 +324,10 @@ class Selector:
         common network exists, an :class:`AbstractionError` when there is no
         path at all.  ``reliable_only`` restricts every hop to drivers that
         never surrender bytes, on both ends."""
-        profile = self.topology.link_profile(src, dst)
-        if profile.link_class is not LinkClass.NONE:
-            # the chosen method must be served on both ends of the link
-            usable = self.mutually_available(available, dst, reliable_only)
-            return Route(
-                src,
-                dst,
-                [
-                    self._pick(
-                        src,
-                        dst,
-                        usable,
-                        _DEFAULT_VLINK,
-                        self.preferences.vlink_methods,
-                        _CROSS_PARADIGM_VLINK,
-                        "VLink",
-                        reliable=reliable_only,
-                    )
-                ],
-            )
-        hops = self.routing.host_path(src, dst)
-        choices: List[RouteChoice] = []
-        for index, hop in enumerate(hops):
-            hop_available = (
-                available
-                if index == 0
-                else self.vlink_methods_on(hop.src, reliable_only=reliable_only)
-            )
-            choices.append(
-                self._pick(
-                    hop.src,
-                    hop.dst,
-                    self.mutually_available(hop_available, hop.dst, reliable_only),
-                    _DEFAULT_VLINK,
-                    self.preferences.vlink_methods,
-                    _CROSS_PARADIGM_VLINK,
-                    "VLink",
-                    reliable=reliable_only,
-                )
-            )
-        return Route(src, dst, choices)
+        return self._pin_route(
+            src, dst, available, _DEFAULT_VLINK, self.preferences.vlink_methods, "VLink",
+            reliable_only,
+        )
 
     def pin_circuit_route(
         self, src: Host, dst: Host, available: Optional[List[str]] = None
@@ -347,32 +350,10 @@ class Selector:
             raise AbstractionError(
                 f"no circuit hops to pin between {src.name} and {dst.name}"
             )
-        # like choose_vlink_route: a directly connected pair is never relayed
-        # (ensure_gateways provisions no gateway for one)
-        if self.topology.link_profile(src, dst).link_class is not LinkClass.NONE:
-            legs = [(src, dst)]
-        else:
-            legs = [(hop.src, hop.dst) for hop in self.routing.host_path(src, dst)]
-        choices: List[RouteChoice] = []
-        for index, (hop_src, hop_dst) in enumerate(legs):
-            hop_available = (
-                available
-                if index == 0 and available is not None
-                else self.vlink_methods_on(hop_src, reliable_only=True)
-            )
-            choices.append(
-                self._pick(
-                    hop_src,
-                    hop_dst,
-                    self.mutually_available(hop_available, hop_dst, reliable_only=True),
-                    _DEFAULT_CIRCUIT_HOP,
-                    self.preferences.circuit_hop_methods,
-                    _CROSS_PARADIGM_VLINK,
-                    "Circuit-hop",
-                    reliable=True,
-                )
-            )
-        return Route(src, dst, choices)
+        return self._pin_route(
+            src, dst, available, _DEFAULT_CIRCUIT_HOP, self.preferences.circuit_hop_methods,
+            "Circuit-hop", True,
+        )
 
     def choose_circuit_route(self, src: Host, dst: Host, available: List[str]) -> RouteChoice:
         """Like :meth:`choose_circuit`, but pairs with no common network fall

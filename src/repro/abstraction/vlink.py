@@ -230,6 +230,9 @@ class VLinkListener:
             fn(self._ready.pop(0))
 
     def _incoming(self, driver_name: str, conn, peer_host: Optional[Host]) -> None:
+        if self.manager._listeners.get(self.port) is not self:
+            conn.close()  # accepted below before close() released the port
+            return
         link = VLink(self.manager, driver_name, conn)
         self.accepted += 1
         if self._waiters:
@@ -240,7 +243,12 @@ class VLinkListener:
             self._ready.append(link)
 
     def close(self) -> None:
-        self.manager._listeners.pop(self.port, None)
+        """Stop listening: every driver releases the port, so a connect to it
+        is refused and the port can be listened on again."""
+        if self.manager._listeners.get(self.port) is self:
+            del self.manager._listeners[self.port]
+            for driver in self.manager._drivers.values():
+                driver.unlisten(self.port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VLinkListener :{self.port} accepted={self.accepted}>"
@@ -339,6 +347,7 @@ class VLinkManager:
         """
         op = VLinkOperation(self.sim, "connect")
         chosen: Optional[RouteChoice | Route] = None
+        network = None  # the chosen hop's; an explicit ``method`` leaves it to the driver
         if method is None and route is not None and route.hops:
             first = route.first
             if not route.is_direct:
@@ -355,7 +364,7 @@ class VLinkManager:
                     return op
             elif self._pinned_usable(first, dst_host, reliable_only):
                 chosen = route
-                method = first.method
+                method, network = first.method, first.network
                 if params is None and first.params:
                     params = dict(first.params)
             # else: the pinned decision is gone/unreachable — fall back to
@@ -369,7 +378,7 @@ class VLinkManager:
                 self._connect_via_relay(full_route, dst_host, port, relay_ttl, op)
                 return op
             chosen = full_route.first
-            method = chosen.method
+            method, network = chosen.method, chosen.network
             if params is None and chosen.params:
                 params = dict(chosen.params)
         driver = self.resolve_driver(method, dst_host)
@@ -382,7 +391,7 @@ class VLinkManager:
             elif not op.triggered:
                 op.fail(ev.value)
 
-        self._driver_connect(driver, dst_host, port, params, reliable_only).add_callback(
+        self._driver_connect(driver, dst_host, port, params, network, reliable_only).add_callback(
             _connected
         )
         return op
@@ -400,8 +409,9 @@ class VLinkManager:
         return True
 
     @staticmethod
-    def _driver_connect(driver, dst_host: Host, port: int, params, reliable_only: bool):
-        """Open the driver connection, applying per-connection parameters.
+    def _driver_connect(driver, dst_host: Host, port: int, params, network, reliable_only: bool):
+        """Open the driver connection on the hop's network, applying
+        per-connection parameters.
 
         A reliable-only leg must never loosen reliability: a pinned
         ``tolerance`` is forced to zero on such legs whatever the route
@@ -411,8 +421,8 @@ class VLinkManager:
             if reliable_only and params.get("tolerance"):
                 params = dict(params)
                 params["tolerance"] = 0.0
-            return driver.connect_with_params(dst_host, port, params)
-        return driver.connect(dst_host, port)
+            return driver.connect_with_params(dst_host, port, params, network)
+        return driver.connect(dst_host, port, network)
 
     def _connect_via_relay(
         self,
@@ -470,7 +480,7 @@ class VLinkManager:
             conn.recv_exact(1).add_callback(_acked)
 
         self._driver_connect(
-            driver, gateway, GATEWAY_RELAY_PORT, dict(first.params) or None, True
+            driver, gateway, GATEWAY_RELAY_PORT, dict(first.params) or None, first.network, True
         ).add_callback(_leg_open)
 
     def resolve_driver(self, method: str, dst_host: Host) -> "VLinkDriver":

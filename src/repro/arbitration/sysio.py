@@ -144,7 +144,10 @@ class SysListener:
             self.sysio._dispatch(sock, self._accept_callback)
 
     def close(self) -> None:
+        """Stop listening and free the port for a later :meth:`SysIO.listen`."""
         self.listener.close()
+        if self.sysio._listeners.get(self.port) is self:  # not a new listener's
+            del self.sysio._listeners[self.port]
 
 
 class SysIO:
@@ -173,6 +176,12 @@ class SysIO:
             listener.set_accept_callback(accept_callback)
         self._listeners[port] = listener
         return listener
+
+    def unlisten(self, port: int) -> None:
+        """Close the listening socket on ``port``, if there is one."""
+        listener = self._listeners.get(port)
+        if listener is not None:
+            listener.close()
 
     def connect(self, peer: "Host", port: int, network: Optional[Network] = None) -> "SimEvent":
         """Connect to ``peer:port``; the event succeeds with a :class:`SysSocket`."""

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.host import CpuModel, Host, HostGroup
 from repro.simnet.network import Network
-from repro.simnet.networks import Ethernet100, Loopback, Myrinet2000
+from repro.simnet.networks import Ethernet100, Myrinet2000
 from repro.simnet.tcp import TcpStack
 from repro.madeleine import MadeleineDriver
 from repro.arbitration import MadIO, NetAccessCore, SysIO
@@ -32,10 +32,9 @@ from repro.abstraction import (
     Route,
     RoutingEngine,
     Selector,
-    SysIOCircuitAdapter,
+    StreamMeshCircuitAdapter,
     SysIOVLinkDriver,
     TopologyKB,
-    VLinkCircuitAdapter,
     VLinkManager,
 )
 from repro.abstraction.common import AbstractionError
@@ -50,17 +49,18 @@ class FrameworkError(RuntimeError):
 
 #: The Circuit adapter factories of a booted node, one table for every
 #: node: each adapter finds the node's subsystem among its host's services
-#: (``sysio``, ``vlink``, ``madio``), so the rows are the classes themselves.
-#: ``vlink:<method>`` rides the alternate VLink method its route names;
-#: ``vlink`` serves routed links (no common network) with the per-hop
-#: methods pinned by the selector's circuit-hop policy; ``adaptive`` makes
-#: every remote leg a migratable session (``circuit(..., adaptive=True)``).
+#: (``vlink``, ``madio``), so the rows are the classes themselves.  Every
+#: byte-stream method is a VLink leg of the one stream-mesh adapter: over
+#: the SysIO driver (``sysio``), the alternate VLink method its route names
+#: (``vlink:<method>``), or the per-hop methods the selector's circuit-hop
+#: policy pinned on a routed link (``vlink``); ``adaptive`` makes every
+#: remote leg a migratable session (``circuit(..., adaptive=True)``).
 _CIRCUIT_ADAPTERS = {
-    "sysio": SysIOCircuitAdapter,
-    "vlink": VLinkCircuitAdapter,
-    "vlink:parallel_streams": VLinkCircuitAdapter,
-    "vlink:vrp": VLinkCircuitAdapter,
-    "vlink:adoc": VLinkCircuitAdapter,
+    "sysio": StreamMeshCircuitAdapter,
+    "vlink": StreamMeshCircuitAdapter,
+    "vlink:parallel_streams": StreamMeshCircuitAdapter,
+    "vlink:vrp": StreamMeshCircuitAdapter,
+    "vlink:adoc": StreamMeshCircuitAdapter,
     "adaptive": AdaptiveCircuitAdapter,
 }
 #: ... of a node with a SAN: the straight parallel adapter as well.
@@ -103,7 +103,7 @@ class PadicoNode:
 
         # Parallel side: Madeleine + MadIO, attached to every SAN with the
         # full set of hosts on that SAN as the hardware-channel group.
-        san_networks = [n for n in host.networks() if n.is_parallel and not isinstance(n, Loopback)]
+        san_networks = [n for n in host.networks() if n.is_parallel]
         if san_networks:
             self.madeleine = MadeleineDriver(host)
             self.madio = MadIO(self.netaccess, self.madeleine)
@@ -173,7 +173,7 @@ class PadicoNode:
         has_wan = any(
             n.is_distributed and n.latency >= WAN_LATENCY_THRESHOLD for n in networks
         )
-        return has_wan and len([n for n in networks if not isinstance(n, Loopback)]) >= 2
+        return has_wan and len(networks) >= 2
 
     # -- convenience -----------------------------------------------------------------
     def circuit(self, name: str, group: HostGroup, **kwargs) -> Circuit:

@@ -160,19 +160,19 @@ class ParallelStreamsVLinkDriver(SysIOVLinkDriver):
         read_hello(sock, _HELLO, no_body, attach)
 
     # -- client side ------------------------------------------------------------------
-    def connect(self, dst_host: Host, port: int) -> SimEvent:
-        return self._connect(dst_host, port, self.streams)
+    def connect(self, dst_host: Host, port: int, network=None) -> SimEvent:
+        return self._connect(dst_host, port, self.streams, network)
 
     def connect_with_params(
-        self, dst_host: Host, port: int, params: Optional[Dict[str, float]] = None
+        self, dst_host: Host, port: int, params: Optional[Dict[str, float]] = None, network=None
     ) -> SimEvent:
         """Per-connection stream fan-out: the selector derives ``streams``
         from the measured loss / bandwidth-delay product of the pinned hop
         (a lossier or fatter pipe profits from more member sockets)."""
         streams = int((params or {}).get("streams", self.streams))
-        return self._connect(dst_host, port, max(1, min(16, streams)))
+        return self._connect(dst_host, port, max(1, min(16, streams)), network)
 
-    def _connect(self, dst_host: Host, port: int, streams: int) -> SimEvent:
+    def _connect(self, dst_host: Host, port: int, streams: int, network) -> SimEvent:
         done = self.sim.event(name=f"pstream-connect({dst_host.name}:{port})")
         session_id = self._next_session
         self._next_session += 1
@@ -190,7 +190,7 @@ class ParallelStreamsVLinkDriver(SysIOVLinkDriver):
                 done.succeed(conn)
 
         for index in range(streams):
-            self._open(dst_host, port).add_callback(
+            self._open(dst_host, port, network).add_callback(
                 lambda ev, i=index: _member_connected(i, ev)
             )
         return done

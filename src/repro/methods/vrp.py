@@ -292,19 +292,19 @@ class VrpVLinkDriver(SysIOVLinkDriver):
 
         read_hello(sock, _VRP_HELLO, no_body, accepted)
 
-    def connect(self, dst_host: Host, port: int) -> SimEvent:
-        return self._connect(dst_host, port, self.tolerance)
+    def connect(self, dst_host: Host, port: int, network=None) -> SimEvent:
+        return self._connect(dst_host, port, self.tolerance, network)
 
     def connect_with_params(
-        self, dst_host: Host, port: int, params: Optional[Dict[str, float]] = None
+        self, dst_host: Host, port: int, params: Optional[Dict[str, float]] = None, network=None
     ) -> SimEvent:
         """Per-connection loss tolerance: the selector derives it from the
         measured loss rate of the pinned hop (relay and adaptive legs always
         pin zero — they carry somebody else's framed stream)."""
         tolerance = float((params or {}).get("tolerance", self.tolerance))
-        return self._connect(dst_host, port, max(0.0, min(0.5, tolerance)))
+        return self._connect(dst_host, port, max(0.0, min(0.5, tolerance)), network)
 
-    def _connect(self, dst_host: Host, port: int, tolerance: float) -> SimEvent:
+    def _connect(self, dst_host: Host, port: int, tolerance: float, network) -> SimEvent:
         done = self.sim.event(name=f"vrp-connect({dst_host.name}:{port})")
         channel_id = self._next_channel
         self._next_channel += 1
@@ -317,5 +317,5 @@ class VrpVLinkDriver(SysIOVLinkDriver):
             ctl_sock.write(_VRP_HELLO.pack(channel_id, int(round(tolerance * 1e6))))
             done.succeed(VrpConnection(self, ctl_sock, channel_id, tolerance))
 
-        self._open(dst_host, port).add_callback(_connected)
+        self._open(dst_host, port, network).add_callback(_connected)
         return done

@@ -41,7 +41,6 @@ from repro.simnet.networks import (
     GigabitEthernet,
     WanVthd,
     LossyInternet,
-    Loopback,
 )
 from repro.simnet.tcp import TcpStack, TcpConnection, TcpListener, TcpModel
 
@@ -67,7 +66,6 @@ __all__ = [
     "GigabitEthernet",
     "WanVthd",
     "LossyInternet",
-    "Loopback",
     "TcpStack",
     "TcpConnection",
     "TcpListener",

@@ -359,7 +359,7 @@ class Network:
         dst_nic = self.nics.get(dst) or self.nic_of(dst)
         if src is dst:
             raise ValueError(
-                f"{self.name}: transmit() to self; use the Loopback network for local links"
+                f"{self.name}: transmit() to self; same-host links use the loopback VLink driver"
             )
         if type(payload) is not bytes:
             payload = immutable(payload)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.simnet.buffers import immutable
 from repro.simnet.cost import MB, MICROSECOND, MILLISECOND
 from repro.simnet.network import Network, PARADIGM_DISTRIBUTED, PARADIGM_PARALLEL
 
@@ -209,56 +208,6 @@ class LossyInternet(_IpNetwork):
             loss_rate=loss_rate,
             seed=seed,
         )
-
-
-class Loopback(Network):
-    """Intra-node communication (two middleware systems inside one node).
-
-    PadicoTM provides a loopback VLink driver / Circuit adapter; the cost is
-    essentially a memory copy.
-    """
-
-    paradigm = PARADIGM_PARALLEL
-
-    def __init__(self, sim: "Simulator", name: str = "lo", *, seed: int = 501):
-        super().__init__(
-            sim,
-            name,
-            latency=0.4 * MICROSECOND,
-            bandwidth=800.0 * MB,
-            mtu=1 << 30,
-            header_bytes=0,
-            loss_rate=0.0,
-            seed=seed,
-        )
-
-    def transmit(self, src, dst, payload, **kwargs):
-        # A loopback "network" may legitimately carry a message from a host
-        # to itself; lift the base-class restriction.
-        if src is dst:
-            return self._transmit_self(src, payload, **kwargs)
-        return super().transmit(src, dst, payload, **kwargs)
-
-    def _transmit_self(self, host, payload, *, channel=None, send_cost=0.0, meta=None):
-        from repro.simnet.network import Frame
-
-        nic = self.nic_of(host)
-        frame = Frame(
-            frame_id=next(self._frame_counter),
-            src=host,
-            dst=host,
-            network=self,
-            channel=channel,
-            payload=immutable(payload),
-            meta=dict(meta or {}),
-        )
-        ready = self.sim.now + send_cost
-        begin, end = nic.reserve_tx(ready, self.serialization_time(frame.nbytes))
-        arrival = end + self.latency
-        self.frames_sent += 1
-        self.bytes_carried += frame.nbytes
-        self.sim.call_at_partition(host.partition, arrival, nic.handle_arrival, frame, arrival)
-        return frame
 
 
 class GridDeployment:

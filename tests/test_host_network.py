@@ -8,7 +8,6 @@ from repro.simnet.network import Network
 from repro.simnet.networks import (
     Ethernet100,
     GigabitEthernet,
-    Loopback,
     LossyInternet,
     Myrinet2000,
     SciNetwork,
@@ -113,7 +112,6 @@ def test_network_paradigms():
     sim = Simulator()
     assert Myrinet2000(sim).is_parallel
     assert SciNetwork(sim).is_parallel
-    assert Loopback(sim).is_parallel
     assert Ethernet100(sim).is_distributed
     assert GigabitEthernet(sim).is_distributed
     assert WanVthd(sim).is_distributed
@@ -162,17 +160,10 @@ def test_transmit_delivers_payload_and_charges_latency():
     assert net.bytes_carried == 5
 
 
-def test_transmit_to_self_rejected_except_loopback():
+def test_transmit_to_self_rejected():
     sim, net, a, b = make_pair()
     with pytest.raises(ValueError):
         net.transmit(a, a, b"x")
-    lo = Loopback(sim)
-    lo.connect(a)
-    got = {}
-    lo.nic_of(a).set_receive_handler(lambda d: got.setdefault("p", d.payload), owner="t")
-    lo.transmit(a, a, b"self")
-    sim.run()
-    assert got["p"] == b"self"
 
 
 def test_send_cost_delays_transmission():
