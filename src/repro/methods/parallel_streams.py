@@ -50,6 +50,10 @@ class ParallelStreamConnection(BufferedConnection):
         self._next_record = 0
         #: record id -> its slices, until every member delivered its own
         self._slices: Dict[int, List] = {}
+        #: batches of slices read off the members, not reassembled yet, and
+        #: whether a member closed meanwhile (see _on_member_closed)
+        self._reassembling = 0
+        self._closed_meanwhile = False
         self.closed = False
         self.bytes_sent = 0
 
@@ -103,23 +107,37 @@ class ParallelStreamConnection(BufferedConnection):
     def _attach_member(self, index: int, sock: SysSocket) -> None:
         self.members[index] = sock
         sock.set_data_callback(self._on_member_data)
+        sock.set_close_callback(self._on_member_closed)
 
     def _on_member_data(self, sock: SysSocket) -> None:
         slices = read_records(sock, _RECORD, _slice_len)
         if slices:
+            self._reassembling += 1
             self.sim.call_later(STRIPING_OVERHEAD, self._reassemble, slices)
+
+    def _on_member_closed(self, _sock: Optional[SysSocket] = None) -> None:
+        """Nothing more arrives once every member closed: after the slices
+        already read off them, the link's reads see the close."""
+        if self._reassembling:
+            self._closed_meanwhile = True  # _reassemble calls back
+        elif all(m is not None and m.closed for m in self.members):
+            self.buffer.close()
 
     def _reassemble(self, slices: list) -> None:
         """File each slice under its record and release a complete record.
 
         Records complete in order: every member carries its slices in record
         order, so record ``r``'s last slice is filed before ``r + 1``'s."""
+        self._reassembling -= 1
         for (record_id, index, _length), payload in slices:
             parts = self._slices.setdefault(record_id, [None] * self.total_streams)
             parts[index] = payload
             if all(part is not None for part in parts):
                 del self._slices[record_id]
                 self.buffer.append(b"".join(map(bytes, parts)))
+        if self._closed_meanwhile and not self._reassembling:
+            self._closed_meanwhile = False
+            self._on_member_closed()
 
     @property
     def established(self) -> bool:

@@ -353,9 +353,30 @@ class StreamBuffer:
 
     def recv_exact(self, nbytes: int, done=None, gather=False, charge=None) -> SimEvent:
         buffer = self._buffer
-        if buffer._size >= nbytes and not self._pending:
-            # fast path: satisfiable immediately — trigger without touching
-            # the pending queue (the event still completes through the loop)
+        size = buffer._size
+        if size >= nbytes and not self._pending:
+            # satisfiable immediately — trigger without touching the pending
+            # queue (the event still completes through the loop)
+            if done is None and charge is None and not gather and nbytes > 0:
+                # the common read: an already-succeeded event, one engine
+                # call; inside the head chunk, ByteRing.take's first two
+                # branches run here
+                first = buffer._chunks[0]
+                head = buffer._head
+                avail = len(first) - head
+                if nbytes > avail:
+                    return self.sim.completed(buffer.take(nbytes), "stream-read")
+                buffer._size = size - nbytes
+                if nbytes < avail:
+                    buffer._head = end = head + nbytes
+                    data = first[head:end]
+                else:
+                    buffer._chunks.popleft()
+                    buffer._head = 0
+                    data = first[head:] if head else first
+                return self.sim.completed(
+                    data if type(data) is bytes else bytes(data), "stream-read"
+                )
             ev = done if done is not None else SimEvent(self.sim, "stream-read")
             data = buffer.take_gather(nbytes) if gather else buffer.take(nbytes)
             return ev.succeed(data, 0.0 if charge is None else charge())

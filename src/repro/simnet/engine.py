@@ -34,7 +34,12 @@ already is — directly, or by a second delayed trigger falling due — raises
 :class:`SimulationError` naming it.  An immediate trigger (``delay <= 0``)
 marks the event at once and processes it through the same-timestamp FIFO.
 All of this lives in :class:`SimEvent`, so every kernel (wheel, reference
-heap, partitioned) orders it identically.
+heap, partitioned) orders it identically.  An event that is complete when
+it is made — a read the buffer satisfies at once, a process's start-up —
+is :meth:`Simulator.completed`, the one-call immediate trigger: it builds
+the event already succeeded and files it in the FIFO, as
+``SimEvent(sim, name).succeed(value)`` does in three calls (the reference
+heap runs exactly that).
 
 Scheduling internals
 --------------------
@@ -90,7 +95,8 @@ class SimulationError(RuntimeError):
 #: :class:`TimerHandle` lifecycle states.
 _PENDING, _FIRED, _CANCELLED = 0, 1, 2
 
-_new_handle = object.__new__
+#: an instance with no ``__init__`` run: the engine sets the slots itself
+_bare = object.__new__
 
 class TimerHandle:
     """One scheduled callback, cancellable in O(1).
@@ -174,6 +180,9 @@ class SimEvent:
     #: ``seq`` is stamped by the simulator when the event triggers (it
     #: orders the ready FIFO against due timers); unset while pending.
     #: ``callbacks`` is None once the event is processed.
+    #: :meth:`Simulator.event` and :meth:`Simulator.completed` build an
+    #: event without ``__init__`` and set these slots themselves: a slot
+    #: added here is added there too.
     __slots__ = (
         "sim",
         "callbacks",
@@ -343,9 +352,7 @@ class Process(SimEvent):
         self._gen = gen
         self._waiting_on: Optional[SimEvent] = None
         # Bootstrap: resume the generator once the loop starts.
-        boot = SimEvent(sim, name=f"{self.name}/boot")
-        boot.add_callback(self._resume)
-        boot.succeed(None)
+        sim.completed(None, f"{self.name}/boot").add_callback(self._resume)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield point."""
@@ -603,7 +610,36 @@ class Simulator:
     # -- event construction helpers ---------------------------------------
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh pending event."""
-        return SimEvent(self, name=name)
+        ev = _bare(SimEvent)
+        ev.sim = self
+        ev.callbacks = []
+        ev.value = None
+        ev._exc = None
+        ev._triggered = False
+        ev._processed = False
+        ev.name = name
+        return ev
+
+    def completed(self, value: Any = None, name: str = "") -> SimEvent:
+        """An event that has already succeeded with ``value``:
+        ``SimEvent(self, name).succeed(value)`` in one engine call — built,
+        triggered and filed in the ready FIFO as :meth:`_push_triggered`
+        files it, so its callbacks run at the current timestamp."""
+        ev = _bare(SimEvent)
+        ev.sim = self
+        ev.callbacks = []
+        ev.value = value
+        ev._exc = None
+        ev._triggered = True
+        ev._processed = False
+        ev.name = name
+        ev.seq = self._seq = self._seq + 1
+        self._pushed += 1
+        live = self._live = self._live + 1
+        if live > self._peak_pending:
+            self._peak_pending = live
+        self._ready.append(ev)
+        return ev
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
         """Create an event firing after ``delay`` virtual seconds."""
@@ -633,7 +669,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
         now = self._now
         when = now + delay
-        handle = _new_handle(TimerHandle)
+        handle = _bare(TimerHandle)
         handle.when = when
         handle.seq = seq = self._seq = self._seq + 1
         handle.sim = self
@@ -662,7 +698,7 @@ class Simulator:
         now = self._now
         if when < now:
             raise SimulationError(f"cannot schedule in the past (t={when!r} < now={now!r})")
-        handle = _new_handle(TimerHandle)
+        handle = _bare(TimerHandle)
         handle.when = when
         handle.seq = seq = self._seq = self._seq + 1
         handle.sim = self
@@ -716,7 +752,7 @@ class Simulator:
         now = self._now
         if when < now:
             raise SimulationError(f"cannot schedule in the past (t={when!r} < now={now!r})")
-        handle = _new_handle(TimerHandle)
+        handle = _bare(TimerHandle)
         handle.when = when
         handle.seq = seq = self._seq = self._seq + 1
         handle.sim = self
@@ -1076,6 +1112,10 @@ class ReferenceSimulator(Simulator):
         self._pushed += 1
         self._schedule(self._now, self._process_event, (ev,))
 
+    def completed(self, value: Any = None, name: str = "") -> SimEvent:
+        # the specification's way: through succeed() and the heap
+        return SimEvent(self, name).succeed(value)
+
     def call_later(self, delay: float, fn: Callable, *args: Any) -> TimerHandle:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
@@ -1092,7 +1132,7 @@ class ReferenceSimulator(Simulator):
         return self.call_at(when, fn, *args)
 
     def _schedule(self, when: float, fn: Callable, args: tuple) -> TimerHandle:
-        handle = _new_handle(TimerHandle)
+        handle = _bare(TimerHandle)
         handle.when = when
         handle.seq = seq = self._seq = self._seq + 1
         handle.sim = self

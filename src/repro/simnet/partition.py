@@ -349,6 +349,13 @@ class PartitionedSimulator(Simulator):
     def _push_triggered(self, ev: SimEvent) -> None:
         self._active_shard()._push_triggered(ev)
 
+    def completed(self, value: Any = None, name: str = "") -> SimEvent:
+        # filed by the shard, as _push_triggered files an event; its sim is
+        # the facade, as SimEvent(self, name).succeed(value) makes it
+        ev = self._active_shard().completed(value, name)
+        ev.sim = self
+        return ev
+
     def call_at_partition(
         self, partition: int, when: float, fn: Callable, *args: Any
     ) -> Optional[TimerHandle]:

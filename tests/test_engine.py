@@ -7,15 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.simnet.buffers import StreamBuffer
 from repro.simnet.engine import (
     AllOf,
     AnyOf,
     Interrupt,
     Process,
     ReferenceSimulator,
+    SimEvent,
     SimulationError,
     Simulator,
 )
+from repro.simnet.partition import PartitionedSimulator
 
 
 def test_clock_starts_at_zero():
@@ -677,6 +680,50 @@ def test_run_until_a_past_instant_is_refused_and_leaves_the_clock(kernel):
 
 
 # ---------------------------------------------------------------------------
+# event() and completed() set a SimEvent's slots themselves
+# ---------------------------------------------------------------------------
+
+_UNSET = object()
+
+
+def slot_state(ev, sim):
+    """Every slot of ``ev`` (``_UNSET`` for one never assigned; ``sim``
+    as whether it is ``sim``) and its class."""
+    state = {name: getattr(ev, name, _UNSET) for name in SimEvent.__slots__}
+    state["sim"] = state["sim"] is sim
+    state["class"] = type(ev)
+    return state
+
+
+@pytest.mark.parametrize("kernel", EVERY_KERNEL.values(), ids=EVERY_KERNEL.keys())
+def test_event_and_completed_set_every_slot_as_the_constructor_and_succeed_do(kernel):
+    """``Simulator.event`` builds what ``SimEvent(sim, name)`` builds, and
+    ``completed(v, name)`` what ``SimEvent(sim, name).succeed(v)`` leaves —
+    the slots, the counters and the callbacks' slot in the loop — on each
+    kernel: both calls build the event without ``__init__``, so this
+    guards their copies of the slot list."""
+    built, made = kernel(), kernel()
+    assert slot_state(made.event("op"), made) == slot_state(SimEvent(built, "op"), built)
+    assert slot_state(made.event(), made) == slot_state(SimEvent(built), built)
+
+    value = object()
+    log = []
+    for sim, ev in ((built, SimEvent(built, "done").succeed(value)),
+                    (made, made.completed(value, "done"))):
+        assert ev.sim is sim and ev.triggered and not ev.processed and ev.value is value
+        sim.call_later(0.0, log.append, (sim is made, "timer"))
+        ev.add_callback(lambda e, mine=sim is made: log.append((mine, e.value)))
+    twins = made.completed(None), SimEvent(built).succeed(None)
+    assert slot_state(twins[0], made) == slot_state(twins[1], built)
+    assert made.stats().as_dict() == built.stats().as_dict()
+    assert made.pending_count() == built.pending_count()
+    built.run()
+    made.run()
+    assert log == [(False, value), (False, "timer"), (True, value), (True, "timer")]
+    assert made.stats().as_dict() == built.stats().as_dict()
+
+
+# ---------------------------------------------------------------------------
 # the ready drain: one pass of the run loop per triggered event
 # ---------------------------------------------------------------------------
 
@@ -806,7 +853,8 @@ WHEELS = {
 
 
 def random_schedule(sim, seed, budget, seeds, splits, finish):
-    """A seeded program of timers, delayed triggers, timeouts and
+    """A seeded program of timers, delayed triggers, timeouts, events made
+    already complete, reads a stream buffer satisfies at once and
     cancellations, run on ``sim`` in pieces: each split is a ``step()``
     (``None``) or a ``run(until=now + d)``, then the rest runs through
     ``run()`` or ``step()`` by ``step()`` (``finish``).  Every fired entry
@@ -816,6 +864,7 @@ def random_schedule(sim, seed, budget, seeds, splits, finish):
     Returns the trace and the kernel's counters."""
     rng = random.Random(seed)
     trace, handles, left = [], [], [budget]
+    stream = StreamBuffer(sim)
 
     def when_from(now):
         kind = rng.choice(DELAY_CLASSES)
@@ -842,13 +891,21 @@ def random_schedule(sim, seed, budget, seeds, splits, finish):
     def post(label):
         now = sim.now
         when = when_from(now)
-        kind = rng.choice(("later", "at", "partition", "succeed", "fail", "timeout"))
+        kind = rng.choice(
+            ("later", "at", "partition", "succeed", "fail", "timeout", "completed", "read")
+        )
         if kind == "later":
             handles.append(sim.call_later(when - now, act, label))
         elif kind == "at":
             handles.append(sim.call_at(when, act, label))
         elif kind == "partition":
             handles.append(sim.call_at_partition(0, when, act, label))
+        elif kind == "completed":
+            sim.completed(label, label).add_callback(lambda e: act(f"{label}:{e.value}"))
+        elif kind == "read":
+            stream.append(bytes(range(rng.randrange(1, 9))))
+            ev = stream.recv_exact(rng.randrange(stream.available() + 1))
+            ev.add_callback(lambda e: act(f"{label}:{e.value.hex()}"))
         else:
             ev = sim.timeout(when - now, label) if kind == "timeout" else sim.event(label)
             ev.add_callback(lambda e: act(f"{label}:{'ok' if e.ok else 'failed'}"))
@@ -888,9 +945,15 @@ def random_schedule(sim, seed, budget, seeds, splits, finish):
 def test_the_wheel_runs_any_schedule_as_the_reference_heap_does(seed, budget, seeds, splits, finish):
     """Cancels before and after a timer fires, zero delays, sub-bucket
     delays scheduled while their bucket drains, timers past the horizon,
-    delayed succeed / fail and Timeouts, ties at one instant, run(until=t)
-    and step(): same trace and same events, timers and cancellations."""
+    delayed succeed / fail and Timeouts, ``completed()`` events and
+    satisfied reads, ties at one instant, run(until=t) and step(): same
+    trace and same events, timers and cancellations — and on the
+    partitioned kernel with all its work in one partition, where the
+    program steps nowhere (it has no ``step()``)."""
     reference = random_schedule(ReferenceSimulator(), seed, budget, seeds, splits, finish)
     assert len(reference[0]) >= seeds
     for make in WHEELS.values():
         assert random_schedule(make(), seed, budget, seeds, splits, finish) == reference
+    if finish == "run" and None not in splits:
+        partitioned = PartitionedSimulator(partitions=2)
+        assert random_schedule(partitioned, seed, budget, seeds, splits, finish) == reference

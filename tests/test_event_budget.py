@@ -891,13 +891,16 @@ def repro_calls(profile):
     return sum(repro_call_counts(profile).values())
 
 
-def test_a_satisfied_read_inside_a_drain_is_six_python_calls():
-    """``recv_exact``, the completion event's ``__init__``, ``ByteRing.take``,
-    ``succeed``, ``_push_triggered`` and the reader's ``add_callback`` — and
-    nothing per entry from the run loop, which drains the ready FIFO in one
-    pass.  7 while ``SimEvent.value`` was a property."""
+def test_a_satisfied_read_inside_a_drain_is_three_python_calls():
+    """``recv_exact``, which slices the head chunk itself, the engine's
+    ``completed``, which builds and files the already-succeeded event, and
+    the reader's ``add_callback`` — and nothing per entry from the run
+    loop, which drains the ready FIFO in one pass.  7 while
+    ``SimEvent.value`` was a property; 6 while the read built its event in
+    ``SimEvent.__init__``, took its bytes in ``ByteRing.take`` and
+    triggered it through ``succeed`` and ``_push_triggered``."""
     chained_read_calls(128)  # first use
-    assert chained_read_calls(256) - chained_read_calls(128) == 6 * 128
+    assert chained_read_calls(256) - chained_read_calls(128) == 3 * 128
 
 
 #: a timer's delay by its index: the ready FIFO, a bucket, the one being
@@ -999,20 +1002,24 @@ def round_trip_calls(make, round_trips):
 #: Circuit 182, VLink 162, MPI 246 (standalone 162), each ORB 286 and Java
 #: sockets 210 while a timer cost the engine six calls, seven through
 #: ``call_at_partition``, the Circuit and Madeleine named a message's peer
-#: host and MPI recomputed its rank and size per message).
+#: host and MPI recomputed its rank and size per message; the wire 25,
+#: Madeleine 68, MadIO 82, Circuit 140, MPI 174 (standalone 112), each ORB
+#: 234 and Java sockets 158 while ``Simulator.event`` ran
+#: ``SimEvent.__init__`` and a read the buffer satisfied at once built,
+#: took and triggered its event in four calls).
 RUNG_CALLS = {
-    "simnet.network": 25,
-    "madeleine": 68,
-    "arbitration.madio": 82,
-    "abstraction.circuit": 140,
+    "simnet.network": 24,
+    "madeleine": 65,
+    "arbitration.madio": 79,
+    "abstraction.circuit": 136,
     "abstraction.vlink": 128,
-    "middleware.mpi": 174,
-    "middleware.mpi_standalone": 112,
-    "middleware.corba": 234,
-    "middleware.corba.omniorb3": 234,
-    "middleware.corba.mico": 234,
-    "middleware.corba.orbacus": 234,
-    "middleware.javasockets": 158,
+    "middleware.mpi": 170,
+    "middleware.mpi_standalone": 108,
+    "middleware.corba": 233,
+    "middleware.corba.omniorb3": 233,
+    "middleware.corba.mico": 233,
+    "middleware.corba.orbacus": 233,
+    "middleware.javasockets": 156,
 }
 
 
@@ -1112,11 +1119,13 @@ class _PvmEcho(_OffLadder):
 #: 290 and PVM 336 while Madeleine recomputed its channel's identity per
 #: message; gSOAP 226 while a generator expression encoded an envelope's
 #: parameters; gSOAP 224, HLA 206 and PVM 242 while a timer cost the engine
-#: six calls and the Circuit named a message's peer host).
+#: six calls and the Circuit named a message's peer host; gSOAP 172, HLA
+#: 163 and PVM 184 while ``Simulator.event`` ran ``SimEvent.__init__`` and
+#: a satisfied read built, took and triggered its event in four calls).
 MIDDLEWARE_CALLS = {
-    "gsoap": (_SoapEcho, 172),
-    "hla": (_RtiAck, 163),
-    "pvm": (_PvmEcho, 184),
+    "gsoap": (_SoapEcho, 171),
+    "hla": (_RtiAck, 162),
+    "pvm": (_PvmEcho, 180),
 }
 
 

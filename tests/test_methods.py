@@ -127,6 +127,54 @@ def test_parallel_streams_forget_a_session_once_its_members_attached():
     assert server_conn() is None
 
 
+@pytest.mark.parametrize("method", ["sysio", "parallel_streams"])
+def test_a_read_after_the_peer_closed_the_link_fails(method):
+    """Once the peer closed a parallel-streams link, its members' FINs
+    close the link's read side after the slices already read off them:
+    what was written before the close is still read, and a read posted
+    after it fails with ``ConnectionError``, as over SysIO."""
+    fw, group = wan_with_methods(streams=3)
+    client, server = connect_via(fw, group, method, 8160)
+
+    def scenario():
+        yield client.write(b"last words")
+        client.close()
+        yield fw.sim.timeout(1.0)  # every FIN reached the server
+        data = yield server.read(10)
+        try:
+            yield server.read(1)
+        except ConnectionError:
+            return data
+        return "read completed"
+
+    assert run(fw, scenario()) == b"last words"
+
+
+def test_a_parallel_streams_link_closes_its_reads_after_the_slices_in_reassembly():
+    """Members that close while slices read off them wait for reassembly
+    leave the link readable until those slices are in its buffer (one
+    member, so that its slice is the whole record)."""
+    fw, group = wan_with_methods(streams=1)
+    client, server = connect_via(fw, group, "parallel_streams", 8170)
+    conn = server.conn
+    client.write(b"in flight")
+    while not conn._reassembling:
+        assert fw.sim.step()
+    for member in conn.members:
+        member.close()
+    assert not conn.buffer.closed
+
+    def scenario():
+        data = yield server.read(9)
+        try:
+            yield server.read(1)
+        except ConnectionError:
+            return data, conn.buffer.closed
+        return "read completed"
+
+    assert run(fw, scenario()) == (b"in flight", True)
+
+
 def test_parallel_streams_driver_validation(cluster):
     fw, group = cluster
     with pytest.raises(ValueError):

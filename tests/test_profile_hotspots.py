@@ -55,3 +55,27 @@ def test_the_timer_census_counts_every_timer_the_window_schedules():
     scheduled = batch.sim.stats().timers_scheduled - before
     assert scheduled > 0 and sum(timers.values()) == scheduled
     assert sum(triggered.values()) > 0
+
+
+def test_the_event_census_counts_every_event_the_window_triggers():
+    """Every event the kernel files in its ready FIFO is counted, whichever
+    call files it (``_push_triggered`` or ``completed``): on a QUICK
+    ``kernel_timers`` window the total is the window's sequence numbers
+    that are not timers — processed, pending or cancelled entries, less
+    the timers."""
+    tool = load_tool("profile_hotspots")
+    import workloads  # perfbench's, on the path the tool put it on
+
+    batch = workloads.WORKLOADS["kernel_timers"].build(1, workloads.QUICK)
+    sim = batch.sim
+
+    def entries():
+        stats = sim.stats()
+        return (
+            stats.events_processed + sim.pending_count() + stats.cancellations
+            - stats.timers_scheduled
+        )
+
+    before = entries()
+    _timers, triggered = tool.census(batch.run)
+    assert sum(triggered.values()) == entries() - before > 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tests.helpers import chop
 
+from repro.simnet.buffers import ByteRing, Gather
 from repro.simnet.cost import combine_bandwidths, required_copy_bandwidth, split_even
 from repro.simnet.engine import Simulator
 from repro.madeleine.message import PackMode, decode_segments, encode_segments
@@ -95,6 +96,64 @@ def test_stream_buffer_preserves_byte_order(chunks, read_sizes):
     out += buf.read_available()
     assert bytes(out) == everything
     assert buf.available() == 0
+
+
+_chunk = st.binary(min_size=1, max_size=40)
+_appends = st.lists(
+    st.one_of(
+        st.tuples(st.just("bytes"), _chunk),
+        st.tuples(st.just("view"), _chunk),
+        st.tuples(st.just("gather"), st.lists(_chunk, min_size=1, max_size=3)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+#: a read's size from the ring it is posted on: nothing, up to a chunk edge
+#: (the head chunk's rest plus ``k`` whole chunks) or any size it holds
+_reads = st.lists(
+    st.tuples(st.sampled_from(["zero", "edge", "any"]), st.integers(min_value=0, max_value=999)),
+    max_size=10,
+)
+
+
+def _read_size(ring, how, k):
+    if how == "zero" or not ring._size:
+        return 0
+    if how == "any":
+        return 1 + k % ring._size
+    chunks = list(ring._chunks)[: 1 + k % len(ring._chunks)]
+    return sum(map(len, chunks)) - ring._head
+
+
+@COMMON
+@given(_appends, st.integers(min_value=0, max_value=999), _reads)
+def test_a_satisfied_read_returns_what_byte_ring_take_returns(appends, skip, reads):
+    """``recv_exact`` with no ``done``, ``charge`` or ``gather`` slices the
+    head chunk itself; over ``bytes`` chunks, read-only views of ``bytes``
+    and ``Gather`` parts, from any head offset, it completes with what
+    ``ByteRing.take`` returns — the same object where ``take`` hands back
+    a chunk — and leaves the ring as ``take`` leaves it."""
+    sim = Simulator()
+    stream = StreamBuffer(sim)
+    twin = ByteRing()
+    for kind, data in appends:
+        data = {"bytes": bytes, "view": memoryview, "gather": Gather}[kind](data)
+        stream.append(data)
+        twin.append(data)
+    ring = stream._buffer
+    chunks = list(ring._chunks)
+    # a head offset inside the first chunk
+    stream.read_available(skip % len(chunks[0]))
+    twin.take(skip % len(chunks[0]))
+    for how, k in reads:
+        nbytes = _read_size(twin, how, k)
+        ev = stream.recv_exact(nbytes)
+        expected = twin.take(nbytes)
+        assert ev.triggered and ev.ok and type(ev.value) is bytes
+        assert ev.value == expected
+        assert [ev.value is c for c in chunks] == [expected is c for c in chunks]
+        assert list(map(id, ring._chunks)) == list(map(id, twin._chunks))
+        assert (ring._head, ring._size) == (twin._head, twin._size)
 
 
 # --------------------------------------------------------------------------

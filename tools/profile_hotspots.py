@@ -125,7 +125,9 @@ def census(window):
     triggered)``, the timers it schedules by callback and the events it
     triggers by kind.  A timer is counted at the scheduling call that
     files it (``call_later``, ``call_at``, the single loop's
-    ``call_at_partition``), so the total is ``SimStats.timers_scheduled``."""
+    ``call_at_partition``), so the total is ``SimStats.timers_scheduled``;
+    an event at the call that files it in the ready FIFO
+    (``_push_triggered``, ``completed``)."""
     from repro.simnet.engine import Simulator
 
     timers: Counter = Counter()
@@ -133,7 +135,7 @@ def census(window):
 
     original = {
         name: getattr(Simulator, name)
-        for name in ("call_later", "call_at", "call_at_partition", "_push_triggered")
+        for name in ("call_later", "call_at", "call_at_partition", "_push_triggered", "completed")
     }
 
     def counting(name, fn_at):
@@ -147,11 +149,17 @@ def census(window):
         triggered[_event_kind(ev)] += 1
         original["_push_triggered"](sim, ev)
 
+    def counting_completed(sim, *args, **kwargs):
+        ev = original["completed"](sim, *args, **kwargs)
+        triggered[_event_kind(ev)] += 1
+        return ev
+
     patches = {
         "call_later": counting("call_later", 1),
         "call_at": counting("call_at", 1),
         "call_at_partition": counting("call_at_partition", 2),
         "_push_triggered": counting_push,
+        "completed": counting_completed,
     }
     for name, patch in patches.items():
         setattr(Simulator, name, patch)
