@@ -51,10 +51,7 @@ from repro.abstraction.adaptive import (
     AdaptiveVLink,
     route_signature,
 )
-from repro.abstraction.adaptive_circuit import (
-    AdaptiveCircuitAdapter,
-    AdaptiveCircuitSession,
-)
+from repro.abstraction.adaptive_circuit import AdaptiveCircuitAdapter
 from repro.abstraction.drivers import (
     VLinkDriver,
     SysIOVLinkDriver,
@@ -70,7 +67,6 @@ from repro.abstraction.adapters import (
 __all__ = [
     "AbstractionError",
     "AdaptiveCircuitAdapter",
-    "AdaptiveCircuitSession",
     "AdaptiveListener",
     "AdaptiveVLink",
     "route_signature",

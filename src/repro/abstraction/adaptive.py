@@ -11,13 +11,13 @@ that carries it:
 * every byte of each direction has an absolute **stream offset**; payload
   travels in small ``(offset, length)`` frames and the receiver delivers
   strictly by contiguous offset, acknowledging what it has delivered;
-* the sender keeps unacknowledged bytes buffered, so when the
-  :class:`~repro.abstraction.vlink.VLinkManager` re-runs selection after a
-  topology change and the best route differs, the session **migrates**: a
-  new rail is opened (through the normal selector/relay machinery, so it
-  may ride a different method driver or a gateway chain), a small resume
-  handshake exchanges the delivered offsets of both directions, and each
-  side retransmits exactly the bytes the other has not seen;
+* the sender keeps unacknowledged bytes buffered, so when the host's
+  :class:`AdaptiveSessions` re-runs selection after a topology change and
+  the best route differs, the session **migrates**: a new rail is opened
+  (through the normal selector/relay machinery, so it may ride a different
+  method driver or a gateway chain), and the same rail handshake that
+  opened the session resumes it — each side reports the bytes it has
+  delivered and retransmits exactly the bytes the other has not seen;
 * duplicate suppression by offset makes the scheme idempotent: nothing is
   lost and nothing is reordered, whatever was in flight when the old rail
   disappeared.
@@ -29,6 +29,7 @@ stream.  Gateways auto-register VRP at zero tolerance for the same reason.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
 from operator import itemgetter
@@ -40,7 +41,13 @@ from repro.simnet.host import Host
 from repro.abstraction.common import AbstractionError
 from repro.abstraction.records import no_body, read_hello, read_records
 from repro.abstraction.routing import Route, RouteChoice
-from repro.abstraction.vlink import VLink, VLinkManager, VLinkOperation, VLinkState
+from repro.abstraction.vlink import (
+    VLink,
+    VLinkListener,
+    VLinkManager,
+    VLinkOperation,
+    VLinkState,
+)
 
 
 #: session handshake, client -> server on every new rail:
@@ -65,10 +72,10 @@ _T_DATA = 1
 _T_ACK = 2
 _T_CLOSE = 3
 
-#: virtual seconds before an unfinished migration attempt is abandoned.  A
+#: virtual seconds before an unfinished rail handshake is abandoned.  A
 #: connect towards a link that died *after* selection blackholes forever
-#: (SYNs vanish); the timeout unblocks the session so the next topology
-#: verdict can route around the failure.
+#: (SYNs vanish); the timeout fails a new session's connect, and unblocks a
+#: migrating one so the next topology verdict can route around the failure.
 MIGRATION_TIMEOUT = 0.5
 
 #: virtual seconds before a dead-rail session retries migration after a
@@ -76,6 +83,18 @@ MIGRATION_TIMEOUT = 0.5
 #: the route's gateway has no relay) would otherwise re-enter migrate()
 #: in the same-timestamp event batch forever, hanging the simulator.
 MIGRATION_RETRY_DELAY = MIGRATION_TIMEOUT / 8
+
+#: minimum dwell (virtual seconds) on the current rail after a successful
+#: migration before another *preference-driven* migration is allowed.
+#: Passive probes on a loaded backup WAN depress its measured bandwidth
+#: enough to flip the route weights back and forth; without a dwell every
+#: flip migrates every open session (the circuits benchmark showed ~20
+#: migrations where ~8 do the work).  Dead rails and routes through
+#: down links/hosts migrate immediately regardless.
+ROUTE_MIN_DWELL = 0.4
+
+#: the host service under which a host's :class:`AdaptiveSessions` lives
+ADAPTIVE_SERVICE = "adaptive-sessions"
 
 
 def route_signature(route: "Optional[Route | RouteChoice]") -> Optional[Tuple]:
@@ -106,6 +125,7 @@ class AdaptiveVLink:
     def __init__(
         self,
         manager: VLinkManager,
+        owner: "AdaptiveSessions | AdaptiveListener",
         session_id: int,
         dst_host: Optional[Host],
         port: int,
@@ -113,11 +133,14 @@ class AdaptiveVLink:
     ):
         self.manager = manager
         self.sim = manager.sim
+        #: the registry that holds this session while it is open: the host's
+        #: :class:`AdaptiveSessions` (client) or the :class:`AdaptiveListener`
+        #: that accepted it (server)
+        self.owner = owner
         self.session_id = session_id
         self.dst_host = dst_host
         self.port = port
         self.role = role  # "client" originates rails; "server" accepts them
-        self.listener: "Optional[AdaptiveListener]" = None  # server side only
         #: optional route source consulted for every rail (initial connect
         #: and each migration): adaptive *circuit* legs pass the selector's
         #: circuit-hop pinning here, so their rails follow circuit policy
@@ -135,24 +158,24 @@ class AdaptiveVLink:
         self.in_delivered = 0  # bytes of the inbound stream delivered
         self._out_buffer: List[Tuple[int, bytes]] = []  # unacked chunks
         self._write_waiters: List[Tuple[int, VLinkOperation]] = []
-        self._stash: Dict[int, bytes] = {}  # defensive out-of-order hold
         self.migrations = 0
-        #: when the last successful migration attached its rail; the
-        #: manager's re-selection enforces a minimum dwell from this point
-        #: before a purely preference-driven (signature-change) migration,
-        #: so measured-metric noise cannot flap the route (dead rails and
+        #: when the last successful migration attached its rail; the host's
+        #: re-selection enforces a minimum dwell from this point before a
+        #: purely preference-driven (signature-change) migration, so
+        #: measured-metric noise cannot flap the route (dead rails and
         #: non-viable routes bypass the dwell).
         self.last_migration_at: Optional[float] = None
-        self._dwell_recheck = False
         self.last_migration_error: Optional[BaseException] = None
-        self._migrating = False
+        #: the operation a new client session's connect completes
+        self._connect_op: Optional[VLinkOperation] = None
+        self._migrating = False  # a rail handshake is in flight
         self._remigrate = False
         #: the current rail died underneath us (close propagated from the
         #: transport).  While True, re-selection must migrate even when the
         #: recomputed route's signature equals the dead rail's — a fresh
         #: rail along the same route is still the fix.
         self._rail_dead = False
-        self._attempt = 0  # epoch guarding stale migration completions
+        self._attempt = 0  # epoch guarding stale handshake completions
         self._migration_timer = None  # cancellable TimerHandle of the attempt
         #: True when the peer closed while promising bytes we never received
         #: (only possible when the carrying wire died with data in flight).
@@ -343,17 +366,15 @@ class AdaptiveVLink:
         if end <= self.in_delivered:
             return False  # duplicate (retransmission overlap): drop
         if offset > self.in_delivered:
-            self._stash[offset] = payload  # defensive; rails are in-order
-            return False
+            # a rail is in order and every resume restarts at our own
+            # in_delivered, so a hole means the framing itself is broken
+            raise AbstractionError(
+                f"adaptive session {self.session_id:#x}: frame at offset {offset} "
+                f"past the {self.in_delivered} bytes delivered"
+            )
         fresh = payload[self.in_delivered - offset :]
         self.in_delivered += len(fresh)
         self.buffer.append(fresh)
-        while self._stash:
-            nxt = self._stash.pop(self.in_delivered, None)
-            if nxt is None:
-                break
-            self.in_delivered += len(nxt)
-            self.buffer.append(nxt)
         return True
 
     def _on_ack(self, acked: int) -> None:
@@ -388,24 +409,21 @@ class AdaptiveVLink:
         self.buffer.close()
 
     def _forget(self) -> None:
-        """Drop this session from the manager and (server side) listener."""
-        self.manager._unregister_adaptive(self)
-        listener = getattr(self, "listener", None)
-        if listener is not None:
-            listener.sessions.pop(self.session_id, None)
+        """Drop this session from the registry that holds it."""
+        self.owner.sessions.pop(self.session_id, None)
 
     def _on_rail_closed(self, rail: VLink) -> None:
-        """The carrier died under us (relay teardown, peer transport loss)."""
+        """The carrier died under us (relay teardown, peer transport loss).
+
+        A client re-opens along whatever the selector currently thinks is
+        best (possibly the same signature: a fresh rail is still the fix);
+        a server keeps the session, the client will resume on a new rail."""
         if rail is not self.rail or self.state is not VLinkState.ESTABLISHED:
             return
         self._rail_dead = True
-        if self.role == "client":
-            # re-open along whatever the selector currently thinks is best
-            # (possibly the same signature: a fresh rail is still the fix).
-            self.migrate(reason="rail closed")
-        # server role: keep the session; the client will resume on a new rail.
+        self.migrate(reason="rail closed")
 
-    # -- migration ---------------------------------------------------------------------
+    # -- the rail handshake ------------------------------------------------------------
     def migrate(self, reason: str = "") -> None:
         """Open a new rail via current selection and resume the session on it."""
         if self.state is not VLinkState.ESTABLISHED or self.role != "client":
@@ -417,19 +435,122 @@ class AdaptiveVLink:
             # the replacement route may relay through gateways that are not
             # booted (or lack the WAN method drivers) yet
             self.manager.gateway_provisioner(self.dst_host)
+        self._open_rail()
+
+    def _open_rail(self) -> None:
+        """Open a rail along the current route and send the session hello on
+        it at ``in_delivered``: ``SESSION_NEW`` (at 0) while the session
+        connects, ``SESSION_RESUME`` once it is established.  Only the
+        ending differs — :meth:`_on_reply` and :meth:`_handshake_failed`."""
         self._migrating = True
         self._attempt += 1
         attempt_id = self._attempt
-        attempt = self.manager.connect(
+        self.manager.connect(
             self.dst_host, self.port, reliable_only=True, route=self._provided_route()
-        )
-        attempt.add_callback(lambda ev: self._on_migration_rail(ev, attempt_id))
-        self._migration_timer = self.sim.call_later(
-            MIGRATION_TIMEOUT, self._migration_timeout, attempt_id
+        ).add_callback(lambda ev: self._on_rail(ev, attempt_id))
+        self._migration_timer = self.sim.call_later(MIGRATION_TIMEOUT, self._handshake_timeout)
+
+    def _on_rail(self, ev, attempt_id: int) -> None:
+        if attempt_id != self._attempt:
+            if ev.ok:
+                self._discard_stale_rail(ev.value)
+            return
+        if not ev.ok:
+            self._handshake_failed(ev.value)
+            return
+        rail: VLink = ev.value
+        if self.state is VLinkState.CONNECTING:
+            kind, self.rail = SESSION_NEW, rail  # closed by a handshake timeout
+        else:
+            kind = SESSION_RESUME
+        try:
+            rail.write(_HELLO.pack(_HELLO_MAGIC, self.session_id, kind, self.in_delivered))
+        except Exception as exc:  # the listener refused/closed the rail already
+            self._handshake_failed(
+                self._refused() if kind == SESSION_NEW else ConnectionError(str(exc)), rail
+            )
+            return
+        rail.read(_REPLY.size).add_callback(lambda rev: self._on_reply(rev, rail, attempt_id))
+
+    def _on_reply(self, rev, rail: VLink, attempt_id: int) -> None:
+        if attempt_id != self._attempt:
+            self._discard_stale_rail(rail)
+            return
+        if not rev.ok:
+            self._handshake_failed(rev.value, rail)
+            return
+        magic, status, peer_delivered = _REPLY.unpack(rev.value)
+        if magic != _REPLY_MAGIC or status != _STATUS_OK:
+            self._handshake_failed(self._refused(), rail)
+            return
+        self._cancel_migration_timer()
+        self._migrating = False
+        if self.state is VLinkState.CONNECTING:
+            self.state = VLinkState.ESTABLISHED
+            self._attach_rail(rail, peer_delivered)
+            self.owner.sessions[self.session_id] = self
+            self._connect_op.succeed(self)
+            return
+        self.migrations += 1
+        self.last_migration_at = self.sim.now
+        self.last_migration_error = None
+        tele = self.sim.telemetry
+        if tele is not None:
+            tele.emit(
+                "route.migrate",
+                session=f"{self.session_id:#x}",
+                peer=self.peer_name,
+                migrations=self.migrations,
+            )
+        self._attach_rail(rail, peer_delivered)
+        self._send_ack()
+        if self._remigrate:
+            # a migration queued during this one happens only if the route
+            # really changed again
+            self._remigrate = False
+            self.sim.call_later(0.0, self.owner.reroute)
+
+    def _refused(self) -> ConnectionRefusedError:
+        if self.state is VLinkState.CONNECTING:
+            return ConnectionRefusedError(f"no adaptive listener on port {self.port}")
+        return ConnectionRefusedError(
+            f"peer no longer knows adaptive session {self.session_id:#x}"
         )
 
+    def _handshake_timeout(self) -> None:
+        self._migration_timer = None
+        self._attempt += 1  # a late completion of this attempt is now stale
+        if self.state is VLinkState.CONNECTING:
+            # the wire can die between rail establishment and the reply; the
+            # caller must get a failure, not an eternally pending connect.
+            self._handshake_failed(
+                TimeoutError(f"adaptive handshake to {self.peer_name}:{self.port} timed out"),
+                self.rail,
+            )
+            return
+        # The attempt's RESUME hello may have reached the listener even
+        # though the reply never made it back (it died with a gateway): the
+        # server may already carry the session on the abandoned rail.  The
+        # old rail is therefore suspect — reconverge through a fresh resume
+        # (idempotent) instead of assuming it still reaches the peer.
+        # _migration_failed schedules the re-evaluation.
+        self._rail_dead = True
+        self._migration_failed(TimeoutError("migration attempt timed out"))
+
+    def _handshake_failed(self, exc: BaseException, rail: Optional[VLink] = None) -> None:
+        """End a failed handshake: close its rail, then fail the connect of
+        a new session, or leave a migrating one on its old rail."""
+        if rail is not None and rail.state is not VLinkState.CLOSED:
+            rail.close()
+        if self.state is not VLinkState.CONNECTING:
+            self._migration_failed(exc)
+            return
+        self._cancel_migration_timer()
+        self.state = VLinkState.CLOSED
+        self._connect_op.fail(exc)
+
     def _discard_stale_rail(self, rail: VLink) -> None:
-        """Drop a rail from a superseded migration attempt — carefully.
+        """Drop a rail from a superseded handshake attempt — carefully.
 
         The rail's RESUME hello may already have reached the listener, in
         which case the *server* adopted it as the session carrier and
@@ -442,9 +563,9 @@ class AdaptiveVLink:
         """
         if rail.state is not VLinkState.CLOSED:
             rail.close()
-        if self.state is VLinkState.ESTABLISHED and self.role == "client":
+        if self.state is VLinkState.ESTABLISHED:
             self._rail_dead = True
-            self.sim.call_later(0.0, self._reroute_self)
+            self.sim.call_later(0.0, self.owner.reroute)
 
     def _provided_route(self) -> Optional[Route]:
         """The externally pinned route for the next rail, if any."""
@@ -460,80 +581,6 @@ class AdaptiveVLink:
         if timer is not None:
             timer.cancel()
 
-    def _migration_timeout(self, attempt_id: int) -> None:
-        self._migration_timer = None
-        if attempt_id != self._attempt or not self._migrating:
-            return
-        self._attempt += 1  # a late completion of this attempt is now stale
-        # The attempt's RESUME hello may have reached the listener even
-        # though the reply never made it back (it died with a gateway): the
-        # server may already carry the session on the abandoned rail.  The
-        # old rail is therefore suspect — reconverge through a fresh resume
-        # (idempotent) instead of assuming it still reaches the peer.
-        # _migration_failed schedules the re-evaluation.
-        self._rail_dead = True
-        self._migration_failed(TimeoutError("migration attempt timed out"))
-
-    def _on_migration_rail(self, ev, attempt_id: int) -> None:
-        if attempt_id != self._attempt:
-            if ev.ok:
-                self._discard_stale_rail(ev.value)
-            return
-        if not ev.ok:
-            self._migration_failed(ev.value)
-            return
-        rail: VLink = ev.value
-        hello = _HELLO.pack(_HELLO_MAGIC, self.session_id, SESSION_RESUME, self.in_delivered)
-        try:
-            rail.write(hello)
-        except Exception as exc:  # rail already closed under us
-            self._migration_failed(ConnectionError(str(exc)))
-            return
-        rail.read(_REPLY.size).add_callback(
-            lambda rev: self._on_resume_reply(rev, rail, attempt_id)
-        )
-
-    def _on_resume_reply(self, rev, rail: VLink, attempt_id: int) -> None:
-        if attempt_id != self._attempt or self.state is not VLinkState.ESTABLISHED:
-            self._discard_stale_rail(rail)
-            return
-        if not rev.ok:
-            rail.close()
-            self._migration_failed(rev.value)
-            return
-        magic, status, peer_delivered = _REPLY.unpack(rev.value)
-        if magic != _REPLY_MAGIC or status != _STATUS_OK:
-            rail.close()
-            self._migration_failed(
-                ConnectionRefusedError(
-                    f"peer no longer knows adaptive session {self.session_id:#x}"
-                )
-            )
-            return
-        self._cancel_migration_timer()
-        self._migrating = False
-        self.migrations += 1
-        self.last_migration_at = self.sim.now
-        self.last_migration_error = None
-        tele = self.sim.telemetry
-        if tele is not None:
-            tele.emit(
-                "route.migrate",
-                session=f"{self.session_id:#x}",
-                peer=self.peer_name,
-                migrations=self.migrations,
-            )
-        self._attach_rail(rail, peer_delivered)
-        self._send_ack()
-        if self._remigrate:
-            self._remigrate = False
-            self.sim.call_later(0.0, self._reroute_self)
-
-    def _reroute_self(self) -> None:
-        # delegate to the manager's route comparison so a migration queued
-        # during a migration only happens if the route really changed again.
-        self.manager._reroute_adaptive_links()
-
     def _migration_failed(self, exc: BaseException) -> None:
         self._cancel_migration_timer()
         self._migrating = False
@@ -543,11 +590,11 @@ class AdaptiveVLink:
         # With a live old rail the next topology change retries.  But when
         # the rail is already dead — or a re-migration was queued while this
         # attempt was in flight — nobody else will: re-evaluate soon (the
-        # dead-rail check in the manager migrates even on an identical
-        # route signature).  The delay is what keeps a synchronously
-        # failing connect from hot-looping the same timestamp.
+        # dead-rail check migrates even on an identical route signature).
+        # The delay is what keeps a synchronously failing connect from
+        # hot-looping the same timestamp.
         if retry and self.state is VLinkState.ESTABLISHED:
-            self.sim.call_later(MIGRATION_RETRY_DELAY, self._reroute_self)
+            self.sim.call_later(MIGRATION_RETRY_DELAY, self.owner.reroute)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -556,48 +603,142 @@ class AdaptiveVLink:
         )
 
 
-class AdaptiveListener:
+class AdaptiveSessions:
+    """The adaptive sessions one host originated, and when they migrate.
+
+    Subscribed to the topology knowledge base: after every change it re-runs
+    rail selection for each open session and migrates those whose rail died
+    or whose best route differs — unless the session migrated less than
+    :data:`ROUTE_MIN_DWELL` ago and its rail's route is still viable (route
+    flap damping).  One per host, made by the host's first adaptive connect.
+    """
+
+    def __init__(self, manager: VLinkManager):
+        self.manager = manager
+        self.sim = manager.sim
+        #: open client sessions (migration candidates), by session id
+        self.sessions: Dict[int, AdaptiveVLink] = {}
+        #: session ids: the host name's CRC in the upper 32 bits, a counter below
+        self._ids = itertools.count((zlib.crc32(manager.host.name.encode("utf-8")) << 32) + 1)
+        self._reroute_scheduled = False
+        self._dwell_rechecks: set = set()  # sessions with a dwell-expiry recheck pending
+        manager.selector.topology.subscribe(self._on_topology_change)
+
+    @staticmethod
+    def of(manager: VLinkManager) -> "AdaptiveSessions":
+        """The host's instance, made on first use."""
+        home = manager.host.get_service(ADAPTIVE_SERVICE)
+        if home is None or home.manager is not manager:
+            home = AdaptiveSessions(manager)
+            manager.host.register_service(ADAPTIVE_SERVICE, home, replace=True)
+        return home
+
+    def _on_topology_change(self, _change) -> None:
+        """Topology mutated: re-run selection for the open sessions.
+
+        Deferred by one event-loop turn so the re-evaluation happens after
+        the mutation (and any sibling notifications) fully settled.
+        """
+        if self._reroute_scheduled or not self.sessions:
+            return
+        self._reroute_scheduled = True
+        self.sim.call_later(0.0, self.reroute)
+
+    def reroute(self) -> None:
+        """Migrate every established session whose rail died or whose
+        current best route differs from its rail's."""
+        self._reroute_scheduled = False
+        manager = self.manager
+        for link in list(self.sessions.values()):
+            if link.state is not VLinkState.ESTABLISHED:
+                continue
+            if manager.gateway_provisioner is not None:
+                manager.gateway_provisioner(link.dst_host)
+            route = link._provided_route()
+            if route is None:
+                try:
+                    route = manager.selector.choose_vlink_route(
+                        manager.host,
+                        link.dst_host,
+                        manager.reliable_driver_names(),
+                        reliable_only=True,
+                    )
+                except AbstractionError:
+                    continue  # destination unreachable right now: keep the rail
+            rail_dead = link._rail_dead or link.rail.state is not VLinkState.ESTABLISHED
+            if not rail_dead and route_signature(route) == link.rail_signature:
+                continue
+            if not rail_dead and self._dwell_blocks(link):
+                # recently migrated and the current route still works: hold
+                # the route (flap damping) and re-evaluate when the dwell
+                # expires.
+                if self.sim.telemetry is not None:
+                    self.sim.telemetry.emit(
+                        "route.dwell_veto", session=f"{link.session_id:#x}", peer=link.peer_name
+                    )
+                self._defer_reroute(link)
+                continue
+            link.migrate(reason=f"topology change: {route.describe()}")
+
+    def _dwell_blocks(self, link: AdaptiveVLink) -> bool:
+        """True when the minimum-dwell hysteresis vetoes a preference-driven
+        migration of ``link``, whose rail is alive: it migrated less than
+        :data:`ROUTE_MIN_DWELL` ago and its rail's route is still viable."""
+        # the deadline must be the *same float expression* `_defer_reroute`
+        # schedules its recheck for, or rounding can strand the recheck in a
+        # zero-delay loop at the expiry timestamp
+        if link.last_migration_at is None or (
+            self.sim.now >= link.last_migration_at + ROUTE_MIN_DWELL
+        ):
+            return False
+        return self._route_viable(link.rail.route)
+
+    def _route_viable(self, route: "Route | RouteChoice") -> bool:
+        """Is ``route`` still physically usable according to the knowledge
+        base?  A route through a down link or a dead host is not —
+        hysteresis must never pin a session to it."""
+        topology = self.manager.selector.topology
+        for hop in route.hops if isinstance(route, Route) else [route]:
+            if hop.network is not None and not topology.is_link_up(hop.network):
+                return False
+            if hop.dst is not None and not topology.is_host_up(hop.dst):
+                return False
+        return True
+
+    def _defer_reroute(self, link: AdaptiveVLink) -> None:
+        """Schedule one re-evaluation at the link's dwell expiry."""
+        if link in self._dwell_rechecks:
+            return
+        self._dwell_rechecks.add(link)
+        remaining = link.last_migration_at + ROUTE_MIN_DWELL - self.sim.now
+        self.sim.call_later(max(remaining, 0.0), self._dwell_expired, link)
+
+    def _dwell_expired(self, link: AdaptiveVLink) -> None:
+        self._dwell_rechecks.discard(link)
+        if link.session_id in self.sessions:
+            self.reroute()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<AdaptiveSessions {self.manager.host.name} sessions={len(self.sessions)}>"
+
+
+class AdaptiveListener(VLinkListener):
     """Server side of adaptive sessions on one port.
 
-    Wraps a plain :class:`~repro.abstraction.vlink.VLinkListener`: every raw
-    incoming VLink is handshaken first.  New sessions surface through
-    ``accept``; resumed sessions are spliced into the existing
-    :class:`AdaptiveVLink` without surfacing again.
+    A :class:`~repro.abstraction.vlink.VLinkListener` whose every incoming
+    rail is handshaken first: a new session enters the listener's accept
+    queue (``accept`` / ``set_accept_callback``); a resumed one is spliced
+    into its existing :class:`AdaptiveVLink` without surfacing again.
+    Closing it releases the port, so a new rail is refused; open sessions
+    keep running until closed themselves.
     """
 
     def __init__(self, manager: VLinkManager, port: int):
-        self.manager = manager
-        self.sim = manager.sim
-        self.port = port
         self.sessions: Dict[int, AdaptiveVLink] = {}
         self.rejected = 0
-        self._accept_callback: Optional[Callable[[AdaptiveVLink], None]] = None
-        self._ready: List[AdaptiveVLink] = []
-        self._waiters: List[VLinkOperation] = []
-        self._raw = manager.listen(port)
-        self._raw.set_accept_callback(self._on_raw_link)
+        super().__init__(manager, port)
 
-    # -- accept surface ---------------------------------------------------------
-    def accept(self) -> VLinkOperation:
-        op = VLinkOperation(self.sim, "accept")
-        if self._ready:
-            op.succeed(self._ready.pop(0))
-        else:
-            self._waiters.append(op)
-        return op
-
-    def set_accept_callback(self, fn: Callable[[AdaptiveVLink], None]) -> None:
-        self._accept_callback = fn
-        while self._ready:
-            fn(self._ready.pop(0))
-
-    def close(self) -> None:
-        """Stop accepting: the port is released in every driver, so a new
-        rail is refused (open sessions keep running until closed themselves)."""
-        self._raw.close()
-
-    # -- handshake ---------------------------------------------------------------
-    def _on_raw_link(self, raw: VLink) -> None:
+    def _incoming(self, raw: VLink) -> None:
         read_hello(raw, _HELLO, no_body, self._handshaken)
 
     def _handshaken(self, raw: VLink, hello: Tuple, _body) -> None:
@@ -608,25 +749,18 @@ class AdaptiveListener:
             return
         if kind == SESSION_RESUME:
             session = self.sessions.get(session_id)
-            if session is None or session.state is VLinkState.CLOSED:
+            if session is None:
                 self.rejected += 1
                 raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_UNKNOWN, 0))
                 return
-            raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_OK, session.in_delivered))
-            session._attach_rail(raw, client_delivered)
-            return
-        session = AdaptiveVLink(self.manager, session_id, None, self.port, role="server")
-        session.listener = self
-        self.sessions[session_id] = session
-        raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_OK, 0))
-        session.state = VLinkState.ESTABLISHED
-        session._attach_rail(raw, client_delivered)
-        if self._waiters:
-            self._waiters.pop(0).succeed(session)
-        elif self._accept_callback is not None:
-            self._accept_callback(session)
         else:
-            self._ready.append(session)
+            session = AdaptiveVLink(self.manager, self, session_id, None, self.port, "server")
+            session.state = VLinkState.ESTABLISHED
+            self.sessions[session_id] = session
+        raw.write(_REPLY.pack(_REPLY_MAGIC, _STATUS_OK, session.in_delivered))
+        session._attach_rail(raw, client_delivered)
+        if kind != SESSION_RESUME:
+            VLinkListener._incoming(self, session)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<AdaptiveListener :{self.port} sessions={len(self.sessions)}>"
@@ -638,75 +772,19 @@ def adaptive_connect(
     port: int,
     route_provider: Optional[Callable[[], Optional[Route]]] = None,
 ) -> VLinkOperation:
-    """Client side: open an adaptive session (used by
-    :meth:`VLinkManager.connect_adaptive`).  ``route_provider`` pins the
-    rail route (initial and per-migration) — adaptive circuit legs use it
-    to ride circuit-hop selection."""
-    op = VLinkOperation(manager.sim, "connect")
-    session_id = (zlib.crc32(manager.host.name.encode("utf-8")) << 32) | next(
-        _session_counter(manager)
-    )
-    link = AdaptiveVLink(manager, session_id, dst_host, port, role="client")
+    """Open an adaptive session to ``dst_host:port`` from ``manager``'s host.
+
+    The returned operation completes with an :class:`AdaptiveVLink` once
+    its first rail is handshaken; the rail is re-selected (and the stream
+    migrated without losing or reordering bytes) whenever the topology
+    knowledge base changes under it.  ``route_provider`` (a callable
+    returning a pinned :class:`~repro.abstraction.routing.Route` or
+    ``None``) overrides the rail selection, initially and per migration —
+    adaptive circuit legs pass the selector's circuit-hop pinning here.
+    """
+    home = AdaptiveSessions.of(manager)
+    link = AdaptiveVLink(manager, home, next(home._ids), dst_host, port, "client")
     link.route_provider = route_provider
-    attempt = manager.connect(dst_host, port, reliable_only=True, route=link._provided_route())
-    pending_rail: List[VLink] = []
-
-    def _handshake_timed_out():
-        # the wire can die between rail establishment and the reply; the
-        # caller must get a failure, not an eternally pending connect.
-        if op.triggered:
-            return
-        op.fail(TimeoutError(f"adaptive handshake to {dst_host.name}:{port} timed out"))
-        for rail in pending_rail:
-            if rail.state is not VLinkState.CLOSED:
-                rail.close()
-
-    handshake_guard = manager.sim.call_later(MIGRATION_TIMEOUT, _handshake_timed_out)
-    op.add_callback(lambda _ev: handshake_guard.cancel())
-
-    def _rail_open(ev):
-        if not ev.ok:
-            if not op.triggered:
-                op.fail(ev.value)
-            return
-        rail: VLink = ev.value
-        if op.triggered:  # timed out while connecting
-            rail.close()
-            return
-        pending_rail.append(rail)
-        try:
-            rail.write(_HELLO.pack(_HELLO_MAGIC, session_id, SESSION_NEW, 0))
-        except Exception:  # the listener refused/closed the rail already
-            if not op.triggered:
-                op.fail(ConnectionRefusedError(f"no adaptive listener on port {port}"))
-            return
-        rail.read(_REPLY.size).add_callback(lambda rev: _replied(rev, rail))
-
-    def _replied(rev, rail: VLink):
-        if op.triggered:
-            return
-        if not rev.ok:
-            op.fail(rev.value)
-            return
-        magic, status, _delivered = _REPLY.unpack(rev.value)
-        if magic != _REPLY_MAGIC or status != _STATUS_OK:
-            rail.close()
-            op.fail(ConnectionRefusedError(f"no adaptive listener on port {port}"))
-            return
-        link.state = VLinkState.ESTABLISHED
-        link._attach_rail(rail, 0)
-        manager._register_adaptive(link)
-        op.succeed(link)
-
-    attempt.add_callback(_rail_open)
-    return op
-
-
-def _session_counter(manager: VLinkManager):
-    counter = getattr(manager, "_adaptive_session_counter", None)
-    if counter is None:
-        import itertools
-
-        counter = itertools.count(1)
-        manager._adaptive_session_counter = counter
-    return counter
+    link._connect_op = VLinkOperation(manager.sim, "connect")
+    link._open_rail()
+    return link._connect_op

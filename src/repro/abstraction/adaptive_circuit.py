@@ -1,11 +1,10 @@
 """Adaptive Circuits: group endpoints that survive topology changes.
 
-The PR 2 adaptive machinery stopped at point-to-point VLinks: a Circuit
-bound its adapters once at creation, so the monitoring subsystem's verdicts
-(degraded WANs, dead links, killed gateways) were invisible to group
-communication — a member behind a dying hop simply froze.  This module
-closes that gap by generalizing the offset-framed, cumulative-ack sessions
-of :mod:`repro.abstraction.adaptive` to the Circuit layer:
+A plain Circuit binds its adapters once at creation, so the monitoring
+subsystem's verdicts (degraded WANs, dead links, killed gateways) are
+invisible to group communication — a member behind a dying hop simply
+freezes.  The adaptive adapter generalizes the offset-framed, cumulative-ack
+sessions of :mod:`repro.abstraction.adaptive` to the Circuit layer:
 
 * every remote leg of an adaptive circuit is an
   :class:`~repro.abstraction.adaptive.AdaptiveVLink` session instead of a
@@ -17,14 +16,15 @@ of :mod:`repro.abstraction.adaptive` to the Circuit layer:
   VRP on WAN hops, MadIO on SAN hops, monitoring-derived parameters) both
   at creation and on every migration;
 * when a hop degrades or a gateway dies, **only the affected leg
-  migrates** — the VLink manager's topology subscription re-runs pinning
-  per session, the session resumes on the new rail via the offset
-  handshake, and per-source byte order across the group is preserved by
-  the cumulative-ack retransmission exactly as for point-to-point adaptive
+  migrates** — the host's
+  :class:`~repro.abstraction.adaptive.AdaptiveSessions` re-runs pinning per
+  session, the session resumes on the new rail through the offset
+  handshake, and per-source byte order across the group is preserved by the
+  cumulative-ack retransmission exactly as for point-to-point adaptive
   VLinks.  Unaffected legs never notice.
 
-The :class:`AdaptiveCircuitSession` object is the per-circuit bookkeeping
-surface (``circuit.adaptive``): live legs, migration counts, per-leg route
+The adapter itself is the per-circuit bookkeeping surface
+(``circuit.adaptive``): live legs, migration counts, per-leg route
 descriptions — what benchmarks and operators introspect.
 """
 
@@ -34,9 +34,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.simnet.engine import SimEvent
 from repro.simnet.host import Host
-from repro.abstraction.adaptive import AdaptiveVLink
+from repro.abstraction.adaptive import AdaptiveListener, AdaptiveVLink, adaptive_connect
 from repro.abstraction.adapters import StreamMeshCircuitAdapter
-from repro.abstraction.circuit import Circuit
 from repro.abstraction.common import AbstractionError
 from repro.abstraction.routing import Route
 
@@ -48,20 +47,24 @@ class AdaptiveCircuitAdapter(StreamMeshCircuitAdapter):
     reused verbatim — only the transport changes: :meth:`start` opens an
     :class:`~repro.abstraction.adaptive.AdaptiveListener` and ``_connect``
     opens adaptive sessions whose rails are pinned through the selector's
-    circuit-hop policy.
+    circuit-hop policy.  Started, it is the circuit's ``adaptive``.
     """
 
     name = "adaptive"
 
     # -- stream-mesh transport ------------------------------------------------------
     def start(self) -> None:
-        listener = self.vlink_manager.listen_adaptive(self.circuit.port)
+        self.circuit.adaptive = self
+        listener = AdaptiveListener(self.vlink_manager, self.circuit.port)
         listener.set_accept_callback(self._on_incoming_stream)
 
     def _connect(self, dst_rank: int) -> SimEvent:
         dst_host = self.circuit.host_of(dst_rank)
-        return self.vlink_manager.connect_adaptive(
-            dst_host, self.circuit.port, route_provider=self._route_provider_for(dst_host)
+        return adaptive_connect(
+            self.vlink_manager,
+            dst_host,
+            self.circuit.port,
+            route_provider=self._route_provider_for(dst_host),
         )
 
     def _route_provider_for(self, dst_host: Host) -> Callable[[], Optional[Route]]:
@@ -82,40 +85,20 @@ class AdaptiveCircuitAdapter(StreamMeshCircuitAdapter):
     # -- introspection ------------------------------------------------------------
     def legs(self) -> Dict[int, AdaptiveVLink]:
         """The live outgoing adaptive sessions, keyed by destination rank."""
-        return {
-            rank: stream
-            for rank, stream in self._out_streams.items()
-            if isinstance(stream, AdaptiveVLink)
-        }
-
-
-class AdaptiveCircuitSession:
-    """Per-circuit adaptive bookkeeping: the surface behind ``circuit.adaptive``.
-
-    One instance wraps the circuit's :class:`AdaptiveCircuitAdapter` and
-    aggregates what the group endpoint wants to know: which legs are live,
-    how often each migrated, and what route every leg currently rides.
-    """
-
-    def __init__(self, circuit: Circuit, adapter: AdaptiveCircuitAdapter):
-        self.circuit = circuit
-        self.adapter = adapter
-
-    def legs(self) -> Dict[int, AdaptiveVLink]:
-        return self.adapter.legs()
+        return dict(self._out_streams)
 
     def migrations(self) -> int:
         """Total leg migrations this member performed so far."""
-        return sum(leg.migrations for leg in self.legs().values())
+        return sum(leg.migrations for leg in self._out_streams.values())
 
     def unacked(self) -> int:
         """Bytes written to the group the peers have not yet delivered."""
-        return sum(leg.unacked for leg in self.legs().values())
+        return sum(leg.unacked for leg in self._out_streams.values())
 
     def leg_routes(self) -> Dict[int, str]:
         """Human-readable current route per destination rank."""
         out: Dict[int, str] = {}
-        for rank, leg in self.legs().items():
+        for rank, leg in self._out_streams.items():
             route = leg.route
             if route is None:
                 out[rank] = "?"
@@ -126,20 +109,14 @@ class AdaptiveCircuitSession:
         return out
 
     def describe(self) -> Dict[str, object]:
-        legs = self.legs()
+        legs = self._out_streams
         return {
             "legs": len(legs),
             "migrations": self.migrations(),
             "unacked": self.unacked(),
-            "routes": {rank: desc for rank, desc in sorted(self.leg_routes().items())},
+            "routes": dict(sorted(self.leg_routes().items())),
             "drivers": {rank: leg.driver_name for rank, leg in sorted(legs.items())},
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<AdaptiveCircuitSession {self.circuit.name!r} "
-            f"legs={len(self.legs())} migrations={self.migrations()}>"
-        )
 
-
-__all__: List[str] = ["AdaptiveCircuitAdapter", "AdaptiveCircuitSession"]
+__all__: List[str] = ["AdaptiveCircuitAdapter"]

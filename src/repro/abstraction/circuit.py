@@ -63,9 +63,9 @@ class Circuit:
         self.sim = manager.sim
         self.name = name
         self.group = group
-        #: the per-circuit adaptive bookkeeping surface
-        #: (:class:`~repro.abstraction.adaptive_circuit.AdaptiveCircuitSession`)
-        #: when the circuit was created with ``adaptive=True``; None otherwise.
+        #: the circuit's :class:`~repro.abstraction.adaptive_circuit.AdaptiveCircuitAdapter`
+        #: (legs, migrations, routes) when it was created with
+        #: ``adaptive=True`` and has a remote member; None otherwise.
         self.adaptive = None
         if not group.contains(self.host):
             raise AbstractionError(
@@ -299,15 +299,6 @@ class CircuitManager:
                 adapter = adapters[factory] = factory(circuit, route)
                 adapter.start()
             circuit._set_link(dst_rank, adapter, route)
-        if adaptive:
-            from repro.abstraction.adaptive_circuit import (
-                AdaptiveCircuitAdapter,
-                AdaptiveCircuitSession,
-            )
-
-            for adapter in adapters.values():
-                if isinstance(adapter, AdaptiveCircuitAdapter):
-                    circuit.adaptive = AdaptiveCircuitSession(circuit, adapter)
         self._circuits[name] = (circuit, bool(adaptive))
         return circuit
 

@@ -321,32 +321,38 @@ def pack_relay_hello(dst_name: str, port: int, ttl: int, pinned: bytes = b"") ->
 def encode_pinned_hops(hops: List[RouteChoice]) -> bytes:
     """Serialize per-hop method decisions for the relay handshake.
 
-    Each hop encodes as ``method@dst[#key=value...]``; hops are joined with
-    ``;``.  Pinning requires explicit hop endpoints — any hop without a
-    ``dst`` yields an empty blob (the relays then re-select autonomously,
-    the pre-pinning behaviour).
+    Each hop encodes as ``method@dst[/network][#key=value...]``; hops are
+    joined with ``;``.  Pinning requires explicit hop endpoints — any hop
+    without a ``dst`` yields an empty blob (the relays then re-select
+    autonomously, the pre-pinning behaviour).
     """
     parts = []
     for hop in hops:
         if hop.dst is None:
             return b""
         spec = f"{hop.method}@{hop.dst.name}"
+        if hop.network is not None:
+            spec += f"/{hop.network.name}"
         for key in sorted(hop.params):
             spec += f"#{key}={hop.params[key]}"
         parts.append(spec)
     return ";".join(parts).encode("utf-8")
 
 
-def decode_pinned_hops(blob: bytes) -> List[Tuple[str, str, Dict[str, float]]]:
-    """Parse a pinned-hop blob into ``(method, dst_name, params)`` triples.
+def decode_pinned_hops(
+    blob: bytes,
+) -> List[Tuple[str, str, Optional[str], Dict[str, float]]]:
+    """Parse a pinned-hop blob into ``(method, dst_name, network_name,
+    params)`` tuples (``network_name`` None when the hop named none).
 
     Raises :class:`ValueError` on malformed input; callers treat that as
     "no pinning" and fall back to autonomous selection.
     """
-    triples: List[Tuple[str, str, Dict[str, float]]] = []
+    hops: List[Tuple[str, str, Optional[str], Dict[str, float]]] = []
     for spec in blob.decode("utf-8").split(";"):
         fields = spec.split("#")
-        method, _, dst_name = fields[0].partition("@")
+        method, _, target = fields[0].partition("@")
+        dst_name, _, network_name = target.partition("/")
         if not method or not dst_name:
             raise ValueError(f"malformed pinned hop {spec!r}")
         params: Dict[str, float] = {}
@@ -354,8 +360,8 @@ def decode_pinned_hops(blob: bytes) -> List[Tuple[str, str, Dict[str, float]]]:
             key, _, raw = pair.partition("=")
             value = float(raw)
             params[key] = int(value) if value.is_integer() and "." not in raw else value
-        triples.append((method, dst_name, params))
-    return triples
+        hops.append((method, dst_name, network_name or None, params))
+    return hops
 
 
 def _hello_len(fields: Tuple) -> int:
@@ -415,28 +421,37 @@ class _RelaySession:
     def _pinned_route(self, dst_host: Host, pinned: bytes) -> Optional["Route"]:
         """Reconstruct the pinned continuation the client handshook.
 
-        Any inconsistency (unknown host, malformed blob, a chain that does
-        not end at the destination) degrades gracefully to ``None`` — the
-        relay then re-selects autonomously, the pre-pinning behaviour.
+        Any inconsistency (unknown host, a network that does not join the
+        hop's ends, malformed blob, a chain that does not end at the
+        destination) degrades gracefully to ``None`` — the relay then
+        re-selects autonomously, the pre-pinning behaviour.
         """
         topology = self.relay.topology
         try:
-            triples = decode_pinned_hops(pinned)
+            decoded = decode_pinned_hops(pinned)
         except (ValueError, UnicodeDecodeError):
             return None
-        if not triples:
+        if not decoded:
             return None
         hops: List[RouteChoice] = []
         src = self.relay.host
-        for method, hop_dst_name, params in triples:
+        for method, hop_dst_name, network_name, params in decoded:
             try:
                 hop_dst = topology.host_by_name(hop_dst_name)
             except LookupError:
                 return None
+            network = None
+            if network_name is not None:
+                network = next(
+                    (n for n in topology.networks_between(src, hop_dst) if n.name == network_name),
+                    None,
+                )
+                if network is None:
+                    return None
             hops.append(
                 RouteChoice(
                     method=method,
-                    network=None,
+                    network=network,
                     link_class=LinkClass.NONE,
                     reason="pinned by upstream relay handshake",
                     src=src,

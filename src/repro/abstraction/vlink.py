@@ -50,16 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 VLINK_SERVICE = "vlink"
 
-#: minimum dwell (virtual seconds) on the current rail after a successful
-#: migration before another *preference-driven* migration is allowed.
-#: Passive probes on a loaded backup WAN depress its measured bandwidth
-#: enough to flip the route weights back and forth; without a dwell every
-#: flip migrates every open session (the circuits benchmark showed ~20
-#: migrations where ~8 do the work).  Dead rails and routes through
-#: down links/hosts migrate immediately regardless.
-ROUTE_MIN_DWELL = 0.4
-
-
 class VLinkState(enum.Enum):
     IDLE = "idle"
     CONNECTING = "connecting"
@@ -206,6 +196,8 @@ class VLinkListener:
     """Server side of VLink: accepts incoming links from any registered driver."""
 
     def __init__(self, manager: "VLinkManager", port: int):
+        if port in manager._listeners:
+            raise AbstractionError(f"VLink port {port} already in use on {manager.host.name}")
         self.manager = manager
         self.sim = manager.sim
         self.port = port
@@ -213,6 +205,9 @@ class VLinkListener:
         self._ready: List[VLink] = []
         self._waiters: List[VLinkOperation] = []
         self.accepted = 0
+        manager._listeners[port] = self
+        for driver in manager._drivers.values():
+            manager._serve(driver, self)
 
     def accept(self) -> VLinkOperation:
         """Post an accept; completes with the next incoming :class:`VLink`."""
@@ -229,11 +224,13 @@ class VLinkListener:
         while self._ready:
             fn(self._ready.pop(0))
 
-    def _incoming(self, driver_name: str, conn, peer_host: Optional[Host]) -> None:
+    def _incoming(self, link: VLink) -> None:
+        """The accept queue: a driver's accepted link (or, for an adaptive
+        listener, a handshaken session) goes to a waiting accept, the accept
+        callback, or the ready list."""
         if self.manager._listeners.get(self.port) is not self:
-            conn.close()  # accepted below before close() released the port
+            link.close()  # accepted below before close() released the port
             return
-        link = VLink(self.manager, driver_name, conn)
         self.accepted += 1
         if self._waiters:
             self._waiters.pop(0).succeed(link)
@@ -263,13 +260,6 @@ class VLinkManager:
         self.selector = selector
         self._drivers: Dict[str, "VLinkDriver"] = {}
         self._listeners: Dict[int, VLinkListener] = {}
-        #: open adaptive sessions originated here (migration candidates).
-        self._adaptive_links: List = []
-        self._topology_subscribed = False
-        self._reroute_scheduled = False
-        #: route-flap hysteresis: minimum virtual time between
-        #: preference-driven migrations of one session (see ROUTE_MIN_DWELL).
-        self.route_dwell = ROUTE_MIN_DWELL
         #: optional hook run before re-routing towards a destination; the
         #: framework points it at ``ensure_gateways`` so migrations can land
         #: on relay routes whose gateways are booted on demand.
@@ -284,11 +274,18 @@ class VLinkManager:
         self._drivers[driver.name] = driver
         # Late registration (e.g. WAN method drivers enabled on a gateway
         # after boot) must serve the ports the manager already listens on.
-        for port, listener in self._listeners.items():
-            driver.listen(
-                port, lambda conn, peer, n=driver.name, l=listener: l._incoming(n, conn, peer)
-            )
+        for listener in self._listeners.values():
+            self._serve(driver, listener)
         return driver
+
+    def _serve(self, driver: "VLinkDriver", listener: VLinkListener) -> None:
+        """Hand ``listener`` every connection ``driver`` accepts on its port."""
+        # default arguments, not a closure: one of these per port and driver
+        # on every host, and a closure's cells cost more memory
+        driver.listen(
+            listener.port,
+            lambda conn, _peer, m=self, n=driver.name, to=listener: to._incoming(VLink(m, n, conn)),
+        )
 
     def driver(self, name: str) -> "VLinkDriver":
         try:
@@ -312,13 +309,7 @@ class VLinkManager:
     # -- server side -----------------------------------------------------------------
     def listen(self, port: int) -> VLinkListener:
         """Listen on ``port`` with every registered driver."""
-        if port in self._listeners:
-            raise AbstractionError(f"VLink port {port} already in use on {self.host.name}")
-        listener = VLinkListener(self, port)
-        self._listeners[port] = listener
-        for name, driver in self._drivers.items():
-            driver.listen(port, lambda conn, peer, n=name: listener._incoming(n, conn, peer))
-        return listener
+        return VLinkListener(self, port)
 
     # -- client side -----------------------------------------------------------------
     def connect(
@@ -499,139 +490,6 @@ class VLinkManager:
             if name.startswith(prefix) and self._drivers[name].reaches(dst_host):
                 return self._drivers[name]
         return driver
-
-    # -- adaptive sessions -------------------------------------------------------
-    def listen_adaptive(self, port: int):
-        """Listen for *adaptive* sessions on ``port`` (see
-        :mod:`repro.abstraction.adaptive`): migratable, exactly-once ordered
-        byte streams that survive topology changes under them."""
-        from repro.abstraction.adaptive import AdaptiveListener
-
-        return AdaptiveListener(self, port)
-
-    def connect_adaptive(
-        self, dst_host: Host, port: int, route_provider=None
-    ) -> VLinkOperation:
-        """Open an adaptive session to ``dst_host:port``.
-
-        The returned operation completes with an
-        :class:`~repro.abstraction.adaptive.AdaptiveVLink`; its rail is
-        re-selected (and the stream migrated without losing or reordering
-        bytes) whenever the topology knowledge base changes under it.
-        ``route_provider`` (a callable returning a pinned
-        :class:`~repro.abstraction.routing.Route` or ``None``) overrides the
-        rail selection — adaptive circuit legs pass the selector's
-        circuit-hop pinning here.
-        """
-        from repro.abstraction.adaptive import adaptive_connect
-
-        return adaptive_connect(self, dst_host, port, route_provider=route_provider)
-
-    def adaptive_links(self) -> List:
-        return list(self._adaptive_links)
-
-    def _register_adaptive(self, link) -> None:
-        self._adaptive_links.append(link)
-        if not self._topology_subscribed:
-            self.selector.topology.subscribe(self._on_topology_change)
-            self._topology_subscribed = True
-
-    def _unregister_adaptive(self, link) -> None:
-        if link in self._adaptive_links:
-            self._adaptive_links.remove(link)
-
-    def _on_topology_change(self, change) -> None:
-        """Topology mutated: re-run selection for open adaptive links.
-
-        Deferred by one event-loop turn so the re-evaluation happens after
-        the mutation (and any sibling notifications) fully settled.
-        """
-        if self._reroute_scheduled or not self._adaptive_links:
-            return
-        self._reroute_scheduled = True
-        self.sim.call_later(0.0, self._reroute_adaptive_links)
-
-    def _reroute_adaptive_links(self) -> None:
-        self._reroute_scheduled = False
-        from repro.abstraction.adaptive import route_signature
-
-        for link in list(self._adaptive_links):
-            if link.state is not VLinkState.ESTABLISHED or link.role != "client":
-                continue
-            if self.gateway_provisioner is not None:
-                self.gateway_provisioner(link.dst_host)
-            route = None
-            if link.route_provider is not None:
-                route = link._provided_route()
-            if route is None:
-                try:
-                    route = self.selector.choose_vlink_route(
-                        self.host, link.dst_host, self.reliable_driver_names(), reliable_only=True
-                    )
-                except AbstractionError:
-                    continue  # destination unreachable right now: keep the rail
-            rail_dead = getattr(link, "_rail_dead", False) or (
-                link.rail is not None and link.rail.state is not VLinkState.ESTABLISHED
-            )
-            if rail_dead or route_signature(route) != link.rail_signature:
-                if not rail_dead and self._dwell_blocks(link):
-                    # recently migrated and the current route still works:
-                    # hold the route (flap damping) and re-evaluate when the
-                    # dwell expires.
-                    if self.sim.telemetry is not None:
-                        self.sim.telemetry.emit(
-                            "route.dwell_veto",
-                            session=f"{link.session_id:#x}",
-                            peer=link.peer_name,
-                        )
-                    self._defer_reroute(link)
-                    continue
-                link.migrate(reason=f"topology change: {route.describe()}")
-
-    def _dwell_blocks(self, link) -> bool:
-        """True when the minimum-dwell hysteresis vetoes a preference-driven
-        migration: the session migrated less than ``route_dwell`` ago and
-        its current rail's route is still viable (no down link/host)."""
-        if self.route_dwell <= 0.0 or link.last_migration_at is None:
-            return False
-        # the deadline must be the *same float expression* `_defer_reroute`
-        # schedules its recheck for, or rounding can strand the recheck in a
-        # zero-delay loop at the expiry timestamp
-        if self.sim.now >= link.last_migration_at + self.route_dwell:
-            return False
-        return self._route_viable(link)
-
-    def _route_viable(self, link) -> bool:
-        """Is the route the current rail rides still physically usable
-        according to the knowledge base?  A route through a down link or a
-        dead host is not — hysteresis must never pin a session to it."""
-        rail = link.rail
-        if rail is None or rail.state is not VLinkState.ESTABLISHED:
-            return False
-        route = rail.route
-        hops = getattr(route, "hops", None)
-        if hops is None:
-            hops = [route] if route is not None else []
-        topology = self.selector.topology
-        for hop in hops:
-            if hop.network is not None and not topology.is_link_up(hop.network):
-                return False
-            if hop.dst is not None and not topology.is_host_up(hop.dst):
-                return False
-        return True
-
-    def _defer_reroute(self, link) -> None:
-        """Schedule one re-evaluation at the link's dwell expiry."""
-        if link._dwell_recheck:
-            return
-        link._dwell_recheck = True
-        remaining = link.last_migration_at + self.route_dwell - self.sim.now
-        self.sim.call_later(max(remaining, 0.0), self._dwell_expired, link)
-
-    def _dwell_expired(self, link) -> None:
-        link._dwell_recheck = False
-        if link.state is VLinkState.ESTABLISHED and link in self._adaptive_links:
-            self._reroute_adaptive_links()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VLinkManager host={self.host.name} drivers={self.driver_names()}>"

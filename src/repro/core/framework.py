@@ -21,6 +21,7 @@ from repro.madeleine import MadeleineDriver
 from repro.arbitration import MadIO, NetAccessCore, SysIO
 from repro.abstraction import (
     AdaptiveCircuitAdapter,
+    AdaptiveListener,
     Circuit,
     CircuitManager,
     GATEWAY_RELAY_SERVICE,
@@ -37,6 +38,7 @@ from repro.abstraction import (
     TopologyKB,
     VLinkManager,
 )
+from repro.abstraction.adaptive import adaptive_connect
 from repro.abstraction.common import AbstractionError
 from repro.abstraction.topology import LinkClass, WAN_LATENCY_THRESHOLD
 from repro.monitoring import FaultInjector, TopologyMonitor
@@ -189,7 +191,7 @@ class PadicoNode:
     def vlink_listen(self, port: int, adaptive: bool = False):
         self._require_boot()
         if adaptive:
-            return self.vlink.listen_adaptive(port)
+            return AdaptiveListener(self.vlink, port)
         return self.vlink.listen(port)
 
     def vlink_connect(
@@ -208,7 +210,7 @@ class PadicoNode:
         if adaptive:
             if method is not None:
                 raise FrameworkError("adaptive connects pick their own method; drop method=")
-            return self.vlink.connect_adaptive(dst_host, port)
+            return adaptive_connect(self.vlink, dst_host, port)
         return self.vlink.connect(dst_host, port, method=method)
 
     def _require_boot(self) -> None:

@@ -5,8 +5,8 @@ import pytest
 
 from tests.helpers import run
 
-from repro.abstraction import LinkClass, Route, VLinkState
-from repro.abstraction.adaptive import MIGRATION_TIMEOUT
+from repro.abstraction import AbstractionError, LinkClass, Route, VLinkState, adaptive
+from repro.abstraction.adaptive import MIGRATION_TIMEOUT, AdaptiveSessions
 from repro.core import PadicoFramework
 from repro.methods import register_wan_method_drivers
 from repro.simnet.buffers import Gather
@@ -137,6 +137,69 @@ def test_adaptive_handshake_times_out_against_a_silent_listener(cluster, monkeyp
     assert rail.value.state is VLinkState.CLOSED
 
 
+@pytest.mark.parametrize(
+    "answer, error",
+    [
+        # closes the rail at once: the hello cannot be written
+        (lambda link: link.close(), "ConnectionRefusedError: no adaptive listener on port 8054"),
+        # closes it on the hello: the reply read fails
+        (
+            lambda link: link.set_data_handler(lambda rail: rail.close()),
+            "ConnectionError: stream closed",
+        ),
+        # answers the hello with bytes that are no session reply
+        (
+            lambda link: link.write(b"?" * adaptive._REPLY.size),
+            "ConnectionRefusedError: no adaptive listener on port 8054",
+        ),
+    ],
+)
+def test_adaptive_connect_fails_fast_against_a_plain_listener(cluster, answer, error):
+    fw, group = cluster
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    n1.vlink_listen(8054).set_accept_callback(answer)
+
+    def scenario():
+        try:
+            yield n0.vlink_connect(n1, 8054, adaptive=True)
+        except ConnectionError as exc:
+            return f"{type(exc).__name__}: {exc}", fw.sim.now
+
+    message, failed_at = run(fw, scenario())
+    assert message == error
+    assert failed_at < MIGRATION_TIMEOUT
+
+
+def test_adaptive_listener_rejects_a_stranger_and_an_unknown_resume(cluster):
+    """A rail whose hello lacks the session magic is closed unanswered; a
+    resume of a session the server no longer holds (as after a restart) is
+    refused, and the client stays on its rail with the fault recorded."""
+    fw, group = cluster
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    listener = n1.vlink_listen(8056, adaptive=True)
+
+    def scenario():
+        stranger = yield n0.vlink_connect(n1, 8056)
+        stranger.write(b"X" * adaptive._HELLO.size)
+        accept_op = listener.accept()
+        client = yield n0.vlink_connect(n1, 8056, adaptive=True)
+        server = yield accept_op
+        listener.sessions.clear()
+        client.migrate()
+        yield fw.sim.timeout(0.1)
+        client.write(b"still here")
+        data = yield server.read(10)
+        return client, data
+
+    client, data = run(fw, scenario())
+    assert listener.rejected == 2 and listener.accepted == 1
+    assert data == b"still here"
+    assert client.migrations == 0 and client.state is VLinkState.ESTABLISHED
+    error = client.last_migration_error
+    assert isinstance(error, ConnectionRefusedError)
+    assert str(error) == f"peer no longer knows adaptive session {client.session_id:#x}"
+
+
 def test_adaptive_close_propagates(cluster):
     fw, group = cluster
     n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
@@ -158,7 +221,7 @@ def test_adaptive_close_propagates(cluster):
     data, state = run(fw, scenario())
     assert data == b"bye"
     assert state is VLinkState.CLOSED
-    assert fw.node(group[0].name).vlink.adaptive_links() == []
+    assert AdaptiveSessions.of(fw.node(group[0].name).vlink).sessions == {}
 
 
 def test_pending_write_fails_when_peer_closes(cluster):
@@ -202,6 +265,25 @@ def test_close_during_migration_flushes_buffered_bytes(cluster):
     data, truncated = run(fw, scenario(), max_time=120)
     assert data == pattern(5000)
     assert not truncated
+
+
+def test_a_frame_past_the_delivered_offset_fails_loudly(cluster):
+    """A rail is in order and a resume restarts at the receiver's own
+    delivered offset, so a frame beyond it means broken framing: the
+    receiver raises instead of holding it."""
+    fw, group = cluster
+    n0, n1 = fw.node(group[0].name), fw.node(group[1].name)
+    listener = n1.vlink_listen(8165, adaptive=True)
+
+    def scenario():
+        accept_op = listener.accept()
+        client = yield n0.vlink_connect(n1, 8165, adaptive=True)
+        server = yield accept_op
+        client.rail.write(adaptive._FRAME.pack(adaptive._T_DATA, 100, 3) + b"abc")
+        yield server.read(3)
+
+    with pytest.raises(AbstractionError, match=r"frame at offset 100 past the 0 bytes delivered"):
+        run(fw, scenario(), max_time=10)
 
 
 def test_closed_adaptive_listener_refuses_new_sessions(cluster):
@@ -313,9 +395,6 @@ def _measured_flap_scenario(route_dwell=None, port=8450):
     across the lossy threshold every 50 ms (probe-noise flapping); returns
     the client after delivering a payload."""
     fw, edge, gw, remote, wan, lan, wan2 = wan_pair_with_backup(register_methods=True)
-    manager = fw.node("edge").vlink
-    if route_dwell is not None:
-        manager.route_dwell = route_dwell
     listener = fw.node("remote").vlink_listen(port, adaptive=True)
     total = 50_000
 
@@ -331,7 +410,10 @@ def _measured_flap_scenario(route_dwell=None, port=8450):
         data = yield server.read(total)
         return client, data
 
-    client, data = run(fw, scenario(), max_time=300)
+    with pytest.MonkeyPatch.context() as patch:
+        if route_dwell is not None:
+            patch.setattr(adaptive, "ROUTE_MIN_DWELL", route_dwell)
+        client, data = run(fw, scenario(), max_time=300)
     assert data == pattern(total)
     return client
 
@@ -404,6 +486,50 @@ def test_failed_migration_records_its_fault_and_retries():
     assert isinstance(fault, TimeoutError)
     assert data == pattern(total)
     assert client.migrations == 1 and client.last_migration_error is None
+
+
+def test_a_rail_that_connects_after_its_attempt_timed_out_is_discarded(monkeypatch):
+    """With the handshake timeout below a relay connect, every migration
+    attempt towards the gateway route is abandoned before its rail opens:
+    each late rail is closed on arrival, the session retries, and once the
+    timeout is back every byte arrives exactly once and in order."""
+    fw, edge, gw, remote, wan, lan, wan2 = wan_pair_with_backup()
+    listener = fw.node("remote").vlink_listen(8480, adaptive=True)
+    manager = fw.node("edge").vlink
+    rails = []
+    connect = manager.connect
+
+    def spy(*args, **kwargs):
+        rails.append(connect(*args, **kwargs))
+        return rails[-1]
+
+    total = 60_000
+
+    def scenario():
+        accept_op = listener.accept()
+        client = yield fw.node("edge").vlink_connect(fw.node("remote"), 8480, adaptive=True)
+        server = yield accept_op
+        monkeypatch.setattr(manager, "connect", spy)
+        monkeypatch.setattr(adaptive, "MIGRATION_TIMEOUT", 1e-4)
+        client.write(pattern(total // 2))
+        wan.up = False
+        wan.changed("link-down")
+        fw.topology.mark_link_down(wan, detail="died")
+        yield fw.sim.timeout(0.3)
+        late = [op.value for op in rails if op.ok]
+        monkeypatch.setattr(adaptive, "MIGRATION_TIMEOUT", MIGRATION_TIMEOUT)
+        client.write(pattern(total // 2, offset=1))
+        data = yield server.read(total)
+        yield fw.sim.timeout(0.1)
+        return client, server, late, data
+
+    client, server, late, data = run(fw, scenario(), max_time=300)
+    assert late, "the relay rails must open, after their attempts timed out"
+    assert all(rail.state is VLinkState.CLOSED for rail in late)
+    assert client.last_migration_error is None
+    assert data == pattern(total // 2) + pattern(total // 2, offset=1)
+    assert server.available() == 0 and server.in_delivered == total
+    assert client.migrations >= 1 and not client.route.is_direct
 
 
 def test_adaptive_link_survives_flapping_wan():

@@ -19,7 +19,7 @@ from repro.abstraction.routing import (
 from repro.abstraction.topology import LinkClass
 from repro.core import PadicoFramework
 from repro.methods import register_wan_method_drivers
-from repro.simnet.networks import Ethernet100, WanVthd
+from repro.simnet.networks import Ethernet100, GigabitEthernet, WanVthd
 
 
 def two_cluster_deployment(*, wan_methods_on_remote_gateway: bool = True):
@@ -263,10 +263,43 @@ def test_pinned_hop_wire_codec_roundtrips():
     blob = encode_pinned_hops(route.hops[1:])
     decoded = decode_pinned_hops(blob)
     assert decoded == [
-        ("parallel_streams", "gb", {"streams": 4}),
-        ("sysio", "b0", {}),
+        ("parallel_streams", "gb", "wan", {"streams": 4}),
+        ("sysio", "b0", "lan-b", {}),
     ]
+    # a hop without a network leaves the relay the driver's own pick
+    assert decode_pinned_hops(b"sysio@b0") == [("sysio", "b0", None, {})]
     # hops without explicit endpoints cannot be pinned
     assert encode_pinned_hops([RouteChoice("sysio", None, LinkClass.LAN)]) == b""
     with pytest.raises(ValueError):
         decode_pinned_hops(b"garbage-without-at-sign")
+
+
+def test_a_relayed_hop_runs_on_the_network_its_route_names():
+    """The relay handshake carries each pinned hop's network: the gateway's
+    downstream leg rides the route's Gigabit Ethernet, not the Fast
+    Ethernet the two hosts attached first."""
+    fw = PadicoFramework()
+    for name, site in [("a", "s1"), ("g", "s2"), ("c", "s2")]:
+        fw.add_host(name, site=site)
+    wan = fw.add_network(WanVthd(fw.sim, "wan"))
+    eth = fw.add_network(Ethernet100(fw.sim, "eth"))
+    gige = fw.add_network(GigabitEthernet(fw.sim, "gige"))
+    wan.connect(fw.host("a")), wan.connect(fw.host("g"))
+    for network in (eth, gige):
+        network.connect(fw.host("g")), network.connect(fw.host("c"))
+    fw.boot()
+    assert fw.route_between("a", "c").describe() == "a -[sysio/wan]-> g -[sysio/gige]-> c"
+    listener = fw.node("c").vlink_listen(9710)
+
+    def scenario():
+        accept_op = listener.accept()
+        client = yield fw.node("a").vlink_connect(fw.node("c"), 9710)
+        server = yield accept_op
+        client.write(b"over gige")
+        data = yield server.read(9)
+        return server, data
+
+    server, data = fw.sim.run(until=fw.sim.process(scenario()), max_time=20.0)
+    assert data == b"over gige"
+    assert server.conn.network is gige
+    assert fw.node("g").gateway_relay.sessions()[0].downstream.conn.network is gige
